@@ -1,6 +1,8 @@
 """Benchmark CLI: baseline vs. intermediate-targets, CSV convergence traces.
 
-Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted.
+Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted
+or run stalled (the CSV is still written), 3 solver error (CG broke down or
+did not converge).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_instance, parse_config
 from .driver import OuterConfig, run as run_outer
-from .linsolve import MatvecCounter
+from .linsolve import CGError, MatvecCounter
 from .problem import ControlProblem, optimal_step_gradient
 
 CSV_HEADER = "iter,J,misfit,penalty,theta,matvec_seq,matvec_par,wall_ms"
@@ -19,6 +21,7 @@ CSV_HEADER = "iter,J,misfit,penalty,theta,matvec_seq,matvec_par,wall_ms"
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_MAX_ITER = 2
+EXIT_SOLVER_ERROR = 3
 
 
 def _fmt(x: float) -> str:
@@ -61,6 +64,9 @@ def _intermediate_rows(problem: ControlProblem, cfg: RunConfig):
         worker_count=cfg.worker_count,
     )
     result = run_outer(problem, outer)
+    if result.stalled:
+        print(f"stalled at iteration {result.history[-1].outer_index}: "
+              "the line search found no descent step", file=sys.stderr)
     rows = [
         (m.outer_index, m.cost, m.misfit, m.penalty, m.theta,
          m.matvec_sequential, m.matvec_parallel, 1000.0 * m.wall_time)
@@ -178,6 +184,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except CGError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +62,7 @@ class RunConfig:
     @property
     def step_count(self) -> int:
         steps = self.T / self.dt
-        rounded = round(steps)
+        rounded = round(steps) if math.isfinite(steps) else 0
         if rounded < 1 or abs(steps - rounded) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"T/dt = {steps!r} is not a positive integer")
         return int(rounded)
@@ -71,8 +72,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _parse_float(text: str, key: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text.strip()!r}")
+    return value
+
+
 def _parse_bounds(text: str, dim: int, key: str) -> tuple[tuple[float, float], ...]:
-    vals = [float(tok) for tok in text.split(",")]
+    vals = [_parse_float(tok, key) for tok in text.split(",")]
     if len(vals) != 2 * dim:
         raise ConfigError(f"{key} must list {2 * dim} numbers for dim={dim}")
     return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(dim))
@@ -116,17 +124,17 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
             nodes_per_axis=_parse_ints(raw["nodes_per_axis"]),
             domain_bounds=_parse_bounds(raw["domain_bounds"], dim, "domain_bounds"),
             control_bounds=_parse_bounds(raw["control_bounds"], dim, "control_bounds"),
-            T=float(raw["T"]),
-            dt=float(raw["dt"]),
-            alpha=float(raw["alpha"]),
-            nu=float(raw["nu"]),
+            T=_parse_float(raw["T"], "T"),
+            dt=_parse_float(raw["dt"], "dt"),
+            alpha=_parse_float(raw["alpha"], "alpha"),
+            nu=_parse_float(raw["nu"], "nu"),
             y0=raw["y0"],
             y_target=raw["y_target"],
             mode=raw["mode"],
             N=int(raw["N"]),
             inner_iterations=int(raw["inner_iterations"]),
             max_outer=int(raw["max_outer"]),
-            gradient_rtol=float(raw["gradient_rtol"]),
+            gradient_rtol=_parse_float(raw["gradient_rtol"], "gradient_rtol"),
             worker_count=int(raw["worker_count"]),
             output=raw["output"],
             seed=int(raw["seed"]),
@@ -166,7 +174,7 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
         raise ConfigError(f"unrecognized field spec: {spec!r}")
     name, arg_text = match.group(1), match.group(2)
     try:
-        args = [float(tok) for tok in arg_text.split(",")] if arg_text.strip() else []
+        args = [_parse_float(tok, spec) for tok in arg_text.split(",")] if arg_text.strip() else []
     except ValueError as exc:
         raise ConfigError(f"bad arguments in field spec {spec!r}") from exc
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import inner_omega
-from .linsolve import MatvecCounter
+from .linsolve import CGError, MatvecCounter
 from .problem import (
     ControlProblem,
     EvaluationRecord,
@@ -77,6 +77,7 @@ class RunResult:
     control: np.ndarray
     history: list[IterationMetrics]
     converged: bool
+    stalled: bool = False  # stopped early because the last row's step was zero
 
 
 def _solve_step2(
@@ -100,13 +101,14 @@ def _solve_step2(
             futures = [pool.submit(task, n) for n in range(len(subs))]
             local_controls = []
             for n, fut in enumerate(futures):
+                where = (f"sub-problem {n} on [{partition.breakpoints[n]:g}, "
+                         f"{partition.breakpoints[n + 1]:g}]")
                 try:
                     local_controls.append(fut.result())
+                except CGError as exc:  # keeps its type: the CLI maps it to an exit code
+                    raise CGError(f"{where}: {exc}") from exc
                 except Exception as exc:
-                    raise RuntimeError(
-                        f"sub-problem {n} on [{partition.breakpoints[n]:g}, "
-                        f"{partition.breakpoints[n + 1]:g}] failed"
-                    ) from exc
+                    raise RuntimeError(f"{where} failed") from exc
     seq = sum(c.count for c in sub_counters)
     par = max(c.count for c in sub_counters)
     return concat_controls(local_controls), seq, par
@@ -209,7 +211,7 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
 
     threshold = None
     history: list[IterationMetrics] = []
-    converged = False
+    converged = stalled = False
 
     for k in range(config.max_outer + 1):
         rec: EvaluationRecord = _record(problem, v, y[-1])
@@ -261,5 +263,9 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
             IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta,
                              seq_mark, par_mark, wall_mark)
         )
+        if theta == 0.0:
+            # v is unchanged, so every later iteration would repeat this one
+            stalled = True
+            break
 
-    return RunResult(v, history, converged)
+    return RunResult(v, history, converged, stalled)

@@ -9,6 +9,7 @@ slices are 1D arrays of length ``control_node_count``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +29,12 @@ class Grid:
     interior_shape: tuple[int, ...]
     control_mask: np.ndarray  # sorted flat indices into the interior numbering
 
-    @property
+    # cached: every field check in the inner solves reads these sizes
+    @cached_property
     def interior_node_count(self) -> int:
         return int(np.prod(self.interior_shape))
 
-    @property
+    @cached_property
     def control_node_count(self) -> int:
         return int(self.control_mask.size)
 
@@ -131,17 +133,27 @@ def _check_control(grid: Grid, c: np.ndarray) -> None:
 
 
 def laplacian_apply(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Second-order central-difference Laplacian with zero Dirichlet boundary."""
+    """Second-order central-difference Laplacian with zero Dirichlet boundary.
+
+    Per axis, ``((a[i+1] - a[i]) - (a[i] - a[i-1])) / h**2`` on the
+    zero-padded field, summed over the axes in order onto a zero start.  That
+    order is part of the contract: every run's numbers depend on it bit for bit.
+    The result is a fresh array; callers may overwrite it.
+    """
     _check_field(grid, u)
-    a = u.reshape(grid.interior_shape)
-    out = np.zeros_like(a)
-    pad_spec = [(1, 1)] * grid.dim
-    padded = np.pad(a, pad_spec)
+    shape = grid.interior_shape
+    inner = (slice(1, -1),) * grid.dim
+    padded = np.zeros(tuple(n + 2 for n in shape))
+    padded[inner] = u.reshape(shape)
+    out = np.zeros(shape)
     for ax, h in enumerate(grid.spacing):
-        sl = tuple(
-            slice(None) if i == ax else slice(1, -1) for i in range(grid.dim)
-        )
-        out += np.diff(padded[sl], n=2, axis=ax) / h**2
+        x = padded[inner[:ax] + (slice(None),) + inner[ax + 1:]]
+        keep = (slice(None),) * ax
+        upper, lower = keep + (slice(1, None),), keep + (slice(None, -1),)
+        d1 = x[upper] - x[lower]
+        d2 = d1[upper] - d1[lower]
+        d2 /= h**2
+        out += d2
     return out.ravel()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -28,7 +30,7 @@ class MatvecCounter:
 
 
 class CGError(RuntimeError):
-    """Conjugate gradient failed to converge within the iteration cap."""
+    """Conjugate gradient broke down or did not converge within the iteration cap."""
 
 
 def cg_solve(
@@ -42,11 +44,19 @@ def cg_solve(
     """Solve A x = b for symmetric positive definite A given as a callable.
 
     Converges when ||b - A x|| <= tol * ||b||.  Every application of
-    ``apply_a`` bumps ``counter`` by one.
+    ``apply_a`` bumps ``counter`` by one.  Raises ``CGError`` when p.Ap is not
+    a positive finite number (A is not positive definite, or the iterates
+    are not finite), when ``b`` is not finite, or when the iteration cap is
+    reached.
+
+    ``b``, ``x0`` and the arrays ``apply_a`` returns are only read; the loop
+    updates its own x, r and p in place.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     b_norm = np.linalg.norm(b)
+    if not math.isfinite(b_norm):
+        raise CGError(f"right-hand side is not finite: ||b|| = {b_norm!r}")
     if b_norm == 0.0:
         return np.zeros_like(b)
     if max_iter is None:
@@ -65,17 +75,22 @@ def cg_solve(
         return x
 
     p = r.copy()
+    scratch = np.empty_like(r)
     rs = float(r @ r)
     for _ in range(max_iter):
         counter.add()
         ap = apply_a(p)
-        alpha = rs / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
+        p_ap = float(p @ ap)
+        if not 0.0 < p_ap < math.inf:
+            raise CGError(f"CG breakdown: p.Ap = {p_ap!r}")
+        alpha = rs / p_ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, ap, out=scratch)
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= target:
             return x
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     raise CGError(
         f"CG did not reach relative residual {tol:g} in {max_iter} iterations"

@@ -8,6 +8,7 @@ which is exact line minimization because the cost is quadratic.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -31,10 +32,10 @@ class ControlProblem:
     cg_tol: float = DEFAULT_CG_TOL
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive (strict convexity)")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite (strict convexity)")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         if self.y0.shape != (self.grid.interior_node_count,):
             raise ValueError("y0 does not belong to the grid")
         if self.y_target.shape != (self.grid.interior_node_count,):

@@ -8,6 +8,7 @@ is the exact gradient of the discrete cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.step_count < 1:
             raise ValueError("step_count must be at least 1")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError("t_start and t_end must be finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
 
@@ -47,8 +50,15 @@ def _check_control_field(grid: Grid, time_grid: TimeGrid, v: np.ndarray) -> None
 def step_operator(grid: Grid, dt: float, nu: float):
     """The implicit-Euler step matrix K = Id + dt*nu*(-Lap) as a callable."""
 
+    scale = -(dt * nu)
+
     def apply_k(u: np.ndarray) -> np.ndarray:
-        return u - dt * nu * laplacian_apply(grid, u)
+        # in place on the stencil's fresh output; IEEE negation and
+        # commutativity make this bitwise equal to u - dt * nu * Lap(u)
+        out = laplacian_apply(grid, u)
+        out *= scale
+        out += u
+        return out
 
     return apply_k
 

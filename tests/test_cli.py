@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from heatctrl.cli import CSV_HEADER, EXIT_CONFIG_ERROR, EXIT_MAX_ITER, EXIT_OK, main
+import heatctrl.propagators as propagators
+from heatctrl.cli import (
+    CSV_HEADER, EXIT_CONFIG_ERROR, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER_ERROR, main,
+)
+from heatctrl.linsolve import CGError
 
 
 TINY_2D = """
@@ -109,3 +113,58 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
                  "--max-outer", "3", "--out", str(out)])
     assert code in (EXIT_OK, EXIT_MAX_ITER)
     assert len(_read_rows(out)) <= 4
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--nu", "inf"), ("--dt", "nan"), ("--T", "inf"),
+])
+def test_non_finite_flag_is_a_config_error(cfg_file, tmp_path, capsys, flag, value):
+    code = main(["--config", str(cfg_file), flag, value, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_exit_code_for_solver_error(cfg_file, tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise CGError("synthetic breakdown")
+
+    monkeypatch.setattr(propagators, "cg_solve", failing)
+    code = main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_SOLVER_ERROR
+    err = capsys.readouterr().err
+    assert err == "solver error: synthetic breakdown\n"
+
+
+STALLING_1D = """
+dim = 1
+nodes_per_axis = 9
+domain_bounds = 0,1
+control_bounds = 0.2,0.8
+T = 0.4
+dt = 0.05
+alpha = 0.3
+nu = 0.5
+y0 = gaussian(0.5,0.15,1.0)
+y_target = indicator(0.2,0.8)
+mode = intermediate-targets
+N = 2
+max_outer = 200
+gradient_rtol = 1e-12
+"""
+
+
+def test_stalled_run_stops_and_writes_csv(tmp_path, capsys):
+    # rtol below what cg_tol = 1e-10 can resolve: the line search eventually
+    # proposes an uphill step, which the driver rejects
+    cfg = tmp_path / "stall.cfg"
+    cfg.write_text(STALLING_1D)
+    out = tmp_path / "stall.csv"
+    code = main(["--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_MAX_ITER
+    rows = _read_rows(out)
+    thetas = [float(r[4]) for r in rows]
+    assert len(rows) < 200 and thetas[-1] == 0.0 and all(thetas[:-1])
+    err = capsys.readouterr().err
+    assert err == f"stalled at iteration {len(rows) - 1}: the line search found no descent step\n"

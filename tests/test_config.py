@@ -82,6 +82,21 @@ def test_malformed_line_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "nan"), ("nu", "inf"), ("dt", "nan"), ("T", "inf"),
+    ("gradient_rtol", "nan"), ("domain_bounds", "0,inf,0,1"),
+    ("control_bounds", "0.3,nan,0.3,0.6"),
+])
+def test_non_finite_values_rejected(bench_cfg_file, key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(bench_cfg_file, {key: value})
+
+
+def test_overflowing_step_count_rejected(bench_cfg_file):
+    with pytest.raises(ConfigError, match="not a positive integer"):
+        parse_config(bench_cfg_file, {"T": "1e300", "dt": "1e-300"})
+
+
 @pytest.fixture
 def grid_2d():
     return hc.build_grid(2, (9, 9), [(0.0, 1.0), (0.0, 1.0)],
@@ -115,6 +130,8 @@ def test_make_field_rejects_garbage(grid_2d):
         make_field(grid_2d, "vortex(1,2)")
     with pytest.raises(ConfigError):
         make_field(grid_2d, "gaussian(0.5,0.1)")  # missing arguments in 2D
+    with pytest.raises(ConfigError):
+        make_field(grid_2d, "gaussian(0.5,nan,0.1,1.0)")
 
 
 def test_build_instance_free_evolution(bench_cfg_file):

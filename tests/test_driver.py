@@ -157,6 +157,33 @@ def test_worker_failure_identifies_subinterval(rng, monkeypatch):
         hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
 
 
+def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
+    prob = random_tiny_problem(rng)
+    cfg = hc.OuterConfig(n_intervals=3, worker_count=2)
+
+    import heatctrl.driver as driver
+
+    def boom(sub, iterations, counter, gradient_rtol=None):
+        if sub.index == 1:
+            raise hc.CGError("synthetic breakdown")
+        return sub.warm_start
+
+    monkeypatch.setattr(driver, "solve_subproblem", boom)
+    with pytest.raises(hc.CGError, match="sub-problem 1 .*synthetic breakdown"):
+        hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+
+
+def test_run_stops_at_first_rejected_step(rng):
+    # cg_tol 1e-6 cannot resolve gradient_rtol 1e-12: after a few sweeps the
+    # exact line search proposes an uphill step, which run rejects
+    prob = random_tiny_problem(rng, n_interior=5, steps=8, cg_tol=1e-6)
+    res = hc.run(prob, hc.OuterConfig(n_intervals=2, max_outer=100, gradient_rtol=1e-12))
+    assert res.stalled and not res.converged
+    thetas = [m.theta for m in res.history]
+    assert thetas[-1] == 0.0 and all(thetas[:-1])
+    assert len(res.history) < 100
+
+
 def test_outer_config_validation():
     with pytest.raises(ValueError):
         hc.OuterConfig(n_intervals=0)

@@ -68,3 +68,92 @@ def test_counter_merge():
     a, b = hc.MatvecCounter(3), hc.MatvecCounter(4)
     a.merge(b)
     assert a.count == 7
+
+
+def _reference_cg(apply_a, b, tol, x0):
+    """The allocating CG loop the in-place one must reproduce bit for bit."""
+    x = x0.copy()
+    r = b - apply_a(x)
+    target = tol * np.linalg.norm(b)
+    if np.linalg.norm(r) <= target:
+        return x
+    p = r.copy()
+    rs = float(r @ r)
+    while True:
+        ap = apply_a(p)
+        alpha = rs / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= target:
+            return x
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+
+
+def test_step_operator_bitwise_equal_to_reference_formula(rng):
+    g = hc.build_grid(2, (12, 9), [(0.0, 1.0), (0.0, 2.0)], [(0.2, 0.8), (0.5, 1.5)])
+    dt, nu = 0.01, 0.3
+    apply_k = hc.step_operator(g, dt, nu)
+    for _ in range(10):
+        u = rng.standard_normal(g.interior_node_count)
+        want = u - dt * nu * hc.laplacian_apply(g, u)
+        assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
+
+
+def test_cg_bitwise_equal_to_reference_loop(rng):
+    g = hc.build_grid(2, (12, 9), [(0.0, 1.0), (0.0, 2.0)], [(0.2, 0.8), (0.5, 1.5)])
+    apply_k = hc.step_operator(g, 0.05, 1.0)
+    for _ in range(5):
+        b = rng.standard_normal(g.interior_node_count)
+        x0 = rng.standard_normal(g.interior_node_count)
+        got = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0)
+        want = _reference_cg(apply_k, b, 1e-12, x0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_inputs_left_untouched(rng):
+    g = hc.build_grid(1, 20, [(0.0, 1.0)], [(0.0, 1.0)])
+    apply_k = hc.step_operator(g, 0.1, 1.0)
+    b = rng.standard_normal(18)
+    x0 = rng.standard_normal(18)
+    b_copy, x0_copy = b.copy(), x0.copy()
+    x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0)
+    assert np.array_equal(b, b_copy) and np.array_equal(x0, x0_copy)
+    assert x is not b and x is not x0
+
+
+def test_operator_returning_its_argument(rng):
+    b = rng.standard_normal(8)
+    x0 = rng.standard_normal(8)
+    x0_copy = x0.copy()
+    x = hc.cg_solve(lambda u: u, b, 1e-12, hc.MatvecCounter(), x0=x0)
+    np.testing.assert_allclose(x, b, rtol=1e-12)
+    assert np.array_equal(x0, x0_copy)
+
+
+def test_operator_returning_a_reused_buffer(rng):
+    diag = 1.0 + rng.random(15)
+    buffer = np.empty(15)
+
+    def reusing(u):
+        np.multiply(diag, u, out=buffer)
+        return buffer
+
+    b = rng.standard_normal(15)
+    x = hc.cg_solve(reusing, b, 1e-12, hc.MatvecCounter())
+    fresh = hc.cg_solve(lambda u: diag * u, b, 1e-12, hc.MatvecCounter())
+    assert np.array_equal(x, fresh)
+    np.testing.assert_allclose(x, b / diag, rtol=1e-10)
+
+
+@pytest.mark.parametrize("apply_a, b", [
+    (lambda u: -u, np.ones(4)),  # negative definite: p.Ap < 0
+    (lambda u: 0.0 * u, np.ones(4)),  # singular: p.Ap = 0
+    (lambda u: u, np.array([1.0, np.nan, 0.0])),
+    (lambda u: u, np.array([1.0, np.inf, 0.0])),
+    (lambda u: u * np.array([1.0, np.nan, 1.0]), np.ones(3)),  # non-finite iterate
+])
+def test_breakdown_raises(apply_a, b):
+    with pytest.raises(hc.CGError, match="breakdown|not finite"):
+        hc.cg_solve(apply_a, b, 1e-10, hc.MatvecCounter())

@@ -162,3 +162,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(2),
                           y_target=np.zeros(3), alpha=0.1, nu=0.5)
+    for alpha, nu in [(float("nan"), 0.5), (0.1, float("inf"))]:
+        with pytest.raises(ValueError, match="finite"):
+            hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(3),
+                              y_target=np.zeros(3), alpha=alpha, nu=nu)

@@ -12,6 +12,8 @@ def test_time_grid_validation():
         hc.TimeGrid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         hc.TimeGrid(1.0, 1.0, 4)
+    with pytest.raises(ValueError, match="finite"):
+        hc.TimeGrid(0.0, float("inf"), 4)
     tg = hc.TimeGrid(0.0, 6.4, 6400)
     assert tg.dt == pytest.approx(1e-3)
     assert tg.times().shape == (6401,)

@@ -40,8 +40,8 @@ print("targets chi(t_n) computed; chi(T) equals y_target:",
 subs = hc.assemble_subproblems(problem, v, partition, targets)
 locals_ = [hc.solve_subproblem(s, 1, counter) for s in subs]
 v_tilde = hc.concat_controls(locals_)
-theta = hc.line_search_theta(problem, v, v_tilde - v, counter,
-                             residual=targets.final_state - problem.y_target)
+residual = hc.evaluate(problem, v, counter).final_state - problem.y_target
+theta, _ = hc.line_search_theta(problem, v, v_tilde - v, residual, counter)
 v = v + theta * (v_tilde - v)
 print(f"after one sweep: theta = {theta:.4f}, "
       f"J = {hc.evaluate(problem, v, counter).cost:.8f}")

@@ -1,8 +1,8 @@
 """Benchmark CLI: baseline vs. intermediate-targets, CSV convergence traces.
 
 Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted
-or run stalled (the CSV is still written), 3 solver error (CG broke down or
-did not converge).
+or run stalled (the CSV is still written, and stderr gets one line per run
+that stopped early), 3 solver error (CG broke down or did not converge).
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ def _write_csv(path: Path, rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _report_exhausted(mode: str, cfg: RunConfig) -> None:
+    print(f"iteration budget exhausted: {mode} did not converge "
+          f"within max_outer = {cfg.max_outer} iterations", file=sys.stderr)
+
+
 def _baseline_rows(problem: ControlProblem, cfg: RunConfig):
     counter = MatvecCounter()
     result = optimal_step_gradient(
@@ -52,6 +57,8 @@ def _baseline_rows(problem: ControlProblem, cfg: RunConfig):
          1000.0 * result.wall_marks[k])
         for k, rec in enumerate(result.history)
     ]
+    if not result.converged:
+        _report_exhausted("baseline", cfg)
     return rows, result.converged
 
 
@@ -67,12 +74,22 @@ def _intermediate_rows(problem: ControlProblem, cfg: RunConfig):
     if result.stalled:
         print(f"stalled at iteration {result.history[-1].outer_index}: "
               "the line search found no descent step", file=sys.stderr)
+    elif not result.converged:
+        _report_exhausted("intermediate-targets", cfg)
     rows = [
         (m.outer_index, m.cost, m.misfit, m.penalty, m.theta,
          m.matvec_sequential, m.matvec_parallel, 1000.0 * m.wall_time)
         for m in result.history
     ]
     return rows, result.converged
+
+
+_ROWS = {"baseline": _baseline_rows, "intermediate-targets": _intermediate_rows}
+
+
+def _print_summary(rows, speedup: str = "n/a") -> None:
+    _, j, _, _, _, seq, par, _ = rows[-1]
+    print(f"final_J={_fmt(j)} matvec_seq={seq} matvec_par={par} speedup={speedup}")
 
 
 def _matvecs_to_reach(rows, threshold: float, column: int):
@@ -91,24 +108,10 @@ def run_benchmark(cfg: RunConfig) -> int:
     )
     out = Path(cfg.output)
 
-    if cfg.mode == "baseline":
-        rows, converged = _baseline_rows(problem, cfg)
+    if cfg.mode in _ROWS:
+        rows, converged = _ROWS[cfg.mode](problem, cfg)
         _write_csv(out, rows)
-        final = rows[-1]
-        print(
-            f"final_J={_fmt(final[1])} matvec_seq={final[5]} "
-            f"matvec_par={final[6]} speedup=n/a"
-        )
-        return EXIT_OK if converged else EXIT_MAX_ITER
-
-    if cfg.mode == "intermediate-targets":
-        rows, converged = _intermediate_rows(problem, cfg)
-        _write_csv(out, rows)
-        final = rows[-1]
-        print(
-            f"final_J={_fmt(final[1])} matvec_seq={final[5]} "
-            f"matvec_par={final[6]} speedup=n/a"
-        )
+        _print_summary(rows)
         return EXIT_OK if converged else EXIT_MAX_ITER
 
     # mode == both: identical discretization and tolerances for both runs
@@ -121,15 +124,8 @@ def run_benchmark(cfg: RunConfig) -> int:
     threshold = 1.01 * base_rows[-1][1]
     _, base_cost = _matvecs_to_reach(base_rows, threshold, column=5)
     _, inter_cost = _matvecs_to_reach(inter_rows, threshold, column=6)
-    if base_cost is not None and inter_cost:
-        speedup = _fmt(base_cost / inter_cost)
-    else:
-        speedup = "n/a"
-    final = inter_rows[-1]
-    print(
-        f"final_J={_fmt(final[1])} matvec_seq={final[5]} "
-        f"matvec_par={final[6]} speedup={speedup}"
-    )
+    speedup = _fmt(base_cost / inter_cost) if base_cost is not None and inter_cost else "n/a"
+    _print_summary(inter_rows, speedup)
     return EXIT_OK if (base_conv and inter_conv) else EXIT_MAX_ITER
 
 

@@ -153,7 +153,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         raise ConfigError("N, inner_iterations, max_outer, worker_count must be >= 1")
     if cfg.gradient_rtol <= 0:
         raise ConfigError("gradient_rtol must be positive")
-    cfg.step_count  # validates T/dt
+    if cfg.N > cfg.step_count:  # step_count also validates T/dt
+        raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
     return cfg
 
 
@@ -214,7 +215,10 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
 
 def build_instance(cfg: RunConfig):
     """Realize the grid, time grid, and initial/target fields of a config."""
-    grid = build_grid(cfg.dim, cfg.nodes_per_axis, cfg.domain_bounds, cfg.control_bounds)
+    try:
+        grid = build_grid(cfg.dim, cfg.nodes_per_axis, cfg.domain_bounds, cfg.control_bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     time_grid = TimeGrid(0.0, cfg.T, cfg.step_count)
     rng = np.random.default_rng(cfg.seed)
     y0 = make_field(grid, cfg.y0, rng)

@@ -1,15 +1,20 @@
-"""Outer iteration: targets, concurrent sub-problem solves, line search.
+"""The outer sweep of the intermediate-targets method and its matvec ledger.
 
-Sub-problems run on a thread pool with private matvec counters; results are
-merged in sub-interval order so the outcome is independent of scheduling.
-Two matvec tallies are kept: ``sequential`` counts every product, while
-``parallel`` charges each concurrent batch at its per-sub-problem maximum.
+``_sweep`` is the only implementation of the method's four steps.  From the
+state y(v) and adjoint p(v) of the current control it (1) forms the targets
+chi = y - p at the breakpoints, (2) solves the independent sub-problems, on a
+thread pool with private matvec counters, merged in sub-interval order so the
+outcome is independent of scheduling, (3) concatenates their controls into
+v_tilde, and (4) takes the exact line-search step along d = v_tilde - v,
+rejecting an uphill one.  The state follows through linearity,
+y(v + theta d) = y(v) + theta z with z the homogeneous trajectory the line
+search solved for, so each outer iteration of ``run`` costs one adjoint solve,
+the sub-problem solves and one homogeneous forward solve.
+``outer_iteration`` runs the same sweep from an arbitrary control.
 
-``run`` keeps the full state trajectory across outer iterations and updates
-it through linearity (y(v + theta d) = y(v) + theta z, with z the homogeneous
-trajectory driven by d computed for the line search), so each outer iteration
-costs one adjoint solve, the concurrent inner solves, and one homogeneous
-forward solve.
+One ``MatvecCounter`` counts every product: the sequential tally.  The
+parallel tally charges each step-2 batch at its per-sub-problem maximum, so it
+is that count minus the products each sweep reports as saved.
 """
 
 from __future__ import annotations
@@ -22,13 +27,7 @@ import numpy as np
 
 from .grid import inner_omega
 from .linsolve import CGError, MatvecCounter
-from .problem import (
-    ControlProblem,
-    EvaluationRecord,
-    _record,
-    inner_h,
-    norm_h,
-)
+from .problem import ControlProblem, _record, inner_h, norm_h
 from .propagators import solve_adjoint, solve_state
 from .targets import (
     SubProblem,
@@ -37,7 +36,6 @@ from .targets import (
     concat_controls,
     make_partition,
     solve_subproblem,
-    target_trajectory,
     targets_from_solutions,
 )
 
@@ -84,8 +82,13 @@ def _solve_step2(
     subs: list[SubProblem],
     config: OuterConfig,
     partition: TimePartition,
-) -> tuple[np.ndarray, int, int]:
-    """Concurrent sub-problem solves; returns (v_tilde, seq matvecs, par matvecs)."""
+    counter: MatvecCounter,
+) -> tuple[np.ndarray, int]:
+    """Concurrent sub-problem solves; returns (v_tilde, matvecs saved).
+
+    ``counter`` is charged every product; the saved count is what charging
+    the batch at its per-sub-problem maximum takes off that.
+    """
     sub_counters = [MatvecCounter() for _ in subs]
 
     def task(n: int) -> np.ndarray:
@@ -110,18 +113,23 @@ def _solve_step2(
                 except Exception as exc:
                     raise RuntimeError(f"{where} failed") from exc
     seq = sum(c.count for c in sub_counters)
-    par = max(c.count for c in sub_counters)
-    return concat_controls(local_controls), seq, par
+    counter.add(seq)
+    return concat_controls(local_controls), seq - max(c.count for c in sub_counters)
 
 
-def _theta_and_z(
+def line_search_theta(
     problem: ControlProblem,
     v: np.ndarray,
     d: np.ndarray,
     residual: np.ndarray,
     counter: MatvecCounter,
 ) -> tuple[float, np.ndarray | None]:
-    """Closed-form line-search step and the homogeneous trajectory it used."""
+    """Exact minimizer of theta -> J(v + theta d) and the trajectory z it used.
+
+    ``residual`` is y(T; v) - y_target.  z is the homogeneous state driven by
+    d, so y(v + theta d) = y(v) + theta z; it is None (and theta 0) when d
+    vanishes.
+    """
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
         return 0.0, None
@@ -134,24 +142,35 @@ def _theta_and_z(
     return -num / den, z
 
 
-def line_search_theta(
+def _sweep(
     problem: ControlProblem,
+    partition: TimePartition,
+    config: OuterConfig,
     v: np.ndarray,
-    d: np.ndarray,
+    y: np.ndarray,
+    p: np.ndarray,
+    cost: float,
     counter: MatvecCounter,
-    residual: np.ndarray | None = None,
-) -> float:
-    """Exact minimizer of theta -> J(v + theta d); 0 when d vanishes.
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Steps 1-4 from the state y(v), adjoint p(v) and cost J(v) of the control v.
 
-    ``residual`` is y(T; v) - y_target if already available; otherwise one
-    extra forward solve computes it.
+    Returns (v_next, y_next, theta, saved): y_next is y(v_next), updated
+    through linearity; theta is 0 and v, y come back unchanged when the line
+    search finds no descent step; saved is what the parallel tally does not
+    charge of step 2's products.
     """
-    if residual is None and np.any(d):
-        grid, tg = problem.grid, problem.time_grid
-        y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
-        residual = y[-1] - problem.y_target
-    theta, _ = _theta_and_z(problem, v, d, residual, counter)
-    return theta
+    targets = targets_from_solutions(problem, partition, y, p)
+    subs = assemble_subproblems(problem, v, partition, targets)
+    v_tilde, saved = _solve_step2(subs, config, partition, counter)
+    d = v_tilde - v
+    theta, z = line_search_theta(problem, v, d, y[-1] - problem.y_target, counter)
+    if theta != 0.0:
+        v_next, y_next = v + theta * d, y + theta * z
+        if _record(problem, v_next, y_next[-1]).cost <= cost:
+            return v_next, y_next, theta, saved
+        # exact line search guarantees descent up to solver noise; keep the
+        # previous iterate rather than take an uphill step
+    return v, y, 0.0, saved
 
 
 def outer_iteration(
@@ -159,38 +178,24 @@ def outer_iteration(
     v_k: np.ndarray,
     config: OuterConfig,
     counter: MatvecCounter,
-    partition: TimePartition | None = None,
 ) -> tuple[np.ndarray, float, int]:
-    """One sweep of the four-step update; returns (v_next, theta, parallel matvecs).
+    """One sweep from an arbitrary control; returns (v_next, theta, parallel matvecs).
 
-    ``counter`` accumulates the sequential tally; the returned integer is the
-    parallel-equivalent charge for this iteration (concurrent batch charged
-    at its maximum).
+    Solves for y(v_k) and p(v_k) first.  ``counter`` accumulates the
+    sequential tally; the returned integer is this sweep's parallel charge.
     """
-    if partition is None:
-        partition = make_partition(problem.time_grid, config.n_intervals)
-
+    grid, tg = problem.grid, problem.time_grid
     start = counter.count
-    targets = target_trajectory(problem, v_k, partition, counter)
-    subs = assemble_subproblems(problem, v_k, partition, targets)
-    step1 = counter.count - start
-
-    v_tilde, step2_seq, step2_par = _solve_step2(subs, config, partition)
-    counter.add(step2_seq)
-
-    d = v_tilde - v_k
-    before_ls = counter.count
-    theta, _ = _theta_and_z(
-        problem, v_k, d, targets.final_state - problem.y_target, counter
-    )
-    step4 = counter.count - before_ls
-
-    v_next = v_k + theta * d
-    return v_next, theta, step1 + step2_par + step4
+    y = solve_state(grid, tg, problem.y0, v_k, problem.nu, problem.cg_tol, counter)
+    p = solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol, counter)
+    cost = _record(problem, v_k, y[-1]).cost
+    partition = make_partition(tg, config.n_intervals)
+    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p, cost, counter)
+    return v_next, theta, counter.count - start - saved
 
 
 def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
-    """Iterate from v = 0 until the true gradient norm test or max_outer.
+    """Iterate from v = 0 until the true gradient norm test, a stall or max_outer.
 
     The stopping gradient comes from the same adjoint solve that builds the
     targets, so it adds no extra cost.  Row k of the history reports J(v^k)
@@ -198,74 +203,37 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
     accumulated when J(v^k) and its gradient became known.
     """
     grid, tg = problem.grid, problem.time_grid
-    mask = grid.control_mask
     partition = make_partition(tg, config.n_intervals)
     counter = MatvecCounter()
-    parallel = 0
+    saved = 0
     t0 = time.perf_counter()
 
     v = problem.zero_control()
-    before = counter.count
     y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
-    parallel += counter.count - before
 
     threshold = None
     history: list[IterationMetrics] = []
     converged = stalled = False
 
     for k in range(config.max_outer + 1):
-        rec: EvaluationRecord = _record(problem, v, y[-1])
-        residual = y[-1] - problem.y_target
-
-        before = counter.count
-        p = solve_adjoint(grid, tg, residual, problem.nu, problem.cg_tol, counter)
-        parallel += counter.count - before
-        g = problem.alpha * v + p[:-1][:, mask]
-        gnorm = norm_h(grid, tg, g)
+        rec = _record(problem, v, y[-1])
+        p = solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
+                          counter)
+        gnorm = norm_h(grid, tg, problem.alpha * v + p[:-1][:, grid.control_mask])
         if threshold is None:
             threshold = config.gradient_rtol * (1.0 + gnorm)
-        seq_mark, par_mark = counter.count, parallel
-        wall_mark = time.perf_counter() - t0
+        marks = (counter.count, counter.count - saved, time.perf_counter() - t0)
 
-        if gnorm <= threshold or k == config.max_outer:
-            history.append(
-                IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, 0.0,
-                                 seq_mark, par_mark, wall_mark)
-            )
-            converged = gnorm <= threshold
-            break
-
-        targets = targets_from_solutions(problem, partition, y, p)
-        subs = assemble_subproblems(problem, v, partition, targets)
-
-        before = counter.count
-        v_tilde, step2_seq, step2_par = _solve_step2(subs, config, partition)
-        counter.add(step2_seq)
-        parallel += step2_par
-
-        d = v_tilde - v
-        before = counter.count
-        theta, z = _theta_and_z(problem, v, d, residual, counter)
-        parallel += counter.count - before
-
-        if theta != 0.0 and z is not None:
-            v_candidate = v + theta * d
-            y_candidate = y + theta * z
-            cost_candidate = _record(problem, v_candidate, y_candidate[-1]).cost
-            if cost_candidate <= rec.cost:
-                v, y = v_candidate, y_candidate
-            else:
-                # exact line search guarantees descent up to solver noise;
-                # keep the previous iterate rather than take an uphill step
-                theta = 0.0
-
-        history.append(
-            IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta,
-                             seq_mark, par_mark, wall_mark)
-        )
+        converged = gnorm <= threshold
+        theta = 0.0
+        if not converged and k < config.max_outer:
+            v, y, theta, step_saved = _sweep(problem, partition, config, v, y, p, rec.cost,
+                                             counter)
+            saved += step_saved
+            # a zero step leaves v unchanged: every later iteration would repeat this one
+            stalled = theta == 0.0
+        history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))
         if theta == 0.0:
-            # v is unchanged, so every later iteration would repeat this one
-            stalled = True
             break
 
     return RunResult(v, history, converged, stalled)

@@ -10,8 +10,8 @@ import numpy as np
 class MatvecCounter:
     """Counts discrete-Laplacian applications performed inside linear solves.
 
-    Workers running concurrently each own a private counter; totals are merged
-    afterwards, so no locking is needed.
+    Workers running concurrently each own a private counter, so no locking is
+    needed.
     """
 
     __slots__ = ("count",)
@@ -21,9 +21,6 @@ class MatvecCounter:
 
     def add(self, n: int = 1) -> None:
         self.count += n
-
-    def merge(self, other: "MatvecCounter") -> None:
-        self.count += other.count
 
     def __repr__(self) -> str:
         return f"MatvecCounter({self.count})"

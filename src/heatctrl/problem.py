@@ -99,18 +99,6 @@ def gradient(
     return problem.alpha * v + p[:-1][:, problem.grid.control_mask]
 
 
-def evaluate_with_gradient(
-    problem: ControlProblem, v: np.ndarray, counter: MatvecCounter
-) -> tuple[EvaluationRecord, np.ndarray]:
-    """One forward and one backward solve shared between cost and gradient."""
-    y = solve_state(
-        problem.grid, problem.time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter
-    )
-    rec = _record(problem, v, y[-1])
-    g = gradient(problem, v, counter, final_state=y[-1])
-    return rec, g
-
-
 @dataclass
 class DescentResult:
     control: np.ndarray

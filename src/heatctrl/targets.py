@@ -54,7 +54,6 @@ class TargetTrajectory:
     boundary_targets: np.ndarray  # (N, n): chi at t_1 .. t_N
     boundary_states: np.ndarray  # (N, n): y at t_0 .. t_{N-1}
     end_states: np.ndarray  # (N, n): y at t_1 .. t_N, reused by warm starts
-    final_state: np.ndarray  # y at t_N, kept for the outer line search
 
 
 def targets_from_solutions(
@@ -68,7 +67,7 @@ def targets_from_solutions(
     starts = np.array(partition.step_offsets)
     chi = y[ends] - p[ends]
     chi[-1] = problem.y_target  # exact: chi(T) = y(T) - (y(T) - y_target)
-    return TargetTrajectory(chi, y[starts].copy(), y[ends].copy(), y[-1].copy())
+    return TargetTrajectory(chi, y[starts].copy(), y[ends].copy())
 
 
 def target_trajectory(

@@ -26,6 +26,24 @@ gradient_rtol = 1e-3
 """
 
 
+STALLING_1D = """
+dim = 1
+nodes_per_axis = 9
+domain_bounds = 0,1
+control_bounds = 0.2,0.8
+T = 0.4
+dt = 0.05
+alpha = 0.3
+nu = 0.5
+y0 = gaussian(0.5,0.15,1.0)
+y_target = indicator(0.2,0.8)
+mode = intermediate-targets
+N = 2
+max_outer = 200
+gradient_rtol = 1e-12
+"""
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "bench.cfg"
@@ -93,12 +111,14 @@ def test_mode_both_writes_two_files_and_speedup(cfg_file, tmp_path, capsys):
     assert parts["speedup"] == "n/a" or float(parts["speedup"]) > 0
 
 
-def test_exit_code_for_exhausted_budget(cfg_file, tmp_path):
+def test_exit_code_for_exhausted_budget(cfg_file, tmp_path, capsys):
     out = tmp_path / "short.csv"
     code = main(["--config", str(cfg_file), "--max-outer", "1",
                  "--rtol", "1e-12", "--out", str(out)])
     assert code == EXIT_MAX_ITER
     assert out.exists()  # CSV still written on non-convergence
+    assert capsys.readouterr().err == ("iteration budget exhausted: intermediate-targets "
+                                       "did not converge within max_outer = 1 iterations\n")
 
 
 def test_exit_code_for_config_error(tmp_path, capsys):
@@ -117,9 +137,14 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--alpha", "nan"), ("--nu", "inf"), ("--dt", "nan"), ("--T", "inf"),
+    # invalid for the 8-step, 9-node 1D line
+    ("--N", "100"), ("--nodes-per-axis", "2"), ("--nodes-per-axis", "9,9"),
+    ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"),
 ])
-def test_non_finite_flag_is_a_config_error(cfg_file, tmp_path, capsys, flag, value):
-    code = main(["--config", str(cfg_file), flag, value, "--out", str(tmp_path / "x.csv")])
+def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    code = main(["--config", str(cfg), flag, value, "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -135,24 +160,6 @@ def test_exit_code_for_solver_error(cfg_file, tmp_path, capsys, monkeypatch):
     assert code == EXIT_SOLVER_ERROR
     err = capsys.readouterr().err
     assert err == "solver error: synthetic breakdown\n"
-
-
-STALLING_1D = """
-dim = 1
-nodes_per_axis = 9
-domain_bounds = 0,1
-control_bounds = 0.2,0.8
-T = 0.4
-dt = 0.05
-alpha = 0.3
-nu = 0.5
-y0 = gaussian(0.5,0.15,1.0)
-y_target = indicator(0.2,0.8)
-mode = intermediate-targets
-N = 2
-max_outer = 200
-gradient_rtol = 1e-12
-"""
 
 
 def test_stalled_run_stops_and_writes_csv(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_make_field_rejects_garbage(grid_2d):
 
 def test_build_instance_free_evolution(bench_cfg_file):
     cfg = parse_config(bench_cfg_file, {
-        "nodes_per_axis": "9,9", "T": "0.5", "dt": "0.1",
+        "nodes_per_axis": "9,9", "T": "0.5", "dt": "0.1", "N": "5",
         "y_target": "free-evolution-of-y0",
     })
     grid, tg, y0, y_target = hc.build_instance(cfg)

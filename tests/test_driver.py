@@ -12,17 +12,25 @@ def _random_control(rng, prob):
     )
 
 
+def _residual(prob, v, counter):
+    return hc.evaluate(prob, v, counter).final_state - prob.y_target
+
+
 def test_line_search_zero_direction(tiny_problem):
-    d = np.zeros_like(tiny_problem.zero_control())
-    assert hc.line_search_theta(tiny_problem, tiny_problem.zero_control(), d,
-                                hc.MatvecCounter()) == 0.0
+    v = tiny_problem.zero_control()
+    counter = hc.MatvecCounter()
+    theta, z = hc.line_search_theta(tiny_problem, v, np.zeros_like(v),
+                                    _residual(tiny_problem, v, counter), counter)
+    assert theta == 0.0 and z is None
 
 
 def test_line_search_vanishes_at_optimum(rng):
     prob = random_tiny_problem(rng)
     v_star, _ = hc.oracle_kkt_solve(prob)
     d = _random_control(rng, prob)
-    theta = hc.line_search_theta(prob, v_star, d, hc.MatvecCounter())
+    counter = hc.MatvecCounter()
+    theta, _ = hc.line_search_theta(prob, v_star, d, _residual(prob, v_star, counter),
+                                    counter)
     assert abs(theta) <= 1e-8
 
 
@@ -33,7 +41,7 @@ def test_line_search_is_the_scalar_minimizer(rng):
     v = _random_control(rng, prob)
     d = _random_control(rng, prob)
     counter = hc.MatvecCounter()
-    theta_star = hc.line_search_theta(prob, v, d, counter)
+    theta_star, _ = hc.line_search_theta(prob, v, d, _residual(prob, v, counter), counter)
 
     def j_of(theta):
         return hc.evaluate(prob, v + theta * d, counter).cost
@@ -82,6 +90,15 @@ def test_outer_iteration_never_increases_cost(rng):
         j_prev = j
 
 
+def test_outer_iteration_is_the_first_step_of_run(rng):
+    prob = random_tiny_problem(rng, n_interior=5, steps=12)
+    cfg = hc.OuterConfig(n_intervals=4, max_outer=1)
+    v1, theta, _ = hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+    res = hc.run(prob, cfg)
+    assert theta != 0.0 and theta == res.history[0].theta
+    assert v1.tobytes() == res.control.tobytes()
+
+
 def test_run_converges_immediately_for_free_evolution_target(rng):
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.2, 0.8)])
     tg = hc.TimeGrid(0.0, 1.0, 8)
@@ -124,6 +141,13 @@ def test_run_parallel_tally_strictly_cheaper(rng):
     res = hc.run(prob, hc.OuterConfig(n_intervals=4, max_outer=30))
     last = res.history[-1]
     assert last.matvec_parallel < last.matvec_sequential
+
+
+def test_single_interval_tallies_agree(rng):
+    prob = random_tiny_problem(rng, n_interior=5, steps=12)
+    res = hc.run(prob, hc.OuterConfig(n_intervals=1, max_outer=10))
+    assert len(res.history) > 2
+    assert all(m.matvec_parallel == m.matvec_sequential for m in res.history)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4, 8])

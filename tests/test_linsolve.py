@@ -64,12 +64,6 @@ def test_invalid_tolerance_rejected():
         hc.cg_solve(lambda u: u, np.ones(3), 0.0, hc.MatvecCounter())
 
 
-def test_counter_merge():
-    a, b = hc.MatvecCounter(3), hc.MatvecCounter(4)
-    a.merge(b)
-    assert a.count == 7
-
-
 def _reference_cg(apply_a, b, tol, x0):
     """The allocating CG loop the in-place one must reproduce bit for bit."""
     x = x0.copy()

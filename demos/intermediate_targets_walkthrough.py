@@ -1,8 +1,8 @@
 """Walk through one outer sweep of the intermediate-targets method.
 
 On a tiny 1D instance we (1) compute the target trajectory chi = y - p,
-(2) split the horizon into sub-intervals and solve the local tracking
-problems independently, (3) concatenate and line-search, and finally check
+(2) split the horizon into sub-intervals and solve the independent local
+tracking problems as one batch, (3) concatenate and line-search, and finally check
 the defining fixed-point property: starting from the exact optimum, the
 sweep returns the optimum.
 """
@@ -38,7 +38,7 @@ print("targets chi(t_n) computed; chi(T) equals y_target:",
       np.array_equal(targets.boundary_targets[-1], problem.y_target))
 
 subs = hc.assemble_subproblems(problem, v, partition, targets)
-locals_ = [hc.solve_subproblem(s, 1, counter) for s in subs]
+locals_ = hc.solve_subproblem(subs, 1, counter)  # one batched descent
 v_tilde = hc.concat_controls(locals_)
 residual = hc.evaluate(problem, v, counter).final_state - problem.y_target
 theta, _ = hc.line_search_theta(problem, v, v_tilde - v, residual, counter)

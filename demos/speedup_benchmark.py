@@ -3,6 +3,8 @@
 Writes two CSV traces next to this script and prints the matvec speedup at
 matched final cost.  A larger version of the same experiment (33x33 grid,
 640 steps) is the speedup acceptance check in tests/test_acceptance.py.
+Step 2 runs its sub-problems as one batched solve in this process, so the
+config sets no ``worker_count``: that key is still accepted but has no effect.
 """
 
 from pathlib import Path
@@ -27,7 +29,6 @@ N = 8
 inner_iterations = 1
 max_outer = 200
 gradient_rtol = 1e-4
-worker_count = 4
 """)
 
 code = main(["--config", str(cfg), "--out", str(here / "speedup.csv")])

@@ -3,6 +3,9 @@
 Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted
 or run stalled (the CSV is still written, and stderr gets one line per run
 that stopped early), 3 solver error (CG broke down or did not converge).
+
+``--workers`` (``worker_count``) is parsed and validated but has no effect:
+step 2 is one batched solve.
 """
 
 from __future__ import annotations

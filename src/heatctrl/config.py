@@ -153,6 +153,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         raise ConfigError("N, inner_iterations, max_outer, worker_count must be >= 1")
     if cfg.gradient_rtol <= 0:
         raise ConfigError("gradient_rtol must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
     return cfg

@@ -2,15 +2,17 @@
 
 ``_sweep`` is the only implementation of the method's four steps.  From the
 state y(v) and adjoint p(v) of the current control it (1) forms the targets
-chi = y - p at the breakpoints, (2) solves the independent sub-problems, on a
-thread pool with private matvec counters, merged in sub-interval order so the
-outcome is independent of scheduling, (3) concatenates their controls into
-v_tilde, and (4) takes the exact line-search step along d = v_tilde - v,
+chi = y - p at the breakpoints, (2) solves the independent sub-problems as
+one batched descent, each local time step advancing all of them at once with
+per-sub-problem arithmetic and matvec counts, (3) concatenates their controls
+into v_tilde, and (4) takes the exact line-search step along d = v_tilde - v,
 rejecting an uphill one.  The state follows through linearity,
 y(v + theta d) = y(v) + theta z with z the homogeneous trajectory the line
 search solved for, so each outer iteration of ``run`` costs one adjoint solve,
 the sub-problem solves and one homogeneous forward solve.
 ``outer_iteration`` runs the same sweep from an arbitrary control.
+``OuterConfig.worker_count`` is accepted and validated but has no effect:
+the sub-problems run as one batch in the calling thread.
 
 One ``MatvecCounter`` counts every product: the sequential tally.  The
 parallel tally charges each step-2 batch at its per-sub-problem maximum, so it
@@ -20,7 +22,6 @@ is that count minus the products each sweep reports as saved.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ class OuterConfig:
     inner_gradient_rtol: float | None = None
     max_outer: int = 100
     gradient_rtol: float = 1e-6
+    # accepted and validated but without effect: step 2 is one batched solve
     worker_count: int = 1
 
     def __post_init__(self):
@@ -84,37 +86,25 @@ def _solve_step2(
     partition: TimePartition,
     counter: MatvecCounter,
 ) -> tuple[np.ndarray, int]:
-    """Concurrent sub-problem solves; returns (v_tilde, matvecs saved).
+    """The sub-problem solves as batched descents; returns (v_tilde, matvecs saved).
 
     ``counter`` is charged every product; the saved count is what charging
     the batch at its per-sub-problem maximum takes off that.
     """
-    sub_counters = [MatvecCounter() for _ in subs]
-
-    def task(n: int) -> np.ndarray:
-        return solve_subproblem(
-            subs[n], config.inner_iterations, sub_counters[n],
+    columns = MatvecCounter(columns=len(subs))
+    try:
+        local_controls = solve_subproblem(
+            subs, config.inner_iterations, columns,
             gradient_rtol=config.inner_gradient_rtol,
         )
-
-    if config.worker_count == 1 or len(subs) == 1:
-        local_controls = [task(n) for n in range(len(subs))]
-    else:
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            futures = [pool.submit(task, n) for n in range(len(subs))]
-            local_controls = []
-            for n, fut in enumerate(futures):
-                where = (f"sub-problem {n} on [{partition.breakpoints[n]:g}, "
-                         f"{partition.breakpoints[n + 1]:g}]")
-                try:
-                    local_controls.append(fut.result())
-                except CGError as exc:  # keeps its type: the CLI maps it to an exit code
-                    raise CGError(f"{where}: {exc}") from exc
-                except Exception as exc:
-                    raise RuntimeError(f"{where} failed") from exc
-    seq = sum(c.count for c in sub_counters)
-    counter.add(seq)
-    return concat_controls(local_controls), seq - max(c.count for c in sub_counters)
+    except CGError as exc:  # keeps its type: the CLI maps it to an exit code
+        n = exc.column
+        if n is None:
+            raise
+        raise CGError(f"sub-problem {n} on [{partition.breakpoints[n]:g}, "
+                      f"{partition.breakpoints[n + 1]:g}]: {exc}", n) from exc
+    counter.add(columns.per_column)
+    return concat_controls(local_controls), columns.count - int(columns.per_column.max())
 
 
 def line_search_theta(

@@ -3,7 +3,8 @@
 Unknowns live on interior nodes only; boundary nodes carry homogeneous
 Dirichlet values and are never stored.  Fields are plain 1D numpy arrays of
 length ``interior_node_count`` (C order over the interior shape); control
-slices are 1D arrays of length ``control_node_count``.
+slices are 1D arrays of length ``control_node_count``.  A batch of fields or
+slices stacks them as the rows of a 2D array.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def build_grid(
 
 
 def _check_field(grid: Grid, u: np.ndarray) -> None:
-    if u.shape != (grid.interior_node_count,):
+    """Accept one field (n,) or a batch (k, n) of fields."""
+    if u.ndim not in (1, 2) or u.shape[-1] != grid.interior_node_count:
         raise ValueError(
             f"field of shape {u.shape} does not belong to a grid with "
             f"{grid.interior_node_count} interior nodes"
@@ -125,67 +127,118 @@ def _check_field(grid: Grid, u: np.ndarray) -> None:
 
 
 def _check_control(grid: Grid, c: np.ndarray) -> None:
-    if c.shape != (grid.control_node_count,):
+    """Accept one control slice (m,) or a batch (k, m) of them."""
+    if c.ndim not in (1, 2) or c.shape[-1] != grid.control_node_count:
         raise ValueError(
             f"control slice of shape {c.shape} does not belong to a grid with "
             f"{grid.control_node_count} control nodes"
         )
 
 
-def laplacian_apply(grid: Grid, u: np.ndarray) -> np.ndarray:
+class StencilWork:
+    """Scratch and result arrays of ``laplacian_apply``, reused from call to call.
+
+    Sized for the largest batch seen so far.  The zero-padded copy of the
+    input keeps its zero border, so it is never cleared; the slices of every
+    batch size are built once.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._columns = 0
+        self._plans: dict[int, tuple] = {}
+
+    def plan(self, k: int) -> tuple:
+        """(padded interior, per-axis slices and buffers, second difference,
+        result) for k fields."""
+        plan = self._plans.get(k)
+        if plan is None:
+            if k > self._columns:
+                self._allocate(k)
+            plan = self._plans[k] = self._slice(k)
+        return plan
+
+    def _allocate(self, k: int) -> None:
+        shape = self.grid.interior_shape
+        self._padded = np.zeros((k,) + tuple(n + 2 for n in shape))
+        self._first = [
+            np.empty((k,) + tuple(n + (i == ax) for i, n in enumerate(shape)))
+            for ax in range(self.grid.dim)
+        ]
+        self._second = np.empty((k,) + shape)
+        self._result = np.empty((k, self.grid.interior_node_count))
+        self._columns = k
+        self._plans.clear()
+
+    def _slice(self, k: int) -> tuple:
+        inner = (slice(None),) + (slice(1, -1),) * self.grid.dim
+        padded = self._padded[:k]
+        axes = []
+        for ax, (h, first) in enumerate(zip(self.grid.spacing, self._first), start=1):
+            x = padded[inner[:ax] + (slice(None),) + inner[ax + 1:]]
+            keep = (slice(None),) * ax
+            upper, lower = keep + (slice(1, None),), keep + (slice(None, -1),)
+            d1 = first[:k]
+            axes.append((x[upper], x[lower], d1, d1[upper], d1[lower], h**2))
+        return padded[inner], axes, self._second[:k], self._result[:k]
+
+
+def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None) -> np.ndarray:
     """Second-order central-difference Laplacian with zero Dirichlet boundary.
 
     Per axis, ``((a[i+1] - a[i]) - (a[i] - a[i-1])) / h**2`` on the
     zero-padded field, summed over the axes in order onto a zero start.  That
     order is part of the contract: every run's numbers depend on it bit for bit.
-    The result is a fresh array; callers may overwrite it.
+
+    ``u`` is one field (n,) or a batch (k, n) whose rows are transformed
+    alike.  The result is a fresh array, or with ``work`` a buffer of it that
+    the next call with the same ``work`` overwrites.
     """
     _check_field(grid, u)
-    shape = grid.interior_shape
-    inner = (slice(1, -1),) * grid.dim
-    padded = np.zeros(tuple(n + 2 for n in shape))
-    padded[inner] = u.reshape(shape)
-    out = np.zeros(shape)
-    for ax, h in enumerate(grid.spacing):
-        x = padded[inner[:ax] + (slice(None),) + inner[ax + 1:]]
-        keep = (slice(None),) * ax
-        upper, lower = keep + (slice(1, None),), keep + (slice(None, -1),)
-        d1 = x[upper] - x[lower]
-        d2 = d1[upper] - d1[lower]
-        d2 /= h**2
-        out += d2
-    return out.ravel()
+    interior, axes, second, result = (work or StencilWork(grid)).plan(
+        1 if u.ndim == 1 else len(u))
+    interior[...] = u.reshape(interior.shape)
+    out = result.reshape(u.shape)
+    out.fill(0.0)
+    total = out.reshape(second.shape)
+    for upper, lower, d1, d1_upper, d1_lower, h2 in axes:
+        np.subtract(upper, lower, d1)
+        np.subtract(d1_upper, d1_lower, second)
+        second /= h2
+        total += second
+    return out
 
 
 def inject(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Operator B: extend a control slice by zero to the whole domain."""
+    """Operator B: extend a control slice (or a batch of them) by zero to the whole domain."""
     _check_control(grid, c)
-    u = grid.zero_field()
-    u[grid.control_mask] = c
+    u = np.zeros(c.shape[:-1] + (grid.interior_node_count,))
+    u[..., grid.control_mask] = c
     return u
 
 
 def restrict(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Operator B*: read a field off the control patch nodes."""
+    """Operator B*: read a field (or a batch of them) off the control patch nodes."""
     _check_field(grid, u)
-    return u[grid.control_mask].copy()
+    return u[..., grid.control_mask]
 
 
-def inner_omega(grid: Grid, u: np.ndarray, w: np.ndarray) -> float:
+def inner_omega(grid: Grid, u: np.ndarray, w: np.ndarray):
+    """Weighted inner product; one value per row for batches."""
     _check_field(grid, u)
     _check_field(grid, w)
-    return grid.node_weight * float(u @ w)
+    return grid.node_weight * np.vecdot(u, w)
 
 
-def inner_control(grid: Grid, c: np.ndarray, d: np.ndarray) -> float:
+def inner_control(grid: Grid, c: np.ndarray, d: np.ndarray):
     _check_control(grid, c)
     _check_control(grid, d)
-    return grid.node_weight * float(c @ d)
+    return grid.node_weight * np.vecdot(c, d)
 
 
-def norm_omega(grid: Grid, u: np.ndarray) -> float:
+def norm_omega(grid: Grid, u: np.ndarray):
     return np.sqrt(inner_omega(grid, u, u))
 
 
-def norm_control(grid: Grid, c: np.ndarray) -> float:
+def norm_control(grid: Grid, c: np.ndarray):
     return np.sqrt(inner_control(grid, c, c))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _check_field, inject, laplacian_apply
+from .grid import Grid, StencilWork, _check_field, inject, laplacian_apply
 from .linsolve import MatvecCounter, cg_solve
 
 
@@ -39,72 +39,128 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.step_count + 1)
 
 
-def _check_control_field(grid: Grid, time_grid: TimeGrid, v: np.ndarray) -> None:
-    if v.shape != (time_grid.step_count, grid.control_node_count):
+def step_lengths(time_grid) -> tuple[int, float | np.ndarray]:
+    """(step count, dt) of a TimeGrid, or of a sequence of them with one step
+    count: then dt is an array with one step length per column."""
+    if isinstance(time_grid, TimeGrid):
+        return time_grid.step_count, time_grid.dt
+    counts = {tg.step_count for tg in time_grid}
+    if len(counts) != 1:
+        raise ValueError(f"a batch of time grids needs one step count, got {sorted(counts)}")
+    return counts.pop(), np.array([tg.dt for tg in time_grid])
+
+
+def _check_batch(dt, field: np.ndarray) -> None:
+    if np.ndim(dt) and field.shape[:-1] != dt.shape:
+        raise ValueError(f"{dt.size} time grids do not match a batch of shape {field.shape}")
+
+
+def _check_control_field(grid: Grid, steps: int, v: np.ndarray, batch: tuple) -> None:
+    if v.shape != batch + (steps, grid.control_node_count):
         raise ValueError(
             f"control field of shape {v.shape} does not match "
-            f"{time_grid.step_count} steps x {grid.control_node_count} control nodes"
+            f"{batch} x {steps} steps x {grid.control_node_count} control nodes"
         )
 
 
-def step_operator(grid: Grid, dt: float, nu: float):
-    """The implicit-Euler step matrix K = Id + dt*nu*(-Lap) as a callable."""
+class StepOperator:
+    """The implicit-Euler step matrix K = Id + dt*nu*(-Lap) as a callable.
 
-    scale = -(dt * nu)
+    Applies to one field (n,) or a batch (k, n).  ``scale`` is -(dt*nu), or
+    a (k, 1) array of it with one row per column of a batch.  The result is
+    a buffer that the next call overwrites.  ``columns(index)`` is the
+    operator of those columns of the batch; it shares the buffers.
+    """
 
-    def apply_k(u: np.ndarray) -> np.ndarray:
-        # in place on the stencil's fresh output; IEEE negation and
-        # commutativity make this bitwise equal to u - dt * nu * Lap(u)
-        out = laplacian_apply(grid, u)
-        out *= scale
+    def __init__(self, grid: Grid, scale, work: StencilWork | None = None):
+        self.grid = grid
+        self._scale = scale
+        self._work = work or StencilWork(grid)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        # in place on the stencil's output; IEEE negation and commutativity
+        # make this bitwise equal to u - dt * nu * Lap(u)
+        out = laplacian_apply(self.grid, u, work=self._work)
+        out *= self._scale
         out += u
         return out
 
-    return apply_k
+    def columns(self, index: np.ndarray) -> "StepOperator":
+        scale = self._scale[index] if np.ndim(self._scale) else self._scale
+        return StepOperator(self.grid, scale, self._work)
+
+
+def step_operator(grid: Grid, dt, nu: float) -> StepOperator:
+    """K = Id + dt*nu*(-Lap); ``dt`` may hold one step length per column."""
+    if np.ndim(dt):
+        return StepOperator(grid, -(np.asarray(dt)[:, None] * nu))
+    return StepOperator(grid, -(dt * nu))
 
 
 def solve_state(
     grid: Grid,
-    time_grid: TimeGrid,
+    time_grid,
     y0: np.ndarray,
     v: np.ndarray,
     nu: float,
     tol: float,
     counter: MatvecCounter,
+    final_only: bool = False,
 ) -> np.ndarray:
-    """Forward heat solve; returns the trajectory of shape (steps+1, n)."""
+    """Forward heat solve; returns the trajectory of shape (steps+1, n).
+
+    A batch of independent solves passes one TimeGrid per column (all with
+    one step count), y0 of shape (k, n) and v of shape (k, steps, m), and gets
+    (k, steps+1, n); every column is the 1D solve of its own inputs, bit for
+    bit.  ``final_only`` returns the state at the last step only.
+    """
+    steps, dt = step_lengths(time_grid)
     _check_field(grid, y0)
-    _check_control_field(grid, time_grid, v)
+    _check_batch(dt, y0)
+    _check_control_field(grid, steps, v, y0.shape[:-1])
     if nu < 0:
         raise ValueError("nu must be non-negative")
-    dt = time_grid.dt
     apply_k = step_operator(grid, dt, nu)
-    y = np.empty((time_grid.step_count + 1, grid.interior_node_count))
-    y[0] = y0
-    for j in range(1, time_grid.step_count + 1):
-        b = y[j - 1] + dt * inject(grid, v[j - 1])
-        y[j] = cg_solve(apply_k, b, tol, counter, x0=y[j - 1])
-    return y
+    if np.ndim(dt):
+        dt = dt[:, None]
+    y = None if final_only else np.empty((steps + 1,) + y0.shape)
+    prev = y0
+    if y is not None:
+        y[0] = y0
+    for j in range(steps):
+        b = prev + dt * inject(grid, v[..., j, :])
+        prev = cg_solve(apply_k, b, tol, counter, x0=prev)
+        if y is not None:
+            y[j + 1] = prev
+    return prev if y is None else np.moveaxis(y, 0, -2)
 
 
 def solve_adjoint(
     grid: Grid,
-    time_grid: TimeGrid,
+    time_grid,
     terminal: np.ndarray,
     nu: float,
     tol: float,
     counter: MatvecCounter,
+    patch_only: bool = False,
 ) -> np.ndarray:
     """Backward recursion p^{j-1} = K^{-1} p^j from p^N = terminal.
 
     K is symmetric, so this is the exact transpose of the forward step map.
+    Batches as in ``solve_state``.  ``patch_only`` keeps only the control
+    patch nodes of every p^j, which is all the gradient reads.
     """
+    steps, dt = step_lengths(time_grid)
     _check_field(grid, terminal)
+    _check_batch(dt, terminal)
     if nu < 0:
         raise ValueError("nu must be non-negative")
-    apply_k = step_operator(grid, time_grid.dt, nu)
-    p = np.empty((time_grid.step_count + 1, grid.interior_node_count))
-    p[time_grid.step_count] = terminal
-    for j in range(time_grid.step_count, 0, -1):
-        p[j - 1] = cg_solve(apply_k, p[j], tol, counter, x0=p[j])
-    return p
+    apply_k = step_operator(grid, dt, nu)
+    nodes = grid.control_mask if patch_only else slice(None)
+    p = np.empty((steps + 1,) + terminal[..., nodes].shape)
+    p[steps] = terminal[..., nodes]
+    cur = terminal
+    for j in range(steps, 0, -1):
+        cur = cg_solve(apply_k, cur, tol, counter, x0=cur)
+        p[j - 1] = cur[..., nodes]
+    return np.moveaxis(p, 0, -2)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsolve import MatvecCounter
-from .problem import ControlProblem, DescentResult, optimal_step_gradient
+from .linsolve import CGError, MatvecCounter
+from .problem import ControlProblem, optimal_step_gradient
 from .propagators import TimeGrid, solve_adjoint, solve_state
 
 
@@ -139,16 +139,57 @@ def assemble_subproblems(
     return subs
 
 
+# widest field block (columns x nodes of float64) of a step-2 batch: 8 columns
+# on a 63 x 63 interior, every sub-problem of a 31 x 31 one.  All 16 columns
+# of a 63 x 63 run at once raised its peak memory and saved no time.
+BATCH_BYTES = 256 * 1024
+
+
+def _batches(subs: list[SubProblem]):
+    """Runs of consecutive sub-problems with one step count, BATCH_BYTES wide at most."""
+    width = max(1, BATCH_BYTES // (8 * subs[0].problem.grid.interior_node_count))
+    start = 0
+    while start < len(subs):
+        steps = subs[start].problem.time_grid.step_count
+        stop = start + 1
+        while (stop < len(subs) and stop - start < width
+               and subs[stop].problem.time_grid.step_count == steps):
+            stop += 1
+        yield start, stop
+        start = stop
+
+
 def solve_subproblem(
-    sub: SubProblem,
+    sub: SubProblem | list[SubProblem],
     inner_iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-) -> np.ndarray:
-    result: DescentResult = optimal_step_gradient(
-        sub.problem, sub.warm_start, inner_iterations, counter,
-        gradient_rtol=gradient_rtol,
-        initial_final_state=sub.warm_final_state,
-        need_final_gradient=False,
-    )
-    return result.control
+):
+    """Inner descent of one sub-problem; returns its local control.
+
+    Given a list, solves all of them as batched descents (see ``_batches``)
+    and returns one control per sub-problem.  A counter with per-column
+    counts is charged per sub-problem, and a ``CGError`` names its
+    sub-problem's position in the list as ``column``.
+    """
+    if isinstance(sub, SubProblem):
+        return solve_subproblem([sub], inner_iterations, counter, gradient_rtol)[0]
+    controls = []
+    for start, stop in _batches(sub):
+        batch = sub[start:stop]
+        try:
+            with counter.columns(np.arange(start, stop)) as part:
+                results = optimal_step_gradient(
+                    ControlProblem.stack([s.problem for s in batch]),
+                    np.stack([s.warm_start for s in batch]),
+                    inner_iterations, part,
+                    gradient_rtol=gradient_rtol,
+                    initial_final_state=np.stack([s.warm_final_state for s in batch]),
+                    need_final_gradient=False,
+                )
+        except CGError as exc:
+            if exc.column is not None:
+                exc.column += start
+            raise
+        controls += [r.control for r in results]
+    return controls

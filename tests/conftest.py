@@ -89,6 +89,36 @@ def random_tiny_problem(rng, n_interior=None, steps=None, cg_tol=1e-12):
     return problem
 
 
+def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state):
+    """One sub-problem's inner descent as a plain 1D loop: the control that
+    the batched ``optimal_step_gradient(..., need_final_gradient=False)`` must
+    reproduce bit for bit for every column."""
+    grid, tg = problem.grid, problem.time_grid
+    v = np.array(v_init, dtype=float, copy=True)
+    g = hc.gradient(problem, v, counter, final_state=final_state)
+    threshold = None
+    if gradient_rtol is not None:
+        threshold = gradient_rtol * (1.0 + hc.norm_h(grid, tg, g))
+    for it in range(iterations):
+        gnorm2 = hc.inner_h(grid, tg, g, g)
+        if gnorm2 == 0.0 or (threshold is not None and np.sqrt(gnorm2) <= threshold):
+            break
+        zT = hc.solve_state(grid, tg, grid.zero_field(), g, problem.nu, problem.cg_tol,
+                            counter)[-1]
+        denom = hc.inner_omega(grid, zT, zT) + problem.alpha * gnorm2
+        if denom == 0.0:
+            break
+        sigma = gnorm2 / denom
+        v -= sigma * g
+        final_state = final_state - sigma * zT
+        if it == iterations - 1 and threshold is None:
+            break
+        g = hc.gradient(problem, v, counter, final_state=final_state)
+        if threshold is not None and hc.norm_h(grid, tg, g) <= threshold:
+            break
+    return v
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)

@@ -139,7 +139,7 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
     ("--alpha", "nan"), ("--nu", "inf"), ("--dt", "nan"), ("--T", "inf"),
     # invalid for the 8-step, 9-node 1D line
     ("--N", "100"), ("--nodes-per-axis", "2"), ("--nodes-per-axis", "9,9"),
-    ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"),
+    ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"), ("--seed", "-1"),
 ])
 def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     cfg = tmp_path / "line.cfg"

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import heatctrl as hc
 
-from conftest import random_tiny_problem
+from conftest import random_tiny_problem, reference_descent
 
 
 def _random_control(rng, prob):
@@ -166,35 +168,79 @@ def test_run_is_deterministic_across_worker_counts(rng, workers):
 
 
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
-    prob = random_tiny_problem(rng)
+    # 7 steps on 3 sub-intervals: batches (3 steps) and (2, 2 steps); a
+    # non-finite local state breaks sub-problem 1, column 0 of the second batch
+    prob = random_tiny_problem(rng, steps=7)
     cfg = hc.OuterConfig(n_intervals=3, worker_count=2)
 
     import heatctrl.driver as driver
 
-    def boom(sub, iterations, counter, gradient_rtol=None):
-        if sub.index == 1:
-            raise FloatingPointError("synthetic failure")
-        return sub.warm_start
+    real = driver.assemble_subproblems
 
-    monkeypatch.setattr(driver, "solve_subproblem", boom)
-    with pytest.raises(RuntimeError, match="sub-problem 1"):
+    def poisoned(*args):
+        subs = real(*args)
+        bad = subs[1].warm_final_state.copy()
+        bad[0] = np.nan
+        subs[1] = dataclasses.replace(subs[1], warm_final_state=bad)
+        return subs
+
+    monkeypatch.setattr(driver, "assemble_subproblems", poisoned)
+    with pytest.raises(RuntimeError, match="sub-problem 1") as failure:
         hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+    assert failure.value.column == 1
 
 
 def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
-    prob = random_tiny_problem(rng)
+    prob = random_tiny_problem(rng, steps=12)
     cfg = hc.OuterConfig(n_intervals=3, worker_count=2)
+
+    import heatctrl.propagators as propagators
+
+    real = propagators.cg_solve
+
+    def breaking(apply_a, b, *args, **kwargs):
+        if b.ndim == 2:  # a solve of the step-2 batch: break its column 1
+            raise hc.CGError("synthetic breakdown", 1)
+        return real(apply_a, b, *args, **kwargs)
+
+    monkeypatch.setattr(propagators, "cg_solve", breaking)
+    with pytest.raises(hc.CGError, match="sub-problem 1 .*synthetic breakdown"):
+        hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+
+
+def _looped_subproblems(subs, iterations, counter, gradient_rtol=None):
+    """Step 2 one sub-problem at a time, by the reference descent."""
+    controls = []
+    for n, sub in enumerate(subs):
+        own = hc.MatvecCounter()
+        controls.append(reference_descent(sub.problem, sub.warm_start, iterations, own,
+                                          gradient_rtol, sub.warm_final_state))
+        counter.add(np.array([own.count]), columns=[n])
+    return controls
+
+
+# with 3 inner iterations at rtol 1e-6 the sub-problems of the first sweep
+# stop after 1, 1, 2 and 3 of them
+@pytest.mark.parametrize("inner, inner_rtol", [(1, None), (3, 1e-6)])
+def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, inner_rtol):
+    # 13 steps on 4 sub-intervals: step counts 4, 3, 3, 3 and local dt values
+    # that differ in their last bits
+    prob = random_tiny_problem(rng, n_interior=6, steps=13)
+    cfg = hc.OuterConfig(n_intervals=4, inner_iterations=inner,
+                         inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)
+    batched = hc.run(prob, cfg)
 
     import heatctrl.driver as driver
 
-    def boom(sub, iterations, counter, gradient_rtol=None):
-        if sub.index == 1:
-            raise hc.CGError("synthetic breakdown")
-        return sub.warm_start
+    monkeypatch.setattr(driver, "solve_subproblem", _looped_subproblems)
+    looped = hc.run(prob, cfg)
 
-    monkeypatch.setattr(driver, "solve_subproblem", boom)
-    with pytest.raises(hc.CGError, match="sub-problem 1 .*synthetic breakdown"):
-        hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+    assert np.array_equal(batched.control.view(np.int64), looped.control.view(np.int64))
+    assert len(batched.history) == len(looped.history) > 2
+    for a, b in zip(batched.history, looped.history):
+        assert (a.cost, a.misfit, a.penalty, a.theta, a.matvec_sequential,
+                a.matvec_parallel) == (b.cost, b.misfit, b.penalty, b.theta,
+                                       b.matvec_sequential, b.matvec_parallel)
 
 
 def test_run_stops_at_first_rejected_step(rng):

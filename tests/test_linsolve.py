@@ -151,3 +151,72 @@ def test_operator_returning_a_reused_buffer(rng):
 def test_breakdown_raises(apply_a, b):
     with pytest.raises(hc.CGError, match="breakdown|not finite"):
         hc.cg_solve(apply_a, b, 1e-10, hc.MatvecCounter())
+
+
+def _batch(rng, x0):
+    """Five right-hand sides at different scales (one of them zero), with
+    per-column step lengths whose last bits differ, on a 2D grid."""
+    g = hc.build_grid(2, (12, 9), [(0.0, 1.0), (0.0, 2.0)], [(0.2, 0.8), (0.5, 1.5)])
+    n = g.interior_node_count
+    dts = 0.3 / np.array([3.0, 7.0, 11.0, 7.0, 13.0]) * np.array([1.0, 1.0, 1.0, 1 + 2e-16, 5.0])
+    b = rng.standard_normal((5, n)) * np.array([[1.0], [1e-3], [1e3], [1.0], [1.0]])
+    b[3] = 0.0
+    guess = rng.standard_normal((5, n)) if x0 else None
+    return g, dts, b, guess
+
+
+@pytest.mark.parametrize("x0", [False, True])
+def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
+    g, dts, b, guess = _batch(rng, x0)
+    nu = 0.7
+    counter = hc.MatvecCounter(columns=len(b))
+    got = hc.cg_solve(hc.step_operator(g, dts, nu), b, 1e-11, counter, x0=guess)
+    counts = []
+    for c in range(len(b)):
+        own = hc.MatvecCounter()
+        want = hc.cg_solve(hc.step_operator(g, dts[c], nu), b[c], 1e-11, own,
+                           x0=None if guess is None else guess[c])
+        assert np.array_equal(got[c].view(np.int64), want.view(np.int64))
+        counts.append(own.count)
+    assert counter.per_column.tolist() == counts
+    assert counter.count == sum(counts)
+    assert counts[3] == 0  # the zero column costs nothing
+    assert len({n for n in counts if n}) > 1  # columns leave the batch at different iterations
+
+
+def test_batched_cg_breakdown_names_its_column():
+    class SignedDiagonal:
+        def __init__(self, signs):
+            self.signs = signs
+
+        def __call__(self, u):
+            return self.signs[:, None] * u
+
+        def columns(self, index):
+            return SignedDiagonal(self.signs[index])
+
+    b = np.ones((4, 6))
+    b[0] = 0.0  # leaves the batch at once, so the operator is restricted
+    op = SignedDiagonal(np.array([1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(hc.CGError, match="breakdown") as failure:
+        hc.cg_solve(op, b, 1e-10, hc.MatvecCounter())
+    assert failure.value.column == 2
+    with pytest.raises(hc.CGError, match="not finite") as failure:
+        hc.cg_solve(lambda u: u, np.array([[1.0, 2.0], [np.inf, 0.0]]), 1e-10,
+                    hc.MatvecCounter())
+    assert failure.value.column == 1
+    with pytest.raises(hc.CGError) as failure:
+        hc.cg_solve(lambda u: -u, np.ones(3), 1e-10, hc.MatvecCounter())
+    assert failure.value.column is None  # one field is no batch
+
+
+def test_counter_charges_named_columns():
+    counter = hc.MatvecCounter(columns=4)
+    with counter.columns(np.array([1, 3])) as part:
+        part.add(np.array([5, 2]))
+    counter.add(np.array([1, 1, 1, 1]))
+    assert counter.per_column.tolist() == [1, 6, 1, 3]
+    assert counter.count == 11
+    total = hc.MatvecCounter()
+    with total.columns(np.array([0])) as part:
+        assert part is total

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import heatctrl as hc
 
-from conftest import dense_cost, random_tiny_problem
+from conftest import dense_cost, random_tiny_problem, reference_descent
 
 
 def _free_evolution_problem(rng, alpha=0.2, nu=0.5):
@@ -166,3 +168,26 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="finite"):
             hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(3),
                               y_target=np.zeros(3), alpha=alpha, nu=nu)
+
+
+def test_batched_descent_bitwise_equal_to_column_descents(rng):
+    # three problems on one grid, with last-bit-different step lengths and
+    # targets of very different sizes, so their stopping thresholds differ
+    # and the columns stop after different numbers of steps
+    base = random_tiny_problem(rng, n_interior=6, steps=5)
+    problems = [dataclasses.replace(base, time_grid=hc.TimeGrid(0.3 * i, 0.3 * i + 0.7, 5),
+                                    y_target=scale * rng.standard_normal(6))
+                for i, scale in enumerate([1.0, 30.0, 1000.0])]
+    v0 = rng.standard_normal((3, 5, base.grid.control_node_count))
+    finals = np.stack([hc.evaluate(p, v, hc.MatvecCounter()).final_state
+                       for p, v in zip(problems, v0)])
+    counter = hc.MatvecCounter(columns=3)
+    results = hc.optimal_step_gradient(hc.ControlProblem.stack(problems), v0, 8, counter,
+                                       gradient_rtol=1e-3, initial_final_state=finals,
+                                       need_final_gradient=False)
+    assert [len(r.step_sizes) for r in results] == [2, 2, 3]
+    for c, (problem, result) in enumerate(zip(problems, results)):
+        own = hc.MatvecCounter()
+        want = reference_descent(problem, v0[c], 8, own, 1e-3, finals[c])
+        assert np.array_equal(result.control.view(np.int64), want.view(np.int64))
+        assert result.converged and counter.per_column[c] == own.count

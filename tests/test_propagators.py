@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatctrl as hc
 import heatctrl.propagators as propagators
@@ -103,9 +105,9 @@ def test_counter_audited_against_laplacian_call_log(rng, monkeypatch):
     calls = []
     real = propagators.laplacian_apply
 
-    def logged(grid, u):
+    def logged(grid, u, **buffers):
         calls.append(1)
-        return real(grid, u)
+        return real(grid, u, **buffers)
 
     monkeypatch.setattr(propagators, "laplacian_apply", logged)
     counter = hc.MatvecCounter()
@@ -121,3 +123,70 @@ def test_control_field_shape_rejected():
     with pytest.raises(ValueError):
         hc.solve_state(g, tg, np.zeros(3), np.zeros((4, 3)), 1.0, 1e-10,
                        hc.MatvecCounter())
+
+
+def _column_grids():
+    # local time grids as make_partition cuts them: dt differs in the last bits
+    part = hc.make_partition(hc.TimeGrid(0.0, 0.7, 15), 5)
+    return tuple(hc.TimeGrid(a, b, n) for a, b, n in
+                 zip(part.breakpoints, part.breakpoints[1:], part.step_counts))
+
+
+def test_batched_sweeps_bitwise_equal_to_single_solves(rng):
+    g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
+    grids = _column_grids()
+    assert len({tg.dt for tg in grids}) > 1
+    k, n, m = len(grids), g.interior_node_count, g.control_node_count
+    y0 = rng.standard_normal((k, n))
+    v = rng.standard_normal((k, 3, m))
+    counter = hc.MatvecCounter(columns=k)
+    y = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, counter)
+    p = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, counter)
+    assert y.shape == p.shape == (k, 4, n)
+    y_final = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, hc.MatvecCounter(), final_only=True)
+    p_patch = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, hc.MatvecCounter(), patch_only=True)
+    assert np.array_equal(y_final, y[:, -1])
+    assert np.array_equal(p_patch, p[..., g.control_mask])
+    for c, tg in enumerate(grids):
+        own = hc.MatvecCounter()
+        want_y = hc.solve_state(g, tg, y0[c], v[c], 0.6, 1e-11, own)
+        want_p = hc.solve_adjoint(g, tg, y0[c], 0.6, 1e-11, own)
+        assert np.array_equal(y[c].view(np.int64), want_y.view(np.int64))
+        assert np.array_equal(p[c].view(np.int64), want_p.view(np.int64))
+        assert counter.per_column[c] == own.count
+
+
+def test_batch_with_two_step_counts_rejected():
+    g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.0, 1.0)])
+    grids = (hc.TimeGrid(0.0, 0.5, 3), hc.TimeGrid(0.5, 1.0, 2))
+    with pytest.raises(ValueError, match="one step count"):
+        hc.solve_adjoint(g, grids, np.ones((2, 3)), 1.0, 1e-10, hc.MatvecCounter())
+    with pytest.raises(ValueError, match="time grids"):
+        hc.solve_adjoint(g, grids[:1] * 3, np.ones((2, 3)), 1.0, 1e-10, hc.MatvecCounter())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    nodes=st.integers(4, 12),
+    columns=st.integers(1, 5),
+    dt=st.floats(1e-3, 0.5),
+    nu=st.floats(1e-2, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_step_adjoint_identity(dim, nodes, columns, dt, nu, seed):
+    # <K^-1 a, b> = <a, K^-1 b> up to what cg_tol allows: K >= Id, so each
+    # solve's error is at most cg_tol times its right-hand side's norm
+    rng = np.random.default_rng(seed)
+    g = hc.build_grid(dim, nodes, [(0.0, 1.0)] * dim, [(0.0, 1.0)] * dim)
+    dts = dt * rng.uniform(0.5, 1.5, columns)
+    a = rng.standard_normal((columns, g.interior_node_count))
+    b = rng.standard_normal((columns, g.interior_node_count))
+    tol = 1e-10
+    apply_k = hc.step_operator(g, dts, nu)
+    ka = hc.cg_solve(apply_k, a, tol, hc.MatvecCounter())
+    kb = hc.cg_solve(apply_k, b, tol, hc.MatvecCounter())
+    lhs = hc.inner_omega(g, ka, b)
+    rhs = hc.inner_omega(g, a, kb)
+    bound = 2.5 * tol * hc.norm_omega(g, a) * hc.norm_omega(g, b)
+    assert np.all(np.abs(lhs - rhs) <= bound)

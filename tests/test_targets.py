@@ -166,3 +166,26 @@ def test_assemble_rejects_mismatched_targets(rng, tiny_problem):
     targets = hc.target_trajectory(prob, v, part2, hc.MatvecCounter())
     with pytest.raises(ValueError):
         hc.assemble_subproblems(prob, v, part4, targets)
+
+
+def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):
+    import heatctrl.targets as targets
+
+    prob = random_tiny_problem(rng, n_interior=6, steps=13)
+    part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
+    v = rng.standard_normal((13, prob.grid.control_node_count))
+    subs = hc.assemble_subproblems(prob, v, part, hc.target_trajectory(prob, v, part,
+                                                                      hc.MatvecCounter()))
+    assert list(targets._batches(subs)) == [(0, 1), (1, 4)]
+    whole = hc.MatvecCounter(columns=4)
+    controls = hc.solve_subproblem(subs, 2, whole)
+
+    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
+    assert list(targets._batches(subs)) == [(0, 1), (1, 3), (3, 4)]
+    narrow = hc.MatvecCounter(columns=4)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(controls, hc.solve_subproblem(subs, 2, narrow)))
+    for n, sub in enumerate(subs):
+        own = hc.MatvecCounter()
+        assert np.array_equal(controls[n], hc.solve_subproblem(sub, 2, own))
+        assert whole.per_column[n] == narrow.per_column[n] == own.count

@@ -1,8 +1,9 @@
 """Walk through one outer sweep of the intermediate-targets method.
 
-On a tiny 1D instance we (1) compute the target trajectory chi = y - p,
-(2) split the horizon into sub-intervals and solve the independent local
-tracking problems as one batch, (3) concatenate and line-search, and finally check
+On a tiny 1D instance we (1) compute the targets chi = y - p at the
+breakpoints, (2) split the horizon into sub-intervals and solve the
+independent local tracking problems as one batch, (3) join their controls
+into v_tilde and line-search along v_tilde - v, and finally check
 the defining fixed-point property: starting from the exact optimum, the
 sweep returns the optimum.
 """
@@ -33,15 +34,17 @@ print(f"partition breakpoints: {np.round(partition.breakpoints, 3)}")
 
 counter = hc.MatvecCounter()
 v = problem.zero_control()
-targets = hc.target_trajectory(problem, v, partition, counter)
+y = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter)
+p = hc.solve_adjoint(grid, time_grid, y[-1] - problem.y_target, problem.nu,
+                     problem.cg_tol, counter)
+chi = hc.targets_from_solutions(problem, partition, y, p)
 print("targets chi(t_n) computed; chi(T) equals y_target:",
-      np.array_equal(targets.boundary_targets[-1], problem.y_target))
+      np.array_equal(chi[-1], problem.y_target))
 
-subs = hc.assemble_subproblems(problem, v, partition, targets)
-locals_ = hc.solve_subproblem(subs, 1, counter)  # one batched descent
-v_tilde = hc.concat_controls(locals_)
-residual = hc.evaluate(problem, v, counter).final_state - problem.y_target
-theta, _ = hc.line_search_theta(problem, v, v_tilde - v, residual, counter)
+batches = hc.assemble_subproblems(problem, v, partition, y, chi)
+print(f"sub-problems in batches starting at {[b.first for b in batches]}")
+v_tilde, _ = hc.solve_subproblem(batches, 1, counter)  # one descent per batch
+theta, _ = hc.line_search_theta(problem, v, v_tilde - v, y[-1] - problem.y_target, counter)
 v = v + theta * (v_tilde - v)
 print(f"after one sweep: theta = {theta:.4f}, "
       f"J = {hc.evaluate(problem, v, counter).cost:.8f}")

@@ -7,6 +7,7 @@ Step 2 runs its sub-problems as one batched solve in this process, so the
 config sets no ``worker_count``: that key is still accepted but has no effect.
 """
 
+import sys
 from pathlib import Path
 
 from heatctrl.cli import main
@@ -35,3 +36,4 @@ code = main(["--config", str(cfg), "--out", str(here / "speedup.csv")])
 print(f"exit code: {code}")
 print(f"traces: {here / 'speedup_baseline.csv'} and "
       f"{here / 'speedup_intermediate.csv'}")
+sys.exit(code)

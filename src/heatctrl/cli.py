@@ -71,7 +71,6 @@ def _intermediate_rows(problem: ControlProblem, cfg: RunConfig):
         inner_iterations=cfg.inner_iterations,
         max_outer=cfg.max_outer,
         gradient_rtol=cfg.gradient_rtol,
-        worker_count=cfg.worker_count,
     )
     result = run_outer(problem, outer)
     if result.stalled:

@@ -92,7 +92,11 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -157,6 +161,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
+    if Path(cfg.output).is_dir():  # checked before the solve, not after it
+        raise ConfigError(f"output {cfg.output!r} is a directory")
     return cfg
 
 

@@ -11,8 +11,6 @@ y(v + theta d) = y(v) + theta z with z the homogeneous trajectory the line
 search solved for, so each outer iteration of ``run`` costs one adjoint solve,
 the sub-problem solves and one homogeneous forward solve.
 ``outer_iteration`` runs the same sweep from an arbitrary control.
-``OuterConfig.worker_count`` is accepted and validated but has no effect:
-the sub-problems run as one batch in the calling thread.
 
 One ``MatvecCounter`` counts every product: the sequential tally.  The
 parallel tally charges each step-2 batch at its per-sub-problem maximum, so it
@@ -27,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import inner_omega
-from .linsolve import CGError, MatvecCounter
+from .linsolve import MatvecCounter
 from .problem import ControlProblem, _record, inner_h, norm_h
 from .propagators import solve_adjoint, solve_state
 from .targets import (
-    SubProblem,
     TimePartition,
     assemble_subproblems,
-    concat_controls,
     make_partition,
     solve_subproblem,
     targets_from_solutions,
@@ -48,14 +44,10 @@ class OuterConfig:
     inner_gradient_rtol: float | None = None
     max_outer: int = 100
     gradient_rtol: float = 1e-6
-    # accepted and validated but without effect: step 2 is one batched solve
-    worker_count: int = 1
 
     def __post_init__(self):
         if self.n_intervals < 1:
             raise ValueError("n_intervals must be at least 1")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
         if self.gradient_rtol <= 0:
             raise ValueError("gradient_rtol must be positive")
 
@@ -78,33 +70,6 @@ class RunResult:
     history: list[IterationMetrics]
     converged: bool
     stalled: bool = False  # stopped early because the last row's step was zero
-
-
-def _solve_step2(
-    subs: list[SubProblem],
-    config: OuterConfig,
-    partition: TimePartition,
-    counter: MatvecCounter,
-) -> tuple[np.ndarray, int]:
-    """The sub-problem solves as batched descents; returns (v_tilde, matvecs saved).
-
-    ``counter`` is charged every product; the saved count is what charging
-    the batch at its per-sub-problem maximum takes off that.
-    """
-    columns = MatvecCounter(columns=len(subs))
-    try:
-        local_controls = solve_subproblem(
-            subs, config.inner_iterations, columns,
-            gradient_rtol=config.inner_gradient_rtol,
-        )
-    except CGError as exc:  # keeps its type: the CLI maps it to an exit code
-        n = exc.column
-        if n is None:
-            raise
-        raise CGError(f"sub-problem {n} on [{partition.breakpoints[n]:g}, "
-                      f"{partition.breakpoints[n + 1]:g}]: {exc}", n) from exc
-    counter.add(columns.per_column)
-    return concat_controls(local_controls), columns.count - int(columns.per_column.max())
 
 
 def line_search_theta(
@@ -149,9 +114,10 @@ def _sweep(
     search finds no descent step; saved is what the parallel tally does not
     charge of step 2's products.
     """
-    targets = targets_from_solutions(problem, partition, y, p)
-    subs = assemble_subproblems(problem, v, partition, targets)
-    v_tilde, saved = _solve_step2(subs, config, partition, counter)
+    chi = targets_from_solutions(problem, partition, y, p)
+    batches = assemble_subproblems(problem, v, partition, y, chi)
+    v_tilde, saved = solve_subproblem(batches, config.inner_iterations, counter,
+                                      config.inner_gradient_rtol)
     d = v_tilde - v
     theta, z = line_search_theta(problem, v, d, y[-1] - problem.y_target, counter)
     if theta != 0.0:

@@ -14,7 +14,7 @@ class MatvecCounter:
     ``count`` is the total.  A counter made with ``columns=b`` also keeps
     ``per_column``, the products of each column of a batch of b independent
     solves (the sub-problems of step 2, say).  Batches run in the calling
-    thread, whatever ``worker_count`` says, so no locking is needed.
+    thread, so no locking is needed.
     """
 
     __slots__ = ("count", "per_column")

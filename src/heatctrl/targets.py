@@ -15,7 +15,7 @@ import numpy as np
 
 from .linsolve import CGError, MatvecCounter
 from .problem import ControlProblem, optimal_step_gradient
-from .propagators import TimeGrid, solve_adjoint, solve_state
+from .propagators import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -49,94 +49,22 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> TimePartition:
     return TimePartition(breakpoints, counts, offsets)
 
 
-@dataclass(frozen=True)
-class TargetTrajectory:
-    boundary_targets: np.ndarray  # (N, n): chi at t_1 .. t_N
-    boundary_states: np.ndarray  # (N, n): y at t_0 .. t_{N-1}
-    end_states: np.ndarray  # (N, n): y at t_1 .. t_N, reused by warm starts
-
-
 def targets_from_solutions(
     problem: ControlProblem,
     partition: TimePartition,
     y: np.ndarray,
     p: np.ndarray,
-) -> TargetTrajectory:
-    """Breakpoint targets chi = y - p from already-computed trajectories."""
-    ends = np.array(partition.step_offsets[1:] + (problem.time_grid.step_count,))
-    starts = np.array(partition.step_offsets)
+) -> np.ndarray:
+    """Breakpoint targets chi = y - p at t_1 .. t_N, as an (N, n) array."""
+    ends = _ends(partition)
     chi = y[ends] - p[ends]
     chi[-1] = problem.y_target  # exact: chi(T) = y(T) - (y(T) - y_target)
-    return TargetTrajectory(chi, y[starts].copy(), y[ends].copy())
+    return chi
 
 
-def target_trajectory(
-    problem: ControlProblem,
-    v: np.ndarray,
-    partition: TimePartition,
-    counter: MatvecCounter,
-) -> TargetTrajectory:
-    """One forward and one backward solve; chi = y - p at each breakpoint."""
-    grid, tg = problem.grid, problem.time_grid
-    y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
-    p = solve_adjoint(
-        grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol, counter
-    )
-    return targets_from_solutions(problem, partition, y, p)
-
-
-@dataclass(frozen=True)
-class SubProblem:
-    index: int
-    problem: ControlProblem  # local tracking problem on one sub-interval
-    warm_start: np.ndarray  # restriction of the current global control
-    # local final state under the warm start; equals the global trajectory at
-    # the right breakpoint, so the inner solver can skip its first forward solve
-    warm_final_state: np.ndarray
-
-
-def restrict_control(partition: TimePartition, v: np.ndarray, n: int) -> np.ndarray:
-    o, c = partition.step_offsets[n], partition.step_counts[n]
-    return v[o : o + c].copy()
-
-
-def concat_controls(locals_: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(locals_, axis=0)
-
-
-def assemble_subproblems(
-    problem: ControlProblem,
-    v: np.ndarray,
-    partition: TimePartition,
-    targets: TargetTrajectory,
-) -> list[SubProblem]:
-    if targets.boundary_targets.shape[0] != partition.n_intervals:
-        raise ValueError("targets were computed for a different partition")
-    subs = []
-    for n in range(partition.n_intervals):
-        local_tg = TimeGrid(
-            partition.breakpoints[n],
-            partition.breakpoints[n + 1],
-            partition.step_counts[n],
-        )
-        local = ControlProblem(
-            grid=problem.grid,
-            time_grid=local_tg,
-            y0=targets.boundary_states[n],
-            y_target=targets.boundary_targets[n],
-            alpha=problem.alpha,
-            nu=problem.nu,
-            cg_tol=problem.cg_tol,
-        )
-        subs.append(
-            SubProblem(
-                n,
-                local,
-                restrict_control(partition, v, n),
-                targets.end_states[n],
-            )
-        )
-    return subs
+def _ends(partition: TimePartition) -> list[int]:
+    """Global step index of each right breakpoint."""
+    return [o + c for o, c in zip(partition.step_offsets, partition.step_counts)]
 
 
 # widest field block (columns x nodes of float64) of a step-2 batch: 8 columns
@@ -145,51 +73,90 @@ def assemble_subproblems(
 BATCH_BYTES = 256 * 1024
 
 
-def _batches(subs: list[SubProblem]):
-    """Runs of consecutive sub-problems with one step count, BATCH_BYTES wide at most."""
-    width = max(1, BATCH_BYTES // (8 * subs[0].problem.grid.interior_node_count))
-    start = 0
-    while start < len(subs):
-        steps = subs[start].problem.time_grid.step_count
-        stop = start + 1
-        while (stop < len(subs) and stop - start < width
-               and subs[stop].problem.time_grid.step_count == steps):
+@dataclass(frozen=True)
+class SubProblemBatch:
+    """Consecutive sub-problems with one step count, solved as one batched descent."""
+
+    first: int  # index of its first sub-problem
+    problem: ControlProblem  # batched: local time grids, y0 and targets chi
+    warm_start: np.ndarray  # (k, steps, m): the current control on each sub-interval
+    # y at the right breakpoints: each local final state under the warm start,
+    # so the inner descent can skip its first forward solve
+    warm_final_state: np.ndarray
+
+
+def assemble_subproblems(
+    problem: ControlProblem,
+    v: np.ndarray,
+    partition: TimePartition,
+    y: np.ndarray,
+    chi: np.ndarray,
+) -> list[SubProblemBatch]:
+    """Step 2's sub-problems from the state y(v) and the targets chi, in batches.
+
+    Sub-problem n starts from y at its left breakpoint and tracks chi[n].  A
+    batch is a run of consecutive sub-problems with one step count, at most
+    ``BATCH_BYTES`` of fields wide.
+    """
+    if len(chi) != partition.n_intervals:
+        raise ValueError("targets were computed for a different partition")
+    width = max(1, BATCH_BYTES // (8 * problem.grid.interior_node_count))
+    counts, starts, ends = partition.step_counts, partition.step_offsets, _ends(partition)
+    batches = []
+    first = 0
+    while first < len(counts):
+        stop = first + 1
+        while stop < len(counts) and stop - first < width and counts[stop] == counts[first]:
             stop += 1
-        yield start, stop
-        start = stop
+        local = ControlProblem(
+            grid=problem.grid,
+            time_grid=tuple(
+                TimeGrid(partition.breakpoints[n], partition.breakpoints[n + 1], counts[n])
+                for n in range(first, stop)
+            ),
+            y0=y[list(starts[first:stop])],
+            y_target=chi[first:stop],
+            alpha=problem.alpha,
+            nu=problem.nu,
+            cg_tol=problem.cg_tol,
+        )
+        window = v[starts[first] : ends[stop - 1]].reshape(stop - first, counts[first], -1)
+        batches.append(SubProblemBatch(first, local, window, y[ends[first:stop]]))
+        first = stop
+    return batches
 
 
 def solve_subproblem(
-    sub: SubProblem | list[SubProblem],
+    batches: list[SubProblemBatch],
     inner_iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-):
-    """Inner descent of one sub-problem; returns its local control.
+) -> tuple[np.ndarray, int]:
+    """Inner descents of all sub-problems, one batched descent per batch.
 
-    Given a list, solves all of them as batched descents (see ``_batches``)
-    and returns one control per sub-problem.  A counter with per-column
-    counts is charged per sub-problem, and a ``CGError`` names its
-    sub-problem's position in the list as ``column``.
+    Returns (v_tilde, saved): the local controls joined in time, and the
+    products that charging step 2 at its per-sub-problem maximum takes off
+    the count ``counter`` is charged.  A ``CGError`` names its sub-problem
+    and interval, and keeps its type: the CLI maps it to an exit code.
     """
-    if isinstance(sub, SubProblem):
-        return solve_subproblem([sub], inner_iterations, counter, gradient_rtol)[0]
+    columns = MatvecCounter(columns=batches[-1].first + len(batches[-1].warm_start))
     controls = []
-    for start, stop in _batches(sub):
-        batch = sub[start:stop]
+    for batch in batches:
+        index = batch.first + np.arange(len(batch.warm_start))
         try:
-            with counter.columns(np.arange(start, stop)) as part:
+            with columns.columns(index) as part:
                 results = optimal_step_gradient(
-                    ControlProblem.stack([s.problem for s in batch]),
-                    np.stack([s.warm_start for s in batch]),
-                    inner_iterations, part,
+                    batch.problem, batch.warm_start, inner_iterations, part,
                     gradient_rtol=gradient_rtol,
-                    initial_final_state=np.stack([s.warm_final_state for s in batch]),
+                    initial_final_state=batch.warm_final_state,
                     need_final_gradient=False,
                 )
         except CGError as exc:
-            if exc.column is not None:
-                exc.column += start
-            raise
+            if exc.column is None:
+                raise
+            n, tg = int(index[exc.column]), batch.problem.time_grid[exc.column]
+            raise CGError(f"sub-problem {n} on [{tg.t_start:g}, {tg.t_end:g}]: {exc}",
+                          n) from exc
         controls += [r.control for r in results]
-    return controls
+    counter.add(columns.per_column)
+    return np.concatenate(controls), columns.count - int(columns.per_column.max())

@@ -5,6 +5,8 @@ definitions with numpy factorizations; they never call the library's
 matrix-free solvers, so they can serve as independent references.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,32 @@ def random_tiny_problem(rng, n_interior=None, steps=None, cg_tol=1e-12):
         cg_tol=cg_tol,
     )
     return problem
+
+
+def breakpoint_targets(problem, partition, v):
+    """y(v) and the breakpoint targets chi of v, from one forward and one adjoint solve."""
+    grid, tg = problem.grid, problem.time_grid
+    counter = hc.MatvecCounter()
+    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
+    p = hc.solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
+                         counter)
+    return y, hc.targets_from_solutions(problem, partition, y, p)
+
+
+def step2_batches(problem, partition, v):
+    """The step-2 batches of the control v."""
+    y, chi = breakpoint_targets(problem, partition, v)
+    return hc.assemble_subproblems(problem, v, partition, y, chi)
+
+
+def subproblems(batches):
+    """Each sub-problem of the batches in turn, as (problem, warm start, warm final state)."""
+    for batch in batches:
+        local = batch.problem
+        for i, tg in enumerate(local.time_grid):
+            yield (dataclasses.replace(local, time_grid=tg, y0=local.y0[i],
+                                       y_target=local.y_target[i]),
+                   batch.warm_start[i], batch.warm_final_state[i])
 
 
 def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state):

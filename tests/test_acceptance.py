@@ -13,7 +13,7 @@ import pytest
 import heatctrl as hc
 from heatctrl.cli import EXIT_MAX_ITER, EXIT_OK, main
 
-from conftest import random_tiny_problem
+from conftest import random_tiny_problem, step2_batches, subproblems
 
 
 @contextmanager
@@ -68,11 +68,9 @@ def test_criterion_3_restriction_optimality_and_fixed_point():
         v_star, _ = hc.oracle_kkt_solve(prob)
         for n_intervals in (2, 4):
             part = hc.make_partition(prob.time_grid, n_intervals)
-            targets = hc.target_trajectory(prob, v_star, part, hc.MatvecCounter())
-            subs = hc.assemble_subproblems(prob, v_star, part, targets)
-            for sub in subs:
-                g = hc.gradient(sub.problem, sub.warm_start, hc.MatvecCounter())
-                assert hc.norm_h(sub.problem.grid, sub.problem.time_grid, g) <= 1e-8
+            for local, warm_start, _ in subproblems(step2_batches(prob, part, v_star)):
+                g = hc.gradient(local, warm_start, hc.MatvecCounter())
+                assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
         cfg = hc.OuterConfig(n_intervals=4, inner_iterations=1)
         v1, _, _ = hc.outer_iteration(prob, v_star, cfg, hc.MatvecCounter())
         assert hc.norm_h(prob.grid, prob.time_grid, v1 - v_star) <= 1e-6

@@ -127,6 +127,23 @@ def test_exit_code_for_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_output_directory_is_a_config_error(cfg_file, tmp_path, capsys):
+    code = main(["--config", str(cfg_file), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output") and err.count("\n") == 1
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"dim = 1\xff\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
 def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
     out = tmp_path / "n2.csv"
     code = main(["--config", str(cfg_file), "--N", "2", "--workers", "2",

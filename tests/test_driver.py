@@ -5,7 +5,7 @@ import pytest
 
 import heatctrl as hc
 
-from conftest import random_tiny_problem, reference_descent
+from conftest import random_tiny_problem, reference_descent, subproblems
 
 
 def _random_control(rng, prob):
@@ -128,7 +128,7 @@ def test_run_reaches_oracle_optimum(rng):
 def test_run_history_is_monotone_and_accounted(rng):
     prob = random_tiny_problem(rng, n_interior=6, steps=12)
     res = hc.run(prob, hc.OuterConfig(n_intervals=3, max_outer=40,
-                                      gradient_rtol=1e-6, worker_count=2))
+                                      gradient_rtol=1e-6))
     costs = [m.cost for m in res.history]
     assert all(b <= a for a, b in zip(costs, costs[1:]))
     assert [m.outer_index for m in res.history] == list(range(len(res.history)))
@@ -152,37 +152,22 @@ def test_single_interval_tallies_agree(rng):
     assert all(m.matvec_parallel == m.matvec_sequential for m in res.history)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4, 8])
-def test_run_is_deterministic_across_worker_counts(rng, workers):
-    prob = random_tiny_problem(rng, n_interior=5, steps=12)
-    reference = hc.run(prob, hc.OuterConfig(n_intervals=4, max_outer=15,
-                                            worker_count=1))
-    res = hc.run(prob, hc.OuterConfig(n_intervals=4, max_outer=15,
-                                      worker_count=workers))
-    assert np.array_equal(res.control, reference.control)
-    for a, b in zip(reference.history, res.history):
-        assert (a.outer_index, a.cost, a.misfit, a.penalty, a.theta,
-                a.matvec_sequential, a.matvec_parallel) == \
-               (b.outer_index, b.cost, b.misfit, b.penalty, b.theta,
-                b.matvec_sequential, b.matvec_parallel)
-
-
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
     # 7 steps on 3 sub-intervals: batches (3 steps) and (2, 2 steps); a
     # non-finite local state breaks sub-problem 1, column 0 of the second batch
     prob = random_tiny_problem(rng, steps=7)
-    cfg = hc.OuterConfig(n_intervals=3, worker_count=2)
+    cfg = hc.OuterConfig(n_intervals=3)
 
     import heatctrl.driver as driver
 
     real = driver.assemble_subproblems
 
     def poisoned(*args):
-        subs = real(*args)
-        bad = subs[1].warm_final_state.copy()
-        bad[0] = np.nan
-        subs[1] = dataclasses.replace(subs[1], warm_final_state=bad)
-        return subs
+        batches = real(*args)
+        bad = batches[1].warm_final_state.copy()
+        bad[0, 0] = np.nan
+        batches[1] = dataclasses.replace(batches[1], warm_final_state=bad)
+        return batches
 
     monkeypatch.setattr(driver, "assemble_subproblems", poisoned)
     with pytest.raises(RuntimeError, match="sub-problem 1") as failure:
@@ -192,7 +177,7 @@ def test_worker_failure_identifies_subinterval(rng, monkeypatch):
 
 def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
     prob = random_tiny_problem(rng, steps=12)
-    cfg = hc.OuterConfig(n_intervals=3, worker_count=2)
+    cfg = hc.OuterConfig(n_intervals=3)
 
     import heatctrl.propagators as propagators
 
@@ -208,15 +193,16 @@ def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
         hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
 
 
-def _looped_subproblems(subs, iterations, counter, gradient_rtol=None):
+def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
     """Step 2 one sub-problem at a time, by the reference descent."""
-    controls = []
-    for n, sub in enumerate(subs):
+    controls, counts = [], []
+    for local, warm_start, warm_final_state in subproblems(batches):
         own = hc.MatvecCounter()
-        controls.append(reference_descent(sub.problem, sub.warm_start, iterations, own,
-                                          gradient_rtol, sub.warm_final_state))
-        counter.add(np.array([own.count]), columns=[n])
-    return controls
+        controls.append(reference_descent(local, warm_start, iterations, own,
+                                          gradient_rtol, warm_final_state))
+        counts.append(own.count)
+    counter.add(np.array(counts))
+    return np.concatenate(controls), sum(counts) - max(counts)
 
 
 # with 3 inner iterations at rtol 1e-6 the sub-problems of the first sweep
@@ -257,7 +243,5 @@ def test_run_stops_at_first_rejected_step(rng):
 def test_outer_config_validation():
     with pytest.raises(ValueError):
         hc.OuterConfig(n_intervals=0)
-    with pytest.raises(ValueError):
-        hc.OuterConfig(n_intervals=2, worker_count=0)
     with pytest.raises(ValueError):
         hc.OuterConfig(n_intervals=2, gradient_rtol=0.0)

@@ -3,7 +3,10 @@ import pytest
 
 import heatctrl as hc
 
-from conftest import dense_adjoint_solve, dense_state_solve, random_tiny_problem
+from conftest import (
+    breakpoint_targets, dense_adjoint_solve, dense_state_solve, random_tiny_problem,
+    step2_batches, subproblems,
+)
 
 
 def test_partition_single_interval():
@@ -37,8 +40,8 @@ def test_final_target_is_global_target_bit_for_bit(rng, tiny_problem):
     prob = tiny_problem
     part = hc.make_partition(prob.time_grid, 3)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    targets = hc.target_trajectory(prob, v, part, hc.MatvecCounter())
-    assert np.array_equal(targets.boundary_targets[-1], prob.y_target)
+    _, chi = breakpoint_targets(prob, part, v)
+    assert np.array_equal(chi[-1], prob.y_target)
 
 
 def test_targets_equal_states_when_adjoint_vanishes(rng):
@@ -50,26 +53,27 @@ def test_targets_equal_states_when_adjoint_vanishes(rng):
     prob = hc.ControlProblem(grid=g, time_grid=tg, y0=y0, y_target=y_free[-1],
                              alpha=0.2, nu=0.5)
     part = hc.make_partition(tg, 4)
-    targets = hc.target_trajectory(prob, zero_v, part, hc.MatvecCounter())
+    y, chi = breakpoint_targets(prob, part, zero_v)
+    starts = np.concatenate([b.problem.y0 for b in
+                             hc.assemble_subproblems(prob, zero_v, part, y, chi)])
     ends = np.array(part.step_offsets[1:] + (tg.step_count,))
-    np.testing.assert_allclose(targets.boundary_targets, y_free[ends], atol=1e-14)
-    np.testing.assert_allclose(targets.boundary_states, y_free[part.step_offsets,], atol=1e-14)
+    np.testing.assert_allclose(chi, y_free[ends], atol=1e-14)
+    np.testing.assert_allclose(starts, y_free[part.step_offsets,], atol=1e-14)
 
 
 def test_targets_at_optimum_match_dense_oracle(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, 4)
-    targets = hc.target_trajectory(prob, v_star, part, hc.MatvecCounter())
+    _, chi = breakpoint_targets(prob, part, v_star)
 
     y_ref = dense_state_solve(prob.grid, prob.time_grid, prob.y0, v_star, prob.nu)
     p_ref = dense_adjoint_solve(prob.grid, prob.time_grid,
                                 y_ref[-1] - prob.y_target, prob.nu)
     chi_ref = y_ref - p_ref
     ends = np.array(part.step_offsets[1:] + (prob.time_grid.step_count,))
-    np.testing.assert_allclose(targets.boundary_targets[:-1], chi_ref[ends][:-1],
-                               rtol=0, atol=1e-9)
-    np.testing.assert_allclose(targets.boundary_targets[-1], prob.y_target)
+    np.testing.assert_allclose(chi[:-1], chi_ref[ends][:-1], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(chi[-1], prob.y_target)
 
 
 def test_single_interval_subproblem_is_the_global_problem(rng, tiny_problem):
@@ -77,25 +81,36 @@ def test_single_interval_subproblem_is_the_global_problem(rng, tiny_problem):
     tg = prob.time_grid
     part = hc.make_partition(tg, 1)
     v = rng.standard_normal((tg.step_count, prob.grid.control_node_count))
-    targets = hc.target_trajectory(prob, v, part, hc.MatvecCounter())
-    (sub,) = hc.assemble_subproblems(prob, v, part, targets)
-    assert np.array_equal(sub.problem.y0, prob.y0)
-    assert np.array_equal(sub.problem.y_target, prob.y_target)
+    ((local, _, _),) = subproblems(step2_batches(prob, part, v))
+    assert np.array_equal(local.y0, prob.y0)
+    assert np.array_equal(local.y_target, prob.y_target)
     for _ in range(3):
         w = rng.standard_normal((tg.step_count, prob.grid.control_node_count))
-        j_local = hc.evaluate(sub.problem, w, hc.MatvecCounter()).cost
+        j_local = hc.evaluate(local, w, hc.MatvecCounter()).cost
         j_global = hc.evaluate(prob, w, hc.MatvecCounter()).cost
         assert j_local == pytest.approx(j_global, rel=1e-12)
 
 
-def test_warm_start_concatenation_roundtrip(rng, tiny_problem):
-    prob = tiny_problem
-    part = hc.make_partition(prob.time_grid, 3)
-    v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    targets = hc.target_trajectory(prob, v, part, hc.MatvecCounter())
-    subs = hc.assemble_subproblems(prob, v, part, targets)
-    recon = hc.concat_controls([s.warm_start for s in subs])
-    assert np.array_equal(recon, v)
+def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
+    import heatctrl.targets as targets
+
+    prob = random_tiny_problem(rng, n_interior=6, steps=13)
+    part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
+    v = rng.standard_normal((13, prob.grid.control_node_count))
+    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
+    y, chi = breakpoint_targets(prob, part, v)
+    batches = hc.assemble_subproblems(prob, v, part, y, chi)
+    assert [b.first for b in batches] == [0, 1, 3]
+    windows = np.concatenate([b.warm_start.reshape(-1, v.shape[1]) for b in batches])
+    assert np.array_equal(windows.view(np.int64), v.view(np.int64))
+    for b in batches:
+        k = len(b.warm_start)
+        left = part.step_offsets[b.first : b.first + k]
+        right = [o + c for o, c in zip(left, part.step_counts[b.first : b.first + k])]
+        assert np.array_equal(b.problem.y0.view(np.int64), y[list(left)].view(np.int64))
+        assert np.array_equal(b.warm_final_state.view(np.int64), y[right].view(np.int64))
+    assert np.array_equal(batches[-1].problem.y_target[-1].view(np.int64),
+                          prob.y_target.view(np.int64))
 
 
 @pytest.mark.parametrize("n_intervals", [2, 4])
@@ -103,18 +118,16 @@ def test_optimum_restrictions_are_subproblem_optima(rng, n_intervals):
     prob = random_tiny_problem(rng, n_interior=5, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, n_intervals)
-    targets = hc.target_trajectory(prob, v_star, part, hc.MatvecCounter())
-    subs = hc.assemble_subproblems(prob, v_star, part, targets)
-    for sub in subs:
-        g = hc.gradient(sub.problem, sub.warm_start, hc.MatvecCounter())
-        assert hc.norm_h(sub.problem.grid, sub.problem.time_grid, g) <= 1e-8
+    for local, warm_start, _ in subproblems(step2_batches(prob, part, v_star)):
+        g = hc.gradient(local, warm_start, hc.MatvecCounter())
+        assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
 
 
 def test_optimum_solves_truncated_horizon_problems(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, 4)
-    targets = hc.target_trajectory(prob, v_star, part, hc.MatvecCounter())
+    _, chi = breakpoint_targets(prob, part, v_star)
     # truncate at each interior breakpoint tau = t_n; target chi*(tau)
     for n in range(1, part.n_intervals):
         steps_to_tau = part.step_offsets[n]
@@ -122,7 +135,7 @@ def test_optimum_solves_truncated_horizon_problems(rng):
             grid=prob.grid,
             time_grid=hc.TimeGrid(0.0, part.breakpoints[n], steps_to_tau),
             y0=prob.y0,
-            y_target=targets.boundary_targets[n - 1],
+            y_target=chi[n - 1],
             alpha=prob.alpha,
             nu=prob.nu,
             cg_tol=prob.cg_tol,
@@ -131,16 +144,20 @@ def test_optimum_solves_truncated_horizon_problems(rng):
         assert hc.norm_h(truncated.grid, truncated.time_grid, g) <= 1e-8
 
 
+def _local_controls(part, v_tilde):
+    return [v_tilde[o : o + c] for o, c in zip(part.step_offsets, part.step_counts)]
+
+
 def test_solve_subproblem_never_increases_local_cost(rng, tiny_problem):
     prob = tiny_problem
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    targets = hc.target_trajectory(prob, v, part, hc.MatvecCounter())
-    subs = hc.assemble_subproblems(prob, v, part, targets)
-    for sub in subs:
-        j_before = hc.evaluate(sub.problem, sub.warm_start, hc.MatvecCounter()).cost
-        local = hc.solve_subproblem(sub, 1, hc.MatvecCounter())
-        j_after = hc.evaluate(sub.problem, local, hc.MatvecCounter()).cost
+    batches = step2_batches(prob, part, v)
+    v_tilde, _ = hc.solve_subproblem(batches, 1, hc.MatvecCounter())
+    for (local, warm_start, _), control in zip(subproblems(batches),
+                                               _local_controls(part, v_tilde)):
+        j_before = hc.evaluate(local, warm_start, hc.MatvecCounter()).cost
+        j_after = hc.evaluate(local, control, hc.MatvecCounter()).cost
         assert j_after <= j_before + 1e-14
 
 
@@ -148,13 +165,11 @@ def test_solve_subproblem_reaches_local_oracle(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    targets = hc.target_trajectory(prob, v, part, hc.MatvecCounter())
-    subs = hc.assemble_subproblems(prob, v, part, targets)
-    for sub in subs:
-        local = hc.solve_subproblem(sub, 300, hc.MatvecCounter(),
-                                    gradient_rtol=1e-10)
-        v_local, _ = hc.oracle_kkt_solve(sub.problem)
-        err = hc.norm_h(sub.problem.grid, sub.problem.time_grid, local - v_local)
+    batches = step2_batches(prob, part, v)
+    v_tilde, _ = hc.solve_subproblem(batches, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
+    for (local, _, _), control in zip(subproblems(batches), _local_controls(part, v_tilde)):
+        v_local, _ = hc.oracle_kkt_solve(local)
+        err = hc.norm_h(local.grid, local.time_grid, control - v_local)
         assert err <= 1e-6
 
 
@@ -163,9 +178,9 @@ def test_assemble_rejects_mismatched_targets(rng, tiny_problem):
     part2 = hc.make_partition(prob.time_grid, 2)
     part4 = hc.make_partition(prob.time_grid, 4)
     v = np.zeros((prob.time_grid.step_count, prob.grid.control_node_count))
-    targets = hc.target_trajectory(prob, v, part2, hc.MatvecCounter())
+    y, chi = breakpoint_targets(prob, part2, v)
     with pytest.raises(ValueError):
-        hc.assemble_subproblems(prob, v, part4, targets)
+        hc.assemble_subproblems(prob, v, part4, y, chi)
 
 
 def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):
@@ -174,18 +189,24 @@ def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
     v = rng.standard_normal((13, prob.grid.control_node_count))
-    subs = hc.assemble_subproblems(prob, v, part, hc.target_trajectory(prob, v, part,
-                                                                      hc.MatvecCounter()))
-    assert list(targets._batches(subs)) == [(0, 1), (1, 4)]
-    whole = hc.MatvecCounter(columns=4)
-    controls = hc.solve_subproblem(subs, 2, whole)
+    y, chi = breakpoint_targets(prob, part, v)
 
-    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
-    assert list(targets._batches(subs)) == [(0, 1), (1, 3), (3, 4)]
-    narrow = hc.MatvecCounter(columns=4)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(controls, hc.solve_subproblem(subs, 2, narrow)))
-    for n, sub in enumerate(subs):
-        own = hc.MatvecCounter()
-        assert np.array_equal(controls[n], hc.solve_subproblem(sub, 2, own))
-        assert whole.per_column[n] == narrow.per_column[n] == own.count
+    def solve(columns):
+        """Step 2 in batches at most ``columns`` wide (None: the default width)."""
+        if columns is not None:
+            monkeypatch.setattr(targets, "BATCH_BYTES",
+                                columns * 8 * prob.grid.interior_node_count)
+        batches = hc.assemble_subproblems(prob, v, part, y, chi)
+        counter = hc.MatvecCounter(columns=4)
+        v_tilde, saved = hc.solve_subproblem(batches, 2, counter)
+        assert saved == counter.count - counter.per_column.max()
+        return [b.first for b in batches], v_tilde, counter.per_column
+
+    firsts, whole, whole_counts = solve(None)
+    assert firsts == [0, 1]
+    # 2 columns: batches of sub-problems (0), (1, 2), (3); 1 column: each on its own
+    _, narrow, narrow_counts = solve(2)
+    _, own, own_counts = solve(1)
+    assert np.array_equal(whole, narrow) and np.array_equal(whole, own)
+    assert np.array_equal(whole_counts, narrow_counts)
+    assert np.array_equal(whole_counts, own_counts)

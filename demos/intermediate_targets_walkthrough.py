@@ -2,7 +2,8 @@
 
 On a tiny 1D instance we (1) compute the targets chi = y - p at the
 breakpoints, (2) split the horizon into sub-intervals and solve the
-independent local tracking problems as one batch, (3) join their controls
+independent local tracking problems as one batch, starting from the windows
+of the gradient the adjoint already gave, (3) join their controls
 into v_tilde and line-search along v_tilde - v, and finally check
 the defining fixed-point property: starting from the exact optimum, the
 sweep returns the optimum.
@@ -40,8 +41,12 @@ p = hc.solve_adjoint(grid, time_grid, y[-1] - problem.y_target, problem.nu,
 chi = hc.targets_from_solutions(problem, partition, y, p)
 print("targets chi(t_n) computed; chi(T) equals y_target:",
       np.array_equal(chi[-1], problem.y_target))
+# the gradient alpha v + B* p; each sub-problem's local adjoint would
+# recompute its window, so step 2 starts from it
+g = problem.alpha * v + p[:-1][:, grid.control_mask]
+print(f"gradient norm at v = 0: {hc.norm_h(grid, time_grid, g):.6f}")
 
-batches = hc.assemble_subproblems(problem, v, partition, y, chi)
+batches = hc.assemble_subproblems(problem, v, partition, y, chi, g)
 print(f"sub-problems in batches starting at {[b.first for b in batches]}")
 v_tilde, _ = hc.solve_subproblem(batches, 1, counter)  # one descent per batch
 theta, _ = hc.line_search_theta(problem, v, v_tilde - v, y[-1] - problem.y_target, counter)

@@ -108,10 +108,9 @@ def run_benchmark(cfg: RunConfig) -> int:
         grid=grid, time_grid=time_grid, y0=y0, y_target=y_target,
         alpha=cfg.alpha, nu=cfg.nu,
     )
-    out = Path(cfg.output)
-
     if cfg.mode in _ROWS:
         rows, converged = _ROWS[cfg.mode](problem, cfg)
+        (out,) = cfg.output_paths
         _write_csv(out, rows)
         _print_summary(rows)
         return EXIT_OK if converged else EXIT_MAX_ITER
@@ -119,9 +118,9 @@ def run_benchmark(cfg: RunConfig) -> int:
     # mode == both: identical discretization and tolerances for both runs
     base_rows, base_conv = _baseline_rows(problem, cfg)
     inter_rows, inter_conv = _intermediate_rows(problem, cfg)
-    stem, suffix = out.stem, out.suffix or ".csv"
-    _write_csv(out.with_name(f"{stem}_baseline{suffix}"), base_rows)
-    _write_csv(out.with_name(f"{stem}_intermediate{suffix}"), inter_rows)
+    base_out, inter_out = cfg.output_paths
+    _write_csv(base_out, base_rows)
+    _write_csv(inter_out, inter_rows)
 
     threshold = 1.01 * base_rows[-1][1]
     _, base_cost = _matvecs_to_reach(base_rows, threshold, column=5)

@@ -67,6 +67,30 @@ class RunConfig:
             raise ConfigError(f"T/dt = {steps!r} is not a positive integer")
         return int(rounded)
 
+    @property
+    def output_paths(self) -> tuple[Path, ...]:
+        """The CSV files a run writes: ``output``, or in mode both its siblings
+        ``<stem>_baseline<suffix>`` and ``<stem>_intermediate<suffix>``."""
+        out = Path(self.output)
+        if self.mode != "both":
+            return (out,)
+        suffix = out.suffix or ".csv"
+        return tuple(out.with_name(f"{out.stem}_{run}{suffix}")
+                     for run in ("baseline", "intermediate"))
+
+
+def _check_output(path: Path) -> None:
+    """Reject an output file that cannot be written: a directory, or one below
+    a path that is not a directory."""
+    try:
+        if path.is_dir():
+            raise ConfigError(f"output {str(path)!r} is a directory")
+        nearest = next(a for a in path.parents if a.exists())  # '.' or '/' exist
+        if not nearest.is_dir():
+            raise ConfigError(f"output {str(path)!r}: {str(nearest)!r} is not a directory")
+    except OSError as exc:  # e.g. a parent that may not be searched
+        raise ConfigError(f"output {str(path)!r}: {exc.strerror}") from exc
+
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
@@ -161,8 +185,10 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
-    if Path(cfg.output).is_dir():  # checked before the solve, not after it
-        raise ConfigError(f"output {cfg.output!r} is a directory")
+    # checked before the solve, not after it
+    _check_output(Path(cfg.output))
+    for path in cfg.output_paths:
+        _check_output(path)
     return cfg
 
 

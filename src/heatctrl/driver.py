@@ -1,15 +1,21 @@
 """The outer sweep of the intermediate-targets method and its matvec ledger.
 
 ``_sweep`` is the only implementation of the method's four steps.  From the
-state y(v) and adjoint p(v) of the current control it (1) forms the targets
-chi = y - p at the breakpoints, (2) solves the independent sub-problems as
-one batched descent, each local time step advancing all of them at once with
-per-sub-problem arithmetic and matvec counts, (3) concatenates their controls
-into v_tilde, and (4) takes the exact line-search step along d = v_tilde - v,
-rejecting an uphill one.  The state follows through linearity,
+state y(v), adjoint p(v) and gradient g(v) of the current control it (1)
+forms the targets chi = y - p at the breakpoints, (2) solves the independent
+sub-problems as one batched descent, each local time step advancing all of
+them at once with per-sub-problem arithmetic and matvec counts, (3)
+concatenates their controls into v_tilde, and (4) takes the exact line-search
+step along d = v_tilde - v, rejecting an uphill one.  A sub-problem's local
+adjoint starts from y - chi = p at its right breakpoint and repeats the outer
+recursion, so its first gradient is the window of g on its sub-interval and
+step 2 does not solve it again.  The state follows through linearity,
 y(v + theta d) = y(v) + theta z with z the homogeneous trajectory the line
-search solved for, so each outer iteration of ``run`` costs one adjoint solve,
-the sub-problem solves and one homogeneous forward solve.
+search solved for, so each outer iteration of ``run`` costs one adjoint
+solve, the sub-problem solves and one homogeneous forward solve.  With one
+inner iteration, the sub-problem solves are one batched homogeneous forward
+solve; each further inner iteration adds a batched adjoint and a batched
+forward solve.
 ``outer_iteration`` runs the same sweep from an arbitrary control.
 
 One ``MatvecCounter`` counts every product: the sequential tally.  The
@@ -104,10 +110,12 @@ def _sweep(
     v: np.ndarray,
     y: np.ndarray,
     p: np.ndarray,
+    g: np.ndarray,
     cost: float,
     counter: MatvecCounter,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Steps 1-4 from the state y(v), adjoint p(v) and cost J(v) of the control v.
+    """Steps 1-4 from the state y(v), adjoint p(v), gradient g(v) and cost
+    J(v) of the control v.
 
     Returns (v_next, y_next, theta, saved): y_next is y(v_next), updated
     through linearity; theta is 0 and v, y come back unchanged when the line
@@ -115,7 +123,7 @@ def _sweep(
     charge of step 2's products.
     """
     chi = targets_from_solutions(problem, partition, y, p)
-    batches = assemble_subproblems(problem, v, partition, y, chi)
+    batches = assemble_subproblems(problem, v, partition, y, chi, g)
     v_tilde, saved = solve_subproblem(batches, config.inner_iterations, counter,
                                       config.inner_gradient_rtol)
     d = v_tilde - v
@@ -127,6 +135,11 @@ def _sweep(
         # exact line search guarantees descent up to solver noise; keep the
         # previous iterate rather than take an uphill step
     return v, y, 0.0, saved
+
+
+def _gradient(problem: ControlProblem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The gradient alpha v + B* p of the cost at v, from its adjoint trajectory p."""
+    return problem.alpha * v + p[:-1][:, problem.grid.control_mask]
 
 
 def outer_iteration(
@@ -146,7 +159,8 @@ def outer_iteration(
     p = solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol, counter)
     cost = _record(problem, v_k, y[-1]).cost
     partition = make_partition(tg, config.n_intervals)
-    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p, cost, counter)
+    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p,
+                                     _gradient(problem, v_k, p), cost, counter)
     return v_next, theta, counter.count - start - saved
 
 
@@ -154,9 +168,10 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
     """Iterate from v = 0 until the true gradient norm test, a stall or max_outer.
 
     The stopping gradient comes from the same adjoint solve that builds the
-    targets, so it adds no extra cost.  Row k of the history reports J(v^k)
-    and the step theta_k taken at that iterate; matvec tallies are those
-    accumulated when J(v^k) and its gradient became known.
+    targets, so it adds no extra cost; step 2 starts from it too.  Row k of
+    the history reports J(v^k) and the step theta_k taken at that iterate;
+    matvec tallies are those accumulated when J(v^k) and its gradient became
+    known.
     """
     grid, tg = problem.grid, problem.time_grid
     partition = make_partition(tg, config.n_intervals)
@@ -175,7 +190,8 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
         rec = _record(problem, v, y[-1])
         p = solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
                           counter)
-        gnorm = norm_h(grid, tg, problem.alpha * v + p[:-1][:, grid.control_mask])
+        g = _gradient(problem, v, p)
+        gnorm = norm_h(grid, tg, g)
         if threshold is None:
             threshold = config.gradient_rtol * (1.0 + gnorm)
         marks = (counter.count, counter.count - saved, time.perf_counter() - t0)
@@ -183,8 +199,8 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
         converged = gnorm <= threshold
         theta = 0.0
         if not converged and k < config.max_outer:
-            v, y, theta, step_saved = _sweep(problem, partition, config, v, y, p, rec.cost,
-                                             counter)
+            v, y, theta, step_saved = _sweep(problem, partition, config, v, y, p, g,
+                                             rec.cost, counter)
             saved += step_saved
             # a zero step leaves v unchanged: every later iteration would repeat this one
             stalled = theta == 0.0

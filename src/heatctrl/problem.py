@@ -148,6 +148,7 @@ def optimal_step_gradient(
     gradient_rtol: float | None = None,
     initial_final_state: np.ndarray | None = None,
     need_final_gradient: bool = True,
+    initial_gradient: np.ndarray | None = None,
 ):
     """Steepest descent with the exact step for the quadratic cost.
 
@@ -158,9 +159,12 @@ def optimal_step_gradient(
 
     With ``gradient_rtol`` set, stops once ||g||_H <= rtol * (1 + ||g_0||_H).
     ``initial_final_state`` skips the initial forward solve when y(T; v_init)
-    is already known.  ``need_final_gradient=False`` skips the gradient at the
-    last iterate when the caller only wants the control (e.g. inner solves);
-    ``gradient_norms`` then has one entry fewer than ``history``.
+    is already known; ``initial_gradient``, the gradient at v_init, skips the
+    first adjoint solve (step 2 passes each sub-problem its window of the
+    outer gradient, which the local adjoint would recompute up to rounding).
+    ``need_final_gradient=False`` skips the gradient at the last iterate when
+    the caller only wants the control (e.g. inner solves); ``gradient_norms``
+    then has one entry fewer than ``history``.
 
     ``step_sizes[k]`` is the step taken at iterate k; the last iterate took
     none.
@@ -199,7 +203,10 @@ def optimal_step_gradient(
         else:
             final = np.array(initial_final_state, dtype=float).reshape(problem.y0.shape)
         rec = _record(problem, v, final.copy())  # the history keeps these rows
-        g = gradient(problem, v, counter, final_state=final)
+        if initial_gradient is None:
+            g = gradient(problem, v, counter, final_state=final)
+        else:
+            g = np.asarray(initial_gradient, dtype=float).reshape(v.shape)
         gnorm2 = inner_h(grid, problem.time_grid, g, g)
         threshold = None
         if gradient_rtol is not None:

@@ -83,6 +83,11 @@ class SubProblemBatch:
     # y at the right breakpoints: each local final state under the warm start,
     # so the inner descent can skip its first forward solve
     warm_final_state: np.ndarray
+    # (k, steps, m): the outer gradient on each sub-interval.  A local adjoint
+    # starts from y - chi = p at its right breakpoint and runs the outer
+    # recursion, so this is each local gradient at the warm start, and the
+    # inner descent skips its first adjoint solve
+    warm_gradient: np.ndarray
 
 
 def assemble_subproblems(
@@ -91,8 +96,10 @@ def assemble_subproblems(
     partition: TimePartition,
     y: np.ndarray,
     chi: np.ndarray,
+    g: np.ndarray,
 ) -> list[SubProblemBatch]:
-    """Step 2's sub-problems from the state y(v) and the targets chi, in batches.
+    """Step 2's sub-problems from the state y(v), the targets chi and the
+    gradient g of the cost at v, in batches.
 
     Sub-problem n starts from y at its left breakpoint and tracks chi[n].  A
     batch is a run of consecutive sub-problems with one step count, at most
@@ -120,8 +127,10 @@ def assemble_subproblems(
             nu=problem.nu,
             cg_tol=problem.cg_tol,
         )
-        window = v[starts[first] : ends[stop - 1]].reshape(stop - first, counts[first], -1)
-        batches.append(SubProblemBatch(first, local, window, y[ends[first:stop]]))
+        window = slice(starts[first], ends[stop - 1])
+        shape = (stop - first, counts[first], -1)
+        batches.append(SubProblemBatch(first, local, v[window].reshape(shape),
+                                       y[ends[first:stop]], g[window].reshape(shape)))
         first = stop
     return batches
 
@@ -150,6 +159,7 @@ def solve_subproblem(
                     gradient_rtol=gradient_rtol,
                     initial_final_state=batch.warm_final_state,
                     need_final_gradient=False,
+                    initial_gradient=batch.warm_gradient,
                 )
         except CGError as exc:
             if exc.column is None:

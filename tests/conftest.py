@@ -92,38 +92,46 @@ def random_tiny_problem(rng, n_interior=None, steps=None, cg_tol=1e-12):
 
 
 def breakpoint_targets(problem, partition, v):
-    """y(v) and the breakpoint targets chi of v, from one forward and one adjoint solve."""
+    """y(v), the breakpoint targets chi of v and the gradient alpha v + B* p at
+    v, from one forward and one adjoint solve."""
     grid, tg = problem.grid, problem.time_grid
     counter = hc.MatvecCounter()
     y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
     p = hc.solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
                          counter)
-    return y, hc.targets_from_solutions(problem, partition, y, p)
+    g = problem.alpha * v + p[:-1][:, grid.control_mask]
+    return y, hc.targets_from_solutions(problem, partition, y, p), g
 
 
 def step2_batches(problem, partition, v):
     """The step-2 batches of the control v."""
-    y, chi = breakpoint_targets(problem, partition, v)
-    return hc.assemble_subproblems(problem, v, partition, y, chi)
+    y, chi, g = breakpoint_targets(problem, partition, v)
+    return hc.assemble_subproblems(problem, v, partition, y, chi, g)
 
 
 def subproblems(batches):
-    """Each sub-problem of the batches in turn, as (problem, warm start, warm final state)."""
+    """Each sub-problem of the batches in turn, as (problem, warm start, warm
+    final state, warm gradient)."""
     for batch in batches:
         local = batch.problem
         for i, tg in enumerate(local.time_grid):
             yield (dataclasses.replace(local, time_grid=tg, y0=local.y0[i],
                                        y_target=local.y_target[i]),
-                   batch.warm_start[i], batch.warm_final_state[i])
+                   batch.warm_start[i], batch.warm_final_state[i], batch.warm_gradient[i])
 
 
-def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state):
+def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state,
+                      gradient=None):
     """One sub-problem's inner descent as a plain 1D loop: the control that
     the batched ``optimal_step_gradient(..., need_final_gradient=False)`` must
-    reproduce bit for bit for every column."""
+    reproduce bit for bit for every column.  ``gradient``, the gradient at
+    v_init, stands for the batched call's ``initial_gradient``; without it the
+    loop solves for it."""
     grid, tg = problem.grid, problem.time_grid
     v = np.array(v_init, dtype=float, copy=True)
-    g = hc.gradient(problem, v, counter, final_state=final_state)
+    g = gradient
+    if g is None:
+        g = hc.gradient(problem, v, counter, final_state=final_state)
     threshold = None
     if gradient_rtol is not None:
         threshold = gradient_rtol * (1.0 + hc.norm_h(grid, tg, g))

@@ -68,7 +68,7 @@ def test_criterion_3_restriction_optimality_and_fixed_point():
         v_star, _ = hc.oracle_kkt_solve(prob)
         for n_intervals in (2, 4):
             part = hc.make_partition(prob.time_grid, n_intervals)
-            for local, warm_start, _ in subproblems(step2_batches(prob, part, v_star)):
+            for local, warm_start, _, _ in subproblems(step2_batches(prob, part, v_star)):
                 g = hc.gradient(local, warm_start, hc.MatvecCounter())
                 assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
         cfg = hc.OuterConfig(n_intervals=4, inner_iterations=1)

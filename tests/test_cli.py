@@ -134,6 +134,33 @@ def test_output_directory_is_a_config_error(cfg_file, tmp_path, capsys):
     assert err.startswith("configuration error: output") and err.count("\n") == 1
 
 
+def _no_solve(*args):
+    raise AssertionError("the run started")
+
+
+def test_output_below_a_regular_file_is_a_config_error(cfg_file, tmp_path, capsys,
+                                                       monkeypatch):
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr("heatctrl.cli.build_instance", _no_solve)
+    code = main(["--config", str(cfg_file), "--out", str(tmp_path / "afile" / "x" / "r.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output") and err.count("\n") == 1
+    assert "is not a directory" in err
+
+
+def test_mode_both_derived_output_directory_is_a_config_error(cfg_file, tmp_path, capsys,
+                                                              monkeypatch):
+    (tmp_path / "r_intermediate.csv").mkdir()
+    monkeypatch.setattr("heatctrl.cli.build_instance", _no_solve)
+    code = main(["--config", str(cfg_file), "--mode", "both", "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output") and err.count("\n") == 1
+    assert "r_intermediate.csv' is a directory" in err
+    assert not (tmp_path / "r_baseline.csv").exists()
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"dim = 1\xff\n")

@@ -152,9 +152,29 @@ def test_single_interval_tallies_agree(rng):
     assert all(m.matvec_parallel == m.matvec_sequential for m in res.history)
 
 
+def test_one_adjoint_solve_per_outer_iteration(rng, monkeypatch):
+    # with one inner iteration, step 2 starts from the outer gradient and
+    # takes one step: the only adjoint solves are the outer ones
+    prob = random_tiny_problem(rng, n_interior=5, steps=12)
+    calls = []
+
+    import heatctrl.driver as driver
+    import heatctrl.problem as problem
+
+    for module in (driver, problem):
+        def counted(*args, real=module.solve_adjoint, **kwargs):
+            calls.append(args[2].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_adjoint", counted)
+    res = hc.run(prob, hc.OuterConfig(n_intervals=4, inner_iterations=1, max_outer=30))
+    assert len(res.history) > 2
+    assert calls == [prob.y0.shape] * len(res.history)
+
+
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
     # 7 steps on 3 sub-intervals: batches (3 steps) and (2, 2 steps); a
-    # non-finite local state breaks sub-problem 1, column 0 of the second batch
+    # non-finite local gradient breaks sub-problem 1, column 0 of the second batch
     prob = random_tiny_problem(rng, steps=7)
     cfg = hc.OuterConfig(n_intervals=3)
 
@@ -164,9 +184,9 @@ def test_worker_failure_identifies_subinterval(rng, monkeypatch):
 
     def poisoned(*args):
         batches = real(*args)
-        bad = batches[1].warm_final_state.copy()
-        bad[0, 0] = np.nan
-        batches[1] = dataclasses.replace(batches[1], warm_final_state=bad)
+        bad = batches[1].warm_gradient.copy()
+        bad[0, 0, 0] = np.nan
+        batches[1] = dataclasses.replace(batches[1], warm_gradient=bad)
         return batches
 
     monkeypatch.setattr(driver, "assemble_subproblems", poisoned)
@@ -196,10 +216,10 @@ def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
 def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
     """Step 2 one sub-problem at a time, by the reference descent."""
     controls, counts = [], []
-    for local, warm_start, warm_final_state in subproblems(batches):
+    for local, warm_start, warm_final_state, warm_gradient in subproblems(batches):
         own = hc.MatvecCounter()
         controls.append(reference_descent(local, warm_start, iterations, own,
-                                          gradient_rtol, warm_final_state))
+                                          gradient_rtol, warm_final_state, warm_gradient))
         counts.append(own.count)
     counter.add(np.array(counts))
     return np.concatenate(controls), sum(counts) - max(counts)

@@ -96,6 +96,12 @@ def cg_solve(
     ``columns(index)``, the operator of those columns of the batch.  For a
     1D ``b`` it only ever sees 1D fields.
 
+    A column starts from its row of ``x0`` (zero without one), unless that
+    guess is worse than zero, ||b - A x0|| > ||b||: then it starts from
+    x = 0, r = b, as a guess with a large residual would leave CG a floor of
+    about eps * ||b - A x0|| that can lie above tol * ||b||.  The product
+    that tested the guess is charged all the same.
+
     A column converges when ||b - A x|| <= tol * ||b||.  ``counter`` is
     charged every product, per column.  Raises ``CGError`` (with the column
     of a batch) when p.Ap is not a positive finite number (A is not positive
@@ -143,14 +149,21 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
         xa = x0[active]
         counts[active] = 1
         r = rhs[active] - op(xa[0] if one else xa)
+    rs = np.vecdot(r, r, keepdims=True)
+    # a guess worse than zero restarts its column from x = 0, r = b (without
+    # a guess r = b, so no column is worse)
+    worse = np.sqrt(rs[:, 0]) > b_norm[active]
+    if worse.any():
+        xa[worse] = 0.0
+        r[worse] = rhs[active[worse]]
+        rs[worse] = np.vecdot(r[worse], r[worse], keepdims=True)
     # per-column scalars as Python floats: tests on them cost less than array calls
     targets = [tol * norm for norm in b_norm[active].tolist()]
-    done = [math.sqrt(rr) <= t for rr, t in zip(np.vecdot(r, r).tolist(), targets)]
+    done = [math.sqrt(rr) <= t for rr, t in zip(rs.ravel().tolist(), targets)]
 
     p = r.copy()
     operand = p[0] if one else p
     scratch = np.empty_like(r)
-    rs = np.vecdot(r, r, keepdims=True)
     it = 0
     while True:
         if any(done):

@@ -4,11 +4,18 @@ The forward step solves (Id + dt*nu*(-Lap)) y^j = y^{j-1} + dt*B v^j, with the
 control slice v^j attached to the step ending at t_j.  The backward recursion
 is the exact transpose of the forward step map, so the adjoint-based gradient
 is the exact gradient of the discrete cost.
+
+Both sweeps start the CG solve of each step from the polynomial extrapolation
+through the last (up to ``START_ORDER``) states the sweep has solved for: the
+right-hand sides change smoothly from step to step, so this guess is closer
+than the previous state.  The first solve starts from y0 or the terminal
+value, which no K^-1 has smoothed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +104,43 @@ def step_operator(grid: Grid, dt, nu: float) -> StepOperator:
     return StepOperator(grid, -(dt * nu))
 
 
+START_ORDER = 4
+# extrapolation coefficients of the last m solved states, newest first:
+# (-1)^i binom(m, i+1), exact for polynomials in time of degree below m
+_START_COEFFICIENTS = {m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m))
+                       for m in range(1, START_ORDER + 1)}
+
+
+class _SweepStarts:
+    """The CG starts of one sweep.
+
+    ``next()`` is ``first`` until a state is recorded, then the
+    extrapolation through the last (up to ``START_ORDER``) states that
+    ``record`` was given.  The arithmetic is elementwise with scalar
+    coefficients, so a column of a batch gets its own 1D start.  A start is
+    written into a buffer that the next call overwrites.
+    """
+
+    def __init__(self, first: np.ndarray):
+        self._first = first
+        self._solved = deque(maxlen=START_ORDER)  # newest first
+        self._start = np.empty(first.shape)
+        self._term = np.empty(first.shape)
+
+    def record(self, state: np.ndarray) -> None:
+        self._solved.appendleft(state)
+
+    def next(self) -> np.ndarray:
+        if len(self._solved) <= 1:
+            return self._solved[0] if self._solved else self._first
+        newest, *older = self._solved
+        first_coefficient, *coefficients = _START_COEFFICIENTS[len(self._solved)]
+        np.multiply(first_coefficient, newest, out=self._start)
+        for c, state in zip(coefficients, older):
+            self._start += np.multiply(c, state, out=self._term)
+        return self._start
+
+
 def solve_state(
     grid: Grid,
     time_grid,
@@ -124,14 +168,16 @@ def solve_state(
     if np.ndim(dt):
         dt = dt[:, None]
     y = None if final_only else np.empty((steps + 1,) + y0.shape)
+    starts = _SweepStarts(y0)
     prev = y0
     if y is not None:
         y[0] = y0
     for j in range(steps):
         b = prev + dt * inject(grid, v[..., j, :])
-        prev = cg_solve(apply_k, b, tol, counter, x0=prev)
+        prev = cg_solve(apply_k, b, tol, counter, x0=starts.next())
         if y is not None:
             y[j + 1] = prev
+        starts.record(prev if final_only else y[j + 1])
     return prev if y is None else np.moveaxis(y, 0, -2)
 
 
@@ -159,8 +205,10 @@ def solve_adjoint(
     nodes = grid.control_mask if patch_only else slice(None)
     p = np.empty((steps + 1,) + terminal[..., nodes].shape)
     p[steps] = terminal[..., nodes]
+    starts = _SweepStarts(terminal)
     cur = terminal
     for j in range(steps, 0, -1):
-        cur = cg_solve(apply_k, cur, tol, counter, x0=cur)
+        cur = cg_solve(apply_k, cur, tol, counter, x0=starts.next())
         p[j - 1] = cur[..., nodes]
+        starts.record(cur if patch_only else p[j - 1])
     return np.moveaxis(p, 0, -2)

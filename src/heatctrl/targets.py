@@ -42,9 +42,9 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> TimePartition:
     base, rem = divmod(time_grid.step_count, n_intervals)
     counts = tuple([base + 1] * rem + [base] * (n_intervals - rem))
     offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(counts)[:-1]]))
-    breakpoints = tuple(
-        time_grid.t_start + time_grid.dt * o
-        for o in list(offsets) + [time_grid.step_count]
+    # t_start + dt * step_count can miss t_end in its last bit
+    breakpoints = tuple(time_grid.t_start + time_grid.dt * o for o in offsets) + (
+        time_grid.t_end,
     )
     return TimePartition(breakpoints, counts, offsets)
 

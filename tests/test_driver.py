@@ -36,28 +36,27 @@ def test_line_search_vanishes_at_optimum(rng):
     assert abs(theta) <= 1e-8
 
 
-def test_line_search_is_the_scalar_minimizer(rng):
-    from scipy.optimize import minimize_scalar
+def test_line_search_is_the_scalar_minimizer():
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        prob = random_tiny_problem(rng, n_interior=4, steps=6)
+        v = _random_control(rng, prob)
+        d = _random_control(rng, prob)
+        counter = hc.MatvecCounter()
+        theta_star, _ = hc.line_search_theta(prob, v, d, _residual(prob, v, counter),
+                                             counter)
 
-    prob = random_tiny_problem(rng, n_interior=4, steps=6)
-    v = _random_control(rng, prob)
-    d = _random_control(rng, prob)
-    counter = hc.MatvecCounter()
-    theta_star, _ = hc.line_search_theta(prob, v, d, _residual(prob, v, counter), counter)
+        def j_of(theta):
+            return hc.evaluate(prob, v + theta * d, counter).cost
 
-    def j_of(theta):
-        return hc.evaluate(prob, v + theta * d, counter).cost
-
-    j_best = j_of(theta_star)
-    for theta in np.linspace(-2.0, 2.0, 50):
-        assert j_best <= j_of(theta) + 1e-12
-    golden = minimize_scalar(
-        j_of,
-        bracket=(theta_star - 2.0, theta_star, theta_star + 2.0),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    assert abs(theta_star - golden.x) <= 1e-8 * max(1.0, abs(theta_star))
+        j_best = j_of(theta_star)
+        for theta in np.linspace(-2.0, 2.0, 50):
+            assert j_best <= j_of(theta) + 1e-12
+        # J is exactly quadratic in theta: the vertex of the parabola through
+        # three of its values is its minimizer
+        j_lo, j_hi = j_of(theta_star - 1.0), j_of(theta_star + 1.0)
+        vertex = theta_star - 0.5 * (j_hi - j_lo) / (j_hi - 2.0 * j_best + j_lo)
+        assert abs(theta_star - vertex) <= 1e-12 * max(1.0, abs(theta_star))
 
 
 def test_outer_iteration_n1_exact_inner_recovers_optimum(rng):

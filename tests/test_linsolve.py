@@ -51,6 +51,19 @@ def test_warm_start_costs_one_extra_matvec(rng):
     assert counter.count == 1  # residual check only, no iterations
 
 
+def test_guess_worse_than_zero_restarts_from_zero(rng):
+    # x0 = -b leaves ||b + K b|| >= 2 ||b||; the restarted column repeats the
+    # cold solve bit for bit, and the product that tested the guess is charged
+    g = hc.build_grid(1, 12, [(0.0, 1.0)], [(0.0, 1.0)])
+    apply_k = hc.step_operator(g, 0.5, 1.0)
+    b = rng.standard_normal(10)
+    cold, warm = hc.MatvecCounter(), hc.MatvecCounter()
+    want = hc.cg_solve(apply_k, b, 1e-12, cold)
+    got = hc.cg_solve(apply_k, b, 1e-12, warm, x0=-b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert warm.count == cold.count + 1
+
+
 def test_nonconvergence_raises(rng):
     g = hc.build_grid(1, 34, [(0.0, 1.0)], [(0.0, 1.0)])
     apply_k = hc.step_operator(g, 1.0, 1.0)  # stiff: condition number ~ 4/h^2
@@ -68,6 +81,9 @@ def _reference_cg(apply_a, b, tol, x0):
     """The allocating CG loop the in-place one must reproduce bit for bit."""
     x = x0.copy()
     r = b - apply_a(x)
+    if np.linalg.norm(r) > np.linalg.norm(b):  # a guess worse than zero
+        x = np.zeros_like(b)
+        r = b.copy()
     target = tol * np.linalg.norm(b)
     if np.linalg.norm(r) <= target:
         return x
@@ -96,11 +112,17 @@ def test_step_operator_bitwise_equal_to_reference_formula(rng):
 
 
 def test_cg_bitwise_equal_to_reference_loop(rng):
+    # random guesses are worse than zero for this K and restart from zero;
+    # guesses near the solution are kept
     g = hc.build_grid(2, (12, 9), [(0.0, 1.0), (0.0, 2.0)], [(0.2, 0.8), (0.5, 1.5)])
     apply_k = hc.step_operator(g, 0.05, 1.0)
-    for _ in range(5):
+    for near in [False] * 5 + [True] * 5:
         b = rng.standard_normal(g.interior_node_count)
         x0 = rng.standard_normal(g.interior_node_count)
+        if near:
+            x0 = hc.cg_solve(apply_k, b, 1e-3, hc.MatvecCounter()) + 1e-3 * x0
+        worse = np.linalg.norm(b - apply_k(x0)) > np.linalg.norm(b)
+        assert worse != near
         got = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0)
         want = _reference_cg(apply_k, b, 1e-12, x0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

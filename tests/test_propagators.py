@@ -190,3 +190,115 @@ def test_inverse_step_adjoint_identity(dim, nodes, columns, dt, nu, seed):
     rhs = hc.inner_omega(g, a, kb)
     bound = 2.5 * tol * hc.norm_omega(g, a) * hc.norm_omega(g, b)
     assert np.all(np.abs(lhs - rhs) <= bound)
+
+
+def _expected_starts(first, solved):
+    """The CG starts of a sweep from the states it solved, in order: first,
+    y1, 2y2 - y1, 3y3 - 3y2 + y1, then 4y[j-1] - 6y[j-2] + 4y[j-3] - y[j-4]."""
+    starts = [first, solved[0]]
+    if len(solved) > 2:
+        starts.append(2 * solved[1] - solved[0])
+    if len(solved) > 3:
+        starts.append(3 * solved[2] - 3 * solved[1] + solved[0])
+    for j in range(4, len(solved)):
+        starts.append(4 * solved[j - 1] - 6 * solved[j - 2] + 4 * solved[j - 3] - solved[j - 4])
+    return starts
+
+
+@pytest.mark.parametrize("sweep", ["state", "state_final_only", "state_batch",
+                                   "adjoint", "adjoint_patch_only"])
+def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
+    g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
+    n, m = g.interior_node_count, g.control_node_count
+    if sweep == "state_batch":
+        part = hc.make_partition(hc.TimeGrid(0.0, 0.7, 21), 3)
+        tg = tuple(hc.TimeGrid(a, b, k) for a, b, k in
+                   zip(part.breakpoints, part.breakpoints[1:], part.step_counts))
+        first = rng.standard_normal((3, n))
+        v = rng.standard_normal((3, 7, m))
+    else:
+        tg = hc.TimeGrid(0.0, 0.7, 7)
+        first = rng.standard_normal(n)
+        v = rng.standard_normal((7, m))
+    calls = []
+    real = propagators.cg_solve
+
+    def recording(apply_a, b, tol, counter, x0=None):
+        x = real(apply_a, b, tol, counter, x0=x0)
+        calls.append((x0.copy(), x.copy()))
+        return x
+
+    monkeypatch.setattr(propagators, "cg_solve", recording)
+    counter = hc.MatvecCounter()
+    if sweep.startswith("state"):
+        out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, counter,
+                             final_only=sweep == "state_final_only")
+        solved_in_output = out if sweep == "state_final_only" else out[..., 1:, :]
+    else:
+        out = hc.solve_adjoint(g, tg, first, 0.6, 1e-11, counter,
+                               patch_only=sweep == "adjoint_patch_only")
+        solved_in_output = np.flip(out[..., :-1, :], axis=-2)
+    starts, solved = zip(*calls)
+    assert len(starts) == 7
+    if sweep == "state_final_only":
+        assert np.array_equal(solved[-1], solved_in_output)
+    elif sweep == "adjoint_patch_only":
+        assert np.array_equal(np.array(solved)[..., g.control_mask], solved_in_output)
+    else:
+        assert np.array_equal(np.moveaxis(np.array(solved), 0, -2), solved_in_output)
+    for got, want in zip(starts, _expected_starts(first, solved), strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_adjoint_from_a_rough_terminal_converges():
+    # the rough terminal as CG's first guess leaves ||b - K x0|| >> ||b||, and
+    # with it CG's attainable residual, about eps * ||b - K x0||, above tol * ||b||
+    g = hc.build_grid(1, 10, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg = hc.TimeGrid(0.0, 2.0, 8)
+    terminal = np.random.default_rng(54).standard_normal(8)
+    p = hc.solve_adjoint(g, tg, terminal, 2.0, 1e-13, hc.MatvecCounter())
+    p_ref = dense_adjoint_solve(g, tg, terminal, 2.0)
+    np.testing.assert_allclose(p, p_ref, rtol=1e-10, atol=1e-12)
+
+
+def _cumulative_error_bound(tol, rhs_norms):
+    # K >= Id, so a step's CG error is at most tol times its right-hand
+    # side's norm, and K^-1 does not amplify earlier errors; the factor 2
+    # covers the gap between CG's updated and its true residual
+    return 2.0 * tol * np.cumsum(rhs_norms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(4, 10),
+    steps=st.integers(1, 12),
+    stiffness=st.floats(1e-2, 100.0),  # nu * dt / h^2
+    tol=st.sampled_from([1e-10, 1e-12, 1e-13]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweeps_converge_on_stiff_problems_with_rough_controls(nodes, steps, stiffness,
+                                                                tol, seed):
+    rng = np.random.default_rng(seed)
+    g = hc.build_grid(1, nodes, [(0.0, 1.0)], [(0.2, 0.8)])
+    nu = 1.0
+    tg = hc.TimeGrid(0.0, steps * stiffness * g.spacing[0] ** 2 / nu, steps)
+    n, m = g.interior_node_count, g.control_node_count
+    # rough in time: every step has its own scale and sign
+    v = (rng.standard_normal((steps, m)) * 10.0 ** rng.uniform(-1, 3, (steps, 1))
+         * rng.choice([-1.0, 1.0], (steps, 1)))
+    y0, terminal = rng.standard_normal(n), rng.standard_normal(n)
+    counter = hc.MatvecCounter()
+    y = hc.solve_state(g, tg, y0, v, nu, tol, counter)
+    p = hc.solve_adjoint(g, tg, terminal, nu, tol, counter)
+    assert np.array_equal(hc.solve_state(g, tg, y0, v, nu, tol, counter, final_only=True),
+                          y[-1])
+    assert np.array_equal(hc.solve_adjoint(g, tg, terminal, nu, tol, counter,
+                                           patch_only=True), p[:, g.control_mask])
+    y_ref = dense_state_solve(g, tg, y0, v, nu)
+    p_ref = dense_adjoint_solve(g, tg, terminal, nu)
+    rhs = y_ref[:-1] + tg.dt * np.array([hc.inject(g, vj) for vj in v])
+    y_err = np.linalg.norm(y[1:] - y_ref[1:], axis=1)
+    assert np.all(y_err <= _cumulative_error_bound(tol, np.linalg.norm(rhs, axis=1)))
+    p_err = np.linalg.norm(p[:-1] - p_ref[:-1], axis=1)[::-1]
+    p_rhs = np.linalg.norm(p_ref[1:], axis=1)[::-1]
+    assert np.all(p_err <= _cumulative_error_bound(tol, p_rhs))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatctrl as hc
 
@@ -34,6 +36,27 @@ def test_partition_rejects_too_many_intervals():
     tg = hc.TimeGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         hc.make_partition(tg, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_start=st.floats(-10.0, 10.0),
+    length=st.floats(1e-3, 100.0),
+    data=st.data(),
+)
+def test_partition_invariants(t_start, length, data):
+    step_count = data.draw(st.integers(1, 500), label="step_count")
+    n_intervals = data.draw(st.integers(1, step_count), label="n_intervals")
+    tg = hc.TimeGrid(t_start, t_start + length, step_count)
+    part = hc.make_partition(tg, n_intervals)
+    counts = part.step_counts
+    assert part.n_intervals == n_intervals
+    assert sum(counts) == step_count
+    assert max(counts) - min(counts) <= 1
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assert part.step_offsets == tuple(np.cumsum((0,) + counts[:-1]).tolist())
+    assert part.breakpoints[:-1] == tuple(tg.t_start + tg.dt * o for o in part.step_offsets)
+    assert part.breakpoints[-1] == tg.t_end
 
 
 def test_final_target_is_global_target_bit_for_bit(rng, tiny_problem):

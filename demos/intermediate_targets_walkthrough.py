@@ -33,23 +33,28 @@ print(f"dense-oracle optimum: J* = {j_star:.8f}")
 partition = hc.make_partition(time_grid, 3)
 print(f"partition breakpoints: {np.round(partition.breakpoints, 3)}")
 
+# the method reads y only at the breakpoints and p at the right breakpoints
+# and on the control patch, so the sweeps keep only those
+at = partition.breakpoint_steps
 counter = hc.MatvecCounter()
 v = problem.zero_control()
-y = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter)
-p = hc.solve_adjoint(grid, time_grid, y[-1] - problem.y_target, problem.nu,
-                     problem.cg_tol, counter)
+y = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter,
+                   keep=at)
+p, p_patch = hc.solve_adjoint(grid, time_grid, y[-1] - problem.y_target, problem.nu,
+                              problem.cg_tol, counter, keep=at[1:])
 chi = hc.targets_from_solutions(problem, partition, y, p)
 print("targets chi(t_n) computed; chi(T) equals y_target:",
       np.array_equal(chi[-1], problem.y_target))
 # the gradient alpha v + B* p; each sub-problem's local adjoint would
 # recompute its window, so step 2 starts from it
-g = problem.alpha * v + p[:-1][:, grid.control_mask]
+g = problem.alpha * v + p_patch[:-1]
 print(f"gradient norm at v = 0: {hc.norm_h(grid, time_grid, g):.6f}")
 
 batches = hc.assemble_subproblems(problem, v, partition, y, chi, g)
 print(f"sub-problems in batches starting at {[b.first for b in batches]}")
 v_tilde, _ = hc.solve_subproblem(batches, 1, counter)  # one descent per batch
-theta, _ = hc.line_search_theta(problem, v, v_tilde - v, y[-1] - problem.y_target, counter)
+theta, _ = hc.line_search_theta(problem, partition, v, v_tilde - v,
+                                y[-1] - problem.y_target, counter)
 v = v + theta * (v_tilde - v)
 print(f"after one sweep: theta = {theta:.4f}, "
       f"J = {hc.evaluate(problem, v, counter).cost:.8f}")

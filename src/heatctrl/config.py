@@ -261,7 +261,7 @@ def build_instance(cfg: RunConfig):
         scratch = MatvecCounter()
         n_ctrl = grid.control_node_count
         zero_v = np.zeros((time_grid.step_count, n_ctrl))
-        y_target = solve_state(grid, time_grid, y0, zero_v, cfg.nu, 1e-12, scratch)[-1]
+        y_target = solve_state(grid, time_grid, y0, zero_v, cfg.nu, 1e-12, scratch, keep=-1)
     else:
         y_target = make_field(grid, cfg.y_target, rng)
     return grid, time_grid, y0, y_target

@@ -18,6 +18,12 @@ solve; each further inner iteration adds a batched adjoint and a batched
 forward solve.
 ``outer_iteration`` runs the same sweep from an arbitrary control.
 
+The sub-problems touch one another only through y and p at the N+1
+breakpoints, and the gradient reads p only on the control patch, so a run
+stores no full trajectory: y and z at the N+1 breakpoints, p as full fields
+at the N right breakpoints and p on the control patch at every step, which
+is O(N n + steps m) memory for n grid nodes and m control nodes.
+
 One ``MatvecCounter`` counts every product: the sequential tally.  The
 parallel tally charges each step-2 batch at its per-sub-problem maximum, so it
 is that count minus the products each sweep reports as saved.
@@ -80,21 +86,23 @@ class RunResult:
 
 def line_search_theta(
     problem: ControlProblem,
+    partition: TimePartition,
     v: np.ndarray,
     d: np.ndarray,
     residual: np.ndarray,
     counter: MatvecCounter,
 ) -> tuple[float, np.ndarray | None]:
-    """Exact minimizer of theta -> J(v + theta d) and the trajectory z it used.
+    """Exact minimizer of theta -> J(v + theta d) and the z it used.
 
     ``residual`` is y(T; v) - y_target.  z is the homogeneous state driven by
-    d, so y(v + theta d) = y(v) + theta z; it is None (and theta 0) when d
-    vanishes.
+    d at the partition's N+1 breakpoints, so y(v + theta d) = y(v) + theta z
+    there; it is None (and theta 0) when d vanishes.
     """
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
         return 0.0, None
-    z = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter)
+    z = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
+                    keep=partition.breakpoint_steps)
     zT = z[-1]
     num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)
     den = inner_omega(grid, zT, zT) + problem.alpha * inner_h(grid, tg, d, d)
@@ -114,20 +122,21 @@ def _sweep(
     cost: float,
     counter: MatvecCounter,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Steps 1-4 from the state y(v), adjoint p(v), gradient g(v) and cost
-    J(v) of the control v.
+    """Steps 1-4 from the state y(v) at the N+1 breakpoints, the adjoint p(v)
+    at the N right breakpoints, the gradient g(v) and the cost J(v) of the
+    control v.
 
-    Returns (v_next, y_next, theta, saved): y_next is y(v_next), updated
-    through linearity; theta is 0 and v, y come back unchanged when the line
-    search finds no descent step; saved is what the parallel tally does not
-    charge of step 2's products.
+    Returns (v_next, y_next, theta, saved): y_next is y(v_next) at the
+    breakpoints, updated through linearity; theta is 0 and v, y come back
+    unchanged when the line search finds no descent step; saved is what the
+    parallel tally does not charge of step 2's products.
     """
     chi = targets_from_solutions(problem, partition, y, p)
     batches = assemble_subproblems(problem, v, partition, y, chi, g)
     v_tilde, saved = solve_subproblem(batches, config.inner_iterations, counter,
                                       config.inner_gradient_rtol)
     d = v_tilde - v
-    theta, z = line_search_theta(problem, v, d, y[-1] - problem.y_target, counter)
+    theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter)
     if theta != 0.0:
         v_next, y_next = v + theta * d, y + theta * z
         if _record(problem, v_next, y_next[-1]).cost <= cost:
@@ -137,9 +146,15 @@ def _sweep(
     return v, y, 0.0, saved
 
 
-def _gradient(problem: ControlProblem, v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The gradient alpha v + B* p of the cost at v, from its adjoint trajectory p."""
-    return problem.alpha * v + p[:-1][:, problem.grid.control_mask]
+def _adjoint(problem: ControlProblem, partition: TimePartition, v: np.ndarray,
+             y_final: np.ndarray, counter: MatvecCounter) -> tuple[np.ndarray, np.ndarray]:
+    """p(v) at the N right breakpoints and the gradient alpha v + B* p of the
+    cost at v, from one adjoint solve that keeps the rest of p on the control
+    patch only."""
+    p, patch = solve_adjoint(problem.grid, problem.time_grid, y_final - problem.y_target,
+                             problem.nu, problem.cg_tol, counter,
+                             keep=partition.breakpoint_steps[1:])
+    return p, problem.alpha * v + patch[:-1]
 
 
 def outer_iteration(
@@ -155,12 +170,12 @@ def outer_iteration(
     """
     grid, tg = problem.grid, problem.time_grid
     start = counter.count
-    y = solve_state(grid, tg, problem.y0, v_k, problem.nu, problem.cg_tol, counter)
-    p = solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol, counter)
-    cost = _record(problem, v_k, y[-1]).cost
     partition = make_partition(tg, config.n_intervals)
-    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p,
-                                     _gradient(problem, v_k, p), cost, counter)
+    y = solve_state(grid, tg, problem.y0, v_k, problem.nu, problem.cg_tol, counter,
+                    keep=partition.breakpoint_steps)
+    p, g = _adjoint(problem, partition, v_k, y[-1], counter)
+    cost = _record(problem, v_k, y[-1]).cost
+    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p, g, cost, counter)
     return v_next, theta, counter.count - start - saved
 
 
@@ -180,7 +195,8 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
     t0 = time.perf_counter()
 
     v = problem.zero_control()
-    y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
+    y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter,
+                    keep=partition.breakpoint_steps)
 
     threshold = None
     history: list[IterationMetrics] = []
@@ -188,9 +204,7 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
 
     for k in range(config.max_outer + 1):
         rec = _record(problem, v, y[-1])
-        p = solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
-                          counter)
-        g = _gradient(problem, v, p)
+        p, g = _adjoint(problem, partition, v, y[-1], counter)
         gnorm = norm_h(grid, tg, g)
         if threshold is None:
             threshold = config.gradient_rtol * (1.0 + gnorm)

@@ -109,7 +109,7 @@ def _record(problem: ControlProblem, v: np.ndarray, final_state: np.ndarray) -> 
 
 def evaluate(problem: ControlProblem, v: np.ndarray, counter: MatvecCounter) -> EvaluationRecord:
     y_final = solve_state(problem.grid, problem.time_grid, problem.y0, v, problem.nu,
-                          problem.cg_tol, counter, final_only=True)
+                          problem.cg_tol, counter, keep=-1)
     return _record(problem, v, y_final)
 
 
@@ -123,10 +123,10 @@ def gradient(
     grid = problem.grid
     if final_state is None:
         final_state = solve_state(grid, problem.time_grid, problem.y0, v, problem.nu,
-                                  problem.cg_tol, counter, final_only=True)
-    p = solve_adjoint(grid, problem.time_grid, final_state - problem.y_target, problem.nu,
-                      problem.cg_tol, counter, patch_only=True)
-    return problem.alpha * v + p[..., :-1, :]
+                                  problem.cg_tol, counter, keep=-1)
+    _, patch = solve_adjoint(grid, problem.time_grid, final_state - problem.y_target,
+                             problem.nu, problem.cg_tol, counter, keep=[])
+    return problem.alpha * v + patch[..., :-1, :]
 
 
 @dataclass
@@ -199,7 +199,7 @@ def optimal_step_gradient(
     try:
         if initial_final_state is None:
             final = solve_state(grid, problem.time_grid, problem.y0, v, problem.nu,
-                                problem.cg_tol, counter, final_only=True)
+                                problem.cg_tol, counter, keep=-1)
         else:
             final = np.array(initial_final_state, dtype=float).reshape(problem.y0.shape)
         rec = _record(problem, v, final.copy())  # the history keeps these rows
@@ -228,7 +228,7 @@ def optimal_step_gradient(
             part = problem.columns(active) if active.size < cols else problem
             with counter.columns(active) as c:
                 zT = solve_state(grid, part.time_grid, np.zeros((active.size, final.shape[1])),
-                                 g, problem.nu, problem.cg_tol, c, final_only=True)
+                                 g, problem.nu, problem.cg_tol, c, keep=-1)
             denom = inner_omega(grid, zT, zT) + alpha * gnorm2
             if (denom == 0.0).any():
                 active, g, gnorm2, zT, denom = retire(denom == 0.0, g, gnorm2, zT, denom)
@@ -292,8 +292,8 @@ def oracle_kkt_solve(
         )
     counter = MatvecCounter()
     y_free = solve_state(grid, tg, problem.y0, problem.zero_control(), problem.nu,
-                         problem.cg_tol, counter)
-    b0 = y_free[-1] - problem.y_target
+                         problem.cg_tol, counter, keep=-1)
+    b0 = y_free - problem.y_target
 
     G = np.empty((grid.interior_node_count, n_unknowns))
     zero_y0 = grid.zero_field()
@@ -302,8 +302,8 @@ def oracle_kkt_solve(
             e = np.zeros((steps, m))
             e[j, i] = 1.0
             G[:, j * m + i] = solve_state(
-                grid, tg, zero_y0, e, problem.nu, problem.cg_tol, counter
-            )[-1]
+                grid, tg, zero_y0, e, problem.nu, problem.cg_tol, counter, keep=-1
+            )
 
     w = grid.node_weight
     wh = tg.dt * w

@@ -10,6 +10,12 @@ through the last (up to ``START_ORDER``) states the sweep has solved for: the
 right-hand sides change smoothly from step to step, so this guess is closer
 than the previous state.  The first solve starts from y0 or the terminal
 value, which no K^-1 has smoothed.
+
+A sweep stores only the steps its caller asks for (``keep``, an index into
+the step axis); the starts hold the last solved fields themselves, so what a
+sweep stores never changes its numbers.  The adjoint can also return the
+control patch of every step, which is all the gradient reads.  A full
+trajectory is the case where every step is kept.
 """
 
 from __future__ import annotations
@@ -141,6 +147,22 @@ class _SweepStarts:
         return self._start
 
 
+def _storage(steps: int, keep, field: np.ndarray):
+    """The buffer for the states ``keep`` selects from the steps 0..steps
+    (None: all), the rows of it that each step fills, and whether the result
+    has a step axis."""
+    kept = np.arange(steps + 1)[slice(None) if keep is None else keep]
+    rows = [[] for _ in range(steps + 1)]
+    for row, step in enumerate(np.ravel(kept).tolist()):
+        rows[step].append(row)
+    return np.empty((kept.size,) + field.shape), rows, kept.ndim > 0
+
+
+def _layout(out: np.ndarray, step_axis: bool) -> np.ndarray:
+    """The stored states as (..., kept steps, n), or (..., n) for one step index."""
+    return np.moveaxis(out, 0, -2) if step_axis else out[0]
+
+
 def solve_state(
     grid: Grid,
     time_grid,
@@ -149,14 +171,18 @@ def solve_state(
     nu: float,
     tol: float,
     counter: MatvecCounter,
-    final_only: bool = False,
+    keep=None,
 ) -> np.ndarray:
     """Forward heat solve; returns the trajectory of shape (steps+1, n).
 
     A batch of independent solves passes one TimeGrid per column (all with
     one step count), y0 of shape (k, n) and v of shape (k, steps, m), and gets
     (k, steps+1, n); every column is the 1D solve of its own inputs, bit for
-    bit.  ``final_only`` returns the state at the last step only.
+    bit.  ``keep`` indexes the step axis (an int, a slice or a list of step
+    indices) and only the states it selects are stored: the result is the
+    full trajectory indexed by ``keep``, so ``keep=-1`` gives the final
+    state alone and ``keep=[0, 4, 8]`` three rows.  The default, None,
+    keeps every step.
     """
     steps, dt = step_lengths(time_grid)
     _check_field(grid, y0)
@@ -167,18 +193,18 @@ def solve_state(
     apply_k = step_operator(grid, dt, nu)
     if np.ndim(dt):
         dt = dt[:, None]
-    y = None if final_only else np.empty((steps + 1,) + y0.shape)
+    out, rows, step_axis = _storage(steps, keep, y0)
+    for row in rows[0]:
+        out[row] = y0
     starts = _SweepStarts(y0)
     prev = y0
-    if y is not None:
-        y[0] = y0
-    for j in range(steps):
-        b = prev + dt * inject(grid, v[..., j, :])
+    for j in range(1, steps + 1):
+        b = prev + dt * inject(grid, v[..., j - 1, :])
         prev = cg_solve(apply_k, b, tol, counter, x0=starts.next())
-        if y is not None:
-            y[j + 1] = prev
-        starts.record(prev if final_only else y[j + 1])
-    return prev if y is None else np.moveaxis(y, 0, -2)
+        for row in rows[j]:
+            out[row] = prev
+        starts.record(prev)
+    return _layout(out, step_axis)
 
 
 def solve_adjoint(
@@ -188,13 +214,16 @@ def solve_adjoint(
     nu: float,
     tol: float,
     counter: MatvecCounter,
-    patch_only: bool = False,
-) -> np.ndarray:
+    keep=None,
+):
     """Backward recursion p^{j-1} = K^{-1} p^j from p^N = terminal.
 
     K is symmetric, so this is the exact transpose of the forward step map.
-    Batches as in ``solve_state``.  ``patch_only`` keeps only the control
-    patch nodes of every p^j, which is all the gradient reads.
+    Batches as in ``solve_state``.  Returns the trajectory of shape
+    (steps+1, n) by default.  With ``keep``, an index into the step axis as
+    in ``solve_state``, returns the pair (p at the steps ``keep`` selects, the
+    control patch nodes of every p^j, of shape (steps+1, m)): the patch is
+    all the gradient reads, so ``keep=[]`` stores no full field.
     """
     steps, dt = step_lengths(time_grid)
     _check_field(grid, terminal)
@@ -202,13 +231,23 @@ def solve_adjoint(
     if nu < 0:
         raise ValueError("nu must be non-negative")
     apply_k = step_operator(grid, dt, nu)
-    nodes = grid.control_mask if patch_only else slice(None)
-    p = np.empty((steps + 1,) + terminal[..., nodes].shape)
-    p[steps] = terminal[..., nodes]
+    out, rows, step_axis = _storage(steps, keep, terminal)
+    patch = None
+    if keep is not None:
+        patch = np.empty((steps + 1,) + terminal.shape[:-1] + (grid.control_node_count,))
+
+    def store(j, p_j):
+        for row in rows[j]:
+            out[row] = p_j
+        if patch is not None:
+            patch[j] = p_j[..., grid.control_mask]
+
+    store(steps, terminal)
     starts = _SweepStarts(terminal)
     cur = terminal
     for j in range(steps, 0, -1):
         cur = cg_solve(apply_k, cur, tol, counter, x0=starts.next())
-        p[j - 1] = cur[..., nodes]
-        starts.record(cur if patch_only else p[j - 1])
-    return np.moveaxis(p, 0, -2)
+        store(j - 1, cur)
+        starts.record(cur)
+    p = _layout(out, step_axis)
+    return p if patch is None else (p, np.moveaxis(patch, 0, -2))

@@ -28,6 +28,11 @@ class TimePartition:
     def n_intervals(self) -> int:
         return len(self.step_counts)
 
+    @property
+    def breakpoint_steps(self) -> list[int]:
+        """Global step index of each of the N+1 breakpoints."""
+        return list(self.step_offsets) + [self.step_offsets[-1] + self.step_counts[-1]]
+
 
 def make_partition(time_grid: TimeGrid, n_intervals: int) -> TimePartition:
     """Split the time grid into n_intervals blocks of whole steps.
@@ -55,16 +60,19 @@ def targets_from_solutions(
     y: np.ndarray,
     p: np.ndarray,
 ) -> np.ndarray:
-    """Breakpoint targets chi = y - p at t_1 .. t_N, as an (N, n) array."""
-    ends = _ends(partition)
-    chi = y[ends] - p[ends]
+    """Breakpoint targets chi = y - p at t_1 .. t_N, as an (N, n) array.
+
+    ``y`` holds the state at the N+1 breakpoints and ``p`` the adjoint at the
+    N right ones, as the sweeps return them with ``keep`` set to the
+    partition's ``breakpoint_steps`` and ``breakpoint_steps[1:]``.
+    """
+    n = partition.n_intervals
+    if len(y) != n + 1 or len(p) != n:
+        raise ValueError(f"need y at {n + 1} breakpoints and p at {n}, "
+                         f"got {len(y)} and {len(p)}")
+    chi = y[1:] - p
     chi[-1] = problem.y_target  # exact: chi(T) = y(T) - (y(T) - y_target)
     return chi
-
-
-def _ends(partition: TimePartition) -> list[int]:
-    """Global step index of each right breakpoint."""
-    return [o + c for o, c in zip(partition.step_offsets, partition.step_counts)]
 
 
 # widest field block (columns x nodes of float64) of a step-2 batch: 8 columns
@@ -98,17 +106,18 @@ def assemble_subproblems(
     chi: np.ndarray,
     g: np.ndarray,
 ) -> list[SubProblemBatch]:
-    """Step 2's sub-problems from the state y(v), the targets chi and the
-    gradient g of the cost at v, in batches.
+    """Step 2's sub-problems from the state y(v) at the N+1 breakpoints, the
+    targets chi and the gradient g of the cost at v, in batches.
 
-    Sub-problem n starts from y at its left breakpoint and tracks chi[n].  A
+    Sub-problem n starts from y[n], the state at its left breakpoint, and
+    tracks chi[n].  A
     batch is a run of consecutive sub-problems with one step count, at most
     ``BATCH_BYTES`` of fields wide.
     """
-    if len(chi) != partition.n_intervals:
+    if len(chi) != partition.n_intervals or len(y) != partition.n_intervals + 1:
         raise ValueError("targets were computed for a different partition")
     width = max(1, BATCH_BYTES // (8 * problem.grid.interior_node_count))
-    counts, starts, ends = partition.step_counts, partition.step_offsets, _ends(partition)
+    counts, steps = partition.step_counts, partition.breakpoint_steps
     batches = []
     first = 0
     while first < len(counts):
@@ -121,16 +130,16 @@ def assemble_subproblems(
                 TimeGrid(partition.breakpoints[n], partition.breakpoints[n + 1], counts[n])
                 for n in range(first, stop)
             ),
-            y0=y[list(starts[first:stop])],
+            y0=y[first:stop],
             y_target=chi[first:stop],
             alpha=problem.alpha,
             nu=problem.nu,
             cg_tol=problem.cg_tol,
         )
-        window = slice(starts[first], ends[stop - 1])
+        window = slice(steps[first], steps[stop])
         shape = (stop - first, counts[first], -1)
         batches.append(SubProblemBatch(first, local, v[window].reshape(shape),
-                                       y[ends[first:stop]], g[window].reshape(shape)))
+                                       y[first + 1 : stop + 1], g[window].reshape(shape)))
         first = stop
     return batches
 

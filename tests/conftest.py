@@ -92,14 +92,15 @@ def random_tiny_problem(rng, n_interior=None, steps=None, cg_tol=1e-12):
 
 
 def breakpoint_targets(problem, partition, v):
-    """y(v), the breakpoint targets chi of v and the gradient alpha v + B* p at
-    v, from one forward and one adjoint solve."""
+    """y(v) at the N+1 breakpoints, the breakpoint targets chi of v and the
+    gradient alpha v + B* p at v, from one forward and one adjoint solve."""
     grid, tg = problem.grid, problem.time_grid
+    at = partition.breakpoint_steps
     counter = hc.MatvecCounter()
-    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
-    p = hc.solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
-                         counter)
-    g = problem.alpha * v + p[:-1][:, grid.control_mask]
+    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter, keep=at)
+    p, patch = hc.solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu,
+                                problem.cg_tol, counter, keep=at[1:])
+    g = problem.alpha * v + patch[:-1]
     return y, hc.targets_from_solutions(problem, partition, y, p), g
 
 
@@ -140,7 +141,7 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
         if gnorm2 == 0.0 or (threshold is not None and np.sqrt(gnorm2) <= threshold):
             break
         zT = hc.solve_state(grid, tg, grid.zero_field(), g, problem.nu, problem.cg_tol,
-                            counter)[-1]
+                            counter, keep=-1)
         denom = hc.inner_omega(grid, zT, zT) + problem.alpha * gnorm2
         if denom == 0.0:
             break

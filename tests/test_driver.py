@@ -1,7 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatctrl as hc
 
@@ -21,7 +24,8 @@ def _residual(prob, v, counter):
 def test_line_search_zero_direction(tiny_problem):
     v = tiny_problem.zero_control()
     counter = hc.MatvecCounter()
-    theta, z = hc.line_search_theta(tiny_problem, v, np.zeros_like(v),
+    part = hc.make_partition(tiny_problem.time_grid, 2)
+    theta, z = hc.line_search_theta(tiny_problem, part, v, np.zeros_like(v),
                                     _residual(tiny_problem, v, counter), counter)
     assert theta == 0.0 and z is None
 
@@ -31,8 +35,9 @@ def test_line_search_vanishes_at_optimum(rng):
     v_star, _ = hc.oracle_kkt_solve(prob)
     d = _random_control(rng, prob)
     counter = hc.MatvecCounter()
-    theta, _ = hc.line_search_theta(prob, v_star, d, _residual(prob, v_star, counter),
-                                    counter)
+    part = hc.make_partition(prob.time_grid, 2)
+    theta, _ = hc.line_search_theta(prob, part, v_star, d,
+                                    _residual(prob, v_star, counter), counter)
     assert abs(theta) <= 1e-8
 
 
@@ -43,7 +48,8 @@ def test_line_search_is_the_scalar_minimizer():
         v = _random_control(rng, prob)
         d = _random_control(rng, prob)
         counter = hc.MatvecCounter()
-        theta_star, _ = hc.line_search_theta(prob, v, d, _residual(prob, v, counter),
+        part = hc.make_partition(prob.time_grid, 3)
+        theta_star, _ = hc.line_search_theta(prob, part, v, d, _residual(prob, v, counter),
                                              counter)
 
         def j_of(theta):
@@ -264,3 +270,55 @@ def test_outer_config_validation():
         hc.OuterConfig(n_intervals=0)
     with pytest.raises(ValueError):
         hc.OuterConfig(n_intervals=2, gradient_rtol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(3, 8),
+    steps=st.integers(1, 16),
+    data=st.data(),
+    inner=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_history_invariants(nodes, steps, data, inner, seed):
+    # on every row: J never rises, both tallies never fall and the parallel
+    # tally never exceeds the sequential one
+    prob = random_tiny_problem(np.random.default_rng(seed), n_interior=nodes, steps=steps)
+    n_intervals = data.draw(st.integers(1, steps), label="n_intervals")
+    res = hc.run(prob, hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner,
+                                      max_outer=20, gradient_rtol=1e-9))
+    rows = res.history
+    assert all(b.cost <= a.cost for a, b in zip(rows, rows[1:]))
+    assert all(b.matvec_sequential >= a.matvec_sequential for a, b in zip(rows, rows[1:]))
+    assert all(b.matvec_parallel >= a.matvec_parallel for a, b in zip(rows, rows[1:]))
+    assert all(m.matvec_parallel <= m.matvec_sequential for m in rows)
+
+
+def _run_peak_bytes(steps):
+    """tracemalloc peak of ``run`` on a 15 x 15 interior with a 3 x 3 control
+    patch, ``steps`` time steps, 4 sub-intervals and 3 outer iterations."""
+    rng = np.random.default_rng(7)
+    grid = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(0.4, 0.6)] * 2)
+    prob = hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(0.0, 0.5, steps),
+                             y0=rng.standard_normal(grid.interior_node_count),
+                             y_target=rng.standard_normal(grid.interior_node_count),
+                             alpha=0.1, nu=0.5)
+    cfg = hc.OuterConfig(n_intervals=4, max_outer=3, gradient_rtol=1e-12)
+    tracemalloc.start()
+    try:
+        res = hc.run(prob, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.history) == 4
+    return peak, grid.interior_node_count
+
+
+def test_run_memory_does_not_grow_with_full_trajectories():
+    # a run keeps y, z and p at the breakpoints and p on the control patch:
+    # four times the steps must cost less than one more full trajectory
+    short = 16
+    _run_peak_bytes(short)  # first-call allocations stay out of the comparison
+    small, n = _run_peak_bytes(short)
+    large, _ = _run_peak_bytes(4 * short)
+    assert large - small < (4 * short + 1) * n * 8

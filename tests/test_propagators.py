@@ -143,8 +143,8 @@ def test_batched_sweeps_bitwise_equal_to_single_solves(rng):
     y = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, counter)
     p = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, counter)
     assert y.shape == p.shape == (k, 4, n)
-    y_final = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, hc.MatvecCounter(), final_only=True)
-    p_patch = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, hc.MatvecCounter(), patch_only=True)
+    y_final = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, hc.MatvecCounter(), keep=-1)
+    _, p_patch = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, hc.MatvecCounter(), keep=[])
     assert np.array_equal(y_final, y[:, -1])
     assert np.array_equal(p_patch, p[..., g.control_mask])
     for c, tg in enumerate(grids):
@@ -205,12 +205,17 @@ def _expected_starts(first, solved):
     return starts
 
 
-@pytest.mark.parametrize("sweep", ["state", "state_final_only", "state_batch",
-                                   "adjoint", "adjoint_patch_only"])
+# the steps of 0..7 that each storage mode keeps (None: every step)
+KEPT = {"state": None, "state_final_only": -1, "state_breakpoints": [0, 3, 5, 7],
+        "state_batch": None, "state_batch_breakpoints": [0, 2, 7],
+        "adjoint": None, "adjoint_patch_only": [], "adjoint_breakpoints": [3, 5, 7]}
+
+
+@pytest.mark.parametrize("sweep", list(KEPT))
 def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
     g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
     n, m = g.interior_node_count, g.control_node_count
-    if sweep == "state_batch":
+    if sweep.startswith("state_batch"):
         part = hc.make_partition(hc.TimeGrid(0.0, 0.7, 21), 3)
         tg = tuple(hc.TimeGrid(a, b, k) for a, b, k in
                    zip(part.breakpoints, part.breakpoints[1:], part.step_counts))
@@ -230,24 +235,60 @@ def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
 
     monkeypatch.setattr(propagators, "cg_solve", recording)
     counter = hc.MatvecCounter()
+    keep = KEPT[sweep]
     if sweep.startswith("state"):
-        out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, counter,
-                             final_only=sweep == "state_final_only")
-        solved_in_output = out if sweep == "state_final_only" else out[..., 1:, :]
+        out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, counter, keep=keep)
     else:
-        out = hc.solve_adjoint(g, tg, first, 0.6, 1e-11, counter,
-                               patch_only=sweep == "adjoint_patch_only")
-        solved_in_output = np.flip(out[..., :-1, :], axis=-2)
+        out = hc.solve_adjoint(g, tg, first, 0.6, 1e-11, counter, keep=keep)
     starts, solved = zip(*calls)
     assert len(starts) == 7
-    if sweep == "state_final_only":
-        assert np.array_equal(solved[-1], solved_in_output)
-    elif sweep == "adjoint_patch_only":
-        assert np.array_equal(np.array(solved)[..., g.control_mask], solved_in_output)
+    # the trajectory of the solved fields, in time order
+    trajectory = np.moveaxis(np.array((first,) + solved), 0, -2)
+    if sweep.startswith("adjoint"):
+        trajectory = np.flip(trajectory, axis=-2)
+    if keep is None:
+        assert np.array_equal(out, trajectory)
+    elif sweep.startswith("adjoint"):
+        assert np.array_equal(out[0], trajectory[..., keep, :])
+        assert np.array_equal(out[1], trajectory[..., g.control_mask])
     else:
-        assert np.array_equal(np.moveaxis(np.array(solved), 0, -2), solved_in_output)
+        assert np.array_equal(out, trajectory[..., keep, :])
     for got, want in zip(starts, _expected_starts(first, solved), strict=True):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "batch"])
+def test_kept_steps_bitwise_equal_to_full_sweeps(rng, case):
+    # the rows a sweep keeps are the rows of the full sweep, bit for bit, with
+    # the same products, whatever the form of the index
+    if case == "1d":
+        g = hc.build_grid(1, 12, [(0.0, 1.0)], [(0.2, 0.6)])
+    else:
+        g = hc.build_grid(2, (9, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
+    # the batch's columns have their own dt
+    tg = _column_grids() if case == "batch" else hc.TimeGrid(0.0, 0.9, 13)
+    batch = (len(tg),) if case == "batch" else ()
+    steps, _ = propagators.step_lengths(tg)
+    n, m = g.interior_node_count, g.control_node_count
+    y0 = rng.standard_normal(batch + (n,))
+    v = rng.standard_normal(batch + (steps, m))
+    full = hc.MatvecCounter()
+    y = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, full)
+    p = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, full)
+    at = hc.make_partition(hc.TimeGrid(0.0, 1.0, steps), 2).breakpoint_steps
+    for keep in (at, at[1:], -1, 0, [], [steps, 0, 2, 2], slice(1, None, 2)):
+        reduced = hc.MatvecCounter()
+        y_kept = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, reduced, keep=keep)
+        p_kept, p_patch = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, reduced, keep=keep)
+        assert reduced.count == full.count
+        assert y_kept.shape == y[..., keep, :].shape
+        assert np.array_equal(_bits(y_kept), _bits(y[..., keep, :]))
+        assert np.array_equal(_bits(p_kept), _bits(p[..., keep, :]))
+        assert np.array_equal(_bits(p_patch), _bits(p[..., g.control_mask]))
 
 
 def test_adjoint_from_a_rough_terminal_converges():
@@ -290,10 +331,9 @@ def test_sweeps_converge_on_stiff_problems_with_rough_controls(nodes, steps, sti
     counter = hc.MatvecCounter()
     y = hc.solve_state(g, tg, y0, v, nu, tol, counter)
     p = hc.solve_adjoint(g, tg, terminal, nu, tol, counter)
-    assert np.array_equal(hc.solve_state(g, tg, y0, v, nu, tol, counter, final_only=True),
-                          y[-1])
-    assert np.array_equal(hc.solve_adjoint(g, tg, terminal, nu, tol, counter,
-                                           patch_only=True), p[:, g.control_mask])
+    assert np.array_equal(hc.solve_state(g, tg, y0, v, nu, tol, counter, keep=-1), y[-1])
+    assert np.array_equal(hc.solve_adjoint(g, tg, terminal, nu, tol, counter, keep=[])[1],
+                          p[:, g.control_mask])
     y_ref = dense_state_solve(g, tg, y0, v, nu)
     p_ref = dense_adjoint_solve(g, tg, terminal, nu)
     rhs = y_ref[:-1] + tg.dt * np.array([hc.inject(g, vj) for vj in v])

@@ -123,6 +123,9 @@ def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
     monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
     y, chi, g = breakpoint_targets(prob, part, v)
     batches = hc.assemble_subproblems(prob, v, part, y, chi, g)
+    # the breakpoint rows are the rows of the full trajectory, bit for bit
+    y_full = hc.solve_state(prob.grid, prob.time_grid, prob.y0, v, prob.nu, prob.cg_tol,
+                            hc.MatvecCounter())
     assert [b.first for b in batches] == [0, 1, 3]
     windows = np.concatenate([b.warm_start.reshape(-1, v.shape[1]) for b in batches])
     assert np.array_equal(windows.view(np.int64), v.view(np.int64))
@@ -132,8 +135,8 @@ def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
         k = len(b.warm_start)
         left = part.step_offsets[b.first : b.first + k]
         right = [o + c for o, c in zip(left, part.step_counts[b.first : b.first + k])]
-        assert np.array_equal(b.problem.y0.view(np.int64), y[list(left)].view(np.int64))
-        assert np.array_equal(b.warm_final_state.view(np.int64), y[right].view(np.int64))
+        assert np.array_equal(b.problem.y0.view(np.int64), y_full[list(left)].view(np.int64))
+        assert np.array_equal(b.warm_final_state.view(np.int64), y_full[right].view(np.int64))
     assert np.array_equal(batches[-1].problem.y_target[-1].view(np.int64),
                           prob.y_target.view(np.int64))
 
@@ -239,6 +242,16 @@ def test_assemble_rejects_mismatched_targets(rng, tiny_problem):
     y, chi, g = breakpoint_targets(prob, part2, v)
     with pytest.raises(ValueError):
         hc.assemble_subproblems(prob, v, part4, y, chi, g)
+    # full trajectories in place of the breakpoint rows
+    counter = hc.MatvecCounter()
+    y_full = hc.solve_state(prob.grid, prob.time_grid, prob.y0, v, prob.nu, prob.cg_tol,
+                            counter)
+    p_full = hc.solve_adjoint(prob.grid, prob.time_grid, y_full[-1] - prob.y_target, prob.nu,
+                              prob.cg_tol, counter)
+    with pytest.raises(ValueError, match="breakpoints"):
+        hc.targets_from_solutions(prob, part2, y_full, p_full)
+    with pytest.raises(ValueError):
+        hc.assemble_subproblems(prob, v, part2, y_full, chi, g)
 
 
 def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):

@@ -247,8 +247,20 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
     raise ConfigError(f"unrecognized field generator: {name!r}")
 
 
+def _check_norm(key: str, spec: str, field: np.ndarray) -> None:
+    """Reject a field whose squared norm is not finite: every solve and the
+    cost take it."""
+    with np.errstate(over="ignore"):
+        square = np.vecdot(field, field)
+    if not np.isfinite(square):
+        raise ConfigError(f"{key} = {spec.strip()!r}: the squared norm of the field "
+                          f"is {float(square)!r}")
+
+
 def build_instance(cfg: RunConfig):
-    """Realize the grid, time grid, and initial/target fields of a config."""
+    """Realize the grid, time grid, and initial/target fields of a config.
+
+    Rejects a field whose squared norm overflows, before any solve."""
     try:
         grid = build_grid(cfg.dim, cfg.nodes_per_axis, cfg.domain_bounds, cfg.control_bounds)
     except ValueError as exc:
@@ -256,6 +268,7 @@ def build_instance(cfg: RunConfig):
     time_grid = TimeGrid(0.0, cfg.T, cfg.step_count)
     rng = np.random.default_rng(cfg.seed)
     y0 = make_field(grid, cfg.y0, rng)
+    _check_norm("y0", cfg.y0, y0)
     if cfg.y_target.strip() == "free-evolution-of-y0":
         # setup solve, not part of any benchmark tally
         scratch = MatvecCounter()
@@ -264,4 +277,5 @@ def build_instance(cfg: RunConfig):
         y_target = solve_state(grid, time_grid, y0, zero_v, cfg.nu, 1e-12, scratch, keep=-1)
     else:
         y_target = make_field(grid, cfg.y_target, rng)
+        _check_norm("y_target", cfg.y_target, y_target)
     return grid, time_grid, y0, y_target

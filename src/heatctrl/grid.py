@@ -5,10 +5,16 @@ Dirichlet values and are never stored.  Fields are plain 1D numpy arrays of
 length ``interior_node_count`` (C order over the interior shape); control
 slices are 1D arrays of length ``control_node_count``.  A batch of fields or
 slices stacks them as the rows of a 2D array.
+
+The Laplacian copies its input into a flat, zero-padded buffer
+(``StencilWork``), where every difference along an axis is one pass over a
+contiguous range, and reads the interior back once at the end; the step
+operator's ``* -(dt*nu)`` and ``+ u`` ride on that read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,77 +141,114 @@ def _check_control(grid: Grid, c: np.ndarray) -> None:
         )
 
 
-class StencilWork:
-    """Scratch and result arrays of ``laplacian_apply``, reused from call to call.
+def _weighting(h2: float):
+    """(ufunc, factor) that divides by h2.
 
-    Sized for the largest batch seen so far.  The zero-padded copy of the
-    input keeps its zero border, so it is never cleared; the slices of every
-    batch size are built once.
+    When h2 is a power of two with a finite reciprocal, x * (1/h2) and x / h2
+    are the same correctly rounded number, so the cheaper multiply moves no
+    bit; otherwise it is the division itself.
+    """
+    if math.frexp(h2)[0] == 0.5 and math.isfinite(1.0 / h2):
+        return np.multiply, 1.0 / h2
+    return np.divide, h2
+
+
+class StencilWork:
+    """Buffers of ``laplacian_apply``, reused from call to call.
+
+    A batch of k fields is laid out flat: the k zero-padded fields end to end
+    in one array.  A neighbour along an axis is then a fixed offset away, that
+    axis's stride in the padded field (1 for the last axis, the padded row
+    length for the first), so every difference is one subtraction of two
+    contiguous ranges.  The values this leaves on the padding are never read.
+
+    Sized for the largest batch seen so far; a smaller batch uses the leading
+    part of every buffer.  The padding of the padded copy is never written, so
+    it is never cleared.  The views of every batch size are built once.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self._padded_shape = tuple(n + 2 for n in grid.interior_shape)
+        self._padded_size = math.prod(self._padded_shape)
+        self._strides = tuple(math.prod(self._padded_shape[ax + 1:]) for ax in range(grid.dim))
+        self._weights = tuple(_weighting(h**2) for h in grid.spacing)
         self._columns = 0
         self._plans: dict[int, tuple] = {}
 
     def plan(self, k: int) -> tuple:
-        """(padded interior, per-axis slices and buffers, second difference,
-        result) for k fields."""
+        """(padded interior, per-axis views and weighting, second difference,
+        sum, interior of the sum, result) for k fields."""
         plan = self._plans.get(k)
         if plan is None:
             if k > self._columns:
                 self._allocate(k)
-            plan = self._plans[k] = self._slice(k)
+            plan = self._plans[k] = self._views(k)
         return plan
 
     def _allocate(self, k: int) -> None:
-        shape = self.grid.interior_shape
-        self._padded = np.zeros((k,) + tuple(n + 2 for n in shape))
-        self._first = [
-            np.empty((k,) + tuple(n + (i == ax) for i, n in enumerate(shape)))
-            for ax in range(self.grid.dim)
-        ]
-        self._second = np.empty((k,) + shape)
+        size = k * self._padded_size
+        self._padded = np.zeros(size)
+        self._first = np.empty(size)
+        self._second = np.empty(size)
+        self._total = np.empty(size)
         self._result = np.empty((k, self.grid.interior_node_count))
         self._columns = k
         self._plans.clear()
 
-    def _slice(self, k: int) -> tuple:
+    def _views(self, k: int) -> tuple:
+        # every sum is formed on the flat positions [m, size - m), which hold
+        # all interior nodes; m is the largest stride
+        size, m = k * self._padded_size, self._strides[0]
         inner = (slice(None),) + (slice(1, -1),) * self.grid.dim
-        padded = self._padded[:k]
+        padded = self._padded[:size]
         axes = []
-        for ax, (h, first) in enumerate(zip(self.grid.spacing, self._first), start=1):
-            x = padded[inner[:ax] + (slice(None),) + inner[ax + 1:]]
-            keep = (slice(None),) * ax
-            upper, lower = keep + (slice(1, None),), keep + (slice(None, -1),)
-            d1 = first[:k]
-            axes.append((x[upper], x[lower], d1, d1[upper], d1[lower], h**2))
-        return padded[inner], axes, self._second[:k], self._result[:k]
+        for s, (weigh, factor) in zip(self._strides, self._weights):
+            # first differences a[i+s] - a[i] at the positions [m - s, size - m)
+            first = self._first[:size - 2 * m + s]
+            axes.append((padded[m:size - m + s], padded[m - s:size - m],
+                         first, first[s:], first[:-s], weigh, factor))
+        fields = (k,) + self._padded_shape
+        return (padded.reshape(fields)[inner], axes, self._second[:size - 2 * m],
+                self._total[m:size - m], self._total[:size].reshape(fields)[inner],
+                self._result[:k])
 
 
-def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None) -> np.ndarray:
+def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
+                    scale=None) -> np.ndarray:
     """Second-order central-difference Laplacian with zero Dirichlet boundary.
 
     Per axis, ``((a[i+1] - a[i]) - (a[i] - a[i-1])) / h**2`` on the
     zero-padded field, summed over the axes in order onto a zero start.  That
     order is part of the contract: every run's numbers depend on it bit for bit.
+    (The division is a multiply by 1/h**2 where that is exact, which gives
+    the same bits.)
 
     ``u`` is one field (n,) or a batch (k, n) whose rows are transformed
-    alike.  The result is a fresh array, or with ``work`` a buffer of it that
-    the next call with the same ``work`` overwrites.
+    alike.  With ``scale`` (a number, or one per row shaped to broadcast over
+    the interior, (k, 1) in 1D and (k, 1, 1) in 2D) the result is
+    ``Lap(u) * scale + u`` instead, formed in the same read of the interior:
+    the implicit-Euler step K u for scale = -(dt*nu).  The result is a fresh
+    array, or with ``work`` a buffer of it that the next call with the same
+    ``work`` overwrites.
     """
     _check_field(grid, u)
-    interior, axes, second, result = (work or StencilWork(grid)).plan(
+    fields, axes, second, total, interior, result = (work or StencilWork(grid)).plan(
         1 if u.ndim == 1 else len(u))
-    interior[...] = u.reshape(interior.shape)
+    fields[...] = u.reshape(fields.shape)
+    for ax, (upper, lower, first, first_upper, first_lower, weigh, factor) in enumerate(axes):
+        np.subtract(upper, lower, out=first)
+        term = second if ax else total
+        np.subtract(first_upper, first_lower, out=term)
+        weigh(term, factor, out=term)
+        # the zero start: 0.0 + x is x, except that -0.0 becomes 0.0
+        total += term if ax else 0.0
     out = result.reshape(u.shape)
-    out.fill(0.0)
-    total = out.reshape(second.shape)
-    for upper, lower, d1, d1_upper, d1_lower, h2 in axes:
-        np.subtract(upper, lower, d1)
-        np.subtract(d1_upper, d1_lower, second)
-        second /= h2
-        total += second
+    if scale is None:
+        out.reshape(interior.shape)[...] = interior
+    else:
+        np.multiply(interior, scale, out=out.reshape(interior.shape))
+        out += u
     return out
 
 

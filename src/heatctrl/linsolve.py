@@ -99,8 +99,9 @@ def cg_solve(
     A column starts from its row of ``x0`` (zero without one), unless that
     guess is worse than zero, ||b - A x0|| > ||b||: then it starts from
     x = 0, r = b, as a guess with a large residual would leave CG a floor of
-    about eps * ||b - A x0|| that can lie above tol * ||b||.  The product
-    that tested the guess is charged all the same.
+    about eps * ||b - A x0|| that can lie above tol * ||b||.  A residual
+    whose squared norm overflows counts as worse.  The product that tested
+    the guess is charged all the same.
 
     A column converges when ||b - A x|| <= tol * ||b||.  ``counter`` is
     charged every product, per column.  Raises ``CGError`` (with the column
@@ -149,7 +150,9 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
         xa = x0[active]
         counts[active] = 1
         r = rhs[active] - op(xa[0] if one else xa)
-    rs = np.vecdot(r, r, keepdims=True)
+    # an r.r that overflows is inf, worse than any finite ||b||: no warning
+    with np.errstate(over="ignore"):
+        rs = np.vecdot(r, r, keepdims=True)
     # a guess worse than zero restarts its column from x = 0, r = b (without
     # a guess r = b, so no column is worse)
     worse = np.sqrt(rs[:, 0]) > b_norm[active]

@@ -3,7 +3,10 @@
 The forward step solves (Id + dt*nu*(-Lap)) y^j = y^{j-1} + dt*B v^j, with the
 control slice v^j attached to the step ending at t_j.  The backward recursion
 is the exact transpose of the forward step map, so the adjoint-based gradient
-is the exact gradient of the discrete cost.
+is the exact gradient of the discrete cost.  The step matrix K is applied by
+the stencil itself: ``laplacian_apply(..., scale=-(dt*nu))`` forms
+Lap(u) * scale + u in its one read of the interior, bitwise the product
+u - dt*nu*Lap(u).
 
 Both sweeps start the CG solve of each step from the polynomial extrapolation
 through the last (up to ``START_ORDER``) states the sweep has solved for: the
@@ -80,9 +83,12 @@ class StepOperator:
     """The implicit-Euler step matrix K = Id + dt*nu*(-Lap) as a callable.
 
     Applies to one field (n,) or a batch (k, n).  ``scale`` is -(dt*nu), or
-    a (k, 1) array of it with one row per column of a batch.  The result is
-    a buffer that the next call overwrites.  ``columns(index)`` is the
-    operator of those columns of the batch; it shares the buffers.
+    an array of it with one row per column of a batch, shaped to broadcast
+    over the interior grid.  The stencil forms ``Lap(u) * scale + u`` in its
+    read of the interior; by IEEE negation and commutativity that is bitwise
+    u - dt * nu * Lap(u).  The result is a buffer that the next call
+    overwrites.  ``columns(index)`` is the operator of those columns of the
+    batch; it shares the buffers.
     """
 
     def __init__(self, grid: Grid, scale, work: StencilWork | None = None):
@@ -91,12 +97,7 @@ class StepOperator:
         self._work = work or StencilWork(grid)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        # in place on the stencil's output; IEEE negation and commutativity
-        # make this bitwise equal to u - dt * nu * Lap(u)
-        out = laplacian_apply(self.grid, u, work=self._work)
-        out *= self._scale
-        out += u
-        return out
+        return laplacian_apply(self.grid, u, work=self._work, scale=self._scale)
 
     def columns(self, index: np.ndarray) -> "StepOperator":
         scale = self._scale[index] if np.ndim(self._scale) else self._scale
@@ -106,7 +107,8 @@ class StepOperator:
 def step_operator(grid: Grid, dt, nu: float) -> StepOperator:
     """K = Id + dt*nu*(-Lap); ``dt`` may hold one step length per column."""
     if np.ndim(dt):
-        return StepOperator(grid, -(np.asarray(dt)[:, None] * nu))
+        per_column = np.asarray(dt).reshape((-1,) + (1,) * grid.dim)
+        return StepOperator(grid, -(per_column * nu))
     return StepOperator(grid, -(dt * nu))
 
 

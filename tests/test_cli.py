@@ -184,6 +184,8 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
     # invalid for the 8-step, 9-node 1D line
     ("--N", "100"), ("--nodes-per-axis", "2"), ("--nodes-per-axis", "9,9"),
     ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"), ("--seed", "-1"),
+    # finite fields whose squared norm overflows
+    ("--y0", "gaussian(0.5,0.1,1e160)"), ("--y-target", "random(1e160)"),
 ])
 def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     cfg = tmp_path / "line.cfg"

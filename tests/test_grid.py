@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,14 +121,22 @@ def _reference_laplacian(grid, u):
     (2, (33, 33), [(0.0, 1.0), (0.0, 1.0)]),
     (2, (9, 14), [(0.0, 1.0), (0.0, 1.0)]),
     (2, (11, 7), [(-0.3, 1.1), (0.0, 2.5)]),
+    (2, (65, 65), [(0.0, 1.0), (0.0, 1.0)]),
+    (2, (3, 17), [(0.0, 1.0), (0.0, 1.0)]),  # one interior row
+    (2, (5, 9), [(0.0, 16.0), (0.0, 16.0)]),  # h = 4 and 2: h^2 = 16 and 4
 ])
 def test_laplacian_bitwise_equal_to_reference(rng, dim, nodes, domain):
+    # 1/h^2 is a power of two on some of these grids (a multiply) and not on
+    # others (a division); both must give the reference's bits
     g = hc.build_grid(dim, nodes, domain, domain)
     for _ in range(10):
         u = rng.standard_normal(g.interior_node_count) * 10.0 ** rng.integers(-3, 4)
         # signed zeros tell a zero start apart from starting at the first term
         u[rng.random(u.size) < 0.2] = -0.0
         u[rng.random(u.size) < 0.2] = 0.0
+        # subnormals, where a weighting that rounds differently would show
+        tiny = rng.random(u.size) < 0.2
+        u[tiny] = rng.standard_normal(tiny.sum()) * 2.0 ** -1060
         got = hc.laplacian_apply(g, u)
         want = _reference_laplacian(g, u)
         assert got.shape == want.shape
@@ -204,6 +214,27 @@ def test_batched_laplacian_rows_bitwise_equal_to_single_fields(rng):
         for row, field in zip(got, u):
             want = _reference_laplacian(g, field)
             assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+def test_stencil_work_holds_buffers_for_the_largest_batch_only(rng):
+    # served batches of 8, 1, 3 and 5 fields, the buffers stay those of 8
+    g = hc.build_grid(2, (33, 33), [(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)])
+    u = rng.standard_normal((8, g.interior_node_count))
+
+    def held(sizes):
+        tracemalloc.start()
+        try:
+            work = StencilWork(g)
+            for k in sizes:
+                hc.laplacian_apply(g, u[:k], work=work)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    one_field = g.interior_node_count * u.itemsize
+    assert held([8]) > 8 * one_field
+    # the views of each batch size cost a few hundred bytes, not a field
+    assert held([8, 1, 3, 5]) <= held([8]) + one_field
 
 
 def test_batched_inject_restrict_rows(rng):

@@ -64,6 +64,21 @@ def test_guess_worse_than_zero_restarts_from_zero(rng):
     assert warm.count == cold.count + 1
 
 
+def test_overflowing_start_residual_restarts_from_zero(rng):
+    # with nu = 1e200, ||b - K x0||^2 overflows: that start is worse than
+    # zero, without a warning, and the restarted solve is the cold one
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.0, 1.0)])
+    apply_k = hc.step_operator(g, 0.01, 1e200)
+    b = rng.standard_normal(7)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.vecdot(b - apply_k(b), b - apply_k(b)))
+    cold, warm = hc.MatvecCounter(), hc.MatvecCounter()
+    want = hc.cg_solve(apply_k, b, 1e-12, cold)
+    got = hc.cg_solve(apply_k, b, 1e-12, warm, x0=b.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert warm.count == cold.count + 1
+
+
 def test_nonconvergence_raises(rng):
     g = hc.build_grid(1, 34, [(0.0, 1.0)], [(0.0, 1.0)])
     apply_k = hc.step_operator(g, 1.0, 1.0)  # stiff: condition number ~ 4/h^2
@@ -102,13 +117,22 @@ def _reference_cg(apply_a, b, tol, x0):
 
 
 def test_step_operator_bitwise_equal_to_reference_formula(rng):
-    g = hc.build_grid(2, (12, 9), [(0.0, 1.0), (0.0, 2.0)], [(0.2, 0.8), (0.5, 1.5)])
-    dt, nu = 0.01, 0.3
-    apply_k = hc.step_operator(g, dt, nu)
-    for _ in range(10):
-        u = rng.standard_normal(g.interior_node_count)
-        want = u - dt * nu * hc.laplacian_apply(g, u)
-        assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
+    nu = 0.3
+    for nodes, domain, dt in [
+        # h^2 = 1/121 (divided) and 1/16 (multiplied by 16)
+        ((12, 9), [(0.0, 1.0), (0.0, 2.0)], 0.01),
+        # a batch of 4 fields with one dt per column; h^2 = 1/4096
+        ((65, 65), [(0.0, 1.0), (0.0, 1.0)], np.array([0.01, 0.0125, 0.01, 0.003])),
+    ]:
+        g = hc.build_grid(2, nodes, domain, domain)
+        apply_k = hc.step_operator(g, dt, nu)
+        shape = np.shape(dt) + (g.interior_node_count,)
+        column_dt = dt[:, None] if np.ndim(dt) else dt
+        for _ in range(10):
+            u = rng.standard_normal(shape)
+            u[rng.random(shape) < 0.1] = -0.0
+            want = u - column_dt * nu * hc.laplacian_apply(g, u)
+            assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
 
 
 def test_cg_bitwise_equal_to_reference_loop(rng):

@@ -4,9 +4,10 @@ On a tiny 1D instance we (1) compute the targets chi = y - p at the
 breakpoints, (2) split the horizon into sub-intervals and solve the
 independent local tracking problems as one batch, starting from the windows
 of the gradient the adjoint already gave, (3) join their controls
-into v_tilde and line-search along v_tilde - v, and finally check
-the defining fixed-point property: starting from the exact optimum, the
-sweep returns the optimum.
+into v_tilde and line-search along v_tilde - v.  It then runs the outer loop
+with this rule and with the baseline's rule d = -g, and finally checks the
+defining fixed-point property: starting from the exact optimum, the sweep
+returns the optimum.
 """
 
 import numpy as np
@@ -68,6 +69,14 @@ print(f"\nouter loop: converged={result.converged} "
       f"J = {result.history[-1].cost:.8f}")
 print(f"distance to oracle optimum: "
       f"{hc.norm_h(grid, time_grid, result.control - v_star):.2e}")
+
+# the same loop with the steepest rule d = -g is the sequential baseline
+baseline = hc.run(problem, hc.OuterConfig(n_intervals=1, max_outer=100, gradient_rtol=1e-7),
+                  hc.steepest_direction)
+print(f"baseline (steepest rule): converged={baseline.converged} "
+      f"in {len(baseline.history) - 1} iterations, "
+      f"matvecs {baseline.history[-1].matvec_sequential} against "
+      f"{result.history[-1].matvec_parallel} (parallel tally)")
 
 # --- fixed point -----------------------------------------------------------
 v_back, theta, _ = hc.outer_iteration(problem, v_star, config, hc.MatvecCounter())

@@ -1,8 +1,15 @@
 """Benchmark CLI: baseline vs. intermediate-targets, CSV convergence traces.
 
+Both modes run ``driver.run``, the one outer loop, and differ only in its
+direction rule: the baseline takes d = -g on one interval (the sequential
+optimal-step gradient method), intermediate targets take d = v_tilde - v
+from the N sub-problems.  Mode both runs the baseline first, then
+intermediate targets, on the same instance.
+
 Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted
 or run stalled (the CSV is still written, and stderr gets one line per run
-that stopped early), 3 solver error (CG broke down or did not converge).
+that stopped early), 3 solver error (CG broke down or did not converge, or
+the cost or its gradient overflowed).
 
 ``--workers`` (``worker_count``) is parsed and validated but has no effect:
 step 2 is one batched solve.
@@ -15,9 +22,16 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_instance, parse_config
-from .driver import OuterConfig, run as run_outer
-from .linsolve import CGError, MatvecCounter
-from .problem import ControlProblem, optimal_step_gradient
+from .driver import (
+    IterationMetrics,
+    OuterConfig,
+    RunResult,
+    run as run_outer,
+    steepest_direction,
+    targets_direction,
+)
+from .linsolve import CGError
+from .problem import ControlProblem
 
 CSV_HEADER = "iter,J,misfit,penalty,theta,matvec_seq,matvec_par,wall_ms"
 
@@ -31,75 +45,47 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, rows: list[tuple]) -> None:
+def _write_csv(path: Path, history: list[IterationMetrics]) -> None:
     lines = [CSV_HEADER]
-    for it, j, misfit, penalty, theta, seq, par, wall_ms in rows:
+    for m in history:
         lines.append(
-            f"{it},{_fmt(j)},{_fmt(misfit)},{_fmt(penalty)},{_fmt(theta)},"
-            f"{seq},{par},{_fmt(wall_ms)}"
+            f"{m.outer_index},{_fmt(m.cost)},{_fmt(m.misfit)},{_fmt(m.penalty)},"
+            f"{_fmt(m.theta)},{m.matvec_sequential},{m.matvec_parallel},"
+            f"{_fmt(1000.0 * m.wall_time)}"
         )
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _report_exhausted(mode: str, cfg: RunConfig) -> None:
-    print(f"iteration budget exhausted: {mode} did not converge "
-          f"within max_outer = {cfg.max_outer} iterations", file=sys.stderr)
-
-
-def _baseline_rows(problem: ControlProblem, cfg: RunConfig):
-    counter = MatvecCounter()
-    result = optimal_step_gradient(
-        problem, problem.zero_control(), cfg.max_outer, counter,
-        gradient_rtol=cfg.gradient_rtol,
-    )
-    rows = [
-        (k, rec.cost, rec.misfit, rec.penalty,
-         result.step_sizes[k] if k < len(result.step_sizes) else 0.0,
-         result.matvec_marks[k], result.matvec_marks[k],
-         1000.0 * result.wall_marks[k])
-        for k, rec in enumerate(result.history)
-    ]
-    if not result.converged:
-        _report_exhausted("baseline", cfg)
-    return rows, result.converged
-
-
-def _intermediate_rows(problem: ControlProblem, cfg: RunConfig):
+def _run(problem: ControlProblem, cfg: RunConfig, mode: str) -> RunResult:
+    """One run of ``mode``; stderr gets one line if it stops early."""
+    baseline = mode == "baseline"
     outer = OuterConfig(
-        n_intervals=cfg.N,
+        n_intervals=1 if baseline else cfg.N,
         inner_iterations=cfg.inner_iterations,
         max_outer=cfg.max_outer,
         gradient_rtol=cfg.gradient_rtol,
     )
-    result = run_outer(problem, outer)
+    result = run_outer(problem, outer, steepest_direction if baseline else targets_direction)
     if result.stalled:
         print(f"stalled at iteration {result.history[-1].outer_index}: "
               "the line search found no descent step", file=sys.stderr)
     elif not result.converged:
-        _report_exhausted("intermediate-targets", cfg)
-    rows = [
-        (m.outer_index, m.cost, m.misfit, m.penalty, m.theta,
-         m.matvec_sequential, m.matvec_parallel, 1000.0 * m.wall_time)
-        for m in result.history
-    ]
-    return rows, result.converged
+        print(f"iteration budget exhausted: {mode} did not converge "
+              f"within max_outer = {cfg.max_outer} iterations", file=sys.stderr)
+    return result
 
 
-_ROWS = {"baseline": _baseline_rows, "intermediate-targets": _intermediate_rows}
-
-
-def _print_summary(rows, speedup: str = "n/a") -> None:
-    _, j, _, _, _, seq, par, _ = rows[-1]
-    print(f"final_J={_fmt(j)} matvec_seq={seq} matvec_par={par} speedup={speedup}")
-
-
-def _matvecs_to_reach(rows, threshold: float, column: int):
-    """First row whose J is at or below the threshold; returns (iter, matvecs)."""
-    for row in rows:
-        if row[1] <= threshold:
-            return row[0], row[column]
-    return None, None
+def _speedup(base: RunResult, inter: RunResult) -> str:
+    """Ratio of the matvecs each run needs to reach 1.01 times the baseline's
+    final J, counted in the parallel tally (the sequential one, for the
+    baseline)."""
+    threshold = 1.01 * base.history[-1].cost
+    base_cost, inter_cost = (
+        next((m.matvec_parallel for m in r.history if m.cost <= threshold), None)
+        for r in (base, inter)
+    )
+    return _fmt(base_cost / inter_cost) if inter_cost else "n/a"
 
 
 def run_benchmark(cfg: RunConfig) -> int:
@@ -108,26 +94,17 @@ def run_benchmark(cfg: RunConfig) -> int:
         grid=grid, time_grid=time_grid, y0=y0, y_target=y_target,
         alpha=cfg.alpha, nu=cfg.nu,
     )
-    if cfg.mode in _ROWS:
-        rows, converged = _ROWS[cfg.mode](problem, cfg)
-        (out,) = cfg.output_paths
-        _write_csv(out, rows)
-        _print_summary(rows)
-        return EXIT_OK if converged else EXIT_MAX_ITER
+    # mode both: identical discretization and tolerances for both runs
+    modes = ("baseline", "intermediate-targets") if cfg.mode == "both" else (cfg.mode,)
+    results = [_run(problem, cfg, mode) for mode in modes]
+    for path, result in zip(cfg.output_paths, results, strict=True):
+        _write_csv(path, result.history)
 
-    # mode == both: identical discretization and tolerances for both runs
-    base_rows, base_conv = _baseline_rows(problem, cfg)
-    inter_rows, inter_conv = _intermediate_rows(problem, cfg)
-    base_out, inter_out = cfg.output_paths
-    _write_csv(base_out, base_rows)
-    _write_csv(inter_out, inter_rows)
-
-    threshold = 1.01 * base_rows[-1][1]
-    _, base_cost = _matvecs_to_reach(base_rows, threshold, column=5)
-    _, inter_cost = _matvecs_to_reach(inter_rows, threshold, column=6)
-    speedup = _fmt(base_cost / inter_cost) if base_cost is not None and inter_cost else "n/a"
-    _print_summary(inter_rows, speedup)
-    return EXIT_OK if (base_conv and inter_conv) else EXIT_MAX_ITER
+    last = results[-1].history[-1]
+    speedup = _speedup(*results) if len(results) == 2 else "n/a"
+    print(f"final_J={_fmt(last.cost)} matvec_seq={last.matvec_sequential} "
+          f"matvec_par={last.matvec_parallel} speedup={speedup}")
+    return EXIT_OK if all(r.converged for r in results) else EXIT_MAX_ITER
 
 
 # command-line flag -> configuration key
@@ -181,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except CGError as exc:
+    except (CGError, FloatingPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
 

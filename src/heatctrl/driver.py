@@ -1,21 +1,27 @@
-"""The outer sweep of the intermediate-targets method and its matvec ledger.
+"""The outer loop of both methods, and its matvec ledger.
 
-``_sweep`` is the only implementation of the method's four steps.  From the
-state y(v), adjoint p(v) and gradient g(v) of the current control it (1)
-forms the targets chi = y - p at the breakpoints, (2) solves the independent
-sub-problems as one batched descent, each local time step advancing all of
-them at once with per-sub-problem arithmetic and matvec counts, (3)
-concatenates their controls into v_tilde, and (4) takes the exact line-search
-step along d = v_tilde - v, rejecting an uphill one.  A sub-problem's local
-adjoint starts from y - chi = p at its right breakpoint and repeats the outer
-recursion, so its first gradient is the window of g on its sub-interval and
-step 2 does not solve it again.  The state follows through linearity,
-y(v + theta d) = y(v) + theta z with z the homogeneous trajectory the line
-search solved for, so each outer iteration of ``run`` costs one adjoint
-solve, the sub-problem solves and one homogeneous forward solve.  With one
-inner iteration, the sub-problem solves are one batched homogeneous forward
-solve; each further inner iteration adds a batched adjoint and a batched
-forward solve.
+``run`` is the only outer loop.  Each iteration ``_sweep`` asks a direction
+rule for d from the state y(v), adjoint p(v) and gradient g(v) of the current
+control v, then takes the exact line-search step along d, rejecting an
+uphill one.  The two methods differ only in the rule:
+
+- ``steepest_direction``, the sequential baseline: d = -g, which makes the
+  line search the optimal-step gradient method;
+- ``targets_direction``, the intermediate-targets method: (1) the targets
+  chi = y - p at the breakpoints, (2) the independent sub-problems solved as
+  one batched descent, each local time step advancing all of them at once
+  with per-sub-problem arithmetic and matvec counts, and (3) their controls
+  joined into v_tilde, so d = v_tilde - v.  A sub-problem's local adjoint
+  starts from y - chi = p at its right breakpoint and repeats the outer
+  recursion, so its first gradient is the window of g on its sub-interval
+  and step 2 does not solve it again.
+
+The state follows through linearity, y(v + theta d) = y(v) + theta z with z
+the homogeneous trajectory the line search solved for, so each outer
+iteration costs one adjoint solve, the rule's solves and one homogeneous
+forward solve.  With one inner iteration, the sub-problem solves are one
+batched homogeneous forward solve; each further inner iteration adds a
+batched adjoint and a batched forward solve.
 ``outer_iteration`` runs the same sweep from an arbitrary control.
 
 The sub-problems touch one another only through y and p at the N+1
@@ -26,7 +32,8 @@ is O(N n + steps m) memory for n grid nodes and m control nodes.
 
 One ``MatvecCounter`` counts every product: the sequential tally.  The
 parallel tally charges each step-2 batch at its per-sub-problem maximum, so it
-is that count minus the products each sweep reports as saved.
+is that count minus the products each sweep reports as saved; the baseline
+saves none.
 """
 
 from __future__ import annotations
@@ -111,6 +118,30 @@ def line_search_theta(
     return -num / den, z
 
 
+def steepest_direction(problem, partition, config, v, y, p, g, counter):
+    """The sequential baseline's rule: d = -g, with nothing saved."""
+    return -g, 0
+
+
+def targets_direction(
+    problem: ControlProblem,
+    partition: TimePartition,
+    config: OuterConfig,
+    v: np.ndarray,
+    y: np.ndarray,
+    p: np.ndarray,
+    g: np.ndarray,
+    counter: MatvecCounter,
+) -> tuple[np.ndarray, int]:
+    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v, and
+    what the parallel tally does not charge of step 2's products."""
+    chi = targets_from_solutions(problem, partition, y, p)
+    batches = assemble_subproblems(problem, v, partition, y, chi, g)
+    v_tilde, saved = solve_subproblem(batches, config.inner_iterations, counter,
+                                      config.inner_gradient_rtol)
+    return v_tilde - v, saved
+
+
 def _sweep(
     problem: ControlProblem,
     partition: TimePartition,
@@ -121,21 +152,19 @@ def _sweep(
     g: np.ndarray,
     cost: float,
     counter: MatvecCounter,
+    direction,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Steps 1-4 from the state y(v) at the N+1 breakpoints, the adjoint p(v)
-    at the N right breakpoints, the gradient g(v) and the cost J(v) of the
-    control v.
+    """One outer iteration from the state y(v) at the N+1 breakpoints, the
+    adjoint p(v) at the N right breakpoints, the gradient g(v) and the cost
+    J(v) of the control v: the direction rule's d, then the exact line search
+    along it.
 
     Returns (v_next, y_next, theta, saved): y_next is y(v_next) at the
     breakpoints, updated through linearity; theta is 0 and v, y come back
     unchanged when the line search finds no descent step; saved is what the
-    parallel tally does not charge of step 2's products.
+    parallel tally does not charge of the rule's products.
     """
-    chi = targets_from_solutions(problem, partition, y, p)
-    batches = assemble_subproblems(problem, v, partition, y, chi, g)
-    v_tilde, saved = solve_subproblem(batches, config.inner_iterations, counter,
-                                      config.inner_gradient_rtol)
-    d = v_tilde - v
+    d, saved = direction(problem, partition, config, v, y, p, g, counter)
     theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter)
     if theta != 0.0:
         v_next, y_next = v + theta * d, y + theta * z
@@ -175,18 +204,22 @@ def outer_iteration(
                     keep=partition.breakpoint_steps)
     p, g = _adjoint(problem, partition, v_k, y[-1], counter)
     cost = _record(problem, v_k, y[-1]).cost
-    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p, g, cost, counter)
+    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p, g, cost, counter,
+                                     targets_direction)
     return v_next, theta, counter.count - start - saved
 
 
-def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
+def run(problem: ControlProblem, config: OuterConfig,
+        direction=targets_direction) -> RunResult:
     """Iterate from v = 0 until the true gradient norm test, a stall or max_outer.
 
-    The stopping gradient comes from the same adjoint solve that builds the
+    ``direction`` is the rule each sweep takes its d from:
+    ``targets_direction`` (the default) or ``steepest_direction``.  The
+    stopping gradient comes from the same adjoint solve that builds the
     targets, so it adds no extra cost; step 2 starts from it too.  Row k of
     the history reports J(v^k) and the step theta_k taken at that iterate;
     matvec tallies are those accumulated when J(v^k) and its gradient became
-    known.
+    known.  A cost or gradient norm that overflows raises FloatingPointError.
     """
     grid, tg = problem.grid, problem.time_grid
     partition = make_partition(tg, config.n_intervals)
@@ -203,9 +236,12 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
     converged = stalled = False
 
     for k in range(config.max_outer + 1):
-        rec = _record(problem, v, y[-1])
         p, g = _adjoint(problem, partition, v, y[-1], counter)
-        gnorm = norm_h(grid, tg, g)
+        with np.errstate(over="ignore"):
+            rec = _record(problem, v, y[-1])
+            gnorm = norm_h(grid, tg, g)
+        if not (np.isfinite(rec.cost) and np.isfinite(gnorm)):
+            raise FloatingPointError(f"the cost or its gradient overflowed at iteration {k}")
         if threshold is None:
             threshold = config.gradient_rtol * (1.0 + gnorm)
         marks = (counter.count, counter.count - saved, time.perf_counter() - t0)
@@ -214,7 +250,7 @@ def run(problem: ControlProblem, config: OuterConfig) -> RunResult:
         theta = 0.0
         if not converged and k < config.max_outer:
             v, y, theta, step_saved = _sweep(problem, partition, config, v, y, p, g,
-                                             rec.cost, counter)
+                                             rec.cost, counter, direction)
             saved += step_saved
             # a zero step leaves v unchanged: every later iteration would repeat this one
             stalled = theta == 0.0

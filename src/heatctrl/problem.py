@@ -2,14 +2,15 @@
 
 The control space carries the inner product <u, w>_H = dt * sum_j <u^j, w^j>_c.
 ``optimal_step_gradient`` is steepest descent with the exact minimizing step,
-which is exact line minimization because the cost is quadratic.
+which is exact line minimization because the cost is quadratic; it is the
+inner solver of the intermediate-targets sub-problems.  (The sequential
+baseline is ``driver.run`` with ``driver.steepest_direction``.)
 ``oracle_kkt_solve`` is a dense normal-equations oracle for tiny instances.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,11 +133,6 @@ def gradient(
 @dataclass
 class DescentResult:
     control: np.ndarray
-    history: list[EvaluationRecord]
-    step_sizes: list[float]
-    gradient_norms: list[float]
-    matvec_marks: list[int]  # counter.count after each recorded iterate
-    wall_marks: list[float]  # seconds since the call started, per iterate
     converged: bool
 
 
@@ -147,7 +143,6 @@ def optimal_step_gradient(
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
     initial_final_state: np.ndarray | None = None,
-    need_final_gradient: bool = True,
     initial_gradient: np.ndarray | None = None,
 ):
     """Steepest descent with the exact step for the quadratic cost.
@@ -157,23 +152,18 @@ def optimal_step_gradient(
     updated through linearity (y(T; v - sigma g) = y(T; v) - sigma z_g(T)), so
     each iteration costs one adjoint and one homogeneous forward solve.
 
-    With ``gradient_rtol`` set, stops once ||g||_H <= rtol * (1 + ||g_0||_H).
-    ``initial_final_state`` skips the initial forward solve when y(T; v_init)
-    is already known; ``initial_gradient``, the gradient at v_init, skips the
-    first adjoint solve (step 2 passes each sub-problem its window of the
-    outer gradient, which the local adjoint would recompute up to rounding).
-    ``need_final_gradient=False`` skips the gradient at the last iterate when
-    the caller only wants the control (e.g. inner solves); ``gradient_norms``
-    then has one entry fewer than ``history``.
-
-    ``step_sizes[k]`` is the step taken at iterate k; the last iterate took
-    none.
+    With ``gradient_rtol`` set, stops once ||g||_H <= rtol * (1 + ||g_0||_H);
+    without it, the gradient at the last iterate, which only that test reads,
+    is not solved for.  ``initial_final_state`` skips the initial forward
+    solve when y(T; v_init) is already known; ``initial_gradient``, the
+    gradient at v_init, skips the first adjoint solve (step 2 passes each
+    sub-problem its window of the outer gradient, which the local adjoint
+    would recompute up to rounding).
 
     A batched ``problem`` runs the descents of all its columns at once, as
     batched solves; each column keeps its own step, stopping test and product
     count, stops on its own and ends with the bits of its own 1D descent.  It
-    returns one DescentResult per column; their ``matvec_marks`` read the
-    shared ``counter``.
+    returns one DescentResult per column.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -183,7 +173,6 @@ def optimal_step_gradient(
     grid, alpha = problem.grid, problem.alpha
     v = np.array(v_init, dtype=float, copy=True).reshape(problem.zero_control().shape)
     cols = len(v)
-    t0 = time.perf_counter()
 
     active = np.arange(cols)
     converged = np.zeros(cols, dtype=bool)
@@ -202,7 +191,6 @@ def optimal_step_gradient(
                                 problem.cg_tol, counter, keep=-1)
         else:
             final = np.array(initial_final_state, dtype=float).reshape(problem.y0.shape)
-        rec = _record(problem, v, final.copy())  # the history keeps these rows
         if initial_gradient is None:
             g = gradient(problem, v, counter, final_state=final)
         else:
@@ -211,12 +199,6 @@ def optimal_step_gradient(
         threshold = None
         if gradient_rtol is not None:
             threshold = gradient_rtol * (1.0 + np.sqrt(gnorm2))
-
-        history = [[_split(rec, i)] for i in range(cols)]
-        step_sizes: list[list[float]] = [[] for _ in range(cols)]
-        gradient_norms = [[float(n)] for n in np.sqrt(gnorm2)]
-        marks = [[counter.count] for _ in range(cols)]
-        walls = [[time.perf_counter() - t0] for _ in range(cols)]
 
         for it in range(iterations + 1):
             stop = gnorm2 == 0.0
@@ -237,39 +219,19 @@ def optimal_step_gradient(
                 part = problem.columns(active)
             sigma = gnorm2 / denom
             v[active] -= sigma[:, None, None] * g
-            moved = final[active] - sigma[:, None] * zT
-            final[active] = moved
-            rec = _record(part, v[active], moved)
-            for i, col in enumerate(active):
-                history[col].append(_split(rec, i))
-                step_sizes[col].append(float(sigma[i]))
-            if it == iterations - 1 and threshold is None and not need_final_gradient:
+            final[active] -= sigma[:, None] * zT
+            if it == iterations - 1 and threshold is None:
                 break
             with counter.columns(active) as c:
                 g = gradient(part, v[active], c, final_state=final[active])
             gnorm2 = inner_h(grid, part.time_grid, g, g)
-            now = time.perf_counter() - t0
-            for i, col in enumerate(active):
-                gradient_norms[col].append(float(np.sqrt(gnorm2[i])))
-                marks[col].append(counter.count)
-                walls[col].append(now)
     except CGError as exc:
         if exc.column is not None:
             exc.column = None if single else int(active[exc.column])
         raise
 
-    results = [
-        DescentResult(v[col], history[col], step_sizes[col], gradient_norms[col],
-                      marks[col], walls[col], bool(converged[col]))
-        for col in range(cols)
-    ]
+    results = [DescentResult(v[col], bool(converged[col])) for col in range(cols)]
     return results[0] if single else results
-
-
-def _split(rec: EvaluationRecord, i: int) -> EvaluationRecord:
-    """Column i of a batched record."""
-    return EvaluationRecord(float(rec.cost[i]), float(rec.misfit[i]), float(rec.penalty[i]),
-                            rec.final_state[i])
 
 
 ORACLE_DIMENSION_CAP = 2000

@@ -167,7 +167,6 @@ def solve_subproblem(
                     batch.problem, batch.warm_start, inner_iterations, part,
                     gradient_rtol=gradient_rtol,
                     initial_final_state=batch.warm_final_state,
-                    need_final_gradient=False,
                     initial_gradient=batch.warm_gradient,
                 )
         except CGError as exc:

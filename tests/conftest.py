@@ -123,11 +123,14 @@ def subproblems(batches):
 
 def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state,
                       gradient=None):
-    """One sub-problem's inner descent as a plain 1D loop: the control that
-    the batched ``optimal_step_gradient(..., need_final_gradient=False)`` must
-    reproduce bit for bit for every column.  ``gradient``, the gradient at
-    v_init, stands for the batched call's ``initial_gradient``; without it the
-    loop solves for it."""
+    """Steepest descent with the exact step as a plain 1D loop; returns the
+    control and the number of steps taken.
+
+    The control is what the batched ``optimal_step_gradient`` must reproduce
+    bit for bit for every column, and what ``run`` with the steepest rule
+    must reach up to rounding.  ``gradient``, the gradient at v_init, stands
+    for the batched call's ``initial_gradient``; without it the loop solves
+    for it."""
     grid, tg = problem.grid, problem.time_grid
     v = np.array(v_init, dtype=float, copy=True)
     g = gradient
@@ -136,6 +139,7 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
     threshold = None
     if gradient_rtol is not None:
         threshold = gradient_rtol * (1.0 + hc.norm_h(grid, tg, g))
+    steps = 0
     for it in range(iterations):
         gnorm2 = hc.inner_h(grid, tg, g, g)
         if gnorm2 == 0.0 or (threshold is not None and np.sqrt(gnorm2) <= threshold):
@@ -147,13 +151,14 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
             break
         sigma = gnorm2 / denom
         v -= sigma * g
+        steps += 1
         final_state = final_state - sigma * zT
         if it == iterations - 1 and threshold is None:
             break
         g = hc.gradient(problem, v, counter, final_state=final_state)
         if threshold is not None and hc.norm_h(grid, tg, g) <= threshold:
             break
-    return v
+    return v, steps
 
 
 @pytest.fixture

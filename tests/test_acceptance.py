@@ -32,10 +32,9 @@ def test_criterion_1_baseline_matches_oracle():
         for _ in range(5):
             prob = random_tiny_problem(rng)
             v_star, j_star = hc.oracle_kkt_solve(prob)
-            res = hc.optimal_step_gradient(
-                prob, prob.zero_control(), 20000, hc.MatvecCounter(),
-                gradient_rtol=1e-8,
-            )
+            # the loop the CLI runs in mode baseline
+            cfg = hc.OuterConfig(n_intervals=1, max_outer=20000, gradient_rtol=1e-8)
+            res = hc.run(prob, cfg, hc.steepest_direction)
             assert res.converged
             err = hc.norm_h(prob.grid, prob.time_grid, res.control - v_star)
             assert err <= 1e-6

@@ -112,13 +112,20 @@ def test_mode_both_writes_two_files_and_speedup(cfg_file, tmp_path, capsys):
 
 
 def test_exit_code_for_exhausted_budget(cfg_file, tmp_path, capsys):
-    out = tmp_path / "short.csv"
-    code = main(["--config", str(cfg_file), "--max-outer", "1",
-                 "--rtol", "1e-12", "--out", str(out)])
-    assert code == EXIT_MAX_ITER
-    assert out.exists()  # CSV still written on non-convergence
-    assert capsys.readouterr().err == ("iteration budget exhausted: intermediate-targets "
-                                       "did not converge within max_outer = 1 iterations\n")
+    # one stderr line per run that ran out, in the order the runs ran
+    for mode, runs in [("intermediate-targets", ["intermediate-targets"]),
+                       ("baseline", ["baseline"]),
+                       ("both", ["baseline", "intermediate-targets"])]:
+        out = tmp_path / f"short_{mode}.csv"
+        code = main(["--config", str(cfg_file), "--mode", mode, "--max-outer", "1",
+                     "--rtol", "1e-12", "--out", str(out)])
+        assert code == EXIT_MAX_ITER
+        written = ([out] if mode != "both" else
+                   [tmp_path / "short_both_baseline.csv", tmp_path / "short_both_intermediate.csv"])
+        assert all(path.exists() for path in written)  # CSV still written on non-convergence
+        assert capsys.readouterr().err == "".join(
+            f"iteration budget exhausted: {run} did not converge within max_outer = 1 "
+            "iterations\n" for run in runs)
 
 
 def test_exit_code_for_config_error(tmp_path, capsys):
@@ -210,14 +217,31 @@ def test_exit_code_for_solver_error(cfg_file, tmp_path, capsys, monkeypatch):
 
 def test_stalled_run_stops_and_writes_csv(tmp_path, capsys):
     # rtol below what cg_tol = 1e-10 can resolve: the line search eventually
-    # proposes an uphill step, which the driver rejects
+    # proposes an uphill step, which the driver rejects, in either mode
     cfg = tmp_path / "stall.cfg"
     cfg.write_text(STALLING_1D)
-    out = tmp_path / "stall.csv"
-    code = main(["--config", str(cfg), "--out", str(out)])
-    assert code == EXIT_MAX_ITER
-    rows = _read_rows(out)
-    thetas = [float(r[4]) for r in rows]
-    assert len(rows) < 200 and thetas[-1] == 0.0 and all(thetas[:-1])
-    err = capsys.readouterr().err
-    assert err == f"stalled at iteration {len(rows) - 1}: the line search found no descent step\n"
+    for mode in ("intermediate-targets", "baseline"):
+        out = tmp_path / f"stall_{mode}.csv"
+        code = main(["--config", str(cfg), "--mode", mode, "--out", str(out)])
+        assert code == EXIT_MAX_ITER
+        rows = _read_rows(out)
+        thetas = [float(r[4]) for r in rows]
+        assert len(rows) < 200 and thetas[-1] == 0.0 and all(thetas[:-1])
+        err = capsys.readouterr().err
+        assert err == (f"stalled at iteration {len(rows) - 1}: "
+                       "the line search found no descent step\n")
+
+
+@pytest.mark.parametrize("mode", ["baseline", "intermediate-targets"])
+def test_overflowing_gradient_is_a_solver_error(tmp_path, capsys, mode):
+    # the squared norm of y0 is finite, so the config is valid, but the H
+    # norm of the first gradient overflows: no threshold can be formed
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(cfg), "--mode", mode, "--y0", "gaussian(0.5,0.1,1e154)",
+                 "--N", "2", "--T", "0.08", "--dt", "0.01", "--out", str(out)])
+    assert code == EXIT_SOLVER_ERROR
+    assert capsys.readouterr().err == (
+        "solver error: the cost or its gradient overflowed at iteration 0\n")
+    assert not out.exists()

@@ -223,8 +223,9 @@ def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
     controls, counts = [], []
     for local, warm_start, warm_final_state, warm_gradient in subproblems(batches):
         own = hc.MatvecCounter()
-        controls.append(reference_descent(local, warm_start, iterations, own,
-                                          gradient_rtol, warm_final_state, warm_gradient))
+        control, _ = reference_descent(local, warm_start, iterations, own, gradient_rtol,
+                                       warm_final_state, warm_gradient)
+        controls.append(control)
         counts.append(own.count)
     counter.add(np.array(counts))
     return np.concatenate(controls), sum(counts) - max(counts)
@@ -279,19 +280,52 @@ def test_outer_config_validation():
     data=st.data(),
     inner=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
+    steepest=st.booleans(),
 )
-def test_run_history_invariants(nodes, steps, data, inner, seed):
-    # on every row: J never rises, both tallies never fall and the parallel
-    # tally never exceeds the sequential one
+def test_run_history_invariants(nodes, steps, data, inner, seed, steepest):
+    # on every row, for either rule: J never rises, both tallies never fall
+    # and the parallel tally never exceeds the sequential one; the steepest
+    # rule saves nothing, so its two tallies agree
     prob = random_tiny_problem(np.random.default_rng(seed), n_interior=nodes, steps=steps)
     n_intervals = data.draw(st.integers(1, steps), label="n_intervals")
+    rule = hc.steepest_direction if steepest else hc.targets_direction
     res = hc.run(prob, hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner,
-                                      max_outer=20, gradient_rtol=1e-9))
+                                      max_outer=20, gradient_rtol=1e-9), rule)
     rows = res.history
     assert all(b.cost <= a.cost for a, b in zip(rows, rows[1:]))
     assert all(b.matvec_sequential >= a.matvec_sequential for a, b in zip(rows, rows[1:]))
     assert all(b.matvec_parallel >= a.matvec_parallel for a, b in zip(rows, rows[1:]))
     assert all(m.matvec_parallel <= m.matvec_sequential for m in rows)
+    if steepest:
+        assert all(m.matvec_parallel == m.matvec_sequential for m in rows)
+
+
+def _tiny_2d_problem(rng):
+    """Random instance on a 4 x 4 interior with a 2 x 2 control patch."""
+    grid = hc.build_grid(2, 6, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
+    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(0.0, 0.6, 6),
+                             y0=rng.standard_normal(grid.interior_node_count),
+                             y_target=rng.standard_normal(grid.interior_node_count),
+                             alpha=0.2, nu=0.5, cg_tol=1e-12)
+
+
+@pytest.mark.parametrize("make", [random_tiny_problem, _tiny_2d_problem])
+def test_steepest_run_matches_reference_descent(rng, make):
+    # the baseline through the outer loop is the optimal-step gradient method.
+    # At rtol 1e-9 a step's decrease of J can fall below J's rounding, where
+    # the uphill guard (which the reference lacks) may end the run a step early
+    for _ in range(3):
+        prob = make(rng)
+        cfg = hc.OuterConfig(n_intervals=1, max_outer=500, gradient_rtol=1e-7)
+        res = hc.run(prob, cfg, hc.steepest_direction)
+        counter = hc.MatvecCounter()
+        v0 = prob.zero_control()
+        want, steps = reference_descent(prob, v0, cfg.max_outer, counter, cfg.gradient_rtol,
+                                        hc.evaluate(prob, v0, counter).final_state)
+        assert res.converged
+        assert len(res.history) - 1 == steps > 0
+        grid, tg = prob.grid, prob.time_grid
+        assert hc.norm_h(grid, tg, res.control - want) <= 1e-9 * hc.norm_h(grid, tg, want)
 
 
 def _run_peak_bytes(steps):

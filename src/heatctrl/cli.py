@@ -8,8 +8,10 @@ intermediate targets, on the same instance.
 
 Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted
 or run stalled (the CSV is still written, and stderr gets one line per run
-that stopped early), 3 solver error (CG broke down or did not converge, or
-the cost or its gradient overflowed).
+that stopped early, naming its mode), 3 solver error (CG broke down or did
+not converge, or the cost or its gradient overflowed).  A ``gradient_rtol``
+below the CG tolerance, which the stopping test cannot resolve, gets one
+warning line on stderr before the runs; the exit code does not change.
 
 ``--workers`` (``worker_count``) is parsed and validated but has no effect:
 step 2 is one batched solve.
@@ -68,7 +70,7 @@ def _run(problem: ControlProblem, cfg: RunConfig, mode: str) -> RunResult:
     )
     result = run_outer(problem, outer, steepest_direction if baseline else targets_direction)
     if result.stalled:
-        print(f"stalled at iteration {result.history[-1].outer_index}: "
+        print(f"stalled at iteration {result.history[-1].outer_index}: {mode}: "
               "the line search found no descent step", file=sys.stderr)
     elif not result.converged:
         print(f"iteration budget exhausted: {mode} did not converge "
@@ -94,6 +96,9 @@ def run_benchmark(cfg: RunConfig) -> int:
         grid=grid, time_grid=time_grid, y0=y0, y_target=y_target,
         alpha=cfg.alpha, nu=cfg.nu,
     )
+    if cfg.gradient_rtol < problem.cg_tol:
+        print(f"warning: gradient_rtol = {cfg.gradient_rtol:g} is below the CG tolerance "
+              f"{problem.cg_tol:g}; the run may stall", file=sys.stderr)
     # mode both: identical discretization and tolerances for both runs
     modes = ("baseline", "intermediate-targets") if cfg.mode == "both" else (cfg.mode,)
     results = [_run(problem, cfg, mode) for mode in modes]

@@ -16,6 +16,12 @@ uphill one.  The two methods differ only in the rule:
   recursion, so its first gradient is the window of g on its sub-interval
   and step 2 does not solve it again.
 
+Only step 2's solves may run at a looser CG tolerance
+(``targets.DIRECTION_CG_TOL``, when the inner descent has no gradient test),
+since they only shape d.  The state, adjoint and line-search solves stay at
+the problem's ``cg_tol``, and so do J, g, the stopping test and the uphill
+guard: every accepted step lowers J and the gradient stays the exact one.
+
 The state follows through linearity, y(v + theta d) = y(v) + theta z with z
 the homogeneous trajectory the line search solved for, so each outer
 iteration costs one adjoint solve, the rule's solves and one homogeneous

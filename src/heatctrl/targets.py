@@ -5,11 +5,17 @@ sub-interval then carries an independent tracking problem whose initial state
 is y at its left breakpoint and whose target is chi at its right breakpoint.
 At the final breakpoint chi equals the global target by construction, so the
 last value is assigned, not computed.
+
+The sub-problems only shape the search direction d = v_tilde - v, which the
+outer exact line search rescales, so without an inner gradient test of their
+own their CG solves stop at ``DIRECTION_CG_TOL`` (or the problem's
+``cg_tol``, if looser).  With an inner gradient test they keep ``cg_tol``,
+since that test reads their gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,6 +85,12 @@ def targets_from_solutions(
 # on a 63 x 63 interior, every sub-problem of a 31 x 31 one.  All 16 columns
 # of a 63 x 63 run at once raised its peak memory and saved no time.
 BATCH_BYTES = 256 * 1024
+
+# CG tolerance of step 2's solves when the inner descent has no gradient test.
+# d then carries an error of about 1e-6 relative, which the outer line search
+# absorbs; on the 65 x 65 benchmark a step 2 solve takes about 11 products a
+# column and step here, against 23 at cg_tol = 1e-10
+DIRECTION_CG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,15 +168,23 @@ def solve_subproblem(
     products that charging step 2 at its per-sub-problem maximum takes off
     the count ``counter`` is charged.  A ``CGError`` names its sub-problem
     and interval, and keeps its type: the CLI maps it to an exit code.
+
+    Without ``gradient_rtol`` the solves run at ``max(cg_tol,
+    DIRECTION_CG_TOL)``: only the direction depends on them, and the caller's
+    line search, cost and gradient stay at ``cg_tol``.  With it they run at
+    ``cg_tol``, so the inner stopping test reads accurate gradients.
     """
     columns = MatvecCounter(columns=batches[-1].first + len(batches[-1].warm_start))
     controls = []
     for batch in batches:
         index = batch.first + np.arange(len(batch.warm_start))
+        local = batch.problem
+        if gradient_rtol is None:
+            local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
         try:
             with columns.columns(index) as part:
                 results = optimal_step_gradient(
-                    batch.problem, batch.warm_start, inner_iterations, part,
+                    local, batch.warm_start, inner_iterations, part,
                     gradient_rtol=gradient_rtol,
                     initial_final_state=batch.warm_final_state,
                     initial_gradient=batch.warm_gradient,

@@ -44,6 +44,12 @@ gradient_rtol = 1e-12
 """
 
 
+# what the CLI prints before the runs for STALLING_1D's gradient_rtol (and
+# any other 1e-12), which the default CG tolerance cannot resolve
+RTOL_WARNING = ("warning: gradient_rtol = 1e-12 is below the CG tolerance 1e-10; "
+                "the run may stall\n")
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "bench.cfg"
@@ -123,9 +129,25 @@ def test_exit_code_for_exhausted_budget(cfg_file, tmp_path, capsys):
         written = ([out] if mode != "both" else
                    [tmp_path / "short_both_baseline.csv", tmp_path / "short_both_intermediate.csv"])
         assert all(path.exists() for path in written)  # CSV still written on non-convergence
-        assert capsys.readouterr().err == "".join(
+        assert capsys.readouterr().err == RTOL_WARNING + "".join(
             f"iteration budget exhausted: {run} did not converge within max_outer = 1 "
             "iterations\n" for run in runs)
+
+
+@pytest.mark.parametrize("rtol, warns", [("1e-12", True), ("1e-10", False), (None, False)])
+def test_gradient_rtol_below_cg_tol_warns_before_the_run(tmp_path, capsys, rtol, warns):
+    # STALLING_1D asks for 1e-12; at the CG tolerance itself, or at the
+    # default 1e-6, the CLI stays silent.  The warning leaves the exit code be
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D if rtol else STALLING_1D.replace("gradient_rtol = 1e-12\n", ""))
+    flags = ["--rtol", rtol] if rtol else []
+    code = main(["--config", str(cfg), "--max-outer", "1", *flags,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_MAX_ITER
+    warning = RTOL_WARNING if warns else ""
+    assert capsys.readouterr().err == warning + (
+        "iteration budget exhausted: intermediate-targets did not converge within "
+        "max_outer = 1 iterations\n")
 
 
 def test_exit_code_for_config_error(tmp_path, capsys):
@@ -216,20 +238,28 @@ def test_exit_code_for_solver_error(cfg_file, tmp_path, capsys, monkeypatch):
 
 
 def test_stalled_run_stops_and_writes_csv(tmp_path, capsys):
-    # rtol below what cg_tol = 1e-10 can resolve: the line search eventually
-    # proposes an uphill step, which the driver rejects, in either mode
+    # rtol below what cg_tol = 1e-10 can resolve: the CLI warns, and the line
+    # search eventually proposes an uphill step, which the driver rejects, in
+    # either mode.  Each stall line names its mode; mode both runs the
+    # baseline first
     cfg = tmp_path / "stall.cfg"
     cfg.write_text(STALLING_1D)
-    for mode in ("intermediate-targets", "baseline"):
+    for mode, runs in [("intermediate-targets", ["intermediate-targets"]),
+                       ("baseline", ["baseline"]),
+                       ("both", ["baseline", "intermediate-targets"])]:
         out = tmp_path / f"stall_{mode}.csv"
         code = main(["--config", str(cfg), "--mode", mode, "--out", str(out)])
         assert code == EXIT_MAX_ITER
-        rows = _read_rows(out)
-        thetas = [float(r[4]) for r in rows]
-        assert len(rows) < 200 and thetas[-1] == 0.0 and all(thetas[:-1])
-        err = capsys.readouterr().err
-        assert err == (f"stalled at iteration {len(rows) - 1}: "
-                       "the line search found no descent step\n")
+        written = ([out] if mode != "both" else
+                   [tmp_path / "stall_both_baseline.csv", tmp_path / "stall_both_intermediate.csv"])
+        want = RTOL_WARNING
+        for run, path in zip(runs, written, strict=True):
+            rows = _read_rows(path)
+            thetas = [float(r[4]) for r in rows]
+            assert len(rows) < 200 and thetas[-1] == 0.0 and all(thetas[:-1])
+            want += (f"stalled at iteration {len(rows) - 1}: {run}: "
+                     "the line search found no descent step\n")
+        assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("mode", ["baseline", "intermediate-targets"])
@@ -242,6 +272,6 @@ def test_overflowing_gradient_is_a_solver_error(tmp_path, capsys, mode):
     code = main(["--config", str(cfg), "--mode", mode, "--y0", "gaussian(0.5,0.1,1e154)",
                  "--N", "2", "--T", "0.08", "--dt", "0.01", "--out", str(out)])
     assert code == EXIT_SOLVER_ERROR
-    assert capsys.readouterr().err == (
+    assert capsys.readouterr().err == RTOL_WARNING + (
         "solver error: the cost or its gradient overflowed at iteration 0\n")
     assert not out.exists()

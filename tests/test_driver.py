@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatctrl as hc
+from heatctrl.targets import DIRECTION_CG_TOL
 
 from conftest import random_tiny_problem, reference_descent, subproblems
 
@@ -219,9 +220,12 @@ def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
 
 
 def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
-    """Step 2 one sub-problem at a time, by the reference descent."""
+    """Step 2 one sub-problem at a time, by the reference descent, at the
+    looser direction tolerance when there is no inner gradient test."""
     controls, counts = [], []
     for local, warm_start, warm_final_state, warm_gradient in subproblems(batches):
+        if gradient_rtol is None:
+            local = dataclasses.replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
         own = hc.MatvecCounter()
         control, _ = reference_descent(local, warm_start, iterations, own, gradient_rtol,
                                        warm_final_state, warm_gradient)
@@ -253,6 +257,45 @@ def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, i
         assert (a.cost, a.misfit, a.penalty, a.theta, a.matvec_sequential,
                 a.matvec_parallel) == (b.cost, b.misfit, b.penalty, b.theta,
                                        b.matvec_sequential, b.matvec_parallel)
+
+
+# cg_tol 1e-5 is looser than DIRECTION_CG_TOL, so step 2 keeps it
+@pytest.mark.parametrize("cg_tol, inner, inner_rtol", [
+    (1e-12, 1, None), (1e-12, 3, None), (1e-12, 3, 1e-6), (1e-5, 1, None),
+])
+def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatch, cg_tol,
+                                                                 inner, inner_rtol):
+    # every CG solve made under solve_subproblem runs at max(cg_tol,
+    # DIRECTION_CG_TOL) when the inner descent has no gradient test and at
+    # cg_tol when it has one; every other solve (state, adjoint, line
+    # search) runs at cg_tol
+    prob = random_tiny_problem(rng, n_interior=6, steps=13, cg_tol=cg_tol)
+    cfg = hc.OuterConfig(n_intervals=4, inner_iterations=inner,
+                         inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)
+
+    import heatctrl.driver as driver
+    import heatctrl.propagators as propagators
+
+    calls, in_step2 = [], [False]
+
+    def logged_cg(apply_a, b, tol, *args, real=propagators.cg_solve, **kwargs):
+        calls.append((in_step2[0], tol))
+        return real(apply_a, b, tol, *args, **kwargs)
+
+    def logged_step2(*args, real=driver.solve_subproblem, **kwargs):
+        in_step2[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            in_step2[0] = False
+
+    monkeypatch.setattr(propagators, "cg_solve", logged_cg)
+    monkeypatch.setattr(driver, "solve_subproblem", logged_step2)
+    res = hc.run(prob, cfg)
+    assert len(res.history) > 2
+    step2_tol = cg_tol if inner_rtol is not None else max(cg_tol, DIRECTION_CG_TOL)
+    assert {tol for inside, tol in calls if inside} == {step2_tol}
+    assert {tol for inside, tol in calls if not inside} == {cg_tol}
 
 
 def test_run_stops_at_first_rejected_step(rng):
@@ -326,6 +369,19 @@ def test_steepest_run_matches_reference_descent(rng, make):
         assert len(res.history) - 1 == steps > 0
         grid, tg = prob.grid, prob.time_grid
         assert hc.norm_h(grid, tg, res.control - want) <= 1e-9 * hc.norm_h(grid, tg, want)
+
+
+def test_loose_step2_run_reaches_oracle_cost_in_2d(rng):
+    # with the default inner settings d is inexact, but the cost, gradient and
+    # line search are not: the run still ends within criterion 1's bound of
+    # the dense optimum
+    for _ in range(3):
+        prob = _tiny_2d_problem(rng)
+        v_star, j_star = hc.oracle_kkt_solve(prob)
+        res = hc.run(prob, hc.OuterConfig(n_intervals=3, max_outer=500, gradient_rtol=1e-8))
+        assert res.converged
+        assert hc.norm_h(prob.grid, prob.time_grid, res.control - v_star) <= 1e-6
+        assert abs(res.history[-1].cost - j_star) <= 1e-8 * max(1.0, j_star)
 
 
 def _run_peak_bytes(steps):

@@ -10,6 +10,8 @@ defining fixed-point property: starting from the exact optimum, the sweep
 returns the optimum.
 """
 
+import dataclasses
+
 import numpy as np
 
 import heatctrl as hc
@@ -53,7 +55,7 @@ print(f"gradient norm at v = 0: {hc.norm_h(grid, time_grid, g):.6f}")
 
 batches = hc.assemble_subproblems(problem, v, partition, y, chi, g)
 print(f"sub-problems in batches starting at {[b.first for b in batches]}")
-v_tilde, _ = hc.solve_subproblem(batches, 1, counter)  # one descent per batch
+v_tilde = hc.solve_subproblem(batches, 1, counter)  # one descent per batch
 theta, _ = hc.line_search_theta(problem, partition, v, v_tilde - v,
                                 y[-1] - problem.y_target, counter)
 v = v + theta * (v_tilde - v)
@@ -79,6 +81,9 @@ print(f"baseline (steepest rule): converged={baseline.converged} "
       f"{result.history[-1].matvec_parallel} (parallel tally)")
 
 # --- fixed point -----------------------------------------------------------
-v_back, theta, _ = hc.outer_iteration(problem, v_star, config, hc.MatvecCounter())
+# run from the optimum for one sweep; at rtol 1e-300 the gradient test
+# cannot end the run before it
+one_sweep = dataclasses.replace(config, max_outer=1, gradient_rtol=1e-300)
+v_back = hc.run(problem, one_sweep, start=v_star).control
 print(f"\nsweep from the optimum moves it by "
       f"{hc.norm_h(grid, time_grid, v_back - v_star):.2e} (fixed point)")

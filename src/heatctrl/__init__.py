@@ -15,8 +15,6 @@ from .linsolve import CGError, MatvecCounter, cg_solve
 from .propagators import TimeGrid, solve_adjoint, solve_state, step_operator
 from .problem import (
     ControlProblem,
-    DescentResult,
-    EvaluationRecord,
     evaluate,
     gradient,
     inner_h,
@@ -25,38 +23,28 @@ from .problem import (
     oracle_kkt_solve,
 )
 from .targets import (
-    TimePartition,
     assemble_subproblems,
     make_partition,
     solve_subproblem,
     targets_from_solutions,
 )
 from .driver import (
-    IterationMetrics,
     OuterConfig,
-    RunResult,
     line_search_theta,
-    outer_iteration,
     run,
     steepest_direction,
     targets_direction,
 )
-from .config import ConfigError, RunConfig, build_instance, make_field, parse_config
+from .config import ConfigError, build_instance, make_field, parse_config
 
 __all__ = [
     "CGError",
     "ConfigError",
     "ControlProblem",
-    "DescentResult",
-    "EvaluationRecord",
     "Grid",
-    "IterationMetrics",
     "MatvecCounter",
     "OuterConfig",
-    "RunConfig",
-    "RunResult",
     "TimeGrid",
-    "TimePartition",
     "assemble_subproblems",
     "build_grid",
     "build_instance",
@@ -76,7 +64,6 @@ __all__ = [
     "norm_omega",
     "optimal_step_gradient",
     "oracle_kkt_solve",
-    "outer_iteration",
     "parse_config",
     "restrict",
     "run",

@@ -222,12 +222,22 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
         centers, sigma, amplitude = args[: grid.dim], args[-2], args[-1]
         if sigma <= 0:
             raise ConfigError("gaussian sigma must be positive")
+        try:
+            width = 2.0 * sigma**2
+        except OverflowError:
+            width = math.inf
+        if not 0.0 < width < math.inf:
+            raise ConfigError(f"gaussian sigma = {sigma!r} is out of range: "
+                              f"2 sigma^2 = {width!r}")
         sq = 0.0
         for ax, (x, c) in enumerate(zip(coords, centers)):
             shaped = [1] * grid.dim
             shaped[ax] = -1
             sq = sq + ((x - c) ** 2).reshape(shaped)
-        return (amplitude * np.exp(-sq / (2.0 * sigma**2))).ravel()
+        # a tiny width sends -sq / width to -inf away from the centre, where
+        # exp gives the right value, 0
+        with np.errstate(over="ignore"):
+            return (amplitude * np.exp(-sq / width)).ravel()
     if name == "indicator":
         if len(args) != 2 * grid.dim:
             raise ConfigError(f"indicator needs {2 * grid.dim} bound arguments")

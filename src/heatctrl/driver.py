@@ -1,9 +1,10 @@
 """The outer loop of both methods, and its matvec ledger.
 
-``run`` is the only outer loop.  Each iteration ``_sweep`` asks a direction
-rule for d from the state y(v), adjoint p(v) and gradient g(v) of the current
-control v, then takes the exact line-search step along d, rejecting an
-uphill one.  The two methods differ only in the rule:
+``run`` is the only outer loop, from v = 0 or a given start control.  Each
+iteration ``_sweep`` asks a direction rule for d from the state y(v), adjoint
+p(v) and gradient g(v) of the current control v, then takes the exact
+line-search step along d, rejecting an uphill one.  The two methods differ
+only in the rule:
 
 - ``steepest_direction``, the sequential baseline: d = -g, which makes the
   line search the optimal-step gradient method;
@@ -28,7 +29,6 @@ iteration costs one adjoint solve, the rule's solves and one homogeneous
 forward solve.  With one inner iteration, the sub-problem solves are one
 batched homogeneous forward solve; each further inner iteration adds a
 batched adjoint and a batched forward solve.
-``outer_iteration`` runs the same sweep from an arbitrary control.
 
 The sub-problems touch one another only through y and p at the N+1
 breakpoints, and the gradient reads p only on the control patch, so a run
@@ -36,10 +36,10 @@ stores no full trajectory: y and z at the N+1 breakpoints, p as full fields
 at the N right breakpoints and p on the control patch at every step, which
 is O(N n + steps m) memory for n grid nodes and m control nodes.
 
-One ``MatvecCounter`` counts every product: the sequential tally.  The
-parallel tally charges each step-2 batch at its per-sub-problem maximum, so it
-is that count minus the products each sweep reports as saved; the baseline
-saves none.
+One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
+product; the parallel tally charges step 2 at its per-sub-problem maximum
+(``MatvecCounter.add_concurrent``), as if each sub-problem ran on its own
+processor.  The baseline has no step 2, so its two tallies agree.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def line_search_theta(
 
 
 def steepest_direction(problem, partition, config, v, y, p, g, counter):
-    """The sequential baseline's rule: d = -g, with nothing saved."""
-    return -g, 0
+    """The sequential baseline's rule: d = -g."""
+    return -g
 
 
 def targets_direction(
@@ -138,14 +138,13 @@ def targets_direction(
     p: np.ndarray,
     g: np.ndarray,
     counter: MatvecCounter,
-) -> tuple[np.ndarray, int]:
-    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v, and
-    what the parallel tally does not charge of step 2's products."""
+) -> np.ndarray:
+    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v."""
     chi = targets_from_solutions(problem, partition, y, p)
     batches = assemble_subproblems(problem, v, partition, y, chi, g)
-    v_tilde, saved = solve_subproblem(batches, config.inner_iterations, counter,
-                                      config.inner_gradient_rtol)
-    return v_tilde - v, saved
+    v_tilde = solve_subproblem(batches, config.inner_iterations, counter,
+                               config.inner_gradient_rtol)
+    return v_tilde - v
 
 
 def _sweep(
@@ -159,26 +158,25 @@ def _sweep(
     cost: float,
     counter: MatvecCounter,
     direction,
-) -> tuple[np.ndarray, np.ndarray, float, int]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """One outer iteration from the state y(v) at the N+1 breakpoints, the
     adjoint p(v) at the N right breakpoints, the gradient g(v) and the cost
     J(v) of the control v: the direction rule's d, then the exact line search
     along it.
 
-    Returns (v_next, y_next, theta, saved): y_next is y(v_next) at the
-    breakpoints, updated through linearity; theta is 0 and v, y come back
-    unchanged when the line search finds no descent step; saved is what the
-    parallel tally does not charge of the rule's products.
+    Returns (v_next, y_next, theta): y_next is y(v_next) at the breakpoints,
+    updated through linearity; theta is 0 and v, y come back unchanged when
+    the line search finds no descent step.
     """
-    d, saved = direction(problem, partition, config, v, y, p, g, counter)
+    d = direction(problem, partition, config, v, y, p, g, counter)
     theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter)
     if theta != 0.0:
         v_next, y_next = v + theta * d, y + theta * z
         if _record(problem, v_next, y_next[-1]).cost <= cost:
-            return v_next, y_next, theta, saved
+            return v_next, y_next, theta
         # exact line search guarantees descent up to solver noise; keep the
         # previous iterate rather than take an uphill step
-    return v, y, 0.0, saved
+    return v, y, 0.0
 
 
 def _adjoint(problem: ControlProblem, partition: TimePartition, v: np.ndarray,
@@ -192,32 +190,10 @@ def _adjoint(problem: ControlProblem, partition: TimePartition, v: np.ndarray,
     return p, problem.alpha * v + patch[:-1]
 
 
-def outer_iteration(
-    problem: ControlProblem,
-    v_k: np.ndarray,
-    config: OuterConfig,
-    counter: MatvecCounter,
-) -> tuple[np.ndarray, float, int]:
-    """One sweep from an arbitrary control; returns (v_next, theta, parallel matvecs).
-
-    Solves for y(v_k) and p(v_k) first.  ``counter`` accumulates the
-    sequential tally; the returned integer is this sweep's parallel charge.
-    """
-    grid, tg = problem.grid, problem.time_grid
-    start = counter.count
-    partition = make_partition(tg, config.n_intervals)
-    y = solve_state(grid, tg, problem.y0, v_k, problem.nu, problem.cg_tol, counter,
-                    keep=partition.breakpoint_steps)
-    p, g = _adjoint(problem, partition, v_k, y[-1], counter)
-    cost = _record(problem, v_k, y[-1]).cost
-    v_next, _, theta, saved = _sweep(problem, partition, config, v_k, y, p, g, cost, counter,
-                                     targets_direction)
-    return v_next, theta, counter.count - start - saved
-
-
 def run(problem: ControlProblem, config: OuterConfig,
-        direction=targets_direction) -> RunResult:
-    """Iterate from v = 0 until the true gradient norm test, a stall or max_outer.
+        direction=targets_direction, start: np.ndarray | None = None) -> RunResult:
+    """Iterate from ``start`` (v = 0 without one) until the true gradient norm
+    test, a stall or max_outer.
 
     ``direction`` is the rule each sweep takes its d from:
     ``targets_direction`` (the default) or ``steepest_direction``.  The
@@ -225,15 +201,19 @@ def run(problem: ControlProblem, config: OuterConfig,
     targets, so it adds no extra cost; step 2 starts from it too.  Row k of
     the history reports J(v^k) and the step theta_k taken at that iterate;
     matvec tallies are those accumulated when J(v^k) and its gradient became
-    known.  A cost or gradient norm that overflows raises FloatingPointError.
+    known.  A ``start`` not shaped like a control raises ValueError; a cost
+    or gradient norm that overflows raises FloatingPointError.
     """
     grid, tg = problem.grid, problem.time_grid
+    v = problem.zero_control()
+    if start is not None:
+        if np.shape(start) != v.shape:
+            raise ValueError(f"start must have shape {v.shape}, got {np.shape(start)}")
+        v = np.array(start, dtype=float)
     partition = make_partition(tg, config.n_intervals)
     counter = MatvecCounter()
-    saved = 0
     t0 = time.perf_counter()
 
-    v = problem.zero_control()
     y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter,
                     keep=partition.breakpoint_steps)
 
@@ -250,14 +230,13 @@ def run(problem: ControlProblem, config: OuterConfig,
             raise FloatingPointError(f"the cost or its gradient overflowed at iteration {k}")
         if threshold is None:
             threshold = config.gradient_rtol * (1.0 + gnorm)
-        marks = (counter.count, counter.count - saved, time.perf_counter() - t0)
+        marks = (counter.count, counter.parallel, time.perf_counter() - t0)
 
         converged = gnorm <= threshold
         theta = 0.0
         if not converged and k < config.max_outer:
-            v, y, theta, step_saved = _sweep(problem, partition, config, v, y, p, g,
-                                             rec.cost, counter, direction)
-            saved += step_saved
+            v, y, theta = _sweep(problem, partition, config, v, y, p, g, rec.cost, counter,
+                                 direction)
             # a zero step leaves v unchanged: every later iteration would repeat this one
             stalled = theta == 0.0
         history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))

@@ -60,9 +60,6 @@ class Grid:
     def zero_field(self) -> np.ndarray:
         return np.zeros(self.interior_node_count)
 
-    def zero_control(self) -> np.ndarray:
-        return np.zeros(self.control_node_count)
-
 
 def build_grid(
     dim: int,

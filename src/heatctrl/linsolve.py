@@ -11,33 +11,48 @@ import numpy as np
 class MatvecCounter:
     """Counts discrete-Laplacian applications performed inside linear solves.
 
-    ``count`` is the total.  A counter made with ``columns=b`` also keeps
+    ``count`` is the sequential tally, every product.  ``parallel`` is the
+    parallel tally: the same, except that ``add_concurrent`` charges a batch
+    of independent solves at its most expensive column, as if each column ran
+    on its own processor.  A counter made with ``columns=b`` also keeps
     ``per_column``, the products of each column of a batch of b independent
     solves (the sub-problems of step 2, say).  Batches run in the calling
     thread, so no locking is needed.
     """
 
-    __slots__ = ("count", "per_column")
+    __slots__ = ("count", "parallel", "per_column")
 
     def __init__(self, count: int = 0, columns: int | None = None):
-        self.count = int(count)
+        self.count = self.parallel = int(count)
         self.per_column = None if columns is None else np.zeros(columns, dtype=np.int64)
 
     def add(self, n=1, columns=None) -> None:
-        """Charge n products: an int, or one count per column of a batch.
+        """Charge n products to both tallies: an int, or one count per column
+        of a batch.
 
         ``columns`` (an index array or slice) names the columns of this
         counter that the counts in n belong to; by default, all of them.
         """
         if np.ndim(n) == 0:
             self.count += n
+            self.parallel += n
             return
-        self.count += int(n.sum())
+        total = int(n.sum())
+        self.count += total
+        self.parallel += total
         if self.per_column is not None:
             if columns is None:
                 self.per_column += n
             else:
                 self.per_column[columns] += n
+
+    def add_concurrent(self, per_column: np.ndarray) -> None:
+        """Charge independent solves, one count per column of this counter's
+        batch: their sum to ``count``, their maximum to ``parallel``."""
+        self.count += int(per_column.sum())
+        self.parallel += int(per_column.max())
+        if self.per_column is not None:
+            self.per_column += per_column
 
     @contextmanager
     def columns(self, index: np.ndarray):
@@ -57,7 +72,7 @@ class MatvecCounter:
             self.add(part.per_column, columns=index)
 
     def __repr__(self) -> str:
-        return f"MatvecCounter({self.count})"
+        return f"MatvecCounter({self.count}, parallel={self.parallel})"
 
 
 class CGError(RuntimeError):

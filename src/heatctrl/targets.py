@@ -83,7 +83,7 @@ def targets_from_solutions(
 
 # widest field block (columns x nodes of float64) of a step-2 batch: 8 columns
 # on a 63 x 63 interior, every sub-problem of a 31 x 31 one.  All 16 columns
-# of a 63 x 63 run at once raised its peak memory and saved no time.
+# of a 63 x 63 run at once raised its peak memory and gained no time.
 BATCH_BYTES = 256 * 1024
 
 # CG tolerance of step 2's solves when the inner descent has no gradient test.
@@ -161,13 +161,14 @@ def solve_subproblem(
     inner_iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Inner descents of all sub-problems, one batched descent per batch.
 
-    Returns (v_tilde, saved): the local controls joined in time, and the
-    products that charging step 2 at its per-sub-problem maximum takes off
-    the count ``counter`` is charged.  A ``CGError`` names its sub-problem
-    and interval, and keeps its type: the CLI maps it to an exit code.
+    Returns v_tilde, the local controls joined in time.  ``counter`` is
+    charged the sub-problems' products as concurrent solves: their sum in the
+    sequential tally, the largest one in the parallel tally.  A ``CGError``
+    names its sub-problem and interval, and keeps its type: the CLI maps it
+    to an exit code.
 
     Without ``gradient_rtol`` the solves run at ``max(cg_tol,
     DIRECTION_CG_TOL)``: only the direction depends on them, and the caller's
@@ -196,5 +197,5 @@ def solve_subproblem(
             raise CGError(f"sub-problem {n} on [{tg.t_start:g}, {tg.t_end:g}]: {exc}",
                           n) from exc
         controls += [r.control for r in results]
-    counter.add(columns.per_column)
-    return np.concatenate(controls), columns.count - int(columns.per_column.max())
+    counter.add_concurrent(columns.per_column)
+    return np.concatenate(controls)

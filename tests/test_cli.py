@@ -215,6 +215,8 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
     ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"), ("--seed", "-1"),
     # finite fields whose squared norm overflows
     ("--y0", "gaussian(0.5,0.1,1e160)"), ("--y-target", "random(1e160)"),
+    # a gaussian sigma whose 2 sigma^2 overflows or underflows to 0
+    ("--y0", "gaussian(0.5,1e200,1.0)"), ("--y-target", "gaussian(0.5,1e-200,1.0)"),
 ])
 def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     cfg = tmp_path / "line.cfg"

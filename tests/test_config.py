@@ -134,6 +134,24 @@ def test_make_field_rejects_garbage(grid_2d):
         make_field(grid_2d, "gaussian(0.5,nan,0.1,1.0)")
 
 
+@pytest.mark.parametrize("sigma", ["1e200", "1e154", "1e-200", "5e-324"])
+def test_make_field_rejects_gaussian_sigma_out_of_range(grid_2d, sigma):
+    # 2 sigma^2 overflows or underflows to 0: a configuration error, no
+    # traceback and no warning (pytest turns warnings into errors)
+    with pytest.raises(ConfigError, match="sigma .* out of range"):
+        make_field(grid_2d, f"gaussian(0.5,0.5,{sigma},1.0)")
+
+
+def test_make_field_tiny_gaussian_sigma_is_a_spike(grid_2d):
+    # 2 sigma^2 is a subnormal: exp(-sq / (2 sigma^2)) is 0 off the centre
+    # node, without an overflow warning, and the amplitude on it
+    u = make_field(grid_2d, "gaussian(0.5,0.5,1e-160,2.0)")
+    assert u.max() == 2.0
+    assert np.count_nonzero(u) == 1
+    wide = make_field(grid_2d, "gaussian(0.5,0.5,1e150,2.0)")
+    assert np.all(wide == 2.0)
+
+
 def test_build_instance_free_evolution(bench_cfg_file):
     cfg = parse_config(bench_cfg_file, {
         "nodes_per_axis": "9,9", "T": "0.5", "dt": "0.1", "N": "5",

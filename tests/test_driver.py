@@ -66,45 +66,51 @@ def test_line_search_is_the_scalar_minimizer():
         assert abs(theta_star - vertex) <= 1e-12 * max(1.0, abs(theta_star))
 
 
-def test_outer_iteration_n1_exact_inner_recovers_optimum(rng):
+def _one_sweep(prob, cfg, start):
+    """``run`` for one sweep from ``start``: max_outer = 1, and an rtol whose
+    gradient test cannot end the run before the sweep."""
+    return hc.run(prob, dataclasses.replace(cfg, max_outer=1, gradient_rtol=1e-300),
+                  start=start)
+
+
+def test_one_sweep_n1_exact_inner_recovers_optimum(rng):
     prob = random_tiny_problem(rng)
     v_star, _ = hc.oracle_kkt_solve(prob)
     cfg = hc.OuterConfig(n_intervals=1, inner_iterations=3000,
                          inner_gradient_rtol=1e-12, gradient_rtol=1e-10)
-    v0 = prob.zero_control()
-    v1, theta, _ = hc.outer_iteration(prob, v0, cfg, hc.MatvecCounter())
-    assert theta == pytest.approx(1.0, abs=1e-6)
-    assert hc.norm_h(prob.grid, prob.time_grid, v1 - v_star) <= 1e-6
+    res = _one_sweep(prob, cfg, prob.zero_control())
+    assert res.history[0].theta == pytest.approx(1.0, abs=1e-6)
+    assert hc.norm_h(prob.grid, prob.time_grid, res.control - v_star) <= 1e-6
 
 
-def test_outer_iteration_fixed_point_at_optimum(rng):
+def test_one_sweep_fixed_point_at_optimum(rng):
     prob = random_tiny_problem(rng)
     v_star, _ = hc.oracle_kkt_solve(prob)
     cfg = hc.OuterConfig(n_intervals=4, inner_iterations=1)
-    v1, _, _ = hc.outer_iteration(prob, v_star, cfg, hc.MatvecCounter())
+    v1 = _one_sweep(prob, cfg, v_star).control
     assert hc.norm_h(prob.grid, prob.time_grid, v1 - v_star) <= 1e-6
 
 
-def test_outer_iteration_never_increases_cost(rng):
+def test_one_sweep_never_increases_cost(rng):
     prob = random_tiny_problem(rng)
     cfg = hc.OuterConfig(n_intervals=4, inner_iterations=1)
     counter = hc.MatvecCounter()
     v = prob.zero_control()
     j_prev = hc.evaluate(prob, v, counter).cost
     for _ in range(5):
-        v, _, _ = hc.outer_iteration(prob, v, cfg, counter)
+        v = _one_sweep(prob, cfg, v).control
         j = hc.evaluate(prob, v, counter).cost
         assert j <= j_prev + 1e-13 * max(1.0, j_prev)
         j_prev = j
 
 
-def test_outer_iteration_is_the_first_step_of_run(rng):
+def test_run_rejects_a_misshapen_start(rng):
     prob = random_tiny_problem(rng, n_interior=5, steps=12)
-    cfg = hc.OuterConfig(n_intervals=4, max_outer=1)
-    v1, theta, _ = hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
-    res = hc.run(prob, cfg)
-    assert theta != 0.0 and theta == res.history[0].theta
-    assert v1.tobytes() == res.control.tobytes()
+    cfg = hc.OuterConfig(n_intervals=4)
+    for shape in [(12,), (11, prob.grid.control_node_count),
+                  (12, prob.grid.control_node_count + 1)]:
+        with pytest.raises(ValueError, match="start must have shape"):
+            hc.run(prob, cfg, start=np.zeros(shape))
 
 
 def test_run_converges_immediately_for_free_evolution_target(rng):
@@ -158,7 +164,7 @@ def test_single_interval_tallies_agree(rng):
     assert all(m.matvec_parallel == m.matvec_sequential for m in res.history)
 
 
-def test_one_adjoint_solve_per_outer_iteration(rng, monkeypatch):
+def test_one_adjoint_solve_per_sweep(rng, monkeypatch):
     # with one inner iteration, step 2 starts from the outer gradient and
     # takes one step: the only adjoint solves are the outer ones
     prob = random_tiny_problem(rng, n_interior=5, steps=12)
@@ -197,7 +203,7 @@ def test_worker_failure_identifies_subinterval(rng, monkeypatch):
 
     monkeypatch.setattr(driver, "assemble_subproblems", poisoned)
     with pytest.raises(RuntimeError, match="sub-problem 1") as failure:
-        hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+        _one_sweep(prob, cfg, prob.zero_control())
     assert failure.value.column == 1
 
 
@@ -216,7 +222,7 @@ def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
 
     monkeypatch.setattr(propagators, "cg_solve", breaking)
     with pytest.raises(hc.CGError, match="sub-problem 1 .*synthetic breakdown"):
-        hc.outer_iteration(prob, prob.zero_control(), cfg, hc.MatvecCounter())
+        _one_sweep(prob, cfg, prob.zero_control())
 
 
 def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
@@ -231,8 +237,8 @@ def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
                                        warm_final_state, warm_gradient)
         controls.append(control)
         counts.append(own.count)
-    counter.add(np.array(counts))
-    return np.concatenate(controls), sum(counts) - max(counts)
+    counter.add_concurrent(np.array(counts))
+    return np.concatenate(controls)
 
 
 # with 3 inner iterations at rtol 1e-6 the sub-problems of the first sweep

@@ -266,3 +266,17 @@ def test_counter_charges_named_columns():
     total = hc.MatvecCounter()
     with total.columns(np.array([0])) as part:
         assert part is total
+
+
+def test_counter_charges_concurrent_solves_at_their_maximum():
+    counter = hc.MatvecCounter(columns=3)
+    counter.add(2)
+    counter.add(np.array([1, 1, 1]))
+    assert (counter.count, counter.parallel) == (5, 5)
+    counter.add_concurrent(np.array([4, 9, 6]))
+    assert counter.count == 5 + 19  # the sequential tally charges the sum
+    assert counter.parallel == 5 + 9  # the parallel one the slowest column
+    assert counter.per_column.tolist() == [5, 10, 7]
+    plain = hc.MatvecCounter()
+    plain.add_concurrent(np.array([3, 1]))
+    assert (plain.count, plain.parallel, plain.per_column) == (4, 3, None)

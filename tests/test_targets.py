@@ -214,7 +214,7 @@ def test_solve_subproblem_never_increases_local_cost(rng, tiny_problem):
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
     batches = step2_batches(prob, part, v)
-    v_tilde, _ = hc.solve_subproblem(batches, 1, hc.MatvecCounter())
+    v_tilde = hc.solve_subproblem(batches, 1, hc.MatvecCounter())
     for (local, warm_start, _, _), control in zip(subproblems(batches),
                                                _local_controls(part, v_tilde)):
         j_before = hc.evaluate(local, warm_start, hc.MatvecCounter()).cost
@@ -227,7 +227,7 @@ def test_solve_subproblem_reaches_local_oracle(rng):
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
     batches = step2_batches(prob, part, v)
-    v_tilde, _ = hc.solve_subproblem(batches, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
+    v_tilde = hc.solve_subproblem(batches, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
     for (local, _, _, _), control in zip(subproblems(batches), _local_controls(part, v_tilde)):
         v_local, _ = hc.oracle_kkt_solve(local)
         err = hc.norm_h(local.grid, local.time_grid, control - v_local)
@@ -269,8 +269,9 @@ def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):
                                 columns * 8 * prob.grid.interior_node_count)
         batches = hc.assemble_subproblems(prob, v, part, y, chi, g)
         counter = hc.MatvecCounter(columns=4)
-        v_tilde, saved = hc.solve_subproblem(batches, 2, counter)
-        assert saved == counter.count - counter.per_column.max()
+        v_tilde = hc.solve_subproblem(batches, 2, counter)
+        assert counter.parallel == counter.per_column.max()
+        assert counter.count == counter.per_column.sum()
         return [b.first for b in batches], v_tilde, counter.per_column
 
     firsts, whole, whole_counts = solve(None)

@@ -6,7 +6,8 @@ optimal-step gradient method), intermediate targets take d = v_tilde - v
 from the N sub-problems.  Mode both runs the baseline first, then
 intermediate targets, on the same instance.
 
-Exit codes: 0 converged, 1 configuration error, 2 iteration budget exhausted
+Exit codes: 0 converged, 1 configuration error (a usage error on the command
+line included), 2 iteration budget exhausted
 or run stalled (the CSV is still written, and stderr gets one line per run
 that stopped early, naming its mode), 3 solver error (CG broke down or did
 not converge, or the cost or its gradient overflowed).  A ``gradient_rtol``
@@ -135,8 +136,15 @@ _FLAG_KEYS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError: exit 1 and one line, not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heatctrl",
         description=(
             "Benchmark optimal control of the heat equation: sequential "
@@ -151,13 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, f"override_{key}")
-        for _, key in _FLAG_KEYS
-        if getattr(args, f"override_{key}") is not None
-    }
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {
+            key: getattr(args, f"override_{key}")
+            for _, key in _FLAG_KEYS
+            if getattr(args, f"override_{key}") is not None
+        }
         cfg = parse_config(args.config, overrides)
         return run_benchmark(cfg)
     except ConfigError as exc:

@@ -111,8 +111,9 @@ def _parse_bounds(text: str, dim: int, key: str) -> tuple[tuple[float, float], .
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key = value text with # comments."""
+    """Flat key = value text with # comments; a key may be given once."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -127,7 +128,9 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        raw[key] = value
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {lines[key]}")
+        raw[key], lines[key] = value, lineno
     return raw
 
 

@@ -212,7 +212,7 @@ class StencilWork:
 
 
 def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
-                    scale=None) -> np.ndarray:
+                    scale: float | None = None) -> np.ndarray:
     """Second-order central-difference Laplacian with zero Dirichlet boundary.
 
     Per axis, ``((a[i+1] - a[i]) - (a[i] - a[i-1])) / h**2`` on the
@@ -222,12 +222,11 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
     the same bits.)
 
     ``u`` is one field (n,) or a batch (k, n) whose rows are transformed
-    alike.  With ``scale`` (a number, or one per row shaped to broadcast over
-    the interior, (k, 1) in 1D and (k, 1, 1) in 2D) the result is
-    ``Lap(u) * scale + u`` instead, formed in the same read of the interior:
-    the implicit-Euler step K u for scale = -(dt*nu).  The result is a fresh
-    array, or with ``work`` a buffer of it that the next call with the same
-    ``work`` overwrites.
+    alike.  With ``scale``, a number, the result is ``Lap(u) * scale + u``
+    instead, formed in the same read of the interior: the implicit-Euler
+    step K u for scale = -(dt*nu).  The result is a fresh array, or with
+    ``work`` a buffer of it that the next call with the same ``work``
+    overwrites.
     """
     _check_field(grid, u)
     fields, axes, second, total, interior, result = (work or StencilWork(grid)).plan(

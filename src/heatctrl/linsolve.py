@@ -86,12 +86,6 @@ class CGError(RuntimeError):
         self.column = column
 
 
-def _restricted(apply_a, index: np.ndarray):
-    """The operator of the columns ``index`` of a batch."""
-    columns = getattr(apply_a, "columns", None)
-    return apply_a if columns is None else columns(index)
-
-
 def cg_solve(
     apply_a,
     b: np.ndarray,
@@ -107,9 +101,8 @@ def cg_solve(
     product count, with per-column dot products that equal the 1D ``r @ r``
     bit for bit, so a column of a batch gets exactly the x of its own 1D
     solve.  A converged column leaves the batch.  ``apply_a`` maps a block of
-    rows row by row; an operator that differs by column provides
-    ``columns(index)``, the operator of those columns of the batch.  For a
-    1D ``b`` it only ever sees 1D fields.
+    rows row by row, the same operator for every row; for a 1D ``b`` it only
+    ever sees 1D fields.
 
     A column starts from its row of ``x0`` (zero without one), unless that
     guess is worse than zero, ||b - A x0|| > ||b||: then it starts from
@@ -156,7 +149,6 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
     active = np.flatnonzero(b_norm)  # a zero right-hand side has the zero solution
     if not active.size:
         return x
-    op = apply_a if active.size == len(rhs) else _restricted(apply_a, active)
     start = 0 if x0 is None else 1
     if x0 is None:
         xa = np.zeros((active.size, rhs.shape[1]))
@@ -164,7 +156,7 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
     else:
         xa = x0[active]
         counts[active] = 1
-        r = rhs[active] - op(xa[0] if one else xa)
+        r = rhs[active] - apply_a(xa[0] if one else xa)
     # an r.r that overflows is inf, worse than any finite ||b||: no warning
     with np.errstate(over="ignore"):
         rs = np.vecdot(r, r, keepdims=True)
@@ -195,7 +187,6 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
             targets = [t for t, k in zip(targets, keep) if k]
             scratch = scratch[: active.size]
             operand = p
-            op = _restricted(apply_a, active)
         if it == max_iter:
             counts[active] = start + it
             raise CGError(
@@ -203,7 +194,7 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
                 int(active[0]),
             )
         it += 1
-        ap = op(operand)
+        ap = apply_a(operand)
         p_ap = np.vecdot(p, ap, keepdims=True)
         for col, pap in enumerate(p_ap.ravel().tolist()):
             if not 0.0 < pap < math.inf:

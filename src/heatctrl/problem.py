@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import Grid, inner_omega
 from .linsolve import CGError, MatvecCounter
-from .propagators import TimeGrid, solve_adjoint, solve_state, step_lengths
+from .propagators import TimeGrid, solve_adjoint, solve_state
 
 DEFAULT_CG_TOL = 1e-10
 
@@ -26,13 +26,13 @@ DEFAULT_CG_TOL = 1e-10
 class ControlProblem:
     """One tracking problem, or a batch of independent ones.
 
-    A batch shares grid, alpha, nu, cg_tol and the step count; ``time_grid``
-    is then a tuple with one TimeGrid per column and ``y0``, ``y_target`` are
-    (k, n) arrays (see ``stack``).  Controls of a batch are (k, steps, m).
+    A batch shares everything but ``y0`` and ``y_target``, which are then
+    (k, n) arrays (see ``stack``): its columns have one time grid, so one step
+    count and one dt.  Controls of a batch are (k, steps, m).
     """
 
     grid: Grid
-    time_grid: TimeGrid | tuple[TimeGrid, ...]
+    time_grid: TimeGrid
     y0: np.ndarray
     y_target: np.ndarray
     alpha: float
@@ -44,51 +44,45 @@ class ControlProblem:
             raise ValueError("alpha must be positive and finite (strict convexity)")
         if not 0 < self.nu < math.inf:
             raise ValueError("nu must be positive and finite")
-        _, dt = step_lengths(self.time_grid)
-        field = np.shape(dt) + (self.grid.interior_node_count,)
-        if self.y0.shape != field:
+        if self.y0.ndim not in (1, 2) or self.y0.shape[-1] != self.grid.interior_node_count:
             raise ValueError("y0 does not belong to the grid")
-        if self.y_target.shape != field:
+        if self.y_target.shape != self.y0.shape:
             raise ValueError("y_target does not belong to the grid")
 
     @staticmethod
     def stack(problems) -> "ControlProblem":
-        """The batch of problems that share grid, alpha, nu, cg_tol and step count."""
+        """The batch of problems that share grid, step count, dt, alpha, nu and
+        cg_tol, such as sub-problems on windows of one time grid; it has the
+        first one's time grid."""
         head = problems[0]
-        shared = (head.alpha, head.nu, head.cg_tol)
-        if any(p.grid is not head.grid or (p.alpha, p.nu, p.cg_tol) != shared
-               for p in problems):
-            raise ValueError("a batch of problems must share grid, alpha, nu and cg_tol")
-        return ControlProblem(
-            grid=head.grid,
-            time_grid=tuple(p.time_grid for p in problems),
-            y0=np.stack([p.y0 for p in problems]),
-            y_target=np.stack([p.y_target for p in problems]),
-            alpha=head.alpha,
-            nu=head.nu,
-            cg_tol=head.cg_tol,
-        )
+
+        def shared(p):
+            return p.grid, p.time_grid.step_count, p.time_grid.dt, p.alpha, p.nu, p.cg_tol
+
+        if any(shared(p) != shared(head) for p in problems):
+            raise ValueError("a batch of problems must share grid, step count, dt, alpha, "
+                             "nu and cg_tol")
+        return replace(head, y0=np.stack([p.y0 for p in problems]),
+                       y_target=np.stack([p.y_target for p in problems]))
 
     def columns(self, index: np.ndarray) -> "ControlProblem":
         """The batch made of the columns ``index`` of this batch."""
-        return replace(self, time_grid=tuple(self.time_grid[i] for i in index),
-                       y0=self.y0[index], y_target=self.y_target[index])
+        return replace(self, y0=self.y0[index], y_target=self.y_target[index])
 
     def zero_control(self) -> np.ndarray:
-        steps, _ = step_lengths(self.time_grid)
-        return np.zeros(self.y0.shape[:-1] + (steps, self.grid.control_node_count))
+        return np.zeros(self.y0.shape[:-1]
+                        + (self.time_grid.step_count, self.grid.control_node_count))
 
 
-def inner_h(grid: Grid, time_grid, u: np.ndarray, w: np.ndarray):
+def inner_h(grid: Grid, time_grid: TimeGrid, u: np.ndarray, w: np.ndarray):
     """Inner product of two control fields (time-by-control-node arrays).
 
-    For a batch (one TimeGrid per column), one value per column.
+    For a batch of them, one value per column.
     """
-    _, dt = step_lengths(time_grid)
-    return dt * grid.node_weight * np.sum(u * w, axis=(-2, -1))
+    return time_grid.dt * grid.node_weight * np.sum(u * w, axis=(-2, -1))
 
 
-def norm_h(grid: Grid, time_grid, u: np.ndarray):
+def norm_h(grid: Grid, time_grid: TimeGrid, u: np.ndarray):
     return np.sqrt(inner_h(grid, time_grid, u, u))
 
 
@@ -170,7 +164,7 @@ def optimal_step_gradient(
     single = problem.y0.ndim == 1
     if single:
         problem = ControlProblem.stack([problem])
-    grid, alpha = problem.grid, problem.alpha
+    grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
     v = np.array(v_init, dtype=float, copy=True).reshape(problem.zero_control().shape)
     cols = len(v)
 
@@ -187,15 +181,15 @@ def optimal_step_gradient(
 
     try:
         if initial_final_state is None:
-            final = solve_state(grid, problem.time_grid, problem.y0, v, problem.nu,
-                                problem.cg_tol, counter, keep=-1)
+            final = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol,
+                                counter, keep=-1)
         else:
             final = np.array(initial_final_state, dtype=float).reshape(problem.y0.shape)
         if initial_gradient is None:
             g = gradient(problem, v, counter, final_state=final)
         else:
             g = np.asarray(initial_gradient, dtype=float).reshape(v.shape)
-        gnorm2 = inner_h(grid, problem.time_grid, g, g)
+        gnorm2 = inner_h(grid, tg, g, g)
         threshold = None
         if gradient_rtol is not None:
             threshold = gradient_rtol * (1.0 + np.sqrt(gnorm2))
@@ -207,24 +201,22 @@ def optimal_step_gradient(
             active, g, gnorm2 = retire(stop, g, gnorm2)
             if it == iterations or not active.size:
                 break
-            part = problem.columns(active) if active.size < cols else problem
             with counter.columns(active) as c:
-                zT = solve_state(grid, part.time_grid, np.zeros((active.size, final.shape[1])),
+                zT = solve_state(grid, tg, np.zeros((active.size, final.shape[1])),
                                  g, problem.nu, problem.cg_tol, c, keep=-1)
             denom = inner_omega(grid, zT, zT) + alpha * gnorm2
             if (denom == 0.0).any():
                 active, g, gnorm2, zT, denom = retire(denom == 0.0, g, gnorm2, zT, denom)
                 if not active.size:
                     break
-                part = problem.columns(active)
             sigma = gnorm2 / denom
             v[active] -= sigma[:, None, None] * g
             final[active] -= sigma[:, None] * zT
             if it == iterations - 1 and threshold is None:
                 break
             with counter.columns(active) as c:
-                g = gradient(part, v[active], c, final_state=final[active])
-            gnorm2 = inner_h(grid, part.time_grid, g, g)
+                g = gradient(problem.columns(active), v[active], c, final_state=final[active])
+            gnorm2 = inner_h(grid, tg, g, g)
     except CGError as exc:
         if exc.column is not None:
             exc.column = None if single else int(active[exc.column])

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,9 +36,17 @@ from .linsolve import MatvecCounter, cg_solve
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """``step_count`` steps of one length ``dt`` from t_start to t_end.
+
+    dt is fixed when the grid is built, as (t_end - t_start) / step_count.  A
+    ``window`` keeps its parent's dt bit for bit: dividing the window's own
+    span by its step count can miss it in the last bit.
+    """
+
     t_start: float
     t_end: float
     step_count: int
+    dt: float = field(init=False)
 
     def __post_init__(self):
         if self.step_count < 1:
@@ -46,29 +55,20 @@ class TimeGrid:
             raise ValueError("t_start and t_end must be finite")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
-
-    @property
-    def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.step_count
+        object.__setattr__(self, "dt", (self.t_end - self.t_start) / self.step_count)
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.step_count + 1)
 
-
-def step_lengths(time_grid) -> tuple[int, float | np.ndarray]:
-    """(step count, dt) of a TimeGrid, or of a sequence of them with one step
-    count: then dt is an array with one step length per column."""
-    if isinstance(time_grid, TimeGrid):
-        return time_grid.step_count, time_grid.dt
-    counts = {tg.step_count for tg in time_grid}
-    if len(counts) != 1:
-        raise ValueError(f"a batch of time grids needs one step count, got {sorted(counts)}")
-    return counts.pop(), np.array([tg.dt for tg in time_grid])
-
-
-def _check_batch(dt, field: np.ndarray) -> None:
-    if np.ndim(dt) and field.shape[:-1] != dt.shape:
-        raise ValueError(f"{dt.size} time grids do not match a batch of shape {field.shape}")
+    def window(self, first: int, count: int) -> "TimeGrid":
+        """The ``count`` steps from step ``first`` on, with this grid's dt."""
+        stop = first + count
+        if not 0 <= first < stop <= self.step_count:
+            raise ValueError(f"steps {first} to {stop} are not a window of {self.step_count}")
+        end = self.t_end if stop == self.step_count else self.t_start + self.dt * stop
+        sub = TimeGrid(self.t_start + self.dt * first, end, count)
+        object.__setattr__(sub, "dt", self.dt)
+        return sub
 
 
 def _check_control_field(grid: Grid, steps: int, v: np.ndarray, batch: tuple) -> None:
@@ -79,37 +79,14 @@ def _check_control_field(grid: Grid, steps: int, v: np.ndarray, batch: tuple) ->
         )
 
 
-class StepOperator:
-    """The implicit-Euler step matrix K = Id + dt*nu*(-Lap) as a callable.
+def step_operator(grid: Grid, dt: float, nu: float):
+    """K = Id + dt*nu*(-Lap) as a callable on one field (n,) or a batch (k, n).
 
-    Applies to one field (n,) or a batch (k, n).  ``scale`` is -(dt*nu), or
-    an array of it with one row per column of a batch, shaped to broadcast
-    over the interior grid.  The stencil forms ``Lap(u) * scale + u`` in its
-    read of the interior; by IEEE negation and commutativity that is bitwise
-    u - dt * nu * Lap(u).  The result is a buffer that the next call
-    overwrites.  ``columns(index)`` is the operator of those columns of the
-    batch; it shares the buffers.
+    The stencil forms ``Lap(u) * -(dt*nu) + u`` in its read of the interior;
+    by IEEE negation and commutativity that is bitwise u - dt * nu * Lap(u).
+    The result is a buffer that the next call overwrites.
     """
-
-    def __init__(self, grid: Grid, scale, work: StencilWork | None = None):
-        self.grid = grid
-        self._scale = scale
-        self._work = work or StencilWork(grid)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return laplacian_apply(self.grid, u, work=self._work, scale=self._scale)
-
-    def columns(self, index: np.ndarray) -> "StepOperator":
-        scale = self._scale[index] if np.ndim(self._scale) else self._scale
-        return StepOperator(self.grid, scale, self._work)
-
-
-def step_operator(grid: Grid, dt, nu: float) -> StepOperator:
-    """K = Id + dt*nu*(-Lap); ``dt`` may hold one step length per column."""
-    if np.ndim(dt):
-        per_column = np.asarray(dt).reshape((-1,) + (1,) * grid.dim)
-        return StepOperator(grid, -(per_column * nu))
-    return StepOperator(grid, -(dt * nu))
+    return partial(laplacian_apply, grid, work=StencilWork(grid), scale=-(dt * nu))
 
 
 START_ORDER = 4
@@ -167,7 +144,7 @@ def _layout(out: np.ndarray, step_axis: bool) -> np.ndarray:
 
 def solve_state(
     grid: Grid,
-    time_grid,
+    time_grid: TimeGrid,
     y0: np.ndarray,
     v: np.ndarray,
     nu: float,
@@ -177,24 +154,20 @@ def solve_state(
 ) -> np.ndarray:
     """Forward heat solve; returns the trajectory of shape (steps+1, n).
 
-    A batch of independent solves passes one TimeGrid per column (all with
-    one step count), y0 of shape (k, n) and v of shape (k, steps, m), and gets
-    (k, steps+1, n); every column is the 1D solve of its own inputs, bit for
-    bit.  ``keep`` indexes the step axis (an int, a slice or a list of step
-    indices) and only the states it selects are stored: the result is the
-    full trajectory indexed by ``keep``, so ``keep=-1`` gives the final
-    state alone and ``keep=[0, 4, 8]`` three rows.  The default, None,
-    keeps every step.
+    A batch of independent solves on one time grid passes y0 of shape (k, n)
+    and v of shape (k, steps, m), and gets (k, steps+1, n); every column is
+    the 1D solve of its own inputs, bit for bit.  ``keep`` indexes the step
+    axis (an int, a slice or a list of step indices) and only the states it
+    selects are stored: the result is the full trajectory indexed by
+    ``keep``, so ``keep=-1`` gives the final state alone and
+    ``keep=[0, 4, 8]`` three rows.  The default, None, keeps every step.
     """
-    steps, dt = step_lengths(time_grid)
+    steps, dt = time_grid.step_count, time_grid.dt
     _check_field(grid, y0)
-    _check_batch(dt, y0)
     _check_control_field(grid, steps, v, y0.shape[:-1])
     if nu < 0:
         raise ValueError("nu must be non-negative")
     apply_k = step_operator(grid, dt, nu)
-    if np.ndim(dt):
-        dt = dt[:, None]
     out, rows, step_axis = _storage(steps, keep, y0)
     for row in rows[0]:
         out[row] = y0
@@ -211,7 +184,7 @@ def solve_state(
 
 def solve_adjoint(
     grid: Grid,
-    time_grid,
+    time_grid: TimeGrid,
     terminal: np.ndarray,
     nu: float,
     tol: float,
@@ -227,12 +200,11 @@ def solve_adjoint(
     control patch nodes of every p^j, of shape (steps+1, m)): the patch is
     all the gradient reads, so ``keep=[]`` stores no full field.
     """
-    steps, dt = step_lengths(time_grid)
+    steps = time_grid.step_count
     _check_field(grid, terminal)
-    _check_batch(dt, terminal)
     if nu < 0:
         raise ValueError("nu must be non-negative")
-    apply_k = step_operator(grid, dt, nu)
+    apply_k = step_operator(grid, time_grid.dt, nu)
     out, rows, step_axis = _storage(steps, keep, terminal)
     patch = None
     if keep is not None:

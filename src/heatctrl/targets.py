@@ -3,6 +3,9 @@
 The target trajectory chi = y - p is evaluated at partition breakpoints; each
 sub-interval then carries an independent tracking problem whose initial state
 is y at its left breakpoint and whose target is chi at its right breakpoint.
+A sub-problem's time grid is its window of the outer one
+(``TimeGrid.window``), so every sub-problem steps with the outer dt, bit for
+bit.
 At the final breakpoint chi equals the global target by construction, so the
 last value is assigned, not computed.
 
@@ -98,7 +101,10 @@ class SubProblemBatch:
     """Consecutive sub-problems with one step count, solved as one batched descent."""
 
     first: int  # index of its first sub-problem
-    problem: ControlProblem  # batched: local time grids, y0 and targets chi
+    # batched: the window of the first sub-problem's steps (each column has
+    # its step count and the outer dt), y0 and targets chi
+    problem: ControlProblem
+    breakpoints: tuple[float, ...]  # of its sub-problems: k + 1 values
     warm_start: np.ndarray  # (k, steps, m): the current control on each sub-interval
     # y at the right breakpoints: each local final state under the warm start,
     # so the inner descent can skip its first forward solve
@@ -122,9 +128,8 @@ def assemble_subproblems(
     targets chi and the gradient g of the cost at v, in batches.
 
     Sub-problem n starts from y[n], the state at its left breakpoint, and
-    tracks chi[n].  A
-    batch is a run of consecutive sub-problems with one step count, at most
-    ``BATCH_BYTES`` of fields wide.
+    tracks chi[n].  A batch is a run of consecutive sub-problems with one step
+    count, at most ``BATCH_BYTES`` of fields wide.
     """
     if len(chi) != partition.n_intervals or len(y) != partition.n_intervals + 1:
         raise ValueError("targets were computed for a different partition")
@@ -136,22 +141,13 @@ def assemble_subproblems(
         stop = first + 1
         while stop < len(counts) and stop - first < width and counts[stop] == counts[first]:
             stop += 1
-        local = ControlProblem(
-            grid=problem.grid,
-            time_grid=tuple(
-                TimeGrid(partition.breakpoints[n], partition.breakpoints[n + 1], counts[n])
-                for n in range(first, stop)
-            ),
-            y0=y[first:stop],
-            y_target=chi[first:stop],
-            alpha=problem.alpha,
-            nu=problem.nu,
-            cg_tol=problem.cg_tol,
-        )
+        local = replace(problem, time_grid=problem.time_grid.window(steps[first], counts[first]),
+                        y0=y[first:stop], y_target=chi[first:stop])
         window = slice(steps[first], steps[stop])
         shape = (stop - first, counts[first], -1)
-        batches.append(SubProblemBatch(first, local, v[window].reshape(shape),
-                                       y[first + 1 : stop + 1], g[window].reshape(shape)))
+        batches.append(SubProblemBatch(first, local, partition.breakpoints[first : stop + 1],
+                                       v[window].reshape(shape), y[first + 1 : stop + 1],
+                                       g[window].reshape(shape)))
         first = stop
     return batches
 
@@ -193,9 +189,9 @@ def solve_subproblem(
         except CGError as exc:
             if exc.column is None:
                 raise
-            n, tg = int(index[exc.column]), batch.problem.time_grid[exc.column]
-            raise CGError(f"sub-problem {n} on [{tg.t_start:g}, {tg.t_end:g}]: {exc}",
-                          n) from exc
+            n = int(index[exc.column])
+            start, end = batch.breakpoints[exc.column : exc.column + 2]
+            raise CGError(f"sub-problem {n} on [{start:g}, {end:g}]: {exc}", n) from exc
         controls += [r.control for r in results]
     counter.add_concurrent(columns.per_column)
     return np.concatenate(controls)

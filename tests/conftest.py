@@ -115,9 +115,8 @@ def subproblems(batches):
     final state, warm gradient)."""
     for batch in batches:
         local = batch.problem
-        for i, tg in enumerate(local.time_grid):
-            yield (dataclasses.replace(local, time_grid=tg, y0=local.y0[i],
-                                       y_target=local.y_target[i]),
+        for i in range(len(local.y0)):
+            yield (dataclasses.replace(local, y0=local.y0[i], y_target=local.y_target[i]),
                    batch.warm_start[i], batch.warm_final_state[i], batch.warm_gradient[i])
 
 

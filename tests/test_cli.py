@@ -156,6 +156,19 @@ def test_exit_code_for_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_usage_error_is_a_config_error(capsys):
+    # argparse alone would print a usage block and exit 2, the budget's code
+    for argv in (["--bogus", "1"], ["--dim"]):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: ")
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_output_directory_is_a_config_error(cfg_file, tmp_path, capsys):
     code = main(["--config", str(cfg_file), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR

@@ -44,6 +44,17 @@ def test_overrides_win_over_file(bench_cfg_file):
     assert cfg.worker_count == 8
 
 
+def test_key_given_twice_rejected(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text(BENCH_SCALE + "# again\nN = 3\n")
+    lines = path.read_text().splitlines()
+    first, second = (i + 1 for i, line in enumerate(lines) if line.startswith("N ="))
+    for overrides in (None, {"N": "4"}):  # a flag does not mend the file
+        with pytest.raises(ConfigError,
+                           match=f"twice.cfg:{second}: 'N' is already set on line {first}"):
+            parse_config(path, overrides)
+
+
 def test_non_integer_step_count_rejected(bench_cfg_file):
     with pytest.raises(ConfigError, match="not a positive integer"):
         parse_config(bench_cfg_file, {"T": "1.0", "dt": "0.3"}).step_count

@@ -245,8 +245,7 @@ def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
 # stop after 1, 1, 2 and 3 of them
 @pytest.mark.parametrize("inner, inner_rtol", [(1, None), (3, 1e-6)])
 def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, inner_rtol):
-    # 13 steps on 4 sub-intervals: step counts 4, 3, 3, 3 and local dt values
-    # that differ in their last bits
+    # 13 steps on 4 sub-intervals: step counts 4, 3, 3, 3
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     cfg = hc.OuterConfig(n_intervals=4, inner_iterations=inner,
                          inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)

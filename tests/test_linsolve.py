@@ -121,17 +121,16 @@ def test_step_operator_bitwise_equal_to_reference_formula(rng):
     for nodes, domain, dt in [
         # h^2 = 1/121 (divided) and 1/16 (multiplied by 16)
         ((12, 9), [(0.0, 1.0), (0.0, 2.0)], 0.01),
-        # a batch of 4 fields with one dt per column; h^2 = 1/4096
-        ((65, 65), [(0.0, 1.0), (0.0, 1.0)], np.array([0.01, 0.0125, 0.01, 0.003])),
+        # a batch of 4 fields; h^2 = 1/4096
+        ((65, 65), [(0.0, 1.0), (0.0, 1.0)], 0.0125),
     ]:
         g = hc.build_grid(2, nodes, domain, domain)
         apply_k = hc.step_operator(g, dt, nu)
-        shape = np.shape(dt) + (g.interior_node_count,)
-        column_dt = dt[:, None] if np.ndim(dt) else dt
+        shape = (4, g.interior_node_count) if nodes == (65, 65) else (g.interior_node_count,)
         for _ in range(10):
             u = rng.standard_normal(shape)
             u[rng.random(shape) < 0.1] = -0.0
-            want = u - column_dt * nu * hc.laplacian_apply(g, u)
+            want = u - dt * nu * hc.laplacian_apply(g, u)
             assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
 
 
@@ -200,27 +199,28 @@ def test_breakdown_raises(apply_a, b):
 
 
 def _batch(rng, x0):
-    """Five right-hand sides at different scales (one of them zero), with
-    per-column step lengths whose last bits differ, on a 2D grid."""
+    """Five right-hand sides at different scales (one of them zero, one an
+    eigenvector of the step operator) on a 2D grid."""
     g = hc.build_grid(2, (12, 9), [(0.0, 1.0), (0.0, 2.0)], [(0.2, 0.8), (0.5, 1.5)])
     n = g.interior_node_count
-    dts = 0.3 / np.array([3.0, 7.0, 11.0, 7.0, 13.0]) * np.array([1.0, 1.0, 1.0, 1 + 2e-16, 5.0])
     b = rng.standard_normal((5, n)) * np.array([[1.0], [1e-3], [1e3], [1.0], [1.0]])
     b[3] = 0.0
+    b[4] = np.outer(*(np.sin(np.pi * np.arange(1, k + 1) / (k + 1))
+                      for k in g.interior_shape)).ravel()
     guess = rng.standard_normal((5, n)) if x0 else None
-    return g, dts, b, guess
+    return g, b, guess
 
 
 @pytest.mark.parametrize("x0", [False, True])
 def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
-    g, dts, b, guess = _batch(rng, x0)
-    nu = 0.7
+    g, b, guess = _batch(rng, x0)
+    apply_k = hc.step_operator(g, 0.3 / 7.0, 0.7)
     counter = hc.MatvecCounter(columns=len(b))
-    got = hc.cg_solve(hc.step_operator(g, dts, nu), b, 1e-11, counter, x0=guess)
+    got = hc.cg_solve(apply_k, b, 1e-11, counter, x0=guess)
     counts = []
     for c in range(len(b)):
         own = hc.MatvecCounter()
-        want = hc.cg_solve(hc.step_operator(g, dts[c], nu), b[c], 1e-11, own,
+        want = hc.cg_solve(apply_k, b[c], 1e-11, own,
                            x0=None if guess is None else guess[c])
         assert np.array_equal(got[c].view(np.int64), want.view(np.int64))
         counts.append(own.count)
@@ -231,21 +231,16 @@ def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
 
 
 def test_batched_cg_breakdown_names_its_column():
-    class SignedDiagonal:
-        def __init__(self, signs):
-            self.signs = signs
-
-        def __call__(self, u):
-            return self.signs[:, None] * u
-
-        def columns(self, index):
-            return SignedDiagonal(self.signs[index])
-
-    b = np.ones((4, 6))
-    b[0] = 0.0  # leaves the batch at once, so the operator is restricted
-    op = SignedDiagonal(np.array([1.0, 1.0, -1.0, 1.0]))
+    # an indefinite diagonal: only a right-hand side on its last node sees p.Ap < 0
+    signs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+    b = np.zeros((4, 6))
+    b[1:, 0] = 1.0
+    b[2] = 0.0
+    b[2, -1] = 1.0
+    # column 0 is zero and leaves the batch at once, so the failing column is
+    # found through the active set
     with pytest.raises(hc.CGError, match="breakdown") as failure:
-        hc.cg_solve(op, b, 1e-10, hc.MatvecCounter())
+        hc.cg_solve(lambda u: signs * u, b, 1e-10, hc.MatvecCounter())
     assert failure.value.column == 2
     with pytest.raises(hc.CGError, match="not finite") as failure:
         hc.cg_solve(lambda u: u, np.array([[1.0, 2.0], [np.inf, 0.0]]), 1e-10,

@@ -181,11 +181,12 @@ def test_problem_validation():
 
 
 def test_batched_descent_bitwise_equal_to_column_descents(rng):
-    # three problems on one grid, with last-bit-different step lengths and
-    # targets of very different sizes, so their stopping thresholds differ
-    # and the columns stop after different numbers of steps
+    # three problems on consecutive windows of one time grid, with targets of
+    # very different sizes, so their stopping thresholds differ and the
+    # columns stop after different numbers of steps
     base = random_tiny_problem(rng, n_interior=6, steps=5)
-    problems = [dataclasses.replace(base, time_grid=hc.TimeGrid(0.3 * i, 0.3 * i + 0.7, 5),
+    outer = hc.TimeGrid(0.0, 2.1, 15)
+    problems = [dataclasses.replace(base, time_grid=outer.window(5 * i, 5),
                                     y_target=scale * rng.standard_normal(6))
                 for i, scale in enumerate([1.0, 30.0, 1000.0])]
     v0 = rng.standard_normal((3, 5, base.grid.control_node_count))

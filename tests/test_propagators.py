@@ -125,44 +125,50 @@ def test_control_field_shape_rejected():
                        hc.MatvecCounter())
 
 
-def _column_grids():
-    # local time grids as make_partition cuts them: dt differs in the last bits
-    part = hc.make_partition(hc.TimeGrid(0.0, 0.7, 15), 5)
-    return tuple(hc.TimeGrid(a, b, n) for a, b, n in
-                 zip(part.breakpoints, part.breakpoints[1:], part.step_counts))
+def _window():
+    # the third of the five sub-intervals make_partition cuts from 15 steps:
+    # its own span over its 3 steps misses the outer dt in the last bit
+    return hc.TimeGrid(0.0, 0.7, 15).window(6, 3)
+
+
+def test_windows_keep_the_parent_dt_bit_for_bit():
+    parent = hc.TimeGrid(0.0, 0.7, 15)
+    part = hc.make_partition(parent, 5)
+    windows = [parent.window(o, c) for o, c in zip(part.step_offsets, part.step_counts)]
+    spans = [hc.TimeGrid(w.t_start, w.t_end, w.step_count) for w in windows]
+    assert len({tg.dt for tg in spans}) > 1
+    for w, start, end, count in zip(windows, part.breakpoints, part.breakpoints[1:],
+                                    part.step_counts):
+        assert (w.t_start, w.t_end, w.step_count) == (start, end, count)
+        assert np.float64(w.dt).view(np.int64) == np.float64(parent.dt).view(np.int64)
+    assert windows[2].window(1, 2).dt == parent.dt
+    assert parent.window(0, 15) == parent
+    for first, count in [(-1, 3), (14, 2), (3, 0)]:
+        with pytest.raises(ValueError, match="not a window"):
+            parent.window(first, count)
 
 
 def test_batched_sweeps_bitwise_equal_to_single_solves(rng):
     g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
-    grids = _column_grids()
-    assert len({tg.dt for tg in grids}) > 1
-    k, n, m = len(grids), g.interior_node_count, g.control_node_count
+    tg = _window()
+    k, n, m = 5, g.interior_node_count, g.control_node_count
     y0 = rng.standard_normal((k, n))
     v = rng.standard_normal((k, 3, m))
     counter = hc.MatvecCounter(columns=k)
-    y = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, counter)
-    p = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, counter)
+    y = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, counter)
+    p = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, counter)
     assert y.shape == p.shape == (k, 4, n)
-    y_final = hc.solve_state(g, grids, y0, v, 0.6, 1e-11, hc.MatvecCounter(), keep=-1)
-    _, p_patch = hc.solve_adjoint(g, grids, y0, 0.6, 1e-11, hc.MatvecCounter(), keep=[])
+    y_final = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, hc.MatvecCounter(), keep=-1)
+    _, p_patch = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, hc.MatvecCounter(), keep=[])
     assert np.array_equal(y_final, y[:, -1])
     assert np.array_equal(p_patch, p[..., g.control_mask])
-    for c, tg in enumerate(grids):
+    for c in range(k):
         own = hc.MatvecCounter()
         want_y = hc.solve_state(g, tg, y0[c], v[c], 0.6, 1e-11, own)
         want_p = hc.solve_adjoint(g, tg, y0[c], 0.6, 1e-11, own)
         assert np.array_equal(y[c].view(np.int64), want_y.view(np.int64))
         assert np.array_equal(p[c].view(np.int64), want_p.view(np.int64))
         assert counter.per_column[c] == own.count
-
-
-def test_batch_with_two_step_counts_rejected():
-    g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.0, 1.0)])
-    grids = (hc.TimeGrid(0.0, 0.5, 3), hc.TimeGrid(0.5, 1.0, 2))
-    with pytest.raises(ValueError, match="one step count"):
-        hc.solve_adjoint(g, grids, np.ones((2, 3)), 1.0, 1e-10, hc.MatvecCounter())
-    with pytest.raises(ValueError, match="time grids"):
-        hc.solve_adjoint(g, grids[:1] * 3, np.ones((2, 3)), 1.0, 1e-10, hc.MatvecCounter())
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,11 +185,10 @@ def test_inverse_step_adjoint_identity(dim, nodes, columns, dt, nu, seed):
     # solve's error is at most cg_tol times its right-hand side's norm
     rng = np.random.default_rng(seed)
     g = hc.build_grid(dim, nodes, [(0.0, 1.0)] * dim, [(0.0, 1.0)] * dim)
-    dts = dt * rng.uniform(0.5, 1.5, columns)
     a = rng.standard_normal((columns, g.interior_node_count))
     b = rng.standard_normal((columns, g.interior_node_count))
     tol = 1e-10
-    apply_k = hc.step_operator(g, dts, nu)
+    apply_k = hc.step_operator(g, dt, nu)
     ka = hc.cg_solve(apply_k, a, tol, hc.MatvecCounter())
     kb = hc.cg_solve(apply_k, b, tol, hc.MatvecCounter())
     lhs = hc.inner_omega(g, ka, b)
@@ -216,9 +221,7 @@ def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
     g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
     n, m = g.interior_node_count, g.control_node_count
     if sweep.startswith("state_batch"):
-        part = hc.make_partition(hc.TimeGrid(0.0, 0.7, 21), 3)
-        tg = tuple(hc.TimeGrid(a, b, k) for a, b, k in
-                   zip(part.breakpoints, part.breakpoints[1:], part.step_counts))
+        tg = hc.TimeGrid(0.0, 0.7, 21).window(14, 7)
         first = rng.standard_normal((3, n))
         v = rng.standard_normal((3, 7, m))
     else:
@@ -269,10 +272,9 @@ def test_kept_steps_bitwise_equal_to_full_sweeps(rng, case):
         g = hc.build_grid(1, 12, [(0.0, 1.0)], [(0.2, 0.6)])
     else:
         g = hc.build_grid(2, (9, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
-    # the batch's columns have their own dt
-    tg = _column_grids() if case == "batch" else hc.TimeGrid(0.0, 0.9, 13)
-    batch = (len(tg),) if case == "batch" else ()
-    steps, _ = propagators.step_lengths(tg)
+    tg = _window() if case == "batch" else hc.TimeGrid(0.0, 0.9, 13)
+    batch = (5,) if case == "batch" else ()
+    steps = tg.step_count
     n, m = g.interior_node_count, g.control_node_count
     y0 = rng.standard_normal(batch + (n,))
     v = rng.standard_normal(batch + (steps, m))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,13 +107,34 @@ def test_single_interval_subproblem_is_the_global_problem(rng, tiny_problem):
     part = hc.make_partition(tg, 1)
     v = rng.standard_normal((tg.step_count, prob.grid.control_node_count))
     ((local, _, _, _),) = subproblems(step2_batches(prob, part, v))
+    assert local.time_grid == tg  # the window of all the steps is the outer grid
     assert np.array_equal(local.y0, prob.y0)
     assert np.array_equal(local.y_target, prob.y_target)
     for _ in range(3):
         w = rng.standard_normal((tg.step_count, prob.grid.control_node_count))
         j_local = hc.evaluate(local, w, hc.MatvecCounter()).cost
         j_global = hc.evaluate(prob, w, hc.MatvecCounter()).cost
-        assert j_local == pytest.approx(j_global, rel=1e-12)
+        assert j_local == j_global
+
+
+def test_subproblems_step_with_the_outer_dt(rng, monkeypatch):
+    import heatctrl.targets as targets
+
+    # 15 steps on 5 sub-intervals: three of the sub-intervals' own spans over
+    # their step counts miss the outer dt in the last bit
+    prob = dataclasses.replace(random_tiny_problem(rng, n_interior=6, steps=15),
+                               time_grid=hc.TimeGrid(0.0, 0.7, 15))
+    part = hc.make_partition(prob.time_grid, 5)
+    v = rng.standard_normal((15, prob.grid.control_node_count))
+    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
+    batches = step2_batches(prob, part, v)
+    assert [b.first for b in batches] == [0, 2, 4]
+    outer_dt = np.float64(prob.time_grid.dt).view(np.int64)
+    for b in batches:
+        tg = b.problem.time_grid
+        assert np.float64(tg.dt).view(np.int64) == outer_dt
+        assert (tg.t_start, tg.step_count) == (part.breakpoints[b.first], 3)
+        assert b.breakpoints == part.breakpoints[b.first : b.first + len(b.warm_start) + 1]
 
 
 def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):

@@ -150,6 +150,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
 
     try:
         dim = int(raw["dim"])
+        if dim not in (1, 2):  # before the bounds, whose length depends on it
+            raise ConfigError(f"dim must be 1 or 2, got {dim}")
         cfg = RunConfig(
             dim=dim,
             nodes_per_axis=_parse_ints(raw["nodes_per_axis"]),

@@ -73,8 +73,15 @@ class OuterConfig:
     def __post_init__(self):
         if self.n_intervals < 1:
             raise ValueError("n_intervals must be at least 1")
-        if self.gradient_rtol <= 0:
+        if self.inner_iterations < 1:
+            raise ValueError("inner_iterations must be at least 1")
+        if self.max_outer < 0:
+            raise ValueError("max_outer must be at least 0")
+        # written so that NaN fails too
+        if not self.gradient_rtol > 0:
             raise ValueError("gradient_rtol must be positive")
+        if self.inner_gradient_rtol is not None and not self.inner_gradient_rtol > 0:
+            raise ValueError("inner_gradient_rtol must be positive")
 
 
 @dataclass(frozen=True)

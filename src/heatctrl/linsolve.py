@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -16,8 +15,10 @@ class MatvecCounter:
     of independent solves at its most expensive column, as if each column ran
     on its own processor.  A counter made with ``columns=b`` also keeps
     ``per_column``, the products of each column of a batch of b independent
-    solves (the sub-problems of step 2, say).  Batches run in the calling
-    thread, so no locking is needed.
+    solves (the sub-problems of one step-2 batch, say).  Every batched solve
+    charged to it has all b columns: one with nothing left to solve rides
+    along with a zero right-hand side, which costs it no product.  Batches
+    run in the calling thread, so no locking is needed.
     """
 
     __slots__ = ("count", "parallel", "per_column")
@@ -26,13 +27,9 @@ class MatvecCounter:
         self.count = self.parallel = int(count)
         self.per_column = None if columns is None else np.zeros(columns, dtype=np.int64)
 
-    def add(self, n=1, columns=None) -> None:
+    def add(self, n=1) -> None:
         """Charge n products to both tallies: an int, or one count per column
-        of a batch.
-
-        ``columns`` (an index array or slice) names the columns of this
-        counter that the counts in n belong to; by default, all of them.
-        """
+        of this counter's batch."""
         if np.ndim(n) == 0:
             self.count += n
             self.parallel += n
@@ -41,10 +38,7 @@ class MatvecCounter:
         self.count += total
         self.parallel += total
         if self.per_column is not None:
-            if columns is None:
-                self.per_column += n
-            else:
-                self.per_column[columns] += n
+            self.per_column += n
 
     def add_concurrent(self, per_column: np.ndarray) -> None:
         """Charge independent solves, one count per column of this counter's
@@ -53,23 +47,6 @@ class MatvecCounter:
         self.parallel += int(per_column.max())
         if self.per_column is not None:
             self.per_column += per_column
-
-    @contextmanager
-    def columns(self, index: np.ndarray):
-        """A counter for the solves of columns ``index`` of this counter's batch.
-
-        Without per-column counts, or when ``index`` is the whole batch, that
-        is this counter; otherwise a fresh one whose counts are charged to
-        those columns here when the block ends.
-        """
-        if self.per_column is None or len(index) == len(self.per_column):
-            yield self
-            return
-        part = MatvecCounter(columns=len(index))
-        try:
-            yield part
-        finally:
-            self.add(part.per_column, columns=index)
 
     def __repr__(self) -> str:
         return f"MatvecCounter({self.count}, parallel={self.parallel})"

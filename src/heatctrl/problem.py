@@ -3,8 +3,9 @@
 The control space carries the inner product <u, w>_H = dt * sum_j <u^j, w^j>_c.
 ``optimal_step_gradient`` is steepest descent with the exact minimizing step,
 which is exact line minimization because the cost is quadratic; it is the
-inner solver of the intermediate-targets sub-problems.  (The sequential
-baseline is ``driver.run`` with ``driver.steepest_direction``.)
+inner solver of the intermediate-targets sub-problems, and runs a batch of
+them at once, each column stopping on its own but staying in the batch.  (The
+sequential baseline is ``driver.run`` with ``driver.steepest_direction``.)
 ``oracle_kkt_solve`` is a dense normal-equations oracle for tiny instances.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import Grid, inner_omega
-from .linsolve import CGError, MatvecCounter
+from .linsolve import MatvecCounter
 from .propagators import TimeGrid, solve_adjoint, solve_state
 
 DEFAULT_CG_TOL = 1e-10
@@ -64,10 +65,6 @@ class ControlProblem:
                              "nu and cg_tol")
         return replace(head, y0=np.stack([p.y0 for p in problems]),
                        y_target=np.stack([p.y_target for p in problems]))
-
-    def columns(self, index: np.ndarray) -> "ControlProblem":
-        """The batch made of the columns ``index`` of this batch."""
-        return replace(self, y0=self.y0[index], y_target=self.y_target[index])
 
     def zero_control(self) -> np.ndarray:
         return np.zeros(self.y0.shape[:-1]
@@ -124,106 +121,69 @@ def gradient(
     return problem.alpha * v + patch[..., :-1, :]
 
 
-@dataclass
-class DescentResult:
-    control: np.ndarray
-    converged: bool
-
-
 def optimal_step_gradient(
     problem: ControlProblem,
     v_init: np.ndarray,
+    final_state: np.ndarray,
+    g_init: np.ndarray,
     iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-    initial_final_state: np.ndarray | None = None,
-    initial_gradient: np.ndarray | None = None,
-):
-    """Steepest descent with the exact step for the quadratic cost.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steepest descent with the exact step for the quadratic cost, on every
+    column of the batched ``problem`` at once.
 
     The step sigma = <g,g>_H / (||z_g(T)||^2 + alpha ||g||_H^2), where z_g is
     the state driven by g from a zero initial condition.  The final state is
     updated through linearity (y(T; v - sigma g) = y(T; v) - sigma z_g(T)), so
-    each iteration costs one adjoint and one homogeneous forward solve.
+    each iteration costs one adjoint and one homogeneous forward solve.  It
+    starts from the controls ``v_init``, their final states ``final_state``
+    and their gradients ``g_init`` (step 2 passes each sub-problem its
+    window of the outer gradient, which the local adjoint would recompute up
+    to rounding); it copies them and never writes them.
 
-    With ``gradient_rtol`` set, stops once ||g||_H <= rtol * (1 + ||g_0||_H);
-    without it, the gradient at the last iterate, which only that test reads,
-    is not solved for.  ``initial_final_state`` skips the initial forward
-    solve when y(T; v_init) is already known; ``initial_gradient``, the
-    gradient at v_init, skips the first adjoint solve (step 2 passes each
-    sub-problem its window of the outer gradient, which the local adjoint
-    would recompute up to rounding).
+    With ``gradient_rtol`` set, a column stops once ||g||_H <= rtol *
+    (1 + ||g_0||_H); without it, the gradient at the last iterate, which only
+    that test reads, is not solved for.  A column also stops on a zero
+    gradient or a zero step denominator.  A stopped column stays in the batch
+    with zero inputs: a zero direction, an adjoint terminal of 0 and sigma 0.
+    CG solves a zero right-hand side for free, so the column costs no more
+    products, and every other column keeps its own step, stopping test and
+    product count, and ends with the bits of its own 1D descent.
 
-    A batched ``problem`` runs the descents of all its columns at once, as
-    batched solves; each column keeps its own step, stopping test and product
-    count, stops on its own and ends with the bits of its own 1D descent.  It
-    returns one DescentResult per column.
+    Returns the controls and, per column, whether it stopped.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    single = problem.y0.ndim == 1
-    if single:
-        problem = ControlProblem.stack([problem])
     grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
-    v = np.array(v_init, dtype=float, copy=True).reshape(problem.zero_control().shape)
-    cols = len(v)
+    v, final, g = (np.array(a, dtype=float) for a in (v_init, final_state, g_init))
+    gnorm2 = inner_h(grid, tg, g, g)
+    if gradient_rtol is not None:
+        threshold = gradient_rtol * (1.0 + np.sqrt(gnorm2))
+    stopped = np.zeros(len(v), dtype=bool)
 
-    active = np.arange(cols)
-    converged = np.zeros(cols, dtype=bool)
-
-    def retire(stop, *arrays):
-        """Mark the active columns ``stop`` as converged and drop them from arrays."""
-        if not stop.any():
-            return (active,) + arrays
-        converged[active[stop]] = True
-        keep = ~stop
-        return (active[keep],) + tuple(a[keep] for a in arrays)
-
-    try:
-        if initial_final_state is None:
-            final = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol,
-                                counter, keep=-1)
-        else:
-            final = np.array(initial_final_state, dtype=float).reshape(problem.y0.shape)
-        if initial_gradient is None:
-            g = gradient(problem, v, counter, final_state=final)
-        else:
-            g = np.asarray(initial_gradient, dtype=float).reshape(v.shape)
-        gnorm2 = inner_h(grid, tg, g, g)
-        threshold = None
+    for it in range(iterations + 1):
+        stopped |= gnorm2 == 0.0
         if gradient_rtol is not None:
-            threshold = gradient_rtol * (1.0 + np.sqrt(gnorm2))
-
-        for it in range(iterations + 1):
-            stop = gnorm2 == 0.0
-            if threshold is not None:
-                stop |= np.sqrt(gnorm2) <= threshold[active]
-            active, g, gnorm2 = retire(stop, g, gnorm2)
-            if it == iterations or not active.size:
-                break
-            with counter.columns(active) as c:
-                zT = solve_state(grid, tg, np.zeros((active.size, final.shape[1])),
-                                 g, problem.nu, problem.cg_tol, c, keep=-1)
-            denom = inner_omega(grid, zT, zT) + alpha * gnorm2
-            if (denom == 0.0).any():
-                active, g, gnorm2, zT, denom = retire(denom == 0.0, g, gnorm2, zT, denom)
-                if not active.size:
-                    break
-            sigma = gnorm2 / denom
-            v[active] -= sigma[:, None, None] * g
-            final[active] -= sigma[:, None] * zT
-            if it == iterations - 1 and threshold is None:
-                break
-            with counter.columns(active) as c:
-                g = gradient(problem.columns(active), v[active], c, final_state=final[active])
-            gnorm2 = inner_h(grid, tg, g, g)
-    except CGError as exc:
-        if exc.column is not None:
-            exc.column = None if single else int(active[exc.column])
-        raise
-
-    results = [DescentResult(v[col], bool(converged[col])) for col in range(cols)]
-    return results[0] if single else results
+            stopped |= np.sqrt(gnorm2) <= threshold
+        if it == iterations or stopped.all():
+            break
+        g[stopped] = 0.0  # a zero direction: its forward solve costs nothing
+        zT = solve_state(grid, tg, np.zeros_like(final), g, problem.nu, problem.cg_tol,
+                         counter, keep=-1)
+        denom = inner_omega(grid, zT, zT) + alpha * gnorm2
+        stopped |= denom == 0.0
+        sigma = np.divide(gnorm2, denom, out=np.zeros_like(denom), where=~stopped)
+        v -= sigma[:, None, None] * g
+        final -= sigma[:, None] * zT
+        if it == iterations - 1 and gradient_rtol is None:
+            break
+        # a stopped column passes its target as its final state: a zero
+        # adjoint terminal, so its gradient solve costs nothing
+        g = gradient(problem, v, counter,
+                     final_state=np.where(stopped[:, None], problem.y_target, final))
+        gnorm2 = inner_h(grid, tg, g, g)
+    return v, stopped
 
 
 ORACLE_DIMENSION_CAP = 2000

@@ -107,12 +107,12 @@ class SubProblemBatch:
     breakpoints: tuple[float, ...]  # of its sub-problems: k + 1 values
     warm_start: np.ndarray  # (k, steps, m): the current control on each sub-interval
     # y at the right breakpoints: each local final state under the warm start,
-    # so the inner descent can skip its first forward solve
+    # which the inner descent starts from instead of solving for it
     warm_final_state: np.ndarray
     # (k, steps, m): the outer gradient on each sub-interval.  A local adjoint
     # starts from y - chi = p at its right breakpoint and runs the outer
     # recursion, so this is each local gradient at the warm start, and the
-    # inner descent skips its first adjoint solve
+    # inner descent starts from it instead of solving for it
     warm_gradient: np.ndarray
 
 
@@ -160,38 +160,35 @@ def solve_subproblem(
 ) -> np.ndarray:
     """Inner descents of all sub-problems, one batched descent per batch.
 
-    Returns v_tilde, the local controls joined in time.  ``counter`` is
-    charged the sub-problems' products as concurrent solves: their sum in the
-    sequential tally, the largest one in the parallel tally.  A ``CGError``
-    names its sub-problem and interval, and keeps its type: the CLI maps it
-    to an exit code.
+    Returns v_tilde, the local controls joined in time.  Each batch counts
+    its own products per sub-problem, and ``counter`` is charged all of them
+    at once as concurrent solves: their sum in the sequential tally, the
+    largest one in the parallel tally.  The descents read the batches' views
+    of the run's v, y and g and do not write them.  A ``CGError`` names its
+    sub-problem and interval, and keeps its type: the CLI maps it to an exit
+    code.
 
     Without ``gradient_rtol`` the solves run at ``max(cg_tol,
     DIRECTION_CG_TOL)``: only the direction depends on them, and the caller's
     line search, cost and gradient stay at ``cg_tol``.  With it they run at
     ``cg_tol``, so the inner stopping test reads accurate gradients.
     """
-    columns = MatvecCounter(columns=batches[-1].first + len(batches[-1].warm_start))
-    controls = []
+    controls, per_column = [], []
     for batch in batches:
-        index = batch.first + np.arange(len(batch.warm_start))
         local = batch.problem
         if gradient_rtol is None:
             local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
+        part = MatvecCounter(columns=len(batch.warm_start))
         try:
-            with columns.columns(index) as part:
-                results = optimal_step_gradient(
-                    local, batch.warm_start, inner_iterations, part,
-                    gradient_rtol=gradient_rtol,
-                    initial_final_state=batch.warm_final_state,
-                    initial_gradient=batch.warm_gradient,
-                )
+            control, _ = optimal_step_gradient(
+                local, batch.warm_start, batch.warm_final_state, batch.warm_gradient,
+                inner_iterations, part, gradient_rtol=gradient_rtol,
+            )
         except CGError as exc:
-            if exc.column is None:
-                raise
-            n = int(index[exc.column])
+            n = batch.first + exc.column
             start, end = batch.breakpoints[exc.column : exc.column + 2]
             raise CGError(f"sub-problem {n} on [{start:g}, {end:g}]: {exc}", n) from exc
-        controls += [r.control for r in results]
-    counter.add_concurrent(columns.per_column)
+        controls.append(control.reshape(-1, control.shape[-1]))
+        per_column.append(part.per_column)
+    counter.add_concurrent(np.concatenate(per_column))
     return np.concatenate(controls)

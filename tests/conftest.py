@@ -128,7 +128,7 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
     The control is what the batched ``optimal_step_gradient`` must reproduce
     bit for bit for every column, and what ``run`` with the steepest rule
     must reach up to rounding.  ``gradient``, the gradient at v_init, stands
-    for the batched call's ``initial_gradient``; without it the loop solves
+    for the batched call's ``g_init``; without it the loop solves
     for it."""
     grid, tg = problem.grid, problem.time_grid
     v = np.array(v_init, dtype=float, copy=True)

@@ -241,6 +241,15 @@ def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("dim", ["0", "-1", "3"])
+def test_unsupported_dim_is_reported_before_the_bounds(tmp_path, capsys, dim):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    code = main(["--config", str(cfg), "--dim", dim, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: dim must be 1 or 2, got {dim}\n"
+
+
 def test_exit_code_for_solver_error(cfg_file, tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise CGError("synthetic breakdown")

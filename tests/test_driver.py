@@ -319,6 +319,14 @@ def test_outer_config_validation():
         hc.OuterConfig(n_intervals=0)
     with pytest.raises(ValueError):
         hc.OuterConfig(n_intervals=2, gradient_rtol=0.0)
+    # rejected when the config is built, before any solve
+    for field, value in [("max_outer", -1), ("inner_iterations", 0),
+                         ("gradient_rtol", -1e-6), ("gradient_rtol", float("nan")),
+                         ("inner_gradient_rtol", 0.0), ("inner_gradient_rtol", -1.0),
+                         ("inner_gradient_rtol", float("nan"))]:
+        with pytest.raises(ValueError, match=field):
+            hc.OuterConfig(n_intervals=1, **{field: value})
+    hc.OuterConfig(n_intervals=1, max_outer=0)
 
 
 @settings(max_examples=40, deadline=None)

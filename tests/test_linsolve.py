@@ -251,18 +251,6 @@ def test_batched_cg_breakdown_names_its_column():
     assert failure.value.column is None  # one field is no batch
 
 
-def test_counter_charges_named_columns():
-    counter = hc.MatvecCounter(columns=4)
-    with counter.columns(np.array([1, 3])) as part:
-        part.add(np.array([5, 2]))
-    counter.add(np.array([1, 1, 1, 1]))
-    assert counter.per_column.tolist() == [1, 6, 1, 3]
-    assert counter.count == 11
-    total = hc.MatvecCounter()
-    with total.columns(np.array([0])) as part:
-        assert part is total
-
-
 def test_counter_charges_concurrent_solves_at_their_maximum():
     counter = hc.MatvecCounter(columns=3)
     counter.add(2)

@@ -80,10 +80,14 @@ def test_gradient_matches_central_differences(rng):
 def test_optimal_step_fixed_point_at_optimum(rng):
     prob = random_tiny_problem(rng)
     v_star, _ = hc.oracle_kkt_solve(prob)
-    res = hc.optimal_step_gradient(prob, v_star, 5, hc.MatvecCounter(),
-                                   gradient_rtol=1e-7)
-    assert res.converged
-    np.testing.assert_allclose(res.control, v_star, rtol=0, atol=1e-10)
+    counter = hc.MatvecCounter()
+    final = hc.evaluate(prob, v_star, counter).final_state
+    g = hc.gradient(prob, v_star, counter, final_state=final)
+    controls, stopped = hc.optimal_step_gradient(hc.ControlProblem.stack([prob]), v_star[None],
+                                                 final[None], g[None], 5, hc.MatvecCounter(),
+                                                 gradient_rtol=1e-7)
+    assert stopped.tolist() == [True]
+    np.testing.assert_allclose(controls[0], v_star, rtol=0, atol=1e-10)
 
 
 def _steepest_run(prob, max_outer, gradient_rtol):
@@ -183,24 +187,41 @@ def test_problem_validation():
 def test_batched_descent_bitwise_equal_to_column_descents(rng):
     # three problems on consecutive windows of one time grid, with targets of
     # very different sizes, so their stopping thresholds differ and the
-    # columns stop after different numbers of steps
+    # columns stop after different numbers of steps; a fourth one tracks its
+    # own free final state from v = 0, so its gradient is exactly zero
     base = random_tiny_problem(rng, n_interior=6, steps=5)
     outer = hc.TimeGrid(0.0, 2.1, 15)
     problems = [dataclasses.replace(base, time_grid=outer.window(5 * i, 5),
                                     y_target=scale * rng.standard_normal(6))
                 for i, scale in enumerate([1.0, 30.0, 1000.0])]
-    v0 = rng.standard_normal((3, 5, base.grid.control_node_count))
+    m = base.grid.control_node_count
+    v0 = np.concatenate([rng.standard_normal((3, 5, m)), np.zeros((1, 5, m))])
+    free = hc.evaluate(problems[0], v0[3], hc.MatvecCounter()).final_state
+    problems.append(dataclasses.replace(problems[0], y_target=free))
     finals = np.stack([hc.evaluate(p, v, hc.MatvecCounter()).final_state
                        for p, v in zip(problems, v0)])
-    counter = hc.MatvecCounter(columns=3)
-    results = hc.optimal_step_gradient(hc.ControlProblem.stack(problems), v0, 8, counter,
-                                       gradient_rtol=1e-3, initial_final_state=finals)
+    grads = np.stack([hc.gradient(p, v, hc.MatvecCounter(), final_state=f)
+                      for p, v, f in zip(problems, v0, finals)])
+    assert not grads[3].any()
+    inputs = [v0, finals, grads]
+    copies = [a.copy() for a in inputs]
+    counter = hc.MatvecCounter(columns=4)
+    controls, stopped = hc.optimal_step_gradient(hc.ControlProblem.stack(problems), *inputs, 8,
+                                                 counter, gradient_rtol=1e-3)
+    # the descent reads its inputs and does not write them
+    for a, copy in zip(inputs, copies):
+        assert np.array_equal(a.view(np.int64), copy.view(np.int64))
     steps = []
-    for c, (problem, result) in enumerate(zip(problems, results)):
+    for c, problem in enumerate(problems):
         own = hc.MatvecCounter()
-        want, taken = reference_descent(problem, v0[c], 8, own, 1e-3, finals[c])
+        want, taken = reference_descent(problem, v0[c], 8, own, 1e-3, finals[c],
+                                        gradient=grads[c])
         steps.append(taken)
-        assert np.array_equal(result.control.view(np.int64), want.view(np.int64))
-        assert result.converged and counter.per_column[c] == own.count
-    # so each column did the work of a descent of its own length
-    assert steps == [2, 2, 3]
+        assert np.array_equal(controls[c].view(np.int64), want.view(np.int64))
+        assert stopped[c] and counter.per_column[c] == own.count
+    # so each column did the work of a descent of its own length, and the
+    # zero-gradient column stopped before its first step: no product charged,
+    # its warm start returned bit for bit
+    assert steps == [2, 2, 3, 0]
+    assert counter.per_column[3] == 0
+    assert np.array_equal(controls[3].view(np.int64), v0[3].view(np.int64))

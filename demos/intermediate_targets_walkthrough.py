@@ -33,18 +33,19 @@ v_star, j_star = hc.oracle_kkt_solve(problem)
 print(f"dense-oracle optimum: J* = {j_star:.8f}")
 
 # --- one sweep by hand, starting from v = 0 -------------------------------
+# a partition is the list of its breakpoint steps
 partition = hc.make_partition(time_grid, 3)
-print(f"partition breakpoints: {np.round(partition.breakpoints, 3)}")
+print(f"partition breakpoint steps: {partition}, times: "
+      f"{np.round([time_grid.time(s) for s in partition], 3)}")
 
 # the method reads y only at the breakpoints and p at the right breakpoints
 # and on the control patch, so the sweeps keep only those
-at = partition.breakpoint_steps
 counter = hc.MatvecCounter()
 v = problem.zero_control()
 y = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter,
-                   keep=at)
+                   keep=partition)
 p, p_patch = hc.solve_adjoint(grid, time_grid, y[-1] - problem.y_target, problem.nu,
-                              problem.cg_tol, counter, keep=at[1:])
+                              problem.cg_tol, counter, keep=partition[1:])
 chi = hc.targets_from_solutions(problem, partition, y, p)
 print("targets chi(t_n) computed; chi(T) equals y_target:",
       np.array_equal(chi[-1], problem.y_target))

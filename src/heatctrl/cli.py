@@ -104,7 +104,10 @@ def run_benchmark(cfg: RunConfig) -> int:
     modes = ("baseline", "intermediate-targets") if cfg.mode == "both" else (cfg.mode,)
     results = [_run(problem, cfg, mode) for mode in modes]
     for path, result in zip(cfg.output_paths, results, strict=True):
-        _write_csv(path, result.history)
+        try:
+            _write_csv(path, result.history)
+        except OSError as exc:
+            raise ConfigError(f"output {str(path)!r}: {exc.strerror}") from exc
 
     last = results[-1].history[-1]
     speedup = _speedup(*results) if len(results) == 2 else "n/a"

@@ -121,6 +121,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

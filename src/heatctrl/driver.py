@@ -54,7 +54,6 @@ from .linsolve import MatvecCounter
 from .problem import ControlProblem, _record, inner_h, norm_h
 from .propagators import solve_adjoint, solve_state
 from .targets import (
-    TimePartition,
     assemble_subproblems,
     make_partition,
     solve_subproblem,
@@ -106,7 +105,7 @@ class RunResult:
 
 def line_search_theta(
     problem: ControlProblem,
-    partition: TimePartition,
+    partition: list[int],
     v: np.ndarray,
     d: np.ndarray,
     residual: np.ndarray,
@@ -122,7 +121,7 @@ def line_search_theta(
     if not np.any(d):
         return 0.0, None
     z = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
-                    keep=partition.breakpoint_steps)
+                    keep=partition)
     zT = z[-1]
     num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)
     den = inner_omega(grid, zT, zT) + problem.alpha * inner_h(grid, tg, d, d)
@@ -138,7 +137,7 @@ def steepest_direction(problem, partition, config, v, y, p, g, counter):
 
 def targets_direction(
     problem: ControlProblem,
-    partition: TimePartition,
+    partition: list[int],
     config: OuterConfig,
     v: np.ndarray,
     y: np.ndarray,
@@ -154,9 +153,10 @@ def targets_direction(
     return v_tilde - v
 
 
+# a function so that d and z are freed before run's next adjoint sweep
 def _sweep(
     problem: ControlProblem,
-    partition: TimePartition,
+    partition: list[int],
     config: OuterConfig,
     v: np.ndarray,
     y: np.ndarray,
@@ -186,14 +186,14 @@ def _sweep(
     return v, y, 0.0
 
 
-def _adjoint(problem: ControlProblem, partition: TimePartition, v: np.ndarray,
+def _adjoint(problem: ControlProblem, partition: list[int], v: np.ndarray,
              y_final: np.ndarray, counter: MatvecCounter) -> tuple[np.ndarray, np.ndarray]:
     """p(v) at the N right breakpoints and the gradient alpha v + B* p of the
     cost at v, from one adjoint solve that keeps the rest of p on the control
     patch only."""
     p, patch = solve_adjoint(problem.grid, problem.time_grid, y_final - problem.y_target,
                              problem.nu, problem.cg_tol, counter,
-                             keep=partition.breakpoint_steps[1:])
+                             keep=partition[1:])
     return p, problem.alpha * v + patch[:-1]
 
 
@@ -222,7 +222,7 @@ def run(problem: ControlProblem, config: OuterConfig,
     t0 = time.perf_counter()
 
     y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter,
-                    keep=partition.breakpoint_steps)
+                    keep=partition)
 
     threshold = None
     history: list[IterationMetrics] = []

@@ -96,7 +96,7 @@ def cg_solve(
 
     ``b``, ``x0`` and the arrays ``apply_a`` returns are only read.
     """
-    if tol <= 0:
+    if not tol > 0:  # written so that NaN fails too
         raise ValueError("tol must be positive")
     rhs = b.reshape(-1, b.shape[-1])
     counts = np.zeros(len(rhs), dtype=np.int64)

@@ -45,6 +45,8 @@ class ControlProblem:
             raise ValueError("alpha must be positive and finite (strict convexity)")
         if not 0 < self.nu < math.inf:
             raise ValueError("nu must be positive and finite")
+        if not 0 < self.cg_tol < 1:  # written so that NaN fails too
+            raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if self.y0.ndim not in (1, 2) or self.y0.shape[-1] != self.grid.interior_node_count:
             raise ValueError("y0 does not belong to the grid")
         if self.y_target.shape != self.y0.shape:

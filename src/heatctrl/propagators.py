@@ -14,8 +14,10 @@ right-hand sides change smoothly from step to step, so this guess is closer
 than the previous state.  The first solve starts from y0 or the terminal
 value, which no K^-1 has smoothed.
 
-A sweep stores only the steps its caller asks for (``keep``, an index into
-the step axis); the starts hold the last solved fields themselves, so what a
+Both sweeps are one recursion, ``_recurse``, run forward from y0 with the
+control as forcing, or backward from the terminal value without one.  A
+sweep stores only the steps its caller asks for (``keep``, an index into the
+step axis); the starts hold the last solved fields themselves, so what a
 sweep stores never changes its numbers.  The adjoint can also return the
 control patch of every step, which is all the gradient reads.  A full
 trajectory is the case where every step is kept.
@@ -38,9 +40,10 @@ from .linsolve import MatvecCounter, cg_solve
 class TimeGrid:
     """``step_count`` steps of one length ``dt`` from t_start to t_end.
 
-    dt is fixed when the grid is built, as (t_end - t_start) / step_count.  A
-    ``window`` keeps its parent's dt bit for bit: dividing the window's own
-    span by its step count can miss it in the last bit.
+    dt is fixed when the grid is built, as (t_end - t_start) / step_count.
+    ``time(step)`` is the one formula for the time of a step.  A ``window``
+    keeps its parent's dt bit for bit: dividing the window's own span by its
+    step count can miss it in the last bit.
     """
 
     t_start: float
@@ -57,26 +60,19 @@ class TimeGrid:
             raise ValueError("t_end must exceed t_start")
         object.__setattr__(self, "dt", (self.t_end - self.t_start) / self.step_count)
 
-    def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.step_count + 1)
+    def time(self, step: int) -> float:
+        """t_end at the last step, t_start + dt * step before it: the product
+        at the last step can miss t_end in its last bit."""
+        return self.t_end if step == self.step_count else self.t_start + self.dt * step
 
     def window(self, first: int, count: int) -> "TimeGrid":
         """The ``count`` steps from step ``first`` on, with this grid's dt."""
         stop = first + count
         if not 0 <= first < stop <= self.step_count:
             raise ValueError(f"steps {first} to {stop} are not a window of {self.step_count}")
-        end = self.t_end if stop == self.step_count else self.t_start + self.dt * stop
-        sub = TimeGrid(self.t_start + self.dt * first, end, count)
+        sub = TimeGrid(self.time(first), self.time(stop), count)
         object.__setattr__(sub, "dt", self.dt)
         return sub
-
-
-def _check_control_field(grid: Grid, steps: int, v: np.ndarray, batch: tuple) -> None:
-    if v.shape != batch + (steps, grid.control_node_count):
-        raise ValueError(
-            f"control field of shape {v.shape} does not match "
-            f"{batch} x {steps} steps x {grid.control_node_count} control nodes"
-        )
 
 
 def step_operator(grid: Grid, dt: float, nu: float):
@@ -126,20 +122,45 @@ class _SweepStarts:
         return self._start
 
 
-def _storage(steps: int, keep, field: np.ndarray):
-    """The buffer for the states ``keep`` selects from the steps 0..steps
-    (None: all), the rows of it that each step fills, and whether the result
-    has a step axis."""
+def _recurse(grid: Grid, time_grid: TimeGrid, first: np.ndarray, nu: float, tol: float,
+             counter: MatvecCounter, keep, forcing=None, backward=False, patch=False):
+    """The implicit-Euler recursion K u^j = u^{j-1} (+ dt B v^j with ``forcing``
+    v) from u^0 = ``first``, or K u^j = u^{j+1} from u^N = ``first`` when
+    ``backward``.
+
+    Returns the states ``keep`` selects, laid out as (..., kept steps, n) or
+    (..., n) for one step index, and with ``patch`` the control patch nodes
+    of every u^j as (..., steps+1, m), else None.
+    """
+    steps, dt = time_grid.step_count, time_grid.dt
+    _check_field(grid, first)
+    batch, m = first.shape[:-1], grid.control_node_count
+    if forcing is not None and forcing.shape != batch + (steps, m):
+        raise ValueError(f"control field of shape {forcing.shape} does not match "
+                         f"{batch} x {steps} steps x {m} control nodes")
+    if nu < 0:
+        raise ValueError("nu must be non-negative")
+    apply_k = step_operator(grid, dt, nu)
     kept = np.arange(steps + 1)[slice(None) if keep is None else keep]
-    rows = [[] for _ in range(steps + 1)]
+    rows = [[] for _ in range(steps + 1)]  # the rows of ``out`` each step fills
     for row, step in enumerate(np.ravel(kept).tolist()):
         rows[step].append(row)
-    return np.empty((kept.size,) + field.shape), rows, kept.ndim > 0
-
-
-def _layout(out: np.ndarray, step_axis: bool) -> np.ndarray:
-    """The stored states as (..., kept steps, n), or (..., n) for one step index."""
-    return np.moveaxis(out, 0, -2) if step_axis else out[0]
+    out = np.empty((kept.size,) + first.shape)
+    patches = np.empty((steps + 1,) + batch + (m,)) if patch else None
+    starts = _SweepStarts(first)
+    u = first
+    for n, j in enumerate(range(steps, -1, -1) if backward else range(steps + 1)):
+        if n:
+            if forcing is not None:
+                u = u + dt * inject(grid, forcing[..., j - 1, :])
+            u = cg_solve(apply_k, u, tol, counter, x0=starts.next())
+            starts.record(u)
+        for row in rows[j]:
+            out[row] = u
+        if patches is not None:
+            patches[j] = u[..., grid.control_mask]
+    states = np.moveaxis(out, 0, -2) if kept.ndim > 0 else out[0]
+    return states, None if patches is None else np.moveaxis(patches, 0, -2)
 
 
 def solve_state(
@@ -162,24 +183,7 @@ def solve_state(
     ``keep``, so ``keep=-1`` gives the final state alone and
     ``keep=[0, 4, 8]`` three rows.  The default, None, keeps every step.
     """
-    steps, dt = time_grid.step_count, time_grid.dt
-    _check_field(grid, y0)
-    _check_control_field(grid, steps, v, y0.shape[:-1])
-    if nu < 0:
-        raise ValueError("nu must be non-negative")
-    apply_k = step_operator(grid, dt, nu)
-    out, rows, step_axis = _storage(steps, keep, y0)
-    for row in rows[0]:
-        out[row] = y0
-    starts = _SweepStarts(y0)
-    prev = y0
-    for j in range(1, steps + 1):
-        b = prev + dt * inject(grid, v[..., j - 1, :])
-        prev = cg_solve(apply_k, b, tol, counter, x0=starts.next())
-        for row in rows[j]:
-            out[row] = prev
-        starts.record(prev)
-    return _layout(out, step_axis)
+    return _recurse(grid, time_grid, y0, nu, tol, counter, keep, forcing=v)[0]
 
 
 def solve_adjoint(
@@ -200,28 +204,6 @@ def solve_adjoint(
     control patch nodes of every p^j, of shape (steps+1, m)): the patch is
     all the gradient reads, so ``keep=[]`` stores no full field.
     """
-    steps = time_grid.step_count
-    _check_field(grid, terminal)
-    if nu < 0:
-        raise ValueError("nu must be non-negative")
-    apply_k = step_operator(grid, time_grid.dt, nu)
-    out, rows, step_axis = _storage(steps, keep, terminal)
-    patch = None
-    if keep is not None:
-        patch = np.empty((steps + 1,) + terminal.shape[:-1] + (grid.control_node_count,))
-
-    def store(j, p_j):
-        for row in rows[j]:
-            out[row] = p_j
-        if patch is not None:
-            patch[j] = p_j[..., grid.control_mask]
-
-    store(steps, terminal)
-    starts = _SweepStarts(terminal)
-    cur = terminal
-    for j in range(steps, 0, -1):
-        cur = cg_solve(apply_k, cur, tol, counter, x0=starts.next())
-        store(j - 1, cur)
-        starts.record(cur)
-    p = _layout(out, step_axis)
-    return p if patch is None else (p, np.moveaxis(patch, 0, -2))
+    p, patch = _recurse(grid, time_grid, terminal, nu, tol, counter, keep, backward=True,
+                        patch=keep is not None)
+    return p if patch is None else (p, patch)

@@ -1,8 +1,10 @@
 """Time partitioning and the intermediate-target sub-problems.
 
-The target trajectory chi = y - p is evaluated at partition breakpoints; each
-sub-interval then carries an independent tracking problem whose initial state
-is y at its left breakpoint and whose target is chi at its right breakpoint.
+A partition is the list of its N+1 breakpoint steps, from 0 to the step
+count; ``TimeGrid.time`` gives their times.  The target trajectory
+chi = y - p is evaluated at the breakpoints; each sub-interval then carries
+an independent tracking problem whose initial state is y at its left
+breakpoint and whose target is chi at its right breakpoint.
 A sub-problem's time grid is its window of the outer one
 (``TimeGrid.window``), so every sub-problem steps with the outer dt, bit for
 bit.
@@ -27,24 +29,10 @@ from .problem import ControlProblem, optimal_step_gradient
 from .propagators import TimeGrid
 
 
-@dataclass(frozen=True)
-class TimePartition:
-    breakpoints: tuple[float, ...]  # N+1 values, aligned with time-grid points
-    step_counts: tuple[int, ...]
-    step_offsets: tuple[int, ...]  # global step index of each left breakpoint
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.step_counts)
-
-    @property
-    def breakpoint_steps(self) -> list[int]:
-        """Global step index of each of the N+1 breakpoints."""
-        return list(self.step_offsets) + [self.step_offsets[-1] + self.step_counts[-1]]
-
-
-def make_partition(time_grid: TimeGrid, n_intervals: int) -> TimePartition:
-    """Split the time grid into n_intervals blocks of whole steps.
+def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
+    """The split of the time grid into n_intervals blocks of whole steps, as
+    the list of its N+1 breakpoint steps: a list indexes the sweeps' step axis
+    (``keep``) by step, where a tuple would index one axis per entry.
 
     When the step count is not divisible, leading intervals absorb one extra
     step each.
@@ -54,18 +42,12 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> TimePartition:
             f"need 1 <= n_intervals <= {time_grid.step_count}, got {n_intervals}"
         )
     base, rem = divmod(time_grid.step_count, n_intervals)
-    counts = tuple([base + 1] * rem + [base] * (n_intervals - rem))
-    offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(counts)[:-1]]))
-    # t_start + dt * step_count can miss t_end in its last bit
-    breakpoints = tuple(time_grid.t_start + time_grid.dt * o for o in offsets) + (
-        time_grid.t_end,
-    )
-    return TimePartition(breakpoints, counts, offsets)
+    return [k * base + min(k, rem) for k in range(n_intervals + 1)]
 
 
 def targets_from_solutions(
     problem: ControlProblem,
-    partition: TimePartition,
+    partition: list[int],
     y: np.ndarray,
     p: np.ndarray,
 ) -> np.ndarray:
@@ -73,9 +55,9 @@ def targets_from_solutions(
 
     ``y`` holds the state at the N+1 breakpoints and ``p`` the adjoint at the
     N right ones, as the sweeps return them with ``keep`` set to the
-    partition's ``breakpoint_steps`` and ``breakpoint_steps[1:]``.
+    partition's breakpoint steps and to ``partition[1:]``.
     """
-    n = partition.n_intervals
+    n = len(partition) - 1
     if len(y) != n + 1 or len(p) != n:
         raise ValueError(f"need y at {n + 1} breakpoints and p at {n}, "
                          f"got {len(y)} and {len(p)}")
@@ -119,7 +101,7 @@ class SubProblemBatch:
 def assemble_subproblems(
     problem: ControlProblem,
     v: np.ndarray,
-    partition: TimePartition,
+    partition: list[int],
     y: np.ndarray,
     chi: np.ndarray,
     g: np.ndarray,
@@ -131,21 +113,23 @@ def assemble_subproblems(
     tracks chi[n].  A batch is a run of consecutive sub-problems with one step
     count, at most ``BATCH_BYTES`` of fields wide.
     """
-    if len(chi) != partition.n_intervals or len(y) != partition.n_intervals + 1:
+    if len(chi) != len(partition) - 1 or len(y) != len(partition):
         raise ValueError("targets were computed for a different partition")
     width = max(1, BATCH_BYTES // (8 * problem.grid.interior_node_count))
-    counts, steps = partition.step_counts, partition.breakpoint_steps
+    tg = problem.time_grid
+    counts = [b - a for a, b in zip(partition, partition[1:])]
     batches = []
     first = 0
     while first < len(counts):
         stop = first + 1
         while stop < len(counts) and stop - first < width and counts[stop] == counts[first]:
             stop += 1
-        local = replace(problem, time_grid=problem.time_grid.window(steps[first], counts[first]),
+        local = replace(problem, time_grid=tg.window(partition[first], counts[first]),
                         y0=y[first:stop], y_target=chi[first:stop])
-        window = slice(steps[first], steps[stop])
+        window = slice(partition[first], partition[stop])
         shape = (stop - first, counts[first], -1)
-        batches.append(SubProblemBatch(first, local, partition.breakpoints[first : stop + 1],
+        batches.append(SubProblemBatch(first, local,
+                                       tuple(tg.time(s) for s in partition[first : stop + 1]),
                                        v[window].reshape(shape), y[first + 1 : stop + 1],
                                        g[window].reshape(shape)))
         first = stop

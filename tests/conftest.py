@@ -95,11 +95,11 @@ def breakpoint_targets(problem, partition, v):
     """y(v) at the N+1 breakpoints, the breakpoint targets chi of v and the
     gradient alpha v + B* p at v, from one forward and one adjoint solve."""
     grid, tg = problem.grid, problem.time_grid
-    at = partition.breakpoint_steps
     counter = hc.MatvecCounter()
-    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter, keep=at)
+    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter,
+                       keep=partition)
     p, patch = hc.solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu,
-                                problem.cg_tol, counter, keep=at[1:])
+                                problem.cg_tol, counter, keep=partition[1:])
     g = problem.alpha * v + patch[:-1]
     return y, hc.targets_from_solutions(problem, partition, y, p), g
 

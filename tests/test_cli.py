@@ -1,3 +1,6 @@
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,35 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert "UTF-8" in err
+
+
+def test_unreadable_config_is_a_config_error(cfg_file, tmp_path, capsys, monkeypatch):
+    # a permissions-based test would not fail when run as root
+    def unreadable(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    code = main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: {cfg_file}: Permission denied\n"
+
+
+@pytest.mark.parametrize("mode", ["intermediate-targets", "both"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, mode):
+    # a full disk, as ``--out /dev/full`` gives, found only after the solve
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    monkeypatch.setattr(Path, "write_text", full)
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(cfg), "--rtol", "1e-4", "--mode", mode, "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: output ")
+    assert err[0].endswith(": No space left on device")
 
 
 def test_flag_overrides_reach_the_run(cfg_file, tmp_path):

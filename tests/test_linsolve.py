@@ -88,8 +88,9 @@ def test_nonconvergence_raises(rng):
 
 
 def test_invalid_tolerance_rejected():
-    with pytest.raises(ValueError):
-        hc.cg_solve(lambda u: u, np.ones(3), 0.0, hc.MatvecCounter())
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hc.cg_solve(lambda u: u, np.ones(3), tol, hc.MatvecCounter())
 
 
 def _reference_cg(apply_a, b, tol, x0):

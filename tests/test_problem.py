@@ -182,6 +182,11 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="finite"):
             hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(3),
                               y_target=np.zeros(3), alpha=alpha, nu=nu)
+    # rejected when the problem is built, not at its first CG solve
+    for cg_tol in [float("nan"), float("inf"), 0.0, -1.0, 1.0]:
+        with pytest.raises(ValueError, match="cg_tol"):
+            hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(3),
+                              y_target=np.zeros(3), alpha=0.1, nu=0.5, cg_tol=cg_tol)
 
 
 def test_batched_descent_bitwise_equal_to_column_descents(rng):

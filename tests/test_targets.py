@@ -16,22 +16,23 @@ from conftest import (
 def test_partition_single_interval():
     tg = hc.TimeGrid(0.0, 6.4, 6400)
     part = hc.make_partition(tg, 1)
-    assert part.step_counts == (6400,)
-    assert part.breakpoints == (0.0, 6.4)
+    assert part == [0, 6400]
+    assert [tg.time(s) for s in part] == [0.0, 6.4]
 
 
 def test_partition_uniform_eight_way():
     tg = hc.TimeGrid(0.0, 6.4, 6400)
     part = hc.make_partition(tg, 8)
-    assert part.step_counts == (800,) * 8
-    np.testing.assert_allclose(part.breakpoints, 0.8 * np.arange(9), rtol=1e-12)
+    assert part == [800 * k for k in range(9)]
+    np.testing.assert_allclose([tg.time(s) for s in part], 0.8 * np.arange(9), rtol=1e-12)
 
 
 def test_partition_remainder_to_leading_intervals():
     tg = hc.TimeGrid(0.0, 1.0, 10)
     part = hc.make_partition(tg, 4)
-    assert part.step_counts == (3, 3, 2, 2)
-    assert part.step_offsets == (0, 3, 6, 8)
+    # a list, not a tuple: it indexes the sweeps' step axis as a list of steps
+    assert type(part) is list
+    assert part == [0, 3, 6, 8, 10]
 
 
 def test_partition_rejects_too_many_intervals():
@@ -51,14 +52,16 @@ def test_partition_invariants(t_start, length, data):
     n_intervals = data.draw(st.integers(1, step_count), label="n_intervals")
     tg = hc.TimeGrid(t_start, t_start + length, step_count)
     part = hc.make_partition(tg, n_intervals)
-    counts = part.step_counts
-    assert part.n_intervals == n_intervals
+    counts = [b - a for a, b in zip(part, part[1:])]
+    assert len(counts) == n_intervals
+    assert (part[0], part[-1]) == (0, step_count)
     assert sum(counts) == step_count
+    assert min(counts) >= 1
     assert max(counts) - min(counts) <= 1
     assert all(a >= b for a, b in zip(counts, counts[1:]))
-    assert part.step_offsets == tuple(np.cumsum((0,) + counts[:-1]).tolist())
-    assert part.breakpoints[:-1] == tuple(tg.t_start + tg.dt * o for o in part.step_offsets)
-    assert part.breakpoints[-1] == tg.t_end
+    times = [tg.time(s) for s in part]
+    assert times[:-1] == [tg.t_start + tg.dt * s for s in part[:-1]]
+    assert times[-1] == tg.t_end
 
 
 def test_final_target_is_global_target_bit_for_bit(rng, tiny_problem):
@@ -81,9 +84,8 @@ def test_targets_equal_states_when_adjoint_vanishes(rng):
     y, chi, g = breakpoint_targets(prob, part, zero_v)
     starts = np.concatenate([b.problem.y0 for b in
                              hc.assemble_subproblems(prob, zero_v, part, y, chi, g)])
-    ends = np.array(part.step_offsets[1:] + (tg.step_count,))
-    np.testing.assert_allclose(chi, y_free[ends], atol=1e-14)
-    np.testing.assert_allclose(starts, y_free[part.step_offsets,], atol=1e-14)
+    np.testing.assert_allclose(chi, y_free[part[1:]], atol=1e-14)
+    np.testing.assert_allclose(starts, y_free[part[:-1]], atol=1e-14)
 
 
 def test_targets_at_optimum_match_dense_oracle(rng):
@@ -96,8 +98,7 @@ def test_targets_at_optimum_match_dense_oracle(rng):
     p_ref = dense_adjoint_solve(prob.grid, prob.time_grid,
                                 y_ref[-1] - prob.y_target, prob.nu)
     chi_ref = y_ref - p_ref
-    ends = np.array(part.step_offsets[1:] + (prob.time_grid.step_count,))
-    np.testing.assert_allclose(chi[:-1], chi_ref[ends][:-1], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(chi[:-1], chi_ref[part[1:]][:-1], rtol=0, atol=1e-9)
     np.testing.assert_allclose(chi[-1], prob.y_target)
 
 
@@ -133,8 +134,12 @@ def test_subproblems_step_with_the_outer_dt(rng, monkeypatch):
     for b in batches:
         tg = b.problem.time_grid
         assert np.float64(tg.dt).view(np.int64) == outer_dt
-        assert (tg.t_start, tg.step_count) == (part.breakpoints[b.first], 3)
-        assert b.breakpoints == part.breakpoints[b.first : b.first + len(b.warm_start) + 1]
+        steps = part[b.first : b.first + len(b.warm_start) + 1]
+        times = [prob.time_grid.t_start + prob.time_grid.dt * s for s in steps]
+        if steps[-1] == prob.time_grid.step_count:
+            times[-1] = prob.time_grid.t_end
+        assert (tg.t_start, tg.step_count) == (times[0], 3)
+        assert b.breakpoints == tuple(times)
 
 
 def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
@@ -156,9 +161,9 @@ def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
     assert np.array_equal(windows.view(np.int64), g.view(np.int64))
     for b in batches:
         k = len(b.warm_start)
-        left = part.step_offsets[b.first : b.first + k]
-        right = [o + c for o, c in zip(left, part.step_counts[b.first : b.first + k])]
-        assert np.array_equal(b.problem.y0.view(np.int64), y_full[list(left)].view(np.int64))
+        left = part[b.first : b.first + k]
+        right = part[b.first + 1 : b.first + k + 1]
+        assert np.array_equal(b.problem.y0.view(np.int64), y_full[left].view(np.int64))
         assert np.array_equal(b.warm_final_state.view(np.int64), y_full[right].view(np.int64))
     assert np.array_equal(batches[-1].problem.y_target[-1].view(np.int64),
                           prob.y_target.view(np.int64))
@@ -180,11 +185,11 @@ def test_optimum_solves_truncated_horizon_problems(rng):
     part = hc.make_partition(prob.time_grid, 4)
     _, chi, _ = breakpoint_targets(prob, part, v_star)
     # truncate at each interior breakpoint tau = t_n; target chi*(tau)
-    for n in range(1, part.n_intervals):
-        steps_to_tau = part.step_offsets[n]
+    for n in range(1, len(part) - 1):
+        steps_to_tau = part[n]
         truncated = hc.ControlProblem(
             grid=prob.grid,
-            time_grid=hc.TimeGrid(0.0, part.breakpoints[n], steps_to_tau),
+            time_grid=hc.TimeGrid(0.0, prob.time_grid.time(steps_to_tau), steps_to_tau),
             y0=prob.y0,
             y_target=chi[n - 1],
             alpha=prob.alpha,
@@ -229,7 +234,7 @@ def test_warm_gradient_is_the_local_gradient_at_the_warm_start(rng, dim, steps, 
 
 
 def _local_controls(part, v_tilde):
-    return [v_tilde[o : o + c] for o, c in zip(part.step_offsets, part.step_counts)]
+    return [v_tilde[a:b] for a, b in zip(part, part[1:])]
 
 
 def test_solve_subproblem_never_increases_local_cost(rng, tiny_problem):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +91,28 @@ def _check_output(path: Path) -> None:
             raise ConfigError(f"output {str(path)!r}: {str(nearest)!r} is not a directory")
     except OSError as exc:  # e.g. a parent that may not be searched
         raise ConfigError(f"output {str(path)!r}: {exc.strerror}") from exc
+
+
+def _check_storage(cfg: RunConfig) -> None:
+    """Reject a run whose float storage exceeds the machine's physical memory.
+
+    The estimate is 8 bytes x (6 (steps+1) n + 4 (N+1) n), with n the
+    interior node count standing in for the control node count: the
+    trajectories, controls and breakpoint fields a run holds.
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to measure
+        return
+    nodes = cfg.nodes_per_axis * (cfg.dim if len(cfg.nodes_per_axis) == 1 else 1)
+    n = math.prod(max(k - 2, 1) for k in nodes)
+    steps = cfg.step_count
+    # in floats: an estimate past the float range is inf, which still exceeds memory
+    estimate = 8.0 * (6.0 * (steps + 1) * n + 4.0 * (cfg.N + 1) * n)
+    if estimate > physical:
+        raise ConfigError(f"{steps:.3g} time steps on {n} interior nodes need about "
+                          f"{estimate / 2**30:.3g} GiB of float storage, more than the "
+                          f"{physical / 2**30:.3g} GiB of physical memory")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -192,6 +215,7 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
+    _check_storage(cfg)
     # checked before the solve, not after it
     _check_output(Path(cfg.output))
     for path in cfg.output_paths:
@@ -236,14 +260,14 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
         if not 0.0 < width < math.inf:
             raise ConfigError(f"gaussian sigma = {sigma!r} is out of range: "
                               f"2 sigma^2 = {width!r}")
-        sq = 0.0
-        for ax, (x, c) in enumerate(zip(coords, centers)):
-            shaped = [1] * grid.dim
-            shaped[ax] = -1
-            sq = sq + ((x - c) ** 2).reshape(shaped)
-        # a tiny width sends -sq / width to -inf away from the centre, where
-        # exp gives the right value, 0
+        # a far-off centre makes sq infinite and a tiny width sends -sq /
+        # width to -inf away from the centre; exp gives the right value, 0
         with np.errstate(over="ignore"):
+            sq = 0.0
+            for ax, (x, c) in enumerate(zip(coords, centers)):
+                shaped = [1] * grid.dim
+                shaped[ax] = -1
+                sq = sq + ((x - c) ** 2).reshape(shaped)
             return (amplitude * np.exp(-sq / width)).ravel()
     if name == "indicator":
         if len(args) != 2 * grid.dim:

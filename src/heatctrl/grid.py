@@ -9,12 +9,18 @@ slices stacks them as the rows of a 2D array.
 The Laplacian copies its input into a flat, zero-padded buffer
 (``StencilWork``), where every difference along an axis is one pass over a
 contiguous range, and reads the interior back once at the end; the step
-operator's ``* -(dt*nu)`` and ``+ u`` ride on that read.
+operator's ``* -(dt*nu)`` and ``+ u`` ride on that read.  Where every axis
+shares one weight w = 1/h^2 that is a power of two >= 1 (a unit box with
+2^k + 1 nodes per axis), the axes' differences are summed unweighted and
+the read multiplies by w, or by w * -(dt*nu) where that product is exact:
+a multiply by such a w is exact below overflow, so no bit moves.  A 2D step
+product is then 9 numpy passes, a 1D one 6.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,12 +176,34 @@ class StencilWork:
         self._padded_size = math.prod(self._padded_shape)
         self._strides = tuple(math.prod(self._padded_shape[ax + 1:]) for ax in range(grid.dim))
         self._weights = tuple(_weighting(h**2) for h in grid.spacing)
+        # every axis divides by one h^2 whose reciprocal w is a power of two
+        # >= 1: multiplying by such a w is exact below overflow, so the sum
+        # may be weighted once at the end, (0 + d_0 + d_1) * w, with the bits
+        # of 0 + d_0 * w + d_1 * w; None where the axes must weigh their own
+        weigh, w = self._weights[0]
+        self._weight = (w if len(set(self._weights)) == 1 and weigh is np.multiply
+                        and w >= 1.0 else None)
         self._columns = 0
         self._plans: dict[int, tuple] = {}
 
+    def factor(self, scale: float | None) -> float | None:
+        """The one factor the interior is read back with, w or w * scale, or
+        None when each axis weighs its own term.
+
+        w * scale serves only where it is exact: finite, normal and with
+        (w * scale) / w == scale.
+        """
+        w = self._weight
+        if w is None or scale is None:
+            return w
+        ws = w * scale
+        if math.isfinite(ws) and abs(ws) >= sys.float_info.min and ws / w == scale:
+            return ws
+        return None
+
     def plan(self, k: int) -> tuple:
         """(padded interior, per-axis views and weighting, second difference,
-        sum, interior of the sum, result) for k fields."""
+        sum, interior of the sum, result shaped like the interior) for k fields."""
         plan = self._plans.get(k)
         if plan is None:
             if k > self._columns:
@@ -208,7 +236,7 @@ class StencilWork:
         fields = (k,) + self._padded_shape
         return (padded.reshape(fields)[inner], axes, self._second[:size - 2 * m],
                 self._total[m:size - m], self._total[:size].reshape(fields)[inner],
-                self._result[:k])
+                self._result[:k].reshape((k,) + self.grid.interior_shape))
 
 
 def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
@@ -219,7 +247,11 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
     zero-padded field, summed over the axes in order onto a zero start.  That
     order is part of the contract: every run's numbers depend on it bit for bit.
     (The division is a multiply by 1/h**2 where that is exact, which gives
-    the same bits.)
+    the same bits.  Where every axis shares one such w = 1/h**2 >= 1, the sum
+    is weighted once as it is read back: (0 + d_0 + d_1) * w has the bits of
+    0 + d_0 * w + d_1 * w, as a multiply by a power of two >= 1 is exact
+    below overflow; with ``scale`` the read multiplies by w * scale where
+    that product is exact.)
 
     ``u`` is one field (n,) or a batch (k, n) whose rows are transformed
     alike.  With ``scale``, a number, the result is ``Lap(u) * scale + u``
@@ -229,21 +261,26 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
     overwrites.
     """
     _check_field(grid, u)
-    fields, axes, second, total, interior, result = (work or StencilWork(grid)).plan(
-        1 if u.ndim == 1 else len(u))
+    work = work or StencilWork(grid)
+    fields, axes, second, total, interior, result = work.plan(1 if u.ndim == 1 else len(u))
+    factor = work.factor(scale)
     fields[...] = u.reshape(fields.shape)
-    for ax, (upper, lower, first, first_upper, first_lower, weigh, factor) in enumerate(axes):
+    for ax, (upper, lower, first, first_upper, first_lower, weigh, h2) in enumerate(axes):
         np.subtract(upper, lower, out=first)
         term = second if ax else total
         np.subtract(first_upper, first_lower, out=term)
-        weigh(term, factor, out=term)
+        if factor is None:
+            weigh(term, h2, out=term)
         # the zero start: 0.0 + x is x, except that -0.0 becomes 0.0
         total += term if ax else 0.0
-    out = result.reshape(u.shape)
-    if scale is None:
-        out.reshape(interior.shape)[...] = interior
+    if factor is not None:
+        np.multiply(interior, factor, out=result)
+    elif scale is None:
+        result[...] = interior
     else:
-        np.multiply(interior, scale, out=out.reshape(interior.shape))
+        np.multiply(interior, scale, out=result)
+    out = result.reshape(u.shape)
+    if scale is not None:
         out += u
     return out
 

@@ -1,4 +1,12 @@
-"""Matrix-free conjugate gradient with matrix-vector product accounting."""
+"""Matrix-free conjugate gradient with matrix-vector product accounting.
+
+``cg_solve`` runs one right-hand side (a 1D field or a batch of one) in a
+one-column loop on 1D vectors whose scalars are Python floats: every step of
+the serial state, adjoint and line-search sweeps is such a solve, and on a
+desk-sized field its cost is numpy calls, not arithmetic.  A batch of k >= 2
+runs the batched loop, column by column.  The two loops perform the same
+IEEE operations in the same order, so a column gets the same bits either way.
+"""
 
 from __future__ import annotations
 
@@ -77,9 +85,13 @@ def cg_solve(
     Every column runs its own CG: its own alpha, beta, convergence test and
     product count, with per-column dot products that equal the 1D ``r @ r``
     bit for bit, so a column of a batch gets exactly the x of its own 1D
-    solve.  A converged column leaves the batch.  ``apply_a`` maps a block of
-    rows row by row, the same operator for every row; for a 1D ``b`` it only
-    ever sees 1D fields.
+    solve.  ``apply_a`` maps a block of rows row by row, the same operator
+    for every row; for a 1D ``b`` it only ever sees 1D fields.
+
+    One right-hand side, a 1D ``b`` or a batch of one, runs a one-column
+    loop on 1D vectors with its scalars as Python floats: the serial state,
+    adjoint and line-search sweeps solve every step this way.  A batch of
+    k >= 2 runs the batched loop, where a converged column leaves the batch.
 
     A column starts from its row of ``x0`` (zero without one), unless that
     guess is worse than zero, ||b - A x0|| > ||b||: then it starts from
@@ -88,7 +100,8 @@ def cg_solve(
     whose squared norm overflows counts as worse.  The product that tested
     the guess is charged all the same.
 
-    A column converges when ||b - A x|| <= tol * ||b||.  ``counter`` is
+    A column converges when ||b - A x|| <= tol * ||b||; a zero right-hand
+    side has the zero solution and costs no product.  ``counter`` is
     charged every product, per column.  Raises ``CGError`` (with the column
     of a batch) when p.Ap is not a positive finite number (A is not positive
     definite, or the iterates are not finite), when ``b`` is not finite, or
@@ -100,10 +113,14 @@ def cg_solve(
         raise ValueError("tol must be positive")
     rhs = b.reshape(-1, b.shape[-1])
     counts = np.zeros(len(rhs), dtype=np.int64)
+    if max_iter is None:
+        max_iter = rhs.shape[1]
     try:
-        x = _cg(apply_a, rhs, tol, counts,
-                None if x0 is None else x0.reshape(rhs.shape),
-                rhs.shape[1] if max_iter is None else max_iter, b.ndim == 1)
+        if len(rhs) == 1:
+            x = _cg_column(apply_a, b, tol, counts, x0, max_iter)
+        else:
+            x = _cg(apply_a, rhs, tol, counts,
+                    None if x0 is None else x0.reshape(rhs.shape), max_iter)
     except CGError as exc:
         if b.ndim == 1:
             exc.column = None
@@ -113,11 +130,67 @@ def cg_solve(
     return x.reshape(b.shape)
 
 
-def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
-    """Column-wise CG on a (k, n) batch; ``counts`` receives each column's products.
+def _cg_column(apply_a, b, tol, counts, x0, max_iter):
+    """CG on one right-hand side; ``counts[0]`` receives its products.
 
-    With ``one`` (a batch of one 1D field), the operator gets 1D views.
+    The loop runs on 1D vectors with r.r, p.Ap, alpha and beta as Python
+    floats, each the same IEEE operation as in the batched loop.  The
+    operator gets (n,) arrays, or (1, n) for a batch of one.
     """
+    n = b.shape[-1]
+    batch = b.ndim != 1
+    b = b.reshape(n)
+    bb = float(b @ b)
+    b_norm = math.sqrt(bb)
+    if not math.isfinite(b_norm):
+        raise CGError(f"right-hand side is not finite: ||b|| = {b_norm!r}", 0)
+    if not b_norm:  # a zero right-hand side has the zero solution
+        return np.zeros(n)
+    start = 0 if x0 is None else 1
+    if x0 is None:
+        x, r, rs = np.zeros(n), b.copy(), bb
+    else:
+        counts[0] = 1
+        x = x0.reshape(n).copy()
+        ax = apply_a(x.reshape(1, n) if batch else x)
+        r = b - (ax[0] if batch else ax)
+        # an r.r that overflows is inf, worse than any finite ||b||: no warning
+        with np.errstate(over="ignore"):
+            rs = float(r @ r)
+        if math.sqrt(rs) > b_norm:  # a guess worse than zero restarts from x = 0, r = b
+            x, r, rs = np.zeros(n), b.copy(), bb
+    target = tol * b_norm
+    if math.sqrt(rs) <= target:
+        counts[0] = start
+        return x
+
+    p = r.copy()
+    operand = p.reshape(1, n) if batch else p
+    scratch = np.empty(n)
+    for it in range(1, max_iter + 1):
+        ap = apply_a(operand)
+        if batch:
+            ap = ap[0]
+        p_ap = float(p @ ap)
+        if not 0.0 < p_ap < math.inf:
+            counts[0] = start + it
+            raise CGError(f"CG breakdown: p.Ap = {p_ap!r}", 0)
+        alpha = rs / p_ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, ap, out=scratch)
+        rs_new = float(r @ r)
+        if math.sqrt(rs_new) <= target:
+            counts[0] = start + it
+            return x
+        p *= rs_new / rs
+        p += r
+        rs = rs_new
+    counts[0] = start + max_iter
+    raise CGError(f"CG did not reach relative residual {tol:g} in {max_iter} iterations", 0)
+
+
+def _cg(apply_a, rhs, tol, counts, x0, max_iter):
+    """Column-wise CG on a (k, n) batch; ``counts`` receives each column's products."""
     b_norm = np.sqrt(np.vecdot(rhs, rhs))
     if not np.isfinite(b_norm).all():
         col = int(np.flatnonzero(~np.isfinite(b_norm))[0])
@@ -133,7 +206,7 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
     else:
         xa = x0[active]
         counts[active] = 1
-        r = rhs[active] - apply_a(xa[0] if one else xa)
+        r = rhs[active] - apply_a(xa)
     # an r.r that overflows is inf, worse than any finite ||b||: no warning
     with np.errstate(over="ignore"):
         rs = np.vecdot(r, r, keepdims=True)
@@ -149,7 +222,6 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
     done = [math.sqrt(rr) <= t for rr, t in zip(rs.ravel().tolist(), targets)]
 
     p = r.copy()
-    operand = p[0] if one else p
     scratch = np.empty_like(r)
     it = 0
     while True:
@@ -163,7 +235,6 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
             active, xa, r, p, rs = active[keep], xa[keep], r[keep], p[keep], rs[keep]
             targets = [t for t, k in zip(targets, keep) if k]
             scratch = scratch[: active.size]
-            operand = p
         if it == max_iter:
             counts[active] = start + it
             raise CGError(
@@ -171,7 +242,7 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter, one):
                 int(active[0]),
             )
         it += 1
-        ap = apply_a(operand)
+        ap = apply_a(p)
         p_ap = np.vecdot(p, ap, keepdims=True)
         for col, pap in enumerate(p_ap.ravel().tolist()):
             if not 0.0 < pap < math.inf:

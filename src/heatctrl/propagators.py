@@ -118,7 +118,10 @@ class _SweepStarts:
         first_coefficient, *coefficients = _START_COEFFICIENTS[len(self._solved)]
         np.multiply(first_coefficient, newest, out=self._start)
         for c, state in zip(coefficients, older):
-            self._start += np.multiply(c, state, out=self._term)
+            if c == -1:  # s + (-1) * x is s - x, bit for bit, in one pass
+                self._start -= state
+            else:
+                self._start += np.multiply(c, state, out=self._term)
         return self._start
 
 
@@ -152,7 +155,8 @@ def _recurse(grid: Grid, time_grid: TimeGrid, first: np.ndarray, nu: float, tol:
     for n, j in enumerate(range(steps, -1, -1) if backward else range(steps + 1)):
         if n:
             if forcing is not None:
-                u = u + dt * inject(grid, forcing[..., j - 1, :])
+                # dt * 0 is 0 off the patch: the bits of dt * B v^j
+                u = u + inject(grid, dt * forcing[..., j - 1, :])
             u = cg_solve(apply_k, u, tol, counter, x0=starts.next())
             starts.record(u)
         for row in rows[j]:

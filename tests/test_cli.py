@@ -262,6 +262,8 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
     ("--y0", "gaussian(0.5,0.1,1e160)"), ("--y-target", "random(1e160)"),
     # a gaussian sigma whose 2 sigma^2 overflows or underflows to 0
     ("--y0", "gaussian(0.5,1e200,1.0)"), ("--y-target", "gaussian(0.5,1e-200,1.0)"),
+    # so many time steps that the run's float storage exceeds physical memory
+    ("--T", "1e300"), ("--dt", "1e-300"),
 ])
 def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     cfg = tmp_path / "line.cfg"

@@ -163,6 +163,15 @@ def test_make_field_tiny_gaussian_sigma_is_a_spike(grid_2d):
     assert np.all(wide == 2.0)
 
 
+def test_make_field_far_gaussian_centre_is_zero(grid_2d):
+    # (x - 1e300)^2 overflows to inf, and exp(-inf) = 0 is the right value:
+    # zeros, without an overflow warning (pytest turns warnings into errors)
+    line = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    assert np.array_equal(make_field(line, "gaussian(1e300,0.15,1.0)"), np.zeros(7))
+    assert np.array_equal(make_field(grid_2d, "gaussian(0.5,-1e300,0.15,1.0)"),
+                          np.zeros(49))
+
+
 def test_build_instance_free_evolution(bench_cfg_file):
     cfg = parse_config(bench_cfg_file, {
         "nodes_per_axis": "9,9", "T": "0.5", "dt": "0.1", "N": "5",

@@ -124,6 +124,7 @@ def _reference_laplacian(grid, u):
     (2, (65, 65), [(0.0, 1.0), (0.0, 1.0)]),
     (2, (3, 17), [(0.0, 1.0), (0.0, 1.0)]),  # one interior row
     (2, (5, 9), [(0.0, 16.0), (0.0, 16.0)]),  # h = 4 and 2: h^2 = 16 and 4
+    (2, (9, 9), [(0.0, 16.0), (0.0, 16.0)]),  # one 1/h^2 = 1/4 < 1 on both axes
 ])
 def test_laplacian_bitwise_equal_to_reference(rng, dim, nodes, domain):
     # 1/h^2 is a power of two on some of these grids (a multiply) and not on

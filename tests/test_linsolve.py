@@ -124,12 +124,18 @@ def test_step_operator_bitwise_equal_to_reference_formula(rng):
         ((12, 9), [(0.0, 1.0), (0.0, 2.0)], 0.01),
         # a batch of 4 fields; h^2 = 1/4096
         ((65, 65), [(0.0, 1.0), (0.0, 1.0)], 0.0125),
+        # one weight 1/h^2 = 1024 on both axes, but w * -(dt*nu) overflows
+        # (dt*nu ~ 1e306): each axis weighs its own term; small fields keep
+        # the result finite
+        ((33, 33), [(0.0, 1.0), (0.0, 1.0)], 1e306 / nu),
+        # h^2 = 16 on both axes: 1/h^2 = 1/16 < 1 is weighed per axis
+        ((5, 5), [(0.0, 16.0), (0.0, 16.0)], 0.01),
     ]:
         g = hc.build_grid(2, nodes, domain, domain)
         apply_k = hc.step_operator(g, dt, nu)
         shape = (4, g.interior_node_count) if nodes == (65, 65) else (g.interior_node_count,)
         for _ in range(10):
-            u = rng.standard_normal(shape)
+            u = rng.standard_normal(shape) * (1e-10 if dt > 1.0 else 1.0)
             u[rng.random(shape) < 0.1] = -0.0
             want = u - dt * nu * hc.laplacian_apply(g, u)
             assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
@@ -218,6 +224,12 @@ def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
     apply_k = hc.step_operator(g, 0.3 / 7.0, 0.7)
     counter = hc.MatvecCounter(columns=len(b))
     got = hc.cg_solve(apply_k, b, 1e-11, counter, x0=guess)
+    shapes = []
+
+    def recording(u):
+        shapes.append(u.shape)
+        return apply_k(u)
+
     counts = []
     for c in range(len(b)):
         own = hc.MatvecCounter()
@@ -225,6 +237,15 @@ def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
                            x0=None if guess is None else guess[c])
         assert np.array_equal(got[c].view(np.int64), want.view(np.int64))
         counts.append(own.count)
+        # a batch of one takes the one-column loop: the 1D solve's bits and
+        # count, with the operator seeing (1, n) arrays
+        single = hc.MatvecCounter(columns=1)
+        one = hc.cg_solve(recording, b[c:c + 1], 1e-11, single,
+                          x0=None if guess is None else guess[c:c + 1])
+        assert one.shape == (1, b.shape[1])
+        assert np.array_equal(one[0].view(np.int64), want.view(np.int64))
+        assert single.per_column.tolist() == [own.count]
+    assert set(shapes) == {(1, b.shape[1])}
     assert counter.per_column.tolist() == counts
     assert counter.count == sum(counts)
     assert counts[3] == 0  # the zero column costs nothing
@@ -250,6 +271,22 @@ def test_batched_cg_breakdown_names_its_column():
     with pytest.raises(hc.CGError) as failure:
         hc.cg_solve(lambda u: -u, np.ones(3), 1e-10, hc.MatvecCounter())
     assert failure.value.column is None  # one field is no batch
+    # a batch of one is a batch: its failures name column 0, and the
+    # products before the breakdown are charged as for the 1D field
+    single, field = hc.MatvecCounter(columns=1), hc.MatvecCounter()
+    with pytest.raises(hc.CGError, match="breakdown") as failure:
+        hc.cg_solve(lambda u: signs * u, b[2:3], 1e-10, single)
+    assert failure.value.column == 0
+    with pytest.raises(hc.CGError, match="breakdown") as failure:
+        hc.cg_solve(lambda u: signs * u, b[2], 1e-10, field)
+    assert failure.value.column is None
+    assert single.per_column.tolist() == [field.count] and field.count > 0
+    with pytest.raises(hc.CGError, match="not finite") as failure:
+        hc.cg_solve(lambda u: u, np.array([[np.inf, 0.0]]), 1e-10, hc.MatvecCounter())
+    assert failure.value.column == 0
+    with pytest.raises(hc.CGError, match="did not reach") as failure:
+        hc.cg_solve(lambda u: u, np.ones((1, 3)), 1e-10, hc.MatvecCounter(), max_iter=0)
+    assert failure.value.column == 0
 
 
 def test_counter_charges_concurrent_solves_at_their_maximum():

@@ -7,15 +7,15 @@ from the N sub-problems.  Mode both runs the baseline first, then
 intermediate targets, on the same instance.
 
 Exit codes: 0 converged, 1 configuration error (a usage error on the command
-line included), 2 iteration budget exhausted
-or run stalled (the CSV is still written, and stderr gets one line per run
-that stopped early, naming its mode), 3 solver error (CG broke down or did
-not converge, or the cost or its gradient overflowed).  A ``gradient_rtol``
+line included), 2 iteration budget exhausted or run stalled (the CSV is still
+written, and stderr gets one line per run that stopped early, naming its
+mode), 3 solver error (CG broke down or did not converge, an overflow inside
+a solve included, or the cost or its gradient overflowed).  A ``gradient_rtol``
 below the CG tolerance, which the stopping test cannot resolve, gets one
 warning line on stderr before the runs; the exit code does not change.
 
-``--workers`` (``worker_count``) is parsed and validated but has no effect:
-step 2 is one batched solve.
+Each key of ``config.KEYS`` has one flag.  ``--workers`` (``worker_count``) is
+parsed and validated but has no effect: step 2 is one batched solve.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_instance, parse_config
+import numpy as np
+
+from .config import KEYS, ConfigError, RunConfig, build_instance, parse_config
 from .driver import (
     IterationMetrics,
     OuterConfig,
@@ -116,29 +118,6 @@ def run_benchmark(cfg: RunConfig) -> int:
     return EXIT_OK if all(r.converged for r in results) else EXIT_MAX_ITER
 
 
-# command-line flag -> configuration key
-_FLAG_KEYS = [
-    ("--dim", "dim"),
-    ("--nodes-per-axis", "nodes_per_axis"),
-    ("--domain-bounds", "domain_bounds"),
-    ("--control-bounds", "control_bounds"),
-    ("--T", "T"),
-    ("--dt", "dt"),
-    ("--alpha", "alpha"),
-    ("--nu", "nu"),
-    ("--y0", "y0"),
-    ("--y-target", "y_target"),
-    ("--mode", "mode"),
-    ("--N", "N"),
-    ("--inner-iters", "inner_iterations"),
-    ("--max-outer", "max_outer"),
-    ("--rtol", "gradient_rtol"),
-    ("--workers", "worker_count"),
-    ("--out", "output"),
-    ("--seed", "seed"),
-]
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError: exit 1 and one line, not exit 2."""
 
@@ -156,21 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="flat key = value configuration file")
-    for flag, key in _FLAG_KEYS:
-        parser.add_argument(flag, dest=f"override_{key}", metavar="VALUE")
+    for key, (flag, _, _) in KEYS.items():  # a flag not given leaves its key out
+        parser.add_argument(flag, dest=key, metavar="VALUE", default=argparse.SUPPRESS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        overrides = {
-            key: getattr(args, f"override_{key}")
-            for _, key in _FLAG_KEYS
-            if getattr(args, f"override_{key}") is not None
-        }
-        cfg = parse_config(args.config, overrides)
-        return run_benchmark(cfg)
+        overrides = vars(build_parser().parse_args(argv))
+        cfg = parse_config(overrides.pop("config"), overrides)
+        # an overflow in a solve ends in one solver-error line, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_benchmark(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,4 +1,8 @@
-"""Run configuration: flat key = value files, overrides, field generators."""
+"""Run configuration: flat key = value files, overrides, field generators.
+
+``KEYS`` declares each key once, in parse order: its command-line flag, its
+parser of (text, key, dim) with the key's own range check, and its default
+text (None if the key is required).  ``RunConfig`` has one field per key."""
 
 from __future__ import annotations
 
@@ -20,23 +24,6 @@ class ConfigError(ValueError):
 
 
 MODES = ("baseline", "intermediate-targets", "both")
-
-REQUIRED_KEYS = (
-    "dim", "nodes_per_axis", "domain_bounds", "control_bounds",
-    "T", "dt", "alpha", "nu", "y0", "y_target", "mode",
-)
-
-DEFAULTS = {
-    "N": "4",
-    "inner_iterations": "1",
-    "max_outer": "100",
-    "gradient_rtol": "1e-6",
-    "worker_count": "1",
-    "output": "run.csv",
-    "seed": "0",
-}
-
-ALL_KEYS = REQUIRED_KEYS + tuple(DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,7 @@ def _check_storage(cfg: RunConfig) -> None:
                           f"{physical / 2**30:.3g} GiB of physical memory")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, key: str, dim: int) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -126,11 +113,48 @@ def _parse_float(text: str, key: str) -> float:
     return value
 
 
-def _parse_bounds(text: str, dim: int, key: str) -> tuple[tuple[float, float], ...]:
+def _parse_bounds(text: str, key: str, dim: int) -> tuple[tuple[float, float], ...]:
     vals = [_parse_float(tok, key) for tok in text.split(",")]
     if len(vals) != 2 * dim:
         raise ConfigError(f"{key} must list {2 * dim} numbers for dim={dim}")
     return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(dim))
+
+
+def _parser(kind: type, ok=None, rule: str = ""):
+    """A parser of one int, finite float or str whose value must pass ``ok``."""
+    def parse(text: str, key: str, dim: int | None):
+        value = _parse_float(text, key) if kind is float else kind(text)
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        return value
+    return parse
+
+
+_TEXT = _parser(str)
+_POSITIVE = _parser(float, lambda x: x > 0, "positive")
+_COUNT = _parser(int, lambda n: n >= 1, ">= 1")
+
+# dim comes first, before the bounds whose length depends on it
+KEYS = {
+    "dim": ("--dim", _parser(int, lambda d: d in (1, 2), "1 or 2"), None),
+    "nodes_per_axis": ("--nodes-per-axis", _parse_ints, None),
+    "domain_bounds": ("--domain-bounds", _parse_bounds, None),
+    "control_bounds": ("--control-bounds", _parse_bounds, None),
+    "T": ("--T", _POSITIVE, None),
+    "dt": ("--dt", _POSITIVE, None),
+    "alpha": ("--alpha", _POSITIVE, None),
+    "nu": ("--nu", _POSITIVE, None),
+    "y0": ("--y0", _TEXT, None),
+    "y_target": ("--y-target", _TEXT, None),
+    "mode": ("--mode", _parser(str, lambda m: m in MODES, f"one of {MODES}"), None),
+    "N": ("--N", _COUNT, "4"),
+    "inner_iterations": ("--inner-iters", _COUNT, "1"),
+    "max_outer": ("--max-outer", _COUNT, "100"),
+    "gradient_rtol": ("--rtol", _POSITIVE, "1e-6"),
+    "worker_count": ("--workers", _COUNT, "1"),
+    "output": ("--out", _TEXT, "run.csv"),
+    "seed": ("--seed", _parser(int, lambda s: s >= 0, ">= 0"), "0"),
+}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -160,63 +184,33 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def parse_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Merge file values and overrides (overrides win), validate everything."""
-    raw = dict(DEFAULTS)
+    """Merge defaults, file values and overrides (overrides win); parse each key."""
+    raw = {key: default for key, (_, _, default) in KEYS.items() if default is not None}
     file_values = read_config_file(path) if path is not None else {}
     for source in (file_values, overrides or {}):
         for key, value in source.items():
-            if key not in ALL_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown configuration key: {key!r}")
             raw[key] = value
 
-    missing = [k for k in REQUIRED_KEYS if k not in raw]
+    missing = [k for k in KEYS if k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
+    values = {}
     try:
-        dim = int(raw["dim"])
-        if dim not in (1, 2):  # before the bounds, whose length depends on it
-            raise ConfigError(f"dim must be 1 or 2, got {dim}")
-        cfg = RunConfig(
-            dim=dim,
-            nodes_per_axis=_parse_ints(raw["nodes_per_axis"]),
-            domain_bounds=_parse_bounds(raw["domain_bounds"], dim, "domain_bounds"),
-            control_bounds=_parse_bounds(raw["control_bounds"], dim, "control_bounds"),
-            T=_parse_float(raw["T"], "T"),
-            dt=_parse_float(raw["dt"], "dt"),
-            alpha=_parse_float(raw["alpha"], "alpha"),
-            nu=_parse_float(raw["nu"], "nu"),
-            y0=raw["y0"],
-            y_target=raw["y_target"],
-            mode=raw["mode"],
-            N=int(raw["N"]),
-            inner_iterations=int(raw["inner_iterations"]),
-            max_outer=int(raw["max_outer"]),
-            gradient_rtol=_parse_float(raw["gradient_rtol"], "gradient_rtol"),
-            worker_count=int(raw["worker_count"]),
-            output=raw["output"],
-            seed=int(raw["seed"]),
-        )
+        for key, (_, parse, _) in KEYS.items():
+            values[key] = parse(raw[key], key, values.get("dim"))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(**values)
 
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    for name in ("T", "dt", "alpha", "nu"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    if cfg.N < 1 or cfg.inner_iterations < 1 or cfg.max_outer < 1 or cfg.worker_count < 1:
-        raise ConfigError("N, inner_iterations, max_outer, worker_count must be >= 1")
-    if cfg.gradient_rtol <= 0:
-        raise ConfigError("gradient_rtol must be positive")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
     _check_storage(cfg)
-    # checked before the solve, not after it
+    # checked before the solve, not after it; output first, as it names mode both's files
     _check_output(Path(cfg.output))
     for path in cfg.output_paths:
         _check_output(path)

@@ -1,13 +1,19 @@
+import contextlib
 import errno
+import io
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import heatctrl.propagators as propagators
 from heatctrl.cli import (
     CSV_HEADER, EXIT_CONFIG_ERROR, EXIT_MAX_ITER, EXIT_OK, EXIT_SOLVER_ERROR, main,
 )
+from heatctrl.config import KEYS, RunConfig
 from heatctrl.linsolve import CGError
 
 
@@ -172,6 +178,14 @@ def test_usage_error_is_a_config_error(capsys):
     assert "--config" in capsys.readouterr().out
 
 
+def test_help_lists_each_key_flag_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    assert listed == ["--config", *(flag for flag, _, _ in KEYS.values())]
+
+
 def test_output_directory_is_a_config_error(cfg_file, tmp_path, capsys):
     code = main(["--config", str(cfg_file), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
@@ -253,17 +267,25 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
     assert len(_read_rows(out)) <= 4
 
 
+# a value that its key's own parser rejects: the one line names the key
+SINGLE_KEY_CHECKS = [
+    ("--N", "0"), ("--inner-iters", "0"), ("--max-outer", "0"), ("--workers", "0"),
+    ("--seed", "-1"), ("--T", "-1"), ("--mode", "turbo"),
+]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--alpha", "nan"), ("--nu", "inf"), ("--dt", "nan"), ("--T", "inf"),
     # invalid for the 8-step, 9-node 1D line
     ("--N", "100"), ("--nodes-per-axis", "2"), ("--nodes-per-axis", "9,9"),
-    ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"), ("--seed", "-1"),
+    ("--domain-bounds", "1,0"), ("--control-bounds", "0.9,0.95"),
     # finite fields whose squared norm overflows
     ("--y0", "gaussian(0.5,0.1,1e160)"), ("--y-target", "random(1e160)"),
     # a gaussian sigma whose 2 sigma^2 overflows or underflows to 0
     ("--y0", "gaussian(0.5,1e200,1.0)"), ("--y-target", "gaussian(0.5,1e-200,1.0)"),
     # so many time steps that the run's float storage exceeds physical memory
     ("--T", "1e300"), ("--dt", "1e-300"),
+    *SINGLE_KEY_CHECKS,
 ])
 def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     cfg = tmp_path / "line.cfg"
@@ -273,6 +295,9 @@ def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+    if (flag, value) in SINGLE_KEY_CHECKS:
+        key = next(key for key, (f, _, _) in KEYS.items() if f == flag)
+        assert err.startswith(f"configuration error: {key} must be ")
 
 
 @pytest.mark.parametrize("dim", ["0", "-1", "3"])
@@ -320,6 +345,26 @@ def test_stalled_run_stops_and_writes_csv(tmp_path, capsys):
         assert capsys.readouterr().err == want
 
 
+@pytest.mark.parametrize("flags, value", [
+    (["--nu", "1e308"], "inf"),
+    (["--nu", "1e300", "--y0", "gaussian(0.5,0.15,1e10)"], "nan"),
+    # the same overflow in the setup solve of the target
+    (["--nu", "1e308", "--y-target", "free-evolution-of-y0"], "inf"),
+])
+def test_overflow_inside_a_solve_is_one_solver_error_line(tmp_path, capsys, flags, value):
+    # the step operator's entries overflow: CG breaks down at its first
+    # product, and numpy's overflow and invalid-value warnings (errors here)
+    # stay silent
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(cfg), "--mode", "both", "--rtol", "1e-4", *flags,
+                 "--out", str(out)])
+    assert code == EXIT_SOLVER_ERROR
+    assert capsys.readouterr().err == f"solver error: CG breakdown: p.Ap = {value}\n"
+    assert not any(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("mode", ["baseline", "intermediate-targets"])
 def test_overflowing_gradient_is_a_solver_error(tmp_path, capsys, mode):
     # the squared norm of y0 is finite, so the config is valid, but the H
@@ -333,3 +378,82 @@ def test_overflowing_gradient_is_a_solver_error(tmp_path, capsys, mode):
     assert capsys.readouterr().err == RTOL_WARNING + (
         "solver error: the cost or its gradient overflowed at iteration 0\n")
     assert not out.exists()
+
+
+# The CLI fuzzer: one or two keys of config.KEYS set on the tiny 1D line, each
+# to a value from its key's pool (valid, boundary and hostile values), or from
+# HOSTILE for a key without a pool of its own.  Valid draws stay small: at
+# most 64 steps, 33 nodes, 8 inner and 30 outer iterations
+TINY_1D = {
+    "dim": "1", "nodes_per_axis": "9", "domain_bounds": "0,1", "control_bounds": "0.2,0.8",
+    "T": "0.4", "dt": "0.05", "alpha": "0.3", "nu": "0.5",
+    "y0": "gaussian(0.5,0.15,1.0)", "y_target": "indicator(0.2,0.8)",
+    "mode": "both", "N": "2", "max_outer": "30", "gradient_rtol": "1e-4",
+}
+HOSTILE = ("nan", "inf", "-inf", "1e300", "1e-300", "5e-324", "-1", "0", "2.5", "", "１２")
+BIG = ("2.5", "１２")  # a valid T of up to 960 steps, or 12 inner iterations: too big
+FIELDS = ("gaussian(0.5,0.15,1.0)", "zero", "indicator(0.2,0.8)", "random(1.0)",
+          "free-evolution-of-y0", "gaussian(0.5,0.15)", "gaussian(0.5,0.15,1e10)",
+          "gaussian(0.5,1e200,1.0)", "gaussian(0.5,5e-324,1.0)", "gaussian(nan,0.15,1.0)",
+          "gaussian(0.5,0.15,1.0", "gaussian(,,)", "random(1e160)", "indicator(0.8,0.2)",
+          "vortex(1)")
+POOLS = {
+    "dim": ("1", "2", "3", *HOSTILE),
+    "nodes_per_axis": ("9", "3", "5", "17", "33", "2", "9,9", "9,", *HOSTILE),
+    "domain_bounds": ("0,1", "0,2", "1,0", "0,0", "0,1,0,1", "0,inf", "-1e300,1e300",
+                      "0,5e-324", *HOSTILE),
+    "control_bounds": ("0.2,0.8", "0,1", "0.9,0.95", "0.8,0.2", "0.2,0.8,0.2,0.8",
+                       *HOSTILE),
+    "T": ("0.4", "0.8", "0.2", *(v for v in HOSTILE if v not in BIG)),
+    "dt": ("0.05", "0.1", "0.0125", "0.03", *HOSTILE),
+    "alpha": ("0.3", "1e-2", *HOSTILE),
+    "nu": ("0.5", "0.1", "1e308", *HOSTILE),
+    "y0": FIELDS + HOSTILE,
+    "y_target": FIELDS + HOSTILE,
+    "mode": ("baseline", "intermediate-targets", "both", "turbo", "BOTH", *HOSTILE),
+    "N": ("1", "2", "8", "9", "100", *HOSTILE),
+    "inner_iterations": ("1", "2", "8", *(v for v in HOSTILE if v not in BIG)),
+    "max_outer": ("1", "5", "30", *HOSTILE),
+    "gradient_rtol": ("1e-4", "1e-12", "0.5", *HOSTILE),
+    # absolute paths below the example's own directory, never the working one
+    "output": ("{tmp}/a.csv", "{tmp}/sub/b.csv", "{tmp}/c", "{tmp}", "{tmp}/", ""),
+}
+STOPPED_EARLY = ("stalled at iteration ", "iteration budget exhausted: ")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_fuzz_over_the_key_table(data):
+    chosen = data.draw(st.lists(st.sampled_from(tuple(KEYS)), min_size=1, max_size=2,
+                                unique=True), label="keys")
+    with tempfile.TemporaryDirectory() as tmp:
+        values = dict(TINY_1D, output=f"{tmp}/run.csv")
+        for key in chosen:
+            value = data.draw(st.sampled_from(POOLS.get(key, HOSTILE)), label=key)
+            values[key] = value.replace("{tmp}", tmp)
+        argv = [f"{KEYS[key][0]}={value}" for key, value in values.items()]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        if code != EXIT_CONFIG_ERROR and lines and lines[0].startswith("warning: gradient_rtol"):
+            lines = lines[1:]
+        if code in (EXIT_CONFIG_ERROR, EXIT_SOLVER_ERROR):
+            prefix = "configuration error: " if code == EXIT_CONFIG_ERROR else "solver error: "
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
+            assert not [p for p in Path(tmp).rglob("*") if p.is_file()]
+            return
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        paths = RunConfig(**{**dict.fromkeys(KEYS), "output": values["output"],
+                             "mode": values["mode"]}).output_paths
+        if code == EXIT_OK:
+            assert lines == []
+        else:
+            assert 1 <= len(lines) <= len(paths)
+            assert all(line.startswith(STOPPED_EARLY) for line in lines), lines
+        for path in paths:
+            costs = [float(row[1]) for row in _read_rows(path)]
+            assert all(b <= a for a, b in zip(costs, costs[1:]))

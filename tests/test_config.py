@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import heatctrl as hc
-from heatctrl.config import ConfigError, make_field, parse_config
+from heatctrl.config import KEYS, ConfigError, RunConfig, make_field, parse_config
 
 
 BENCH_SCALE = """
@@ -36,6 +38,10 @@ def test_parse_benchmark_scale_config(bench_cfg_file):
     assert cfg.mode == "intermediate-targets"
     assert cfg.inner_iterations == 1  # default
     assert cfg.worker_count == 1  # default
+
+
+def test_run_config_has_one_field_per_key():
+    assert tuple(f.name for f in dataclasses.fields(RunConfig)) == tuple(KEYS)
 
 
 def test_overrides_win_over_file(bench_cfg_file):

@@ -12,7 +12,7 @@ import heatctrl as hc
 rng = np.random.default_rng(1)
 
 grid = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.25, 0.75)])
-time_grid = hc.TimeGrid(0.0, 1.0, 10)
+time_grid = hc.TimeGrid(10, 1.0 / 10)
 problem = hc.ControlProblem(
     grid=grid,
     time_grid=time_grid,

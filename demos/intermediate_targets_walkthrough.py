@@ -19,7 +19,7 @@ import heatctrl as hc
 rng = np.random.default_rng(42)
 
 grid = hc.build_grid(1, 8, [(0.0, 1.0)], [(0.3, 0.7)])
-time_grid = hc.TimeGrid(0.0, 1.2, 12)
+time_grid = hc.TimeGrid(12, 1.2 / 12)
 problem = hc.ControlProblem(
     grid=grid,
     time_grid=time_grid,
@@ -36,7 +36,7 @@ print(f"dense-oracle optimum: J* = {j_star:.8f}")
 # a partition is the list of its breakpoint steps
 partition = hc.make_partition(time_grid, 3)
 print(f"partition breakpoint steps: {partition}, times: "
-      f"{np.round([time_grid.time(s) for s in partition], 3)}")
+      f"{np.round([time_grid.dt * s for s in partition], 3)}")
 
 # the method reads y only at the breakpoints and p at the right breakpoints
 # and on the control patch, so the sweeps keep only those

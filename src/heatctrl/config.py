@@ -102,19 +102,31 @@ def _check_storage(cfg: RunConfig) -> None:
                           f"{physical / 2**30:.3g} GiB of physical memory")
 
 
+def _convert(kind, text: str, key: str, rule: str):
+    """``kind(text)``, or a ConfigError that names the key and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be {rule}, got {text.strip()!r}") from None
+
+
 def _parse_ints(text: str, key: str, dim: int) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    return _convert(lambda t: tuple(int(tok) for tok in t.split(",")), text, key,
+                    "integers separated by commas")
 
 
 def _parse_float(text: str, key: str) -> float:
-    value = float(text)
+    value = _convert(float, text, key, "a number")
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text.strip()!r}")
     return value
 
 
 def _parse_bounds(text: str, key: str, dim: int) -> tuple[tuple[float, float], ...]:
-    vals = [_parse_float(tok, key) for tok in text.split(",")]
+    vals = _convert(lambda t: [float(tok) for tok in t.split(",")], text, key,
+                    "numbers separated by commas")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{key} must be finite, got {text.strip()!r}")
     if len(vals) != 2 * dim:
         raise ConfigError(f"{key} must list {2 * dim} numbers for dim={dim}")
     return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(dim))
@@ -123,7 +135,8 @@ def _parse_bounds(text: str, key: str, dim: int) -> tuple[tuple[float, float], .
 def _parser(kind: type, ok=None, rule: str = ""):
     """A parser of one int, finite float or str whose value must pass ``ok``."""
     def parse(text: str, key: str, dim: int | None):
-        value = _parse_float(text, key) if kind is float else kind(text)
+        value = (_parse_float(text, key) if kind is float
+                 else _convert(kind, text, key, "an integer"))
         if ok is not None and not ok(value):
             raise ConfigError(f"{key} must be {rule}, got {value!r}")
         return value
@@ -165,7 +178,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is not part of a key
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except OSError as exc:
@@ -198,13 +211,8 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     values = {}
-    try:
-        for key, (_, parse, _) in KEYS.items():
-            values[key] = parse(raw[key], key, values.get("dim"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, (_, parse, _) in KEYS.items():  # each parser raises a ConfigError naming its key
+        values[key] = parse(raw[key], key, values.get("dim"))
     cfg = RunConfig(**values)
 
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
@@ -300,7 +308,9 @@ def build_instance(cfg: RunConfig):
         grid = build_grid(cfg.dim, cfg.nodes_per_axis, cfg.domain_bounds, cfg.control_bounds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    time_grid = TimeGrid(0.0, cfg.T, cfg.step_count)
+    steps = cfg.step_count
+    # T / steps, not cfg.dt: step_count lets T / dt miss an integer by 1e-9
+    time_grid = TimeGrid(steps, cfg.T / steps)
     rng = np.random.default_rng(cfg.seed)
     y0 = make_field(grid, cfg.y0, rng)
     _check_norm("y0", cfg.y0, y0)

@@ -31,17 +31,13 @@ class MatvecCounter:
 
     __slots__ = ("count", "parallel", "per_column")
 
-    def __init__(self, count: int = 0, columns: int | None = None):
-        self.count = self.parallel = int(count)
+    def __init__(self, columns: int | None = None):
+        self.count = self.parallel = 0
         self.per_column = None if columns is None else np.zeros(columns, dtype=np.int64)
 
-    def add(self, n=1) -> None:
-        """Charge n products to both tallies: an int, or one count per column
-        of this counter's batch."""
-        if np.ndim(n) == 0:
-            self.count += n
-            self.parallel += n
-            return
+    def add(self, n: np.ndarray) -> None:
+        """Charge the products of one solve, one count per column of this
+        counter's batch, to both tallies."""
         total = int(n.sum())
         self.count += total
         self.parallel += total

@@ -54,16 +54,12 @@ class ControlProblem:
 
     @staticmethod
     def stack(problems) -> "ControlProblem":
-        """The batch of problems that share grid, step count, dt, alpha, nu and
-        cg_tol, such as sub-problems on windows of one time grid; it has the
-        first one's time grid."""
+        """The batch of problems that share grid, time grid, alpha, nu and
+        cg_tol, such as sub-problems of one step count on one outer time grid."""
         head = problems[0]
-
-        def shared(p):
-            return p.grid, p.time_grid.step_count, p.time_grid.dt, p.alpha, p.nu, p.cg_tol
-
-        if any(shared(p) != shared(head) for p in problems):
-            raise ValueError("a batch of problems must share grid, step count, dt, alpha, "
+        shared = [(p.grid, p.time_grid, p.alpha, p.nu, p.cg_tol) for p in problems]
+        if any(s != shared[0] for s in shared):
+            raise ValueError("a batch of problems must share grid, time grid, alpha, "
                              "nu and cg_tol")
         return replace(head, y0=np.stack([p.y0 for p in problems]),
                        y_target=np.stack([p.y_target for p in problems]))

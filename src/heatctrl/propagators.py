@@ -1,10 +1,10 @@
 """Implicit-Euler time stepping for the heat equation and its discrete adjoint.
 
 The forward step solves (Id + dt*nu*(-Lap)) y^j = y^{j-1} + dt*B v^j, with the
-control slice v^j attached to the step ending at t_j.  The backward recursion
-is the exact transpose of the forward step map, so the adjoint-based gradient
-is the exact gradient of the discrete cost.  The step matrix K is applied by
-the stencil itself: ``laplacian_apply(..., scale=-(dt*nu))`` forms
+control slice v^j attached to the step ending at t_j = dt*j.  The backward
+recursion is the exact transpose of the forward step map, so the adjoint-based
+gradient is the exact gradient of the discrete cost.  The step matrix K is
+applied by the stencil itself: ``laplacian_apply(..., scale=-(dt*nu))`` forms
 Lap(u) * scale + u in its one read of the interior, bitwise the product
 u - dt*nu*Lap(u).
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -38,41 +38,21 @@ from .linsolve import MatvecCounter, cg_solve
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """``step_count`` steps of one length ``dt`` from t_start to t_end.
+    """``step_count`` implicit-Euler steps of one length ``dt``.
 
-    dt is fixed when the grid is built, as (t_end - t_start) / step_count.
-    ``time(step)`` is the one formula for the time of a step.  A ``window``
-    keeps its parent's dt bit for bit: dividing the window's own span by its
-    step count can miss it in the last bit.
+    The sweeps read nothing else.  A sub-problem's grid is
+    ``TimeGrid(count, dt)`` with the outer dt, so every sub-problem steps
+    with the outer dt bit for bit; the time of step s is ``dt * s``.
     """
 
-    t_start: float
-    t_end: float
     step_count: int
-    dt: float = field(init=False)
+    dt: float
 
     def __post_init__(self):
         if self.step_count < 1:
-            raise ValueError("step_count must be at least 1")
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("t_start and t_end must be finite")
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
-        object.__setattr__(self, "dt", (self.t_end - self.t_start) / self.step_count)
-
-    def time(self, step: int) -> float:
-        """t_end at the last step, t_start + dt * step before it: the product
-        at the last step can miss t_end in its last bit."""
-        return self.t_end if step == self.step_count else self.t_start + self.dt * step
-
-    def window(self, first: int, count: int) -> "TimeGrid":
-        """The ``count`` steps from step ``first`` on, with this grid's dt."""
-        stop = first + count
-        if not 0 <= first < stop <= self.step_count:
-            raise ValueError(f"steps {first} to {stop} are not a window of {self.step_count}")
-        sub = TimeGrid(self.time(first), self.time(stop), count)
-        object.__setattr__(sub, "dt", self.dt)
-        return sub
+            raise ValueError(f"step_count must be at least 1, got {self.step_count}")
+        if not 0 < self.dt < math.inf:  # written so that NaN fails too
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def step_operator(grid: Grid, dt: float, nu: float):

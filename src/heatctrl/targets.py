@@ -1,13 +1,12 @@
 """Time partitioning and the intermediate-target sub-problems.
 
 A partition is the list of its N+1 breakpoint steps, from 0 to the step
-count; ``TimeGrid.time`` gives their times.  The target trajectory
+count; breakpoint step s is at time dt * s.  The target trajectory
 chi = y - p is evaluated at the breakpoints; each sub-interval then carries
 an independent tracking problem whose initial state is y at its left
 breakpoint and whose target is chi at its right breakpoint.
-A sub-problem's time grid is its window of the outer one
-(``TimeGrid.window``), so every sub-problem steps with the outer dt, bit for
-bit.
+A sub-problem's time grid is ``TimeGrid(count, dt)``, its step count with the
+outer dt, so every sub-problem steps with the outer dt by construction.
 At the final breakpoint chi equals the global target by construction, so the
 last value is assigned, not computed.
 
@@ -83,10 +82,9 @@ class SubProblemBatch:
     """Consecutive sub-problems with one step count, solved as one batched descent."""
 
     first: int  # index of its first sub-problem
-    # batched: the window of the first sub-problem's steps (each column has
-    # its step count and the outer dt), y0 and targets chi
+    # batched: the sub-problems' step count with the outer dt, y0 and targets chi
     problem: ControlProblem
-    breakpoints: tuple[float, ...]  # of its sub-problems: k + 1 values
+    breakpoints: list[int]  # steps of its sub-problems' breakpoints: k + 1 values
     warm_start: np.ndarray  # (k, steps, m): the current control on each sub-interval
     # y at the right breakpoints: each local final state under the warm start,
     # which the inner descent starts from instead of solving for it
@@ -116,7 +114,6 @@ def assemble_subproblems(
     if len(chi) != len(partition) - 1 or len(y) != len(partition):
         raise ValueError("targets were computed for a different partition")
     width = max(1, BATCH_BYTES // (8 * problem.grid.interior_node_count))
-    tg = problem.time_grid
     counts = [b - a for a, b in zip(partition, partition[1:])]
     batches = []
     first = 0
@@ -124,12 +121,11 @@ def assemble_subproblems(
         stop = first + 1
         while stop < len(counts) and stop - first < width and counts[stop] == counts[first]:
             stop += 1
-        local = replace(problem, time_grid=tg.window(partition[first], counts[first]),
+        local = replace(problem, time_grid=TimeGrid(counts[first], problem.time_grid.dt),
                         y0=y[first:stop], y_target=chi[first:stop])
         window = slice(partition[first], partition[stop])
         shape = (stop - first, counts[first], -1)
-        batches.append(SubProblemBatch(first, local,
-                                       tuple(tg.time(s) for s in partition[first : stop + 1]),
+        batches.append(SubProblemBatch(first, local, partition[first : stop + 1],
                                        v[window].reshape(shape), y[first + 1 : stop + 1],
                                        g[window].reshape(shape)))
         first = stop
@@ -169,9 +165,9 @@ def solve_subproblem(
                 inner_iterations, part, gradient_rtol=gradient_rtol,
             )
         except CGError as exc:
-            n = batch.first + exc.column
+            n, dt = batch.first + exc.column, local.time_grid.dt
             start, end = batch.breakpoints[exc.column : exc.column + 2]
-            raise CGError(f"sub-problem {n} on [{start:g}, {end:g}]: {exc}", n) from exc
+            raise CGError(f"sub-problem {n} on [{dt * start:g}, {dt * end:g}]: {exc}", n) from exc
         controls.append(control.reshape(-1, control.shape[-1]))
         per_column.append(part.per_column)
     counter.add_concurrent(np.concatenate(per_column))

@@ -78,7 +78,7 @@ def random_tiny_problem(rng, n_interior=None, steps=None, cg_tol=1e-12):
         steps = int(rng.integers(4, 17))
     lo, hi = 0.2, 0.8
     grid = hc.build_grid(1, n_interior + 2, [(0.0, 1.0)], [(lo, hi)])
-    time_grid = hc.TimeGrid(0.0, float(rng.uniform(0.5, 1.5)), steps)
+    time_grid = hc.TimeGrid(steps, float(rng.uniform(0.5, 1.5)) / steps)
     problem = hc.ControlProblem(
         grid=grid,
         time_grid=time_grid,

@@ -271,6 +271,8 @@ def test_flag_overrides_reach_the_run(cfg_file, tmp_path):
 SINGLE_KEY_CHECKS = [
     ("--N", "0"), ("--inner-iters", "0"), ("--max-outer", "0"), ("--workers", "0"),
     ("--seed", "-1"), ("--T", "-1"), ("--mode", "turbo"),
+    # malformed numbers
+    ("--N", "abc"), ("--seed", "1.5"), ("--max-outer", "1e3"), ("--alpha", "abc"),
 ]
 
 
@@ -298,6 +300,18 @@ def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, value):
     if (flag, value) in SINGLE_KEY_CHECKS:
         key = next(key for key, (f, _, _) in KEYS.items() if f == flag)
         assert err.startswith(f"configuration error: {key} must be ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--nodes-per-axis", "9,,9", "nodes_per_axis must be integers separated by commas"),
+    ("--domain-bounds", "0,abc", "domain_bounds must be numbers separated by commas"),
+], ids=["nodes_per_axis", "domain_bounds"])
+def test_malformed_list_is_one_line_naming_its_key(tmp_path, capsys, flag, value, message):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    code = main(["--config", str(cfg), flag, value, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: {message}, got '{value}'\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-1", "3"])

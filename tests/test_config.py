@@ -92,6 +92,12 @@ def test_missing_file_rejected(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+def test_config_file_with_a_utf8_bom_parses(tmp_path, bench_cfg_file):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + BENCH_SCALE.lstrip().encode())
+    assert parse_config(path) == parse_config(bench_cfg_file)
+
+
 def test_malformed_line_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("dim 2\n")

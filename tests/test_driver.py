@@ -115,7 +115,7 @@ def test_run_rejects_a_misshapen_start(rng):
 
 def test_run_converges_immediately_for_free_evolution_target(rng):
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.2, 0.8)])
-    tg = hc.TimeGrid(0.0, 1.0, 8)
+    tg = hc.TimeGrid(8, 1.0 / 8)
     y0 = rng.standard_normal(5)
     y_free = hc.solve_state(g, tg, y0, np.zeros((8, g.control_node_count)),
                             0.5, 1e-10, hc.MatvecCounter())
@@ -205,6 +205,9 @@ def test_worker_failure_identifies_subinterval(rng, monkeypatch):
     with pytest.raises(RuntimeError, match="sub-problem 1") as failure:
         _one_sweep(prob, cfg, prob.zero_control())
     assert failure.value.column == 1
+    # its interval [t_3, t_5], at dt * step
+    dt = prob.time_grid.dt
+    assert str(failure.value).startswith(f"sub-problem 1 on [{dt * 3:g}, {dt * 5:g}]: ")
 
 
 def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
@@ -359,7 +362,7 @@ def test_run_history_invariants(nodes, steps, data, inner, seed, steepest):
 def _tiny_2d_problem(rng):
     """Random instance on a 4 x 4 interior with a 2 x 2 control patch."""
     grid = hc.build_grid(2, 6, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
-    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(0.0, 0.6, 6),
+    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(6, 0.6 / 6),
                              y0=rng.standard_normal(grid.interior_node_count),
                              y_target=rng.standard_normal(grid.interior_node_count),
                              alpha=0.2, nu=0.5, cg_tol=1e-12)
@@ -402,7 +405,7 @@ def _run_peak_bytes(steps):
     patch, ``steps`` time steps, 4 sub-intervals and 3 outer iterations."""
     rng = np.random.default_rng(7)
     grid = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(0.4, 0.6)] * 2)
-    prob = hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(0.0, 0.5, steps),
+    prob = hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(steps, 0.5 / steps),
                              y0=rng.standard_normal(grid.interior_node_count),
                              y_target=rng.standard_normal(grid.interior_node_count),
                              alpha=0.1, nu=0.5)

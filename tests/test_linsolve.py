@@ -291,13 +291,13 @@ def test_batched_cg_breakdown_names_its_column():
 
 def test_counter_charges_concurrent_solves_at_their_maximum():
     counter = hc.MatvecCounter(columns=3)
-    counter.add(2)
+    counter.add(np.array([2, 0, 0]))
     counter.add(np.array([1, 1, 1]))
     assert (counter.count, counter.parallel) == (5, 5)
     counter.add_concurrent(np.array([4, 9, 6]))
     assert counter.count == 5 + 19  # the sequential tally charges the sum
     assert counter.parallel == 5 + 9  # the parallel one the slowest column
-    assert counter.per_column.tolist() == [5, 10, 7]
+    assert counter.per_column.tolist() == [7, 10, 7]
     plain = hc.MatvecCounter()
     plain.add_concurrent(np.array([3, 1]))
     assert (plain.count, plain.parallel, plain.per_column) == (4, 3, None)

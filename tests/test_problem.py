@@ -11,7 +11,7 @@ from conftest import dense_cost, random_tiny_problem, reference_descent
 def _free_evolution_problem(rng, alpha=0.2, nu=0.5):
     """Instance whose target is the uncontrolled evolution of y0 (optimum v*=0)."""
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.2, 0.8)])
-    tg = hc.TimeGrid(0.0, 1.0, 8)
+    tg = hc.TimeGrid(8, 1.0 / 8)
     y0 = rng.standard_normal(5)
     y_free = hc.solve_state(g, tg, y0, np.zeros((8, g.control_node_count)),
                             nu, hc.problem.DEFAULT_CG_TOL, hc.MatvecCounter())
@@ -21,7 +21,7 @@ def _free_evolution_problem(rng, alpha=0.2, nu=0.5):
 
 def test_evaluate_zero_control_zero_state(rng):
     g = hc.build_grid(1, 6, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 5)
+    tg = hc.TimeGrid(5, 1.0 / 5)
     target = rng.standard_normal(4)
     prob = hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(4),
                              y_target=target, alpha=0.3, nu=0.4)
@@ -162,7 +162,7 @@ def test_oracle_large_penalty_suppresses_control(rng):
 
 def test_oracle_dimension_cap():
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 10)
+    tg = hc.TimeGrid(10, 1.0 / 10)
     prob = hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(5),
                              y_target=np.ones(5), alpha=0.1, nu=0.5)
     with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ def test_oracle_dimension_cap():
 
 def test_problem_validation():
     g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 4)
+    tg = hc.TimeGrid(4, 1.0 / 4)
     with pytest.raises(ValueError):
         hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(3),
                           y_target=np.zeros(3), alpha=0.0, nu=0.5)
@@ -195,8 +195,8 @@ def test_batched_descent_bitwise_equal_to_column_descents(rng):
     # columns stop after different numbers of steps; a fourth one tracks its
     # own free final state from v = 0, so its gradient is exactly zero
     base = random_tiny_problem(rng, n_interior=6, steps=5)
-    outer = hc.TimeGrid(0.0, 2.1, 15)
-    problems = [dataclasses.replace(base, time_grid=outer.window(5 * i, 5),
+    outer = hc.TimeGrid(15, 2.1 / 15)
+    problems = [dataclasses.replace(base, time_grid=hc.TimeGrid(5, outer.dt),
                                     y_target=scale * rng.standard_normal(6))
                 for i, scale in enumerate([1.0, 30.0, 1000.0])]
     m = base.grid.control_node_count

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,20 +12,19 @@ from conftest import dense_adjoint_solve, dense_state_solve
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        hc.TimeGrid(0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        hc.TimeGrid(1.0, 1.0, 4)
-    with pytest.raises(ValueError, match="finite"):
-        hc.TimeGrid(0.0, float("inf"), 4)
-    tg = hc.TimeGrid(0.0, 6.4, 6400)
+    for step_count, dt in [(0, 0.25), (-1, 0.25), (4, 0.0), (4, -1.0), (4, float("nan")),
+                           (4, float("inf"))]:
+        with pytest.raises(ValueError, match="step_count" if step_count < 1 else "dt"):
+            hc.TimeGrid(step_count, dt)
+    tg = hc.TimeGrid(6400, 6.4 / 6400)
     assert tg.dt == pytest.approx(1e-3)
-    assert tg.time(6400) == tg.t_end
+    assert tg == hc.TimeGrid(6400, tg.dt)
+    assert [f.name for f in dataclasses.fields(tg)] == ["step_count", "dt"]
 
 
 def test_state_zero_dynamics():
     g = hc.build_grid(1, 6, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 5)
+    tg = hc.TimeGrid(5, 1.0 / 5)
     c = hc.MatvecCounter()
     y = hc.solve_state(g, tg, np.zeros(4), np.zeros((5, 4)), 1.0, 1e-10, c)
     assert np.array_equal(y, np.zeros((6, 4)))
@@ -32,7 +33,7 @@ def test_state_zero_dynamics():
 def test_state_no_diffusion_constant_source_is_exact():
     # nu = 0 allowed only here: implicit Euler integrates a constant source exactly
     g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 4)
+    tg = hc.TimeGrid(4, 1.0 / 4)
     y0 = np.array([0.5, -1.0, 2.0])
     y = hc.solve_state(g, tg, y0, np.ones((4, 3)), 0.0, 1e-12, hc.MatvecCounter())
     for j in range(5):
@@ -41,7 +42,7 @@ def test_state_no_diffusion_constant_source_is_exact():
 
 def test_state_matches_dense_recursion(rng):
     g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.2, 0.8)])
-    tg = hc.TimeGrid(0.0, 0.4, 2)
+    tg = hc.TimeGrid(2, 0.4 / 2)
     y0 = rng.standard_normal(3)
     v = rng.standard_normal((2, g.control_node_count))
     y = hc.solve_state(g, tg, y0, v, 0.7, 1e-12, hc.MatvecCounter())
@@ -51,14 +52,14 @@ def test_state_matches_dense_recursion(rng):
 
 def test_adjoint_zero_terminal():
     g = hc.build_grid(1, 6, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 6)
+    tg = hc.TimeGrid(6, 1.0 / 6)
     p = hc.solve_adjoint(g, tg, np.zeros(4), 1.0, 1e-10, hc.MatvecCounter())
     assert np.array_equal(p, np.zeros((7, 4)))
 
 
 def test_adjoint_single_step_matches_dense(rng):
     g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 0.1, 1)
+    tg = hc.TimeGrid(1, 0.1)
     terminal = rng.standard_normal(3)
     p = hc.solve_adjoint(g, tg, terminal, 1.0, 1e-12, hc.MatvecCounter())
     p_ref = dense_adjoint_solve(g, tg, terminal, 1.0)
@@ -80,7 +81,7 @@ def test_step_inverse_is_symmetric(rng):
 
 def test_unconditional_stability_per_step(rng):
     g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.3, 0.7)])
-    tg = hc.TimeGrid(0.0, 1.0, 10)
+    tg = hc.TimeGrid(10, 1.0 / 10)
     y0 = rng.standard_normal(7)
     v = rng.standard_normal((10, g.control_node_count))
     y = hc.solve_state(g, tg, y0, v, 0.8, 1e-12, hc.MatvecCounter())
@@ -91,7 +92,7 @@ def test_unconditional_stability_per_step(rng):
 
 def test_free_decay_monotone(rng):
     g = hc.build_grid(2, (7, 7), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.3, 0.7)])
-    tg = hc.TimeGrid(0.0, 0.5, 8)
+    tg = hc.TimeGrid(8, 0.5 / 8)
     y0 = rng.standard_normal(g.interior_node_count)
     v = np.zeros((8, g.control_node_count))
     y = hc.solve_state(g, tg, y0, v, 0.5, 1e-12, hc.MatvecCounter())
@@ -101,7 +102,7 @@ def test_free_decay_monotone(rng):
 
 def test_counter_audited_against_laplacian_call_log(rng, monkeypatch):
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.2, 0.8)])
-    tg = hc.TimeGrid(0.0, 1.0, 6)
+    tg = hc.TimeGrid(6, 1.0 / 6)
     calls = []
     real = propagators.laplacian_apply
 
@@ -119,34 +120,30 @@ def test_counter_audited_against_laplacian_call_log(rng, monkeypatch):
 
 def test_control_field_shape_rejected():
     g = hc.build_grid(1, 5, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(0.0, 1.0, 3)
+    tg = hc.TimeGrid(3, 1.0 / 3)
     with pytest.raises(ValueError):
         hc.solve_state(g, tg, np.zeros(3), np.zeros((4, 3)), 1.0, 1e-10,
                        hc.MatvecCounter())
 
 
 def _window():
-    # the third of the five sub-intervals make_partition cuts from 15 steps:
-    # its own span over its 3 steps misses the outer dt in the last bit
-    return hc.TimeGrid(0.0, 0.7, 15).window(6, 3)
+    # the third of the five sub-problems make_partition cuts from 15 steps on
+    # [0, 0.7]: 3 steps with the outer dt
+    return hc.TimeGrid(3, hc.TimeGrid(15, 0.7 / 15).dt)
 
 
 def test_windows_keep_the_parent_dt_bit_for_bit():
-    parent = hc.TimeGrid(0.0, 0.7, 15)
+    parent = hc.TimeGrid(15, 0.7 / 15)
     part = hc.make_partition(parent, 5)
     counts = [b - a for a, b in zip(part, part[1:])]
-    windows = [parent.window(s, c) for s, c in zip(part, counts)]
-    spans = [hc.TimeGrid(w.t_start, w.t_end, w.step_count) for w in windows]
-    assert len({tg.dt for tg in spans}) > 1
-    times = [parent.t_start + parent.dt * s for s in part[:-1]] + [parent.t_end]
-    for w, start, end, count in zip(windows, times, times[1:], counts):
-        assert (w.t_start, w.t_end, w.step_count) == (start, end, count)
+    windows = [hc.TimeGrid(c, parent.dt) for c in counts]
+    # a window's own span, dt * 3, over its 3 steps can miss the outer dt
+    spans = [(parent.dt * b - parent.dt * a) / c for a, b, c in zip(part, part[1:], counts)]
+    assert len(set(spans)) > 1
+    for w, count in zip(windows, counts):
+        assert w.step_count == count
         assert np.float64(w.dt).view(np.int64) == np.float64(parent.dt).view(np.int64)
-    assert windows[2].window(1, 2).dt == parent.dt
-    assert parent.window(0, 15) == parent
-    for first, count in [(-1, 3), (14, 2), (3, 0)]:
-        with pytest.raises(ValueError, match="not a window"):
-            parent.window(first, count)
+    assert hc.TimeGrid(15, parent.dt) == parent
 
 
 def test_batched_sweeps_bitwise_equal_to_single_solves(rng):
@@ -222,11 +219,11 @@ def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
     g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
     n, m = g.interior_node_count, g.control_node_count
     if sweep.startswith("state_batch"):
-        tg = hc.TimeGrid(0.0, 0.7, 21).window(14, 7)
+        tg = hc.TimeGrid(7, hc.TimeGrid(21, 0.7 / 21).dt)
         first = rng.standard_normal((3, n))
         v = rng.standard_normal((3, 7, m))
     else:
-        tg = hc.TimeGrid(0.0, 0.7, 7)
+        tg = hc.TimeGrid(7, 0.7 / 7)
         first = rng.standard_normal(n)
         v = rng.standard_normal((7, m))
     calls = []
@@ -273,7 +270,7 @@ def test_kept_steps_bitwise_equal_to_full_sweeps(rng, case):
         g = hc.build_grid(1, 12, [(0.0, 1.0)], [(0.2, 0.6)])
     else:
         g = hc.build_grid(2, (9, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
-    tg = _window() if case == "batch" else hc.TimeGrid(0.0, 0.9, 13)
+    tg = _window() if case == "batch" else hc.TimeGrid(13, 0.9 / 13)
     batch = (5,) if case == "batch" else ()
     steps = tg.step_count
     n, m = g.interior_node_count, g.control_node_count
@@ -282,7 +279,7 @@ def test_kept_steps_bitwise_equal_to_full_sweeps(rng, case):
     full = hc.MatvecCounter()
     y = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, full)
     p = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, full)
-    at = hc.make_partition(hc.TimeGrid(0.0, 1.0, steps), 2)
+    at = hc.make_partition(hc.TimeGrid(steps, 1.0 / steps), 2)
     for keep in (at, at[1:], -1, 0, [], [steps, 0, 2, 2], slice(1, None, 2)):
         reduced = hc.MatvecCounter()
         y_kept = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, reduced, keep=keep)
@@ -298,7 +295,7 @@ def test_adjoint_from_a_rough_terminal_converges():
     # the rough terminal as CG's first guess leaves ||b - K x0|| >> ||b||, and
     # with it CG's attainable residual, about eps * ||b - K x0||, above tol * ||b||
     g = hc.build_grid(1, 10, [(0.0, 1.0)], [(0.2, 0.8)])
-    tg = hc.TimeGrid(0.0, 2.0, 8)
+    tg = hc.TimeGrid(8, 2.0 / 8)
     terminal = np.random.default_rng(54).standard_normal(8)
     p = hc.solve_adjoint(g, tg, terminal, 2.0, 1e-13, hc.MatvecCounter())
     p_ref = dense_adjoint_solve(g, tg, terminal, 2.0)
@@ -325,7 +322,7 @@ def test_sweeps_converge_on_stiff_problems_with_rough_controls(nodes, steps, sti
     rng = np.random.default_rng(seed)
     g = hc.build_grid(1, nodes, [(0.0, 1.0)], [(0.2, 0.8)])
     nu = 1.0
-    tg = hc.TimeGrid(0.0, steps * stiffness * g.spacing[0] ** 2 / nu, steps)
+    tg = hc.TimeGrid(steps, (steps * stiffness * g.spacing[0] ** 2 / nu) / steps)
     n, m = g.interior_node_count, g.control_node_count
     # rough in time: every step has its own scale and sign
     v = (rng.standard_normal((steps, m)) * 10.0 ** rng.uniform(-1, 3, (steps, 1))

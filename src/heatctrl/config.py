@@ -146,6 +146,48 @@ def _parser(kind: type, ok=None, rule: str = ""):
 _TEXT = _parser(str)
 _POSITIVE = _parser(float, lambda x: x > 0, "positive")
 _COUNT = _parser(int, lambda n: n >= 1, ">= 1")
+_CALL_RE = re.compile(r"^([a-zA-Z-]+)\((.*)\)$")
+
+
+def _field_signatures(dim: int) -> dict[str, str]:
+    """The arguments of each field generator on a grid of dimension dim."""
+    centre = "cx" if dim == 1 else "cx,cy"
+    bounds = "lo,hi" if dim == 1 else "lo1,hi1,lo2,hi2"
+    return {"gaussian": f"{centre},sigma,amplitude", "indicator": bounds, "random": "scale"}
+
+
+def _field_call(text: str, key: str, dim: int, extra: tuple[str, ...] = ()):
+    """(name, arguments) of a field spec: ``zero`` or a word of ``extra``
+    with no arguments, or a generator call with its dim's argument count of
+    finite numbers.  Otherwise a ConfigError that names the key and the text."""
+    spec = text.strip()
+    if spec in ("zero",) + extra:
+        return spec, []
+    signatures = _field_signatures(dim)
+    match = _CALL_RE.match(spec)
+    if not match or match.group(1) not in signatures:
+        forms = ", ".join(["zero", *extra, *(f"{n}({a})" for n, a in signatures.items())])
+        raise ConfigError(f"{key} must be one of {forms}, got {spec!r}")
+    name, tokens = match.group(1), match.group(2).split(",")
+    call = f"{name}({signatures[name]})"
+    if len(tokens) != len(signatures[name].split(",")):
+        raise ConfigError(f"{key} must be {call} for dim={dim}, got {spec!r}")
+    try:
+        args = [float(tok) for tok in tokens]
+    except ValueError:
+        args = None
+    if args is None or not all(map(math.isfinite, args)):
+        raise ConfigError(f"{key} must be {call} with finite numbers, got {spec!r}")
+    return name, args
+
+
+def _field_parser(*extra: str):
+    """A parser of a field spec, which also accepts the words ``extra``."""
+    def parse(text: str, key: str, dim: int) -> str:
+        _field_call(text, key, dim, extra)
+        return text
+    return parse
+
 
 # dim comes first, before the bounds whose length depends on it
 KEYS = {
@@ -157,8 +199,8 @@ KEYS = {
     "dt": ("--dt", _POSITIVE, None),
     "alpha": ("--alpha", _POSITIVE, None),
     "nu": ("--nu", _POSITIVE, None),
-    "y0": ("--y0", _TEXT, None),
-    "y_target": ("--y-target", _TEXT, None),
+    "y0": ("--y0", _field_parser(), None),
+    "y_target": ("--y-target", _field_parser("free-evolution-of-y0"), None),
     "mode": ("--mode", _parser(str, lambda m: m in MODES, f"one of {MODES}"), None),
     "N": ("--N", _COUNT, "4"),
     "inner_iterations": ("--inner-iters", _COUNT, "1"),
@@ -225,33 +267,17 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
     return cfg
 
 
-_CALL_RE = re.compile(r"^([a-zA-Z-]+)\((.*)\)$")
-
-
 def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) -> np.ndarray:
     """Build a spatial field from a named generator spec.
 
     Supported: ``zero``, ``gaussian(cx[,cy],sigma,amplitude)``,
     ``indicator(lo1,hi1[,lo2,hi2])``, ``random(scale)``.
     """
-    spec = spec.strip()
-    if spec == "zero":
+    name, args = _field_call(spec, "a field spec", grid.dim)
+    if name == "zero":
         return grid.zero_field()
-    match = _CALL_RE.match(spec)
-    if not match:
-        raise ConfigError(f"unrecognized field spec: {spec!r}")
-    name, arg_text = match.group(1), match.group(2)
-    try:
-        args = [_parse_float(tok, spec) for tok in arg_text.split(",")] if arg_text.strip() else []
-    except ValueError as exc:
-        raise ConfigError(f"bad arguments in field spec {spec!r}") from exc
-
     coords = grid.interior_coordinates()
     if name == "gaussian":
-        if len(args) != grid.dim + 2:
-            raise ConfigError(
-                f"gaussian needs {grid.dim + 2} arguments (centers, sigma, amplitude)"
-            )
         centers, sigma, amplitude = args[: grid.dim], args[-2], args[-1]
         if sigma <= 0:
             raise ConfigError("gaussian sigma must be positive")
@@ -272,8 +298,6 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
                 sq = sq + ((x - c) ** 2).reshape(shaped)
             return (amplitude * np.exp(-sq / width)).ravel()
     if name == "indicator":
-        if len(args) != 2 * grid.dim:
-            raise ConfigError(f"indicator needs {2 * grid.dim} bound arguments")
         inside = np.ones(grid.interior_shape, dtype=bool)
         for ax, x in enumerate(coords):
             lo, hi = args[2 * ax], args[2 * ax + 1]
@@ -281,23 +305,24 @@ def make_field(grid: Grid, spec: str, rng: np.random.Generator | None = None) ->
             shaped[ax] = -1
             inside &= ((x >= lo) & (x <= hi)).reshape(shaped)
         return inside.ravel().astype(float)
-    if name == "random":
-        if len(args) != 1:
-            raise ConfigError("random needs a single scale argument")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return args[0] * rng.standard_normal(grid.interior_node_count)
-    raise ConfigError(f"unrecognized field generator: {name!r}")
+    if rng is None:  # random(scale)
+        rng = np.random.default_rng(0)
+    return args[0] * rng.standard_normal(grid.interior_node_count)
 
 
-def _check_norm(key: str, spec: str, field: np.ndarray) -> None:
-    """Reject a field whose squared norm is not finite: every solve and the
-    cost take it."""
+def _make_key_field(grid: Grid, key: str, spec: str, rng: np.random.Generator) -> np.ndarray:
+    """``make_field`` for a key, whose errors name the key; also rejects a
+    field whose squared norm is not finite: every solve and the cost take it."""
+    try:
+        field = make_field(grid, spec, rng)
+    except ConfigError as exc:
+        raise ConfigError(f"{key} = {spec.strip()!r}: {exc}") from None
     with np.errstate(over="ignore"):
         square = np.vecdot(field, field)
     if not np.isfinite(square):
         raise ConfigError(f"{key} = {spec.strip()!r}: the squared norm of the field "
                           f"is {float(square)!r}")
+    return field
 
 
 def build_instance(cfg: RunConfig):
@@ -312,8 +337,7 @@ def build_instance(cfg: RunConfig):
     # T / steps, not cfg.dt: step_count lets T / dt miss an integer by 1e-9
     time_grid = TimeGrid(steps, cfg.T / steps)
     rng = np.random.default_rng(cfg.seed)
-    y0 = make_field(grid, cfg.y0, rng)
-    _check_norm("y0", cfg.y0, y0)
+    y0 = _make_key_field(grid, "y0", cfg.y0, rng)
     if cfg.y_target.strip() == "free-evolution-of-y0":
         # setup solve, not part of any benchmark tally
         scratch = MatvecCounter()
@@ -321,6 +345,5 @@ def build_instance(cfg: RunConfig):
         zero_v = np.zeros((time_grid.step_count, n_ctrl))
         y_target = solve_state(grid, time_grid, y0, zero_v, cfg.nu, 1e-12, scratch, keep=-1)
     else:
-        y_target = make_field(grid, cfg.y_target, rng)
-        _check_norm("y_target", cfg.y_target, y_target)
+        y_target = _make_key_field(grid, "y_target", cfg.y_target, rng)
     return grid, time_grid, y0, y_target

@@ -25,8 +25,9 @@ guard: every accepted step lowers J and the gradient stays the exact one.
 
 The state follows through linearity, y(v + theta d) = y(v) + theta z with z
 the homogeneous trajectory the line search solved for, so each outer
-iteration costs one adjoint solve, the rule's solves and one homogeneous
-forward solve.  With one inner iteration, the sub-problem solves are one
+iteration costs one adjoint sweep (all its steps from one Krylov space, about
+a fifth of the products of a CG solve per step), the rule's solves and one
+homogeneous forward solve.  With one inner iteration, the sub-problem solves are one
 batched homogeneous forward solve; each further inner iteration adds a
 batched adjoint and a batched forward solve.
 

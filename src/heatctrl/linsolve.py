@@ -1,11 +1,17 @@
-"""Matrix-free conjugate gradient with matrix-vector product accounting.
+"""Matrix-free Krylov solvers with matrix-vector product accounting.
 
-``cg_solve`` runs one right-hand side (a 1D field or a batch of one) in a
-one-column loop on 1D vectors whose scalars are Python floats: every step of
-the serial state, adjoint and line-search sweeps is such a solve, and on a
-desk-sized field its cost is numpy calls, not arithmetic.  A batch of k >= 2
-runs the batched loop, column by column.  The two loops perform the same
-IEEE operations in the same order, so a column gets the same bits either way.
+``cg_solve`` solves A x = b by conjugate gradients.  One right-hand side (a
+1D field or a batch of one) runs a one-column loop on 1D vectors whose
+scalars are Python floats: every step of the state and line-search sweeps is
+such a solve, and on a desk-sized field its cost is numpy calls, not
+arithmetic.  A batch of k >= 2 runs the batched loop, column by column.  The
+two loops perform the same IEEE operations in the same order, so a column
+gets the same bits either way.
+
+``inverse_powers`` gives A^-s b for every s = 0..N from one Krylov space of A
+and b, by a two-pass Lanczos method: the adjoint sweep, which has no forcing,
+is exactly these powers.  Both solvers charge every product to a
+``MatvecCounter``, column by column.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ class MatvecCounter:
 
 
 class CGError(RuntimeError):
-    """Conjugate gradient broke down or did not converge within the iteration cap.
+    """A Krylov solve broke down, or CG did not converge within the iteration cap.
 
     ``column`` is the failing column of a batched solve, None for one field.
     """
@@ -85,8 +91,8 @@ def cg_solve(
     for every row; for a 1D ``b`` it only ever sees 1D fields.
 
     One right-hand side, a 1D ``b`` or a batch of one, runs a one-column
-    loop on 1D vectors with its scalars as Python floats: the serial state,
-    adjoint and line-search sweeps solve every step this way.  A batch of
+    loop on 1D vectors with its scalars as Python floats: the serial state
+    and line-search sweeps solve every step this way.  A batch of
     k >= 2 runs the batched loop, where a converged column leaves the batch.
 
     A column starts from its row of ``x0`` (zero without one), unless that
@@ -252,3 +258,206 @@ def _cg(apply_a, rhs, tol, counts, x0, max_iter):
         p *= rs_new / rs
         p += r
         rs = rs_new
+
+
+# Lanczos iterations between two tests of the coefficients T^-s e1
+CHECK = 16
+# Lanczos vectors the second pass combines at a time: one (BLOCK, n) block
+BLOCK = 16
+
+
+def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
+    """A^-s b for s = 0..count, for symmetric positive definite A given as a
+    callable, from one Krylov space of A and b (two-pass Lanczos).
+
+    ``b`` is one field (n,) or a batch (k, n) of independent ones.  Returns
+    the pair (fields, patches): ``fields[r]`` is A^-s b for s = ``rows[r]``,
+    shaped like ``b``, and ``patches[s]`` is A^-s b on the nodes ``mask``
+    for every s, (count+1,) + batch + (len(mask),).  Power 0 is ``b`` itself.
+    The patch nodes of a stored field are its patch row, so the two always
+    agree bit for bit.
+
+    The first pass runs Lanczos on A from v1 = b / beta0, beta0 = ||b||,
+    keeping only the tridiagonal T_m.  At m = 1 and every ``CHECK``
+    iterations it forms c_s = T_m^-s e1 for every s = 1..count, and it stops
+    when every c_s has moved by at most tol * ||c_s|| since the last check
+    (so at m = CHECK at the earliest), when beta = 0 (an invariant subspace:
+    the result is exact) or when m = n.  It tests every power whatever
+    ``rows`` asks for, so what a caller stores never changes the products or
+    the bits.  The second pass regenerates the same v_i with the same
+    operations and the stored alpha and beta, and adds beta0 * sum_i c_s,i
+    v_i into the results ``BLOCK`` vectors at a time, by matrix-vector
+    products.  A column with m Lanczos vectors costs 2m - 1 products, all
+    charged to ``counter``.
+
+    Every column of a batch runs its own Lanczos (its own alpha, beta,
+    stopping test, coefficients and count), and a finished column leaves the
+    batch, so a column gets the bits of its own solve.  A zero column has
+    zero powers and costs no product.  Raises ``CGError`` (with the column
+    of a batch) when ``b`` is not finite, when an alpha is not a positive
+    finite number or a beta is not finite, or when T_m is not positive
+    definite.  ``b`` and the arrays ``apply_a`` returns are only read.
+    """
+    if not tol > 0:  # written so that NaN fails too
+        raise ValueError("tol must be positive")
+    rhs = b.reshape(-1, b.shape[-1])
+    counts = np.zeros(len(rhs), dtype=np.int64)
+    fields = np.zeros((len(rows),) + rhs.shape)
+    patches = np.zeros((count + 1, len(rhs), len(mask)))
+    try:
+        beta0 = np.sqrt(np.vecdot(rhs, rhs))
+        if not np.isfinite(beta0).all():
+            col = int(np.flatnonzero(~np.isfinite(beta0))[0])
+            raise CGError(f"right-hand side is not finite: ||b|| = {float(beta0[col])!r}", col)
+        cols = np.flatnonzero(beta0)
+        if cols.size:
+            runs = _lanczos(apply_a, rhs[cols] / beta0[cols, None], cols, count, tol, counts)
+            _combine(apply_a, rhs, beta0, cols, runs, rows, mask, counts, fields, patches)
+    except CGError as exc:
+        if b.ndim == 1:
+            exc.column = None
+        raise
+    finally:
+        counter.add(counts)
+    patches[0] = rhs[:, mask]
+    for field, s in zip(fields, rows):
+        if s:
+            field[:, mask] = patches[s]
+        else:
+            field[...] = rhs
+    return (fields.reshape((len(rows),) + b.shape),
+            patches.reshape((count + 1,) + b.shape[:-1] + (len(mask),)))
+
+
+def _lanczos(apply_a, v, cols, count, tol, counts):
+    """The first pass, on the columns ``cols`` with starting vectors ``v``.
+
+    Returns each column's (alphas, betas, coefficients): the diagonal and
+    off-diagonal of its T_m and the (count, m) array of T_m^-s e1.
+    """
+    n = v.shape[1]
+    v_prev, w, scratch = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
+    beta = np.zeros((len(cols), 1))
+    alphas, betas = [[] for _ in cols], [[] for _ in cols]
+    checked, runs = [None] * len(cols), [None] * len(cols)
+    active = np.arange(len(cols))  # positions in cols
+    m = 0
+    while active.size:
+        m += 1
+        av = apply_a(v)
+        counts[cols[active]] += 1
+        np.subtract(av, np.multiply(beta, v_prev, out=w), out=w)
+        alpha = np.vecdot(v, w, keepdims=True)
+        w -= np.multiply(alpha, v, out=scratch)
+        beta = np.sqrt(np.vecdot(w, w, keepdims=True))
+        stop = []
+        for pos, (a, bt) in enumerate(zip(alpha.ravel().tolist(), beta.ravel().tolist())):
+            col = active[pos]
+            if not (0.0 < a < math.inf and math.isfinite(bt)):
+                raise CGError(f"Lanczos breakdown: alpha = {a!r}, beta = {bt!r}", int(cols[col]))
+            alphas[col].append(a)
+            betas[col].append(bt)
+            if bt == 0.0 or m == n or m % CHECK == 0 or m == 1:
+                c = _tridiagonal_powers(alphas[col], betas[col], count, int(cols[col]))
+                last, checked[col] = checked[col], c
+                if bt == 0.0 or m == n or _settled(c, last, tol):
+                    runs[col] = (alphas[col], betas[col], c)
+                    stop.append(pos)
+        if stop:
+            keep = np.ones(active.size, dtype=bool)
+            keep[stop] = False
+            active, v, v_prev, beta, w = (arr[keep] for arr in (active, v, v_prev, beta, w))
+            scratch = scratch[: active.size]
+        # the next Lanczos vector goes where the last one was
+        np.divide(w, beta, out=v_prev)
+        v, v_prev = v_prev, v
+    return runs
+
+
+def _settled(c, last, tol):
+    """Whether every row of ``c`` is within tol of its norm from ``last``,
+    the coefficients of the previous check (None at m = 1)."""
+    if last is None:
+        return False
+    change = c.copy()
+    change[:, : last.shape[1]] -= last
+    return bool(np.all(np.sqrt(np.vecdot(change, change)) <= tol * np.sqrt(np.vecdot(c, c))))
+
+
+def _tridiagonal_powers(diag, off, count, column):
+    """(count, m) array whose row s-1 is T^-s e1, for the symmetric
+    tridiagonal T with ``diag`` (m values) and ``off`` (at least m - 1).
+
+    T^-1 is formed from T = L D L^T row by row, and the powers by repeated
+    matrix-vector products; neither takes a dense factorization.
+    """
+    m = len(diag)
+    pivots, ratios = [diag[0]], [0.0]
+    for i in range(1, m):
+        ratio = off[i - 1] / pivots[-1]
+        ratios.append(ratio)
+        pivots.append(diag[i] - ratio * off[i - 1])
+    if not all(0.0 < d < math.inf for d in pivots):
+        raise CGError("Lanczos breakdown: T is not positive definite", column)
+    inverse = np.zeros((m, m))
+    inverse[0, 0] = 1.0
+    for i in range(1, m):  # L^-1, row by row
+        np.multiply(inverse[i - 1], -ratios[i], out=inverse[i])
+        inverse[i, i] = 1.0
+    inverse /= np.array(pivots)[:, None]
+    row = np.empty(m)
+    for i in range(m - 2, -1, -1):  # L^-T D^-1 L^-1, row by row
+        inverse[i] -= np.multiply(ratios[i + 1], inverse[i + 1], out=row)
+    c = np.empty((count, m))
+    c[0] = inverse[:, 0]
+    for s in range(1, count):
+        np.dot(inverse, c[s - 1], out=c[s])
+    return c
+
+
+def _combine(apply_a, rhs, beta0, cols, runs, rows, mask, counts, fields, patches):
+    """The second pass: regenerate each column's Lanczos vectors and add
+    beta0 * sum_i c_s,i v_i into ``fields`` (powers ``rows``) and ``patches``
+    (every power), one block of ``BLOCK`` vectors at a time."""
+    sizes = [len(alphas) for alphas, _, _ in runs]
+    v = rhs[cols] / beta0[cols, None]
+    v_prev, w, scratch = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
+    block = np.empty((len(cols), BLOCK, rhs.shape[1]))
+    coefficients = [c for _, _, c in runs]
+    for col, c in zip(cols.tolist(), coefficients):
+        c *= beta0[col]
+    patch_rows = np.empty((patches.shape[0] - 1, len(mask)))
+    active = np.arange(len(cols))
+    beta = np.zeros((len(cols), 1))
+    i = 0  # v holds v_{i+1}
+    while True:
+        block[active, i % BLOCK] = v
+        ending = [pos for pos in active.tolist() if sizes[pos] == i + 1]
+        flush = active.tolist() if (i + 1) % BLOCK == 0 else ending
+        start, length = i - i % BLOCK, i % BLOCK + 1
+        for pos in flush:
+            col, vectors = int(cols[pos]), block[pos, :length]
+            c = coefficients[pos][:, start : start + length]
+            for field, s in zip(fields, rows):
+                if s:
+                    field[col] += np.dot(c[s - 1], vectors)
+            on_patch = vectors[:, mask]
+            for s in range(len(patch_rows)):
+                np.dot(c[s], on_patch, out=patch_rows[s])
+            patches[1:, col] += patch_rows
+        if ending:
+            keep = np.array([sizes[pos] != i + 1 for pos in active.tolist()])
+            active, v, v_prev, beta = active[keep], v[keep], v_prev[keep], beta[keep]
+            w, scratch = w[: active.size], scratch[: active.size]
+            if not active.size:
+                return
+        # v_{i+2} from v_{i+1} and v_i with the first pass's operations and scalars
+        av = apply_a(v)
+        counts[cols[active]] += 1
+        np.subtract(av, np.multiply(beta, v_prev, out=w), out=w)
+        alpha = np.array([[runs[pos][0][i]] for pos in active.tolist()])
+        w -= np.multiply(alpha, v, out=scratch)
+        beta = np.array([[runs[pos][1][i]] for pos in active.tolist()])
+        np.divide(w, beta, out=v_prev)
+        v, v_prev = v_prev, v
+        i += 1

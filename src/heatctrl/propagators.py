@@ -1,26 +1,29 @@
 """Implicit-Euler time stepping for the heat equation and its discrete adjoint.
 
 The forward step solves (Id + dt*nu*(-Lap)) y^j = y^{j-1} + dt*B v^j, with the
-control slice v^j attached to the step ending at t_j = dt*j.  The backward
-recursion is the exact transpose of the forward step map, so the adjoint-based
-gradient is the exact gradient of the discrete cost.  The step matrix K is
-applied by the stencil itself: ``laplacian_apply(..., scale=-(dt*nu))`` forms
-Lap(u) * scale + u in its one read of the interior, bitwise the product
-u - dt*nu*Lap(u).
+control slice v^j attached to the step ending at t_j = dt*j.  The adjoint is
+p^j = K^-(N-j) p^N, the exact transpose of the forward step map, so the
+adjoint-based gradient is the exact gradient of the discrete cost.  The step
+matrix K is applied by the stencil itself: ``laplacian_apply(...,
+scale=-(dt*nu))`` forms Lap(u) * scale + u in its one read of the interior,
+bitwise the product u - dt*nu*Lap(u).
 
-Both sweeps start the CG solve of each step from the polynomial extrapolation
-through the last (up to ``START_ORDER``) states the sweep has solved for: the
-right-hand sides change smoothly from step to step, so this guess is closer
-than the previous state.  The first solve starts from y0 or the terminal
-value, which no K^-1 has smoothed.
+The state sweep is one recursion, ``_recurse``, run forward from y0 with the
+control as forcing.  It starts the CG solve of each step from the polynomial
+extrapolation through the last (up to ``START_ORDER``) states it has solved
+for: the right-hand sides change smoothly from step to step, so this guess is
+closer than the previous state.  The first solve starts from y0, or from x =
+0 with no product when y0 is zero.
 
-Both sweeps are one recursion, ``_recurse``, run forward from y0 with the
-control as forcing, or backward from the terminal value without one.  A
-sweep stores only the steps its caller asks for (``keep``, an index into the
-step axis); the starts hold the last solved fields themselves, so what a
-sweep stores never changes its numbers.  The adjoint can also return the
-control patch of every step, which is all the gradient reads.  A full
-trajectory is the case where every step is kept.
+The adjoint sweep has no forcing, so every state it keeps is a power of K^-1
+applied to the terminal value, and one Krylov space of K serves all N steps:
+``solve_adjoint`` takes them from ``linsolve.inverse_powers`` (two-pass
+Lanczos) instead of a CG solve per step.
+
+A sweep stores only the steps its caller asks for (``keep``, an index into
+the step axis), and what it stores never changes its numbers.  The adjoint
+can also return the control patch of every step, which is all the gradient
+reads.  A full trajectory is the case where every step is kept.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .grid import Grid, StencilWork, _check_field, inject, laplacian_apply
-from .linsolve import MatvecCounter, cg_solve
+from .linsolve import MatvecCounter, cg_solve, inverse_powers
 
 
 @dataclass(frozen=True)
@@ -77,13 +80,15 @@ class _SweepStarts:
 
     ``next()`` is ``first`` until a state is recorded, then the
     extrapolation through the last (up to ``START_ORDER``) states that
-    ``record`` was given.  The arithmetic is elementwise with scalar
-    coefficients, so a column of a batch gets its own 1D start.  A start is
-    written into a buffer that the next call overwrites.
+    ``record`` was given.  A zero ``first`` is None: the solve then starts
+    from x = 0, r = b without the product that would test K 0.  The
+    arithmetic is elementwise with scalar coefficients, so a column of a
+    batch gets its own 1D start.  A start is written into a buffer that the
+    next call overwrites.
     """
 
     def __init__(self, first: np.ndarray):
-        self._first = first
+        self._first = first if np.any(first) else None
         self._solved = deque(maxlen=START_ORDER)  # newest first
         self._start = np.empty(first.shape)
         self._term = np.empty(first.shape)
@@ -91,7 +96,7 @@ class _SweepStarts:
     def record(self, state: np.ndarray) -> None:
         self._solved.appendleft(state)
 
-    def next(self) -> np.ndarray:
+    def next(self) -> np.ndarray | None:
         if len(self._solved) <= 1:
             return self._solved[0] if self._solved else self._first
         newest, *older = self._solved
@@ -105,46 +110,50 @@ class _SweepStarts:
         return self._start
 
 
-def _recurse(grid: Grid, time_grid: TimeGrid, first: np.ndarray, nu: float, tol: float,
-             counter: MatvecCounter, keep, forcing=None, backward=False, patch=False):
-    """The implicit-Euler recursion K u^j = u^{j-1} (+ dt B v^j with ``forcing``
-    v) from u^0 = ``first``, or K u^j = u^{j+1} from u^N = ``first`` when
-    ``backward``.
+def _kept_steps(steps: int, keep) -> np.ndarray:
+    """The step indices ``keep`` selects from 0..steps, shaped as it selects them."""
+    return np.arange(steps + 1)[slice(None) if keep is None else keep]
+
+
+def _layout(out: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Stored states (kept steps, ..., n) as (..., kept steps, n), or (..., n)
+    for one step index."""
+    return np.moveaxis(out, 0, -2) if kept.ndim > 0 else out[0]
+
+
+def _recurse(grid: Grid, time_grid: TimeGrid, first: np.ndarray, forcing: np.ndarray,
+             nu: float, tol: float, counter: MatvecCounter, keep) -> np.ndarray:
+    """The implicit-Euler recursion K u^j = u^{j-1} + dt B v^j with ``forcing``
+    v, from u^0 = ``first``.
 
     Returns the states ``keep`` selects, laid out as (..., kept steps, n) or
-    (..., n) for one step index, and with ``patch`` the control patch nodes
-    of every u^j as (..., steps+1, m), else None.
+    (..., n) for one step index.
     """
     steps, dt = time_grid.step_count, time_grid.dt
     _check_field(grid, first)
     batch, m = first.shape[:-1], grid.control_node_count
-    if forcing is not None and forcing.shape != batch + (steps, m):
+    if forcing.shape != batch + (steps, m):
         raise ValueError(f"control field of shape {forcing.shape} does not match "
                          f"{batch} x {steps} steps x {m} control nodes")
     if nu < 0:
         raise ValueError("nu must be non-negative")
     apply_k = step_operator(grid, dt, nu)
-    kept = np.arange(steps + 1)[slice(None) if keep is None else keep]
+    kept = _kept_steps(steps, keep)
     rows = [[] for _ in range(steps + 1)]  # the rows of ``out`` each step fills
     for row, step in enumerate(np.ravel(kept).tolist()):
         rows[step].append(row)
     out = np.empty((kept.size,) + first.shape)
-    patches = np.empty((steps + 1,) + batch + (m,)) if patch else None
     starts = _SweepStarts(first)
     u = first
-    for n, j in enumerate(range(steps, -1, -1) if backward else range(steps + 1)):
-        if n:
-            if forcing is not None:
-                # dt * 0 is 0 off the patch: the bits of dt * B v^j
-                u = u + inject(grid, dt * forcing[..., j - 1, :])
+    for j in range(steps + 1):
+        if j:
+            # dt * 0 is 0 off the patch: the bits of dt * B v^j
+            u = u + inject(grid, dt * forcing[..., j - 1, :])
             u = cg_solve(apply_k, u, tol, counter, x0=starts.next())
             starts.record(u)
         for row in rows[j]:
             out[row] = u
-        if patches is not None:
-            patches[j] = u[..., grid.control_mask]
-    states = np.moveaxis(out, 0, -2) if kept.ndim > 0 else out[0]
-    return states, None if patches is None else np.moveaxis(patches, 0, -2)
+    return _layout(out, kept)
 
 
 def solve_state(
@@ -167,7 +176,7 @@ def solve_state(
     ``keep``, so ``keep=-1`` gives the final state alone and
     ``keep=[0, 4, 8]`` three rows.  The default, None, keeps every step.
     """
-    return _recurse(grid, time_grid, y0, nu, tol, counter, keep, forcing=v)[0]
+    return _recurse(grid, time_grid, y0, v, nu, tol, counter, keep)
 
 
 def solve_adjoint(
@@ -179,15 +188,26 @@ def solve_adjoint(
     counter: MatvecCounter,
     keep=None,
 ):
-    """Backward recursion p^{j-1} = K^{-1} p^j from p^N = terminal.
+    """The adjoint p^j = K^-(N-j) p^N from p^N = terminal, for j = 0..N.
 
     K is symmetric, so this is the exact transpose of the forward step map.
-    Batches as in ``solve_state``.  Returns the trajectory of shape
-    (steps+1, n) by default.  With ``keep``, an index into the step axis as
-    in ``solve_state``, returns the pair (p at the steps ``keep`` selects, the
-    control patch nodes of every p^j, of shape (steps+1, m)): the patch is
-    all the gradient reads, so ``keep=[]`` stores no full field.
+    The powers come from one Krylov space of K and the terminal
+    (``linsolve.inverse_powers``), to the relative accuracy ``tol``; p^N is
+    the terminal itself.  Batches as in ``solve_state``.  Returns the
+    trajectory of shape (steps+1, n) by default.  With ``keep``, an index
+    into the step axis as in ``solve_state``, returns the pair (p at the
+    steps ``keep`` selects, the control patch nodes of every p^j, of shape
+    (steps+1, m)): the patch is all the gradient reads, so ``keep=[]``
+    stores no full field.
     """
-    p, patch = _recurse(grid, time_grid, terminal, nu, tol, counter, keep, backward=True,
-                        patch=keep is not None)
-    return p if patch is None else (p, patch)
+    _check_field(grid, terminal)
+    if nu < 0:
+        raise ValueError("nu must be non-negative")
+    steps = time_grid.step_count
+    kept = _kept_steps(steps, keep)
+    # step j is power steps - j
+    out, patches = inverse_powers(step_operator(grid, time_grid.dt, nu), terminal, steps,
+                                  tol, counter, (steps - np.ravel(kept)).tolist(),
+                                  grid.control_mask)
+    p = _layout(out, kept)
+    return p if keep is None else (p, np.moveaxis(patches[::-1], 0, -2))

@@ -168,3 +168,13 @@ def rng():
 @pytest.fixture
 def tiny_problem(rng):
     return random_tiny_problem(rng, n_interior=5, steps=8)
+
+
+def cg_adjoint_recursion(grid, time_grid, terminal, nu, tol, counter):
+    """The adjoint as a CG solve per step, p^{j-1} = K^-1 p^j, each started
+    from p^j: the per-step recursion the Krylov sweep replaces."""
+    apply_k = hc.step_operator(grid, time_grid.dt, nu)
+    p = [np.asarray(terminal, dtype=float)]
+    for _ in range(time_grid.step_count):
+        p.append(hc.cg_solve(apply_k, p[-1], tol, counter, x0=p[-1]).copy())
+    return np.array(p[::-1])

@@ -314,6 +314,37 @@ def test_malformed_list_is_one_line_naming_its_key(tmp_path, capsys, flag, value
     assert capsys.readouterr().err == f"configuration error: {message}, got '{value}'\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--y0", "bogus", "y0 must be one of zero, gaussian(cx,sigma,amplitude), "
+     "indicator(lo,hi), random(scale)"),
+    ("--y0", "gaussian(abc,1,1)", "y0 must be gaussian(cx,sigma,amplitude) with finite numbers"),
+    ("--y0", "gaussian(0.5,0.15)", "y0 must be gaussian(cx,sigma,amplitude) for dim=1"),
+    ("--y-target", "vortex(1)", "y_target must be one of zero, free-evolution-of-y0, "
+     "gaussian(cx,sigma,amplitude), indicator(lo,hi), random(scale)"),
+    ("--y-target", "indicator(0.2,inf)", "y_target must be indicator(lo,hi) with finite numbers"),
+    ("--y-target", "random(1,2)", "y_target must be random(scale) for dim=1"),
+], ids=["y0-name", "y0-argument", "y0-count", "y_target-name", "y_target-argument",
+        "y_target-count"])
+def test_malformed_field_spec_is_one_line_naming_its_key(tmp_path, capsys, flag, value,
+                                                         message):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    code = main(["--config", str(cfg), flag, value, "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: {message}, got '{value}'\n"
+
+
+def test_field_out_of_range_is_one_line_naming_its_key(tmp_path, capsys):
+    # a well-formed spec whose value make_field rejects when it builds the field
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    code = main(["--config", str(cfg), "--y0", "gaussian(0.5,-1,1)",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == ("configuration error: y0 = 'gaussian(0.5,-1,1)': "
+                                       "gaussian sigma must be positive\n")
+
+
 @pytest.mark.parametrize("dim", ["0", "-1", "3"])
 def test_unsupported_dim_is_reported_before_the_bounds(tmp_path, capsys, dim):
     cfg = tmp_path / "line.cfg"

@@ -273,7 +273,7 @@ def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, i
 ])
 def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatch, cg_tol,
                                                                  inner, inner_rtol):
-    # every CG solve made under solve_subproblem runs at max(cg_tol,
+    # every solve made under solve_subproblem runs at max(cg_tol,
     # DIRECTION_CG_TOL) when the inner descent has no gradient test and at
     # cg_tol when it has one; every other solve (state, adjoint, line
     # search) runs at cg_tol
@@ -290,6 +290,10 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
         calls.append((in_step2[0], tol))
         return real(apply_a, b, tol, *args, **kwargs)
 
+    def logged_adjoint(apply_a, b, count, tol, *args, real=propagators.inverse_powers):
+        calls.append((in_step2[0], tol))
+        return real(apply_a, b, count, tol, *args)
+
     def logged_step2(*args, real=driver.solve_subproblem, **kwargs):
         in_step2[0] = True
         try:
@@ -298,6 +302,7 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
             in_step2[0] = False
 
     monkeypatch.setattr(propagators, "cg_solve", logged_cg)
+    monkeypatch.setattr(propagators, "inverse_powers", logged_adjoint)
     monkeypatch.setattr(driver, "solve_subproblem", logged_step2)
     res = hc.run(prob, cfg)
     assert len(res.history) > 2

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import heatctrl as hc
 import heatctrl.propagators as propagators
+from heatctrl.linsolve import CHECK, inverse_powers
 
-from conftest import dense_adjoint_solve, dense_state_solve
+from conftest import cg_adjoint_recursion, dense_adjoint_solve, dense_state_solve
 
 
 def test_time_grid_validation():
@@ -210,8 +211,7 @@ def _expected_starts(first, solved):
 
 # the steps of 0..7 that each storage mode keeps (None: every step)
 KEPT = {"state": None, "state_final_only": -1, "state_breakpoints": [0, 3, 5, 7],
-        "state_batch": None, "state_batch_breakpoints": [0, 2, 7],
-        "adjoint": None, "adjoint_patch_only": [], "adjoint_breakpoints": [3, 5, 7]}
+        "state_batch": None, "state_batch_breakpoints": [0, 2, 7]}
 
 
 @pytest.mark.parametrize("sweep", list(KEPT))
@@ -237,21 +237,13 @@ def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
     monkeypatch.setattr(propagators, "cg_solve", recording)
     counter = hc.MatvecCounter()
     keep = KEPT[sweep]
-    if sweep.startswith("state"):
-        out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, counter, keep=keep)
-    else:
-        out = hc.solve_adjoint(g, tg, first, 0.6, 1e-11, counter, keep=keep)
+    out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, counter, keep=keep)
     starts, solved = zip(*calls)
     assert len(starts) == 7
     # the trajectory of the solved fields, in time order
     trajectory = np.moveaxis(np.array((first,) + solved), 0, -2)
-    if sweep.startswith("adjoint"):
-        trajectory = np.flip(trajectory, axis=-2)
     if keep is None:
         assert np.array_equal(out, trajectory)
-    elif sweep.startswith("adjoint"):
-        assert np.array_equal(out[0], trajectory[..., keep, :])
-        assert np.array_equal(out[1], trajectory[..., g.control_mask])
     else:
         assert np.array_equal(out, trajectory[..., keep, :])
     for got, want in zip(starts, _expected_starts(first, solved), strict=True):
@@ -342,3 +334,180 @@ def test_sweeps_converge_on_stiff_problems_with_rough_controls(nodes, steps, sti
     p_err = np.linalg.norm(p[:-1] - p_ref[:-1], axis=1)[::-1]
     p_rhs = np.linalg.norm(p_ref[1:], axis=1)[::-1]
     assert np.all(p_err <= _cumulative_error_bound(tol, p_rhs))
+
+
+def _sine_mode(g, k):
+    """The k-th discrete sine mode of a 1D grid and its eigenvalue under -Lap."""
+    n, h = g.interior_node_count, g.spacing[0]
+    mode = np.sin(np.pi * k * np.arange(1, n + 1) / (n + 1))
+    return mode, 4.0 / h**2 * np.sin(np.pi * k / (2 * (n + 1))) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    nodes=st.integers(3, 60),
+    steps=st.integers(1, 12),
+    stiffness=st.floats(1e-2, 100.0),  # nu * dt / h^2
+    tol=st.sampled_from([1e-10, 1e-12, 1e-13]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_krylov_adjoint_matches_dense_in_every_keep_form(dim, nodes, steps, stiffness, tol,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        nodes = 3 + nodes % 8  # up to 8 x 8 interior nodes
+    g = hc.build_grid(dim, nodes, [(0.0, 1.0)] * dim, [(0.2, 0.8)] * dim)
+    nu = 1.0
+    tg = hc.TimeGrid(steps, stiffness * g.spacing[0] ** 2 / nu)
+    terminal = rng.standard_normal(g.interior_node_count)
+    p_ref = dense_adjoint_solve(g, tg, terminal, nu)
+    bound = _cumulative_error_bound(tol, np.linalg.norm(p_ref[1:], axis=1)[::-1])[::-1]
+    p = hc.solve_adjoint(g, tg, terminal, nu, tol, hc.MatvecCounter())
+    assert np.array_equal(p[-1], terminal)
+    assert np.all(np.linalg.norm(p[:-1] - p_ref[:-1], axis=1) <= bound)
+    for keep in ([], [0, steps], -1, 0, slice(None, None, 2), list(range(steps, -1, -1))):
+        p_kept, patch = hc.solve_adjoint(g, tg, terminal, nu, tol, hc.MatvecCounter(),
+                                         keep=keep)
+        assert np.array_equal(_bits(p_kept), _bits(p[keep]))
+        assert np.array_equal(_bits(patch), _bits(p[:, g.control_mask]))
+
+
+def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
+    # both passes are charged: every row the stencil receives is one product,
+    # and a column with m Lanczos vectors costs m + (m - 1)
+    g = hc.build_grid(2, 12, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
+    tg = hc.TimeGrid(9, 0.02)
+    rows = []
+    real = propagators.laplacian_apply
+
+    def logged(grid, u, **buffers):
+        rows.append(1 if u.ndim == 1 else len(u))
+        return real(grid, u, **buffers)
+
+    monkeypatch.setattr(propagators, "laplacian_apply", logged)
+    terminal = rng.standard_normal((4, g.interior_node_count))
+    terminal[1] = 0.0
+    terminal[2] = np.outer(*[np.sin(np.pi * np.arange(1, 11) / 11)] * 2).ravel()
+    counter = hc.MatvecCounter(columns=4)
+    hc.solve_adjoint(g, tg, terminal, 1.0, 1e-10, counter, keep=[3])
+    assert counter.count == sum(rows) and len(rows) > 1
+    assert counter.per_column[1] == 0
+    assert all(n % 2 == 1 for n in counter.per_column[[0, 2, 3]])
+    # the smooth column converges in fewer Lanczos steps and leaves the batch
+    assert counter.per_column[2] < counter.per_column[0]
+    rows.clear()
+    single = hc.MatvecCounter()
+    hc.solve_adjoint(g, tg, terminal[0], 1.0, 1e-10, single, keep=[])
+    assert single.count == sum(rows) == counter.per_column[0]
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_krylov_adjoint_of_a_sine_mode_stops_at_the_first_check(k):
+    # K maps the k-th sine mode to lam times itself, so p^j = lam^-(N-j) p^N,
+    # and the Krylov space holds nothing more: the coefficients settle at once
+    g = hc.build_grid(1, 52, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg = hc.TimeGrid(10, 0.01)
+    terminal, eig = _sine_mode(g, k)
+    lam = 1.0 + tg.dt * 0.5 * eig
+    counter = hc.MatvecCounter()
+    p = hc.solve_adjoint(g, tg, terminal, 0.5, 1e-10, counter)
+    want = lam ** -np.arange(10, -1, -1.0)[:, None] * terminal
+    assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(terminal))
+    assert g.interior_node_count > CHECK and counter.count == 2 * CHECK - 1
+
+
+def test_krylov_adjoint_on_one_node_stops_at_the_whole_space():
+    g = hc.build_grid(1, 3, [(0.0, 1.0)], [(0.0, 1.0)])
+    tg = hc.TimeGrid(6, 0.1)
+    counter = hc.MatvecCounter()
+    p = hc.solve_adjoint(g, tg, np.array([2.0]), 0.3, 1e-12, counter)
+    np.testing.assert_allclose(p, dense_adjoint_solve(g, tg, np.array([2.0]), 0.3),
+                               rtol=1e-14)
+    assert counter.count == 1  # m = n = 1: the first pass's one product
+
+
+def test_krylov_adjoint_zero_and_non_finite_terminals():
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg = hc.TimeGrid(5, 0.1)
+    counter = hc.MatvecCounter(columns=2)
+    p, patch = hc.solve_adjoint(g, tg, np.zeros((2, 7)), 1.0, 1e-10, counter, keep=[0, 2])
+    assert not p.any() and not patch.any() and counter.count == 0
+    bad = np.ones((3, 7))
+    bad[2, 4] = np.nan
+    with pytest.raises(hc.CGError, match="not finite") as failure:
+        hc.solve_adjoint(g, tg, bad, 1.0, 1e-10, hc.MatvecCounter())
+    assert failure.value.column == 2
+    with pytest.raises(hc.CGError, match="not finite") as failure:
+        hc.solve_adjoint(g, tg, np.full(7, np.inf), 1.0, 1e-10, hc.MatvecCounter())
+    assert failure.value.column is None
+
+
+@pytest.mark.parametrize("poison, message", [(np.nan, "alpha = nan"), (-1.0, "alpha = -1.0")])
+def test_lanczos_breakdown_names_its_column(poison, message):
+    # an operator that is not positive definite (or not finite) on the last
+    # node breaks down the columns that reach it, and the error names the first
+    def apply_a(u):
+        out = u.copy()
+        out[..., -1] = np.where(u[..., -1] != 0.0, poison * u[..., -1], 0.0)
+        return out
+
+    b = np.zeros((3, 6))
+    b[0, 0] = b[2, 0] = 1.0
+    b[1, -1] = b[2, -1] = 1.0
+    counter = hc.MatvecCounter(columns=3)
+    with pytest.raises(hc.CGError, match=message) as failure:
+        inverse_powers(apply_a, b, 4, 1e-10, counter, [], np.arange(2))
+    assert failure.value.column == 1
+    assert counter.per_column.tolist() == [1, 1, 1]  # charged up to the breakdown
+    with pytest.raises(hc.CGError, match=message) as failure:
+        inverse_powers(apply_a, b[1], 4, 1e-10, hc.MatvecCounter(), [], np.arange(2))
+    assert failure.value.column is None
+
+
+def test_krylov_sweep_costs_a_third_of_per_step_cg_on_a_rough_2d_terminal():
+    # 40 steps at nu * dt / h^2 = 1 on a 31 x 31 interior
+    g = hc.build_grid(2, 33, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2)
+    tg = hc.TimeGrid(40, g.spacing[0] ** 2)
+    terminal = np.random.default_rng(33).standard_normal(g.interior_node_count)
+    krylov, cg = hc.MatvecCounter(), hc.MatvecCounter()
+    p = hc.solve_adjoint(g, tg, terminal, 1.0, 1e-10, krylov)
+    p_cg = cg_adjoint_recursion(g, tg, terminal, 1.0, 1e-10, cg)
+    p_ref = dense_adjoint_solve(g, tg, terminal, 1.0)
+    assert 3 * krylov.count <= cg.count
+    assert np.max(np.abs(p - p_ref)) <= np.max(np.abs(p_cg - p_ref))
+
+
+def test_sweep_from_the_zero_field_pays_no_start_product(rng, monkeypatch):
+    # K 0 = 0, so the first solve starts from x = 0, r = b with no product:
+    # the sweep charges exactly its CG iterations, one operator call each
+    g = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
+    tg = hc.TimeGrid(6, 0.05)
+    v = rng.standard_normal((6, g.control_node_count))
+    calls, starts = [], []
+    real_apply, real_cg = propagators.laplacian_apply, propagators.cg_solve
+
+    def logged_apply(grid, u, **buffers):
+        calls.append(1)
+        return real_apply(grid, u, **buffers)
+
+    def logged_cg(apply_a, b, tol, counter, x0=None):
+        starts.append(x0 is None)
+        return real_cg(apply_a, b, tol, counter, x0=x0)
+
+    monkeypatch.setattr(propagators, "laplacian_apply", logged_apply)
+    monkeypatch.setattr(propagators, "cg_solve", logged_cg)
+    counter = hc.MatvecCounter()
+    y = hc.solve_state(g, tg, g.zero_field(), v, 0.4, 1e-11, counter, keep=[1, 6])
+    assert starts == [True] + [False] * 5
+    assert counter.count == len(calls)
+    # the first step alone: its cold CG iterations, as a solve of its own
+    first = hc.MatvecCounter()
+    monkeypatch.setattr(propagators, "cg_solve", real_cg)
+    y1 = hc.cg_solve(hc.step_operator(g, tg.dt, 0.4), hc.inject(g, tg.dt * v[0]), 1e-11,
+                     first)
+    assert np.array_equal(_bits(y[0]), _bits(y1))
+    calls.clear()
+    one = hc.MatvecCounter()
+    hc.solve_state(g, hc.TimeGrid(1, tg.dt), g.zero_field(), v[:1], 0.4, 1e-11, one)
+    assert one.count == first.count == len(calls)

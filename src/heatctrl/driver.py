@@ -27,9 +27,11 @@ The state follows through linearity, y(v + theta d) = y(v) + theta z with z
 the homogeneous trajectory the line search solved for, so each outer
 iteration costs one adjoint sweep (all its steps from one Krylov space, about
 a fifth of the products of a CG solve per step), the rule's solves and one
-homogeneous forward solve.  With one inner iteration, the sub-problem solves are one
-batched homogeneous forward solve; each further inner iteration adds a
-batched adjoint and a batched forward solve.
+homogeneous forward solve.  With one inner iteration, the sub-problem solves
+are one batched homogeneous forward solve; each further inner iteration adds
+a batched adjoint and a batched forward solve.  A batched solve takes its
+columns one after another (``linsolve``), so a sub-problem gets the bits
+and the product count of its own solve.
 
 The sub-problems touch one another only through y and p at the N+1
 breakpoints, and the gradient reads p only on the control patch, so a run

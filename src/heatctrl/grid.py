@@ -6,15 +6,15 @@ length ``interior_node_count`` (C order over the interior shape); control
 slices are 1D arrays of length ``control_node_count``.  A batch of fields or
 slices stacks them as the rows of a 2D array.
 
-The Laplacian copies its input into a flat, zero-padded buffer
-(``StencilWork``), where every difference along an axis is one pass over a
-contiguous range, and reads the interior back once at the end; the step
-operator's ``* -(dt*nu)`` and ``+ u`` ride on that read.  Where every axis
-shares one weight w = 1/h^2 that is a power of two >= 1 (a unit box with
-2^k + 1 nodes per axis), the axes' differences are summed unweighted and
-the read multiplies by w, or by w * -(dt*nu) where that product is exact:
-a multiply by such a w is exact below overflow, so no bit moves.  A 2D step
-product is then 9 numpy passes, a 1D one 6.
+The Laplacian takes one field at a time.  It copies it into a flat,
+zero-padded buffer (``StencilWork``), where every difference along an axis
+is one pass over a contiguous range, and reads the interior back once at
+the end; the step operator's ``* -(dt*nu)`` and ``+ u`` ride on that read.
+Where every axis shares one weight w = 1/h^2 that is a power of two >= 1
+(a unit box with 2^k + 1 nodes per axis), the axes' differences are summed
+unweighted and the read multiplies by w, or by w * -(dt*nu) where that
+product is exact: a multiply by such a w is exact below overflow, so no bit
+moves.  A 2D step product is then 9 numpy passes, a 1D one 6.
 """
 
 from __future__ import annotations
@@ -157,34 +157,47 @@ def _weighting(h2: float):
 
 
 class StencilWork:
-    """Buffers of ``laplacian_apply``, reused from call to call.
+    """Buffers of ``laplacian_apply`` for one field, reused from call to call.
 
-    A batch of k fields is laid out flat: the k zero-padded fields end to end
-    in one array.  A neighbour along an axis is then a fixed offset away, that
-    axis's stride in the padded field (1 for the last axis, the padded row
-    length for the first), so every difference is one subtraction of two
-    contiguous ranges.  The values this leaves on the padding are never read.
-
-    Sized for the largest batch seen so far; a smaller batch uses the leading
-    part of every buffer.  The padding of the padded copy is never written, so
-    it is never cleared.  The views of every batch size are built once.
+    The field is copied into a flat, zero-padded buffer.  A neighbour along
+    an axis is then a fixed offset away, that axis's stride in the padded
+    field (1 for the last axis, the padded row length for the first), so
+    every difference is one subtraction of two contiguous ranges.  The values
+    this leaves on the padding are never read.  The padding of the padded
+    copy is never written, so it is never cleared.  The buffers and their
+    views are built once, here.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._padded_shape = tuple(n + 2 for n in grid.interior_shape)
-        self._padded_size = math.prod(self._padded_shape)
-        self._strides = tuple(math.prod(self._padded_shape[ax + 1:]) for ax in range(grid.dim))
-        self._weights = tuple(_weighting(h**2) for h in grid.spacing)
+        padded_shape = tuple(n + 2 for n in grid.interior_shape)
+        size = math.prod(padded_shape)
+        strides = tuple(math.prod(padded_shape[ax + 1:]) for ax in range(grid.dim))
+        weights = tuple(_weighting(h**2) for h in grid.spacing)
         # every axis divides by one h^2 whose reciprocal w is a power of two
         # >= 1: multiplying by such a w is exact below overflow, so the sum
         # may be weighted once at the end, (0 + d_0 + d_1) * w, with the bits
         # of 0 + d_0 * w + d_1 * w; None where the axes must weigh their own
-        weigh, w = self._weights[0]
-        self._weight = (w if len(set(self._weights)) == 1 and weigh is np.multiply
+        weigh, w = weights[0]
+        self._weight = (w if len(set(weights)) == 1 and weigh is np.multiply
                         and w >= 1.0 else None)
-        self._columns = 0
-        self._plans: dict[int, tuple] = {}
+        # every sum is formed on the flat positions [m, size - m), which hold
+        # all interior nodes; m is the largest stride
+        m = strides[0]
+        inner = (slice(1, -1),) * grid.dim
+        padded, first, total = np.zeros(size), np.empty(size), np.empty(size)
+        self.field = padded.reshape(padded_shape)[inner]
+        self.axes = []
+        for s, (weigh, factor) in zip(strides, weights):
+            # first differences a[i+s] - a[i] at the positions [m - s, size - m)
+            diff = first[:size - 2 * m + s]
+            self.axes.append((padded[m:size - m + s], padded[m - s:size - m],
+                              diff, diff[s:], diff[:-s], weigh, factor))
+        self.second = np.empty(size - 2 * m)
+        self.total = total[m:size - m]
+        self.interior = total.reshape(padded_shape)[inner]
+        self.result = np.empty(grid.interior_node_count)
+        self.result_grid = self.result.reshape(grid.interior_shape)
 
     def factor(self, scale: float | None) -> float | None:
         """The one factor the interior is read back with, w or w * scale, or
@@ -201,43 +214,6 @@ class StencilWork:
             return ws
         return None
 
-    def plan(self, k: int) -> tuple:
-        """(padded interior, per-axis views and weighting, second difference,
-        sum, interior of the sum, result shaped like the interior) for k fields."""
-        plan = self._plans.get(k)
-        if plan is None:
-            if k > self._columns:
-                self._allocate(k)
-            plan = self._plans[k] = self._views(k)
-        return plan
-
-    def _allocate(self, k: int) -> None:
-        size = k * self._padded_size
-        self._padded = np.zeros(size)
-        self._first = np.empty(size)
-        self._second = np.empty(size)
-        self._total = np.empty(size)
-        self._result = np.empty((k, self.grid.interior_node_count))
-        self._columns = k
-        self._plans.clear()
-
-    def _views(self, k: int) -> tuple:
-        # every sum is formed on the flat positions [m, size - m), which hold
-        # all interior nodes; m is the largest stride
-        size, m = k * self._padded_size, self._strides[0]
-        inner = (slice(None),) + (slice(1, -1),) * self.grid.dim
-        padded = self._padded[:size]
-        axes = []
-        for s, (weigh, factor) in zip(self._strides, self._weights):
-            # first differences a[i+s] - a[i] at the positions [m - s, size - m)
-            first = self._first[:size - 2 * m + s]
-            axes.append((padded[m:size - m + s], padded[m - s:size - m],
-                         first, first[s:], first[:-s], weigh, factor))
-        fields = (k,) + self._padded_shape
-        return (padded.reshape(fields)[inner], axes, self._second[:size - 2 * m],
-                self._total[m:size - m], self._total[:size].reshape(fields)[inner],
-                self._result[:k].reshape((k,) + self.grid.interior_shape))
-
 
 def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
                     scale: float | None = None) -> np.ndarray:
@@ -253,19 +229,22 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
     below overflow; with ``scale`` the read multiplies by w * scale where
     that product is exact.)
 
-    ``u`` is one field (n,) or a batch (k, n) whose rows are transformed
-    alike.  With ``scale``, a number, the result is ``Lap(u) * scale + u``
-    instead, formed in the same read of the interior: the implicit-Euler
-    step K u for scale = -(dt*nu).  The result is a fresh array, or with
-    ``work`` a buffer of it that the next call with the same ``work``
-    overwrites.
+    ``u`` is one field (n,); anything else, a batch (k, n) included, raises
+    ``ValueError``.  With ``scale``, a number, the result is
+    ``Lap(u) * scale + u`` instead, formed in the same read of the interior:
+    the implicit-Euler step K u for scale = -(dt*nu).  The result is a fresh
+    array, or with ``work`` a buffer of it that the next call with the same
+    ``work`` overwrites.
     """
-    _check_field(grid, u)
+    if u.shape != (grid.interior_node_count,):
+        raise ValueError(
+            f"array of shape {u.shape} is not one field of a grid with "
+            f"{grid.interior_node_count} interior nodes"
+        )
     work = work or StencilWork(grid)
-    fields, axes, second, total, interior, result = work.plan(1 if u.ndim == 1 else len(u))
-    factor = work.factor(scale)
-    fields[...] = u.reshape(fields.shape)
-    for ax, (upper, lower, first, first_upper, first_lower, weigh, h2) in enumerate(axes):
+    factor, total, second = work.factor(scale), work.total, work.second
+    work.field[...] = u.reshape(work.field.shape)
+    for ax, (upper, lower, first, first_upper, first_lower, weigh, h2) in enumerate(work.axes):
         np.subtract(upper, lower, out=first)
         term = second if ax else total
         np.subtract(first_upper, first_lower, out=term)
@@ -273,16 +252,16 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
             weigh(term, h2, out=term)
         # the zero start: 0.0 + x is x, except that -0.0 becomes 0.0
         total += term if ax else 0.0
+    result = work.result_grid
     if factor is not None:
-        np.multiply(interior, factor, out=result)
+        np.multiply(work.interior, factor, out=result)
     elif scale is None:
-        result[...] = interior
+        result[...] = work.interior
     else:
-        np.multiply(interior, scale, out=result)
-    out = result.reshape(u.shape)
+        np.multiply(work.interior, scale, out=result)
     if scale is not None:
-        out += u
-    return out
+        work.result += u
+    return work.result
 
 
 def inject(grid: Grid, c: np.ndarray) -> np.ndarray:

@@ -146,8 +146,9 @@ def optimal_step_gradient(
     gradient or a zero step denominator.  A stopped column stays in the batch
     with zero inputs: a zero direction, an adjoint terminal of 0 and sigma 0.
     The state and adjoint solvers take a zero right-hand side for free, so
-    the column costs no more products, and every other column keeps its own step, stopping test and
-    product count, and ends with the bits of its own 1D descent.
+    the column costs no more products, and every other column keeps its own
+    step, stopping test and product count, and ends with the bits of its own
+    1D descent.
 
     Returns the controls and, per column, whether it stopped.
     """

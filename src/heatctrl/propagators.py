@@ -59,7 +59,7 @@ class TimeGrid:
 
 
 def step_operator(grid: Grid, dt: float, nu: float):
-    """K = Id + dt*nu*(-Lap) as a callable on one field (n,) or a batch (k, n).
+    """K = Id + dt*nu*(-Lap) as a callable on one field (n,).
 
     The stencil forms ``Lap(u) * -(dt*nu) + u`` in its read of the interior;
     by IEEE negation and commutativity that is bitwise u - dt * nu * Lap(u).

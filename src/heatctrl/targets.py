@@ -66,8 +66,12 @@ def targets_from_solutions(
 
 
 # widest field block (columns x nodes of float64) of a step-2 batch: 8 columns
-# on a 63 x 63 interior, every sub-problem of a 31 x 31 one.  All 16 columns
-# of a 63 x 63 run at once raised its peak memory and gained no time.
+# on a 63 x 63 interior, every sub-problem of a 31 x 31 one.  The solvers take
+# a batch one column at a time, so this caps only the sweeps' (k, n) states,
+# CG starts and forcing.  Without it all 16 sub-problems of the 65 x 65
+# benchmark (perfbench it-field65) form one batch: on a 2-core Xeon (Python
+# 3.11, numpy 2.4) peak RSS rose from 46.7-46.9 MB to 50.1-50.2 MB at seeds 1
+# and 2 (two runs each), while solve_s moved from 4.1-4.6 s to 3.7-4.8 s.
 BATCH_BYTES = 256 * 1024
 
 # CG tolerance of step 2's solves when the inner descent has no gradient test.

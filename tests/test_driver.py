@@ -392,6 +392,28 @@ def test_steepest_run_matches_reference_descent(rng, make):
         assert hc.norm_h(grid, tg, res.control - want) <= 1e-9 * hc.norm_h(grid, tg, want)
 
 
+def test_every_charged_product_is_one_stencil_call_on_one_field(rng, monkeypatch):
+    # a whole intermediate-targets run, whose step 2 solves batches of 3
+    # sub-problems forward and, with a second inner iteration, backward: the
+    # stencil is called once per product the run charges, on one field
+    import heatctrl.propagators as propagators
+
+    shapes = []
+
+    def logged(grid, u, **buffers):
+        shapes.append(u.shape)
+        return real(grid, u, **buffers)
+
+    real = propagators.laplacian_apply
+    monkeypatch.setattr(propagators, "laplacian_apply", logged)
+    prob = _tiny_2d_problem(rng)
+    res = hc.run(prob, hc.OuterConfig(n_intervals=3, inner_iterations=2, max_outer=3,
+                                      gradient_rtol=1e-12))
+    assert len(res.history) == 4 and not res.stalled
+    assert len(shapes) == res.history[-1].matvec_sequential
+    assert set(shapes) == {(prob.grid.interior_node_count,)}
+
+
 def test_loose_step2_run_reaches_oracle_cost_in_2d(rng):
     # with the default inner settings d is inexact, but the cost, gradient and
     # line search are not: the run still ends within criterion 1's bound of

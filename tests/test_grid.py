@@ -1,10 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import heatctrl as hc
-from heatctrl.grid import StencilWork
 
 from conftest import dense_laplacian
 
@@ -205,37 +202,14 @@ def test_grid_mismatch_rejected():
         hc.inner_omega(g, np.zeros(3), np.zeros(5))
 
 
-def test_batched_laplacian_rows_bitwise_equal_to_single_fields(rng):
+def test_laplacian_rejects_a_batch_of_fields(rng):
+    # the stencil and the step operator built on it take one field at a time
     g = hc.build_grid(2, (11, 7), [(-0.3, 1.1), (0.0, 2.5)], [(-0.3, 1.1), (0.0, 2.5)])
-    work = StencilWork(g)
-    for k in (3, 1, 5, 2):  # the scratch grows, then serves smaller batches
-        u = rng.standard_normal((k, g.interior_node_count))
-        u[rng.random(u.shape) < 0.2] = -0.0
-        got = hc.laplacian_apply(g, u, work=work)
-        for row, field in zip(got, u):
-            want = _reference_laplacian(g, field)
-            assert np.array_equal(row.view(np.int64), want.view(np.int64))
-
-
-def test_stencil_work_holds_buffers_for_the_largest_batch_only(rng):
-    # served batches of 8, 1, 3 and 5 fields, the buffers stay those of 8
-    g = hc.build_grid(2, (33, 33), [(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)])
-    u = rng.standard_normal((8, g.interior_node_count))
-
-    def held(sizes):
-        tracemalloc.start()
-        try:
-            work = StencilWork(g)
-            for k in sizes:
-                hc.laplacian_apply(g, u[:k], work=work)
-            return tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-
-    one_field = g.interior_node_count * u.itemsize
-    assert held([8]) > 8 * one_field
-    # the views of each batch size cost a few hundred bytes, not a field
-    assert held([8, 1, 3, 5]) <= held([8]) + one_field
+    u = rng.standard_normal((3, g.interior_node_count))
+    with pytest.raises(ValueError, match="not one field"):
+        hc.laplacian_apply(g, u)
+    with pytest.raises(ValueError, match="not one field"):
+        hc.step_operator(g, 0.1, 1.0)(u[:1])
 
 
 def test_batched_inject_restrict_rows(rng):

@@ -122,7 +122,7 @@ def test_step_operator_bitwise_equal_to_reference_formula(rng):
     for nodes, domain, dt in [
         # h^2 = 1/121 (divided) and 1/16 (multiplied by 16)
         ((12, 9), [(0.0, 1.0), (0.0, 2.0)], 0.01),
-        # a batch of 4 fields; h^2 = 1/4096
+        # h^2 = 1/4096, four fields in a row through one operator
         ((65, 65), [(0.0, 1.0), (0.0, 1.0)], 0.0125),
         # one weight 1/h^2 = 1024 on both axes, but w * -(dt*nu) overflows
         # (dt*nu ~ 1e306): each axis weighs its own term; small fields keep
@@ -133,12 +133,13 @@ def test_step_operator_bitwise_equal_to_reference_formula(rng):
     ]:
         g = hc.build_grid(2, nodes, domain, domain)
         apply_k = hc.step_operator(g, dt, nu)
-        shape = (4, g.interior_node_count) if nodes == (65, 65) else (g.interior_node_count,)
+        shape = (4 if nodes == (65, 65) else 1, g.interior_node_count)
         for _ in range(10):
-            u = rng.standard_normal(shape) * (1e-10 if dt > 1.0 else 1.0)
-            u[rng.random(shape) < 0.1] = -0.0
-            want = u - dt * nu * hc.laplacian_apply(g, u)
-            assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
+            fields = rng.standard_normal(shape) * (1e-10 if dt > 1.0 else 1.0)
+            fields[rng.random(shape) < 0.1] = -0.0
+            for u in fields:
+                want = u - dt * nu * hc.laplacian_apply(g, u)
+                assert np.array_equal(apply_k(u).view(np.int64), want.view(np.int64))
 
 
 def test_cg_bitwise_equal_to_reference_loop(rng):
@@ -222,13 +223,14 @@ def _batch(rng, x0):
 def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
     g, b, guess = _batch(rng, x0)
     apply_k = hc.step_operator(g, 0.3 / 7.0, 0.7)
-    counter = hc.MatvecCounter(columns=len(b))
-    got = hc.cg_solve(apply_k, b, 1e-11, counter, x0=guess)
     shapes = []
 
     def recording(u):
         shapes.append(u.shape)
         return apply_k(u)
+
+    counter = hc.MatvecCounter(columns=len(b))
+    got = hc.cg_solve(recording, b, 1e-11, counter, x0=guess)
 
     counts = []
     for c in range(len(b)):
@@ -237,19 +239,19 @@ def test_batched_cg_bitwise_equal_to_column_solves(rng, x0):
                            x0=None if guess is None else guess[c])
         assert np.array_equal(got[c].view(np.int64), want.view(np.int64))
         counts.append(own.count)
-        # a batch of one takes the one-column loop: the 1D solve's bits and
-        # count, with the operator seeing (1, n) arrays
+        # a batch of one gets the 1D solve's bits and count, with the
+        # operator seeing one field at a time
         single = hc.MatvecCounter(columns=1)
         one = hc.cg_solve(recording, b[c:c + 1], 1e-11, single,
                           x0=None if guess is None else guess[c:c + 1])
         assert one.shape == (1, b.shape[1])
         assert np.array_equal(one[0].view(np.int64), want.view(np.int64))
         assert single.per_column.tolist() == [own.count]
-    assert set(shapes) == {(1, b.shape[1])}
+    assert set(shapes) == {(b.shape[1],)}
     assert counter.per_column.tolist() == counts
     assert counter.count == sum(counts)
     assert counts[3] == 0  # the zero column costs nothing
-    assert len({n for n in counts if n}) > 1  # columns leave the batch at different iterations
+    assert len({n for n in counts if n}) > 1  # columns converge at different iterations
 
 
 def test_batched_cg_breakdown_names_its_column():
@@ -259,8 +261,7 @@ def test_batched_cg_breakdown_names_its_column():
     b[1:, 0] = 1.0
     b[2] = 0.0
     b[2, -1] = 1.0
-    # column 0 is zero and leaves the batch at once, so the failing column is
-    # found through the active set
+    # column 0 is zero and costs nothing, column 1 converges, column 2 fails
     with pytest.raises(hc.CGError, match="breakdown") as failure:
         hc.cg_solve(lambda u: signs * u, b, 1e-10, hc.MatvecCounter())
     assert failure.value.column == 2

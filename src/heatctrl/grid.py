@@ -157,19 +157,23 @@ def _weighting(h2: float):
 
 
 class StencilWork:
-    """Buffers of ``laplacian_apply`` for one field, reused from call to call.
+    """Buffers of ``laplacian_apply`` for one operator on one field, reused
+    from call to call.
 
-    The field is copied into a flat, zero-padded buffer.  A neighbour along
-    an axis is then a fixed offset away, that axis's stride in the padded
-    field (1 for the last axis, the padded row length for the first), so
-    every difference is one subtraction of two contiguous ranges.  The values
-    this leaves on the padding are never read.  The padding of the padded
-    copy is never written, so it is never cleared.  The buffers and their
-    views are built once, here.
+    The operator is the Laplacian, or with ``scale``, a number, Lap(u) *
+    scale + u (the implicit-Euler step K u for scale = -(dt*nu)).  The field
+    is copied into a flat, zero-padded buffer.  A neighbour along an axis is
+    then a fixed offset away, that axis's stride in the padded field (1 for
+    the last axis, the padded row length for the first), so every difference
+    is one subtraction of two contiguous ranges.  The values this leaves on
+    the padding are never read.  The padding of the padded copy is never
+    written, so it is never cleared.  The buffers, their views and the factor
+    the interior is read back with are built once, here.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, scale: float | None = None):
         self.grid = grid
+        self.scale = scale
         padded_shape = tuple(n + 2 for n in grid.interior_shape)
         size = math.prod(padded_shape)
         strides = tuple(math.prod(padded_shape[ax + 1:]) for ax in range(grid.dim))
@@ -179,8 +183,8 @@ class StencilWork:
         # may be weighted once at the end, (0 + d_0 + d_1) * w, with the bits
         # of 0 + d_0 * w + d_1 * w; None where the axes must weigh their own
         weigh, w = weights[0]
-        self._weight = (w if len(set(weights)) == 1 and weigh is np.multiply
-                        and w >= 1.0 else None)
+        self.factor = _read_factor(w if len(set(weights)) == 1 and weigh is np.multiply
+                                   and w >= 1.0 else None, scale)
         # every sum is formed on the flat positions [m, size - m), which hold
         # all interior nodes; m is the largest stride
         m = strides[0]
@@ -199,24 +203,23 @@ class StencilWork:
         self.result = np.empty(grid.interior_node_count)
         self.result_grid = self.result.reshape(grid.interior_shape)
 
-    def factor(self, scale: float | None) -> float | None:
-        """The one factor the interior is read back with, w or w * scale, or
-        None when each axis weighs its own term.
 
-        w * scale serves only where it is exact: finite, normal and with
-        (w * scale) / w == scale.
-        """
-        w = self._weight
-        if w is None or scale is None:
-            return w
-        ws = w * scale
-        if math.isfinite(ws) and abs(ws) >= sys.float_info.min and ws / w == scale:
-            return ws
-        return None
+def _read_factor(w: float | None, scale: float | None) -> float | None:
+    """The one factor the interior is read back with, w or w * scale, or None
+    when each axis weighs its own term (w None).
+
+    w * scale serves only where it is exact: finite, normal and with
+    (w * scale) / w == scale.
+    """
+    if w is None or scale is None:
+        return w
+    ws = w * scale
+    if math.isfinite(ws) and abs(ws) >= sys.float_info.min and ws / w == scale:
+        return ws
+    return None
 
 
-def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
-                    scale: float | None = None) -> np.ndarray:
+def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None) -> np.ndarray:
     """Second-order central-difference Laplacian with zero Dirichlet boundary.
 
     Per axis, ``((a[i+1] - a[i]) - (a[i] - a[i-1])) / h**2`` on the
@@ -230,7 +233,7 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
     that product is exact.)
 
     ``u`` is one field (n,); anything else, a batch (k, n) included, raises
-    ``ValueError``.  With ``scale``, a number, the result is
+    ``ValueError``.  With ``work`` built for a ``scale``, the result is
     ``Lap(u) * scale + u`` instead, formed in the same read of the interior:
     the implicit-Euler step K u for scale = -(dt*nu).  The result is a fresh
     array, or with ``work`` a buffer of it that the next call with the same
@@ -242,7 +245,7 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None,
             f"{grid.interior_node_count} interior nodes"
         )
     work = work or StencilWork(grid)
-    factor, total, second = work.factor(scale), work.total, work.second
+    scale, factor, total, second = work.scale, work.factor, work.total, work.second
     work.field[...] = u.reshape(work.field.shape)
     for ax, (upper, lower, first, first_upper, first_lower, weigh, h2) in enumerate(work.axes):
         np.subtract(upper, lower, out=first)

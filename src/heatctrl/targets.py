@@ -76,8 +76,8 @@ BATCH_BYTES = 256 * 1024
 
 # CG tolerance of step 2's solves when the inner descent has no gradient test.
 # d then carries an error of about 1e-6 relative, which the outer line search
-# absorbs; on the 65 x 65 benchmark a step 2 solve takes about 11 products a
-# column and step here, against 23 at cg_tol = 1e-10
+# absorbs; on the 65 x 65 benchmark at seed 0 a step 2 solve takes about 10.5
+# products a column and step here, against 22 at cg_tol = 1e-10
 DIRECTION_CG_TOL = 1e-6
 
 

@@ -80,6 +80,23 @@ def _check_output(path: Path) -> None:
         raise ConfigError(f"output {str(path)!r}: {exc.strerror}") from exc
 
 
+def _check_spacing(cfg: RunConfig) -> None:
+    """Reject a grid spacing h whose h^2 or 1/h^2 is not a finite, non-zero
+    number: the stencil divides by h^2, and the step operator's diagonal
+    holds 1/h^2.  Node counts and bounds that ``build_grid`` rejects are
+    left to it."""
+    nodes = cfg.nodes_per_axis * (cfg.dim if len(cfg.nodes_per_axis) == 1 else 1)
+    for axis, (n, (lo, hi)) in enumerate(zip(nodes, cfg.domain_bounds), start=1):
+        if n < 3 or not lo < hi:
+            continue
+        h = (hi - lo) / (n - 1)  # as build_grid computes it; inf if hi - lo overflows
+        square = h * h  # a Python float: inf on overflow, 0.0 on underflow
+        if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+            raise ConfigError(f"domain_bounds give axis {axis} a spacing h = {h!r} with "
+                              f"{n} nodes, whose h^2 = {square!r} is out of range: h^2 "
+                              f"and 1/h^2 must be finite and non-zero")
+
+
 def _check_storage(cfg: RunConfig) -> None:
     """Reject a run whose float storage exceeds the machine's physical memory.
 
@@ -259,6 +276,7 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
 
     if cfg.N > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
+    _check_spacing(cfg)
     _check_storage(cfg)
     # checked before the solve, not after it; output first, as it names mode both's files
     _check_output(Path(cfg.output))

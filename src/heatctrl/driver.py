@@ -28,7 +28,7 @@ the homogeneous trajectory the line search solved for, so each outer
 iteration costs one adjoint sweep (all its steps from one Krylov space: at
 seed 0, 159 products against 651 for a CG solve per step on the 33 x 33
 benchmark, 287 against 1365 on the 65 x 65 one), the rule's solves and one
-homogeneous forward solve (about 6 and 16.5 products a step on the two).
+homogeneous forward solve (about 4.3 and 13.8 products a step on the two).
 With one inner iteration, the sub-problem solves are one batched homogeneous
 forward solve; each further inner iteration adds
 a batched adjoint and a batched forward solve.  A batched solve takes its

@@ -9,6 +9,17 @@ its cost is numpy calls, not arithmetic.
 and b, by a two-pass Lanczos method: the adjoint sweep, which has no forcing,
 is exactly these powers.
 
+A ``CorrectionSpace`` carries what one column's consecutive CG solves with
+one operator have learnt: the last few start corrections c = x - x0 and
+their images A c, which the solves' own residual recursions give.  A solve
+from a start x0 first adds the Galerkin correction over that space, at no
+product, and then runs CG as before (augmented CG for a sequence of systems:
+Erhel and Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  On the
+benchmark's line-search sweeps, where each step's start misses its solution
+by a correction close to the previous steps', this cuts a step from about
+6.1 to 4.3 products on the 33 x 33 workload and from 16.5 to 13.8 on the
+65 x 65 one.
+
 Both solvers take a batch (k, n) of independent right-hand sides and solve
 it column by column, so a column gets the bits and the product count of its
 own 1D solve, and the operator only ever sees one field.  Both charge every
@@ -74,6 +85,96 @@ class CGError(RuntimeError):
         self.column = column
 
 
+class CorrectionSpace:
+    """The last ``size`` start corrections of one column's CG solves with one
+    operator A, as a Galerkin subspace for the next start.
+
+    A correction is c = x - x0, a solution minus its start, built from the
+    solve's own increments, and A c = r_start - r_end is the difference of
+    the residuals of the same recursion, so no product is spent on it.
+    The corrections C and their images AC sit in fixed (size, n) blocks,
+    and a new correction overwrites the oldest.  ``project`` gives the
+    Galerkin correction C^T a of a start with residual r, G a = C r for the
+    Gram matrix G = C (AC)^T, from a Cholesky factor of G that ``record``
+    computes once per correction.  The small algebra is done on Python
+    floats: at size 4 a numpy call on a 4 x 4 array costs more than the
+    arithmetic.
+    """
+
+    __slots__ = ("_c", "_ac", "_gram", "_kept", "_rows", "_newest", "_filled")
+
+    def __init__(self, n: int, size: int):
+        self._c, self._ac = np.zeros((size, n)), np.zeros((size, n))
+        self._gram = [[0.0] * size for _ in range(size)]
+        # the slots the factorization kept, newest first, and their rows of
+        # L, each ending in its diagonal entry and that entry's reciprocal
+        self._kept, self._rows = [], []
+        self._newest = size - 1  # the slot of the newest correction
+        self._filled = 0
+
+    def project(self, r: np.ndarray) -> np.ndarray:
+        """The correction C^T a with G a = C r, the Galerkin solution of
+        A c = r over the space; subtracts A C^T a from ``r`` in place."""
+        kept, rows = self._kept, self._rows
+        if not kept:
+            return np.zeros(len(r))
+        q = self._c.dot(r).tolist()
+        y = []  # L y = q on the kept slots
+        for i, row in zip(kept, rows):
+            value = q[i]
+            for l_pm, y_m in zip(row, y):
+                value -= l_pm * y_m
+            y.append(value * row[-1])
+        a = [0.0] * len(q)  # L^T a = y, zero off the kept slots
+        for p in range(len(kept) - 1, -1, -1):
+            value = y[p]
+            for m in range(p + 1, len(kept)):
+                value -= rows[m][p] * a[kept[m]]
+            a[kept[p]] = value * rows[p][-1]
+        a = np.array(a)
+        r -= a.dot(self._ac)
+        return a.dot(self._c)
+
+    def record(self, c: np.ndarray, r_start: np.ndarray, r_end: np.ndarray) -> None:
+        """Record a correction c whose image A c is r_start - r_end, and
+        factor the new Gram matrix."""
+        size, gram = len(self._gram), self._gram
+        slot = self._newest = (self._newest + 1) % size
+        self._c[slot] = c
+        np.subtract(r_start, r_end, out=self._ac[slot])
+        for other, value in enumerate(self._ac.dot(c).tolist()):  # c . A c_other
+            gram[slot][other] = gram[other][slot] = value
+        self._filled = min(self._filled + 1, size)
+        # G = L L^T by Cholesky, newest correction first.  A correction whose
+        # pivot falls to 1e-4 of its diagonal or below is left out, and its
+        # coefficient is zero: it lies within about half a degree, in the
+        # A-norm, of the span of newer ones, or it is zero.  The bound keeps
+        # the coefficients a small.  Each stored A c carries the rounding of
+        # the residuals it came from, a projection multiplies that error by
+        # a, and a recorded correction passes it on to the next.  With a
+        # bound of 1e-14, 2D sweeps at nu dt / h^2 = 100 ended with true
+        # residuals of 2 tol at tol = 1e-10 and 230 tol at tol = 1e-12; with
+        # 1e-4 every one stays below tol.
+        kept, rows = [], []
+        for age in range(self._filled):
+            i = (slot - age) % size
+            gram_i, row = gram[i], []
+            for j, lj in zip(kept, rows):
+                value = gram_i[j]
+                for l_im, l_jm in zip(row, lj):
+                    value -= l_im * l_jm
+                row.append(value * lj[-1])
+            pivot = gram_i[i]
+            for l_im in row:
+                pivot -= l_im * l_im
+            if pivot > 1e-4 * gram_i[i]:
+                diagonal = math.sqrt(pivot)
+                row += [diagonal, 1.0 / diagonal]
+                kept.append(i)
+                rows.append(row)
+        self._kept, self._rows = kept, rows
+
+
 def cg_solve(
     apply_a,
     b: np.ndarray,
@@ -81,6 +182,7 @@ def cg_solve(
     counter: MatvecCounter,
     x0: np.ndarray | None = None,
     max_iter: int | None = None,
+    spaces=None,
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A given as a callable.
 
@@ -97,6 +199,13 @@ def cg_solve(
     whose squared norm overflows counts as worse.  The product that tested
     the guess is charged all the same.
 
+    ``spaces`` gives each column a ``CorrectionSpace`` (a sequence of k for
+    a batch, of one for a 1D ``b``), or None for none.  A column whose
+    accepted start x0 has not converged then starts CG from x0 plus the
+    space's Galerkin correction, at no product, and its space records the
+    solve's correction x - x0.  A column that starts from x = 0 records
+    nothing.
+
     A column converges when ||b - A x|| <= tol * ||b||; a zero right-hand
     side has the zero solution and costs no product.  Raises ``CGError``
     when p.Ap is not a positive finite number (A is not positive definite,
@@ -112,13 +221,15 @@ def cg_solve(
         raise ValueError("tol must be positive")
     rhs = b.reshape(-1, b.shape[-1])
     starts = [None] * len(rhs) if x0 is None else x0.reshape(rhs.shape)
+    if spaces is None:
+        spaces = [None] * len(rhs)
     counts = np.zeros(len(rhs), dtype=np.int64)
     if max_iter is None:
         max_iter = rhs.shape[1]
     x = []
     try:
-        for col, (column, start) in enumerate(zip(rhs, starts)):
-            x.append(_cg_column(apply_a, column, tol, counts[col:], start, max_iter))
+        for col, (column, start, space) in enumerate(zip(rhs, starts, spaces, strict=True)):
+            x.append(_cg_column(apply_a, column, tol, counts[col:], start, max_iter, space))
     except CGError as exc:
         exc.column = col if b.ndim > 1 else None
         raise
@@ -127,8 +238,12 @@ def cg_solve(
     return x[0] if b.ndim == 1 else np.array(x)
 
 
-def _cg_column(apply_a, b, tol, counts, x0, max_iter):
-    """CG on one right-hand side (n,); ``counts[0]`` receives its products."""
+def _cg_column(apply_a, b, tol, counts, x0, max_iter, space):
+    """CG on one right-hand side (n,); ``counts[0]`` receives its products.
+
+    With a ``space`` and a start x0 that is accepted but not converged, the
+    iterate x is the correction to x0: it starts from the space's Galerkin
+    correction, and x0 is added once CG has converged."""
     n = len(b)
     bb = float(b.dot(b))
     b_norm = math.sqrt(bb)
@@ -136,43 +251,53 @@ def _cg_column(apply_a, b, tol, counts, x0, max_iter):
         raise CGError(f"right-hand side is not finite: ||b|| = {b_norm!r}")
     if not b_norm:  # a zero right-hand side has the zero solution
         return np.zeros(n)
+    target = tol * b_norm
     start = 0 if x0 is None else 1
+    offset = None  # the start x corrects, with a space
     if x0 is None:
         x, r, rs = np.zeros(n), b.copy(), bb
     else:
         counts[0] = 1
-        x = x0.copy()
-        r = b - apply_a(x)
+        r = b - apply_a(x0)
         # an r.r that overflows is inf, worse than any finite ||b||: no warning
         with np.errstate(over="ignore"):
             rs = float(r.dot(r))
         if math.sqrt(rs) > b_norm:  # a guess worse than zero restarts from x = 0, r = b
             x, r, rs = np.zeros(n), b.copy(), bb
-    target = tol * b_norm
-    if math.sqrt(rs) <= target:
-        counts[0] = start
-        return x
+        elif space is None or math.sqrt(rs) <= target:
+            x = x0.copy()
+        else:
+            offset, r_start = x0, r.copy()
+            x = space.project(r)
+            rs = float(r.dot(r))
 
-    p = r.copy()
-    scratch = np.empty(n)
-    for it in range(1, max_iter + 1):
-        ap = apply_a(p)
-        p_ap = float(p.dot(ap))
-        if not 0.0 < p_ap < math.inf:
-            counts[0] = start + it
-            raise CGError(f"CG breakdown: p.Ap = {p_ap!r}")
-        alpha = rs / p_ap
-        x += np.multiply(alpha, p, out=scratch)
-        r -= np.multiply(alpha, ap, out=scratch)
-        rs_new = float(r.dot(r))
-        if math.sqrt(rs_new) <= target:
-            counts[0] = start + it
-            return x
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
-    counts[0] = start + max_iter
-    raise CGError(f"CG did not reach relative residual {tol:g} in {max_iter} iterations")
+    it = 0
+    if math.sqrt(rs) > target:
+        p = r.copy()
+        scratch = np.empty(n)
+        for it in range(1, max_iter + 1):
+            ap = apply_a(p)
+            p_ap = float(p.dot(ap))
+            if not 0.0 < p_ap < math.inf:
+                counts[0] = start + it
+                raise CGError(f"CG breakdown: p.Ap = {p_ap!r}")
+            alpha = rs / p_ap
+            x += np.multiply(alpha, p, out=scratch)
+            r -= np.multiply(alpha, ap, out=scratch)
+            rs_new = float(r.dot(r))
+            if math.sqrt(rs_new) <= target:
+                break
+            p *= rs_new / rs
+            p += r
+            rs = rs_new
+        else:
+            counts[0] = start + max_iter
+            raise CGError(f"CG did not reach relative residual {tol:g} in {max_iter} iterations")
+    counts[0] = start + it
+    if offset is not None:
+        space.record(x, r_start, r)
+        x += offset
+    return x
 
 
 # Lanczos iterations between two tests of the coefficients T^-s e1

@@ -26,6 +26,16 @@ one product in every step of a window, the first steps after a breakpoint
 (where the forcing jumps) included.  The first solve starts from y0, or from
 x = 0 with no product when y0 is zero.
 
+What CG still has to remove from that start, the start correction
+x_j - x0_j, changes smoothly from step to step.  So each column of a sweep
+keeps a ``linsolve.CorrectionSpace`` of its last ``START_ORDER`` start
+corrections, and each solve first adds the Galerkin correction over them,
+without a product (augmented CG).  At seed 0 a line-search step then costs
+about 4.3 products on the 33 x 33 benchmark and 13.8 on the 65 x 65 one,
+against 6.1 and 16.5 with the extrapolated start alone.  The first steps
+after a breakpoint still cost most, as the jump in the forcing is new to
+the space.
+
 The adjoint sweep has no forcing, so every state it keeps is a power of K^-1
 applied to the terminal value, and one Krylov space of K serves all N steps:
 ``solve_adjoint`` takes them from ``linsolve.inverse_powers`` (two-pass
@@ -47,7 +57,7 @@ from functools import partial
 import numpy as np
 
 from .grid import Grid, StencilWork, _check_field, inject, laplacian_apply
-from .linsolve import MatvecCounter, cg_solve, inverse_powers
+from .linsolve import CorrectionSpace, MatvecCounter, cg_solve, inverse_powers
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,8 @@ _START_COEFFICIENTS = {m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m
 
 
 class _SweepStarts:
-    """The CG starts of one sweep, x0 = omega b_j + E_j(x - omega b).
+    """The CG starts of one sweep, x0 = omega b_j + E_j(x - omega b), and
+    the correction spaces ``cg_solve`` corrects them over.
 
     ``next(rhs)`` is ``first`` until a step is recorded, then omega ``rhs``
     plus the extrapolation through the last (up to ``START_ORDER``) offsets
@@ -108,12 +119,16 @@ class _SweepStarts:
     then starts from x = 0, r = b without the product that would test K 0.
     The arithmetic is elementwise with scalar coefficients, so a column of a
     batch gets its own 1D start.  A start is written into a buffer that the
-    next call overwrites.
+    next call overwrites.  ``spaces`` holds one ``CorrectionSpace`` of
+    ``START_ORDER`` corrections per column, which the solves fill, so a
+    column of a batch also gets its own 1D correction.
     """
 
     def __init__(self, first: np.ndarray, omega: float):
         self._first = first if np.any(first) else None
         self._omega = omega
+        self.spaces = [CorrectionSpace(first.shape[-1], START_ORDER)
+                       for _ in range(math.prod(first.shape[:-1]))]
         self._offsets = deque(maxlen=START_ORDER)  # x - omega b, newest first
         self._start = np.empty(first.shape)
         self._term = np.empty(first.shape)
@@ -182,7 +197,7 @@ def _recurse(grid: Grid, time_grid: TimeGrid, first: np.ndarray, forcing: np.nda
             b += u
             # the offsets keep all the starts need of x^{j-1}: free it for the solve
             del u
-            u = cg_solve(apply_k, b, tol, counter, x0=starts.next(b))
+            u = cg_solve(apply_k, b, tol, counter, x0=starts.next(b), spaces=starts.spaces)
             starts.record(u, b)
         for row in rows[j]:
             out[row] = u

@@ -25,7 +25,7 @@ import numpy as np
 
 from .linsolve import CGError, MatvecCounter
 from .problem import ControlProblem, optimal_step_gradient
-from .propagators import TimeGrid
+from .propagators import START_ORDER, TimeGrid
 
 
 def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
@@ -65,19 +65,28 @@ def targets_from_solutions(
     return chi
 
 
-# widest field block (columns x nodes of float64) of a step-2 batch: 8 columns
-# on a 63 x 63 interior, every sub-problem of a 31 x 31 one.  The solvers take
-# a batch one column at a time, so this caps only the sweeps' (k, n) states,
-# CG starts and forcing.  Without it all 16 sub-problems of the 65 x 65
-# benchmark (perfbench it-field65) form one batch: on a 2-core Xeon (Python
-# 3.11, numpy 2.4) peak RSS rose from 46.7-46.9 MB to 50.1-50.2 MB at seeds 1
-# and 2 (two runs each), while solve_s moved from 4.1-4.6 s to 3.7-4.8 s.
-BATCH_BYTES = 256 * 1024
+# bytes of the sweeps' (k, n) fields a step-2 batch may hold at once.  A
+# column holds 4 + 3 START_ORDER fields of n floats in a sweep: its state,
+# right-hand side, CG start and scratch term, the START_ORDER offsets its
+# starts extrapolate and the 2 START_ORDER corrections and images of its
+# correction space (``propagators._SweepStarts``).  The solvers take a batch
+# one column at a time, so this caps only those fields.  It admits every
+# sub-problem of a 31 x 31 interior and 4 of a 63 x 63 one.  On perfbench
+# it-field65 (seeds 1 and 2, one run each, 2-core Xeon, numpy 2.4) peak RSS
+# read 45.95 MB with 4 columns, 48.5-48.7 MB with the 8 admitted before the
+# correction spaces were counted, and 46.5-46.6 MB without the spaces.
+BATCH_BYTES = 2 * 1024 * 1024
+
+
+def _column_bytes(grid) -> int:
+    """The bytes of one column's fields in a sweep, as ``BATCH_BYTES`` counts them."""
+    return 8 * (4 + 3 * START_ORDER) * grid.interior_node_count
+
 
 # CG tolerance of step 2's solves when the inner descent has no gradient test.
 # d then carries an error of about 1e-6 relative, which the outer line search
-# absorbs; on the 65 x 65 benchmark at seed 0 a step 2 solve takes about 10.5
-# products a column and step here, against 22 at cg_tol = 1e-10
+# absorbs; on the 65 x 65 benchmark at seed 0 a step 2 solve takes about 9.3
+# products a column and step here, against 20.5 at cg_tol = 1e-10
 DIRECTION_CG_TOL = 1e-6
 
 
@@ -113,11 +122,11 @@ def assemble_subproblems(
 
     Sub-problem n starts from y[n], the state at its left breakpoint, and
     tracks chi[n].  A batch is a run of consecutive sub-problems with one step
-    count, at most ``BATCH_BYTES`` of fields wide.
+    count, whose sweeps hold at most ``BATCH_BYTES`` of fields.
     """
     if len(chi) != len(partition) - 1 or len(y) != len(partition):
         raise ValueError("targets were computed for a different partition")
-    width = max(1, BATCH_BYTES // (8 * problem.grid.interior_node_count))
+    width = max(1, BATCH_BYTES // _column_bytes(problem.grid))
     counts = [b - a for a, b in zip(partition, partition[1:])]
     batches = []
     first = 0

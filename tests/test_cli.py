@@ -345,6 +345,25 @@ def test_field_out_of_range_is_one_line_naming_its_key(tmp_path, capsys):
                                        "gaussian sigma must be positive\n")
 
 
+@pytest.mark.parametrize("bounds, square", [("0,1e300", "inf"), ("0,1e-170", "0.0")],
+                         ids=["h2-overflows", "h2-underflows"])
+def test_grid_spacing_out_of_range_is_one_line_naming_its_key(tmp_path, capsys, bounds,
+                                                              square):
+    # h = 1.25e299 or 1.25e-171 on the 9-node line: h^2 overflows to inf or
+    # underflows to 0, where the stencil would raise OverflowError or divide
+    # by zero
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(STALLING_1D)
+    code = main(["--config", str(cfg), "--domain-bounds", bounds, "--control-bounds", bounds,
+                 "--y0", "gaussian(0,1e100,1.0)", "--mode", "both",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: domain_bounds give axis 1 a spacing h = ")
+    assert f"whose h^2 = {square} is out of range" in err and err.count("\n") == 1
+    assert not any(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("dim", ["0", "-1", "3"])
 def test_unsupported_dim_is_reported_before_the_bounds(tmp_path, capsys, dim):
     cfg = tmp_path / "line.cfg"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import heatctrl as hc
+from heatctrl.linsolve import CorrectionSpace
 
 from conftest import dense_laplacian
 
@@ -302,3 +303,82 @@ def test_counter_charges_concurrent_solves_at_their_maximum():
     plain = hc.MatvecCounter()
     plain.add_concurrent(np.array([3, 1]))
     assert (plain.count, plain.parallel, plain.per_column) == (4, 3, None)
+
+
+def _spd(rng, n):
+    q = rng.standard_normal((n, n))
+    return q @ q.T + n * np.eye(n)
+
+
+def _galerkin(a, corrections, r):
+    """The correction C^T y with (C A C^T) y = C r, by a dense solve."""
+    c = np.array(corrections)
+    y = np.linalg.solve(c @ a @ c.T, c @ r)
+    return c.T @ y
+
+
+def test_correction_space_gives_the_galerkin_correction_of_its_last_corrections(rng):
+    n = 12
+    a = _spd(rng, n)
+    corrections = [rng.standard_normal(n) for _ in range(6)]
+    space = CorrectionSpace(n, 4)
+    r = rng.standard_normal(n)
+    assert np.array_equal(space.project(r.copy()), np.zeros(n))  # an empty space
+    for count, c in enumerate(corrections, start=1):
+        # A c as the difference of two residuals, as a solve records it
+        r_end = rng.standard_normal(n)
+        space.record(c, a @ c + r_end, r_end)
+        residual = r.copy()
+        got = space.project(residual)
+        want = _galerkin(a, corrections[max(0, count - 4):count], r)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(residual, r - a @ want, rtol=1e-10, atol=1e-12)
+
+
+def test_correction_space_leaves_out_zero_and_collinear_corrections(rng):
+    # warnings are errors here: no division by zero and no exception
+    n = 8
+    a = _spd(rng, n)
+    c = rng.standard_normal(n)
+    space = CorrectionSpace(n, 4)
+    zero = np.zeros(n)
+    space.record(zero, zero, zero)
+    r = rng.standard_normal(n)
+    residual = r.copy()
+    assert np.array_equal(space.project(residual), zero)
+    assert np.array_equal(residual, r)
+    for scale in (1.0, 2.0, -1.0):  # one direction, recorded three times
+        space.record(scale * c, a @ (scale * c), zero)
+    want = (c @ r) / (c @ a @ c) * c
+    np.testing.assert_allclose(space.project(r.copy()), want, rtol=1e-12)
+
+
+def test_space_records_a_solve_from_an_accepted_start_only(rng):
+    g = hc.build_grid(1, 20, [(0.0, 1.0)], [(0.0, 1.0)])
+    apply_k = hc.step_operator(g, 0.1, 1.0)
+    n = g.interior_node_count
+    b = rng.standard_normal(n)
+    space = CorrectionSpace(n, 4)
+    r = rng.standard_normal(n)
+    # from zero, from a guess worse than zero and from a converged guess: nothing
+    for x0 in (None, -b, hc.cg_solve(apply_k, b, 1e-14, hc.MatvecCounter())):
+        x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0, spaces=[space])
+        assert np.array_equal(space.project(r.copy()), np.zeros(n))
+    # from an accepted start: the correction x - x0 and its image
+    x0 = x + 1e-3 * rng.standard_normal(n)
+    x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0, spaces=[space])
+    correction = x - x0
+    want = (correction @ r) / (correction @ apply_k(correction)) * correction
+    np.testing.assert_allclose(space.project(r.copy()), want, rtol=1e-8)
+    # a projected start costs no product: the counter holds the operator calls
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return apply_k(u)
+
+    b2 = b + 1e-2 * rng.standard_normal(n)
+    counter = hc.MatvecCounter()
+    x2 = hc.cg_solve(counted, b2, 1e-12, counter, x0=x, spaces=[space])
+    assert counter.count == len(calls)
+    assert np.linalg.norm(b2 - apply_k(x2)) <= 1e-12 * np.linalg.norm(b2)

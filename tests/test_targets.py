@@ -120,7 +120,7 @@ def test_subproblems_step_with_the_outer_dt(rng, monkeypatch):
                                time_grid=hc.TimeGrid(15, 0.7 / 15))
     part = hc.make_partition(prob.time_grid, 5)
     v = rng.standard_normal((15, prob.grid.control_node_count))
-    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
+    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * targets._column_bytes(prob.grid))
     batches = step2_batches(prob, part, v)
     assert [b.first for b in batches] == [0, 2, 4]
     outer_dt = np.float64(prob.time_grid.dt).view(np.int64)
@@ -137,7 +137,7 @@ def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
     v = rng.standard_normal((13, prob.grid.control_node_count))
-    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * 8 * prob.grid.interior_node_count)
+    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * targets._column_bytes(prob.grid))
     y, chi, g = breakpoint_targets(prob, part, v)
     batches = hc.assemble_subproblems(prob, v, part, y, chi, g)
     # the breakpoint rows are the rows of the full trajectory, bit for bit
@@ -282,8 +282,7 @@ def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):
     def solve(columns):
         """Step 2 in batches at most ``columns`` wide (None: the default width)."""
         if columns is not None:
-            monkeypatch.setattr(targets, "BATCH_BYTES",
-                                columns * 8 * prob.grid.interior_node_count)
+            monkeypatch.setattr(targets, "BATCH_BYTES", columns * targets._column_bytes(prob.grid))
         batches = hc.assemble_subproblems(prob, v, part, y, chi, g)
         counter = hc.MatvecCounter(columns=4)
         v_tilde = hc.solve_subproblem(batches, 2, counter)

@@ -25,9 +25,9 @@ guard: every accepted step lowers J and the gradient stays the exact one.
 
 The state follows through linearity, y(v + theta d) = y(v) + theta z with z
 the homogeneous trajectory the line search solved for, so each outer
-iteration costs one adjoint sweep (all its steps from one Krylov space: at
-seed 0, 159 products against 651 for a CG solve per step on the 33 x 33
-benchmark, 287 against 1365 on the 65 x 65 one), the rule's solves and one
+iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
+seed 0, 80 products against 651 for a CG solve per step on the 33 x 33
+benchmark, 144 against 1365 on the 65 x 65 one), the rule's solves and one
 homogeneous forward solve (about 4.3 and 13.8 products a step on the two).
 With one inner iteration, the sub-problem solves are one batched homogeneous
 forward solve; each further inner iteration adds
@@ -37,9 +37,14 @@ and the product count of its own solve.
 
 The sub-problems touch one another only through y and p at the N+1
 breakpoints, and the gradient reads p only on the control patch, so a run
-stores no full trajectory: y and z at the N+1 breakpoints, p as full fields
-at the N right breakpoints and p on the control patch at every step, which
-is O(N n + steps m) memory for n grid nodes and m control nodes.
+stores no full trajectory: y and z at the N+1 breakpoints, p on the control
+patch at every step and, when step 2 reads the targets chi, p as full
+fields at the N right breakpoints, which is O(N n + steps m) memory for n
+grid nodes and m control nodes.  Step 2 reads chi only with more than one
+inner iteration or an inner gradient test (``_reads_targets``): its first
+gradient is given, and without either its descent stops before it solves
+for another.  Otherwise, as in the baseline, the adjoint keeps its Lanczos
+vectors on the control patch alone, and no chi is formed.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
 product; the parallel tally charges step 2 at its per-sub-problem maximum
@@ -150,8 +155,11 @@ def targets_direction(
     g: np.ndarray,
     counter: MatvecCounter,
 ) -> np.ndarray:
-    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v."""
-    chi = targets_from_solutions(problem, partition, y, p)
+    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v.
+
+    ``p`` is None when step 2 does not read the targets (``_reads_targets``):
+    its sub-problems then get none."""
+    chi = None if p is None else targets_from_solutions(problem, partition, y, p)
     batches = assemble_subproblems(problem, v, partition, y, chi, g)
     v_tilde = solve_subproblem(batches, config.inner_iterations, counter,
                                config.inner_gradient_rtol)
@@ -191,15 +199,26 @@ def _sweep(
     return v, y, 0.0
 
 
+def _reads_targets(config: OuterConfig, direction) -> bool:
+    """Whether the rule reads the targets chi = y - p, and so p at the
+    breakpoints: only ``targets_direction`` does, and only when its inner
+    descent solves for a gradient.  Its first gradient is the window of g,
+    so with one inner iteration and no inner gradient test
+    ``optimal_step_gradient`` exits before it reads a target."""
+    return direction is targets_direction and (
+        config.inner_iterations > 1 or config.inner_gradient_rtol is not None)
+
+
 def _adjoint(problem: ControlProblem, partition: list[int], v: np.ndarray,
-             y_final: np.ndarray, counter: MatvecCounter) -> tuple[np.ndarray, np.ndarray]:
-    """p(v) at the N right breakpoints and the gradient alpha v + B* p of the
-    cost at v, from one adjoint solve that keeps the rest of p on the control
-    patch only."""
+             y_final: np.ndarray, counter: MatvecCounter,
+             breakpoints: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """p(v) at the N right breakpoints (None without ``breakpoints``) and
+    the gradient alpha v + B* p of the cost at v, from one adjoint solve that
+    keeps the rest of p on the control patch only."""
     p, patch = solve_adjoint(problem.grid, problem.time_grid, y_final - problem.y_target,
                              problem.nu, problem.cg_tol, counter,
-                             keep=partition[1:])
-    return p, problem.alpha * v + patch[:-1]
+                             keep=partition[1:] if breakpoints else [])
+    return p if breakpoints else None, problem.alpha * v + patch[:-1]
 
 
 def run(problem: ControlProblem, config: OuterConfig,
@@ -223,6 +242,7 @@ def run(problem: ControlProblem, config: OuterConfig,
             raise ValueError(f"start must have shape {v.shape}, got {np.shape(start)}")
         v = np.array(start, dtype=float)
     partition = make_partition(tg, config.n_intervals)
+    breakpoints = _reads_targets(config, direction)
     counter = MatvecCounter()
     t0 = time.perf_counter()
 
@@ -234,7 +254,7 @@ def run(problem: ControlProblem, config: OuterConfig,
     converged = stalled = False
 
     for k in range(config.max_outer + 1):
-        p, g = _adjoint(problem, partition, v, y[-1], counter)
+        p, g = _adjoint(problem, partition, v, y[-1], counter, breakpoints)
         with np.errstate(over="ignore"):
             rec = _record(problem, v, y[-1])
             gnorm = norm_h(grid, tg, g)

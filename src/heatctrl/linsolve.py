@@ -6,8 +6,11 @@ the state and line-search sweeps is such a solve, and on a desk-sized field
 its cost is numpy calls, not arithmetic.
 
 ``inverse_powers`` gives A^-s b for every s = 0..N from one Krylov space of A
-and b, by a two-pass Lanczos method: the adjoint sweep, which has no forcing,
-is exactly these powers.
+and b, by one Lanczos pass: the adjoint sweep, which has no forcing, is
+exactly these powers.  It copies each Lanczos vector on the nodes whose
+every power it returns (the control patch), and whole only when the caller
+keeps a power s > 0, so a patch-only sweep stores m x (patch nodes) floats
+of its m Lanczos vectors, not m x n.
 
 A ``CorrectionSpace`` carries what one column's consecutive CG solves with
 one operator have learnt: the last few start corrections c = x - x0 and
@@ -302,13 +305,14 @@ def _cg_column(apply_a, b, tol, counts, x0, max_iter, space):
 
 # Lanczos iterations between two tests of the coefficients T^-s e1
 CHECK = 16
-# Lanczos vectors the second pass combines at a time: one (BLOCK, n) block
+# Lanczos vectors stored whole in one (BLOCK, n) block, when a kept power
+# needs them: a kept power sums its blocks by matrix-vector products
 BLOCK = 16
 
 
 def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
     """A^-s b for s = 0..count, for symmetric positive definite A given as a
-    callable, from one Krylov space of A and b (two-pass Lanczos).
+    callable, from one Krylov space of A and b (one Lanczos pass).
 
     ``b`` is one field (n,) or a batch (k, n) of independent ones, solved
     one column after another.  Returns the pair (fields, patches):
@@ -318,18 +322,19 @@ def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
     nodes of a stored field are its patch row, so the two always agree bit
     for bit.
 
-    The first pass runs Lanczos on A from v1 = b / beta0, beta0 = ||b||,
-    keeping only the tridiagonal T_m.  At m = 1 and every ``CHECK``
-    iterations it forms c_s = T_m^-s e1 for every s = 1..count, and it stops
-    when every c_s has moved by at most tol * ||c_s|| since the last check
-    (so at m = CHECK at the earliest), when beta = 0 (an invariant subspace:
-    the result is exact) or when m = n.  It tests every power whatever
-    ``rows`` asks for, so what a caller stores never changes the products or
-    the bits.  The second pass regenerates the same v_i with the same
-    operations and the stored alpha and beta, and adds beta0 * sum_i c_s,i
-    v_i into the results ``BLOCK`` vectors at a time, by matrix-vector
-    products.  A column with m Lanczos vectors costs 2m - 1 products; a
-    zero column has zero powers and costs no product.
+    Lanczos runs on A from v1 = b / beta0, beta0 = ||b||, building the
+    tridiagonal T_m.  At m = 1 and every ``CHECK`` iterations it forms
+    c_s = T_m^-s e1 for every s = 1..count, and it stops when every c_s has
+    moved by at most tol * ||c_s|| since the last check (so at m = CHECK at
+    the earliest), when beta = 0 (an invariant subspace: the result is
+    exact) or when m = n.  It tests every power whatever ``rows`` asks for,
+    so what a caller stores never changes the products or the bits.  Each
+    v_i is copied on ``mask`` as it is made, and whole only when ``rows``
+    asks for a power s > 0.  The results are then beta0 * sum_i c_s,i v_i,
+    by matrix-vector products of the coefficients and the stored vectors:
+    one for each power's patch, and one per ``BLOCK`` vectors for each kept
+    power.  A column with m Lanczos vectors costs m products; a zero column
+    has zero powers and costs no product.
 
     Raises ``CGError`` when ``b`` is not finite, when an alpha is not a
     positive finite number or a beta is not finite, or when T_m is not
@@ -351,11 +356,16 @@ def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
             if not math.isfinite(beta0):
                 raise CGError(f"right-hand side is not finite: ||b|| = {beta0!r}")
             if beta0:  # a zero column has zero powers
-                # each pass writes over its own copy of v1
-                alphas, betas, c = _lanczos(apply_a, column / beta0, count, tol, counts[col:])
+                c, on_patch, blocks = _lanczos(apply_a, column / beta0, count, tol,
+                                               counts[col:], mask, any(rows))
                 c *= beta0
-                _combine(apply_a, column / beta0, alphas, betas, c, rows, mask,
-                         counts[col:], fields[:, col], patches[1:, col])
+                for s in range(count):
+                    np.dot(c[s], on_patch, out=patches[s + 1, col])
+                for field, s in zip(fields[:, col], rows):
+                    if s:
+                        for start, block in zip(range(0, c.shape[1], BLOCK), blocks):
+                            block_c = c[s - 1, start : start + BLOCK]
+                            field += np.dot(block_c, block[: len(block_c)])
     except CGError as exc:
         exc.column = col if b.ndim > 1 else None
         raise
@@ -371,18 +381,25 @@ def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
             patches.reshape((count + 1,) + b.shape[:-1] + (len(mask),)))
 
 
-def _lanczos(apply_a, v, count, tol, counts):
-    """The first pass from the unit vector ``v``; ``counts[0]`` receives its
+def _lanczos(apply_a, v, count, tol, counts, mask, whole):
+    """Lanczos from the unit vector ``v``; ``counts[0]`` receives its
     products.
 
-    Returns (alphas, betas, coefficients): the diagonal and off-diagonal of
-    T_m and the (count, m) array of T_m^-s e1.
+    Returns (coefficients, patch rows, blocks): the (count, m) array of
+    T_m^-s e1, the (m, len(mask)) array of v_1..v_m on ``mask`` and, with
+    ``whole``, v_1..v_m in (``BLOCK``, n) blocks (none without).
     """
     n = len(v)
     v_prev, w, scratch = np.zeros(n), np.empty(n), np.empty(n)
     beta = 0.0
     alphas, betas, last = [], [], None
+    on_patch, blocks = [], []
     for m in range(1, n + 1):
+        on_patch.append(v[mask])
+        if whole:
+            if (m - 1) % BLOCK == 0:
+                blocks.append(np.empty((BLOCK, n)))
+            blocks[-1][(m - 1) % BLOCK] = v
         av = apply_a(v)
         counts[0] += 1
         np.subtract(av, np.multiply(beta, v_prev, out=w), out=w)
@@ -396,7 +413,7 @@ def _lanczos(apply_a, v, count, tol, counts):
         if beta == 0.0 or m == n or m % CHECK == 0 or m == 1:
             c = _tridiagonal_powers(alphas, betas, count)
             if beta == 0.0 or m == n or _settled(c, last, tol):
-                return alphas, betas, c
+                return c, np.array(on_patch), blocks
             last = c
         # the next Lanczos vector goes where the last one was
         np.divide(w, beta, out=v_prev)
@@ -442,37 +459,3 @@ def _tridiagonal_powers(diag, off, count):
     for s in range(1, count):
         np.dot(inverse, c[s - 1], out=c[s])
     return c
-
-
-def _combine(apply_a, v, alphas, betas, c, rows, mask, counts, fields, patches):
-    """The second pass: regenerate the Lanczos vectors from the unit vector
-    ``v`` and add sum_i c_s,i v_i into ``fields`` (powers ``rows``) and
-    ``patches`` (powers 1..count), one block of ``BLOCK`` vectors at a time;
-    ``counts[0]`` receives its products."""
-    m, n = len(alphas), len(v)
-    v_prev, w, scratch = np.zeros(n), np.empty(n), np.empty(n)
-    block = np.empty((BLOCK, n))
-    patch_rows = np.empty(patches.shape)
-    beta = 0.0
-    for i in range(m):  # v holds v_{i+1}
-        block[i % BLOCK] = v
-        if (i + 1) % BLOCK == 0 or i + 1 == m:
-            start, length = i - i % BLOCK, i % BLOCK + 1
-            vectors, block_c = block[:length], c[:, start : start + length]
-            for field, s in zip(fields, rows):
-                if s:
-                    field += np.dot(block_c[s - 1], vectors)
-            on_patch = vectors[:, mask]
-            for s in range(len(patch_rows)):
-                np.dot(block_c[s], on_patch, out=patch_rows[s])
-            patches += patch_rows
-        if i + 1 == m:
-            return
-        # v_{i+2} from v_{i+1} and v_i with the first pass's operations and scalars
-        av = apply_a(v)
-        counts[0] += 1
-        np.subtract(av, np.multiply(beta, v_prev, out=w), out=w)
-        w -= np.multiply(alphas[i], v, out=scratch)
-        beta = betas[i]
-        np.divide(w, beta, out=v_prev)
-        v, v_prev = v_prev, v

@@ -38,8 +38,10 @@ the space.
 
 The adjoint sweep has no forcing, so every state it keeps is a power of K^-1
 applied to the terminal value, and one Krylov space of K serves all N steps:
-``solve_adjoint`` takes them from ``linsolve.inverse_powers`` (two-pass
-Lanczos) instead of a CG solve per step.
+``solve_adjoint`` takes them from ``linsolve.inverse_powers`` (one Lanczos
+pass, m products for m Lanczos vectors) instead of a CG solve per step.  It
+keeps the Lanczos vectors whole only when ``keep`` selects a step before
+the last, so ``keep=[]`` holds them on the control patch alone.
 
 A sweep stores only the steps its caller asks for (``keep``, an index into
 the step axis), and what it stores never changes its numbers.  The adjoint
@@ -246,7 +248,7 @@ def solve_adjoint(
     into the step axis as in ``solve_state``, returns the pair (p at the
     steps ``keep`` selects, the control patch nodes of every p^j, of shape
     (steps+1, m)): the patch is all the gradient reads, so ``keep=[]``
-    stores no full field.
+    stores no full field, nor any whole Lanczos vector.
     """
     _check_field(grid, terminal)
     if nu < 0:

@@ -8,7 +8,10 @@ breakpoint and whose target is chi at its right breakpoint.
 A sub-problem's time grid is ``TimeGrid(count, dt)``, its step count with the
 outer dt, so every sub-problem steps with the outer dt by construction.
 At the final breakpoint chi equals the global target by construction, so the
-last value is assigned, not computed.
+last value is assigned, not computed.  chi is formed only when a sub-problem
+reads its target: with more than one inner iteration or an inner gradient
+test.  A one-step descent without a test starts from its given gradient and
+stops before it solves for another, so its sub-problems get no targets.
 
 The sub-problems only shape the search direction d = v_tilde - v, which the
 outer exact line search rescales, so without an inner gradient test of their
@@ -121,9 +124,13 @@ def assemble_subproblems(
     targets chi and the gradient g of the cost at v, in batches.
 
     Sub-problem n starts from y[n], the state at its left breakpoint, and
-    tracks chi[n].  A batch is a run of consecutive sub-problems with one step
-    count, whose sweeps hold at most ``BATCH_BYTES`` of fields.
+    tracks chi[n].  With chi None, for an inner descent that reads no target,
+    every target is NaN, so a descent that did read one would fail with a
+    non-finite local adjoint.  A batch is a run of consecutive sub-problems
+    with one step count, whose sweeps hold at most ``BATCH_BYTES`` of fields.
     """
+    if chi is None:
+        chi = np.full(y[1:].shape, np.nan)
     if len(chi) != len(partition) - 1 or len(y) != len(partition):
         raise ValueError("targets were computed for a different partition")
     width = max(1, BATCH_BYTES // _column_bytes(problem.grid))

@@ -49,13 +49,18 @@ y_target = indicator(0.2,0.8)
 mode = intermediate-targets
 N = 2
 max_outer = 200
-gradient_rtol = 1e-12
+gradient_rtol = 1e-20
 """
 
 
 # what the CLI prints before the runs for STALLING_1D's gradient_rtol (and
-# any other 1e-12), which the default CG tolerance cannot resolve
-RTOL_WARNING = ("warning: gradient_rtol = 1e-12 is below the CG tolerance 1e-10; "
+# any other 1e-20), which the default CG tolerance cannot resolve.  Its
+# threshold, 1.2e-20, lies below the rounding floor of the gradient norm on
+# this line, eps ||alpha v||_H = 3.4e-17, so no run can converge and each
+# stops on a rounding-level uphill step, whatever its rounding.  At 1e-12,
+# 1e-13 and 1e-14 the intermediate-targets run converged or stalled
+# depending on one ulp of its adjoint patches
+RTOL_WARNING = ("warning: gradient_rtol = 1e-20 is below the CG tolerance 1e-10; "
                 "the run may stall\n")
 
 
@@ -133,7 +138,7 @@ def test_exit_code_for_exhausted_budget(cfg_file, tmp_path, capsys):
                        ("both", ["baseline", "intermediate-targets"])]:
         out = tmp_path / f"short_{mode}.csv"
         code = main(["--config", str(cfg_file), "--mode", mode, "--max-outer", "1",
-                     "--rtol", "1e-12", "--out", str(out)])
+                     "--rtol", "1e-20", "--out", str(out)])
         assert code == EXIT_MAX_ITER
         written = ([out] if mode != "both" else
                    [tmp_path / "short_both_baseline.csv", tmp_path / "short_both_intermediate.csv"])
@@ -143,12 +148,12 @@ def test_exit_code_for_exhausted_budget(cfg_file, tmp_path, capsys):
             "iterations\n" for run in runs)
 
 
-@pytest.mark.parametrize("rtol, warns", [("1e-12", True), ("1e-10", False), (None, False)])
+@pytest.mark.parametrize("rtol, warns", [("1e-20", True), ("1e-10", False), (None, False)])
 def test_gradient_rtol_below_cg_tol_warns_before_the_run(tmp_path, capsys, rtol, warns):
-    # STALLING_1D asks for 1e-12; at the CG tolerance itself, or at the
+    # STALLING_1D asks for 1e-20; at the CG tolerance itself, or at the
     # default 1e-6, the CLI stays silent.  The warning leaves the exit code be
     cfg = tmp_path / "line.cfg"
-    cfg.write_text(STALLING_1D if rtol else STALLING_1D.replace("gradient_rtol = 1e-12\n", ""))
+    cfg.write_text(STALLING_1D if rtol else STALLING_1D.replace("gradient_rtol = 1e-20\n", ""))
     flags = ["--rtol", rtol] if rtol else []
     code = main(["--config", str(cfg), "--max-outer", "1", *flags,
                  "--out", str(tmp_path / "x.csv")])

@@ -184,6 +184,70 @@ def test_one_adjoint_solve_per_sweep(rng, monkeypatch):
     assert calls == [prob.y0.shape] * len(res.history)
 
 
+# step 2 reads chi = y - p only past its first inner step or with an inner
+# gradient test; the steepest baseline never reads it
+@pytest.mark.parametrize("steepest, inner, inner_rtol, reads", [
+    (True, 3, 1e-6, False), (False, 1, None, False), (False, 3, None, True),
+    (False, 1, 1e-6, True),
+])
+def test_run_stores_breakpoint_adjoints_only_when_step2_reads_them(rng, monkeypatch, steepest,
+                                                                  inner, inner_rtol, reads):
+    prob = random_tiny_problem(rng, n_interior=6, steps=13)
+    cfg = hc.OuterConfig(n_intervals=4, inner_iterations=inner,
+                         inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)
+
+    import heatctrl.driver as driver
+    import heatctrl.propagators as propagators
+
+    calls, in_step2 = [], [False]
+
+    def logged_adjoint(apply_a, b, count, tol, counter, rows, mask,
+                       real=propagators.inverse_powers):
+        calls.append((in_step2[0], any(rows)))
+        return real(apply_a, b, count, tol, counter, rows, mask)
+
+    def logged_step2(*args, real=driver.solve_subproblem, **kwargs):
+        in_step2[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            in_step2[0] = False
+
+    monkeypatch.setattr(propagators, "inverse_powers", logged_adjoint)
+    monkeypatch.setattr(driver, "solve_subproblem", logged_step2)
+    res = hc.run(prob, cfg, hc.steepest_direction if steepest else hc.targets_direction)
+    assert len(res.history) > 2
+    assert [full for inside, full in calls if not inside] == [reads] * len(res.history)
+    assert not any(full for inside, full in calls if inside)
+
+
+def test_one_inner_iteration_never_reads_the_targets(rng, monkeypatch):
+    # storing p at the breakpoints and forming chi changes no bit of a run
+    # whose inner descent stops after its first step
+    prob = random_tiny_problem(rng, n_interior=6, steps=13)
+    cfg = hc.OuterConfig(n_intervals=4, max_outer=8, gradient_rtol=1e-9)
+    without = hc.run(prob, cfg)
+
+    import heatctrl.driver as driver
+
+    monkeypatch.setattr(driver, "_reads_targets", lambda config, direction: True)
+    formed = []
+
+    def logged_targets(*args, real=driver.targets_from_solutions):
+        formed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(driver, "targets_from_solutions", logged_targets)
+    with_targets = hc.run(prob, cfg)
+    assert len(formed) == len(with_targets.history) - 1 > 2
+    assert np.array_equal(without.control.view(np.int64), with_targets.control.view(np.int64))
+
+    def untimed(history):
+        return [dataclasses.replace(row, wall_time=0.0) for row in history]
+
+    assert untimed(without.history) == untimed(with_targets.history)
+
+
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
     # 7 steps on 3 sub-intervals: batches (3 steps) and (2, 2 steps); a
     # non-finite local gradient breaks sub-problem 1, column 0 of the second batch

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatctrl as hc
+import heatctrl.linsolve as linsolve
 import heatctrl.propagators as propagators
 from heatctrl.linsolve import CHECK, inverse_powers
 
@@ -480,9 +482,25 @@ def test_krylov_adjoint_matches_dense_in_every_keep_form(dim, nodes, steps, stif
         assert np.array_equal(_bits(patch), _bits(p[:, g.control_mask]))
 
 
+def _lanczos_lengths(monkeypatch):
+    """A list that receives each Krylov column's Lanczos vector count m: the
+    size of T_m at its last check."""
+    lengths = []
+    real = linsolve._tridiagonal_powers
+
+    def logged(diag, off, count):
+        if len(diag) == 1:  # the first check of a new column
+            lengths.append(0)
+        lengths[-1] = len(diag)
+        return real(diag, off, count)
+
+    monkeypatch.setattr(linsolve, "_tridiagonal_powers", logged)
+    return lengths
+
+
 def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
-    # both passes are charged: every row the stencil receives is one product,
-    # and a column with m Lanczos vectors costs m + (m - 1)
+    # every row the stencil receives is one product, and a column with m
+    # Lanczos vectors costs m
     g = hc.build_grid(2, 12, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
     tg = hc.TimeGrid(9, 0.02)
     rows = []
@@ -493,6 +511,7 @@ def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
         return real(grid, u, **buffers)
 
     monkeypatch.setattr(propagators, "laplacian_apply", logged)
+    lengths = _lanczos_lengths(monkeypatch)
     terminal = rng.standard_normal((4, g.interior_node_count))
     terminal[1] = 0.0
     terminal[2] = np.outer(*[np.sin(np.pi * np.arange(1, 11) / 11)] * 2).ravel()
@@ -500,13 +519,34 @@ def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
     hc.solve_adjoint(g, tg, terminal, 1.0, 1e-10, counter, keep=[3])
     assert counter.count == sum(rows) and len(rows) > 1
     assert counter.per_column[1] == 0
-    assert all(n % 2 == 1 for n in counter.per_column[[0, 2, 3]])
+    assert counter.per_column[[0, 2, 3]].tolist() == lengths
     # the smooth column converges in fewer Lanczos steps and leaves the batch
     assert counter.per_column[2] < counter.per_column[0]
     rows.clear()
     single = hc.MatvecCounter()
     hc.solve_adjoint(g, tg, terminal[0], 1.0, 1e-10, single, keep=[])
     assert single.count == sum(rows) == counter.per_column[0]
+
+
+def test_patch_only_adjoint_keeps_no_whole_lanczos_vector(monkeypatch):
+    # the 65 x 65 benchmark's grid and steps, from the indicator of its control
+    # patch: with keep=[] the Lanczos vectors are kept on the patch only, so
+    # the sweep's peak stays below the m n floats of its whole basis
+    g = hc.build_grid(2, 65, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2)
+    tg = hc.TimeGrid(160, 0.02)
+    terminal = g.zero_field()
+    terminal[g.control_mask] = 1.0
+    lengths = _lanczos_lengths(monkeypatch)
+    counter = hc.MatvecCounter()
+    tracemalloc.start()
+    try:
+        hc.solve_adjoint(g, tg, terminal, 1e-2, 1e-10, counter, keep=[])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (m,) = lengths
+    assert counter.count == m > CHECK
+    assert peak < m * g.interior_node_count * 8
 
 
 @pytest.mark.parametrize("k", [1, 7])
@@ -521,7 +561,7 @@ def test_krylov_adjoint_of_a_sine_mode_stops_at_the_first_check(k):
     p = hc.solve_adjoint(g, tg, terminal, 0.5, 1e-10, counter)
     want = lam ** -np.arange(10, -1, -1.0)[:, None] * terminal
     assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(terminal))
-    assert g.interior_node_count > CHECK and counter.count == 2 * CHECK - 1
+    assert g.interior_node_count > CHECK and counter.count == CHECK
 
 
 def test_krylov_adjoint_on_one_node_stops_at_the_whole_space():
@@ -531,7 +571,7 @@ def test_krylov_adjoint_on_one_node_stops_at_the_whole_space():
     p = hc.solve_adjoint(g, tg, np.array([2.0]), 0.3, 1e-12, counter)
     np.testing.assert_allclose(p, dense_adjoint_solve(g, tg, np.array([2.0]), 0.3),
                                rtol=1e-14)
-    assert counter.count == 1  # m = n = 1: the first pass's one product
+    assert counter.count == 1  # m = n = 1: one product
 
 
 def test_krylov_adjoint_zero_and_non_finite_terminals():

@@ -2,8 +2,9 @@
 
 On a tiny 1D instance we (1) compute the targets chi = y - p at the
 breakpoints, (2) split the horizon into sub-intervals and solve the
-independent local tracking problems as one batch, starting from the windows
-of the gradient the adjoint already gave, (3) join their controls
+independent local tracking problems one after another, each with its own
+matvec count and starting from its window of the gradient the adjoint
+already gave, (3) join their controls
 into v_tilde and line-search along v_tilde - v.  It then runs the outer loop
 with this rule and with the baseline's rule d = -g, and finally checks the
 defining fixed-point property: starting from the exact optimum, the sweep
@@ -54,9 +55,17 @@ print("targets chi(t_n) computed; chi(T) equals y_target:",
 g = problem.alpha * v + p_patch[:-1]
 print(f"gradient norm at v = 0: {hc.norm_h(grid, time_grid, g):.6f}")
 
-batches = hc.assemble_subproblems(problem, v, partition, y, chi, g)
-print(f"sub-problems in batches starting at {[b.first for b in batches]}")
-v_tilde = hc.solve_subproblem(batches, 1, counter)  # one descent per batch
+# step 2: each sub-problem counts its own products; the parallel tally
+# charges the costliest, as if each ran on its own processor
+controls, counts = [], []
+for sub in hc.assemble_subproblems(problem, v, partition, y, chi, g):
+    own = hc.MatvecCounter()
+    controls.append(hc.solve_subproblem(sub, 1, own))  # one descent step
+    counts.append(own.count)
+    print(f"sub-problem {sub.index} on [{time_grid.dt * sub.start:g}, "
+          f"{time_grid.dt * sub.end:g}]: {own.count} matvecs")
+counter.add_concurrent(counts)
+v_tilde = np.concatenate(controls)
 theta, _ = hc.line_search_theta(problem, partition, v, v_tilde - v,
                                 y[-1] - problem.y_target, counter)
 v = v + theta * (v_tilde - v)

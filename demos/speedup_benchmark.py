@@ -3,7 +3,7 @@
 Writes two CSV traces next to this script and prints the matvec speedup at
 matched final cost.  A larger version of the same experiment (33x33 grid,
 640 steps) is the speedup acceptance check in tests/test_acceptance.py.
-Step 2 runs its sub-problems as one batched solve in this process, so the
+Step 2 solves its sub-problems one after another in this process, so the
 config sets no ``worker_count``: that key is still accepted but has no effect.
 """
 

@@ -15,7 +15,8 @@ below the CG tolerance, which the stopping test cannot resolve, gets one
 warning line on stderr before the runs; the exit code does not change.
 
 Each key of ``config.KEYS`` has one flag.  ``--workers`` (``worker_count``) is
-parsed and validated but has no effect: step 2 is one batched solve.
+parsed and validated but has no effect: step 2 solves its sub-problems one
+after another in the calling thread.
 """
 
 from __future__ import annotations

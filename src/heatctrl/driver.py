@@ -9,9 +9,8 @@ only in the rule:
 - ``steepest_direction``, the sequential baseline: d = -g, which makes the
   line search the optimal-step gradient method;
 - ``targets_direction``, the intermediate-targets method: (1) the targets
-  chi = y - p at the breakpoints, (2) the independent sub-problems solved as
-  one batched descent, each local time step advancing all of them at once
-  with per-sub-problem arithmetic and matvec counts, and (3) their controls
+  chi = y - p at the breakpoints, (2) the independent sub-problems, each
+  solved on its own with a matvec count of its own, and (3) their controls
   joined into v_tilde, so d = v_tilde - v.  A sub-problem's local adjoint
   starts from y - chi = p at its right breakpoint and repeats the outer
   recursion, so its first gradient is the window of g on its sub-interval
@@ -29,11 +28,8 @@ iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
 seed 0, 80 products against 651 for a CG solve per step on the 33 x 33
 benchmark, 144 against 1365 on the 65 x 65 one), the rule's solves and one
 homogeneous forward solve (about 4.3 and 13.8 products a step on the two).
-With one inner iteration, the sub-problem solves are one batched homogeneous
-forward solve; each further inner iteration adds
-a batched adjoint and a batched forward solve.  A batched solve takes its
-columns one after another (``linsolve``), so a sub-problem gets the bits
-and the product count of its own solve.
+With one inner iteration, a sub-problem costs one homogeneous forward solve;
+each further inner iteration adds an adjoint and a forward solve.
 
 The sub-problems touch one another only through y and p at the N+1
 breakpoints, and the gradient reads p only on the control patch, so a run
@@ -47,7 +43,7 @@ for another.  Otherwise, as in the baseline, the adjoint keeps its Lanczos
 vectors on the control patch alone, and no chi is formed.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
-product; the parallel tally charges step 2 at its per-sub-problem maximum
+product; the parallel tally charges step 2 at its costliest sub-problem
 (``MatvecCounter.add_concurrent``), as if each sub-problem ran on its own
 processor.  The baseline has no step 2, so its two tallies agree.
 """
@@ -158,11 +154,16 @@ def targets_direction(
     """Steps 1-3 of the intermediate-targets method: d = v_tilde - v.
 
     ``p`` is None when step 2 does not read the targets (``_reads_targets``):
-    its sub-problems then get none."""
+    its sub-problems then get none.  Each sub-problem counts its own
+    products, and ``counter`` is charged them as concurrent solves: their sum
+    in the sequential tally, the largest in the parallel one."""
     chi = None if p is None else targets_from_solutions(problem, partition, y, p)
-    batches = assemble_subproblems(problem, v, partition, y, chi, g)
-    v_tilde = solve_subproblem(batches, config.inner_iterations, counter,
-                               config.inner_gradient_rtol)
+    subproblems = assemble_subproblems(problem, v, partition, y, chi, g)
+    counters = [MatvecCounter() for _ in subproblems]
+    v_tilde = np.concatenate([
+        solve_subproblem(sub, config.inner_iterations, own, config.inner_gradient_rtol)
+        for sub, own in zip(subproblems, counters)])
+    counter.add_concurrent([own.count for own in counters])
     return v_tilde - v
 
 

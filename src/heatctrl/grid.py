@@ -3,8 +3,7 @@
 Unknowns live on interior nodes only; boundary nodes carry homogeneous
 Dirichlet values and are never stored.  Fields are plain 1D numpy arrays of
 length ``interior_node_count`` (C order over the interior shape); control
-slices are 1D arrays of length ``control_node_count``.  A batch of fields or
-slices stacks them as the rows of a 2D array.
+slices are 1D arrays of length ``control_node_count``.
 
 The Laplacian takes one field at a time.  It copies it into a flat,
 zero-padded buffer (``StencilWork``), where every difference along an axis
@@ -127,8 +126,8 @@ def build_grid(
 
 
 def _check_field(grid: Grid, u: np.ndarray) -> None:
-    """Accept one field (n,) or a batch (k, n) of fields."""
-    if u.ndim not in (1, 2) or u.shape[-1] != grid.interior_node_count:
+    """Accept one field (n,)."""
+    if u.shape != (grid.interior_node_count,):
         raise ValueError(
             f"field of shape {u.shape} does not belong to a grid with "
             f"{grid.interior_node_count} interior nodes"
@@ -136,8 +135,8 @@ def _check_field(grid: Grid, u: np.ndarray) -> None:
 
 
 def _check_control(grid: Grid, c: np.ndarray) -> None:
-    """Accept one control slice (m,) or a batch (k, m) of them."""
-    if c.ndim not in (1, 2) or c.shape[-1] != grid.control_node_count:
+    """Accept one control slice (m,)."""
+    if c.shape != (grid.control_node_count,):
         raise ValueError(
             f"control slice of shape {c.shape} does not belong to a grid with "
             f"{grid.control_node_count} control nodes"
@@ -232,12 +231,11 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None) 
     below overflow; with ``scale`` the read multiplies by w * scale where
     that product is exact.)
 
-    ``u`` is one field (n,); anything else, a batch (k, n) included, raises
-    ``ValueError``.  With ``work`` built for a ``scale``, the result is
-    ``Lap(u) * scale + u`` instead, formed in the same read of the interior:
-    the implicit-Euler step K u for scale = -(dt*nu).  The result is a fresh
-    array, or with ``work`` a buffer of it that the next call with the same
-    ``work`` overwrites.
+    ``u`` is one field (n,); anything else raises ``ValueError``.  With
+    ``work`` built for a ``scale``, the result is ``Lap(u) * scale + u``
+    instead, formed in the same read of the interior: the implicit-Euler step
+    K u for scale = -(dt*nu).  The result is a fresh array, or with ``work`` a
+    buffer of it that the next call with the same ``work`` overwrites.
     """
     if u.shape != (grid.interior_node_count,):
         raise ValueError(
@@ -268,21 +266,21 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None) 
 
 
 def inject(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Operator B: extend a control slice (or a batch of them) by zero to the whole domain."""
+    """Operator B: extend a control slice by zero to the whole domain."""
     _check_control(grid, c)
-    u = np.zeros(c.shape[:-1] + (grid.interior_node_count,))
-    u[..., grid.control_mask] = c
+    u = np.zeros(grid.interior_node_count)
+    u[grid.control_mask] = c
     return u
 
 
 def restrict(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Operator B*: read a field (or a batch of them) off the control patch nodes."""
+    """Operator B*: read a field off the control patch nodes."""
     _check_field(grid, u)
-    return u[..., grid.control_mask]
+    return u[grid.control_mask]
 
 
 def inner_omega(grid: Grid, u: np.ndarray, w: np.ndarray):
-    """Weighted inner product; one value per row for batches."""
+    """Weighted inner product of two fields."""
     _check_field(grid, u)
     _check_field(grid, w)
     return grid.node_weight * np.vecdot(u, w)

@@ -3,16 +3,15 @@
 The control space carries the inner product <u, w>_H = dt * sum_j <u^j, w^j>_c.
 ``optimal_step_gradient`` is steepest descent with the exact minimizing step,
 which is exact line minimization because the cost is quadratic; it is the
-inner solver of the intermediate-targets sub-problems, and runs a batch of
-them at once, each column stopping on its own but staying in the batch.  (The
-sequential baseline is ``driver.run`` with ``driver.steepest_direction``.)
+inner solver of each intermediate-targets sub-problem.  (The sequential
+baseline is ``driver.run`` with ``driver.steepest_direction``.)
 ``oracle_kkt_solve`` is a dense normal-equations oracle for tiny instances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +24,8 @@ DEFAULT_CG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """One tracking problem, or a batch of independent ones.
-
-    A batch shares everything but ``y0`` and ``y_target``, which are then
-    (k, n) arrays (see ``stack``): its columns have one time grid, so one step
-    count and one dt.  Controls of a batch are (k, steps, m).
-    """
+    """One tracking problem: drive ``y0`` (n,) towards ``y_target`` (n,) by a
+    control of shape (steps, m)."""
 
     grid: Grid
     time_grid: TimeGrid
@@ -47,34 +42,18 @@ class ControlProblem:
             raise ValueError("nu must be positive and finite")
         if not 0 < self.cg_tol < 1:  # written so that NaN fails too
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
-        if self.y0.ndim not in (1, 2) or self.y0.shape[-1] != self.grid.interior_node_count:
+        if self.y0.shape != (self.grid.interior_node_count,):
             raise ValueError("y0 does not belong to the grid")
         if self.y_target.shape != self.y0.shape:
             raise ValueError("y_target does not belong to the grid")
 
-    @staticmethod
-    def stack(problems) -> "ControlProblem":
-        """The batch of problems that share grid, time grid, alpha, nu and
-        cg_tol, such as sub-problems of one step count on one outer time grid."""
-        head = problems[0]
-        shared = [(p.grid, p.time_grid, p.alpha, p.nu, p.cg_tol) for p in problems]
-        if any(s != shared[0] for s in shared):
-            raise ValueError("a batch of problems must share grid, time grid, alpha, "
-                             "nu and cg_tol")
-        return replace(head, y0=np.stack([p.y0 for p in problems]),
-                       y_target=np.stack([p.y_target for p in problems]))
-
     def zero_control(self) -> np.ndarray:
-        return np.zeros(self.y0.shape[:-1]
-                        + (self.time_grid.step_count, self.grid.control_node_count))
+        return np.zeros((self.time_grid.step_count, self.grid.control_node_count))
 
 
 def inner_h(grid: Grid, time_grid: TimeGrid, u: np.ndarray, w: np.ndarray):
-    """Inner product of two control fields (time-by-control-node arrays).
-
-    For a batch of them, one value per column.
-    """
-    return time_grid.dt * grid.node_weight * np.sum(u * w, axis=(-2, -1))
+    """Inner product of two control fields (time-by-control-node arrays)."""
+    return time_grid.dt * grid.node_weight * np.sum(u * w)
 
 
 def norm_h(grid: Grid, time_grid: TimeGrid, u: np.ndarray):
@@ -90,7 +69,7 @@ class EvaluationRecord:
 
 
 def _record(problem: ControlProblem, v: np.ndarray, final_state: np.ndarray) -> EvaluationRecord:
-    """Cost terms at v; arrays with one entry per column for a batch."""
+    """Cost terms at v."""
     r = final_state - problem.y_target
     misfit = 0.5 * inner_omega(problem.grid, r, r)
     penalty = 0.5 * problem.alpha * inner_h(problem.grid, problem.time_grid, v, v)
@@ -116,7 +95,7 @@ def gradient(
                                   problem.cg_tol, counter, keep=-1)
     _, patch = solve_adjoint(grid, problem.time_grid, final_state - problem.y_target,
                              problem.nu, problem.cg_tol, counter, keep=[])
-    return problem.alpha * v + patch[..., :-1, :]
+    return problem.alpha * v + patch[:-1]
 
 
 def optimal_step_gradient(
@@ -127,62 +106,45 @@ def optimal_step_gradient(
     iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest descent with the exact step for the quadratic cost, on every
-    column of the batched ``problem`` at once.
+) -> np.ndarray:
+    """Steepest descent with the exact step for the quadratic cost.
 
     The step sigma = <g,g>_H / (||z_g(T)||^2 + alpha ||g||_H^2), where z_g is
     the state driven by g from a zero initial condition.  The final state is
     updated through linearity (y(T; v - sigma g) = y(T; v) - sigma z_g(T)), so
     each iteration costs one adjoint and one homogeneous forward solve.  It
-    starts from the controls ``v_init``, their final states ``final_state``
-    and their gradients ``g_init`` (step 2 passes each sub-problem its
-    window of the outer gradient, which the local adjoint would recompute up
-    to rounding); it copies them and never writes them.
+    starts from the control ``v_init``, its final state ``final_state`` and
+    its gradient ``g_init`` (step 2 passes each sub-problem its window of the
+    outer gradient, which the local adjoint would recompute up to rounding);
+    it copies them and never writes them.
 
-    With ``gradient_rtol`` set, a column stops once ||g||_H <= rtol *
+    With ``gradient_rtol`` set, the descent stops once ||g||_H <= rtol *
     (1 + ||g_0||_H); without it, the gradient at the last iterate, which only
-    that test reads, is not solved for.  A column also stops on a zero
-    gradient or a zero step denominator.  A stopped column stays in the batch
-    with zero inputs: a zero direction, an adjoint terminal of 0 and sigma 0.
-    The state and adjoint solvers take a zero right-hand side for free, so
-    the column costs no more products, and every other column keeps its own
-    step, stopping test and product count, and ends with the bits of its own
-    1D descent.
-
-    Returns the controls and, per column, whether it stopped.
+    that test reads, is not solved for.  It also stops on a zero gradient or
+    a zero step denominator.  Returns the control.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
     v, final, g = (np.array(a, dtype=float) for a in (v_init, final_state, g_init))
     gnorm2 = inner_h(grid, tg, g, g)
-    if gradient_rtol is not None:
-        threshold = gradient_rtol * (1.0 + np.sqrt(gnorm2))
-    stopped = np.zeros(len(v), dtype=bool)
-
-    for it in range(iterations + 1):
-        stopped |= gnorm2 == 0.0
-        if gradient_rtol is not None:
-            stopped |= np.sqrt(gnorm2) <= threshold
-        if it == iterations or stopped.all():
+    threshold = None if gradient_rtol is None else gradient_rtol * (1.0 + np.sqrt(gnorm2))
+    for it in range(iterations):
+        if gnorm2 == 0.0 or (threshold is not None and np.sqrt(gnorm2) <= threshold):
             break
-        g[stopped] = 0.0  # a zero direction: its forward solve costs nothing
-        zT = solve_state(grid, tg, np.zeros_like(final), g, problem.nu, problem.cg_tol,
-                         counter, keep=-1)
+        zT = solve_state(grid, tg, grid.zero_field(), g, problem.nu, problem.cg_tol, counter,
+                         keep=-1)
         denom = inner_omega(grid, zT, zT) + alpha * gnorm2
-        stopped |= denom == 0.0
-        sigma = np.divide(gnorm2, denom, out=np.zeros_like(denom), where=~stopped)
-        v -= sigma[:, None, None] * g
-        final -= sigma[:, None] * zT
-        if it == iterations - 1 and gradient_rtol is None:
+        if denom == 0.0:
             break
-        # a stopped column passes its target as its final state: a zero
-        # adjoint terminal, so its gradient solve costs nothing
-        g = gradient(problem, v, counter,
-                     final_state=np.where(stopped[:, None], problem.y_target, final))
+        sigma = gnorm2 / denom
+        v -= sigma * g
+        final -= sigma * zT
+        if it == iterations - 1 and threshold is None:
+            break
+        g = gradient(problem, v, counter, final_state=final)
         gnorm2 = inner_h(grid, tg, g, g)
-    return v, stopped
+    return v
 
 
 ORACLE_DIMENSION_CAP = 2000

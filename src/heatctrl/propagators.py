@@ -8,9 +8,9 @@ matrix K is applied by the stencil itself: ``laplacian_apply`` with the
 buffers ``StencilWork(grid, scale=-(dt*nu))`` forms Lap(u) * scale + u in its
 one read of the interior, bitwise the product u - dt*nu*Lap(u).
 
-The state sweep is one recursion, ``_recurse``, run forward from y0 with the
-control as forcing.  Step j solves K x_j = b_j, b_j = x_{j-1} + dt B v^j, and
-starts its CG from x0 = omega b_j + E_j(x - omega b): E_j is the polynomial
+The state sweep, ``solve_state``, runs the recursion forward from y0 with
+the control as forcing.  Step j solves K x_j = b_j, b_j = x_{j-1} + dt B v^j,
+and starts its CG from x0 = omega b_j + E_j(x - omega b): E_j is the polynomial
 extrapolation through the last (up to ``START_ORDER``) steps the sweep has
 solved, and omega = 1 / (1 + 2 dt nu sum_axes h^-2) is the inverse of K's
 diagonal, the same at every node.  K is linear, so K E_j(x) = E_j(b) up to
@@ -27,14 +27,13 @@ one product in every step of a window, the first steps after a breakpoint
 x = 0 with no product when y0 is zero.
 
 What CG still has to remove from that start, the start correction
-x_j - x0_j, changes smoothly from step to step.  So each column of a sweep
-keeps a ``linsolve.CorrectionSpace`` of its last ``START_ORDER`` start
-corrections, and each solve first adds the Galerkin correction over them,
-without a product (augmented CG).  At seed 0 a line-search step then costs
-about 4.3 products on the 33 x 33 benchmark and 13.8 on the 65 x 65 one,
-against 6.1 and 16.5 with the extrapolated start alone.  The first steps
-after a breakpoint still cost most, as the jump in the forcing is new to
-the space.
+x_j - x0_j, changes smoothly from step to step.  So a sweep keeps a
+``linsolve.CorrectionSpace`` of its last ``START_ORDER`` start corrections,
+and each solve first adds the Galerkin correction over them, without a
+product (augmented CG).  At seed 0 a line-search step then costs about 4.3
+products on the 33 x 33 benchmark and 13.8 on the 65 x 65 one, against 6.1
+and 16.5 with the extrapolated start alone.  The first steps after a
+breakpoint still cost most, as the jump in the forcing is new to the space.
 
 The adjoint sweep has no forcing, so every state it keeps is a power of K^-1
 applied to the terminal value, and one Krylov space of K serves all N steps:
@@ -113,27 +112,24 @@ _START_COEFFICIENTS = {m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m
 
 class _SweepStarts:
     """The CG starts of one sweep, x0 = omega b_j + E_j(x - omega b), and
-    the correction spaces ``cg_solve`` corrects them over.
+    the correction space ``cg_solve`` corrects them over.
 
     ``next(rhs)`` is ``first`` until a step is recorded, then omega ``rhs``
     plus the extrapolation through the last (up to ``START_ORDER``) offsets
     x - omega b that ``record`` made.  A zero ``first`` is None: the solve
     then starts from x = 0, r = b without the product that would test K 0.
-    The arithmetic is elementwise with scalar coefficients, so a column of a
-    batch gets its own 1D start.  A start is written into a buffer that the
-    next call overwrites.  ``spaces`` holds one ``CorrectionSpace`` of
-    ``START_ORDER`` corrections per column, which the solves fill, so a
-    column of a batch also gets its own 1D correction.
+    A start is written into a buffer that the next call overwrites.
+    ``space`` is the sweep's ``CorrectionSpace`` of ``START_ORDER``
+    corrections, which the solves fill.
     """
 
     def __init__(self, first: np.ndarray, omega: float):
         self._first = first if np.any(first) else None
         self._omega = omega
-        self.spaces = [CorrectionSpace(first.shape[-1], START_ORDER)
-                       for _ in range(math.prod(first.shape[:-1]))]
+        self.space = CorrectionSpace(len(first), START_ORDER)
         self._offsets = deque(maxlen=START_ORDER)  # x - omega b, newest first
-        self._start = np.empty(first.shape)
-        self._term = np.empty(first.shape)
+        self._start = np.empty(len(first))
+        self._term = np.empty(len(first))
 
     def record(self, state: np.ndarray, rhs: np.ndarray) -> None:
         """Record a solved step, K ``state`` = ``rhs``; ``rhs`` becomes its
@@ -162,50 +158,6 @@ def _kept_steps(steps: int, keep) -> np.ndarray:
     return np.arange(steps + 1)[slice(None) if keep is None else keep]
 
 
-def _layout(out: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Stored states (kept steps, ..., n) as (..., kept steps, n), or (..., n)
-    for one step index."""
-    return np.moveaxis(out, 0, -2) if kept.ndim > 0 else out[0]
-
-
-def _recurse(grid: Grid, time_grid: TimeGrid, first: np.ndarray, forcing: np.ndarray,
-             nu: float, tol: float, counter: MatvecCounter, keep) -> np.ndarray:
-    """The implicit-Euler recursion K u^j = u^{j-1} + dt B v^j with ``forcing``
-    v, from u^0 = ``first``.
-
-    Returns the states ``keep`` selects, laid out as (..., kept steps, n) or
-    (..., n) for one step index.
-    """
-    steps, dt = time_grid.step_count, time_grid.dt
-    _check_field(grid, first)
-    batch, m = first.shape[:-1], grid.control_node_count
-    if forcing.shape != batch + (steps, m):
-        raise ValueError(f"control field of shape {forcing.shape} does not match "
-                         f"{batch} x {steps} steps x {m} control nodes")
-    if nu < 0:
-        raise ValueError("nu must be non-negative")
-    apply_k = step_operator(grid, dt, nu)
-    kept = _kept_steps(steps, keep)
-    rows = [[] for _ in range(steps + 1)]  # the rows of ``out`` each step fills
-    for row, step in enumerate(np.ravel(kept).tolist()):
-        rows[step].append(row)
-    out = np.empty((kept.size,) + first.shape)
-    starts = _SweepStarts(first, inverse_step_diagonal(grid, dt, nu))
-    u = first
-    for j in range(steps + 1):
-        if j:
-            # dt * 0 is 0 off the patch: the bits of dt * B v^j
-            b = inject(grid, dt * forcing[..., j - 1, :])
-            b += u
-            # the offsets keep all the starts need of x^{j-1}: free it for the solve
-            del u
-            u = cg_solve(apply_k, b, tol, counter, x0=starts.next(b), spaces=starts.spaces)
-            starts.record(u, b)
-        for row in rows[j]:
-            out[row] = u
-    return _layout(out, kept)
-
-
 def solve_state(
     grid: Grid,
     time_grid: TimeGrid,
@@ -216,17 +168,43 @@ def solve_state(
     counter: MatvecCounter,
     keep=None,
 ) -> np.ndarray:
-    """Forward heat solve; returns the trajectory of shape (steps+1, n).
+    """Forward heat solve, the implicit-Euler recursion K y^j = y^{j-1} +
+    dt B v^j from y0 (n,) with the control v (steps, m); returns the
+    trajectory of shape (steps+1, n).
 
-    A batch of independent solves on one time grid passes y0 of shape (k, n)
-    and v of shape (k, steps, m), and gets (k, steps+1, n); every column is
-    the 1D solve of its own inputs, bit for bit.  ``keep`` indexes the step
-    axis (an int, a slice or a list of step indices) and only the states it
-    selects are stored: the result is the full trajectory indexed by
-    ``keep``, so ``keep=-1`` gives the final state alone and
-    ``keep=[0, 4, 8]`` three rows.  The default, None, keeps every step.
+    ``keep`` indexes the step axis (an int, a slice or a list of step
+    indices) and only the states it selects are stored: the result is the
+    full trajectory indexed by ``keep``, so ``keep=-1`` gives the final state
+    alone and ``keep=[0, 4, 8]`` three rows.  The default, None, keeps every
+    step.
     """
-    return _recurse(grid, time_grid, y0, v, nu, tol, counter, keep)
+    steps, dt = time_grid.step_count, time_grid.dt
+    _check_field(grid, y0)
+    if v.shape != (steps, grid.control_node_count):
+        raise ValueError(f"control field of shape {v.shape} does not match "
+                         f"{steps} steps x {grid.control_node_count} control nodes")
+    if nu < 0:
+        raise ValueError("nu must be non-negative")
+    apply_k = step_operator(grid, dt, nu)
+    kept = _kept_steps(steps, keep)
+    rows = [[] for _ in range(steps + 1)]  # the rows of ``out`` each step fills
+    for row, step in enumerate(np.ravel(kept).tolist()):
+        rows[step].append(row)
+    out = np.empty((kept.size, len(y0)))
+    starts = _SweepStarts(y0, inverse_step_diagonal(grid, dt, nu))
+    y = y0
+    for j in range(steps + 1):
+        if j:
+            # dt * 0 is 0 off the patch: the bits of dt * B v^j
+            b = inject(grid, dt * v[j - 1])
+            b += y
+            # the offsets keep all the starts need of y^{j-1}: free it for the solve
+            del y
+            y = cg_solve(apply_k, b, tol, counter, x0=starts.next(b), space=starts.space)
+            starts.record(y, b)
+        for row in rows[j]:
+            out[row] = y
+    return out if kept.ndim else out[0]
 
 
 def solve_adjoint(
@@ -243,7 +221,7 @@ def solve_adjoint(
     K is symmetric, so this is the exact transpose of the forward step map.
     The powers come from one Krylov space of K and the terminal
     (``linsolve.inverse_powers``), to the relative accuracy ``tol``; p^N is
-    the terminal itself.  Batches as in ``solve_state``.  Returns the
+    the terminal itself.  Returns the
     trajectory of shape (steps+1, n) by default.  With ``keep``, an index
     into the step axis as in ``solve_state``, returns the pair (p at the
     steps ``keep`` selects, the control patch nodes of every p^j, of shape
@@ -259,5 +237,5 @@ def solve_adjoint(
     out, patches = inverse_powers(step_operator(grid, time_grid.dt, nu), terminal, steps,
                                   tol, counter, (steps - np.ravel(kept)).tolist(),
                                   grid.control_mask)
-    p = _layout(out, kept)
-    return p if keep is None else (p, np.moveaxis(patches[::-1], 0, -2))
+    p = out if kept.ndim else out[0]
+    return p if keep is None else (p, patches[::-1])

@@ -13,6 +13,11 @@ reads its target: with more than one inner iteration or an inner gradient
 test.  A one-step descent without a test starts from its given gradient and
 stops before it solves for another, so its sub-problems get no targets.
 
+Each sub-problem is one ``ControlProblem`` on one field, and
+``solve_subproblem`` solves one of them, charging its own products to a
+counter of its own: the caller loops over them and charges the counts as
+concurrent solves.
+
 The sub-problems only shape the search direction d = v_tilde - v, which the
 outer exact line search rescales, so without an inner gradient test of their
 own their CG solves stop at ``DIRECTION_CG_TOL`` (or the problem's
@@ -28,7 +33,7 @@ import numpy as np
 
 from .linsolve import CGError, MatvecCounter
 from .problem import ControlProblem, optimal_step_gradient
-from .propagators import START_ORDER, TimeGrid
+from .propagators import TimeGrid
 
 
 def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
@@ -68,46 +73,29 @@ def targets_from_solutions(
     return chi
 
 
-# bytes of the sweeps' (k, n) fields a step-2 batch may hold at once.  A
-# column holds 4 + 3 START_ORDER fields of n floats in a sweep: its state,
-# right-hand side, CG start and scratch term, the START_ORDER offsets its
-# starts extrapolate and the 2 START_ORDER corrections and images of its
-# correction space (``propagators._SweepStarts``).  The solvers take a batch
-# one column at a time, so this caps only those fields.  It admits every
-# sub-problem of a 31 x 31 interior and 4 of a 63 x 63 one.  On perfbench
-# it-field65 (seeds 1 and 2, one run each, 2-core Xeon, numpy 2.4) peak RSS
-# read 45.95 MB with 4 columns, 48.5-48.7 MB with the 8 admitted before the
-# correction spaces were counted, and 46.5-46.6 MB without the spaces.
-BATCH_BYTES = 2 * 1024 * 1024
-
-
-def _column_bytes(grid) -> int:
-    """The bytes of one column's fields in a sweep, as ``BATCH_BYTES`` counts them."""
-    return 8 * (4 + 3 * START_ORDER) * grid.interior_node_count
-
-
 # CG tolerance of step 2's solves when the inner descent has no gradient test.
 # d then carries an error of about 1e-6 relative, which the outer line search
 # absorbs; on the 65 x 65 benchmark at seed 0 a step 2 solve takes about 9.3
-# products a column and step here, against 20.5 at cg_tol = 1e-10
+# products a step here, against 20.5 at cg_tol = 1e-10
 DIRECTION_CG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class SubProblemBatch:
-    """Consecutive sub-problems with one step count, solved as one batched descent."""
+class SubProblem:
+    """Sub-problem ``index`` of step 2, on the steps ``start`` .. ``end``."""
 
-    first: int  # index of its first sub-problem
-    # batched: the sub-problems' step count with the outer dt, y0 and targets chi
+    index: int
+    start: int
+    end: int
+    # the step count with the outer dt, y at the left breakpoint and chi at the right
     problem: ControlProblem
-    breakpoints: list[int]  # steps of its sub-problems' breakpoints: k + 1 values
-    warm_start: np.ndarray  # (k, steps, m): the current control on each sub-interval
-    # y at the right breakpoints: each local final state under the warm start,
+    warm_start: np.ndarray  # (steps, m): the current control on the sub-interval
+    # y at the right breakpoint: the local final state under the warm start,
     # which the inner descent starts from instead of solving for it
     warm_final_state: np.ndarray
-    # (k, steps, m): the outer gradient on each sub-interval.  A local adjoint
-    # starts from y - chi = p at its right breakpoint and runs the outer
-    # recursion, so this is each local gradient at the warm start, and the
+    # (steps, m): the outer gradient on the sub-interval.  The local adjoint
+    # starts from y - chi = p at the right breakpoint and runs the outer
+    # recursion, so this is the local gradient at the warm start, and the
     # inner descent starts from it instead of solving for it
     warm_gradient: np.ndarray
 
@@ -117,78 +105,55 @@ def assemble_subproblems(
     v: np.ndarray,
     partition: list[int],
     y: np.ndarray,
-    chi: np.ndarray,
+    chi: np.ndarray | None,
     g: np.ndarray,
-) -> list[SubProblemBatch]:
-    """Step 2's sub-problems from the state y(v) at the N+1 breakpoints, the
-    targets chi and the gradient g of the cost at v, in batches.
+) -> list[SubProblem]:
+    """Step 2's N sub-problems from the state y(v) at the N+1 breakpoints,
+    the targets chi and the gradient g of the cost at v.
 
     Sub-problem n starts from y[n], the state at its left breakpoint, and
     tracks chi[n].  With chi None, for an inner descent that reads no target,
     every target is NaN, so a descent that did read one would fail with a
-    non-finite local adjoint.  A batch is a run of consecutive sub-problems
-    with one step count, whose sweeps hold at most ``BATCH_BYTES`` of fields.
+    non-finite local adjoint.  A sub-problem's arrays are views of v, y, chi
+    and g.
     """
     if chi is None:
         chi = np.full(y[1:].shape, np.nan)
     if len(chi) != len(partition) - 1 or len(y) != len(partition):
         raise ValueError("targets were computed for a different partition")
-    width = max(1, BATCH_BYTES // _column_bytes(problem.grid))
-    counts = [b - a for a, b in zip(partition, partition[1:])]
-    batches = []
-    first = 0
-    while first < len(counts):
-        stop = first + 1
-        while stop < len(counts) and stop - first < width and counts[stop] == counts[first]:
-            stop += 1
-        local = replace(problem, time_grid=TimeGrid(counts[first], problem.time_grid.dt),
-                        y0=y[first:stop], y_target=chi[first:stop])
-        window = slice(partition[first], partition[stop])
-        shape = (stop - first, counts[first], -1)
-        batches.append(SubProblemBatch(first, local, partition[first : stop + 1],
-                                       v[window].reshape(shape), y[first + 1 : stop + 1],
-                                       g[window].reshape(shape)))
-        first = stop
-    return batches
+    dt = problem.time_grid.dt
+    return [SubProblem(n, a, b, replace(problem, time_grid=TimeGrid(b - a, dt), y0=y[n],
+                                        y_target=chi[n]),
+                       v[a:b], y[n + 1], g[a:b])
+            for n, (a, b) in enumerate(zip(partition, partition[1:]))]
 
 
 def solve_subproblem(
-    batches: list[SubProblemBatch],
+    sub: SubProblem,
     inner_iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
 ) -> np.ndarray:
-    """Inner descents of all sub-problems, one batched descent per batch.
+    """The inner descent of one sub-problem; returns its local control.
 
-    Returns v_tilde, the local controls joined in time.  Each batch counts
-    its own products per sub-problem, and ``counter`` is charged all of them
-    at once as concurrent solves: their sum in the sequential tally, the
-    largest one in the parallel tally.  The descents read the batches' views
-    of the run's v, y and g and do not write them.  A ``CGError`` names its
-    sub-problem and interval, and keeps its type: the CLI maps it to an exit
-    code.
+    ``counter`` is charged the sub-problem's own products.  The descent reads
+    the sub-problem's views of the run's v, y and g and does not write them.
+    A ``CGError`` names the sub-problem and its interval, and keeps its type:
+    the CLI maps it to an exit code.
 
     Without ``gradient_rtol`` the solves run at ``max(cg_tol,
     DIRECTION_CG_TOL)``: only the direction depends on them, and the caller's
     line search, cost and gradient stay at ``cg_tol``.  With it they run at
     ``cg_tol``, so the inner stopping test reads accurate gradients.
     """
-    controls, per_column = [], []
-    for batch in batches:
-        local = batch.problem
-        if gradient_rtol is None:
-            local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
-        part = MatvecCounter(columns=len(batch.warm_start))
-        try:
-            control, _ = optimal_step_gradient(
-                local, batch.warm_start, batch.warm_final_state, batch.warm_gradient,
-                inner_iterations, part, gradient_rtol=gradient_rtol,
-            )
-        except CGError as exc:
-            n, dt = batch.first + exc.column, local.time_grid.dt
-            start, end = batch.breakpoints[exc.column : exc.column + 2]
-            raise CGError(f"sub-problem {n} on [{dt * start:g}, {dt * end:g}]: {exc}", n) from exc
-        controls.append(control.reshape(-1, control.shape[-1]))
-        per_column.append(part.per_column)
-    counter.add_concurrent(np.concatenate(per_column))
-    return np.concatenate(controls)
+    local = sub.problem
+    if gradient_rtol is None:
+        local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
+    try:
+        return optimal_step_gradient(local, sub.warm_start, sub.warm_final_state,
+                                     sub.warm_gradient, inner_iterations, counter,
+                                     gradient_rtol=gradient_rtol)
+    except CGError as exc:
+        dt = local.time_grid.dt
+        raise CGError(f"sub-problem {sub.index} on [{dt * sub.start:g}, {dt * sub.end:g}]: "
+                      f"{exc}") from exc

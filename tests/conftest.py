@@ -5,8 +5,6 @@ definitions with numpy factorizations; they never call the library's
 matrix-free solvers, so they can serve as independent references.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -104,20 +102,10 @@ def breakpoint_targets(problem, partition, v):
     return y, hc.targets_from_solutions(problem, partition, y, p), g
 
 
-def step2_batches(problem, partition, v):
-    """The step-2 batches of the control v."""
+def step2_subproblems(problem, partition, v):
+    """Step 2's sub-problems of the control v."""
     y, chi, g = breakpoint_targets(problem, partition, v)
     return hc.assemble_subproblems(problem, v, partition, y, chi, g)
-
-
-def subproblems(batches):
-    """Each sub-problem of the batches in turn, as (problem, warm start, warm
-    final state, warm gradient)."""
-    for batch in batches:
-        local = batch.problem
-        for i in range(len(local.y0)):
-            yield (dataclasses.replace(local, y0=local.y0[i], y_target=local.y_target[i]),
-                   batch.warm_start[i], batch.warm_final_state[i], batch.warm_gradient[i])
 
 
 def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state,
@@ -125,11 +113,10 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
     """Steepest descent with the exact step as a plain 1D loop; returns the
     control and the number of steps taken.
 
-    The control is what the batched ``optimal_step_gradient`` must reproduce
-    bit for bit for every column, and what ``run`` with the steepest rule
-    must reach up to rounding.  ``gradient``, the gradient at v_init, stands
-    for the batched call's ``g_init``; without it the loop solves
-    for it."""
+    The control is what ``optimal_step_gradient`` must reproduce bit for
+    bit, and what ``run`` with the steepest rule must reach up to rounding.
+    ``gradient``, the gradient at v_init, stands for the descent's
+    ``g_init``; without it the loop solves for it."""
     grid, tg = problem.grid, problem.time_grid
     v = np.array(v_init, dtype=float, copy=True)
     g = gradient
@@ -158,6 +145,30 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
         if threshold is not None and hc.norm_h(grid, tg, g) <= threshold:
             break
     return v, steps
+
+
+def break_step2_solves(monkeypatch, broken):
+    """Make every ``cg_solve`` of step 2's sub-problem ``broken`` raise a
+    synthetic ``CGError``; the other solves run as before."""
+    import heatctrl.driver as driver
+    import heatctrl.propagators as propagators
+
+    solving = [None]  # the index of the sub-problem being solved
+
+    def tracked(sub, *args, real=driver.solve_subproblem, **kwargs):
+        solving[0] = sub.index
+        try:
+            return real(sub, *args, **kwargs)
+        finally:
+            solving[0] = None
+
+    def breaking(apply_a, b, *args, real=propagators.cg_solve, **kwargs):
+        if solving[0] == broken:
+            raise hc.CGError("synthetic breakdown")
+        return real(apply_a, b, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_subproblem", tracked)
+    monkeypatch.setattr(propagators, "cg_solve", breaking)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 import heatctrl as hc
 from heatctrl.cli import EXIT_MAX_ITER, EXIT_OK, main
 
-from conftest import random_tiny_problem, step2_batches, subproblems
+from conftest import random_tiny_problem, step2_subproblems
 
 
 @contextmanager
@@ -67,8 +67,9 @@ def test_criterion_3_restriction_optimality_and_fixed_point():
         v_star, _ = hc.oracle_kkt_solve(prob)
         for n_intervals in (2, 4):
             part = hc.make_partition(prob.time_grid, n_intervals)
-            for local, warm_start, _, _ in subproblems(step2_batches(prob, part, v_star)):
-                g = hc.gradient(local, warm_start, hc.MatvecCounter())
+            for sub in step2_subproblems(prob, part, v_star):
+                local = sub.problem
+                g = hc.gradient(local, sub.warm_start, hc.MatvecCounter())
                 assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
         # one sweep from v*: a gradient test at rtol 1e-300 cannot end the run first
         cfg = hc.OuterConfig(n_intervals=4, inner_iterations=1, max_outer=1,

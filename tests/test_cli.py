@@ -16,6 +16,8 @@ from heatctrl.cli import (
 from heatctrl.config import KEYS, RunConfig
 from heatctrl.linsolve import CGError
 
+from conftest import break_step2_solves
+
 
 TINY_2D = """
 dim = 2
@@ -387,6 +389,17 @@ def test_exit_code_for_solver_error(cfg_file, tmp_path, capsys, monkeypatch):
     assert code == EXIT_SOLVER_ERROR
     err = capsys.readouterr().err
     assert err == "solver error: synthetic breakdown\n"
+
+
+def test_step2_solver_error_is_one_line_naming_its_subproblem(cfg_file, tmp_path, capsys,
+                                                              monkeypatch):
+    # TINY_2D is 16 steps of 0.05 on 4 sub-intervals: sub-problem 1 is
+    # [0.2, 0.4].  Every CG solve of that sub-problem fails; the others run
+    break_step2_solves(monkeypatch, 1)
+    code = main(["--config", str(cfg_file), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_SOLVER_ERROR
+    err = capsys.readouterr().err
+    assert err == "solver error: sub-problem 1 on [0.2, 0.4]: synthetic breakdown\n"
 
 
 def test_stalled_run_stops_and_writes_csv(tmp_path, capsys):

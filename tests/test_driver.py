@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import heatctrl as hc
 from heatctrl.targets import DIRECTION_CG_TOL
 
-from conftest import random_tiny_problem, reference_descent, subproblems
+from conftest import break_step2_solves, random_tiny_problem, reference_descent
 
 
 def _random_control(rng, prob):
@@ -249,8 +249,8 @@ def test_one_inner_iteration_never_reads_the_targets(rng, monkeypatch):
 
 
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
-    # 7 steps on 3 sub-intervals: batches (3 steps) and (2, 2 steps); a
-    # non-finite local gradient breaks sub-problem 1, column 0 of the second batch
+    # 7 steps on 3 sub-intervals of 3, 2 and 2 steps; a non-finite local
+    # gradient breaks sub-problem 1
     prob = random_tiny_problem(rng, steps=7)
     cfg = hc.OuterConfig(n_intervals=3)
 
@@ -259,53 +259,41 @@ def test_worker_failure_identifies_subinterval(rng, monkeypatch):
     real = driver.assemble_subproblems
 
     def poisoned(*args):
-        batches = real(*args)
-        bad = batches[1].warm_gradient.copy()
-        bad[0, 0, 0] = np.nan
-        batches[1] = dataclasses.replace(batches[1], warm_gradient=bad)
-        return batches
+        subs = real(*args)
+        bad = subs[1].warm_gradient.copy()
+        bad[0, 0] = np.nan
+        subs[1] = dataclasses.replace(subs[1], warm_gradient=bad)
+        return subs
 
     monkeypatch.setattr(driver, "assemble_subproblems", poisoned)
-    with pytest.raises(RuntimeError, match="sub-problem 1") as failure:
+    with pytest.raises(hc.CGError, match="sub-problem 1") as failure:
         _one_sweep(prob, cfg, prob.zero_control())
-    assert failure.value.column == 1
     # its interval [t_3, t_5], at dt * step
     dt = prob.time_grid.dt
     assert str(failure.value).startswith(f"sub-problem 1 on [{dt * 3:g}, {dt * 5:g}]: ")
 
 
 def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
+    # 12 steps on 3 sub-intervals of 4 steps: sub-problem 1 is [t_4, t_8]
     prob = random_tiny_problem(rng, steps=12)
     cfg = hc.OuterConfig(n_intervals=3)
-
-    import heatctrl.propagators as propagators
-
-    real = propagators.cg_solve
-
-    def breaking(apply_a, b, *args, **kwargs):
-        if b.ndim == 2:  # a solve of the step-2 batch: break its column 1
-            raise hc.CGError("synthetic breakdown", 1)
-        return real(apply_a, b, *args, **kwargs)
-
-    monkeypatch.setattr(propagators, "cg_solve", breaking)
-    with pytest.raises(hc.CGError, match="sub-problem 1 .*synthetic breakdown"):
+    break_step2_solves(monkeypatch, 1)
+    with pytest.raises(hc.CGError) as failure:
         _one_sweep(prob, cfg, prob.zero_control())
+    dt = prob.time_grid.dt
+    assert type(failure.value) is hc.CGError
+    assert str(failure.value) == f"sub-problem 1 on [{dt * 4:g}, {dt * 8:g}]: synthetic breakdown"
 
 
-def _looped_subproblems(batches, iterations, counter, gradient_rtol=None):
-    """Step 2 one sub-problem at a time, by the reference descent, at the
-    looser direction tolerance when there is no inner gradient test."""
-    controls, counts = [], []
-    for local, warm_start, warm_final_state, warm_gradient in subproblems(batches):
-        if gradient_rtol is None:
-            local = dataclasses.replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
-        own = hc.MatvecCounter()
-        control, _ = reference_descent(local, warm_start, iterations, own, gradient_rtol,
-                                       warm_final_state, warm_gradient)
-        controls.append(control)
-        counts.append(own.count)
-    counter.add_concurrent(np.array(counts))
-    return np.concatenate(controls)
+def _reference_subproblem(sub, iterations, counter, gradient_rtol=None):
+    """One sub-problem by the reference descent, at the looser direction
+    tolerance when there is no inner gradient test."""
+    local = sub.problem
+    if gradient_rtol is None:
+        local = dataclasses.replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
+    control, _ = reference_descent(local, sub.warm_start, iterations, counter, gradient_rtol,
+                                   sub.warm_final_state, sub.warm_gradient)
+    return control
 
 
 # with 3 inner iterations at rtol 1e-6 the sub-problems of the first sweep
@@ -320,7 +308,7 @@ def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, i
 
     import heatctrl.driver as driver
 
-    monkeypatch.setattr(driver, "solve_subproblem", _looped_subproblems)
+    monkeypatch.setattr(driver, "solve_subproblem", _reference_subproblem)
     looped = hc.run(prob, cfg)
 
     assert np.array_equal(batched.control.view(np.int64), looped.control.view(np.int64))
@@ -457,9 +445,9 @@ def test_steepest_run_matches_reference_descent(rng, make):
 
 
 def test_every_charged_product_is_one_stencil_call_on_one_field(rng, monkeypatch):
-    # a whole intermediate-targets run, whose step 2 solves batches of 3
-    # sub-problems forward and, with a second inner iteration, backward: the
-    # stencil is called once per product the run charges, on one field
+    # a whole intermediate-targets run, whose step 2 solves 3 sub-problems
+    # forward and, with a second inner iteration, backward: the stencil is
+    # called once per product the run charges, on one field
     import heatctrl.propagators as propagators
 
     shapes = []

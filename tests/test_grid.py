@@ -212,10 +212,18 @@ def test_laplacian_rejects_a_batch_of_fields(rng):
         hc.step_operator(g, 0.1, 1.0)(u[:1])
 
 
-def test_batched_inject_restrict_rows(rng):
+def test_grid_operators_reject_a_batch(rng):
+    # B, B* and the inner products take one field or control slice at a time
     g = hc.build_grid(2, (8, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.2, 0.6), (0.4, 0.9)])
     c = rng.standard_normal((3, g.control_node_count))
-    u = hc.inject(g, c)
-    assert u.shape == (3, g.interior_node_count)
-    assert all(np.array_equal(u[i], hc.inject(g, c[i])) for i in range(3))
-    assert np.array_equal(hc.restrict(g, u), c)
+    u = rng.standard_normal((3, g.interior_node_count))
+    with pytest.raises(ValueError, match="control slice of shape"):
+        hc.inject(g, c)
+    with pytest.raises(ValueError, match="control slice of shape"):
+        hc.inner_control(g, c, c)
+    with pytest.raises(ValueError, match="field of shape"):
+        hc.restrict(g, u)
+    with pytest.raises(ValueError, match="field of shape"):
+        hc.inner_omega(g, u, u)
+    # one row of each is accepted
+    assert np.array_equal(hc.restrict(g, hc.inject(g, c[0])), c[0])

@@ -83,11 +83,11 @@ def test_optimal_step_fixed_point_at_optimum(rng):
     counter = hc.MatvecCounter()
     final = hc.evaluate(prob, v_star, counter).final_state
     g = hc.gradient(prob, v_star, counter, final_state=final)
-    controls, stopped = hc.optimal_step_gradient(hc.ControlProblem.stack([prob]), v_star[None],
-                                                 final[None], g[None], 5, hc.MatvecCounter(),
-                                                 gradient_rtol=1e-7)
-    assert stopped.tolist() == [True]
-    np.testing.assert_allclose(controls[0], v_star, rtol=0, atol=1e-10)
+    descent = hc.MatvecCounter()
+    control = hc.optimal_step_gradient(prob, v_star, final, g, 5, descent, gradient_rtol=1e-7)
+    # the gradient test stops the descent before its first step
+    assert descent.count == 0
+    assert np.array_equal(control.view(np.int64), v_star.view(np.int64))
 
 
 def _steepest_run(prob, max_outer, gradient_rtol):
@@ -189,10 +189,10 @@ def test_problem_validation():
                               y_target=np.zeros(3), alpha=0.1, nu=0.5, cg_tol=cg_tol)
 
 
-def test_batched_descent_bitwise_equal_to_column_descents(rng):
+def test_descent_bitwise_equal_to_the_reference_loop(rng):
     # three problems on consecutive windows of one time grid, with targets of
     # very different sizes, so their stopping thresholds differ and the
-    # columns stop after different numbers of steps; a fourth one tracks its
+    # descents stop after different numbers of steps; a fourth one tracks its
     # own free final state from v = 0, so its gradient is exactly zero
     base = random_tiny_problem(rng, n_interior=6, steps=5)
     outer = hc.TimeGrid(15, 2.1 / 15)
@@ -203,30 +203,24 @@ def test_batched_descent_bitwise_equal_to_column_descents(rng):
     v0 = np.concatenate([rng.standard_normal((3, 5, m)), np.zeros((1, 5, m))])
     free = hc.evaluate(problems[0], v0[3], hc.MatvecCounter()).final_state
     problems.append(dataclasses.replace(problems[0], y_target=free))
-    finals = np.stack([hc.evaluate(p, v, hc.MatvecCounter()).final_state
-                       for p, v in zip(problems, v0)])
-    grads = np.stack([hc.gradient(p, v, hc.MatvecCounter(), final_state=f)
-                      for p, v, f in zip(problems, v0, finals)])
-    assert not grads[3].any()
-    inputs = [v0, finals, grads]
-    copies = [a.copy() for a in inputs]
-    counter = hc.MatvecCounter(columns=4)
-    controls, stopped = hc.optimal_step_gradient(hc.ControlProblem.stack(problems), *inputs, 8,
-                                                 counter, gradient_rtol=1e-3)
-    # the descent reads its inputs and does not write them
-    for a, copy in zip(inputs, copies):
-        assert np.array_equal(a.view(np.int64), copy.view(np.int64))
     steps = []
-    for c, problem in enumerate(problems):
+    for problem, v in zip(problems, v0):
+        final = hc.evaluate(problem, v, hc.MatvecCounter()).final_state
+        grad = hc.gradient(problem, v, hc.MatvecCounter(), final_state=final)
+        inputs = [v, final, grad]
+        copies = [a.copy() for a in inputs]
+        counter = hc.MatvecCounter()
+        control = hc.optimal_step_gradient(problem, *inputs, 8, counter, gradient_rtol=1e-3)
+        # the descent reads its inputs and does not write them
+        for a, copy in zip(inputs, copies):
+            assert np.array_equal(a.view(np.int64), copy.view(np.int64))
         own = hc.MatvecCounter()
-        want, taken = reference_descent(problem, v0[c], 8, own, 1e-3, finals[c],
-                                        gradient=grads[c])
+        want, taken = reference_descent(problem, v, 8, own, 1e-3, final, gradient=grad)
         steps.append(taken)
-        assert np.array_equal(controls[c].view(np.int64), want.view(np.int64))
-        assert stopped[c] and counter.per_column[c] == own.count
-    # so each column did the work of a descent of its own length, and the
-    # zero-gradient column stopped before its first step: no product charged,
-    # its warm start returned bit for bit
+        assert np.array_equal(control.view(np.int64), want.view(np.int64))
+        assert counter.count == own.count
+    # the zero-gradient descent stopped before its first step: no product
+    # charged, its warm start returned bit for bit
     assert steps == [2, 2, 3, 0]
-    assert counter.per_column[3] == 0
-    assert np.array_equal(controls[3].view(np.int64), v0[3].view(np.int64))
+    assert counter.count == 0
+    assert np.array_equal(control.view(np.int64), v0[3].view(np.int64))

@@ -150,29 +150,6 @@ def test_windows_keep_the_parent_dt_bit_for_bit():
     assert hc.TimeGrid(15, parent.dt) == parent
 
 
-def test_batched_sweeps_bitwise_equal_to_single_solves(rng):
-    g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
-    tg = _window()
-    k, n, m = 5, g.interior_node_count, g.control_node_count
-    y0 = rng.standard_normal((k, n))
-    v = rng.standard_normal((k, 3, m))
-    counter = hc.MatvecCounter(columns=k)
-    y = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, counter)
-    p = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, counter)
-    assert y.shape == p.shape == (k, 4, n)
-    y_final = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, hc.MatvecCounter(), keep=-1)
-    _, p_patch = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, hc.MatvecCounter(), keep=[])
-    assert np.array_equal(y_final, y[:, -1])
-    assert np.array_equal(p_patch, p[..., g.control_mask])
-    for c in range(k):
-        own = hc.MatvecCounter()
-        want_y = hc.solve_state(g, tg, y0[c], v[c], 0.6, 1e-11, own)
-        want_p = hc.solve_adjoint(g, tg, y0[c], 0.6, 1e-11, own)
-        assert np.array_equal(y[c].view(np.int64), want_y.view(np.int64))
-        assert np.array_equal(p[c].view(np.int64), want_p.view(np.int64))
-        assert counter.per_column[c] == own.count
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
@@ -191,12 +168,13 @@ def test_inverse_step_adjoint_identity(dim, nodes, columns, dt, nu, seed):
     b = rng.standard_normal((columns, g.interior_node_count))
     tol = 1e-10
     apply_k = hc.step_operator(g, dt, nu)
-    ka = hc.cg_solve(apply_k, a, tol, hc.MatvecCounter())
-    kb = hc.cg_solve(apply_k, b, tol, hc.MatvecCounter())
-    lhs = hc.inner_omega(g, ka, b)
-    rhs = hc.inner_omega(g, a, kb)
-    bound = 2.5 * tol * hc.norm_omega(g, a) * hc.norm_omega(g, b)
-    assert np.all(np.abs(lhs - rhs) <= bound)
+    for a_c, b_c in zip(a, b):
+        ka = hc.cg_solve(apply_k, a_c, tol, hc.MatvecCounter()).copy()
+        kb = hc.cg_solve(apply_k, b_c, tol, hc.MatvecCounter())
+        lhs = hc.inner_omega(g, ka, b_c)
+        rhs = hc.inner_omega(g, a_c, kb)
+        bound = 2.5 * tol * hc.norm_omega(g, a_c) * hc.norm_omega(g, b_c)
+        assert abs(lhs - rhs) <= bound
 
 
 def _extrapolation(history):
@@ -221,7 +199,8 @@ def _expected_starts(first, rhs, solved, omega):
                       for j in range(1, len(solved))]
 
 
-# the steps of 0..7 that each storage mode keeps (None: every step)
+# the steps of 0..7 that each storage mode keeps (None: every step); the
+# batch modes run three sweeps, one after another, on a sub-problem's grid
 KEPT = {"state": None, "state_final_only": -1, "state_breakpoints": [0, 3, 5, 7],
         "state_batch": None, "state_batch_breakpoints": [0, 2, 7]}
 
@@ -232,39 +211,40 @@ def test_sweeps_start_cg_from_extrapolated_states(rng, monkeypatch, sweep):
     n, m = g.interior_node_count, g.control_node_count
     if sweep.startswith("state_batch"):
         tg = hc.TimeGrid(7, hc.TimeGrid(21, 0.7 / 21).dt)
-        first = rng.standard_normal((3, n))
-        v = rng.standard_normal((3, 7, m))
+        columns = 3
     else:
         tg = hc.TimeGrid(7, 0.7 / 7)
-        first = rng.standard_normal(n)
-        v = rng.standard_normal((7, m))
+        columns = 1
     calls = []
     real = propagators.cg_solve
 
-    def recording(apply_a, b, tol, counter, x0=None, spaces=None):
+    def recording(apply_a, b, tol, counter, x0=None, space=None):
         rhs = b.copy()
-        x = real(apply_a, b, tol, counter, x0=x0, spaces=spaces)
+        x = real(apply_a, b, tol, counter, x0=x0, space=space)
         calls.append((x0.copy(), rhs, x.copy()))
         return x
 
     monkeypatch.setattr(propagators, "cg_solve", recording)
-    counter = hc.MatvecCounter()
-    keep = KEPT[sweep]
-    out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, counter, keep=keep)
-    starts, rhs, solved = zip(*calls)
-    assert len(starts) == 7
-    # the trajectory of the solved fields, in time order
-    trajectory = np.moveaxis(np.array((first,) + solved), 0, -2)
-    if keep is None:
-        assert np.array_equal(out, trajectory)
-    else:
-        assert np.array_equal(out, trajectory[..., keep, :])
     # omega is the inverse of K's diagonal, one number at every node
     omega = propagators.inverse_step_diagonal(g, tg.dt, 0.6)
     k_dense = np.eye(n) - tg.dt * 0.6 * dense_laplacian(g)
     np.testing.assert_allclose(1.0 / np.diag(k_dense), omega, rtol=1e-14)
-    for got, want in zip(starts, _expected_starts(first, rhs, solved, omega), strict=True):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    keep = KEPT[sweep]
+    for _ in range(columns):
+        first = rng.standard_normal(n)
+        v = rng.standard_normal((7, m))
+        calls.clear()
+        out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, hc.MatvecCounter(), keep=keep)
+        starts, rhs, solved = zip(*calls)
+        assert len(starts) == 7
+        # the trajectory of the solved fields, in time order
+        trajectory = np.array((first,) + solved)
+        if keep is None:
+            assert np.array_equal(out, trajectory)
+        else:
+            assert np.array_equal(out, trajectory[keep])
+        for got, want in zip(starts, _expected_starts(first, rhs, solved, omega), strict=True):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sweep_without_diffusion_costs_one_product_a_step(rng):
@@ -322,24 +302,23 @@ def test_every_sweep_step_meets_its_true_residual(monkeypatch, dim, columns, sti
     nu = 1e-2
     tg = hc.TimeGrid(24, stiffness * g.spacing[0] ** 2 / nu)
     rng = np.random.default_rng(5)
-    batch = () if columns is None else (columns,)
-    y0 = rng.standard_normal(batch + (g.interior_node_count,))
-    v = np.repeat(rng.standard_normal(batch + (3, g.control_node_count)), 8, axis=-2)
     apply_k = hc.step_operator(g, tg.dt, nu)
     real = propagators.cg_solve
     ratios = []
 
-    def audited(apply_a, b, tol, counter, x0=None, spaces=None):
+    def audited(apply_a, b, tol, counter, x0=None, space=None):
         rhs = b.copy()
-        x = real(apply_a, b, tol, counter, x0=x0, spaces=spaces)
-        for b_col, x_col in zip(rhs.reshape(-1, rhs.shape[-1]), x.reshape(-1, x.shape[-1])):
-            ratios.append(np.linalg.norm(b_col - apply_k(x_col))
-                          / (tol * np.linalg.norm(b_col)))
+        x = real(apply_a, b, tol, counter, x0=x0, space=space)
+        ratios.append(np.linalg.norm(rhs - apply_k(x)) / (tol * np.linalg.norm(rhs)))
         return x
 
     monkeypatch.setattr(propagators, "cg_solve", audited)
-    for first in (y0, np.zeros_like(y0)):
-        hc.solve_state(g, tg, first, v, nu, tol, hc.MatvecCounter(), keep=-1)
+    # a batch is that many sweeps, one after another
+    for _ in range(columns or 1):
+        y0 = rng.standard_normal(g.interior_node_count)
+        v = np.repeat(rng.standard_normal((3, g.control_node_count)), 8, axis=0)
+        for first in (y0, np.zeros_like(y0)):
+            hc.solve_state(g, tg, first, v, nu, tol, hc.MatvecCounter(), keep=-1)
     assert len(ratios) == 2 * 24 * (columns or 1)
     # measured: at most 0.9997 over these 32 cases; 1.0 is the solve's own bound
     assert max(ratios) <= 1.0
@@ -366,30 +345,31 @@ def _bits(a):
 @pytest.mark.parametrize("case", ["1d", "2d", "batch"])
 def test_kept_steps_bitwise_equal_to_full_sweeps(rng, case):
     # the rows a sweep keeps are the rows of the full sweep, bit for bit, with
-    # the same products, whatever the form of the index
+    # the same products, whatever the form of the index; a batch is five
+    # sweeps on a sub-problem's grid, one after another
     if case == "1d":
         g = hc.build_grid(1, 12, [(0.0, 1.0)], [(0.2, 0.6)])
     else:
         g = hc.build_grid(2, (9, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
     tg = _window() if case == "batch" else hc.TimeGrid(13, 0.9 / 13)
-    batch = (5,) if case == "batch" else ()
     steps = tg.step_count
     n, m = g.interior_node_count, g.control_node_count
-    y0 = rng.standard_normal(batch + (n,))
-    v = rng.standard_normal(batch + (steps, m))
-    full = hc.MatvecCounter()
-    y = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, full)
-    p = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, full)
     at = hc.make_partition(hc.TimeGrid(steps, 1.0 / steps), 2)
-    for keep in (at, at[1:], -1, 0, [], [steps, 0, 2, 2], slice(1, None, 2)):
-        reduced = hc.MatvecCounter()
-        y_kept = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, reduced, keep=keep)
-        p_kept, p_patch = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, reduced, keep=keep)
-        assert reduced.count == full.count
-        assert y_kept.shape == y[..., keep, :].shape
-        assert np.array_equal(_bits(y_kept), _bits(y[..., keep, :]))
-        assert np.array_equal(_bits(p_kept), _bits(p[..., keep, :]))
-        assert np.array_equal(_bits(p_patch), _bits(p[..., g.control_mask]))
+    for _ in range(5 if case == "batch" else 1):
+        y0 = rng.standard_normal(n)
+        v = rng.standard_normal((steps, m))
+        full = hc.MatvecCounter()
+        y = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, full)
+        p = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, full)
+        for keep in (at, at[1:], -1, 0, [], [steps, 0, 2, 2], slice(1, None, 2)):
+            reduced = hc.MatvecCounter()
+            y_kept = hc.solve_state(g, tg, y0, v, 0.6, 1e-11, reduced, keep=keep)
+            p_kept, p_patch = hc.solve_adjoint(g, tg, y0, 0.6, 1e-11, reduced, keep=keep)
+            assert reduced.count == full.count
+            assert y_kept.shape == y[keep].shape
+            assert np.array_equal(_bits(y_kept), _bits(y[keep]))
+            assert np.array_equal(_bits(p_kept), _bits(p[keep]))
+            assert np.array_equal(_bits(p_patch), _bits(p[:, g.control_mask]))
 
 
 def test_adjoint_from_a_rough_terminal_converges():
@@ -499,7 +479,7 @@ def _lanczos_lengths(monkeypatch):
 
 
 def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
-    # every row the stencil receives is one product, and a column with m
+    # every field the stencil receives is one product, and a sweep with m
     # Lanczos vectors costs m
     g = hc.build_grid(2, 12, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
     tg = hc.TimeGrid(9, 0.02)
@@ -507,7 +487,8 @@ def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
     real = propagators.laplacian_apply
 
     def logged(grid, u, **buffers):
-        rows.append(1 if u.ndim == 1 else len(u))
+        assert u.shape == (g.interior_node_count,)
+        rows.append(1)
         return real(grid, u, **buffers)
 
     monkeypatch.setattr(propagators, "laplacian_apply", logged)
@@ -515,17 +496,21 @@ def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
     terminal = rng.standard_normal((4, g.interior_node_count))
     terminal[1] = 0.0
     terminal[2] = np.outer(*[np.sin(np.pi * np.arange(1, 11) / 11)] * 2).ravel()
-    counter = hc.MatvecCounter(columns=4)
-    hc.solve_adjoint(g, tg, terminal, 1.0, 1e-10, counter, keep=[3])
-    assert counter.count == sum(rows) and len(rows) > 1
-    assert counter.per_column[1] == 0
-    assert counter.per_column[[0, 2, 3]].tolist() == lengths
-    # the smooth column converges in fewer Lanczos steps and leaves the batch
-    assert counter.per_column[2] < counter.per_column[0]
+    counts = []
+    for column in terminal:
+        rows.clear()
+        counter = hc.MatvecCounter()
+        hc.solve_adjoint(g, tg, column, 1.0, 1e-10, counter, keep=[3])
+        assert counter.count == sum(rows)
+        counts.append(counter.count)
+    assert counts[1] == 0
+    assert [counts[0], counts[2], counts[3]] == lengths
+    # the smooth terminal converges in fewer Lanczos steps
+    assert counts[2] < counts[0]
     rows.clear()
     single = hc.MatvecCounter()
     hc.solve_adjoint(g, tg, terminal[0], 1.0, 1e-10, single, keep=[])
-    assert single.count == sum(rows) == counter.per_column[0]
+    assert single.count == sum(rows) == counts[0]
 
 
 def test_patch_only_adjoint_keeps_no_whole_lanczos_vector(monkeypatch):
@@ -577,40 +562,39 @@ def test_krylov_adjoint_on_one_node_stops_at_the_whole_space():
 def test_krylov_adjoint_zero_and_non_finite_terminals():
     g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
     tg = hc.TimeGrid(5, 0.1)
-    counter = hc.MatvecCounter(columns=2)
-    p, patch = hc.solve_adjoint(g, tg, np.zeros((2, 7)), 1.0, 1e-10, counter, keep=[0, 2])
+    counter = hc.MatvecCounter()
+    p, patch = hc.solve_adjoint(g, tg, np.zeros(7), 1.0, 1e-10, counter, keep=[0, 2])
     assert not p.any() and not patch.any() and counter.count == 0
-    bad = np.ones((3, 7))
-    bad[2, 4] = np.nan
-    with pytest.raises(hc.CGError, match="not finite") as failure:
-        hc.solve_adjoint(g, tg, bad, 1.0, 1e-10, hc.MatvecCounter())
-    assert failure.value.column == 2
-    with pytest.raises(hc.CGError, match="not finite") as failure:
-        hc.solve_adjoint(g, tg, np.full(7, np.inf), 1.0, 1e-10, hc.MatvecCounter())
-    assert failure.value.column is None
+    bad = np.ones(7)
+    bad[4] = np.nan
+    for terminal in (bad, np.full(7, np.inf)):
+        with pytest.raises(hc.CGError, match="not finite"):
+            hc.solve_adjoint(g, tg, terminal, 1.0, 1e-10, counter)
+    assert counter.count == 0
 
 
 @pytest.mark.parametrize("poison, message", [(np.nan, "alpha = nan"), (-1.0, "alpha = -1.0")])
 def test_lanczos_breakdown_names_its_column(poison, message):
-    # an operator that is not positive definite (or not finite) on the last
-    # node breaks down the columns that reach it, and the error names the
-    # first; the columns after it never start
+    # the columns of a batch are separate solves, one after another, as step
+    # 2 solves its sub-problems (whose errors name them: see test_driver).
+    # An operator that is not positive definite (or not finite) on the last
+    # node breaks down a column that reaches it, and not one that does not;
+    # each is charged the products it made, up to the breakdown too
     def apply_a(u):
         out = u.copy()
-        out[..., -1] = np.where(u[..., -1] != 0.0, poison * u[..., -1], 0.0)
+        out[-1] = poison * u[-1] if u[-1] != 0.0 else 0.0
         return out
 
-    b = np.zeros((3, 6))
-    b[0, 0] = b[2, 0] = 1.0
-    b[1, -1] = b[2, -1] = 1.0
-    counter = hc.MatvecCounter(columns=3)
-    with pytest.raises(hc.CGError, match=message) as failure:
-        inverse_powers(apply_a, b, 4, 1e-10, counter, [], np.arange(2))
-    assert failure.value.column == 1
-    assert counter.per_column.tolist() == [1, 1, 0]  # charged up to the breakdown
-    with pytest.raises(hc.CGError, match=message) as failure:
-        inverse_powers(apply_a, b[1], 4, 1e-10, hc.MatvecCounter(), [], np.arange(2))
-    assert failure.value.column is None
+    b = np.zeros((2, 6))
+    b[0, 0] = 1.0
+    b[1, -1] = 1.0
+    counter = hc.MatvecCounter()
+    inverse_powers(apply_a, b[0], 4, 1e-10, counter, [], np.arange(2))
+    assert counter.count == 1  # an eigenvector: an invariant subspace at m = 1
+    counter = hc.MatvecCounter()
+    with pytest.raises(hc.CGError, match=message):
+        inverse_powers(apply_a, b[1], 4, 1e-10, counter, [], np.arange(2))
+    assert counter.count == 1  # charged up to the breakdown
 
 
 def test_krylov_sweep_costs_a_third_of_per_step_cg_on_a_rough_2d_terminal():
@@ -639,9 +623,9 @@ def test_sweep_from_the_zero_field_pays_no_start_product(rng, monkeypatch):
         calls.append(1)
         return real_apply(grid, u, **buffers)
 
-    def logged_cg(apply_a, b, tol, counter, x0=None, spaces=None):
+    def logged_cg(apply_a, b, tol, counter, x0=None, space=None):
         starts.append(x0 is None)
-        return real_cg(apply_a, b, tol, counter, x0=x0, spaces=spaces)
+        return real_cg(apply_a, b, tol, counter, x0=x0, space=space)
 
     monkeypatch.setattr(propagators, "laplacian_apply", logged_apply)
     monkeypatch.setattr(propagators, "cg_solve", logged_cg)

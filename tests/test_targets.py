@@ -9,7 +9,7 @@ import heatctrl as hc
 
 from conftest import (
     breakpoint_targets, dense_adjoint_solve, dense_state_solve, random_tiny_problem,
-    step2_batches, subproblems,
+    reference_descent, step2_subproblems,
 )
 
 
@@ -76,8 +76,7 @@ def test_targets_equal_states_when_adjoint_vanishes(rng):
                              alpha=0.2, nu=0.5)
     part = hc.make_partition(tg, 4)
     y, chi, g = breakpoint_targets(prob, part, zero_v)
-    starts = np.concatenate([b.problem.y0 for b in
-                             hc.assemble_subproblems(prob, zero_v, part, y, chi, g)])
+    starts = [sub.problem.y0 for sub in hc.assemble_subproblems(prob, zero_v, part, y, chi, g)]
     np.testing.assert_allclose(chi, y_free[part[1:]], atol=1e-14)
     np.testing.assert_allclose(starts, y_free[part[:-1]], atol=1e-14)
 
@@ -101,7 +100,8 @@ def test_single_interval_subproblem_is_the_global_problem(rng, tiny_problem):
     tg = prob.time_grid
     part = hc.make_partition(tg, 1)
     v = rng.standard_normal((tg.step_count, prob.grid.control_node_count))
-    ((local, _, _, _),) = subproblems(step2_batches(prob, part, v))
+    (sub,) = step2_subproblems(prob, part, v)
+    local = sub.problem
     assert local.time_grid == tg  # the window of all the steps is the outer grid
     assert np.array_equal(local.y0, prob.y0)
     assert np.array_equal(local.y_target, prob.y_target)
@@ -112,49 +112,42 @@ def test_single_interval_subproblem_is_the_global_problem(rng, tiny_problem):
         assert j_local == j_global
 
 
-def test_subproblems_step_with_the_outer_dt(rng, monkeypatch):
-    import heatctrl.targets as targets
-
+def test_subproblems_step_with_the_outer_dt(rng):
     # 15 steps on 5 sub-intervals of 3 steps each
     prob = dataclasses.replace(random_tiny_problem(rng, n_interior=6, steps=15),
                                time_grid=hc.TimeGrid(15, 0.7 / 15))
     part = hc.make_partition(prob.time_grid, 5)
     v = rng.standard_normal((15, prob.grid.control_node_count))
-    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * targets._column_bytes(prob.grid))
-    batches = step2_batches(prob, part, v)
-    assert [b.first for b in batches] == [0, 2, 4]
+    subs = step2_subproblems(prob, part, v)
+    assert [sub.index for sub in subs] == list(range(5))
     outer_dt = np.float64(prob.time_grid.dt).view(np.int64)
-    for b in batches:
-        tg = b.problem.time_grid
+    for sub, a, b in zip(subs, part[:-1], part[1:], strict=True):
+        tg = sub.problem.time_grid
         assert np.float64(tg.dt).view(np.int64) == outer_dt
         assert tg.step_count == 3
-        assert b.breakpoints == part[b.first : b.first + len(b.warm_start) + 1]
+        assert (sub.start, sub.end) == (a, b)
 
 
-def test_assemble_subproblems_slices_v_y_and_targets(rng, monkeypatch):
-    import heatctrl.targets as targets
-
+def test_assemble_subproblems_slices_v_y_and_targets(rng):
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
     v = rng.standard_normal((13, prob.grid.control_node_count))
-    monkeypatch.setattr(targets, "BATCH_BYTES", 2 * targets._column_bytes(prob.grid))
     y, chi, g = breakpoint_targets(prob, part, v)
-    batches = hc.assemble_subproblems(prob, v, part, y, chi, g)
+    subs = hc.assemble_subproblems(prob, v, part, y, chi, g)
     # the breakpoint rows are the rows of the full trajectory, bit for bit
     y_full = hc.solve_state(prob.grid, prob.time_grid, prob.y0, v, prob.nu, prob.cg_tol,
                             hc.MatvecCounter())
-    assert [b.first for b in batches] == [0, 1, 3]
-    windows = np.concatenate([b.warm_start.reshape(-1, v.shape[1]) for b in batches])
+    assert [sub.problem.time_grid.step_count for sub in subs] == [4, 3, 3, 3]
+    windows = np.concatenate([sub.warm_start for sub in subs])
     assert np.array_equal(windows.view(np.int64), v.view(np.int64))
-    windows = np.concatenate([b.warm_gradient.reshape(-1, g.shape[1]) for b in batches])
+    windows = np.concatenate([sub.warm_gradient for sub in subs])
     assert np.array_equal(windows.view(np.int64), g.view(np.int64))
-    for b in batches:
-        k = len(b.warm_start)
-        left = part[b.first : b.first + k]
-        right = part[b.first + 1 : b.first + k + 1]
-        assert np.array_equal(b.problem.y0.view(np.int64), y_full[left].view(np.int64))
-        assert np.array_equal(b.warm_final_state.view(np.int64), y_full[right].view(np.int64))
-    assert np.array_equal(batches[-1].problem.y_target[-1].view(np.int64),
+    for n, sub in enumerate(subs):
+        assert np.array_equal(sub.problem.y0.view(np.int64), y_full[part[n]].view(np.int64))
+        assert np.array_equal(sub.warm_final_state.view(np.int64),
+                              y_full[part[n + 1]].view(np.int64))
+        assert np.array_equal(sub.problem.y_target.view(np.int64), chi[n].view(np.int64))
+    assert np.array_equal(subs[-1].problem.y_target.view(np.int64),
                           prob.y_target.view(np.int64))
 
 
@@ -163,8 +156,9 @@ def test_optimum_restrictions_are_subproblem_optima(rng, n_intervals):
     prob = random_tiny_problem(rng, n_interior=5, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, n_intervals)
-    for local, warm_start, _, _ in subproblems(step2_batches(prob, part, v_star)):
-        g = hc.gradient(local, warm_start, hc.MatvecCounter())
+    for sub in step2_subproblems(prob, part, v_star):
+        local = sub.problem
+        g = hc.gradient(local, sub.warm_start, hc.MatvecCounter())
         assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
 
 
@@ -214,28 +208,24 @@ def test_warm_gradient_is_the_local_gradient_at_the_warm_start(rng, dim, steps, 
         prob = _tiny_2d_problem(rng, steps)
     part = hc.make_partition(prob.time_grid, n_intervals)
     v = rng.standard_normal((steps, prob.grid.control_node_count))
-    pieces = list(subproblems(step2_batches(prob, part, v)))
-    assert len(pieces) == n_intervals
-    for local, warm_start, warm_final_state, warm_gradient in pieces:
-        g = hc.gradient(local, warm_start, hc.MatvecCounter(), final_state=warm_final_state)
-        err = hc.norm_h(local.grid, local.time_grid, g - warm_gradient)
+    subs = step2_subproblems(prob, part, v)
+    assert len(subs) == n_intervals
+    for sub in subs:
+        local = sub.problem
+        g = hc.gradient(local, sub.warm_start, hc.MatvecCounter(),
+                        final_state=sub.warm_final_state)
+        err = hc.norm_h(local.grid, local.time_grid, g - sub.warm_gradient)
         assert err <= 1e-12 * hc.norm_h(local.grid, local.time_grid, g)
-
-
-def _local_controls(part, v_tilde):
-    return [v_tilde[a:b] for a, b in zip(part, part[1:])]
 
 
 def test_solve_subproblem_never_increases_local_cost(rng, tiny_problem):
     prob = tiny_problem
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    batches = step2_batches(prob, part, v)
-    v_tilde = hc.solve_subproblem(batches, 1, hc.MatvecCounter())
-    for (local, warm_start, _, _), control in zip(subproblems(batches),
-                                               _local_controls(part, v_tilde)):
-        j_before = hc.evaluate(local, warm_start, hc.MatvecCounter()).cost
-        j_after = hc.evaluate(local, control, hc.MatvecCounter()).cost
+    for sub in step2_subproblems(prob, part, v):
+        control = hc.solve_subproblem(sub, 1, hc.MatvecCounter())
+        j_before = hc.evaluate(sub.problem, sub.warm_start, hc.MatvecCounter()).cost
+        j_after = hc.evaluate(sub.problem, control, hc.MatvecCounter()).cost
         assert j_after <= j_before + 1e-14
 
 
@@ -243,11 +233,10 @@ def test_solve_subproblem_reaches_local_oracle(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    batches = step2_batches(prob, part, v)
-    v_tilde = hc.solve_subproblem(batches, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
-    for (local, _, _, _), control in zip(subproblems(batches), _local_controls(part, v_tilde)):
-        v_local, _ = hc.oracle_kkt_solve(local)
-        err = hc.norm_h(local.grid, local.time_grid, control - v_local)
+    for sub in step2_subproblems(prob, part, v):
+        control = hc.solve_subproblem(sub, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
+        v_local, _ = hc.oracle_kkt_solve(sub.problem)
+        err = hc.norm_h(sub.problem.grid, sub.problem.time_grid, control - v_local)
         assert err <= 1e-6
 
 
@@ -271,30 +260,45 @@ def test_assemble_rejects_mismatched_targets(rng, tiny_problem):
         hc.assemble_subproblems(prob, v, part2, y_full, chi, g)
 
 
-def test_subproblem_batches_split_by_step_count_and_width(rng, monkeypatch):
-    import heatctrl.targets as targets
+def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch):
+    # 13 steps on 4 sub-intervals: step counts 4, 3, 3, 3.  With 3 inner
+    # iterations at rtol 1e-6 the sub-problems of the first sweep stop after
+    # 1, 1, 2 and 3 of them, so their counts differ
+    import heatctrl.driver as driver
 
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
-    part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
-    v = rng.standard_normal((13, prob.grid.control_node_count))
-    y, chi, g = breakpoint_targets(prob, part, v)
+    part = hc.make_partition(prob.time_grid, 4)
+    cfg = hc.OuterConfig(n_intervals=4, inner_iterations=3, inner_gradient_rtol=1e-6)
+    grid, tg = prob.grid, prob.time_grid
+    v = prob.zero_control()
+    scratch = hc.MatvecCounter()
+    y = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, scratch, keep=part)
+    p, patch = hc.solve_adjoint(grid, tg, y[-1] - prob.y_target, prob.nu, prob.cg_tol,
+                                scratch, keep=part[1:])
+    g = prob.alpha * v + patch[:-1]
+    solved = []
 
-    def solve(columns):
-        """Step 2 in batches at most ``columns`` wide (None: the default width)."""
-        if columns is not None:
-            monkeypatch.setattr(targets, "BATCH_BYTES", columns * targets._column_bytes(prob.grid))
-        batches = hc.assemble_subproblems(prob, v, part, y, chi, g)
-        counter = hc.MatvecCounter(columns=4)
-        v_tilde = hc.solve_subproblem(batches, 2, counter)
-        assert counter.parallel == counter.per_column.max()
-        assert counter.count == counter.per_column.sum()
-        return [b.first for b in batches], v_tilde, counter.per_column
+    def logged(sub, iterations, counter, gradient_rtol, real=driver.solve_subproblem):
+        control = real(sub, iterations, counter, gradient_rtol)
+        solved.append((sub, counter, control))
+        return control
 
-    firsts, whole, whole_counts = solve(None)
-    assert firsts == [0, 1]
-    # 2 columns: batches of sub-problems (0), (1, 2), (3); 1 column: each on its own
-    _, narrow, narrow_counts = solve(2)
-    _, own, own_counts = solve(1)
-    assert np.array_equal(whole, narrow) and np.array_equal(whole, own)
-    assert np.array_equal(whole_counts, narrow_counts)
-    assert np.array_equal(whole_counts, own_counts)
+    monkeypatch.setattr(driver, "solve_subproblem", logged)
+    counter = hc.MatvecCounter()
+    d = hc.targets_direction(prob, part, cfg, v, y, p, g, counter)
+    assert [sub.index for sub, _, _ in solved] == [0, 1, 2, 3]
+    counts = [own.count for _, own, _ in solved]
+    assert counter.count == sum(counts)
+    assert counter.parallel == max(counts)
+    assert len(set(counts)) > 1
+    v_tilde = np.concatenate([control for _, _, control in solved])
+    assert np.array_equal(d.view(np.int64), (v_tilde - v).view(np.int64))
+    steps = []
+    for (sub, own, control) in solved:
+        ref = hc.MatvecCounter()
+        want, taken = reference_descent(sub.problem, sub.warm_start, 3, ref, 1e-6,
+                                        sub.warm_final_state, sub.warm_gradient)
+        steps.append(taken)
+        assert np.array_equal(control.view(np.int64), want.view(np.int64))
+        assert own.count == ref.count
+    assert steps == [1, 1, 2, 3]

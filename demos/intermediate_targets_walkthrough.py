@@ -4,8 +4,10 @@ On a tiny 1D instance we (1) compute the targets chi = y - p at the
 breakpoints, (2) split the horizon into sub-intervals and solve the
 independent local tracking problems one after another, each with its own
 matvec count and starting from its window of the gradient the adjoint
-already gave, (3) join their controls
-into v_tilde and line-search along v_tilde - v.  It then runs the outer loop
+already gave, (3) join the changes of their controls into d = v_tilde - v and
+line-search along d.  Sub-problem 0 starts, like the line search's
+homogeneous state z, from zero at t = 0, so its response is z at the first
+breakpoint and the line search sweeps only the steps after it.  It then runs the outer loop
 with this rule and with the baseline's rule d = -g, and finally checks the
 defining fixed-point property: starting from the exact optimum, the sweep
 returns the optimum.
@@ -56,19 +58,26 @@ g = problem.alpha * v + p_patch[:-1]
 print(f"gradient norm at v = 0: {hc.norm_h(grid, time_grid, g):.6f}")
 
 # step 2: each sub-problem counts its own products; the parallel tally
-# charges the costliest, as if each ran on its own processor
-controls, counts = [], []
+# charges the costliest, as if each ran on its own processor.  Each returns
+# the change of its control; sub-problem 0, solved at cg_tol, also returns
+# its response, the line search's z at the first breakpoint
+updates, counts = [], []
 for sub in hc.assemble_subproblems(problem, v, partition, y, chi, g):
     own = hc.MatvecCounter()
-    controls.append(hc.solve_subproblem(sub, 1, own))  # one descent step
+    update, response = hc.solve_subproblem(sub, 1, own)  # one descent step
+    updates.append(update)
+    if sub.index == 0:
+        head = response
     counts.append(own.count)
     print(f"sub-problem {sub.index} on [{time_grid.dt * sub.start:g}, "
           f"{time_grid.dt * sub.end:g}]: {own.count} matvecs")
 counter.add_concurrent(counts)
-v_tilde = np.concatenate(controls)
-theta, _ = hc.line_search_theta(problem, partition, v, v_tilde - v,
-                                y[-1] - problem.y_target, counter)
-v = v + theta * (v_tilde - v)
+d = np.concatenate(updates)
+before = counter.count
+theta, _ = hc.line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter,
+                                head)
+print(f"line search from the first breakpoint: {counter.count - before} matvecs")
+v = v + theta * d
 print(f"after one sweep: theta = {theta:.4f}, "
       f"J = {hc.evaluate(problem, v, counter).cost:.8f}")
 

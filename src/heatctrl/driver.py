@@ -3,33 +3,40 @@
 ``run`` is the only outer loop, from v = 0 or a given start control.  Each
 iteration ``_sweep`` asks a direction rule for d from the state y(v), adjoint
 p(v) and gradient g(v) of the current control v, then takes the exact
-line-search step along d, rejecting an uphill one.  The two methods differ
-only in the rule:
+line-search step along d, rejecting an uphill one.  A rule also returns the
+line search's head, z at the first breakpoint, or None.  The two methods
+differ only in the rule:
 
 - ``steepest_direction``, the sequential baseline: d = -g, which makes the
-  line search the optimal-step gradient method;
+  line search the optimal-step gradient method, and no head;
 - ``targets_direction``, the intermediate-targets method: (1) the targets
   chi = y - p at the breakpoints, (2) the independent sub-problems, each
-  solved on its own with a matvec count of its own, and (3) their controls
-  joined into v_tilde, so d = v_tilde - v.  A sub-problem's local adjoint
+  solved on its own with a matvec count of its own, and (3) the changes of
+  their controls joined into d = v_tilde - v.  A sub-problem's local adjoint
   starts from y - chi = p at its right breakpoint and repeats the outer
   recursion, so its first gradient is the window of g on its sub-interval
-  and step 2 does not solve it again.
+  and step 2 does not solve it again.  Sub-problem 0 starts, like z, from
+  zero at t = 0, so its response (the homogeneous state its change of
+  control drives, at its right breakpoint) is z at the first breakpoint:
+  the head, whenever it was solved at ``cg_tol``.
 
 Only step 2's solves may run at a looser CG tolerance
 (``targets.DIRECTION_CG_TOL``, when the inner descent has no gradient test),
-since they only shape d.  The state, adjoint and line-search solves stay at
-the problem's ``cg_tol``, and so do J, g, the stopping test and the uphill
-guard: every accepted step lowers J and the gradient stays the exact one.
+since they only shape d; sub-problem 0's at one inner iteration do not,
+since they also give the head.  The state, adjoint and line-search solves
+stay at the problem's ``cg_tol``, and so do J, g, the stopping test and the
+uphill guard: every accepted step lowers J and the gradient stays the exact
+one.
 
 The state follows through linearity, y(v + theta d) = y(v) + theta z with z
 the homogeneous trajectory the line search solved for, so each outer
 iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
-seed 0, 80 products against 651 for a CG solve per step on the 33 x 33
-benchmark, 144 against 1365 on the 65 x 65 one), the rule's solves and one
-homogeneous forward solve (about 4.3 and 13.8 products a step on the two).
-With one inner iteration, a sub-problem costs one homogeneous forward solve;
-each further inner iteration adds an adjoint and a forward solve.
+seed 0, 64 products against 651 for a CG solve per step on the 33 x 33
+benchmark, 128 against 1365 on the 65 x 65 one), the rule's solves and one
+homogeneous forward solve (about 4.3 and 13.8 products a step on the two)
+over the steps after the head, or over every step without one.  With one
+inner iteration, a sub-problem costs one homogeneous forward solve; each
+further inner iteration adds an adjoint and a forward solve.
 
 The sub-problems touch one another only through y and p at the N+1
 breakpoints, and the gradient reads p only on the control patch, so a run
@@ -58,7 +65,7 @@ import numpy as np
 from .grid import inner_omega
 from .linsolve import MatvecCounter
 from .problem import ControlProblem, _record, inner_h, norm_h
-from .propagators import solve_adjoint, solve_state
+from .propagators import TimeGrid, solve_adjoint, solve_state
 from .targets import (
     assemble_subproblems,
     make_partition,
@@ -116,18 +123,32 @@ def line_search_theta(
     d: np.ndarray,
     residual: np.ndarray,
     counter: MatvecCounter,
+    head: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Exact minimizer of theta -> J(v + theta d) and the z it used.
 
     ``residual`` is y(T; v) - y_target.  z is the homogeneous state driven by
     d at the partition's N+1 breakpoints, so y(v + theta d) = y(v) + theta z
-    there; it is None (and theta 0) when d vanishes.
+    there; it is None (and theta 0) when d vanishes.  ``head``, when given,
+    is z at ``partition[1]``, solved at ``cg_tol`` (step 2's sub-problem 0
+    response): the sweep then runs only the steps after it, from it, and
+    with one interval there is no sweep at all.  Without it the sweep runs
+    every step from zero.
     """
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
         return 0.0, None
-    z = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
-                    keep=partition)
+    if head is None:
+        z = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
+                        keep=partition)
+    else:
+        start = partition[1]
+        rest = []
+        if len(partition) > 2:
+            rest = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), head, d[start:],
+                               problem.nu, problem.cg_tol, counter,
+                               keep=[b - start for b in partition[2:]])
+        z = np.vstack([grid.zero_field(), head, *rest])
     zT = z[-1]
     num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)
     den = inner_omega(grid, zT, zT) + problem.alpha * inner_h(grid, tg, d, d)
@@ -137,8 +158,9 @@ def line_search_theta(
 
 
 def steepest_direction(problem, partition, config, v, y, p, g, counter):
-    """The sequential baseline's rule: d = -g."""
-    return -g
+    """The sequential baseline's rule: d = -g, with no head for the line
+    search."""
+    return -g, None
 
 
 def targets_direction(
@@ -150,21 +172,24 @@ def targets_direction(
     p: np.ndarray,
     g: np.ndarray,
     counter: MatvecCounter,
-) -> np.ndarray:
-    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v, and
+    the line search's head, z at ``partition[1]``, or None.
 
     ``p`` is None when step 2 does not read the targets (``_reads_targets``):
     its sub-problems then get none.  Each sub-problem counts its own
     products, and ``counter`` is charged them as concurrent solves: their sum
-    in the sequential tally, the largest in the parallel one."""
+    in the sequential tally, the largest in the parallel one.  The head is
+    sub-problem 0's response, which ``solve_subproblem`` returns when that
+    sub-problem ran at ``cg_tol``: with one inner iteration or an inner
+    gradient test, not with more inner iterations and no test."""
     chi = None if p is None else targets_from_solutions(problem, partition, y, p)
     subproblems = assemble_subproblems(problem, v, partition, y, chi, g)
     counters = [MatvecCounter() for _ in subproblems]
-    v_tilde = np.concatenate([
-        solve_subproblem(sub, config.inner_iterations, own, config.inner_gradient_rtol)
-        for sub, own in zip(subproblems, counters)])
+    solved = [solve_subproblem(sub, config.inner_iterations, own, config.inner_gradient_rtol)
+              for sub, own in zip(subproblems, counters)]
     counter.add_concurrent([own.count for own in counters])
-    return v_tilde - v
+    return np.concatenate([update for update, _ in solved]), solved[0][1]
 
 
 # a function so that d and z are freed before run's next adjoint sweep
@@ -183,14 +208,15 @@ def _sweep(
     """One outer iteration from the state y(v) at the N+1 breakpoints, the
     adjoint p(v) at the N right breakpoints, the gradient g(v) and the cost
     J(v) of the control v: the direction rule's d, then the exact line search
-    along it.
+    along it, from the rule's head when it gives one.
 
     Returns (v_next, y_next, theta): y_next is y(v_next) at the breakpoints,
     updated through linearity; theta is 0 and v, y come back unchanged when
     the line search finds no descent step.
     """
-    d = direction(problem, partition, config, v, y, p, g, counter)
-    theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter)
+    d, head = direction(problem, partition, config, v, y, p, g, counter)
+    theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter,
+                                 head)
     if theta != 0.0:
         v_next, y_next = v + theta * d, y + theta * z
         if _record(problem, v_next, y_next[-1]).cost <= cost:
@@ -227,10 +253,11 @@ def run(problem: ControlProblem, config: OuterConfig,
     """Iterate from ``start`` (v = 0 without one) until the true gradient norm
     test, a stall or max_outer.
 
-    ``direction`` is the rule each sweep takes its d from:
-    ``targets_direction`` (the default) or ``steepest_direction``.  The
-    stopping gradient comes from the same adjoint solve that builds the
-    targets, so it adds no extra cost; step 2 starts from it too.  Row k of
+    ``direction`` is the rule each sweep takes its d and the line search's
+    head from: ``targets_direction`` (the default) or
+    ``steepest_direction``.  The stopping gradient comes from the same
+    adjoint solve that builds the targets, so it adds no extra cost; step 2
+    starts from it too.  Row k of
     the history reports J(v^k) and the step theta_k taken at that iterate;
     matvec tallies are those accumulated when J(v^k) and its gradient became
     known.  A ``start`` not shaped like a control raises ValueError; a cost

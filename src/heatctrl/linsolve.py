@@ -7,10 +7,13 @@ its cost is numpy calls, not arithmetic.
 
 ``inverse_powers`` gives A^-s b for every s = 0..N from one Krylov space of A
 and b, by one Lanczos pass: the adjoint sweep, which has no forcing, is
-exactly these powers.  It copies each Lanczos vector on the nodes whose
-every power it returns (the control patch), and whole only when the caller
-keeps a power s > 0, so a patch-only sweep stores m x (patch nodes) floats
-of its m Lanczos vectors, not m x n.
+exactly these powers.  It assumes A >= Id, as every step operator
+K = Id + dt nu (-Lap) is, and stops the pass on a residual bound that this
+makes an error bound (Saad, SIAM J. Numer. Anal. 29(1), 1992, for Krylov
+approximations of matrix functions).  It copies each Lanczos vector on the
+nodes whose every power it returns (the control patch), and whole only when
+the caller keeps a power s > 0, so a patch-only sweep stores
+m x (patch nodes) floats of its m Lanczos vectors, not m x n.
 
 A ``CorrectionSpace`` carries what consecutive CG solves with one operator
 have learnt: the last few start corrections c = x - x0 and their images
@@ -253,7 +256,8 @@ def cg_solve(
     return x
 
 
-# Lanczos iterations between two tests of the coefficients T^-s e1
+# Lanczos iterations between two tests of the error bound, after the test at
+# m = 1: each test forms T_m^-s e1 for every power anew
 CHECK = 16
 # Lanczos vectors stored whole in one (BLOCK, n) block, when a kept power
 # needs them: a kept power sums its blocks by matrix-vector products
@@ -261,9 +265,9 @@ BLOCK = 16
 
 
 def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
-    """A^-s b for s = 0..count, for symmetric positive definite A given as a
-    callable and one field ``b`` (n,), from one Krylov space of A and b (one
-    Lanczos pass).
+    """A^-s b for s = 0..count, for symmetric A >= Id given as a callable and
+    one field ``b`` (n,), from one Krylov space of A and b (one Lanczos
+    pass).
 
     Returns the pair (fields, patches): ``fields[r]`` is A^-s b for
     s = ``rows[r]``, and ``patches[s]`` is A^-s b on the nodes ``mask`` for
@@ -272,18 +276,25 @@ def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
     agree bit for bit.
 
     Lanczos runs on A from v1 = b / beta0, beta0 = ||b||, building the
-    tridiagonal T_m.  At m = 1 and every ``CHECK`` iterations it forms
-    c_s = T_m^-s e1 for every s = 1..count, and it stops when every c_s has
-    moved by at most tol * ||c_s|| since the last check (so at m = CHECK at
-    the earliest), when beta = 0 (an invariant subspace: the result is
-    exact) or when m = n.  It tests every power whatever ``rows`` asks for,
-    so what a caller stores never changes the products or the bits.  Each
-    v_i is copied on ``mask`` as it is made, and whole only when ``rows``
-    asks for a power s > 0.  The results are then beta0 * sum_i c_s,i v_i,
-    by matrix-vector products of the coefficients and the stored vectors:
-    one for each power's patch, and one per ``BLOCK`` vectors for each kept
-    power.  m Lanczos vectors cost m products; a zero ``b`` has zero powers
-    and costs no product.
+    tridiagonal T_m and the next off-diagonal beta_m.  The power s is
+    x_s = beta0 V_m c_s with c_s = T_m^-s e1, and the Lanczos relation
+    A V_m = V_m T_m + beta_m v_{m+1} e_m^T gives
+    A x_s - x_{s-1} = beta0 beta_m [c_s]_m v_{m+1}.  Since A >= Id,
+    ||A^-1|| <= 1, so the error of x_s is at most the error of x_{s-1} plus
+    beta0 beta_m |[c_s]_m|, and at most beta0 beta_m sum_{k<=s} |[c_k]_m| in
+    all.  At m = 1 and every ``CHECK`` iterations the pass forms c_s for
+    every s = 1..count, and it stops at the first check where that bound is
+    at most tol * beta0 ||c_s|| = tol * ||x_s|| for every s, when beta = 0
+    (an invariant subspace: the result is exact) or when m = n.  For a
+    positive definite A with eigenvalues below 1 the bound does not hold,
+    and the pass may stop early.  It tests every power whatever ``rows``
+    asks for, so what a caller stores never changes the products or the
+    bits.  Each v_i is copied on ``mask`` as it is made, and whole only when
+    ``rows`` asks for a power s > 0.  The results are then
+    beta0 * sum_i c_s,i v_i, by matrix-vector products of the coefficients
+    and the stored vectors: one for each power's patch, and one per
+    ``BLOCK`` vectors for each kept power.  m Lanczos vectors cost m
+    products; a zero ``b`` has zero powers and costs no product.
 
     Raises ``CGError`` when ``b`` is not finite, when an alpha is not a
     positive finite number or a beta is not finite, or when T_m is not
@@ -329,7 +340,7 @@ def _lanczos(apply_a, v, count, tol, counter, mask, whole):
     n = len(v)
     v_prev, w, scratch = np.zeros(n), np.empty(n), np.empty(n)
     beta = 0.0
-    alphas, betas, last = [], [], None
+    alphas, betas = [], []
     on_patch, blocks = [], []
     products = 0
     try:
@@ -351,9 +362,8 @@ def _lanczos(apply_a, v, count, tol, counter, mask, whole):
             betas.append(beta)
             if beta == 0.0 or m == n or m % CHECK == 0 or m == 1:
                 c = _tridiagonal_powers(alphas, betas, count)
-                if beta == 0.0 or m == n or _settled(c, last, tol):
+                if beta == 0.0 or m == n or _bounded(c, beta, tol):
                     return c, np.array(on_patch), blocks
-                last = c
             # the next Lanczos vector goes where the last one was
             np.divide(w, beta, out=v_prev)
             v, v_prev = v_prev, v
@@ -361,14 +371,11 @@ def _lanczos(apply_a, v, count, tol, counter, mask, whole):
         counter.add(products)
 
 
-def _settled(c, last, tol):
-    """Whether every row of ``c`` is within tol of its norm from ``last``,
-    the coefficients of the previous check (None at m = 1)."""
-    if last is None:
-        return False
-    change = c.copy()
-    change[:, : last.shape[1]] -= last
-    return bool(np.all(np.sqrt(np.vecdot(change, change)) <= tol * np.sqrt(np.vecdot(c, c))))
+def _bounded(c, beta, tol):
+    """Whether beta sum_{k<=s} |[c_k]_m| <= tol ||c_s|| for every row c_s of
+    ``c``: the bound on the error of every power, relative to it."""
+    bound = beta * np.cumsum(np.abs(c[:, -1]))
+    return bool(np.all(bound <= tol * np.sqrt(np.vecdot(c, c))))
 
 
 def _tridiagonal_powers(diag, off, count):

@@ -106,7 +106,7 @@ def optimal_step_gradient(
     iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Steepest descent with the exact step for the quadratic cost.
 
     The step sigma = <g,g>_H / (||z_g(T)||^2 + alpha ||g||_H^2), where z_g is
@@ -119,14 +119,23 @@ def optimal_step_gradient(
     it copies them and never writes them.
 
     With ``gradient_rtol`` set, the descent stops once ||g||_H <= rtol *
-    (1 + ||g_0||_H); without it, the gradient at the last iterate, which only
-    that test reads, is not solved for.  It also stops on a zero gradient or
-    a zero step denominator.  Returns the control.
+    (1 + ||g_0||_H).  It also stops on a zero gradient or a zero step
+    denominator, and after its last iteration, whose gradient nothing reads,
+    so it does not solve for it.
+
+    Returns (update, response): the change of the control, the sum of the
+    steps -sigma g, and the change of the final state it causes, the sum of
+    the steps -sigma z_g(T), which is the homogeneous state driven by the
+    update from zero.  Both are summed, not taken as differences of controls
+    or of final states, which would lose the digits the two share: near an
+    optimum, where the steps are small, the response then still belongs to
+    the update to the accuracy of the forward solves.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
     v, final, g = (np.array(a, dtype=float) for a in (v_init, final_state, g_init))
+    update, response = np.zeros_like(v), grid.zero_field()
     gnorm2 = inner_h(grid, tg, g, g)
     threshold = None if gradient_rtol is None else gradient_rtol * (1.0 + np.sqrt(gnorm2))
     for it in range(iterations):
@@ -138,13 +147,17 @@ def optimal_step_gradient(
         if denom == 0.0:
             break
         sigma = gnorm2 / denom
-        v -= sigma * g
-        final -= sigma * zT
-        if it == iterations - 1 and threshold is None:
+        g *= sigma
+        v -= g
+        update -= g
+        zT *= sigma
+        final -= zT
+        response -= zT
+        if it == iterations - 1:
             break
         g = gradient(problem, v, counter, final_state=final)
         gnorm2 = inner_h(grid, tg, g, g)
-    return v
+    return update, response
 
 
 ORACLE_DIMENSION_CAP = 2000

@@ -22,7 +22,11 @@ The sub-problems only shape the search direction d = v_tilde - v, which the
 outer exact line search rescales, so without an inner gradient test of their
 own their CG solves stop at ``DIRECTION_CG_TOL`` (or the problem's
 ``cg_tol``, if looser).  With an inner gradient test they keep ``cg_tol``,
-since that test reads their gradients.
+since that test reads their gradients.  Sub-problem 0 with one inner
+iteration keeps ``cg_tol`` too: it starts, like the line search's
+homogeneous state z, from zero at t = 0, so its one forward solve, scaled by
+-sigma_0, is z at the first breakpoint, and the line search starts there.
+A solve at ``cg_tol`` returns its response for that purpose.
 """
 
 from __future__ import annotations
@@ -73,10 +77,11 @@ def targets_from_solutions(
     return chi
 
 
-# CG tolerance of step 2's solves when the inner descent has no gradient test.
-# d then carries an error of about 1e-6 relative, which the outer line search
-# absorbs; on the 65 x 65 benchmark at seed 0 a step 2 solve takes about 9.3
-# products a step here, against 20.5 at cg_tol = 1e-10
+# CG tolerance of step 2's solves when the inner descent has no gradient test,
+# except sub-problem 0's at one inner iteration, whose response the line
+# search starts from.  d then carries an error of about 1e-6 relative, which
+# the outer line search absorbs; on the 65 x 65 benchmark at seed 0 a step 2
+# solve takes about 9.3 products a step here, against 20.5 at cg_tol = 1e-10
 DIRECTION_CG_TOL = 1e-6
 
 
@@ -133,27 +138,37 @@ def solve_subproblem(
     inner_iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
-) -> np.ndarray:
-    """The inner descent of one sub-problem; returns its local control.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The inner descent of one sub-problem: the change of its local
+    control, its window of d, and, when its solves ran at ``cg_tol``, its
+    response (else None).
 
-    ``counter`` is charged the sub-problem's own products.  The descent reads
-    the sub-problem's views of the run's v, y and g and does not write them.
-    A ``CGError`` names the sub-problem and its interval, and keeps its type:
-    the CLI maps it to an exit code.
+    The response is the homogeneous state driven by that change, at the
+    right breakpoint (``optimal_step_gradient``).  For sub-problem 0 it is
+    the line search's z at ``partition[1]``.  ``counter`` is charged the
+    sub-problem's own products.  The descent reads the sub-problem's views
+    of the run's v, y and g and does not write them.  A ``CGError`` names
+    the sub-problem and its interval, and keeps its type: the CLI maps it to
+    an exit code.
 
     Without ``gradient_rtol`` the solves run at ``max(cg_tol,
     DIRECTION_CG_TOL)``: only the direction depends on them, and the caller's
-    line search, cost and gradient stay at ``cg_tol``.  With it they run at
-    ``cg_tol``, so the inner stopping test reads accurate gradients.
+    line search, cost and gradient stay at ``cg_tol``.  Sub-problem 0 with
+    one inner iteration is the exception: its one forward solve also gives
+    the line search its head, so it runs at ``cg_tol``.  With
+    ``gradient_rtol`` every solve runs at ``cg_tol``, so the inner stopping
+    test reads accurate gradients.
     """
     local = sub.problem
-    if gradient_rtol is None:
+    exact = gradient_rtol is not None or (sub.index == 0 and inner_iterations == 1)
+    if not exact:
         local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
     try:
-        return optimal_step_gradient(local, sub.warm_start, sub.warm_final_state,
-                                     sub.warm_gradient, inner_iterations, counter,
-                                     gradient_rtol=gradient_rtol)
+        update, response = optimal_step_gradient(local, sub.warm_start, sub.warm_final_state,
+                                                 sub.warm_gradient, inner_iterations, counter,
+                                                 gradient_rtol=gradient_rtol)
     except CGError as exc:
         dt = local.time_grid.dt
         raise CGError(f"sub-problem {sub.index} on [{dt * sub.start:g}, {dt * sub.end:g}]: "
                       f"{exc}") from exc
+    return update, response if exact else None

@@ -111,14 +111,18 @@ def step2_subproblems(problem, partition, v):
 def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state,
                       gradient=None):
     """Steepest descent with the exact step as a plain 1D loop; returns the
-    control and the number of steps taken.
+    update (the change of the control), its response (the change of the
+    final state) and the number of steps taken.
 
-    The control is what ``optimal_step_gradient`` must reproduce bit for
-    bit, and what ``run`` with the steepest rule must reach up to rounding.
+    The update and response are what ``optimal_step_gradient`` must
+    reproduce bit for bit; with a zero ``v_init`` the update is the control
+    that ``run`` with the steepest rule must reach up to rounding.
     ``gradient``, the gradient at v_init, stands for the descent's
-    ``g_init``; without it the loop solves for it."""
+    ``g_init``; without it the loop solves for it.  No gradient is solved
+    for after the last iteration, which no test would read."""
     grid, tg = problem.grid, problem.time_grid
     v = np.array(v_init, dtype=float, copy=True)
+    update, response = np.zeros_like(v), grid.zero_field()
     g = gradient
     if g is None:
         g = hc.gradient(problem, v, counter, final_state=final_state)
@@ -136,15 +140,17 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
         if denom == 0.0:
             break
         sigma = gnorm2 / denom
-        v -= sigma * g
+        v = v - sigma * g
+        update = update - sigma * g
         steps += 1
         final_state = final_state - sigma * zT
-        if it == iterations - 1 and threshold is None:
+        response = response - sigma * zT
+        if it == iterations - 1:
             break
         g = hc.gradient(problem, v, counter, final_state=final_state)
         if threshold is not None and hc.norm_h(grid, tg, g) <= threshold:
             break
-    return v, steps
+    return update, response, steps
 
 
 def break_step2_solves(monkeypatch, broken):

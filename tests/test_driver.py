@@ -66,6 +66,61 @@ def test_line_search_is_the_scalar_minimizer():
         assert abs(theta_star - vertex) <= 1e-12 * max(1.0, abs(theta_star))
 
 
+def _thirteen_step_problem(dim, rng):
+    """A random instance with 13 steps at cg_tol = 1e-10: a 1D line of 6
+    interior nodes, or a 5 x 5 interior with a 3 x 3 control patch."""
+    if dim == 1:
+        return random_tiny_problem(rng, n_interior=6, steps=13, cg_tol=1e-10)
+    grid = hc.build_grid(2, 7, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(13, 0.05),
+                             y0=rng.standard_normal(grid.interior_node_count),
+                             y_target=rng.standard_normal(grid.interior_node_count),
+                             alpha=0.2, nu=0.5, cg_tol=1e-10)
+
+
+# 13 steps make uneven windows for N = 2, 3 and 8 (7 + 6, 5 + 4 + 4, and
+# 2 steps five times, then 1 three times)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [1, 2, 3, 8])
+@pytest.mark.parametrize("inner, inner_rtol", [(1, None), (3, 1e-6), (3, None)])
+def test_line_search_from_the_head_matches_a_tight_full_sweep(rng, dim, n_intervals, inner,
+                                                              inner_rtol):
+    # with one inner iteration or an inner gradient test, step 2 hands the
+    # line search sub-problem 0's response as z at the first breakpoint and
+    # the sweep starts there; z at every breakpoint and theta still match a
+    # sweep of every step at cg_tol = 1e-14.  More inner iterations without
+    # a test hand it nothing, and it sweeps every step
+    prob = _thirteen_step_problem(dim, rng)
+    grid, tg = prob.grid, prob.time_grid
+    part = hc.make_partition(tg, n_intervals)
+    cfg = hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner,
+                         inner_gradient_rtol=inner_rtol)
+    v = _random_control(rng, prob)
+    scratch = hc.MatvecCounter()
+    y = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, scratch, keep=part)
+    p, patch = hc.solve_adjoint(grid, tg, y[-1] - prob.y_target, prob.nu, prob.cg_tol,
+                                scratch, keep=part[1:])
+    d, head = hc.targets_direction(prob, part, cfg, v, y, p, prob.alpha * v + patch[:-1],
+                                   scratch)
+    assert (head is None) == (inner > 1 and inner_rtol is None)
+    counter = hc.MatvecCounter()
+    theta, z = hc.line_search_theta(prob, part, v, d, y[-1] - prob.y_target, counter, head)
+    tight = dataclasses.replace(prob, cg_tol=1e-14)
+    theta_ref, z_ref = hc.line_search_theta(tight, part, v, d, y[-1] - prob.y_target,
+                                            hc.MatvecCounter())
+    assert z.shape == z_ref.shape == (n_intervals + 1, grid.interior_node_count)
+    assert not np.any(z[0]) and not np.any(z_ref[0])
+    assert np.all(np.linalg.norm(z - z_ref, axis=1)
+                  <= 1e-9 * np.linalg.norm(z_ref, axis=1))
+    assert abs(theta - theta_ref) <= 1e-9 * abs(theta_ref)
+    # the head saves the steps of window 0; with one interval it is z(T),
+    # and the line search makes no sweep
+    full = hc.MatvecCounter()
+    hc.line_search_theta(prob, part, v, d, y[-1] - prob.y_target, full)
+    assert (counter.count < full.count) == (head is not None)
+    assert (counter.count == 0) == (n_intervals == 1 and head is not None)
+
+
 def _one_sweep(prob, cfg, start):
     """``run`` for one sweep from ``start``: max_outer = 1, and an rtol whose
     gradient test cannot end the run before the sweep."""
@@ -287,13 +342,16 @@ def test_worker_cg_failure_keeps_its_type(rng, monkeypatch):
 
 def _reference_subproblem(sub, iterations, counter, gradient_rtol=None):
     """One sub-problem by the reference descent, at the looser direction
-    tolerance when there is no inner gradient test."""
+    tolerance when there is no inner gradient test, except for sub-problem 0
+    at one inner iteration; the response only from a descent at cg_tol."""
     local = sub.problem
-    if gradient_rtol is None:
+    exact = gradient_rtol is not None or (sub.index == 0 and iterations == 1)
+    if not exact:
         local = dataclasses.replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
-    control, _ = reference_descent(local, sub.warm_start, iterations, counter, gradient_rtol,
-                                   sub.warm_final_state, sub.warm_gradient)
-    return control
+    update, response, _ = reference_descent(local, sub.warm_start, iterations, counter,
+                                            gradient_rtol, sub.warm_final_state,
+                                            sub.warm_gradient)
+    return update, response if exact else None
 
 
 # with 3 inner iterations at rtol 1e-6 the sub-problems of the first sweep
@@ -328,7 +386,8 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
     # every solve made under solve_subproblem runs at max(cg_tol,
     # DIRECTION_CG_TOL) when the inner descent has no gradient test and at
     # cg_tol when it has one; every other solve (state, adjoint, line
-    # search) runs at cg_tol
+    # search) runs at cg_tol.  Sub-problem 0 at one inner iteration runs at
+    # cg_tol too: its response is the line search's z at the first breakpoint
     prob = random_tiny_problem(rng, n_interior=6, steps=13, cg_tol=cg_tol)
     cfg = hc.OuterConfig(n_intervals=4, inner_iterations=inner,
                          inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)
@@ -336,7 +395,7 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
     import heatctrl.driver as driver
     import heatctrl.propagators as propagators
 
-    calls, in_step2 = [], [False]
+    calls, in_step2 = [], [None]  # the index of the sub-problem being solved
 
     def logged_cg(apply_a, b, tol, *args, real=propagators.cg_solve, **kwargs):
         calls.append((in_step2[0], tol))
@@ -346,12 +405,12 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
         calls.append((in_step2[0], tol))
         return real(apply_a, b, count, tol, *args)
 
-    def logged_step2(*args, real=driver.solve_subproblem, **kwargs):
-        in_step2[0] = True
+    def logged_step2(sub, *args, real=driver.solve_subproblem, **kwargs):
+        in_step2[0] = sub.index
         try:
-            return real(*args, **kwargs)
+            return real(sub, *args, **kwargs)
         finally:
-            in_step2[0] = False
+            in_step2[0] = None
 
     monkeypatch.setattr(propagators, "cg_solve", logged_cg)
     monkeypatch.setattr(propagators, "inverse_powers", logged_adjoint)
@@ -359,8 +418,10 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
     res = hc.run(prob, cfg)
     assert len(res.history) > 2
     step2_tol = cg_tol if inner_rtol is not None else max(cg_tol, DIRECTION_CG_TOL)
-    assert {tol for inside, tol in calls if inside} == {step2_tol}
-    assert {tol for inside, tol in calls if not inside} == {cg_tol}
+    first_tol = cg_tol if inner == 1 else step2_tol
+    assert {tol for inside, tol in calls if inside == 0} == {first_tol}
+    assert {tol for inside, tol in calls if inside is not None and inside > 0} == {step2_tol}
+    assert {tol for inside, tol in calls if inside is None} == {cg_tol}
 
 
 def test_run_stops_at_first_rejected_step(rng):
@@ -436,8 +497,9 @@ def test_steepest_run_matches_reference_descent(rng, make):
         res = hc.run(prob, cfg, hc.steepest_direction)
         counter = hc.MatvecCounter()
         v0 = prob.zero_control()
-        want, steps = reference_descent(prob, v0, cfg.max_outer, counter, cfg.gradient_rtol,
-                                        hc.evaluate(prob, v0, counter).final_state)
+        want, _, steps = reference_descent(prob, v0, cfg.max_outer, counter,
+                                           cfg.gradient_rtol,
+                                           hc.evaluate(prob, v0, counter).final_state)
         assert res.converged
         assert len(res.history) - 1 == steps > 0
         grid, tg = prob.grid, prob.time_grid

@@ -84,10 +84,13 @@ def test_optimal_step_fixed_point_at_optimum(rng):
     final = hc.evaluate(prob, v_star, counter).final_state
     g = hc.gradient(prob, v_star, counter, final_state=final)
     descent = hc.MatvecCounter()
-    control = hc.optimal_step_gradient(prob, v_star, final, g, 5, descent, gradient_rtol=1e-7)
-    # the gradient test stops the descent before its first step
+    update, response = hc.optimal_step_gradient(prob, v_star, final, g, 5, descent,
+                                                gradient_rtol=1e-7)
+    # the gradient test stops the descent before its first step: it changes
+    # neither the control nor the final state
     assert descent.count == 0
-    assert np.array_equal(control.view(np.int64), v_star.view(np.int64))
+    assert not np.any(update) and not np.any(response)
+    assert update.shape == v_star.shape and response.shape == final.shape
 
 
 def _steepest_run(prob, max_outer, gradient_rtol):
@@ -210,17 +213,24 @@ def test_descent_bitwise_equal_to_the_reference_loop(rng):
         inputs = [v, final, grad]
         copies = [a.copy() for a in inputs]
         counter = hc.MatvecCounter()
-        control = hc.optimal_step_gradient(problem, *inputs, 8, counter, gradient_rtol=1e-3)
+        update, response = hc.optimal_step_gradient(problem, *inputs, 8, counter,
+                                                    gradient_rtol=1e-3)
         # the descent reads its inputs and does not write them
         for a, copy in zip(inputs, copies):
             assert np.array_equal(a.view(np.int64), copy.view(np.int64))
         own = hc.MatvecCounter()
-        want, taken = reference_descent(problem, v, 8, own, 1e-3, final, gradient=grad)
+        want, want_response, taken = reference_descent(problem, v, 8, own, 1e-3, final,
+                                                       gradient=grad)
         steps.append(taken)
-        assert np.array_equal(control.view(np.int64), want.view(np.int64))
+        assert np.array_equal(update.view(np.int64), want.view(np.int64))
+        assert np.array_equal(response.view(np.int64), want_response.view(np.int64))
         assert counter.count == own.count
+        # the response is the homogeneous state the update drives
+        driven = hc.solve_state(problem.grid, problem.time_grid, problem.grid.zero_field(),
+                                update, problem.nu, 1e-14, hc.MatvecCounter(), keep=-1)
+        assert np.linalg.norm(response - driven) <= 1e-10 * np.linalg.norm(driven)
     # the zero-gradient descent stopped before its first step: no product
-    # charged, its warm start returned bit for bit
+    # charged, and no change of the control or of the final state
     assert steps == [2, 2, 3, 0]
     assert counter.count == 0
-    assert np.array_equal(control.view(np.int64), v0[3].view(np.int64))
+    assert not np.any(update) and not np.any(response)

@@ -505,8 +505,9 @@ def test_krylov_counter_audited_against_laplacian_rows(rng, monkeypatch):
         counts.append(counter.count)
     assert counts[1] == 0
     assert [counts[0], counts[2], counts[3]] == lengths
-    # the smooth terminal converges in fewer Lanczos steps
-    assert counts[2] < counts[0]
+    # the smooth terminal is the lowest sine mode, an eigenvector of K: the
+    # error bound proves it converged at the check at m = 1
+    assert counts == [48, 0, 1, 48]
     rows.clear()
     single = hc.MatvecCounter()
     hc.solve_adjoint(g, tg, terminal[0], 1.0, 1e-10, single, keep=[])
@@ -530,14 +531,18 @@ def test_patch_only_adjoint_keeps_no_whole_lanczos_vector(monkeypatch):
     finally:
         tracemalloc.stop()
     (m,) = lengths
-    assert counter.count == m > CHECK
+    assert counter.count == m == 128
     assert peak < m * g.interior_node_count * 8
 
 
 @pytest.mark.parametrize("k", [1, 7])
 def test_krylov_adjoint_of_a_sine_mode_stops_at_the_first_check(k):
     # K maps the k-th sine mode to lam times itself, so p^j = lam^-(N-j) p^N,
-    # and the Krylov space holds nothing more: the coefficients settle at once
+    # and the Krylov space holds nothing more: beta_1 is rounding.  At k = 1
+    # the error bound proves convergence at the check at m = 1.  At k = 7,
+    # lam is 3.4, and the bound, which lets an error pass through K^-1
+    # undamped, multiplies beta_1 by sum_k lam^(s-k), about 6e4 at s = 10:
+    # the first check that proves it is at m = CHECK
     g = hc.build_grid(1, 52, [(0.0, 1.0)], [(0.2, 0.8)])
     tg = hc.TimeGrid(10, 0.01)
     terminal, eig = _sine_mode(g, k)
@@ -546,7 +551,7 @@ def test_krylov_adjoint_of_a_sine_mode_stops_at_the_first_check(k):
     p = hc.solve_adjoint(g, tg, terminal, 0.5, 1e-10, counter)
     want = lam ** -np.arange(10, -1, -1.0)[:, None] * terminal
     assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(terminal))
-    assert g.interior_node_count > CHECK and counter.count == CHECK
+    assert g.interior_node_count > CHECK and counter.count == {1: 1, 7: CHECK}[k]
 
 
 def test_krylov_adjoint_on_one_node_stops_at_the_whole_space():
@@ -643,3 +648,21 @@ def test_sweep_from_the_zero_field_pays_no_start_product(rng, monkeypatch):
     one = hc.MatvecCounter()
     hc.solve_state(g, hc.TimeGrid(1, tg.dt), g.zero_field(), v[:1], 0.4, 1e-11, one)
     assert one.count == first.count == len(calls)
+
+
+def test_adjoint_is_the_transpose_of_the_forward_map_at_benchmark_scale(rng):
+    # the 33 x 33 benchmark's grid, steps and nu at cg_tol = 1e-10, with a
+    # rough random control d and final-state weight w:
+    # |<G d, w>_Omega - <d, G* w>_H| / |<G d, w>_Omega| measured 1.5e-11
+    # here and 4e-11 to 5.5e-10 for six other random pairs; the bound 1e-9
+    # leaves 65 times the measured value.  Almost all of the mismatch is the
+    # forward sweep's, whose per-step errors add up
+    g = hc.build_grid(2, 33, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2)
+    tg = hc.TimeGrid(160, 0.01)
+    d = rng.standard_normal((tg.step_count, g.control_node_count))
+    w = rng.standard_normal(g.interior_node_count)
+    counter = hc.MatvecCounter()
+    gd = hc.solve_state(g, tg, g.zero_field(), d, 1e-2, 1e-10, counter, keep=-1)
+    _, patch = hc.solve_adjoint(g, tg, w, 1e-2, 1e-10, counter, keep=[])
+    forward = hc.inner_omega(g, gd, w)
+    assert abs(forward - hc.inner_h(g, tg, d, patch[:-1])) <= 1e-9 * abs(forward)

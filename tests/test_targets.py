@@ -223,7 +223,8 @@ def test_solve_subproblem_never_increases_local_cost(rng, tiny_problem):
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
     for sub in step2_subproblems(prob, part, v):
-        control = hc.solve_subproblem(sub, 1, hc.MatvecCounter())
+        update, _ = hc.solve_subproblem(sub, 1, hc.MatvecCounter())
+        control = sub.warm_start + update
         j_before = hc.evaluate(sub.problem, sub.warm_start, hc.MatvecCounter()).cost
         j_after = hc.evaluate(sub.problem, control, hc.MatvecCounter()).cost
         assert j_after <= j_before + 1e-14
@@ -234,7 +235,8 @@ def test_solve_subproblem_reaches_local_oracle(rng):
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
     for sub in step2_subproblems(prob, part, v):
-        control = hc.solve_subproblem(sub, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
+        update, _ = hc.solve_subproblem(sub, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
+        control = sub.warm_start + update
         v_local, _ = hc.oracle_kkt_solve(sub.problem)
         err = hc.norm_h(sub.problem.grid, sub.problem.time_grid, control - v_local)
         assert err <= 1e-6
@@ -279,26 +281,33 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
     solved = []
 
     def logged(sub, iterations, counter, gradient_rtol, real=driver.solve_subproblem):
-        control = real(sub, iterations, counter, gradient_rtol)
-        solved.append((sub, counter, control))
-        return control
+        update, response = real(sub, iterations, counter, gradient_rtol)
+        solved.append((sub, counter, update, response))
+        return update, response
 
     monkeypatch.setattr(driver, "solve_subproblem", logged)
     counter = hc.MatvecCounter()
-    d = hc.targets_direction(prob, part, cfg, v, y, p, g, counter)
-    assert [sub.index for sub, _, _ in solved] == [0, 1, 2, 3]
-    counts = [own.count for _, own, _ in solved]
+    d, head = hc.targets_direction(prob, part, cfg, v, y, p, g, counter)
+    assert [sub.index for sub, _, _, _ in solved] == [0, 1, 2, 3]
+    counts = [own.count for _, own, _, _ in solved]
     assert counter.count == sum(counts)
     assert counter.parallel == max(counts)
-    assert len(set(counts)) > 1
-    v_tilde = np.concatenate([control for _, _, control in solved])
-    assert np.array_equal(d.view(np.int64), (v_tilde - v).view(np.int64))
+    # sub-problem 3's descent takes all 3 steps and solves for no gradient
+    # after the last, which nothing would read: that adjoint cost 6 products
+    assert counts == [33, 26, 52, 72]
+    updates = np.concatenate([update for _, _, update, _ in solved])
+    assert np.array_equal(d.view(np.int64), updates.view(np.int64))
+    # with an inner gradient test every sub-problem runs at cg_tol, and
+    # sub-problem 0's response is the line search's head
+    assert head is solved[0][3]
     steps = []
-    for (sub, own, control) in solved:
+    for (sub, own, update, response) in solved:
         ref = hc.MatvecCounter()
-        want, taken = reference_descent(sub.problem, sub.warm_start, 3, ref, 1e-6,
-                                        sub.warm_final_state, sub.warm_gradient)
+        want, want_response, taken = reference_descent(sub.problem, sub.warm_start, 3, ref,
+                                                       1e-6, sub.warm_final_state,
+                                                       sub.warm_gradient)
         steps.append(taken)
-        assert np.array_equal(control.view(np.int64), want.view(np.int64))
+        assert np.array_equal(update.view(np.int64), want.view(np.int64))
+        assert np.array_equal(response.view(np.int64), want_response.view(np.int64))
         assert own.count == ref.count
     assert steps == [1, 1, 2, 3]

@@ -32,7 +32,6 @@ from .driver import (
     OuterConfig,
     line_search_theta,
     run,
-    steepest_direction,
     targets_direction,
 )
 from .config import ConfigError, build_instance, make_field, parse_config
@@ -70,7 +69,6 @@ __all__ = [
     "solve_adjoint",
     "solve_state",
     "solve_subproblem",
-    "steepest_direction",
     "step_operator",
     "targets_direction",
     "targets_from_solutions",

@@ -1,10 +1,11 @@
 """Benchmark CLI: baseline vs. intermediate-targets, CSV convergence traces.
 
-Both modes run ``driver.run``, the one outer loop, and differ only in its
-direction rule: the baseline takes d = -g on one interval (the sequential
-optimal-step gradient method), intermediate targets take d = v_tilde - v
-from the N sub-problems.  Mode both runs the baseline first, then
-intermediate targets, on the same instance.
+Both modes run ``driver.run``, the one outer loop, and differ only in the
+number of intervals and inner iterations: the baseline runs one interval
+with one inner iteration, which is the sequential optimal-step gradient
+method, intermediate targets run N intervals with ``inner_iterations``.
+Mode both runs the baseline first, then intermediate targets, on the same
+instance.
 
 Exit codes: 0 converged, 1 configuration error (a usage error on the command
 line included), 2 iteration budget exhausted or run stalled (the CSV is still
@@ -28,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import KEYS, ConfigError, RunConfig, build_instance, parse_config
-from .driver import (
-    IterationMetrics,
-    OuterConfig,
-    RunResult,
-    run as run_outer,
-    steepest_direction,
-    targets_direction,
-)
+from .driver import IterationMetrics, OuterConfig, RunResult, run as run_outer
 from .linsolve import CGError
 from .problem import ControlProblem
 
@@ -68,11 +62,11 @@ def _run(problem: ControlProblem, cfg: RunConfig, mode: str) -> RunResult:
     baseline = mode == "baseline"
     outer = OuterConfig(
         n_intervals=1 if baseline else cfg.N,
-        inner_iterations=cfg.inner_iterations,
+        inner_iterations=1 if baseline else cfg.inner_iterations,
         max_outer=cfg.max_outer,
         gradient_rtol=cfg.gradient_rtol,
     )
-    result = run_outer(problem, outer, steepest_direction if baseline else targets_direction)
+    result = run_outer(problem, outer)
     if result.stalled:
         print(f"stalled at iteration {result.history[-1].outer_index}: {mode}: "
               "the line search found no descent step", file=sys.stderr)
@@ -84,8 +78,8 @@ def _run(problem: ControlProblem, cfg: RunConfig, mode: str) -> RunResult:
 
 def _speedup(base: RunResult, inter: RunResult) -> str:
     """Ratio of the matvecs each run needs to reach 1.01 times the baseline's
-    final J, counted in the parallel tally (the sequential one, for the
-    baseline)."""
+    final J, counted in the parallel tally (on the baseline's one interval,
+    the sequential one)."""
     threshold = 1.01 * base.history[-1].cost
     base_cost, inter_cost = (
         next((m.matvec_parallel for m in r.history if m.cost <= threshold), None)

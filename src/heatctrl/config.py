@@ -56,6 +56,12 @@ class RunConfig:
         return int(rounded)
 
     @property
+    def intervals(self) -> int:
+        """The most sub-intervals a run of this config uses: N, or 1 in mode
+        baseline, which runs one interval whatever N says."""
+        return 1 if self.mode == "baseline" else self.N
+
+    @property
     def output_paths(self) -> tuple[Path, ...]:
         """The CSV files a run writes: ``output``, or in mode both its siblings
         ``<stem>_baseline<suffix>`` and ``<stem>_intermediate<suffix>``."""
@@ -101,8 +107,9 @@ def _check_storage(cfg: RunConfig) -> None:
     """Reject a run whose float storage exceeds the machine's physical memory.
 
     The estimate is 8 bytes x (6 (steps+1) n + 4 (N+1) n), with n the
-    interior node count standing in for the control node count: the
-    trajectories, controls and breakpoint fields a run holds.
+    interior node count standing in for the control node count and N the
+    ``intervals``: the trajectories, controls and breakpoint fields a run
+    holds.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -112,7 +119,7 @@ def _check_storage(cfg: RunConfig) -> None:
     n = math.prod(max(k - 2, 1) for k in nodes)
     steps = cfg.step_count
     # in floats: an estimate past the float range is inf, which still exceeds memory
-    estimate = 8.0 * (6.0 * (steps + 1) * n + 4.0 * (cfg.N + 1) * n)
+    estimate = 8.0 * (6.0 * (steps + 1) * n + 4.0 * (cfg.intervals + 1) * n)
     if estimate > physical:
         raise ConfigError(f"{steps:.3g} time steps on {n} interior nodes need about "
                           f"{estimate / 2**30:.3g} GiB of float storage, more than the "
@@ -274,7 +281,7 @@ def parse_config(path: str | Path | None, overrides: dict[str, str] | None = Non
         values[key] = parse(raw[key], key, values.get("dim"))
     cfg = RunConfig(**values)
 
-    if cfg.N > cfg.step_count:  # step_count also validates T/dt
+    if cfg.intervals > cfg.step_count:  # step_count also validates T/dt
         raise ConfigError(f"N = {cfg.N} exceeds the {cfg.step_count} time steps")
     _check_spacing(cfg)
     _check_storage(cfg)

@@ -1,24 +1,24 @@
-"""The outer loop of both methods, and its matvec ledger.
+"""The outer loop of the intermediate-targets method, and its matvec ledger.
 
 ``run`` is the only outer loop, from v = 0 or a given start control.  Each
-iteration ``_sweep`` asks a direction rule for d from the state y(v), adjoint
-p(v) and gradient g(v) of the current control v, then takes the exact
-line-search step along d, rejecting an uphill one.  A rule also returns the
-line search's head, z at the first breakpoint, or None.  The two methods
-differ only in the rule:
+iteration ``_sweep`` takes d and the line search's head, z at the first
+breakpoint or None, from ``targets_direction``, given the state y(v),
+adjoint p(v) and gradient g(v) of the current control v, then takes the
+exact line-search step along d, rejecting an uphill one.  The direction is
+steps 1-3 of the method: (1) the targets chi = y - p at the breakpoints,
+(2) the independent sub-problems, each solved on its own with a matvec count
+of its own, and (3) the changes of their controls joined into
+d = v_tilde - v.  A sub-problem's local adjoint starts from y - chi = p at
+its right breakpoint and repeats the outer recursion, so its first gradient
+is the window of g on its sub-interval and step 2 does not solve it again.
+Sub-problem 0 starts, like z, from zero at t = 0, so its response (the
+homogeneous state its change of control drives, at its right breakpoint) is
+z at the first breakpoint: the head, whenever it was solved at ``cg_tol``.
 
-- ``steepest_direction``, the sequential baseline: d = -g, which makes the
-  line search the optimal-step gradient method, and no head;
-- ``targets_direction``, the intermediate-targets method: (1) the targets
-  chi = y - p at the breakpoints, (2) the independent sub-problems, each
-  solved on its own with a matvec count of its own, and (3) the changes of
-  their controls joined into d = v_tilde - v.  A sub-problem's local adjoint
-  starts from y - chi = p at its right breakpoint and repeats the outer
-  recursion, so its first gradient is the window of g on its sub-interval
-  and step 2 does not solve it again.  Sub-problem 0 starts, like z, from
-  zero at t = 0, so its response (the homogeneous state its change of
-  control drives, at its right breakpoint) is z at the first breakpoint:
-  the head, whenever it was solved at ``cg_tol``.
+The sequential baseline, the optimal-step gradient method, is the case of
+one interval and one inner iteration: its one sub-problem takes the exact
+step sigma along -g, its response is z(T), so the line search makes no sweep
+and its theta is 1 up to rounding.
 
 Only step 2's solves may run at a looser CG tolerance
 (``targets.DIRECTION_CG_TOL``, when the inner descent has no gradient test),
@@ -32,7 +32,7 @@ The state follows through linearity, y(v + theta d) = y(v) + theta z with z
 the homogeneous trajectory the line search solved for, so each outer
 iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
 seed 0, 64 products against 651 for a CG solve per step on the 33 x 33
-benchmark, 128 against 1365 on the 65 x 65 one), the rule's solves and one
+benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and one
 homogeneous forward solve (about 4.3 and 13.8 products a step on the two)
 over the steps after the head, or over every step without one.  With one
 inner iteration, a sub-problem costs one homogeneous forward solve; each
@@ -46,13 +46,13 @@ fields at the N right breakpoints, which is O(N n + steps m) memory for n
 grid nodes and m control nodes.  Step 2 reads chi only with more than one
 inner iteration or an inner gradient test (``_reads_targets``): its first
 gradient is given, and without either its descent stops before it solves
-for another.  Otherwise, as in the baseline, the adjoint keeps its Lanczos
-vectors on the control patch alone, and no chi is formed.
+for another.  Otherwise the adjoint keeps its Lanczos vectors on the control
+patch alone, and no chi is formed.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
 product; the parallel tally charges step 2 at its costliest sub-problem
 (``MatvecCounter.add_concurrent``), as if each sub-problem ran on its own
-processor.  The baseline has no step 2, so its two tallies agree.
+processor.  With one interval the two tallies agree.
 """
 
 from __future__ import annotations
@@ -157,12 +157,6 @@ def line_search_theta(
     return -num / den, z
 
 
-def steepest_direction(problem, partition, config, v, y, p, g, counter):
-    """The sequential baseline's rule: d = -g, with no head for the line
-    search."""
-    return -g, None
-
-
 def targets_direction(
     problem: ControlProblem,
     partition: list[int],
@@ -203,18 +197,17 @@ def _sweep(
     g: np.ndarray,
     cost: float,
     counter: MatvecCounter,
-    direction,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One outer iteration from the state y(v) at the N+1 breakpoints, the
     adjoint p(v) at the N right breakpoints, the gradient g(v) and the cost
-    J(v) of the control v: the direction rule's d, then the exact line search
-    along it, from the rule's head when it gives one.
+    J(v) of the control v: ``targets_direction``'s d, then the exact line
+    search along it, from its head when it gives one.
 
     Returns (v_next, y_next, theta): y_next is y(v_next) at the breakpoints,
     updated through linearity; theta is 0 and v, y come back unchanged when
     the line search finds no descent step.
     """
-    d, head = direction(problem, partition, config, v, y, p, g, counter)
+    d, head = targets_direction(problem, partition, config, v, y, p, g, counter)
     theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter,
                                  head)
     if theta != 0.0:
@@ -226,14 +219,13 @@ def _sweep(
     return v, y, 0.0
 
 
-def _reads_targets(config: OuterConfig, direction) -> bool:
-    """Whether the rule reads the targets chi = y - p, and so p at the
-    breakpoints: only ``targets_direction`` does, and only when its inner
-    descent solves for a gradient.  Its first gradient is the window of g,
-    so with one inner iteration and no inner gradient test
-    ``optimal_step_gradient`` exits before it reads a target."""
-    return direction is targets_direction and (
-        config.inner_iterations > 1 or config.inner_gradient_rtol is not None)
+def _reads_targets(config: OuterConfig) -> bool:
+    """Whether step 2 reads the targets chi = y - p, and so p at the
+    breakpoints: only when its inner descent solves for a gradient.  Its
+    first gradient is the window of g, so with one inner iteration and no
+    inner gradient test ``optimal_step_gradient`` exits before it reads a
+    target."""
+    return config.inner_iterations > 1 or config.inner_gradient_rtol is not None
 
 
 def _adjoint(problem: ControlProblem, partition: list[int], v: np.ndarray,
@@ -249,15 +241,12 @@ def _adjoint(problem: ControlProblem, partition: list[int], v: np.ndarray,
 
 
 def run(problem: ControlProblem, config: OuterConfig,
-        direction=targets_direction, start: np.ndarray | None = None) -> RunResult:
+        start: np.ndarray | None = None) -> RunResult:
     """Iterate from ``start`` (v = 0 without one) until the true gradient norm
     test, a stall or max_outer.
 
-    ``direction`` is the rule each sweep takes its d and the line search's
-    head from: ``targets_direction`` (the default) or
-    ``steepest_direction``.  The stopping gradient comes from the same
-    adjoint solve that builds the targets, so it adds no extra cost; step 2
-    starts from it too.  Row k of
+    The stopping gradient comes from the same adjoint solve that builds the
+    targets, so it adds no extra cost; step 2 starts from it too.  Row k of
     the history reports J(v^k) and the step theta_k taken at that iterate;
     matvec tallies are those accumulated when J(v^k) and its gradient became
     known.  A ``start`` not shaped like a control raises ValueError; a cost
@@ -270,7 +259,7 @@ def run(problem: ControlProblem, config: OuterConfig,
             raise ValueError(f"start must have shape {v.shape}, got {np.shape(start)}")
         v = np.array(start, dtype=float)
     partition = make_partition(tg, config.n_intervals)
-    breakpoints = _reads_targets(config, direction)
+    breakpoints = _reads_targets(config)
     counter = MatvecCounter()
     t0 = time.perf_counter()
 
@@ -295,8 +284,7 @@ def run(problem: ControlProblem, config: OuterConfig,
         converged = gnorm <= threshold
         theta = 0.0
         if not converged and k < config.max_outer:
-            v, y, theta = _sweep(problem, partition, config, v, y, p, g, rec.cost, counter,
-                                 direction)
+            v, y, theta = _sweep(problem, partition, config, v, y, p, g, rec.cost, counter)
             # a zero step leaves v unchanged: every later iteration would repeat this one
             stalled = theta == 0.0
         history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))

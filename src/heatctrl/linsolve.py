@@ -43,7 +43,9 @@ class MatvecCounter:
     ``count`` is the sequential tally, every product.  ``parallel`` is the
     parallel tally: the same, except that ``add_concurrent`` charges
     independent solves at the most expensive one, as if each ran on its own
-    processor.  Solves run in the calling thread, so no locking is needed.
+    processor.  The sequential baseline's step 2 is one solve, so its two
+    tallies agree.  Solves run in the calling thread, so no locking is
+    needed.
     """
 
     __slots__ = ("count", "parallel")

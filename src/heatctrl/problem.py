@@ -4,7 +4,8 @@ The control space carries the inner product <u, w>_H = dt * sum_j <u^j, w^j>_c.
 ``optimal_step_gradient`` is steepest descent with the exact minimizing step,
 which is exact line minimization because the cost is quadratic; it is the
 inner solver of each intermediate-targets sub-problem.  (The sequential
-baseline is ``driver.run`` with ``driver.steepest_direction``.)
+baseline is ``driver.run`` on one interval with one inner iteration, whose
+one sub-problem is the whole problem.)
 ``oracle_kkt_solve`` is a dense normal-equations oracle for tiny instances.
 """
 

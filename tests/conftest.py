@@ -11,6 +11,25 @@ import pytest
 import heatctrl as hc
 
 
+# the desk-scale 2D instance of acceptance criteria 4 and 5
+DESK_2D = """
+dim = 2
+nodes_per_axis = 17,17
+domain_bounds = 0,1,0,1
+control_bounds = 0.3333333333333333,0.6666666666666666,0.3333333333333333,0.6666666666666666
+T = 1.6
+dt = 0.02
+alpha = 1e-2
+nu = 1e-2
+y0 = gaussian(0.5,0.5,0.15,1.0)
+y_target = indicator(0.3333333333333333,0.6666666666666666,0.3333333333333333,0.6666666666666666)
+mode = intermediate-targets
+N = 8
+max_outer = 40
+gradient_rtol = 1e-3
+"""
+
+
 def dense_laplacian_1d(n: int, h: float) -> np.ndarray:
     """Dirichlet 3-point Laplacian on n interior nodes, assembled directly."""
     L = np.zeros((n, n))
@@ -116,7 +135,8 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
 
     The update and response are what ``optimal_step_gradient`` must
     reproduce bit for bit; with a zero ``v_init`` the update is the control
-    that ``run`` with the steepest rule must reach up to rounding.
+    that ``run`` on one interval with one inner iteration, the sequential
+    baseline, must reach up to rounding.
     ``gradient``, the gradient at v_init, stands for the descent's
     ``g_init``; without it the loop solves for it.  No gradient is solved
     for after the last iteration, which no test would read."""

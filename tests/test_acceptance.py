@@ -13,7 +13,7 @@ import pytest
 import heatctrl as hc
 from heatctrl.cli import EXIT_MAX_ITER, EXIT_OK, main
 
-from conftest import random_tiny_problem, step2_subproblems
+from conftest import DESK_2D, random_tiny_problem, step2_subproblems
 
 
 @contextmanager
@@ -32,9 +32,10 @@ def test_criterion_1_baseline_matches_oracle():
         for _ in range(5):
             prob = random_tiny_problem(rng)
             v_star, j_star = hc.oracle_kkt_solve(prob)
-            # the loop the CLI runs in mode baseline
+            # the loop the CLI runs in mode baseline: one interval, one
+            # inner iteration
             cfg = hc.OuterConfig(n_intervals=1, max_outer=20000, gradient_rtol=1e-8)
-            res = hc.run(prob, cfg, hc.steepest_direction)
+            res = hc.run(prob, cfg)
             assert res.converged
             err = hc.norm_h(prob.grid, prob.time_grid, res.control - v_star)
             assert err <= 1e-6
@@ -77,23 +78,6 @@ def test_criterion_3_restriction_optimality_and_fixed_point():
         v1 = hc.run(prob, cfg, start=v_star).control
         assert hc.norm_h(prob.grid, prob.time_grid, v1 - v_star) <= 1e-6
 
-
-DESK_2D = """
-dim = 2
-nodes_per_axis = 17,17
-domain_bounds = 0,1,0,1
-control_bounds = 0.3333333333333333,0.6666666666666666,0.3333333333333333,0.6666666666666666
-T = 1.6
-dt = 0.02
-alpha = 1e-2
-nu = 1e-2
-y0 = gaussian(0.5,0.5,0.15,1.0)
-y_target = indicator(0.3333333333333333,0.6666666666666666,0.3333333333333333,0.6666666666666666)
-mode = intermediate-targets
-N = 8
-max_outer = 40
-gradient_rtol = 1e-3
-"""
 
 SCALED_BENCH = """
 dim = 2

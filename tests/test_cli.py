@@ -16,7 +16,7 @@ from heatctrl.cli import (
 from heatctrl.config import KEYS, RunConfig
 from heatctrl.linsolve import CGError
 
-from conftest import break_step2_solves
+from conftest import DESK_2D, break_step2_solves
 
 
 TINY_2D = """
@@ -77,6 +77,11 @@ def _read_rows(path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == CSV_HEADER
     return [line.split(",") for line in lines[1:]]
+
+
+def _argv(values):
+    """One ``--flag=value`` argument per key of ``values``."""
+    return [f"{KEYS[key][0]}={value}" for key, value in values.items()]
 
 
 def test_baseline_free_evolution_single_row(cfg_file, tmp_path, capsys):
@@ -513,7 +518,7 @@ def test_cli_fuzz_over_the_key_table(data):
         for key in chosen:
             value = data.draw(st.sampled_from(POOLS.get(key, HOSTILE)), label=key)
             values[key] = value.replace("{tmp}", tmp)
-        argv = [f"{KEYS[key][0]}={value}" for key, value in values.items()]
+        argv = _argv(values)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -539,3 +544,47 @@ def test_cli_fuzz_over_the_key_table(data):
         for path in paths:
             costs = [float(row[1]) for row in _read_rows(path)]
             assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+@pytest.mark.parametrize("N", [None, str(10**15)])
+@pytest.mark.parametrize("mode, expected", [
+    ("baseline", EXIT_OK), ("intermediate-targets", EXIT_CONFIG_ERROR),
+    ("both", EXIT_CONFIG_ERROR),
+])
+def test_N_above_the_step_count_is_rejected_only_where_windows_are_used(tmp_path, capsys,
+                                                                          mode, expected, N):
+    # the default N = 4, or an N whose breakpoint fields would not fit in
+    # memory, on 2 time steps: the baseline runs on one interval, whatever N
+    # says; the modes that run N windows reject it before a solve
+    values = {key: value for key, value in TINY_1D.items() if key != "N"}
+    if N is not None:
+        values["N"] = N
+    out = tmp_path / "short.csv"
+    code = main(_argv(dict(values, T="0.1", mode=mode, output=str(out))))
+    assert code == expected
+    err = capsys.readouterr().err
+    if expected == EXIT_OK:
+        assert err == ""
+        assert len(_read_rows(out)) > 1
+    else:
+        assert err == f"configuration error: N = {int(N or 4)} exceeds the 2 time steps\n"
+        assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("instance", ["line", "desk"])
+def test_baseline_is_intermediate_targets_on_one_interval(tmp_path, instance):
+    # mode baseline is the outer loop on one interval with one inner
+    # iteration: its CSV equals that run's in every column but wall_ms
+    if instance == "line":
+        argv = _argv(TINY_1D)
+    else:
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text(DESK_2D)
+        argv = ["--config", str(cfg)]
+    base, one = tmp_path / "base.csv", tmp_path / "one.csv"
+    assert main([*argv, "--mode", "baseline", "--out", str(base)]) == EXIT_OK
+    assert main([*argv, "--mode", "intermediate-targets", "--N", "1", "--inner-iters", "1",
+                 "--out", str(one)]) == EXIT_OK
+    strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+    assert len(strip(base)) > 3
+    assert strip(base) == strip(one)

@@ -240,15 +240,15 @@ def test_one_adjoint_solve_per_sweep(rng, monkeypatch):
 
 
 # step 2 reads chi = y - p only past its first inner step or with an inner
-# gradient test; the steepest baseline never reads it
-@pytest.mark.parametrize("steepest, inner, inner_rtol, reads", [
-    (True, 3, 1e-6, False), (False, 1, None, False), (False, 3, None, True),
+# gradient test; the baseline, one interval with one inner step, never reads it
+@pytest.mark.parametrize("baseline, inner, inner_rtol, reads", [
+    (True, 1, None, False), (False, 1, None, False), (False, 3, None, True),
     (False, 1, 1e-6, True),
 ])
-def test_run_stores_breakpoint_adjoints_only_when_step2_reads_them(rng, monkeypatch, steepest,
+def test_run_stores_breakpoint_adjoints_only_when_step2_reads_them(rng, monkeypatch, baseline,
                                                                   inner, inner_rtol, reads):
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
-    cfg = hc.OuterConfig(n_intervals=4, inner_iterations=inner,
+    cfg = hc.OuterConfig(n_intervals=1 if baseline else 4, inner_iterations=inner,
                          inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)
 
     import heatctrl.driver as driver
@@ -270,7 +270,7 @@ def test_run_stores_breakpoint_adjoints_only_when_step2_reads_them(rng, monkeypa
 
     monkeypatch.setattr(propagators, "inverse_powers", logged_adjoint)
     monkeypatch.setattr(driver, "solve_subproblem", logged_step2)
-    res = hc.run(prob, cfg, hc.steepest_direction if steepest else hc.targets_direction)
+    res = hc.run(prob, cfg)
     assert len(res.history) > 2
     assert [full for inside, full in calls if not inside] == [reads] * len(res.history)
     assert not any(full for inside, full in calls if inside)
@@ -285,7 +285,7 @@ def test_one_inner_iteration_never_reads_the_targets(rng, monkeypatch):
 
     import heatctrl.driver as driver
 
-    monkeypatch.setattr(driver, "_reads_targets", lambda config, direction: True)
+    monkeypatch.setattr(driver, "_reads_targets", lambda config: True)
     formed = []
 
     def logged_targets(*args, real=driver.targets_from_solutions):
@@ -457,23 +457,25 @@ def test_outer_config_validation():
     data=st.data(),
     inner=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    steepest=st.booleans(),
+    baseline=st.booleans(),
 )
-def test_run_history_invariants(nodes, steps, data, inner, seed, steepest):
-    # on every row, for either rule: J never rises, both tallies never fall
-    # and the parallel tally never exceeds the sequential one; the steepest
-    # rule saves nothing, so its two tallies agree
+def test_run_history_invariants(nodes, steps, data, inner, seed, baseline):
+    # on every row, for either method: J never rises, both tallies never
+    # fall and the parallel tally never exceeds the sequential one; the
+    # baseline, one interval with one inner step, saves nothing, so its two
+    # tallies agree
     prob = random_tiny_problem(np.random.default_rng(seed), n_interior=nodes, steps=steps)
     n_intervals = data.draw(st.integers(1, steps), label="n_intervals")
-    rule = hc.steepest_direction if steepest else hc.targets_direction
+    if baseline:
+        n_intervals, inner = 1, 1
     res = hc.run(prob, hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner,
-                                      max_outer=20, gradient_rtol=1e-9), rule)
+                                      max_outer=20, gradient_rtol=1e-9))
     rows = res.history
     assert all(b.cost <= a.cost for a, b in zip(rows, rows[1:]))
     assert all(b.matvec_sequential >= a.matvec_sequential for a, b in zip(rows, rows[1:]))
     assert all(b.matvec_parallel >= a.matvec_parallel for a, b in zip(rows, rows[1:]))
     assert all(m.matvec_parallel <= m.matvec_sequential for m in rows)
-    if steepest:
+    if baseline:
         assert all(m.matvec_parallel == m.matvec_sequential for m in rows)
 
 
@@ -494,7 +496,7 @@ def test_steepest_run_matches_reference_descent(rng, make):
     for _ in range(3):
         prob = make(rng)
         cfg = hc.OuterConfig(n_intervals=1, max_outer=500, gradient_rtol=1e-7)
-        res = hc.run(prob, cfg, hc.steepest_direction)
+        res = hc.run(prob, cfg)
         counter = hc.MatvecCounter()
         v0 = prob.zero_control()
         want, _, steps = reference_descent(prob, v0, cfg.max_outer, counter,

@@ -94,9 +94,10 @@ def test_optimal_step_fixed_point_at_optimum(rng):
 
 
 def _steepest_run(prob, max_outer, gradient_rtol):
-    """The sequential baseline: ``run`` with the steepest rule on one interval."""
+    """The sequential baseline: ``run`` on one interval with one inner
+    iteration."""
     cfg = hc.OuterConfig(n_intervals=1, max_outer=max_outer, gradient_rtol=gradient_rtol)
-    return hc.run(prob, cfg, hc.steepest_direction)
+    return hc.run(prob, cfg)
 
 
 def test_one_step_strictly_decreases_cost(rng):

@@ -1,16 +1,20 @@
 """Walk through one outer sweep of the intermediate-targets method.
 
-On a tiny 1D instance we (1) compute the targets chi = y - p at the
+On a tiny 1D instance we (1) form the targets chi = y - p at the
 breakpoints, (2) split the horizon into sub-intervals and solve the
 independent local tracking problems one after another, each with its own
 matvec count and starting from its window of the gradient the adjoint
 already gave, (3) join the changes of their controls into d = v_tilde - v and
-line-search along d.  Sub-problem 0 starts, like the line search's
-homogeneous state z, from zero at t = 0, so its response is z at the first
-breakpoint and the line search sweeps only the steps after it.  It then runs the outer loop
-on three intervals and on one, which is the sequential baseline, and finally
-checks the defining fixed-point property: starting from the exact optimum,
-the sweep returns the optimum.
+line-search along d.  The package never forms chi: by linearity a
+sub-problem's gradient is its window of the outer gradient, plus alpha
+times the change of its control, plus the adjoint of that change's
+response, and the walkthrough checks that this gives the steps of a descent
+on the sub-problems with the explicit targets.  Sub-problem 0 starts, like
+the line search's homogeneous state z, from zero at t = 0, so its response
+is z at the first breakpoint and the line search sweeps only the steps after
+it.  It then runs the outer loop on three intervals and on one, which is the
+sequential baseline, and finally checks the defining fixed-point property:
+starting from the exact optimum, the sweep returns the optimum.
 """
 
 import dataclasses
@@ -41,28 +45,37 @@ partition = hc.make_partition(time_grid, 3)
 print(f"partition breakpoint steps: {partition}, times: "
       f"{np.round([time_grid.dt * s for s in partition], 3)}")
 
-# the method reads y only at the breakpoints and p at the right breakpoints
-# and on the control patch, so the sweeps keep only those
+# the run keeps y(T) and p on the control patch; the gradient alpha v + B* p
+# is what step 2 starts from
 counter = hc.MatvecCounter()
 v = problem.zero_control()
-y = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter,
-                   keep=partition)
-p, p_patch = hc.solve_adjoint(grid, time_grid, y[-1] - problem.y_target, problem.nu,
-                              problem.cg_tol, counter, keep=partition[1:])
-chi = hc.targets_from_solutions(problem, partition, y, p)
-print("targets chi(t_n) computed; chi(T) equals y_target:",
-      np.array_equal(chi[-1], problem.y_target))
-# the gradient alpha v + B* p; each sub-problem's local adjoint would
-# recompute its window, so step 2 starts from it
-g = problem.alpha * v + p_patch[:-1]
+y_final = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, counter,
+                         keep=-1)
+g = hc.gradient(problem, v, counter, final_state=y_final)
 print(f"gradient norm at v = 0: {hc.norm_h(grid, time_grid, g):.6f}")
+
+# step 1, as the method states it: chi_n = y(t_n+1) - p(t_n+1), from the
+# whole state and the whole adjoint p^(j-1) = K^-1 p^j (a side computation,
+# charged to a counter of its own: the package does not form chi)
+aside = hc.MatvecCounter()
+y = hc.solve_state(grid, time_grid, problem.y0, v, problem.nu, problem.cg_tol, aside)
+apply_k = hc.step_operator(grid, time_grid.dt, problem.nu)
+p = [y[-1] - problem.y_target]
+for _ in range(time_grid.step_count):
+    p.append(hc.cg_solve(apply_k, p[-1], problem.cg_tol, aside))
+p = np.array(p[::-1])
+chi = y[partition[1:]] - p[partition[1:]]
+chi[-1] = problem.y_target  # exact: chi(T) = y(T) - (y(T) - y_target)
+for n, target in enumerate(chi):
+    print(f"chi_{n} at t = {time_grid.dt * partition[n + 1]:g}: {np.round(target, 4)}")
 
 # step 2: each sub-problem counts its own products; the parallel tally
 # charges the costliest, as if each ran on its own processor.  Each returns
 # the change of its control; sub-problem 0, solved at cg_tol, also returns
 # its response, the line search's z at the first breakpoint
+subproblems = hc.assemble_subproblems(problem, partition, g)
 updates, counts = [], []
-for sub in hc.assemble_subproblems(problem, v, partition, y, chi, g):
+for sub in subproblems:
     own = hc.MatvecCounter()
     update, response = hc.solve_subproblem(sub, 1, own)  # one descent step
     updates.append(update)
@@ -72,9 +85,35 @@ for sub in hc.assemble_subproblems(problem, v, partition, y, chi, g):
     print(f"sub-problem {sub.index} on [{time_grid.dt * sub.start:g}, "
           f"{time_grid.dt * sub.end:g}]: {own.count} matvecs")
 counter.add_concurrent(counts)
+
+
+def explicit_descent(local, window, iterations):
+    """Steepest descent with the exact step on the sub-problem from
+    y(t_n) towards chi_n: every gradient from a forward solve of its state
+    and the adjoint from its misfit to chi_n."""
+    control = window.copy()
+    for _ in range(iterations):
+        grad = hc.gradient(local, control, aside)
+        z = hc.solve_state(grid, local.time_grid, grid.zero_field(), grad, local.nu,
+                           local.cg_tol, aside, keep=-1)
+        gg = hc.inner_h(grid, local.time_grid, grad, grad)
+        control = control - gg / (hc.inner_omega(grid, z, z) + local.alpha * gg) * grad
+    return control - window
+
+
+# two inner steps with an inner gradient test (which keeps step 2 at cg_tol)
+# against two steps on the explicit targets: the same update up to rounding
+for sub, target in zip(subproblems, chi):
+    local = dataclasses.replace(sub.problem, y0=y[sub.start], y_target=target)
+    update, _ = hc.solve_subproblem(sub, 2, hc.MatvecCounter(), gradient_rtol=1e-12)
+    want = explicit_descent(local, v[sub.start:sub.end], 2)
+    gap = hc.norm_h(grid, local.time_grid, update - want) / hc.norm_h(grid, local.time_grid, want)
+    print(f"sub-problem {sub.index}, two inner steps: linear form against explicit "
+          f"targets differs by {gap:.1e} relative")
+
 d = np.concatenate(updates)
 before = counter.count
-theta, _ = hc.line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter,
+theta, _ = hc.line_search_theta(problem, partition, v, d, y_final - problem.y_target, counter,
                                 head)
 print(f"line search from the first breakpoint: {counter.count - before} matvecs")
 v = v + theta * d

@@ -4,12 +4,9 @@ from .grid import (
     Grid,
     build_grid,
     inject,
-    inner_control,
     inner_omega,
     laplacian_apply,
-    norm_control,
     norm_omega,
-    restrict,
 )
 from .linsolve import CGError, MatvecCounter, cg_solve
 from .propagators import TimeGrid, solve_adjoint, solve_state, step_operator
@@ -22,12 +19,7 @@ from .problem import (
     optimal_step_gradient,
     oracle_kkt_solve,
 )
-from .targets import (
-    assemble_subproblems,
-    make_partition,
-    solve_subproblem,
-    targets_from_solutions,
-)
+from .targets import assemble_subproblems, make_partition, solve_subproblem
 from .driver import (
     OuterConfig,
     line_search_theta,
@@ -51,25 +43,21 @@ __all__ = [
     "evaluate",
     "gradient",
     "inject",
-    "inner_control",
     "inner_h",
     "inner_omega",
     "laplacian_apply",
     "line_search_theta",
     "make_field",
     "make_partition",
-    "norm_control",
     "norm_h",
     "norm_omega",
     "optimal_step_gradient",
     "oracle_kkt_solve",
     "parse_config",
-    "restrict",
     "run",
     "solve_adjoint",
     "solve_state",
     "solve_subproblem",
     "step_operator",
     "targets_direction",
-    "targets_from_solutions",
 ]

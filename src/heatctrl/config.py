@@ -108,8 +108,9 @@ def _check_storage(cfg: RunConfig) -> None:
 
     The estimate is 8 bytes x (6 (steps+1) n + 4 (N+1) n), with n the
     interior node count standing in for the control node count and N the
-    ``intervals``: the trajectories, controls and breakpoint fields a run
-    holds.
+    ``intervals``.  It bounds from above what a run holds, the controls, the
+    gradient, the adjoint's control patch at every step and a few fields,
+    with a margin for the arrays the solves make.
     """
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -2,18 +2,19 @@
 
 ``run`` is the only outer loop, from v = 0 or a given start control.  Each
 iteration ``_sweep`` takes d and the line search's head, z at the first
-breakpoint or None, from ``targets_direction``, given the state y(v),
-adjoint p(v) and gradient g(v) of the current control v, then takes the
-exact line-search step along d, rejecting an uphill one.  The direction is
-steps 1-3 of the method: (1) the targets chi = y - p at the breakpoints,
-(2) the independent sub-problems, each solved on its own with a matvec count
-of its own, and (3) the changes of their controls joined into
-d = v_tilde - v.  A sub-problem's local adjoint starts from y - chi = p at
-its right breakpoint and repeats the outer recursion, so its first gradient
-is the window of g on its sub-interval and step 2 does not solve it again.
-Sub-problem 0 starts, like z, from zero at t = 0, so its response (the
-homogeneous state its change of control drives, at its right breakpoint) is
-z at the first breakpoint: the head, whenever it was solved at ``cg_tol``.
+breakpoint or None, from ``targets_direction``, given the gradient g(v) of
+the current control v, then takes the exact line-search step along d,
+rejecting an uphill one.  The direction is steps 1-3 of the method: (1) the
+targets chi = y - p at the breakpoints, (2) the independent sub-problems,
+each solved on its own with a matvec count of its own, and (3) the changes
+of their controls joined into d = v_tilde - v.  By linearity a sub-problem's
+gradient at the current control is the window of g on its sub-interval, and
+after a change u of its control it is that window plus alpha u plus the
+adjoint of u's response, so step 2 reads g alone and chi is never formed
+(``targets``).  Sub-problem 0 starts, like z, from zero at t = 0, so its
+response (the homogeneous state its change of control drives, at its right
+breakpoint) is z at the first breakpoint: the head, whenever it was solved
+at ``cg_tol``.
 
 The sequential baseline, the optimal-step gradient method, is the case of
 one interval and one inner iteration: its one sub-problem takes the exact
@@ -28,26 +29,19 @@ stay at the problem's ``cg_tol``, and so do J, g, the stopping test and the
 uphill guard: every accepted step lowers J and the gradient stays the exact
 one.
 
-The state follows through linearity, y(v + theta d) = y(v) + theta z with z
-the homogeneous trajectory the line search solved for, so each outer
-iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
-seed 0, 64 products against 651 for a CG solve per step on the 33 x 33
-benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and one
-homogeneous forward solve (about 4.3 and 13.8 products a step on the two)
-over the steps after the head, or over every step without one.  With one
-inner iteration, a sub-problem costs one homogeneous forward solve; each
+The final state follows through linearity, y(T; v + theta d) = y(T; v) +
+theta z(T) with z the homogeneous state the line search solved for, so each
+outer iteration costs one adjoint sweep (all its steps from one Lanczos
+pass: at seed 0, 64 products against 651 for a CG solve per step on the
+33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and
+one homogeneous forward solve (about 4.3 and 13.8 products a step on the
+two) over the steps after the head, or over every step without one.  With
+one inner iteration, a sub-problem costs one homogeneous forward solve; each
 further inner iteration adds an adjoint and a forward solve.
 
-The sub-problems touch one another only through y and p at the N+1
-breakpoints, and the gradient reads p only on the control patch, so a run
-stores no full trajectory: y and z at the N+1 breakpoints, p on the control
-patch at every step and, when step 2 reads the targets chi, p as full
-fields at the N right breakpoints, which is O(N n + steps m) memory for n
-grid nodes and m control nodes.  Step 2 reads chi only with more than one
-inner iteration or an inner gradient test (``_reads_targets``): its first
-gradient is given, and without either its descent stops before it solves
-for another.  Otherwise the adjoint keeps its Lanczos vectors on the control
-patch alone, and no chi is formed.
+A run stores no trajectory: y and z at the final step, p on the control
+patch at every step, and the control and gradient, which is O(n + steps m)
+memory for n grid nodes and m control nodes.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
 product; the parallel tally charges step 2 at its costliest sub-problem
@@ -64,14 +58,9 @@ import numpy as np
 
 from .grid import inner_omega
 from .linsolve import MatvecCounter
-from .problem import ControlProblem, _record, inner_h, norm_h
-from .propagators import TimeGrid, solve_adjoint, solve_state
-from .targets import (
-    assemble_subproblems,
-    make_partition,
-    solve_subproblem,
-    targets_from_solutions,
-)
+from .problem import ControlProblem, _record, gradient, inner_h, norm_h
+from .propagators import TimeGrid, solve_state
+from .targets import assemble_subproblems, make_partition, solve_subproblem
 
 
 @dataclass(frozen=True)
@@ -125,60 +114,52 @@ def line_search_theta(
     counter: MatvecCounter,
     head: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
-    """Exact minimizer of theta -> J(v + theta d) and the z it used.
+    """Exact minimizer of theta -> J(v + theta d) and the z(T) it used.
 
     ``residual`` is y(T; v) - y_target.  z is the homogeneous state driven by
-    d at the partition's N+1 breakpoints, so y(v + theta d) = y(v) + theta z
-    there; it is None (and theta 0) when d vanishes.  ``head``, when given,
-    is z at ``partition[1]``, solved at ``cg_tol`` (step 2's sub-problem 0
-    response): the sweep then runs only the steps after it, from it, and
-    with one interval there is no sweep at all.  Without it the sweep runs
-    every step from zero.
+    d, so y(T; v + theta d) = y(T; v) + theta z(T); it is None (and theta 0)
+    when d vanishes.  ``head``, when given, is z at ``partition[1]``, solved
+    at ``cg_tol`` (step 2's sub-problem 0 response): the sweep then runs only
+    the steps after it, from it, and with one interval there is no sweep at
+    all.  Without it the sweep runs every step from zero.
     """
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
         return 0.0, None
     if head is None:
-        z = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
-                        keep=partition)
-    else:
+        zT = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
+                         keep=-1)
+    elif len(partition) > 2:
         start = partition[1]
-        rest = []
-        if len(partition) > 2:
-            rest = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), head, d[start:],
-                               problem.nu, problem.cg_tol, counter,
-                               keep=[b - start for b in partition[2:]])
-        z = np.vstack([grid.zero_field(), head, *rest])
-    zT = z[-1]
+        zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), head, d[start:],
+                         problem.nu, problem.cg_tol, counter, keep=-1)
+    else:
+        zT = head
     num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)
     den = inner_omega(grid, zT, zT) + problem.alpha * inner_h(grid, tg, d, d)
     if den == 0.0:
-        return 0.0, z
-    return -num / den, z
+        return 0.0, zT
+    return -num / den, zT
 
 
 def targets_direction(
     problem: ControlProblem,
     partition: list[int],
     config: OuterConfig,
-    v: np.ndarray,
-    y: np.ndarray,
-    p: np.ndarray,
     g: np.ndarray,
     counter: MatvecCounter,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Steps 1-3 of the intermediate-targets method: d = v_tilde - v, and
-    the line search's head, z at ``partition[1]``, or None.
+    """Steps 1-3 of the intermediate-targets method from the gradient g of
+    the cost at the current control: d = v_tilde - v, and the line search's
+    head, z at ``partition[1]``, or None.
 
-    ``p`` is None when step 2 does not read the targets (``_reads_targets``):
-    its sub-problems then get none.  Each sub-problem counts its own
-    products, and ``counter`` is charged them as concurrent solves: their sum
-    in the sequential tally, the largest in the parallel one.  The head is
-    sub-problem 0's response, which ``solve_subproblem`` returns when that
-    sub-problem ran at ``cg_tol``: with one inner iteration or an inner
-    gradient test, not with more inner iterations and no test."""
-    chi = None if p is None else targets_from_solutions(problem, partition, y, p)
-    subproblems = assemble_subproblems(problem, v, partition, y, chi, g)
+    Each sub-problem counts its own products, and ``counter`` is charged
+    them as concurrent solves: their sum in the sequential tally, the
+    largest in the parallel one.  The head is sub-problem 0's response,
+    which ``solve_subproblem`` returns when that sub-problem ran at
+    ``cg_tol``: with one inner iteration or an inner gradient test, not with
+    more inner iterations and no test."""
+    subproblems = assemble_subproblems(problem, partition, g)
     counters = [MatvecCounter() for _ in subproblems]
     solved = [solve_subproblem(sub, config.inner_iterations, own, config.inner_gradient_rtol)
               for sub, own in zip(subproblems, counters)]
@@ -193,51 +174,27 @@ def _sweep(
     config: OuterConfig,
     v: np.ndarray,
     y: np.ndarray,
-    p: np.ndarray,
     g: np.ndarray,
     cost: float,
     counter: MatvecCounter,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One outer iteration from the state y(v) at the N+1 breakpoints, the
-    adjoint p(v) at the N right breakpoints, the gradient g(v) and the cost
-    J(v) of the control v: ``targets_direction``'s d, then the exact line
-    search along it, from its head when it gives one.
+    """One outer iteration from the final state y = y(T; v), the gradient
+    g(v) and the cost J(v) of the control v: ``targets_direction``'s d, then
+    the exact line search along it, from its head when it gives one.
 
-    Returns (v_next, y_next, theta): y_next is y(v_next) at the breakpoints,
-    updated through linearity; theta is 0 and v, y come back unchanged when
-    the line search finds no descent step.
+    Returns (v_next, y_next, theta): y_next is y(T; v_next), updated through
+    linearity; theta is 0 and v, y come back unchanged when the line search
+    finds no descent step.
     """
-    d, head = targets_direction(problem, partition, config, v, y, p, g, counter)
-    theta, z = line_search_theta(problem, partition, v, d, y[-1] - problem.y_target, counter,
-                                 head)
+    d, head = targets_direction(problem, partition, config, g, counter)
+    theta, zT = line_search_theta(problem, partition, v, d, y - problem.y_target, counter, head)
     if theta != 0.0:
-        v_next, y_next = v + theta * d, y + theta * z
-        if _record(problem, v_next, y_next[-1]).cost <= cost:
+        v_next, y_next = v + theta * d, y + theta * zT
+        if _record(problem, v_next, y_next).cost <= cost:
             return v_next, y_next, theta
         # exact line search guarantees descent up to solver noise; keep the
         # previous iterate rather than take an uphill step
     return v, y, 0.0
-
-
-def _reads_targets(config: OuterConfig) -> bool:
-    """Whether step 2 reads the targets chi = y - p, and so p at the
-    breakpoints: only when its inner descent solves for a gradient.  Its
-    first gradient is the window of g, so with one inner iteration and no
-    inner gradient test ``optimal_step_gradient`` exits before it reads a
-    target."""
-    return config.inner_iterations > 1 or config.inner_gradient_rtol is not None
-
-
-def _adjoint(problem: ControlProblem, partition: list[int], v: np.ndarray,
-             y_final: np.ndarray, counter: MatvecCounter,
-             breakpoints: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """p(v) at the N right breakpoints (None without ``breakpoints``) and
-    the gradient alpha v + B* p of the cost at v, from one adjoint solve that
-    keeps the rest of p on the control patch only."""
-    p, patch = solve_adjoint(problem.grid, problem.time_grid, y_final - problem.y_target,
-                             problem.nu, problem.cg_tol, counter,
-                             keep=partition[1:] if breakpoints else [])
-    return p if breakpoints else None, problem.alpha * v + patch[:-1]
 
 
 def run(problem: ControlProblem, config: OuterConfig,
@@ -245,8 +202,8 @@ def run(problem: ControlProblem, config: OuterConfig,
     """Iterate from ``start`` (v = 0 without one) until the true gradient norm
     test, a stall or max_outer.
 
-    The stopping gradient comes from the same adjoint solve that builds the
-    targets, so it adds no extra cost; step 2 starts from it too.  Row k of
+    The stopping gradient is the one step 2 starts from, so it adds no extra
+    cost.  Row k of
     the history reports J(v^k) and the step theta_k taken at that iterate;
     matvec tallies are those accumulated when J(v^k) and its gradient became
     known.  A ``start`` not shaped like a control raises ValueError; a cost
@@ -259,21 +216,19 @@ def run(problem: ControlProblem, config: OuterConfig,
             raise ValueError(f"start must have shape {v.shape}, got {np.shape(start)}")
         v = np.array(start, dtype=float)
     partition = make_partition(tg, config.n_intervals)
-    breakpoints = _reads_targets(config)
     counter = MatvecCounter()
     t0 = time.perf_counter()
 
-    y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter,
-                    keep=partition)
+    y = solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter, keep=-1)
 
     threshold = None
     history: list[IterationMetrics] = []
     converged = stalled = False
 
     for k in range(config.max_outer + 1):
-        p, g = _adjoint(problem, partition, v, y[-1], counter, breakpoints)
+        g = gradient(problem, v, counter, final_state=y)
         with np.errstate(over="ignore"):
-            rec = _record(problem, v, y[-1])
+            rec = _record(problem, v, y)
             gnorm = norm_h(grid, tg, g)
         if not (np.isfinite(rec.cost) and np.isfinite(gnorm)):
             raise FloatingPointError(f"the cost or its gradient overflowed at iteration {k}")
@@ -284,7 +239,7 @@ def run(problem: ControlProblem, config: OuterConfig,
         converged = gnorm <= threshold
         theta = 0.0
         if not converged and k < config.max_outer:
-            v, y, theta = _sweep(problem, partition, config, v, y, p, g, rec.cost, counter)
+            v, y, theta = _sweep(problem, partition, config, v, y, g, rec.cost, counter)
             # a zero step leaves v unchanged: every later iteration would repeat this one
             stalled = theta == 0.0
         history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))

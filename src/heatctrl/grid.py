@@ -266,17 +266,12 @@ def laplacian_apply(grid: Grid, u: np.ndarray, work: StencilWork | None = None) 
 
 
 def inject(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Operator B: extend a control slice by zero to the whole domain."""
+    """Operator B: extend a control slice by zero to the whole domain.  Its
+    adjoint B* reads a field on ``grid.control_mask``."""
     _check_control(grid, c)
     u = np.zeros(grid.interior_node_count)
     u[grid.control_mask] = c
     return u
-
-
-def restrict(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Operator B*: read a field off the control patch nodes."""
-    _check_field(grid, u)
-    return u[grid.control_mask]
 
 
 def inner_omega(grid: Grid, u: np.ndarray, w: np.ndarray):
@@ -286,15 +281,5 @@ def inner_omega(grid: Grid, u: np.ndarray, w: np.ndarray):
     return grid.node_weight * np.vecdot(u, w)
 
 
-def inner_control(grid: Grid, c: np.ndarray, d: np.ndarray):
-    _check_control(grid, c)
-    _check_control(grid, d)
-    return grid.node_weight * np.vecdot(c, d)
-
-
 def norm_omega(grid: Grid, u: np.ndarray):
     return np.sqrt(inner_omega(grid, u, u))
-
-
-def norm_control(grid: Grid, c: np.ndarray):
-    return np.sqrt(inner_control(grid, c, c))

@@ -10,10 +10,10 @@ and b, by one Lanczos pass: the adjoint sweep, which has no forcing, is
 exactly these powers.  It assumes A >= Id, as every step operator
 K = Id + dt nu (-Lap) is, and stops the pass on a residual bound that this
 makes an error bound (Saad, SIAM J. Numer. Anal. 29(1), 1992, for Krylov
-approximations of matrix functions).  It copies each Lanczos vector on the
-nodes whose every power it returns (the control patch), and whole only when
-the caller keeps a power s > 0, so a patch-only sweep stores
-m x (patch nodes) floats of its m Lanczos vectors, not m x n.
+approximations of matrix functions).  It returns the powers only on the
+nodes the caller names (the control patch, for the adjoint) and copies each
+Lanczos vector only there, so a pass stores m x (patch nodes) floats of its
+m Lanczos vectors, not m x n.
 
 A ``CorrectionSpace`` carries what consecutive CG solves with one operator
 have learnt: the last few start corrections c = x - x0 and their images
@@ -261,21 +261,16 @@ def cg_solve(
 # Lanczos iterations between two tests of the error bound, after the test at
 # m = 1: each test forms T_m^-s e1 for every power anew
 CHECK = 16
-# Lanczos vectors stored whole in one (BLOCK, n) block, when a kept power
-# needs them: a kept power sums its blocks by matrix-vector products
-BLOCK = 16
 
 
-def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
-    """A^-s b for s = 0..count, for symmetric A >= Id given as a callable and
-    one field ``b`` (n,), from one Krylov space of A and b (one Lanczos
-    pass).
+def inverse_powers(apply_a, b, count, tol, counter, mask):
+    """A^-s b on the nodes ``mask`` for s = 0..count, for symmetric A >= Id
+    given as a callable and one field ``b`` (n,), from one Krylov space of A
+    and b (one Lanczos pass).
 
-    Returns the pair (fields, patches): ``fields[r]`` is A^-s b for
-    s = ``rows[r]``, and ``patches[s]`` is A^-s b on the nodes ``mask`` for
-    every s, of shape (count+1, len(mask)).  Power 0 is ``b`` itself.  The
-    patch nodes of a stored field are its patch row, so the two always
-    agree bit for bit.
+    Returns the (count+1, len(mask)) array whose row s is A^-s b on
+    ``mask``.  Power 0 is ``b`` itself.  Every node as ``mask`` gives the
+    whole fields.
 
     Lanczos runs on A from v1 = b / beta0, beta0 = ||b||, building the
     tridiagonal T_m and the next off-diagonal beta_m.  The power s is
@@ -289,14 +284,12 @@ def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
     at most tol * beta0 ||c_s|| = tol * ||x_s|| for every s, when beta = 0
     (an invariant subspace: the result is exact) or when m = n.  For a
     positive definite A with eigenvalues below 1 the bound does not hold,
-    and the pass may stop early.  It tests every power whatever ``rows``
-    asks for, so what a caller stores never changes the products or the
-    bits.  Each v_i is copied on ``mask`` as it is made, and whole only when
-    ``rows`` asks for a power s > 0.  The results are then
-    beta0 * sum_i c_s,i v_i, by matrix-vector products of the coefficients
-    and the stored vectors: one for each power's patch, and one per
-    ``BLOCK`` vectors for each kept power.  m Lanczos vectors cost m
-    products; a zero ``b`` has zero powers and costs no product.
+    and the pass may stop early.  The test reads T_m and beta_m alone, so
+    the nodes a caller asks for never change the products or the c_s.
+    Each v_i is copied on ``mask`` as it is made, and each power is
+    beta0 * sum_i c_s,i v_i on ``mask``, one matrix-vector product of the
+    coefficients and the copies.  m Lanczos vectors cost m products; a zero
+    ``b`` has zero powers and costs no product.
 
     Raises ``CGError`` when ``b`` is not finite, when an alpha is not a
     positive finite number or a beta is not finite, or when T_m is not
@@ -306,52 +299,34 @@ def inverse_powers(apply_a, b, count, tol, counter, rows, mask):
     """
     if not tol > 0:  # written so that NaN fails too
         raise ValueError("tol must be positive")
-    fields = np.zeros((len(rows), len(b)))
-    patches = np.zeros((count + 1, len(mask)))
+    powers = np.zeros((count + 1, len(mask)))
     beta0 = math.sqrt(float(b.dot(b)))
     if not math.isfinite(beta0):
         raise CGError(f"right-hand side is not finite: ||b|| = {beta0!r}")
     if beta0:  # a zero b has zero powers
-        c, on_patch, blocks = _lanczos(apply_a, b / beta0, count, tol, counter, mask,
-                                       any(rows))
+        c, on_mask = _lanczos(apply_a, b / beta0, count, tol, counter, mask)
         c *= beta0
         for s in range(count):
-            np.dot(c[s], on_patch, out=patches[s + 1])
-        for field, s in zip(fields, rows):
-            if s:
-                for start, block in zip(range(0, c.shape[1], BLOCK), blocks):
-                    block_c = c[s - 1, start : start + BLOCK]
-                    field += np.dot(block_c, block[: len(block_c)])
-    patches[0] = b[mask]
-    for field, s in zip(fields, rows):
-        if s:
-            field[mask] = patches[s]
-        else:
-            field[...] = b
-    return fields, patches
+            np.dot(c[s], on_mask, out=powers[s + 1])
+    powers[0] = b[mask]
+    return powers
 
 
-def _lanczos(apply_a, v, count, tol, counter, mask, whole):
+def _lanczos(apply_a, v, count, tol, counter, mask):
     """Lanczos from the unit vector ``v``; ``counter`` is charged its
     products.
 
-    Returns (coefficients, patch rows, blocks): the (count, m) array of
-    T_m^-s e1, the (m, len(mask)) array of v_1..v_m on ``mask`` and, with
-    ``whole``, v_1..v_m in (``BLOCK``, n) blocks (none without).
+    Returns (coefficients, rows): the (count, m) array of T_m^-s e1 and the
+    (m, len(mask)) array of v_1..v_m on ``mask``.
     """
     n = len(v)
     v_prev, w, scratch = np.zeros(n), np.empty(n), np.empty(n)
     beta = 0.0
-    alphas, betas = [], []
-    on_patch, blocks = [], []
+    alphas, betas, on_mask = [], [], []
     products = 0
     try:
         for m in range(1, n + 1):
-            on_patch.append(v[mask])
-            if whole:
-                if (m - 1) % BLOCK == 0:
-                    blocks.append(np.empty((BLOCK, n)))
-                blocks[-1][(m - 1) % BLOCK] = v
+            on_mask.append(v[mask])
             av = apply_a(v)
             products = m
             np.subtract(av, np.multiply(beta, v_prev, out=w), out=w)
@@ -365,7 +340,7 @@ def _lanczos(apply_a, v, count, tol, counter, mask, whole):
             if beta == 0.0 or m == n or m % CHECK == 0 or m == 1:
                 c = _tridiagonal_powers(alphas, betas, count)
                 if beta == 0.0 or m == n or _bounded(c, beta, tol):
-                    return c, np.array(on_patch), blocks
+                    return c, np.array(on_mask)
             # the next Lanczos vector goes where the last one was
             np.divide(w, beta, out=v_prev)
             v, v_prev = v_prev, v

@@ -94,30 +94,31 @@ def gradient(
     if final_state is None:
         final_state = solve_state(grid, problem.time_grid, problem.y0, v, problem.nu,
                                   problem.cg_tol, counter, keep=-1)
-    _, patch = solve_adjoint(grid, problem.time_grid, final_state - problem.y_target,
-                             problem.nu, problem.cg_tol, counter, keep=[])
+    patch = solve_adjoint(grid, problem.time_grid, final_state - problem.y_target, problem.nu,
+                          problem.cg_tol, counter)
     return problem.alpha * v + patch[:-1]
 
 
 def optimal_step_gradient(
     problem: ControlProblem,
-    v_init: np.ndarray,
-    final_state: np.ndarray,
     g_init: np.ndarray,
     iterations: int,
     counter: MatvecCounter,
     gradient_rtol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steepest descent with the exact step for the quadratic cost.
+    """Steepest descent with the exact step for the quadratic cost, from a
+    control whose gradient is ``g_init``.
 
     The step sigma = <g,g>_H / (||z_g(T)||^2 + alpha ||g||_H^2), where z_g is
-    the state driven by g from a zero initial condition.  The final state is
-    updated through linearity (y(T; v - sigma g) = y(T; v) - sigma z_g(T)), so
-    each iteration costs one adjoint and one homogeneous forward solve.  It
-    starts from the control ``v_init``, its final state ``final_state`` and
-    its gradient ``g_init`` (step 2 passes each sub-problem its window of the
-    outer gradient, which the local adjoint would recompute up to rounding);
-    it copies them and never writes them.
+    the state driven by g from a zero initial condition.  The cost is
+    quadratic, so the gradient after an update u is, by linearity,
+    g_init + alpha u + B* p_r, where r is the response of u (the final state
+    u drives from zero) and p_r the adjoint from r: each iteration costs one
+    homogeneous forward solve and one adjoint, and the descent reads neither
+    the control, its final state, y0 nor y_target.  Step 2 passes each
+    sub-problem its window of the outer gradient, which is the sub-problem's
+    gradient at the current control, so its targets never need to be formed.
+    ``g_init`` is copied and never written.
 
     With ``gradient_rtol`` set, the descent stops once ||g||_H <= rtol *
     (1 + ||g_0||_H).  It also stops on a zero gradient or a zero step
@@ -126,17 +127,16 @@ def optimal_step_gradient(
 
     Returns (update, response): the change of the control, the sum of the
     steps -sigma g, and the change of the final state it causes, the sum of
-    the steps -sigma z_g(T), which is the homogeneous state driven by the
-    update from zero.  Both are summed, not taken as differences of controls
-    or of final states, which would lose the digits the two share: near an
-    optimum, where the steps are small, the response then still belongs to
-    the update to the accuracy of the forward solves.
+    the steps -sigma z_g(T).  Both are summed, not taken as differences of
+    controls or of final states, which would lose the digits the two share:
+    near an optimum, where the steps are small, the response then still
+    belongs to the update to the accuracy of the forward solves.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
-    v, final, g = (np.array(a, dtype=float) for a in (v_init, final_state, g_init))
-    update, response = np.zeros_like(v), grid.zero_field()
+    g = np.array(g_init, dtype=float)
+    update, response = np.zeros_like(g), grid.zero_field()
     gnorm2 = inner_h(grid, tg, g, g)
     threshold = None if gradient_rtol is None else gradient_rtol * (1.0 + np.sqrt(gnorm2))
     for it in range(iterations):
@@ -149,14 +149,13 @@ def optimal_step_gradient(
             break
         sigma = gnorm2 / denom
         g *= sigma
-        v -= g
         update -= g
         zT *= sigma
-        final -= zT
         response -= zT
         if it == iterations - 1:
             break
-        g = gradient(problem, v, counter, final_state=final)
+        patch = solve_adjoint(grid, tg, response, problem.nu, problem.cg_tol, counter)
+        g = g_init + alpha * update + patch[:-1]
         gnorm2 = inner_h(grid, tg, g, g)
     return update, response
 

@@ -35,17 +35,16 @@ products on the 33 x 33 benchmark and 13.8 on the 65 x 65 one, against 6.1
 and 16.5 with the extrapolated start alone.  The first steps after a
 breakpoint still cost most, as the jump in the forcing is new to the space.
 
-The adjoint sweep has no forcing, so every state it keeps is a power of K^-1
+The adjoint sweep has no forcing, so each of its states is a power of K^-1
 applied to the terminal value, and one Krylov space of K serves all N steps:
 ``solve_adjoint`` takes them from ``linsolve.inverse_powers`` (one Lanczos
 pass, m products for m Lanczos vectors) instead of a CG solve per step.  It
-keeps the Lanczos vectors whole only when ``keep`` selects a step before
-the last, so ``keep=[]`` holds them on the control patch alone.
+returns B* p, the control patch of every step, which is all the gradient
+reads, so it holds its Lanczos vectors on the patch alone.
 
-A sweep stores only the steps its caller asks for (``keep``, an index into
-the step axis), and what it stores never changes its numbers.  The adjoint
-can also return the control patch of every step, which is all the gradient
-reads.  A full trajectory is the case where every step is kept.
+The state sweep stores only the steps its caller asks for (``keep``, an
+index into the step axis), and what it stores never changes its numbers.  A
+full trajectory is the case where every step is kept.
 """
 
 from __future__ import annotations
@@ -153,11 +152,6 @@ class _SweepStarts:
         return self._start
 
 
-def _kept_steps(steps: int, keep) -> np.ndarray:
-    """The step indices ``keep`` selects from 0..steps, shaped as it selects them."""
-    return np.arange(steps + 1)[slice(None) if keep is None else keep]
-
-
 def solve_state(
     grid: Grid,
     time_grid: TimeGrid,
@@ -186,7 +180,7 @@ def solve_state(
     if nu < 0:
         raise ValueError("nu must be non-negative")
     apply_k = step_operator(grid, dt, nu)
-    kept = _kept_steps(steps, keep)
+    kept = np.arange(steps + 1)[slice(None) if keep is None else keep]
     rows = [[] for _ in range(steps + 1)]  # the rows of ``out`` each step fills
     for row, step in enumerate(np.ravel(kept).tolist()):
         rows[step].append(row)
@@ -214,28 +208,20 @@ def solve_adjoint(
     nu: float,
     tol: float,
     counter: MatvecCounter,
-    keep=None,
-):
-    """The adjoint p^j = K^-(N-j) p^N from p^N = terminal, for j = 0..N.
+) -> np.ndarray:
+    """B* p^j for j = 0..N, the control patch nodes of the adjoint
+    p^j = K^-(N-j) p^N from p^N = terminal, of shape (steps+1, m).
 
     K is symmetric, so this is the exact transpose of the forward step map.
     The powers come from one Krylov space of K and the terminal
-    (``linsolve.inverse_powers``), to the relative accuracy ``tol``; p^N is
-    the terminal itself.  Returns the
-    trajectory of shape (steps+1, n) by default.  With ``keep``, an index
-    into the step axis as in ``solve_state``, returns the pair (p at the
-    steps ``keep`` selects, the control patch nodes of every p^j, of shape
-    (steps+1, m)): the patch is all the gradient reads, so ``keep=[]``
-    stores no full field, nor any whole Lanczos vector.
+    (``linsolve.inverse_powers``), to the relative accuracy ``tol``; row N
+    is the terminal's patch itself.  No full field is stored, nor any whole
+    Lanczos vector.
     """
     _check_field(grid, terminal)
     if nu < 0:
         raise ValueError("nu must be non-negative")
     steps = time_grid.step_count
-    kept = _kept_steps(steps, keep)
     # step j is power steps - j
-    out, patches = inverse_powers(step_operator(grid, time_grid.dt, nu), terminal, steps,
-                                  tol, counter, (steps - np.ravel(kept)).tolist(),
-                                  grid.control_mask)
-    p = out if kept.ndim else out[0]
-    return p if keep is None else (p, patches[::-1])
+    return inverse_powers(step_operator(grid, time_grid.dt, nu), terminal, steps, tol, counter,
+                          grid.control_mask)[::-1]

@@ -1,22 +1,23 @@
 """Time partitioning and the intermediate-target sub-problems.
 
 A partition is the list of its N+1 breakpoint steps, from 0 to the step
-count; breakpoint step s is at time dt * s.  The target trajectory
-chi = y - p is evaluated at the breakpoints; each sub-interval then carries
-an independent tracking problem whose initial state is y at its left
-breakpoint and whose target is chi at its right breakpoint.
+count; breakpoint step s is at time dt * s.  In the method, sub-problem n
+starts from y(t_n) and drives the state at its right breakpoint towards the
+target chi_n = y(t_{n+1}) - p(t_{n+1}), with chi_N the global target.  The
+code reaches the same sub-problem by linearity and forms neither chi nor y
+at the inner breakpoints.  At the current control the sub-problem's misfit
+is y(t_{n+1}) - chi_n = p(t_{n+1}), so its gradient is the window of the
+outer gradient g; after an update u the misfit is p(t_{n+1}) plus the
+response of u, the state u drives from zero, so its gradient is the window
+of g plus alpha u plus the adjoint of that response
+(``problem.optimal_step_gradient``).  A sub-problem therefore carries its
+window of g and its step count, and nothing else of the run's state.
 A sub-problem's time grid is ``TimeGrid(count, dt)``, its step count with the
 outer dt, so every sub-problem steps with the outer dt by construction.
-At the final breakpoint chi equals the global target by construction, so the
-last value is assigned, not computed.  chi is formed only when a sub-problem
-reads its target: with more than one inner iteration or an inner gradient
-test.  A one-step descent without a test starts from its given gradient and
-stops before it solves for another, so its sub-problems get no targets.
 
-Each sub-problem is one ``ControlProblem`` on one field, and
-``solve_subproblem`` solves one of them, charging its own products to a
-counter of its own: the caller loops over them and charges the counts as
-concurrent solves.
+Each sub-problem is one ``ControlProblem`` and ``solve_subproblem`` solves
+one of them, charging its own products to a counter of its own: the caller
+loops over them and charges the counts as concurrent solves.
 
 The sub-problems only shape the search direction d = v_tilde - v, which the
 outer exact line search rescales, so without an inner gradient test of their
@@ -42,8 +43,9 @@ from .propagators import TimeGrid
 
 def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
     """The split of the time grid into n_intervals blocks of whole steps, as
-    the list of its N+1 breakpoint steps: a list indexes the sweeps' step axis
-    (``keep``) by step, where a tuple would index one axis per entry.
+    the list of its N+1 breakpoint steps: a list indexes the state sweep's
+    step axis (``keep``) by step, where a tuple would index one axis per
+    entry.
 
     When the step count is not divisible, leading intervals absorb one extra
     step each.
@@ -54,27 +56,6 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
         )
     base, rem = divmod(time_grid.step_count, n_intervals)
     return [k * base + min(k, rem) for k in range(n_intervals + 1)]
-
-
-def targets_from_solutions(
-    problem: ControlProblem,
-    partition: list[int],
-    y: np.ndarray,
-    p: np.ndarray,
-) -> np.ndarray:
-    """Breakpoint targets chi = y - p at t_1 .. t_N, as an (N, n) array.
-
-    ``y`` holds the state at the N+1 breakpoints and ``p`` the adjoint at the
-    N right ones, as the sweeps return them with ``keep`` set to the
-    partition's breakpoint steps and to ``partition[1:]``.
-    """
-    n = len(partition) - 1
-    if len(y) != n + 1 or len(p) != n:
-        raise ValueError(f"need y at {n + 1} breakpoints and p at {n}, "
-                         f"got {len(y)} and {len(p)}")
-    chi = y[1:] - p
-    chi[-1] = problem.y_target  # exact: chi(T) = y(T) - (y(T) - y_target)
-    return chi
 
 
 # CG tolerance of step 2's solves when the inner descent has no gradient test,
@@ -92,44 +73,20 @@ class SubProblem:
     index: int
     start: int
     end: int
-    # the step count with the outer dt, y at the left breakpoint and chi at the right
+    # the outer problem on the window's steps, with the outer dt; its y0 and
+    # y_target are the outer ones, which the inner descent does not read
     problem: ControlProblem
-    warm_start: np.ndarray  # (steps, m): the current control on the sub-interval
-    # y at the right breakpoint: the local final state under the warm start,
-    # which the inner descent starts from instead of solving for it
-    warm_final_state: np.ndarray
-    # (steps, m): the outer gradient on the sub-interval.  The local adjoint
-    # starts from y - chi = p at the right breakpoint and runs the outer
-    # recursion, so this is the local gradient at the warm start, and the
-    # inner descent starts from it instead of solving for it
+    # (steps, m): the outer gradient on the window, the sub-problem's gradient
+    # at the current control, which the inner descent starts from
     warm_gradient: np.ndarray
 
 
-def assemble_subproblems(
-    problem: ControlProblem,
-    v: np.ndarray,
-    partition: list[int],
-    y: np.ndarray,
-    chi: np.ndarray | None,
-    g: np.ndarray,
-) -> list[SubProblem]:
-    """Step 2's N sub-problems from the state y(v) at the N+1 breakpoints,
-    the targets chi and the gradient g of the cost at v.
-
-    Sub-problem n starts from y[n], the state at its left breakpoint, and
-    tracks chi[n].  With chi None, for an inner descent that reads no target,
-    every target is NaN, so a descent that did read one would fail with a
-    non-finite local adjoint.  A sub-problem's arrays are views of v, y, chi
-    and g.
-    """
-    if chi is None:
-        chi = np.full(y[1:].shape, np.nan)
-    if len(chi) != len(partition) - 1 or len(y) != len(partition):
-        raise ValueError("targets were computed for a different partition")
+def assemble_subproblems(problem: ControlProblem, partition: list[int],
+                         g: np.ndarray) -> list[SubProblem]:
+    """Step 2's N sub-problems from the gradient g of the cost at the current
+    control; each one's ``warm_gradient`` is a view of g."""
     dt = problem.time_grid.dt
-    return [SubProblem(n, a, b, replace(problem, time_grid=TimeGrid(b - a, dt), y0=y[n],
-                                        y_target=chi[n]),
-                       v[a:b], y[n + 1], g[a:b])
+    return [SubProblem(n, a, b, replace(problem, time_grid=TimeGrid(b - a, dt)), g[a:b])
             for n, (a, b) in enumerate(zip(partition, partition[1:]))]
 
 
@@ -146,8 +103,8 @@ def solve_subproblem(
     The response is the homogeneous state driven by that change, at the
     right breakpoint (``optimal_step_gradient``).  For sub-problem 0 it is
     the line search's z at ``partition[1]``.  ``counter`` is charged the
-    sub-problem's own products.  The descent reads the sub-problem's views
-    of the run's v, y and g and does not write them.  A ``CGError`` names
+    sub-problem's own products.  The descent reads the sub-problem's view of
+    the run's g and does not write it.  A ``CGError`` names
     the sub-problem and its interval, and keeps its type: the CLI maps it to
     an exit code.
 
@@ -164,9 +121,8 @@ def solve_subproblem(
     if not exact:
         local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
     try:
-        update, response = optimal_step_gradient(local, sub.warm_start, sub.warm_final_state,
-                                                 sub.warm_gradient, inner_iterations, counter,
-                                                 gradient_rtol=gradient_rtol)
+        update, response = optimal_step_gradient(local, sub.warm_gradient, inner_iterations,
+                                                 counter, gradient_rtol=gradient_rtol)
     except CGError as exc:
         dt = local.time_grid.dt
         raise CGError(f"sub-problem {sub.index} on [{dt * sub.start:g}, {dt * sub.end:g}]: "

@@ -2,13 +2,18 @@
 
 The dense helpers here build matrices directly from the stencil and step
 definitions with numpy factorizations; they never call the library's
-matrix-free solvers, so they can serve as independent references.
+matrix-free solvers, so they can serve as independent references.  The
+helpers that state the method's sub-problems and descents do call the
+solvers: they are references for how the package combines them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import heatctrl as hc
+from heatctrl.linsolve import inverse_powers
 
 
 # the desk-scale 2D instance of acceptance criteria 4 and 5
@@ -108,44 +113,69 @@ def random_tiny_problem(rng, n_interior=None, steps=None, cg_tol=1e-12):
     return problem
 
 
-def breakpoint_targets(problem, partition, v):
-    """y(v) at the N+1 breakpoints, the breakpoint targets chi of v and the
-    gradient alpha v + B* p at v, from one forward and one adjoint solve."""
+def thirteen_step_problem(dim, rng, cg_tol):
+    """A random instance with 13 steps: a 1D line of 6 interior nodes, or a
+    5 x 5 interior with a 3 x 3 control patch."""
+    if dim == 1:
+        return random_tiny_problem(rng, n_interior=6, steps=13, cg_tol=cg_tol)
+    grid = hc.build_grid(2, 7, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(13, 0.05),
+                             y0=rng.standard_normal(grid.interior_node_count),
+                             y_target=rng.standard_normal(grid.interior_node_count),
+                             alpha=0.2, nu=0.5, cg_tol=cg_tol)
+
+
+def adjoint_fields(grid, time_grid, terminal, nu, tol, counter):
+    """The whole adjoint p^j = K^-(N-j) terminal for j = 0..N, of shape
+    (N+1, n): the Lanczos pass of ``solve_adjoint`` with every node as its
+    mask, for the tests that read p off the control patch."""
+    every_node = np.arange(grid.interior_node_count)
+    powers = inverse_powers(hc.step_operator(grid, time_grid.dt, nu), terminal,
+                            time_grid.step_count, tol, counter, every_node)
+    return powers[::-1]
+
+
+def explicit_subproblems(problem, partition, v):
+    """Step 2's sub-problems of the control v as the method states them, the
+    reference for the package's linear form: for each window [t_n, t_n+1],
+    the triple (the tracking problem on its steps from y0 = y(t_n) towards
+    chi_n = y(t_n+1) - p(t_n+1), with chi_N = y_target; v on the window; and
+    y(t_n+1), that problem's final state under it), from whole-field state
+    and adjoint sweeps."""
     grid, tg = problem.grid, problem.time_grid
     counter = hc.MatvecCounter()
-    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter,
-                       keep=partition)
-    p, patch = hc.solve_adjoint(grid, tg, y[-1] - problem.y_target, problem.nu,
-                                problem.cg_tol, counter, keep=partition[1:])
-    g = problem.alpha * v + patch[:-1]
-    return y, hc.targets_from_solutions(problem, partition, y, p), g
+    y = hc.solve_state(grid, tg, problem.y0, v, problem.nu, problem.cg_tol, counter)
+    chi = y - adjoint_fields(grid, tg, y[-1] - problem.y_target, problem.nu, problem.cg_tol,
+                             counter)
+    chi[-1] = problem.y_target  # exact: chi(T) = y(T) - (y(T) - y_target)
+    return [(dataclasses.replace(problem, time_grid=hc.TimeGrid(b - a, tg.dt), y0=y[a],
+                                 y_target=chi[b]), v[a:b], y[b])
+            for a, b in zip(partition, partition[1:])]
 
 
-def step2_subproblems(problem, partition, v):
-    """Step 2's sub-problems of the control v."""
-    y, chi, g = breakpoint_targets(problem, partition, v)
-    return hc.assemble_subproblems(problem, v, partition, y, chi, g)
+def reference_descent(problem, g_init, iterations, counter, gradient_rtol,
+                      next_gradient=None):
+    """Steepest descent with the exact step as a plain loop, from a control
+    whose gradient is ``g_init``; returns the update (the change of the
+    control), its response (the change of the final state), the number of
+    steps taken and the gradients the descent read, ``g_init`` first.
 
-
-def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final_state,
-                      gradient=None):
-    """Steepest descent with the exact step as a plain 1D loop; returns the
-    update (the change of the control), its response (the change of the
-    final state) and the number of steps taken.
-
-    The update and response are what ``optimal_step_gradient`` must
-    reproduce bit for bit; with a zero ``v_init`` the update is the control
-    that ``run`` on one interval with one inner iteration, the sequential
-    baseline, must reach up to rounding.
-    ``gradient``, the gradient at v_init, stands for the descent's
-    ``g_init``; without it the loop solves for it.  No gradient is solved
-    for after the last iteration, which no test would read."""
+    ``next_gradient(update, response)`` is the gradient after an update.  By
+    default it is the linear form the package uses, g_init + alpha update +
+    B* p from the response: then the update and response are what
+    ``optimal_step_gradient`` must reproduce bit for bit, and with a zero
+    start the update is the control that ``run`` on one interval with one
+    inner iteration, the sequential baseline, must reach up to rounding.
+    No gradient is solved for after the last iteration, which no test would
+    read."""
     grid, tg = problem.grid, problem.time_grid
-    v = np.array(v_init, dtype=float, copy=True)
-    update, response = np.zeros_like(v), grid.zero_field()
-    g = gradient
-    if g is None:
-        g = hc.gradient(problem, v, counter, final_state=final_state)
+    if next_gradient is None:
+        def next_gradient(update, response):
+            patch = hc.solve_adjoint(grid, tg, response, problem.nu, problem.cg_tol, counter)
+            return g_init + problem.alpha * update + patch[:-1]
+    g = np.array(g_init, dtype=float)
+    gradients = [g]
+    update, response = np.zeros_like(g), grid.zero_field()
     threshold = None
     if gradient_rtol is not None:
         threshold = gradient_rtol * (1.0 + hc.norm_h(grid, tg, g))
@@ -160,17 +190,23 @@ def reference_descent(problem, v_init, iterations, counter, gradient_rtol, final
         if denom == 0.0:
             break
         sigma = gnorm2 / denom
-        v = v - sigma * g
         update = update - sigma * g
-        steps += 1
-        final_state = final_state - sigma * zT
         response = response - sigma * zT
+        steps += 1
         if it == iterations - 1:
             break
-        g = hc.gradient(problem, v, counter, final_state=final_state)
-        if threshold is not None and hc.norm_h(grid, tg, g) <= threshold:
-            break
-    return update, response, steps
+        g = next_gradient(update, response)
+        gradients.append(g)
+    return update, response, steps, gradients
+
+
+def explicit_descent(problem, v_init, iterations, counter, gradient_rtol):
+    """``reference_descent`` on ``problem`` as stated, from the control
+    ``v_init``: every gradient comes from a forward solve of the state from
+    y0 and the adjoint from y(T) - y_target."""
+    return reference_descent(problem, hc.gradient(problem, v_init, counter), iterations,
+                             counter, gradient_rtol,
+                             lambda update, _: hc.gradient(problem, v_init + update, counter))
 
 
 def break_step2_solves(monkeypatch, broken):

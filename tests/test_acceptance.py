@@ -13,7 +13,7 @@ import pytest
 import heatctrl as hc
 from heatctrl.cli import EXIT_MAX_ITER, EXIT_OK, main
 
-from conftest import DESK_2D, random_tiny_problem, step2_subproblems
+from conftest import DESK_2D, explicit_subproblems, random_tiny_problem
 
 
 @contextmanager
@@ -68,9 +68,8 @@ def test_criterion_3_restriction_optimality_and_fixed_point():
         v_star, _ = hc.oracle_kkt_solve(prob)
         for n_intervals in (2, 4):
             part = hc.make_partition(prob.time_grid, n_intervals)
-            for sub in step2_subproblems(prob, part, v_star):
-                local = sub.problem
-                g = hc.gradient(local, sub.warm_start, hc.MatvecCounter())
+            for local, window, _ in explicit_subproblems(prob, part, v_star):
+                g = hc.gradient(local, window, hc.MatvecCounter())
                 assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
         # one sweep from v*: a gradient test at rtol 1e-300 cannot end the run first
         cfg = hc.OuterConfig(n_intervals=4, inner_iterations=1, max_outer=1,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import heatctrl as hc
 from heatctrl.targets import DIRECTION_CG_TOL
 
-from conftest import break_step2_solves, random_tiny_problem, reference_descent
+from conftest import (break_step2_solves, random_tiny_problem, reference_descent,
+                      thirteen_step_problem)
 
 
 def _random_control(rng, prob):
@@ -66,18 +67,6 @@ def test_line_search_is_the_scalar_minimizer():
         assert abs(theta_star - vertex) <= 1e-12 * max(1.0, abs(theta_star))
 
 
-def _thirteen_step_problem(dim, rng):
-    """A random instance with 13 steps at cg_tol = 1e-10: a 1D line of 6
-    interior nodes, or a 5 x 5 interior with a 3 x 3 control patch."""
-    if dim == 1:
-        return random_tiny_problem(rng, n_interior=6, steps=13, cg_tol=1e-10)
-    grid = hc.build_grid(2, 7, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
-    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(13, 0.05),
-                             y0=rng.standard_normal(grid.interior_node_count),
-                             y_target=rng.standard_normal(grid.interior_node_count),
-                             alpha=0.2, nu=0.5, cg_tol=1e-10)
-
-
 # 13 steps make uneven windows for N = 2, 3 and 8 (7 + 6, 5 + 4 + 4, and
 # 2 steps five times, then 1 three times)
 @pytest.mark.parametrize("dim", [1, 2])
@@ -87,36 +76,30 @@ def test_line_search_from_the_head_matches_a_tight_full_sweep(rng, dim, n_interv
                                                               inner_rtol):
     # with one inner iteration or an inner gradient test, step 2 hands the
     # line search sub-problem 0's response as z at the first breakpoint and
-    # the sweep starts there; z at every breakpoint and theta still match a
-    # sweep of every step at cg_tol = 1e-14.  More inner iterations without
-    # a test hand it nothing, and it sweeps every step
-    prob = _thirteen_step_problem(dim, rng)
+    # the sweep starts there; z(T) and theta still match a sweep of every
+    # step at cg_tol = 1e-14.  More inner iterations without a test hand it
+    # nothing, and it sweeps every step
+    prob = thirteen_step_problem(dim, rng, 1e-10)
     grid, tg = prob.grid, prob.time_grid
     part = hc.make_partition(tg, n_intervals)
     cfg = hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner,
                          inner_gradient_rtol=inner_rtol)
     v = _random_control(rng, prob)
     scratch = hc.MatvecCounter()
-    y = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, scratch, keep=part)
-    p, patch = hc.solve_adjoint(grid, tg, y[-1] - prob.y_target, prob.nu, prob.cg_tol,
-                                scratch, keep=part[1:])
-    d, head = hc.targets_direction(prob, part, cfg, v, y, p, prob.alpha * v + patch[:-1],
-                                   scratch)
+    residual = _residual(prob, v, scratch)
+    d, head = hc.targets_direction(prob, part, cfg, hc.gradient(prob, v, scratch), scratch)
     assert (head is None) == (inner > 1 and inner_rtol is None)
     counter = hc.MatvecCounter()
-    theta, z = hc.line_search_theta(prob, part, v, d, y[-1] - prob.y_target, counter, head)
+    theta, z = hc.line_search_theta(prob, part, v, d, residual, counter, head)
     tight = dataclasses.replace(prob, cg_tol=1e-14)
-    theta_ref, z_ref = hc.line_search_theta(tight, part, v, d, y[-1] - prob.y_target,
-                                            hc.MatvecCounter())
-    assert z.shape == z_ref.shape == (n_intervals + 1, grid.interior_node_count)
-    assert not np.any(z[0]) and not np.any(z_ref[0])
-    assert np.all(np.linalg.norm(z - z_ref, axis=1)
-                  <= 1e-9 * np.linalg.norm(z_ref, axis=1))
+    theta_ref, z_ref = hc.line_search_theta(tight, part, v, d, residual, hc.MatvecCounter())
+    assert z.shape == z_ref.shape == (grid.interior_node_count,)
+    assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
     assert abs(theta - theta_ref) <= 1e-9 * abs(theta_ref)
     # the head saves the steps of window 0; with one interval it is z(T),
     # and the line search makes no sweep
     full = hc.MatvecCounter()
-    hc.line_search_theta(prob, part, v, d, y[-1] - prob.y_target, full)
+    hc.line_search_theta(prob, part, v, d, residual, full)
     assert (counter.count < full.count) == (head is not None)
     assert (counter.count == 0) == (n_intervals == 1 and head is not None)
 
@@ -225,82 +208,46 @@ def test_one_adjoint_solve_per_sweep(rng, monkeypatch):
     prob = random_tiny_problem(rng, n_interior=5, steps=12)
     calls = []
 
-    import heatctrl.driver as driver
     import heatctrl.problem as problem
 
-    for module in (driver, problem):
-        def counted(*args, real=module.solve_adjoint, **kwargs):
-            calls.append(args[2].shape)
-            return real(*args, **kwargs)
+    def counted(*args, real=problem.solve_adjoint, **kwargs):
+        calls.append(args[2].shape)
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "solve_adjoint", counted)
+    monkeypatch.setattr(problem, "solve_adjoint", counted)
     res = hc.run(prob, hc.OuterConfig(n_intervals=4, inner_iterations=1, max_outer=30))
     assert len(res.history) > 2
     assert calls == [prob.y0.shape] * len(res.history)
 
 
-# step 2 reads chi = y - p only past its first inner step or with an inner
-# gradient test; the baseline, one interval with one inner step, never reads it
-@pytest.mark.parametrize("baseline, inner, inner_rtol, reads", [
-    (True, 1, None, False), (False, 1, None, False), (False, 3, None, True),
-    (False, 1, 1e-6, True),
-])
-def test_run_stores_breakpoint_adjoints_only_when_step2_reads_them(rng, monkeypatch, baseline,
-                                                                  inner, inner_rtol, reads):
-    prob = random_tiny_problem(rng, n_interior=6, steps=13)
-    cfg = hc.OuterConfig(n_intervals=1 if baseline else 4, inner_iterations=inner,
-                         inner_gradient_rtol=inner_rtol, max_outer=6, gradient_rtol=1e-9)
-
-    import heatctrl.driver as driver
-    import heatctrl.propagators as propagators
-
-    calls, in_step2 = [], [False]
-
-    def logged_adjoint(apply_a, b, count, tol, counter, rows, mask,
-                       real=propagators.inverse_powers):
-        calls.append((in_step2[0], any(rows)))
-        return real(apply_a, b, count, tol, counter, rows, mask)
-
-    def logged_step2(*args, real=driver.solve_subproblem, **kwargs):
-        in_step2[0] = True
-        try:
-            return real(*args, **kwargs)
-        finally:
-            in_step2[0] = False
-
-    monkeypatch.setattr(propagators, "inverse_powers", logged_adjoint)
-    monkeypatch.setattr(driver, "solve_subproblem", logged_step2)
-    res = hc.run(prob, cfg)
-    assert len(res.history) > 2
-    assert [full for inside, full in calls if not inside] == [reads] * len(res.history)
-    assert not any(full for inside, full in calls if inside)
-
-
 def test_one_inner_iteration_never_reads_the_targets(rng, monkeypatch):
-    # storing p at the breakpoints and forming chi changes no bit of a run
-    # whose inner descent stops after its first step
+    # step 2 reads the targets only through the gradient: sub-problems whose
+    # y0 and y_target are NaN change no bit of the run (test_problem checks
+    # the descent at more inner iterations)
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     cfg = hc.OuterConfig(n_intervals=4, max_outer=8, gradient_rtol=1e-9)
-    without = hc.run(prob, cfg)
+    sighted = hc.run(prob, cfg)
 
     import heatctrl.driver as driver
 
-    monkeypatch.setattr(driver, "_reads_targets", lambda config: True)
-    formed = []
+    blinded = []
 
-    def logged_targets(*args, real=driver.targets_from_solutions):
-        formed.append(1)
-        return real(*args)
+    def blind(*args, real=driver.assemble_subproblems):
+        nan = np.full(prob.grid.interior_node_count, np.nan)
+        blinded.append(1)
+        return [dataclasses.replace(sub, problem=dataclasses.replace(sub.problem, y0=nan,
+                                                                     y_target=nan))
+                for sub in real(*args)]
 
-    monkeypatch.setattr(driver, "targets_from_solutions", logged_targets)
-    with_targets = hc.run(prob, cfg)
-    assert len(formed) == len(with_targets.history) - 1 > 2
-    assert np.array_equal(without.control.view(np.int64), with_targets.control.view(np.int64))
+    monkeypatch.setattr(driver, "assemble_subproblems", blind)
+    blinded_run = hc.run(prob, cfg)
+    assert len(blinded) == len(blinded_run.history) - 1 > 2
+    assert np.array_equal(sighted.control.view(np.int64), blinded_run.control.view(np.int64))
 
     def untimed(history):
         return [dataclasses.replace(row, wall_time=0.0) for row in history]
 
-    assert untimed(without.history) == untimed(with_targets.history)
+    assert untimed(sighted.history) == untimed(blinded_run.history)
 
 
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
@@ -348,9 +295,8 @@ def _reference_subproblem(sub, iterations, counter, gradient_rtol=None):
     exact = gradient_rtol is not None or (sub.index == 0 and iterations == 1)
     if not exact:
         local = dataclasses.replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
-    update, response, _ = reference_descent(local, sub.warm_start, iterations, counter,
-                                            gradient_rtol, sub.warm_final_state,
-                                            sub.warm_gradient)
+    update, response, _, _ = reference_descent(local, sub.warm_gradient, iterations, counter,
+                                               gradient_rtol)
     return update, response if exact else None
 
 
@@ -498,10 +444,9 @@ def test_steepest_run_matches_reference_descent(rng, make):
         cfg = hc.OuterConfig(n_intervals=1, max_outer=500, gradient_rtol=1e-7)
         res = hc.run(prob, cfg)
         counter = hc.MatvecCounter()
-        v0 = prob.zero_control()
-        want, _, steps = reference_descent(prob, v0, cfg.max_outer, counter,
-                                           cfg.gradient_rtol,
-                                           hc.evaluate(prob, v0, counter).final_state)
+        want, _, steps, _ = reference_descent(prob, hc.gradient(prob, prob.zero_control(),
+                                                                counter),
+                                              cfg.max_outer, counter, cfg.gradient_rtol)
         assert res.converged
         assert len(res.history) - 1 == steps > 0
         grid, tg = prob.grid, prob.time_grid
@@ -564,8 +509,8 @@ def _run_peak_bytes(steps):
 
 
 def test_run_memory_does_not_grow_with_full_trajectories():
-    # a run keeps y, z and p at the breakpoints and p on the control patch:
-    # four times the steps must cost less than one more full trajectory
+    # a run keeps y(T), z(T) and p on the control patch: four times the
+    # steps must cost less than one more full trajectory
     short = 16
     _run_peak_bytes(short)  # first-call allocations stay out of the comparison
     small, n = _run_peak_bytes(short)

@@ -84,8 +84,7 @@ def test_optimal_step_fixed_point_at_optimum(rng):
     final = hc.evaluate(prob, v_star, counter).final_state
     g = hc.gradient(prob, v_star, counter, final_state=final)
     descent = hc.MatvecCounter()
-    update, response = hc.optimal_step_gradient(prob, v_star, final, g, 5, descent,
-                                                gradient_rtol=1e-7)
+    update, response = hc.optimal_step_gradient(prob, g, 5, descent, gradient_rtol=1e-7)
     # the gradient test stops the descent before its first step: it changes
     # neither the control nor the final state
     assert descent.count == 0
@@ -211,17 +210,14 @@ def test_descent_bitwise_equal_to_the_reference_loop(rng):
     for problem, v in zip(problems, v0):
         final = hc.evaluate(problem, v, hc.MatvecCounter()).final_state
         grad = hc.gradient(problem, v, hc.MatvecCounter(), final_state=final)
-        inputs = [v, final, grad]
-        copies = [a.copy() for a in inputs]
+        copy = grad.copy()
         counter = hc.MatvecCounter()
-        update, response = hc.optimal_step_gradient(problem, *inputs, 8, counter,
+        update, response = hc.optimal_step_gradient(problem, grad, 8, counter,
                                                     gradient_rtol=1e-3)
-        # the descent reads its inputs and does not write them
-        for a, copy in zip(inputs, copies):
-            assert np.array_equal(a.view(np.int64), copy.view(np.int64))
+        # the descent reads its gradient and does not write it
+        assert np.array_equal(grad.view(np.int64), copy.view(np.int64))
         own = hc.MatvecCounter()
-        want, want_response, taken = reference_descent(problem, v, 8, own, 1e-3, final,
-                                                       gradient=grad)
+        want, want_response, taken, _ = reference_descent(problem, grad, 8, own, 1e-3)
         steps.append(taken)
         assert np.array_equal(update.view(np.int64), want.view(np.int64))
         assert np.array_equal(response.view(np.int64), want_response.view(np.int64))
@@ -235,3 +231,23 @@ def test_descent_bitwise_equal_to_the_reference_loop(rng):
     assert steps == [2, 2, 3, 0]
     assert counter.count == 0
     assert not np.any(update) and not np.any(response)
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_descent_reads_neither_y0_nor_the_target(rng, iterations):
+    # each later gradient comes from the response by linearity, so a problem
+    # whose y0 and y_target are NaN gives the same descent, bit for bit
+    prob = random_tiny_problem(rng, n_interior=6, steps=9)
+    grad = hc.gradient(prob, rng.standard_normal((9, prob.grid.control_node_count)),
+                       hc.MatvecCounter())
+    blind = dataclasses.replace(prob, y0=np.full(6, np.nan), y_target=np.full(6, np.nan))
+    runs = []
+    for problem in (prob, blind):
+        counter = hc.MatvecCounter()
+        runs.append((*hc.optimal_step_gradient(problem, grad, iterations, counter),
+                     counter.count))
+    (update, response, count), (blind_update, blind_response, blind_count) = runs
+    assert count == blind_count > 0
+    assert np.array_equal(update.view(np.int64), blind_update.view(np.int64))
+    assert np.array_equal(response.view(np.int64), blind_response.view(np.int64))
+    assert np.all(np.isfinite(update)) and np.all(np.isfinite(response))

@@ -8,9 +8,20 @@ from hypothesis import strategies as st
 import heatctrl as hc
 
 from conftest import (
-    breakpoint_targets, dense_adjoint_solve, dense_state_solve, random_tiny_problem,
-    reference_descent, step2_subproblems,
+    dense_adjoint_solve, dense_state_solve, explicit_descent, explicit_subproblems,
+    random_tiny_problem, reference_descent, thirteen_step_problem,
 )
+
+
+def _subproblems(prob, part, v):
+    """The package's step-2 sub-problems of the control v."""
+    return hc.assemble_subproblems(prob, part, hc.gradient(prob, v, hc.MatvecCounter()))
+
+
+def _targets(prob, part, v):
+    """The breakpoint targets chi_1 .. chi_N of the control v, as the method
+    forms them."""
+    return np.array([local.y_target for local, _, _ in explicit_subproblems(prob, part, v)])
 
 
 def test_partition_single_interval():
@@ -62,7 +73,7 @@ def test_final_target_is_global_target_bit_for_bit(rng, tiny_problem):
     prob = tiny_problem
     part = hc.make_partition(prob.time_grid, 3)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    _, chi, _ = breakpoint_targets(prob, part, v)
+    chi = _targets(prob, part, v)
     assert np.array_equal(chi[-1], prob.y_target)
 
 
@@ -75,8 +86,9 @@ def test_targets_equal_states_when_adjoint_vanishes(rng):
     prob = hc.ControlProblem(grid=g, time_grid=tg, y0=y0, y_target=y_free[-1],
                              alpha=0.2, nu=0.5)
     part = hc.make_partition(tg, 4)
-    y, chi, g = breakpoint_targets(prob, part, zero_v)
-    starts = [sub.problem.y0 for sub in hc.assemble_subproblems(prob, zero_v, part, y, chi, g)]
+    subs = explicit_subproblems(prob, part, zero_v)
+    chi = [local.y_target for local, _, _ in subs]
+    starts = [local.y0 for local, _, _ in subs]
     np.testing.assert_allclose(chi, y_free[part[1:]], atol=1e-14)
     np.testing.assert_allclose(starts, y_free[part[:-1]], atol=1e-14)
 
@@ -85,7 +97,7 @@ def test_targets_at_optimum_match_dense_oracle(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, 4)
-    _, chi, _ = breakpoint_targets(prob, part, v_star)
+    chi = _targets(prob, part, v_star)
 
     y_ref = dense_state_solve(prob.grid, prob.time_grid, prob.y0, v_star, prob.nu)
     p_ref = dense_adjoint_solve(prob.grid, prob.time_grid,
@@ -100,7 +112,7 @@ def test_single_interval_subproblem_is_the_global_problem(rng, tiny_problem):
     tg = prob.time_grid
     part = hc.make_partition(tg, 1)
     v = rng.standard_normal((tg.step_count, prob.grid.control_node_count))
-    (sub,) = step2_subproblems(prob, part, v)
+    (sub,) = _subproblems(prob, part, v)
     local = sub.problem
     assert local.time_grid == tg  # the window of all the steps is the outer grid
     assert np.array_equal(local.y0, prob.y0)
@@ -118,7 +130,7 @@ def test_subproblems_step_with_the_outer_dt(rng):
                                time_grid=hc.TimeGrid(15, 0.7 / 15))
     part = hc.make_partition(prob.time_grid, 5)
     v = rng.standard_normal((15, prob.grid.control_node_count))
-    subs = step2_subproblems(prob, part, v)
+    subs = _subproblems(prob, part, v)
     assert [sub.index for sub in subs] == list(range(5))
     outer_dt = np.float64(prob.time_grid.dt).view(np.int64)
     for sub, a, b in zip(subs, part[:-1], part[1:], strict=True):
@@ -128,27 +140,18 @@ def test_subproblems_step_with_the_outer_dt(rng):
         assert (sub.start, sub.end) == (a, b)
 
 
-def test_assemble_subproblems_slices_v_y_and_targets(rng):
+def test_assemble_subproblems_slices_the_gradient(rng):
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     part = hc.make_partition(prob.time_grid, 4)  # step counts 4, 3, 3, 3
-    v = rng.standard_normal((13, prob.grid.control_node_count))
-    y, chi, g = breakpoint_targets(prob, part, v)
-    subs = hc.assemble_subproblems(prob, v, part, y, chi, g)
-    # the breakpoint rows are the rows of the full trajectory, bit for bit
-    y_full = hc.solve_state(prob.grid, prob.time_grid, prob.y0, v, prob.nu, prob.cg_tol,
-                            hc.MatvecCounter())
+    g = rng.standard_normal((13, prob.grid.control_node_count))
+    subs = hc.assemble_subproblems(prob, part, g)
     assert [sub.problem.time_grid.step_count for sub in subs] == [4, 3, 3, 3]
-    windows = np.concatenate([sub.warm_start for sub in subs])
-    assert np.array_equal(windows.view(np.int64), v.view(np.int64))
     windows = np.concatenate([sub.warm_gradient for sub in subs])
     assert np.array_equal(windows.view(np.int64), g.view(np.int64))
-    for n, sub in enumerate(subs):
-        assert np.array_equal(sub.problem.y0.view(np.int64), y_full[part[n]].view(np.int64))
-        assert np.array_equal(sub.warm_final_state.view(np.int64),
-                              y_full[part[n + 1]].view(np.int64))
-        assert np.array_equal(sub.problem.y_target.view(np.int64), chi[n].view(np.int64))
-    assert np.array_equal(subs[-1].problem.y_target.view(np.int64),
-                          prob.y_target.view(np.int64))
+    # the targets enter through g alone: every other field is the outer problem's
+    for sub in subs:
+        assert np.shares_memory(sub.warm_gradient, g)
+        assert dataclasses.replace(sub.problem, time_grid=prob.time_grid) == prob
 
 
 @pytest.mark.parametrize("n_intervals", [2, 4])
@@ -156,9 +159,8 @@ def test_optimum_restrictions_are_subproblem_optima(rng, n_intervals):
     prob = random_tiny_problem(rng, n_interior=5, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, n_intervals)
-    for sub in step2_subproblems(prob, part, v_star):
-        local = sub.problem
-        g = hc.gradient(local, sub.warm_start, hc.MatvecCounter())
+    for local, window, _ in explicit_subproblems(prob, part, v_star):
+        g = hc.gradient(local, window, hc.MatvecCounter())
         assert hc.norm_h(local.grid, local.time_grid, g) <= 1e-8
 
 
@@ -166,7 +168,7 @@ def test_optimum_solves_truncated_horizon_problems(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     v_star, _ = hc.oracle_kkt_solve(prob)
     part = hc.make_partition(prob.time_grid, 4)
-    _, chi, _ = breakpoint_targets(prob, part, v_star)
+    chi = _targets(prob, part, v_star)
     # truncate at each interior breakpoint tau = t_n; target chi*(tau)
     for n in range(1, len(part) - 1):
         steps_to_tau = part[n]
@@ -199,21 +201,20 @@ def _tiny_2d_problem(rng, steps):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("steps, n_intervals", [(8, 1), (8, 2), (8, 4), (13, 4)])
 def test_warm_gradient_is_the_local_gradient_at_the_warm_start(rng, dim, steps, n_intervals):
-    # the local adjoint starts from y - chi = p at the right breakpoint and
-    # runs the outer recursion, so the outer gradient's window is each
-    # sub-problem's first gradient up to rounding
+    # the local adjoint of the method's sub-problem starts from y - chi = p
+    # at the right breakpoint and runs the outer recursion, so the outer
+    # gradient's window is each sub-problem's first gradient up to rounding
     if dim == 1:
         prob = random_tiny_problem(rng, n_interior=6, steps=steps)
     else:
         prob = _tiny_2d_problem(rng, steps)
     part = hc.make_partition(prob.time_grid, n_intervals)
     v = rng.standard_normal((steps, prob.grid.control_node_count))
-    subs = step2_subproblems(prob, part, v)
+    subs = _subproblems(prob, part, v)
     assert len(subs) == n_intervals
-    for sub in subs:
-        local = sub.problem
-        g = hc.gradient(local, sub.warm_start, hc.MatvecCounter(),
-                        final_state=sub.warm_final_state)
+    for sub, (local, window, final) in zip(subs, explicit_subproblems(prob, part, v),
+                                           strict=True):
+        g = hc.gradient(local, window, hc.MatvecCounter(), final_state=final)
         err = hc.norm_h(local.grid, local.time_grid, g - sub.warm_gradient)
         assert err <= 1e-12 * hc.norm_h(local.grid, local.time_grid, g)
 
@@ -222,11 +223,12 @@ def test_solve_subproblem_never_increases_local_cost(rng, tiny_problem):
     prob = tiny_problem
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    for sub in step2_subproblems(prob, part, v):
+    for sub, (local, window, _) in zip(_subproblems(prob, part, v),
+                                       explicit_subproblems(prob, part, v), strict=True):
         update, _ = hc.solve_subproblem(sub, 1, hc.MatvecCounter())
-        control = sub.warm_start + update
-        j_before = hc.evaluate(sub.problem, sub.warm_start, hc.MatvecCounter()).cost
-        j_after = hc.evaluate(sub.problem, control, hc.MatvecCounter()).cost
+        control = window + update
+        j_before = hc.evaluate(local, window, hc.MatvecCounter()).cost
+        j_after = hc.evaluate(local, control, hc.MatvecCounter()).cost
         assert j_after <= j_before + 1e-14
 
 
@@ -234,32 +236,13 @@ def test_solve_subproblem_reaches_local_oracle(rng):
     prob = random_tiny_problem(rng, n_interior=4, steps=8)
     part = hc.make_partition(prob.time_grid, 2)
     v = rng.standard_normal((prob.time_grid.step_count, prob.grid.control_node_count))
-    for sub in step2_subproblems(prob, part, v):
+    for sub, (local, window, _) in zip(_subproblems(prob, part, v),
+                                       explicit_subproblems(prob, part, v), strict=True):
         update, _ = hc.solve_subproblem(sub, 300, hc.MatvecCounter(), gradient_rtol=1e-10)
-        control = sub.warm_start + update
-        v_local, _ = hc.oracle_kkt_solve(sub.problem)
-        err = hc.norm_h(sub.problem.grid, sub.problem.time_grid, control - v_local)
+        control = window + update
+        v_local, _ = hc.oracle_kkt_solve(local)
+        err = hc.norm_h(local.grid, local.time_grid, control - v_local)
         assert err <= 1e-6
-
-
-def test_assemble_rejects_mismatched_targets(rng, tiny_problem):
-    prob = tiny_problem
-    part2 = hc.make_partition(prob.time_grid, 2)
-    part4 = hc.make_partition(prob.time_grid, 4)
-    v = np.zeros((prob.time_grid.step_count, prob.grid.control_node_count))
-    y, chi, g = breakpoint_targets(prob, part2, v)
-    with pytest.raises(ValueError):
-        hc.assemble_subproblems(prob, v, part4, y, chi, g)
-    # full trajectories in place of the breakpoint rows
-    counter = hc.MatvecCounter()
-    y_full = hc.solve_state(prob.grid, prob.time_grid, prob.y0, v, prob.nu, prob.cg_tol,
-                            counter)
-    p_full = hc.solve_adjoint(prob.grid, prob.time_grid, y_full[-1] - prob.y_target, prob.nu,
-                              prob.cg_tol, counter)
-    with pytest.raises(ValueError, match="breakpoints"):
-        hc.targets_from_solutions(prob, part2, y_full, p_full)
-    with pytest.raises(ValueError):
-        hc.assemble_subproblems(prob, v, part2, y_full, chi, g)
 
 
 def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch):
@@ -271,13 +254,7 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
     prob = random_tiny_problem(rng, n_interior=6, steps=13)
     part = hc.make_partition(prob.time_grid, 4)
     cfg = hc.OuterConfig(n_intervals=4, inner_iterations=3, inner_gradient_rtol=1e-6)
-    grid, tg = prob.grid, prob.time_grid
-    v = prob.zero_control()
-    scratch = hc.MatvecCounter()
-    y = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, scratch, keep=part)
-    p, patch = hc.solve_adjoint(grid, tg, y[-1] - prob.y_target, prob.nu, prob.cg_tol,
-                                scratch, keep=part[1:])
-    g = prob.alpha * v + patch[:-1]
+    g = hc.gradient(prob, prob.zero_control(), hc.MatvecCounter())
     solved = []
 
     def logged(sub, iterations, counter, gradient_rtol, real=driver.solve_subproblem):
@@ -287,7 +264,7 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
 
     monkeypatch.setattr(driver, "solve_subproblem", logged)
     counter = hc.MatvecCounter()
-    d, head = hc.targets_direction(prob, part, cfg, v, y, p, g, counter)
+    d, head = hc.targets_direction(prob, part, cfg, g, counter)
     assert [sub.index for sub, _, _, _ in solved] == [0, 1, 2, 3]
     counts = [own.count for _, own, _, _ in solved]
     assert counter.count == sum(counts)
@@ -303,11 +280,55 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
     steps = []
     for (sub, own, update, response) in solved:
         ref = hc.MatvecCounter()
-        want, want_response, taken = reference_descent(sub.problem, sub.warm_start, 3, ref,
-                                                       1e-6, sub.warm_final_state,
-                                                       sub.warm_gradient)
+        want, want_response, taken, _ = reference_descent(sub.problem, sub.warm_gradient, 3,
+                                                          ref, 1e-6)
         steps.append(taken)
         assert np.array_equal(update.view(np.int64), want.view(np.int64))
         assert np.array_equal(response.view(np.int64), want_response.view(np.int64))
         assert own.count == ref.count
     assert steps == [1, 1, 2, 3]
+
+
+# 13 steps make uneven windows for N = 2 and 3 (7 + 6, and 5 + 4 + 4)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [1, 2, 3])
+@pytest.mark.parametrize("inner", [2, 3])
+@pytest.mark.parametrize("inner_rtol", [None, 1e-3])
+def test_linear_inner_descent_is_the_descent_on_the_explicit_targets(rng, monkeypatch, dim,
+                                                                     n_intervals, inner,
+                                                                     inner_rtol):
+    # the descent that starts from the window of g and forms each later
+    # gradient by linearity takes the steps of the method's sub-problem from
+    # y(t_n) towards chi_n = y(t_n+1) - p(t_n+1): the same update, response
+    # and inner gradients, to 1e-10 relative
+    import heatctrl.problem as problem
+
+    prob = thirteen_step_problem(dim, rng, 1e-12)
+    grid = prob.grid
+    part = hc.make_partition(prob.time_grid, n_intervals)
+    v = rng.standard_normal((13, grid.control_node_count))
+    read = []  # the gradients the descent reads, logged where it takes their norm
+
+    def logged(grid, time_grid, u, w, real=problem.inner_h):
+        if u is w:
+            read.append(u.copy())
+        return real(grid, time_grid, u, w)
+
+    subs = _subproblems(prob, part, v)
+    explicit = [explicit_descent(local, window, inner, hc.MatvecCounter(), inner_rtol)
+                for local, window, _ in explicit_subproblems(prob, part, v)]
+    monkeypatch.setattr(problem, "inner_h", logged)
+    for sub, (want, want_response, steps, gradients) in zip(subs, explicit, strict=True):
+        read.clear()
+        update, response = hc.optimal_step_gradient(sub.problem, sub.warm_gradient, inner,
+                                                    hc.MatvecCounter(), inner_rtol)
+        seen = read[:]
+        assert steps >= 1 and len(seen) == len(gradients)
+        tg = sub.problem.time_grid
+        assert hc.norm_h(grid, tg, update - want) <= 1e-10 * hc.norm_h(grid, tg, want)
+        assert (np.linalg.norm(response - want_response)
+                <= 1e-10 * np.linalg.norm(want_response))
+        for got, g in zip(seen, gradients, strict=True):
+            assert hc.norm_h(grid, tg, got - g) <= 1e-10 * hc.norm_h(grid, tg, g)
+    # a later gradient was compared, not only the window of g
+    assert max(steps for _, _, steps, _ in explicit) >= 2

@@ -34,8 +34,11 @@ theta z(T) with z the homogeneous state the line search solved for, so each
 outer iteration costs one adjoint sweep (all its steps from one Lanczos
 pass: at seed 0, 64 products against 651 for a CG solve per step on the
 33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and
-one homogeneous forward solve (about 4.3 and 13.8 products a step on the
-two) over the steps after the head, or over every step without one.  With
+one homogeneous forward solve over the steps after the head, or over every
+step without one.  That solve is given the partition's breakpoints, so its
+first steps in each window recall the corrections made at the same steps of
+the last windows (``propagators.solve_state``): about 4.0 and 11.5 products
+a step on the two at seed 0, against 4.15 and 13.5 without.  With
 one inner iteration, a sub-problem costs one homogeneous forward solve; each
 further inner iteration adds an adjoint and a forward solve.
 
@@ -128,11 +131,12 @@ def line_search_theta(
         return 0.0, None
     if head is None:
         zT = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
-                         keep=-1)
+                         keep=-1, breakpoints=partition)
     elif len(partition) > 2:
         start = partition[1]
         zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), head, d[start:],
-                         problem.nu, problem.cg_tol, counter, keep=-1)
+                         problem.nu, problem.cg_tol, counter, keep=-1,
+                         breakpoints=[b - start for b in partition[1:]])
     else:
         zT = head
     num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)

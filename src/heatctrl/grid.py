@@ -65,6 +65,24 @@ class Grid:
     def zero_field(self) -> np.ndarray:
         return np.zeros(self.interior_node_count)
 
+    def stencil_work(self, scale: float) -> StencilWork:
+        """The grid's one ``StencilWork`` for ``scale``, built on first use.
+
+        Every caller with that scale shares its buffers, so a product's
+        result lasts until the next product with the same scale on this
+        grid; the solves use each one before they make the next.
+        """
+        # keyed by the bits of scale: 0.0 == -0.0, but their zeros may differ in sign
+        key = float(scale).hex()
+        work = self._works.get(key)
+        if work is None:
+            work = self._works[key] = StencilWork(self, scale)
+        return work
+
+    @cached_property
+    def _works(self) -> dict[str, StencilWork]:
+        return {}
+
 
 def build_grid(
     dim: int,

@@ -20,11 +20,16 @@ have learnt: the last few start corrections c = x - x0 and their images
 A c, which the solves' own residual recursions give.  A solve from a start
 x0 first adds the Galerkin correction over that space, at no product, and
 then runs CG as before (augmented CG for a sequence of systems: Erhel and
-Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  On the benchmark's
-line-search sweeps, where each step's start misses its solution by a
-correction close to the previous steps', this cuts a step from about 6.1 to
-4.3 products on the 33 x 33 workload and from 16.5 to 13.8 on the 65 x 65
-one.
+Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  A space can also
+recall the corrections made at the same position of earlier cycles of a
+sequence that repeats, and correct a start over those and its last
+corrections jointly (recycling for sequences of systems: Parks, de Sturler,
+Mackey, Johnson and Maiti, SIAM J. Sci. Comput. 28(5), 2006).  On the
+benchmark's line-search sweeps, where each step's start misses its solution
+by a correction close to the previous steps' and to those made at the same
+step of the last windows, a step costs about 4.0 products on the 33 x 33
+workload and 11.5 on the 65 x 65 one at seed 0, against 4.15 and 13.5
+without the recall.
 
 Both solvers take one field (n,) and charge every product to a
 ``MatvecCounter``.
@@ -72,94 +77,172 @@ class CGError(RuntimeError):
     """A Krylov solve broke down, or CG did not converge within the iteration cap."""
 
 
+class _Ring:
+    """The last ``size`` corrections c of consecutive solves with one operator
+    A, their images A c, and their Gram matrix G_ij = c_i . A c_j.
+
+    C and AC sit in fixed (size, n) blocks, a new correction overwrites the
+    oldest, and G is kept in Python-float rows.
+    """
+
+    __slots__ = ("c", "ac", "gram", "newest", "filled")
+
+    def __init__(self, n: int, size: int):
+        self.c, self.ac = np.zeros((size, n)), np.zeros((size, n))
+        self.gram = [[0.0] * size for _ in range(size)]
+        self.newest = size - 1  # the slot of the newest correction
+        self.filled = 0
+
+    def add(self, c: np.ndarray, r_start: np.ndarray, r_end: np.ndarray) -> None:
+        """Add a correction c whose image A c is r_start - r_end."""
+        size, gram = len(self.gram), self.gram
+        slot = self.newest = (self.newest + 1) % size
+        self.c[slot] = c
+        np.subtract(r_start, r_end, out=self.ac[slot])
+        for other, value in enumerate(self.ac.dot(c).tolist()):  # c . A c_other
+            gram[slot][other] = gram[other][slot] = value
+        self.filled = min(self.filled + 1, size)
+
+    def slots(self) -> list[int]:
+        """The filled slots, newest first."""
+        size = len(self.gram)
+        return [(self.newest - age) % size for age in range(self.filled)]
+
+
+def _galerkin(gram, order, q) -> list[float]:
+    """The solution a of G a = q over the slots that a pivoted Cholesky
+    factorization G = L L^T keeps, taking the slots ``order`` in that order,
+    and zero on the others; ``gram[i][j]`` is G_ij and ``q[i]`` is q_i.
+
+    A slot whose pivot falls to 1e-4 of its diagonal or below is left out,
+    and its coefficient is zero: its correction lies within about half a
+    degree, in the A-norm, of the span of the kept ones, or it is zero.  The
+    bound limits how much each kept slot can multiply the coefficients a.
+    Each stored A c carries the rounding of the residuals it came from, a
+    projection that updates a residual by AC^T a multiplies that error by a,
+    and a recorded correction passes it on to the next.  With a bound of
+    1e-14, 2D sweeps at nu dt / h^2 = 100 ended with true residuals of 2 tol
+    at tol = 1e-10 and 230 tol at tol = 1e-12.  With 1e-4 the bound still
+    compounds over the slots: a smooth run of corrections can reach |a| of
+    1e4 or more, and on 2D sweeps at tol = 1e-12 such steps can end a few
+    per cent above tol.  A solve corrected by ``CorrectionSpace.recall``
+    starts from a true residual instead, so none of this reaches its own
+    result.  The forward solve L y = q runs along the factorization.
+    """
+    # each kept slot's row of L ends in the reciprocal of its diagonal entry
+    kept, rows, y = [], [], []
+    for i in order:
+        gram_i, row = gram[i], []
+        for j, lj in zip(kept, rows):
+            value = gram_i[j]
+            for l_im, l_jm in zip(row, lj):
+                value -= l_im * l_jm
+            row.append(value * lj[-1])
+        pivot = gram_i[i]
+        for l_im in row:
+            pivot -= l_im * l_im
+        if pivot > 1e-4 * gram_i[i]:
+            inverse = 1.0 / math.sqrt(pivot)
+            value = q[i]
+            for l_pm, y_m in zip(row, y):
+                value -= l_pm * y_m
+            y.append(value * inverse)
+            row.append(inverse)
+            kept.append(i)
+            rows.append(row)
+    a = [0.0] * len(q)  # L^T a = y
+    for p in range(len(kept) - 1, -1, -1):
+        value = y[p]
+        for m in range(p + 1, len(kept)):
+            value -= rows[m][p] * a[kept[m]]
+        a[kept[p]] = value * rows[p][-1]
+    return a
+
+
 class CorrectionSpace:
     """The last ``size`` start corrections of consecutive CG solves with one
-    operator A, as a Galerkin subspace for the next start.
+    operator A, as a Galerkin subspace for the next start, and a recall of
+    earlier corrections by position.
 
     A correction is c = x - x0, a solution minus its start, built from the
     solve's own increments, and A c = r_start - r_end is the difference of
     the residuals of the same recursion, so no product is spent on it.
-    The corrections C and their images AC sit in fixed (size, n) blocks,
-    and a new correction overwrites the oldest.  ``project`` gives the
-    Galerkin correction C^T a of a start with residual r, G a = C r for the
-    Gram matrix G = C (AC)^T, from a Cholesky factor of G that ``record``
-    computes once per correction.  The small algebra is done on Python
+    ``project`` gives the Galerkin correction C^T a of a start with residual
+    r, G a = C r for the Gram matrix G = C (AC)^T, by a pivoted Cholesky
+    factorization of G (``_galerkin``).  The small algebra is done on Python
     floats: at size 4 a numpy call on a 4 x 4 array costs more than the
     arithmetic.
+
+    The recall serves a sequence that repeats, such as a sweep whose windows
+    each begin with the same kind of jump in the forcing.  With
+    ``positions`` and ``depth``, the caller sets ``position`` (an int below
+    ``positions``, or None) before each solve.  A correction recorded at a
+    position is also kept there, over the oldest of the last ``depth`` kept
+    there, and ``recall`` spans those and the last ``size`` corrections
+    jointly: the recalled ones come first in the factorization, newest
+    first, then the recent ones, under the one pivot rule.  The depth x size
+    Gram entries between the two sets come from one (size, n) x (n, depth)
+    product per solve.  The recall holds 2 ``positions`` ``depth`` fields.
+    In wall time a recall and the record that follows it cost about three
+    quarters of a CG iteration more than a projection and its record, at
+    size 4 and depth 2 on both benchmark grids (timed in isolation; more
+    inside a sweep).  On the benchmark's line searches it saves about 2.7
+    products a recalled step on the 65 x 65 grid, which pays, and about
+    0.35 on the 33 x 33 one, which does not.
     """
 
-    __slots__ = ("_c", "_ac", "_gram", "_kept", "_rows", "_newest", "_filled")
+    __slots__ = ("position", "_recent", "_recall")
 
-    def __init__(self, n: int, size: int):
-        self._c, self._ac = np.zeros((size, n)), np.zeros((size, n))
-        self._gram = [[0.0] * size for _ in range(size)]
-        # the slots the factorization kept, newest first, and their rows of
-        # L, each ending in its diagonal entry and that entry's reciprocal
-        self._kept, self._rows = [], []
-        self._newest = size - 1  # the slot of the newest correction
-        self._filled = 0
+    def __init__(self, n: int, size: int, positions: int = 0, depth: int = 0):
+        self.position = None
+        self._recent = _Ring(n, size)
+        self._recall = [_Ring(n, depth) for _ in range(positions)]
 
     def project(self, r: np.ndarray) -> np.ndarray:
-        """The correction C^T a with G a = C r, the Galerkin solution of
-        A c = r over the space; subtracts A C^T a from ``r`` in place."""
-        kept, rows = self._kept, self._rows
-        if not kept:
+        """The correction C^T a with G a = C r over the last ``size``
+        corrections, the Galerkin solution of A c = r; subtracts A C^T a
+        from ``r`` in place."""
+        recent = self._recent
+        if not recent.filled:
             return np.zeros(len(r))
-        q = self._c.dot(r).tolist()
-        y = []  # L y = q on the kept slots
-        for i, row in zip(kept, rows):
-            value = q[i]
-            for l_pm, y_m in zip(row, y):
-                value -= l_pm * y_m
-            y.append(value * row[-1])
-        a = [0.0] * len(q)  # L^T a = y, zero off the kept slots
-        for p in range(len(kept) - 1, -1, -1):
-            value = y[p]
-            for m in range(p + 1, len(kept)):
-                value -= rows[m][p] * a[kept[m]]
-            a[kept[p]] = value * rows[p][-1]
-        a = np.array(a)
-        r -= a.dot(self._ac)
-        return a.dot(self._c)
+        a = np.array(_galerkin(recent.gram, recent.slots(), recent.c.dot(r).tolist()))
+        r -= a.dot(recent.ac)
+        return a.dot(recent.c)
+
+    def recall(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The Galerkin correction C^T a of the start x0 of A x = b over the
+        corrections recalled at ``position`` and the last ``size`` ones, and
+        its image A C^T a, or None when nothing is recalled there.
+
+        The right-hand side C (b - A x0) is formed as C b - (AC) x0, without
+        the product, so the solve can take its one product at x0 + C^T a:
+        its residual is then the true one, whatever the rounding the stored
+        images carry, and a large a cannot pass that rounding on to it.
+        """
+        recall = None if self.position is None else self._recall[self.position]
+        if recall is None or not recall.filled:
+            return None
+        recent, depth = self._recent, len(recall.gram)
+        # the joint space numbers the recalled slots i first, then the
+        # recent slots j as depth + j
+        cross = recent.ac.dot(recall.c.T).tolist()  # A c_j . c_i
+        gram = recall.gram + [cross_j + gram_j for cross_j, gram_j in zip(cross, recent.gram)]
+        q = np.concatenate((recall.c.dot(b) - recall.ac.dot(x0),
+                            recent.c.dot(b) - recent.ac.dot(x0)))
+        a = _galerkin(gram, recall.slots() + [depth + j for j in recent.slots()], q.tolist())
+        a_recall, a_recent = np.array(a[:depth]), np.array(a[depth:])
+        correction = a_recall.dot(recall.c)
+        correction += a_recent.dot(recent.c)
+        image = a_recall.dot(recall.ac)
+        image += a_recent.dot(recent.ac)
+        return correction, image
 
     def record(self, c: np.ndarray, r_start: np.ndarray, r_end: np.ndarray) -> None:
-        """Record a correction c whose image A c is r_start - r_end, and
-        factor the new Gram matrix."""
-        size, gram = len(self._gram), self._gram
-        slot = self._newest = (self._newest + 1) % size
-        self._c[slot] = c
-        np.subtract(r_start, r_end, out=self._ac[slot])
-        for other, value in enumerate(self._ac.dot(c).tolist()):  # c . A c_other
-            gram[slot][other] = gram[other][slot] = value
-        self._filled = min(self._filled + 1, size)
-        # G = L L^T by Cholesky, newest correction first.  A correction whose
-        # pivot falls to 1e-4 of its diagonal or below is left out, and its
-        # coefficient is zero: it lies within about half a degree, in the
-        # A-norm, of the span of newer ones, or it is zero.  The bound keeps
-        # the coefficients a small.  Each stored A c carries the rounding of
-        # the residuals it came from, a projection multiplies that error by
-        # a, and a recorded correction passes it on to the next.  With a
-        # bound of 1e-14, 2D sweeps at nu dt / h^2 = 100 ended with true
-        # residuals of 2 tol at tol = 1e-10 and 230 tol at tol = 1e-12; with
-        # 1e-4 every one stays below tol.
-        kept, rows = [], []
-        for age in range(self._filled):
-            i = (slot - age) % size
-            gram_i, row = gram[i], []
-            for j, lj in zip(kept, rows):
-                value = gram_i[j]
-                for l_im, l_jm in zip(row, lj):
-                    value -= l_im * l_jm
-                row.append(value * lj[-1])
-            pivot = gram_i[i]
-            for l_im in row:
-                pivot -= l_im * l_im
-            if pivot > 1e-4 * gram_i[i]:
-                diagonal = math.sqrt(pivot)
-                row += [diagonal, 1.0 / diagonal]
-                kept.append(i)
-                rows.append(row)
-        self._kept, self._rows = kept, rows
+        """Record a correction c whose image A c is r_start - r_end, also at
+        ``position`` when it is set."""
+        self._recent.add(c, r_start, r_end)
+        if self.position is not None:
+            self._recall[self.position].add(c, r_start, r_end)
 
 
 def cg_solve(
@@ -184,7 +267,11 @@ def cg_solve(
     With a ``space``, an accepted start x0 that has not converged is
     corrected by the space's Galerkin correction before CG, at no product,
     and the space records the solve's correction x - x0.  A solve that
-    starts from x = 0 records nothing.
+    starts from x = 0 records nothing.  Where the space recalls corrections
+    at its position (``CorrectionSpace.recall``), the correction comes
+    before the test instead: the product tests x0 + C^T a, the acceptance
+    and convergence tests apply to that start, and CG starts from its true
+    residual.
 
     The solve converges when ||b - A x|| <= tol * ||b||; a zero right-hand
     side has the zero solution and costs no product.  Raises ``CGError``
@@ -217,14 +304,19 @@ def cg_solve(
             x, r, rs = np.zeros(n), b.copy(), bb
         else:
             start = 1
-            r = b - apply_a(x0)
+            recalled = None if space is None else space.recall(b, x0)
+            guess = x0 if recalled is None else x0 + recalled[0]
+            r = b - apply_a(guess)
             # an r.r that overflows is inf, worse than any finite ||b||: no warning
             with np.errstate(over="ignore"):
                 rs = float(r.dot(r))
             if math.sqrt(rs) > b_norm:  # a guess worse than zero restarts from x = 0, r = b
                 x, r, rs = np.zeros(n), b.copy(), bb
             elif space is None or math.sqrt(rs) <= target:
-                x = x0.copy()
+                x = guess.copy()
+            elif recalled is not None:  # r is the residual of x0 + C^T a
+                x, image = recalled
+                offset, r_start = x0, r + image
             else:
                 offset, r_start = x0, r.copy()
                 x = space.project(r)

@@ -30,10 +30,20 @@ What CG still has to remove from that start, the start correction
 x_j - x0_j, changes smoothly from step to step.  So a sweep keeps a
 ``linsolve.CorrectionSpace`` of its last ``START_ORDER`` start corrections,
 and each solve first adds the Galerkin correction over them, without a
-product (augmented CG).  At seed 0 a line-search step then costs about 4.3
-products on the 33 x 33 benchmark and 13.8 on the 65 x 65 one, against 6.1
-and 16.5 with the extrapolated start alone.  The first steps after a
-breakpoint still cost most, as the jump in the forcing is new to the space.
+product (augmented CG).  The first steps after a breakpoint cost most, as
+the jump in the forcing is new to the space: at seed 0, steps 1-10 of a
+line-search window on the 65 x 65 benchmark cost 20.8, 17.6, 16.5, 15.5,
+14.3, 12.5, 11.1, 9.4, 8.7 and 8.2 products with these corrections alone
+(the mean over every window but the sweep's first).  But every breakpoint
+brings the same kind of jump.  So a sweep given its ``breakpoints`` (only
+the line search's is) also recalls, at each of the first ``RECALL_STEPS``
+steps of a window, the corrections made at that step of the last
+``RECALL_WINDOWS`` windows, and corrects the start over them and its last
+corrections jointly, still without a product (``CorrectionSpace.recall``).
+Those steps then cost 14.7, 15.2, 14.1, 11.7, 11.2, 10.5, 9.8, 9.0, 8.8 and
+8.2 products, and a line-search step costs about 11.5 products against
+13.5, and 4.0 against 4.15 on the 33 x 33 benchmark.  The recall holds
+2 ``RECALL_STEPS`` ``RECALL_WINDOWS`` fields.
 
 The adjoint sweep has no forcing, so each of its states is a power of K^-1
 applied to the terminal value, and one Krylov space of K serves all N steps:
@@ -56,7 +66,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid, StencilWork, _check_field, inject, laplacian_apply
+from .grid import Grid, _check_field, inject, laplacian_apply
 from .linsolve import CorrectionSpace, MatvecCounter, cg_solve, inverse_powers
 
 
@@ -84,9 +94,11 @@ def step_operator(grid: Grid, dt: float, nu: float):
 
     The stencil forms ``Lap(u) * -(dt*nu) + u`` in its read of the interior;
     by IEEE negation and commutativity that is bitwise u - dt * nu * Lap(u).
-    The result is a buffer that the next call overwrites.
+    Every operator of one grid, dt and nu shares the grid's buffers for that
+    scale (``Grid.stencil_work``), so the result is a buffer that the next
+    call of any of them overwrites.
     """
-    return partial(laplacian_apply, grid, work=StencilWork(grid, scale=-(dt * nu)))
+    return partial(laplacian_apply, grid, work=grid.stencil_work(-(dt * nu)))
 
 
 def inverse_step_diagonal(grid: Grid, dt: float, nu: float) -> float:
@@ -103,6 +115,10 @@ def inverse_step_diagonal(grid: Grid, dt: float, nu: float) -> float:
 
 
 START_ORDER = 4
+# a sweep given its breakpoints recalls, at each of the first RECALL_STEPS
+# steps of a window, the corrections made at that step of the last
+# RECALL_WINDOWS windows
+RECALL_STEPS, RECALL_WINDOWS = 8, 2
 # extrapolation coefficients of the last m solved states, newest first:
 # (-1)^i binom(m, i+1), exact for polynomials in time of degree below m
 _START_COEFFICIENTS = {m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m))
@@ -119,16 +135,24 @@ class _SweepStarts:
     then starts from x = 0, r = b without the product that would test K 0.
     A start is written into a buffer that the next call overwrites.
     ``space`` is the sweep's ``CorrectionSpace`` of ``START_ORDER``
-    corrections, which the solves fill.
+    corrections, which the solves fill.  With ``breakpoints``, the steps
+    where the sweep's windows begin, the space also recalls the corrections
+    of the first ``RECALL_STEPS`` steps of the last ``RECALL_WINDOWS``
+    windows, and ``next`` sets its position: step k of a window (from 0) for
+    k < ``RECALL_STEPS``, None after.
     """
 
-    def __init__(self, first: np.ndarray, omega: float):
+    def __init__(self, first: np.ndarray, omega: float, breakpoints=()):
         self._first = first if np.any(first) else None
         self._omega = omega
-        self.space = CorrectionSpace(len(first), START_ORDER)
+        self._windows = frozenset(breakpoints)
+        self.space = CorrectionSpace(len(first), START_ORDER,
+                                     RECALL_STEPS if self._windows else 0, RECALL_WINDOWS)
         self._offsets = deque(maxlen=START_ORDER)  # x - omega b, newest first
         self._start = np.empty(len(first))
         self._term = np.empty(len(first))
+        # the steps started so far, and the breakpoint the current window begins at
+        self._step = self._window = 0
 
     def record(self, state: np.ndarray, rhs: np.ndarray) -> None:
         """Record a solved step, K ``state`` = ``rhs``; ``rhs`` becomes its
@@ -138,6 +162,12 @@ class _SweepStarts:
         self._offsets.appendleft(rhs)
 
     def next(self, rhs: np.ndarray) -> np.ndarray | None:
+        if self._windows:
+            if self._step in self._windows:
+                self._window = self._step
+            position = self._step - self._window
+            self.space.position = position if position < RECALL_STEPS else None
+        self._step += 1
         if not self._offsets:
             return self._first
         newest, *older = self._offsets
@@ -161,6 +191,7 @@ def solve_state(
     tol: float,
     counter: MatvecCounter,
     keep=None,
+    breakpoints=(),
 ) -> np.ndarray:
     """Forward heat solve, the implicit-Euler recursion K y^j = y^{j-1} +
     dt B v^j from y0 (n,) with the control v (steps, m); returns the
@@ -171,6 +202,12 @@ def solve_state(
     full trajectory indexed by ``keep``, so ``keep=-1`` gives the final state
     alone and ``keep=[0, 4, 8]`` three rows.  The default, None, keeps every
     step.
+
+    ``breakpoints`` are the steps where the windows of a forcing that jumps
+    begin (as ``targets.make_partition`` gives them, 0 included); the sweep
+    then recalls, at each of the first steps of a window, the corrections
+    made at the same step of the last windows (``_SweepStarts``).  Without
+    them no step is recalled.
     """
     steps, dt = time_grid.step_count, time_grid.dt
     _check_field(grid, y0)
@@ -185,7 +222,7 @@ def solve_state(
     for row, step in enumerate(np.ravel(kept).tolist()):
         rows[step].append(row)
     out = np.empty((kept.size, len(y0)))
-    starts = _SweepStarts(y0, inverse_step_diagonal(grid, dt, nu))
+    starts = _SweepStarts(y0, inverse_step_diagonal(grid, dt, nu), breakpoints)
     y = y0
     for j in range(steps + 1):
         if j:

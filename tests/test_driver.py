@@ -67,10 +67,10 @@ def test_line_search_is_the_scalar_minimizer():
         assert abs(theta_star - vertex) <= 1e-12 * max(1.0, abs(theta_star))
 
 
-# 13 steps make uneven windows for N = 2, 3 and 8 (7 + 6, 5 + 4 + 4, and
-# 2 steps five times, then 1 three times)
+# 13 steps make uneven windows for N = 2, 3, 4 and 8 (7 + 6, 5 + 4 + 4,
+# 4 + 3 + 3 + 3, and 2 steps five times, then 1 three times)
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("n_intervals", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_intervals", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("inner, inner_rtol", [(1, None), (3, 1e-6), (3, None)])
 def test_line_search_from_the_head_matches_a_tight_full_sweep(rng, dim, n_intervals, inner,
                                                               inner_rtol):
@@ -102,6 +102,39 @@ def test_line_search_from_the_head_matches_a_tight_full_sweep(rng, dim, n_interv
     hc.line_search_theta(prob, part, v, d, residual, full)
     assert (counter.count < full.count) == (head is not None)
     assert (counter.count == 0) == (n_intervals == 1 and head is not None)
+
+
+def test_line_search_recalls_the_corrections_of_earlier_windows(monkeypatch):
+    # the first line search of a scaled-down benchmark instance, in 2D over
+    # four windows of 10 steps at dt nu / h^2 = 1.02: from the third window
+    # on, the first steps' CG starts recall the corrections made at the same
+    # steps of the last windows, which saves products; z(T) still matches a
+    # sweep of every step at cg_tol = 1e-14
+    import heatctrl.propagators as propagators
+    from heatctrl.config import make_field
+
+    grid = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2)
+    patch = ",".join([repr(1 / 3), repr(2 / 3)] * 2)
+    prob = hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(40, 0.02),
+                             y0=make_field(grid, "gaussian(0.5,0.5,0.15,1.0)"),
+                             y_target=make_field(grid, f"indicator({patch})"),
+                             alpha=1e-2, nu=0.2)
+    part = hc.make_partition(prob.time_grid, 4)
+    v = prob.zero_control()
+    scratch = hc.MatvecCounter()
+    residual = _residual(prob, v, scratch)
+    d, head = hc.targets_direction(prob, part, hc.OuterConfig(n_intervals=4),
+                                   hc.gradient(prob, v, scratch), scratch)
+    recalled = hc.MatvecCounter()
+    _, z = hc.line_search_theta(prob, part, v, d, residual, recalled, head)
+    monkeypatch.setattr(propagators, "RECALL_STEPS", 0)
+    alone = hc.MatvecCounter()
+    _, z_alone = hc.line_search_theta(prob, part, v, d, residual, alone, head)
+    assert (recalled.count, alone.count) == (434, 458)
+    tight = dataclasses.replace(prob, cg_tol=1e-14)
+    _, z_ref = hc.line_search_theta(tight, part, v, d, residual, hc.MatvecCounter(), head)
+    for got in (z, z_alone):
+        assert np.linalg.norm(got - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
 
 def _one_sweep(prob, cfg, start):

@@ -324,6 +324,95 @@ def test_every_sweep_step_meets_its_true_residual(monkeypatch, dim, columns, sti
     assert max(ratios) <= 1.0
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("stiffness", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_every_sweep_step_meets_its_true_residual_with_the_recall(monkeypatch, dim, stiffness,
+                                                                  tol):
+    # the same audit for a sweep given its breakpoints: the forcing jumps
+    # between five windows of 9 steps, so every one of the RECALL_STEPS
+    # positions fills, and from the third window on it recalls
+    # RECALL_WINDOWS windows.  The recalled corrections' images carry the
+    # rounding of older residuals: the same joint correction applied after
+    # the test product, with the residual updated by the images, ends 3 of
+    # these cases above tol, at up to 16 tol
+    assert propagators.RECALL_STEPS < 9 and propagators.RECALL_WINDOWS < 4
+    g = hc.build_grid(dim, 65 if dim == 1 else 17, [(0.0, 1.0)] * dim, [(0.25, 0.75)] * dim)
+    nu = 1e-2
+    tg = hc.TimeGrid(45, stiffness * g.spacing[0] ** 2 / nu)
+    rng = np.random.default_rng(5)
+    apply_k = hc.step_operator(g, tg.dt, nu)
+    real = propagators.cg_solve
+    ratios = []
+
+    def audited(apply_a, b, tol, counter, x0=None, space=None):
+        rhs = b.copy()
+        x = real(apply_a, b, tol, counter, x0=x0, space=space)
+        ratios.append(np.linalg.norm(rhs - apply_k(x)) / (tol * np.linalg.norm(rhs)))
+        return x
+
+    monkeypatch.setattr(propagators, "cg_solve", audited)
+    y0 = rng.standard_normal(g.interior_node_count)
+    v = np.repeat(rng.standard_normal((5, g.control_node_count)), 9, axis=0)
+    for first in (y0, np.zeros_like(y0)):
+        hc.solve_state(g, tg, first, v, nu, tol, hc.MatvecCounter(), keep=-1,
+                       breakpoints=hc.make_partition(tg, 5))
+    assert len(ratios) == 2 * 45
+    # measured: at most 0.9988 over these 16 cases; 1.0 is the solve's own bound
+    assert max(ratios) <= 1.0
+
+
+def test_recall_charges_exactly_its_stencil_calls(rng, monkeypatch):
+    # the recalled corrections and their images cost no product: a sweep
+    # with breakpoints charges one product per stencil call, on four
+    # windows of uneven length, from a nonzero start
+    g = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
+    tg = hc.TimeGrid(38, 0.05)
+    calls = []
+    real = propagators.laplacian_apply
+
+    def logged(grid, u, **buffers):
+        calls.append(1)
+        return real(grid, u, **buffers)
+
+    monkeypatch.setattr(propagators, "laplacian_apply", logged)
+    v = np.repeat(rng.standard_normal((4, g.control_node_count)), [11, 9, 9, 9], axis=0)
+    counter = hc.MatvecCounter()
+    hc.solve_state(g, tg, rng.standard_normal(g.interior_node_count), v, 0.5, 1e-11, counter,
+                   keep=-1, breakpoints=[0, 11, 20, 29, 38])
+    assert counter.count == len(calls) > 0
+
+
+def test_sweeps_sharing_stencil_buffers_give_their_bits_apart(rng):
+    # every step operator of one grid, dt and nu shares the grid's stencil
+    # buffers: two sweeps on one grid, a forward one and the adjoint, give
+    # the bits and counts each gives on a grid of its own
+    def grid():
+        return hc.build_grid(2, (9, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
+
+    g = grid()
+    assert (hc.step_operator(g, 0.05, 0.6).keywords["work"]
+            is hc.step_operator(g, 0.05, 0.6).keywords["work"])
+    assert (hc.step_operator(g, 0.05, 0.6).keywords["work"]
+            is not hc.step_operator(grid(), 0.05, 0.6).keywords["work"])
+    tg = hc.TimeGrid(12, 0.05)
+    y0 = rng.standard_normal(g.interior_node_count)
+    v = rng.standard_normal((12, g.control_node_count))
+
+    def sweeps(first, second):
+        counters = hc.MatvecCounter(), hc.MatvecCounter()
+        y = hc.solve_state(first, tg, y0, v, 0.6, 1e-11, counters[0],
+                           breakpoints=[0, 6, 12])
+        p = hc.solve_adjoint(second, tg, y[-1], 0.6, 1e-11, counters[1])
+        return y, p, [c.count for c in counters]
+
+    y, p, counts = sweeps(g, g)
+    y_apart, p_apart, counts_apart = sweeps(grid(), grid())
+    assert np.array_equal(_bits(y), _bits(y_apart))
+    assert np.array_equal(_bits(p), _bits(p_apart))
+    assert counts == counts_apart
+
+
 @pytest.mark.parametrize("nodes", [4, 5])
 def test_sweep_on_two_or_three_nodes_with_dependent_corrections(rng, nodes):
     # two or three unknowns: the space's four corrections span at most two

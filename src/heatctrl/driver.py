@@ -37,8 +37,10 @@ pass: at seed 0, 64 products against 651 for a CG solve per step on the
 one homogeneous forward solve over the steps after the head, or over every
 step without one.  That solve is given the partition's breakpoints, so its
 first steps in each window recall the corrections made at the same steps of
-the last windows (``propagators.solve_state``): about 4.0 and 11.5 products
-a step on the two at seed 0, against 4.15 and 13.5 without.  With
+the last windows, and like every sweep's steps each takes its one test
+product at its corrected start (``propagators.solve_state``): about 4.0 and
+11.5 products a step on the two at seed 0, against 4.15 and 13.5 without
+the recall.  With
 one inner iteration, a sub-problem costs one homogeneous forward solve; each
 further inner iteration adds an adjoint and a forward solve.
 

@@ -18,8 +18,9 @@ m Lanczos vectors, not m x n.
 A ``CorrectionSpace`` carries what consecutive CG solves with one operator
 have learnt: the last few start corrections c = x - x0 and their images
 A c, which the solves' own residual recursions give.  A solve from a start
-x0 first adds the Galerkin correction over that space, at no product, and
-then runs CG as before (augmented CG for a sequence of systems: Erhel and
+x0 first adds the Galerkin correction over that space, at no product, takes
+its one test product at the corrected start and runs CG from that start's
+true residual (augmented CG for a sequence of systems: Erhel and
 Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  A space can also
 recall the corrections made at the same position of earlier cycles of a
 sequence that repeats, and correct a start over those and its last
@@ -118,16 +119,7 @@ def _galerkin(gram, order, q) -> list[float]:
     and its coefficient is zero: its correction lies within about half a
     degree, in the A-norm, of the span of the kept ones, or it is zero.  The
     bound limits how much each kept slot can multiply the coefficients a.
-    Each stored A c carries the rounding of the residuals it came from, a
-    projection that updates a residual by AC^T a multiplies that error by a,
-    and a recorded correction passes it on to the next.  With a bound of
-    1e-14, 2D sweeps at nu dt / h^2 = 100 ended with true residuals of 2 tol
-    at tol = 1e-10 and 230 tol at tol = 1e-12.  With 1e-4 the bound still
-    compounds over the slots: a smooth run of corrections can reach |a| of
-    1e4 or more, and on 2D sweeps at tol = 1e-12 such steps can end a few
-    per cent above tol.  A solve corrected by ``CorrectionSpace.recall``
-    starts from a true residual instead, so none of this reaches its own
-    result.  The forward solve L y = q runs along the factorization.
+    The forward solve L y = q runs along the factorization.
     """
     # each kept slot's row of L ends in the reciprocal of its diagonal entry
     kept, rows, y = [], [], []
@@ -167,28 +159,28 @@ class CorrectionSpace:
     A correction is c = x - x0, a solution minus its start, built from the
     solve's own increments, and A c = r_start - r_end is the difference of
     the residuals of the same recursion, so no product is spent on it.
-    ``project`` gives the Galerkin correction C^T a of a start with residual
-    r, G a = C r for the Gram matrix G = C (AC)^T, by a pivoted Cholesky
-    factorization of G (``_galerkin``).  The small algebra is done on Python
-    floats: at size 4 a numpy call on a 4 x 4 array costs more than the
-    arithmetic.
+    ``correct`` gives the Galerkin correction C^T a of a start x0 of
+    A x = b, G a = C (b - A x0) for the Gram matrix G = C (AC)^T, by a
+    pivoted Cholesky factorization of G (``_galerkin``).  The small algebra
+    is done on Python floats: at size 4 a numpy call on a 4 x 4 array costs
+    more than the arithmetic.
 
     The recall serves a sequence that repeats, such as a sweep whose windows
     each begin with the same kind of jump in the forcing.  With
     ``positions`` and ``depth``, the caller sets ``position`` (an int below
     ``positions``, or None) before each solve.  A correction recorded at a
     position is also kept there, over the oldest of the last ``depth`` kept
-    there, and ``recall`` spans those and the last ``size`` corrections
+    there, and ``correct`` spans those and the last ``size`` corrections
     jointly: the recalled ones come first in the factorization, newest
     first, then the recent ones, under the one pivot rule.  The depth x size
     Gram entries between the two sets come from one (size, n) x (n, depth)
     product per solve.  The recall holds 2 ``positions`` ``depth`` fields.
     In wall time a recall and the record that follows it cost about three
-    quarters of a CG iteration more than a projection and its record, at
-    size 4 and depth 2 on both benchmark grids (timed in isolation; more
-    inside a sweep).  On the benchmark's line searches it saves about 2.7
-    products a recalled step on the 65 x 65 grid, which pays, and about
-    0.35 on the 33 x 33 one, which does not.
+    quarters of a CG iteration more than a correction over the recent ones
+    alone and its record, at size 4 and depth 2 on both benchmark grids
+    (timed in isolation; more inside a sweep).  On the benchmark's line
+    searches it saves about 2.7 products a recalled step on the 65 x 65
+    grid, which pays, and about 0.35 on the 33 x 33 one, which does not.
     """
 
     __slots__ = ("position", "_recent", "_recall")
@@ -198,37 +190,30 @@ class CorrectionSpace:
         self._recent = _Ring(n, size)
         self._recall = [_Ring(n, depth) for _ in range(positions)]
 
-    def project(self, r: np.ndarray) -> np.ndarray:
-        """The correction C^T a with G a = C r over the last ``size``
-        corrections, the Galerkin solution of A c = r; subtracts A C^T a
-        from ``r`` in place."""
-        recent = self._recent
-        if not recent.filled:
-            return np.zeros(len(r))
-        a = np.array(_galerkin(recent.gram, recent.slots(), recent.c.dot(r).tolist()))
-        r -= a.dot(recent.ac)
-        return a.dot(recent.c)
-
-    def recall(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    def correct(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The Galerkin correction C^T a of the start x0 of A x = b over the
-        corrections recalled at ``position`` and the last ``size`` ones, and
-        its image A C^T a, or None when nothing is recalled there.
+        corrections recalled at ``position``, if any, and the last ``size``
+        ones, and its image A C^T a; None when the space is empty.
 
         The right-hand side C (b - A x0) is formed as C b - (AC) x0, without
         the product, so the solve can take its one product at x0 + C^T a:
         its residual is then the true one, whatever the rounding the stored
         images carry, and a large a cannot pass that rounding on to it.
         """
+        recent = self._recent
+        if not recent.filled:  # a correction recalled anywhere is recent too
+            return None
+        q = recent.c.dot(b) - recent.ac.dot(x0)
         recall = None if self.position is None else self._recall[self.position]
         if recall is None or not recall.filled:
-            return None
-        recent, depth = self._recent, len(recall.gram)
+            a = np.array(_galerkin(recent.gram, recent.slots(), q.tolist()))
+            return a.dot(recent.c), a.dot(recent.ac)
+        depth = len(recall.gram)
         # the joint space numbers the recalled slots i first, then the
         # recent slots j as depth + j
         cross = recent.ac.dot(recall.c.T).tolist()  # A c_j . c_i
         gram = recall.gram + [cross_j + gram_j for cross_j, gram_j in zip(cross, recent.gram)]
-        q = np.concatenate((recall.c.dot(b) - recall.ac.dot(x0),
-                            recent.c.dot(b) - recent.ac.dot(x0)))
+        q = np.concatenate((recall.c.dot(b) - recall.ac.dot(x0), q))
         a = _galerkin(gram, recall.slots() + [depth + j for j in recent.slots()], q.tolist())
         a_recall, a_recent = np.array(a[:depth]), np.array(a[depth:])
         correction = a_recall.dot(recall.c)
@@ -264,26 +249,30 @@ def cg_solve(
     squared norm overflows counts as worse.  The product that tested the
     guess is charged all the same.
 
-    With a ``space``, an accepted start x0 that has not converged is
-    corrected by the space's Galerkin correction before CG, at no product,
-    and the space records the solve's correction x - x0.  A solve that
-    starts from x = 0 records nothing.  Where the space recalls corrections
-    at its position (``CorrectionSpace.recall``), the correction comes
-    before the test instead: the product tests x0 + C^T a, the acceptance
-    and convergence tests apply to that start, and CG starts from its true
-    residual.
+    With a ``space``, the start is x0 plus the space's Galerkin correction
+    (``CorrectionSpace.correct``), formed at no product: the product tests
+    that corrected start, the acceptance and convergence tests apply to it,
+    and CG starts from its true residual.  When the start is accepted and
+    has not converged, the space records the solve's correction x - x0.  A
+    solve that starts from x = 0 records nothing.
 
-    The solve converges when ||b - A x|| <= tol * ||b||; a zero right-hand
-    side has the zero solution and costs no product.  Raises ``CGError``
-    when p.Ap is not a positive finite number (A is not positive definite,
-    or the iterates are not finite), when ``b`` is not finite, or when the
+    The solve stops when the residual that CG updates by its recursion has
+    ||r|| <= tol * ||b||.  That r is the true residual b - A x at the start
+    and drifts from it by rounding as CG goes, so the true residual of the
+    result can end slightly above tol * ||b||: up to 1.0072 tol in sweeps of
+    63 unknowns at nu dt / h^2 = 100 and tol = 1e-12, where a solve takes
+    about as many products as there are unknowns.  A zero right-hand side
+    has the zero solution and costs no product.  Raises ``CGError`` when
+    p.Ap is not a positive finite number (A is not positive definite, or
+    the iterates are not finite), when ``b`` is not finite, or when the
     iteration cap (n without ``max_iter``) is reached.  ``counter`` is
     charged exactly the products made, up to a failure too.
 
     ``b``, ``x0`` and the arrays ``apply_a`` returns are only read.  With a
     space and an accepted start, the iterate x is the correction to x0: it
     starts from the space's Galerkin correction, and x0 is added once CG has
-    converged.
+    converged.  A correction recorded as x - x0 from an iterate that began
+    at x0 + C^T a would lose its digits to the subtraction.
     """
     if not tol > 0:  # written so that NaN fails too
         raise ValueError("tol must be positive")
@@ -304,8 +293,8 @@ def cg_solve(
             x, r, rs = np.zeros(n), b.copy(), bb
         else:
             start = 1
-            recalled = None if space is None else space.recall(b, x0)
-            guess = x0 if recalled is None else x0 + recalled[0]
+            corrected = None if space is None else space.correct(b, x0)
+            guess = x0 if corrected is None else x0 + corrected[0]
             r = b - apply_a(guess)
             # an r.r that overflows is inf, worse than any finite ||b||: no warning
             with np.errstate(over="ignore"):
@@ -314,13 +303,9 @@ def cg_solve(
                 x, r, rs = np.zeros(n), b.copy(), bb
             elif space is None or math.sqrt(rs) <= target:
                 x = guess.copy()
-            elif recalled is not None:  # r is the residual of x0 + C^T a
-                x, image = recalled
+            else:  # r is the residual of x0 + C^T a, the start of the correction x
+                x, image = corrected or (np.zeros(n), 0.0)
                 offset, r_start = x0, r + image
-            else:
-                offset, r_start = x0, r.copy()
-                x = space.project(r)
-                rs = float(r.dot(r))
 
         if math.sqrt(rs) > target:
             p = r.copy()

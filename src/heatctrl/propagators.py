@@ -30,19 +30,21 @@ What CG still has to remove from that start, the start correction
 x_j - x0_j, changes smoothly from step to step.  So a sweep keeps a
 ``linsolve.CorrectionSpace`` of its last ``START_ORDER`` start corrections,
 and each solve first adds the Galerkin correction over them, without a
-product (augmented CG).  The first steps after a breakpoint cost most, as
-the jump in the forcing is new to the space: at seed 0, steps 1-10 of a
-line-search window on the 65 x 65 benchmark cost 20.8, 17.6, 16.5, 15.5,
-14.3, 12.5, 11.1, 9.4, 8.7 and 8.2 products with these corrections alone
-(the mean over every window but the sweep's first).  But every breakpoint
-brings the same kind of jump.  So a sweep given its ``breakpoints`` (only
-the line search's is) also recalls, at each of the first ``RECALL_STEPS``
-steps of a window, the corrections made at that step of the last
-``RECALL_WINDOWS`` windows, and corrects the start over them and its last
-corrections jointly, still without a product (``CorrectionSpace.recall``).
-Those steps then cost 14.7, 15.2, 14.1, 11.7, 11.2, 10.5, 9.8, 9.0, 8.8 and
-8.2 products, and a line-search step costs about 11.5 products against
-13.5, and 4.0 against 4.15 on the 33 x 33 benchmark.  The recall holds
+product, and takes its one test product at the corrected start, so CG
+starts from that start's true residual (augmented CG,
+``CorrectionSpace.correct``).  The first steps after a breakpoint cost
+most, as the jump in the forcing is new to the space: at seed 0, steps
+1-10 of a line-search window on the 65 x 65 benchmark cost 20.8, 17.6,
+16.5, 15.5, 14.3, 12.5, 11.1, 9.4, 8.7 and 8.2 products with these
+corrections alone (the mean over every window but the sweep's first).  But
+every breakpoint brings the same kind of jump.  So a sweep given its
+``breakpoints`` (only the line search's is) also recalls, at each of the
+first ``RECALL_STEPS`` steps of a window, the corrections made at that step
+of the last ``RECALL_WINDOWS`` windows, and corrects the start over them
+and its last corrections jointly, still without a product.  Those steps
+then cost 14.7, 15.2, 14.1, 11.7, 11.2, 10.5, 9.8, 9.0, 8.8 and 8.2
+products, and a line-search step costs about 11.5 products against 13.5,
+and 4.0 against 4.15 on the 33 x 33 benchmark.  The recall holds
 2 ``RECALL_STEPS`` ``RECALL_WINDOWS`` fields.
 
 The adjoint sweep has no forcing, so each of its states is a power of K^-1

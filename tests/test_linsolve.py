@@ -261,22 +261,54 @@ def _galerkin(a, corrections, r):
     return c.T @ y
 
 
+def _same_bits(got, want):
+    return all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+
+
 def test_correction_space_gives_the_galerkin_correction_of_its_last_corrections(rng):
+    # the correction of a start x0 of A x = b solves A c = b - A x0 over the
+    # last four corrections, its image is A c, and an empty recall at the
+    # space's position changes no bit of either
     n = 12
     a = _spd(rng, n)
     corrections = [rng.standard_normal(n) for _ in range(6)]
     space = CorrectionSpace(n, 4)
-    r = rng.standard_normal(n)
-    assert np.array_equal(space.project(r.copy()), np.zeros(n))  # an empty space
+    recalling = CorrectionSpace(n, 4, positions=2, depth=2)
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    assert space.correct(b, x0) is None  # an empty space
+    assert recalling.correct(b, x0) is None
     for count, c in enumerate(corrections, start=1):
         # A c as the difference of two residuals, as a solve records it
         r_end = rng.standard_normal(n)
         space.record(c, a @ c + r_end, r_end)
-        residual = r.copy()
-        got = space.project(residual)
-        want = _galerkin(a, corrections[max(0, count - 4):count], r)
+        recalling.position = 1
+        recalling.record(c, a @ c + r_end, r_end)
+        got, image = space.correct(b, x0)
+        want = _galerkin(a, corrections[max(0, count - 4):count], b - a @ x0)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(residual, r - a @ want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(image, a @ want, rtol=1e-10, atol=1e-12)
+        for position in (None, 0):  # nothing is recalled at position 0
+            recalling.position = position
+            assert _same_bits(recalling.correct(b, x0), (got, image))
+
+
+def test_correction_space_recalls_the_corrections_kept_at_its_position(rng):
+    # the last two corrections kept at the position and the last four
+    # recorded span the correction jointly
+    n = 12
+    a = _spd(rng, n)
+    corrections = [rng.standard_normal(n) for _ in range(7)]
+    space = CorrectionSpace(n, 4, positions=3, depth=2)
+    for k, c in enumerate(corrections):
+        space.position = 2 if k < 3 else None
+        r_end = rng.standard_normal(n)
+        space.record(c, a @ c + r_end, r_end)
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    space.position = 2
+    got, image = space.correct(b, x0)
+    want = _galerkin(a, corrections[1:], b - a @ x0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(image, a @ want, rtol=1e-10, atol=1e-12)
 
 
 def test_correction_space_leaves_out_zero_and_collinear_corrections(rng):
@@ -287,14 +319,14 @@ def test_correction_space_leaves_out_zero_and_collinear_corrections(rng):
     space = CorrectionSpace(n, 4)
     zero = np.zeros(n)
     space.record(zero, zero, zero)
-    r = rng.standard_normal(n)
-    residual = r.copy()
-    assert np.array_equal(space.project(residual), zero)
-    assert np.array_equal(residual, r)
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    assert _same_bits(space.correct(b, x0), (zero, zero))
     for scale in (1.0, 2.0, -1.0):  # one direction, recorded three times
         space.record(scale * c, a @ (scale * c), zero)
-    want = (c @ r) / (c @ a @ c) * c
-    np.testing.assert_allclose(space.project(r.copy()), want, rtol=1e-12)
+    want = (c @ (b - a @ x0)) / (c @ a @ c) * c
+    got, image = space.correct(b, x0)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(image, a @ want, rtol=1e-12)
 
 
 def test_space_records_a_solve_from_an_accepted_start_only(rng):
@@ -303,18 +335,19 @@ def test_space_records_a_solve_from_an_accepted_start_only(rng):
     n = g.interior_node_count
     b = rng.standard_normal(n)
     space = CorrectionSpace(n, 4)
-    r = rng.standard_normal(n)
+    rhs, start = rng.standard_normal(n), rng.standard_normal(n)
     # from zero, from a guess worse than zero and from a converged guess: nothing
     for x0 in (None, -b, hc.cg_solve(apply_k, b, 1e-14, hc.MatvecCounter())):
         x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0, space=space)
-        assert np.array_equal(space.project(r.copy()), np.zeros(n))
+        assert space.correct(rhs, start) is None
     # from an accepted start: the correction x - x0 and its image
     x0 = x + 1e-3 * rng.standard_normal(n)
     x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0, space=space)
     correction = x - x0
+    r = rhs - apply_k(start)
     want = (correction @ r) / (correction @ apply_k(correction)) * correction
-    np.testing.assert_allclose(space.project(r.copy()), want, rtol=1e-8)
-    # a projected start costs no product: the counter holds the operator calls
+    np.testing.assert_allclose(space.correct(rhs, start)[0], want, rtol=1e-8)
+    # a corrected start costs no product: the counter holds the operator calls
     calls = []
 
     def counted(u):
@@ -326,7 +359,6 @@ def test_space_records_a_solve_from_an_accepted_start_only(rng):
     x2 = hc.cg_solve(counted, b2, 1e-12, counter, x0=x, space=space)
     assert counter.count == len(calls)
     assert np.linalg.norm(b2 - apply_k(x2)) <= 1e-12 * np.linalg.norm(b2)
-
 
 
 # on the default schedule the 2D passes lose orthogonality: their Lanczos

@@ -34,15 +34,16 @@ theta z(T) with z the homogeneous state the line search solved for, so each
 outer iteration costs one adjoint sweep (all its steps from one Lanczos
 pass: at seed 0, 64 products against 651 for a CG solve per step on the
 33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and
-one homogeneous forward solve over the steps after the head, or over every
-step without one.  That solve is given the partition's breakpoints, so its
+the line search's one homogeneous forward sweep: from the head at the first
+breakpoint when step 2 gives one, else from zero at t = 0, to T (none when
+the head is z(T)).  That sweep is given the breakpoints it crosses, so its
 first steps in each window recall the corrections made at the same steps of
 the last windows, and like every sweep's steps each takes its one test
 product at its corrected start (``propagators.solve_state``): about 4.0 and
 11.5 products a step on the two at seed 0, against 4.15 and 13.5 without
-the recall.  With
-one inner iteration, a sub-problem costs one homogeneous forward solve; each
-further inner iteration adds an adjoint and a forward solve.
+the recall.  With one inner iteration, a sub-problem costs one homogeneous
+forward solve; each further inner iteration adds an adjoint and a forward
+solve.
 
 A run stores no trajectory: y and z at the final step, p on the control
 patch at every step, and the control and gradient, which is O(n + steps m)
@@ -123,24 +124,21 @@ def line_search_theta(
 
     ``residual`` is y(T; v) - y_target.  z is the homogeneous state driven by
     d, so y(T; v + theta d) = y(T; v) + theta z(T); it is None (and theta 0)
-    when d vanishes.  ``head``, when given, is z at ``partition[1]``, solved
-    at ``cg_tol`` (step 2's sub-problem 0 response): the sweep then runs only
-    the steps after it, from it, and with one interval there is no sweep at
-    all.  Without it the sweep runs every step from zero.
+    when d vanishes.  z comes from one sweep over the steps from a start
+    step to T, on d's rows from there and given the breakpoints from there
+    on.  Without ``head`` it starts at step 0 from z = 0.  With it, z at
+    ``partition[1]`` solved at ``cg_tol`` (step 2's sub-problem 0 response),
+    it starts at ``partition[1]`` from the head; with one interval that step
+    is T, the head is z(T), and there is no sweep.
     """
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
         return 0.0, None
-    if head is None:
-        zT = solve_state(grid, tg, grid.zero_field(), d, problem.nu, problem.cg_tol, counter,
-                         keep=-1, breakpoints=partition)
-    elif len(partition) > 2:
-        start = partition[1]
-        zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), head, d[start:],
+    start, zT = (0, grid.zero_field()) if head is None else (partition[1], head)
+    if start < tg.step_count:
+        zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), zT, d[start:],
                          problem.nu, problem.cg_tol, counter, keep=-1,
-                         breakpoints=[b - start for b in partition[1:]])
-    else:
-        zT = head
+                         breakpoints=[b - start for b in partition if b >= start])
     num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)
     den = inner_omega(grid, zT, zT) + problem.alpha * inner_h(grid, tg, d, d)
     if den == 0.0:

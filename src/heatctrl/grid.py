@@ -14,6 +14,9 @@ Where every axis shares one weight w = 1/h^2 that is a power of two >= 1
 unweighted and the read multiplies by w, or by w * -(dt*nu) where that
 product is exact: a multiply by such a w is exact below overflow, so no bit
 moves.  A 2D step product is then 9 numpy passes, a 1D one 6.
+
+Each operator owns its ``StencilWork``, so the result of a product is a
+buffer that only the next call of the operator that made it overwrites.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ class Grid:
     dim: int
     nodes_per_axis: tuple[int, ...]
     domain_bounds: tuple[Interval, ...]
-    control_bounds: tuple[Interval, ...]
     spacing: tuple[float, ...]
     interior_shape: tuple[int, ...]
     control_mask: np.ndarray  # sorted flat indices into the interior numbering
@@ -64,24 +66,6 @@ class Grid:
 
     def zero_field(self) -> np.ndarray:
         return np.zeros(self.interior_node_count)
-
-    def stencil_work(self, scale: float) -> StencilWork:
-        """The grid's one ``StencilWork`` for ``scale``, built on first use.
-
-        Every caller with that scale shares its buffers, so a product's
-        result lasts until the next product with the same scale on this
-        grid; the solves use each one before they make the next.
-        """
-        # keyed by the bits of scale: 0.0 == -0.0, but their zeros may differ in sign
-        key = float(scale).hex()
-        work = self._works.get(key)
-        if work is None:
-            work = self._works[key] = StencilWork(self, scale)
-        return work
-
-    @cached_property
-    def _works(self) -> dict[str, StencilWork]:
-        return {}
 
 
 def build_grid(
@@ -136,7 +120,6 @@ def build_grid(
         dim=dim,
         nodes_per_axis=nodes,
         domain_bounds=dbounds,
-        control_bounds=cbounds,
         spacing=spacing,
         interior_shape=interior_shape,
         control_mask=mask,

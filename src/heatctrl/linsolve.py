@@ -236,7 +236,6 @@ def cg_solve(
     tol: float,
     counter: MatvecCounter,
     x0: np.ndarray | None = None,
-    max_iter: int | None = None,
     space: CorrectionSpace | None = None,
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A given as a callable,
@@ -264,9 +263,9 @@ def cg_solve(
     about as many products as there are unknowns.  A zero right-hand side
     has the zero solution and costs no product.  Raises ``CGError`` when
     p.Ap is not a positive finite number (A is not positive definite, or
-    the iterates are not finite), when ``b`` is not finite, or when the
-    iteration cap (n without ``max_iter``) is reached.  ``counter`` is
-    charged exactly the products made, up to a failure too.
+    the iterates are not finite), when ``b`` is not finite, or after n
+    iterations for n unknowns.  ``counter`` is charged exactly the products
+    made, up to a failure too.
 
     ``b``, ``x0`` and the arrays ``apply_a`` returns are only read.  With a
     space and an accepted start, the iterate x is the correction to x0: it
@@ -277,8 +276,6 @@ def cg_solve(
     if not tol > 0:  # written so that NaN fails too
         raise ValueError("tol must be positive")
     n = len(b)
-    if max_iter is None:
-        max_iter = n
     bb = float(b.dot(b))
     b_norm = math.sqrt(bb)
     if not math.isfinite(b_norm):
@@ -310,7 +307,7 @@ def cg_solve(
         if math.sqrt(rs) > target:
             p = r.copy()
             scratch = np.empty(n)
-            for it in range(1, max_iter + 1):
+            for it in range(1, n + 1):
                 ap = apply_a(p)
                 p_ap = float(p.dot(ap))
                 if not 0.0 < p_ap < math.inf:
@@ -326,7 +323,7 @@ def cg_solve(
                 rs = rs_new
             else:
                 raise CGError(f"CG did not reach relative residual {tol:g} in "
-                              f"{max_iter} iterations")
+                              f"{n} iterations")
     finally:
         counter.add(start + it)
     if offset is not None:

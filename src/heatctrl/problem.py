@@ -163,9 +163,7 @@ def optimal_step_gradient(
 ORACLE_DIMENSION_CAP = 2000
 
 
-def oracle_kkt_solve(
-    problem: ControlProblem, dimension_cap: int = ORACLE_DIMENSION_CAP
-) -> tuple[np.ndarray, float]:
+def oracle_kkt_solve(problem: ControlProblem) -> tuple[np.ndarray, float]:
     """Dense normal-equations solve of the optimality system (test fixture).
 
     Materializes the affine control-to-final-state map column by column, then
@@ -174,9 +172,9 @@ def oracle_kkt_solve(
     grid, tg = problem.grid, problem.time_grid
     steps, m = tg.step_count, grid.control_node_count
     n_unknowns = steps * m
-    if n_unknowns > dimension_cap:
+    if n_unknowns > ORACLE_DIMENSION_CAP:
         raise ValueError(
-            f"oracle limited to {dimension_cap} control unknowns, got {n_unknowns}"
+            f"oracle limited to {ORACLE_DIMENSION_CAP} control unknowns, got {n_unknowns}"
         )
     counter = MatvecCounter()
     y_free = solve_state(grid, tg, problem.y0, problem.zero_control(), problem.nu,

@@ -6,7 +6,9 @@ p^j = K^-(N-j) p^N, the exact transpose of the forward step map, so the
 adjoint-based gradient is the exact gradient of the discrete cost.  The step
 matrix K is applied by the stencil itself: ``laplacian_apply`` with the
 buffers ``StencilWork(grid, scale=-(dt*nu))`` forms Lap(u) * scale + u in its
-one read of the interior, bitwise the product u - dt*nu*Lap(u).
+one read of the interior, bitwise the product u - dt*nu*Lap(u).  Each sweep
+builds its own operator, whose buffers no other operator writes: a product
+is read before the operator's next call overwrites it.
 
 The state sweep, ``solve_state``, runs the recursion forward from y0 with
 the control as forcing.  Step j solves K x_j = b_j, b_j = x_{j-1} + dt B v^j,
@@ -68,7 +70,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import Grid, _check_field, inject, laplacian_apply
+from .grid import Grid, StencilWork, _check_field, inject, laplacian_apply
 from .linsolve import CorrectionSpace, MatvecCounter, cg_solve, inverse_powers
 
 
@@ -96,11 +98,10 @@ def step_operator(grid: Grid, dt: float, nu: float):
 
     The stencil forms ``Lap(u) * -(dt*nu) + u`` in its read of the interior;
     by IEEE negation and commutativity that is bitwise u - dt * nu * Lap(u).
-    Every operator of one grid, dt and nu shares the grid's buffers for that
-    scale (``Grid.stencil_work``), so the result is a buffer that the next
-    call of any of them overwrites.
+    The operator owns its buffers, so the result is a buffer that only its
+    own next call overwrites.
     """
-    return partial(laplacian_apply, grid, work=grid.stencil_work(-(dt * nu)))
+    return partial(laplacian_apply, grid, work=StencilWork(grid, -(dt * nu)))
 
 
 def inverse_step_diagonal(grid: Grid, dt: float, nu: float) -> float:

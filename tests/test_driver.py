@@ -104,6 +104,51 @@ def test_line_search_from_the_head_matches_a_tight_full_sweep(rng, dim, n_interv
     assert (counter.count == 0) == (n_intervals == 1 and head is not None)
 
 
+def _branch_sweep(prob, part, d, head, counter):
+    """z(T) as the line search once made it, one branch per case: every step
+    from zero without a head, the steps after the first window from the head
+    with one, and with a head and one interval the head itself."""
+    grid, tg = prob.grid, prob.time_grid
+    if head is None:
+        return hc.solve_state(grid, tg, grid.zero_field(), d, prob.nu, prob.cg_tol, counter,
+                              keep=-1, breakpoints=part)
+    if len(part) > 2:
+        start = part[1]
+        return hc.solve_state(grid, hc.TimeGrid(tg.step_count - start, tg.dt), head, d[start:],
+                              prob.nu, prob.cg_tol, counter, keep=-1,
+                              breakpoints=[b - start for b in part[1:]])
+    return head
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [1, 3])
+@pytest.mark.parametrize("inner", [1, 2])
+def test_line_search_sweep_has_the_bits_of_each_case_s_own_sweep(rng, dim, n_intervals, inner):
+    # the one sweep from a start step gives, in each case, the bits and the
+    # count of that case's own solve_state call: no head (given none, or
+    # with two inner iterations step 2 gives none), a head on the uneven
+    # windows 5 + 4 + 4, and a head with one interval, which is z(T)
+    prob = thirteen_step_problem(dim, rng, 1e-10)
+    grid, tg = prob.grid, prob.time_grid
+    part = hc.make_partition(tg, n_intervals)
+    v = _random_control(rng, prob)
+    scratch = hc.MatvecCounter()
+    residual = _residual(prob, v, scratch)
+    d, head = hc.targets_direction(prob, part, hc.OuterConfig(n_intervals, inner),
+                                   hc.gradient(prob, v, scratch), scratch)
+    assert (head is None) == (inner == 2)
+    for given in [None] if head is None else [head, None]:
+        counter, want_counter = hc.MatvecCounter(), hc.MatvecCounter()
+        theta, z = hc.line_search_theta(prob, part, v, d, residual, counter, given)
+        want = _branch_sweep(prob, part, d, given, want_counter)
+        num = hc.inner_omega(grid, residual, want) + prob.alpha * hc.inner_h(grid, tg, v, d)
+        den = hc.inner_omega(grid, want, want) + prob.alpha * hc.inner_h(grid, tg, d, d)
+        assert np.array_equal(z.view(np.int64), want.view(np.int64))
+        assert np.float64(theta).view(np.int64) == np.float64(-num / den).view(np.int64)
+        assert counter.count == want_counter.count
+        assert (counter.count == 0) == (given is not None and n_intervals == 1)
+
+
 def test_line_search_recalls_the_corrections_of_earlier_windows(monkeypatch):
     # the first line search of a scaled-down benchmark instance, in 2D over
     # four windows of 10 steps at dt nu / h^2 = 1.02: from the third window

@@ -163,13 +163,22 @@ def test_oracle_large_penalty_suppresses_control(rng):
     assert j_star == pytest.approx(j_free, rel=1e-5)
 
 
-def test_oracle_dimension_cap():
+def test_oracle_dimension_cap(monkeypatch):
+    # 401 steps of 5 control nodes are 2005 unknowns, one step above the
+    # cap: the instance is rejected before any solve
+    from heatctrl import problem as problem_module
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the cap was tested")
+
+    monkeypatch.setattr(problem_module, "solve_state", no_solve)
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.0, 1.0)])
-    tg = hc.TimeGrid(10, 1.0 / 10)
+    steps = problem_module.ORACLE_DIMENSION_CAP // 5 + 1
+    tg = hc.TimeGrid(steps, 1.0 / steps)
     prob = hc.ControlProblem(grid=g, time_grid=tg, y0=np.zeros(5),
                              y_target=np.ones(5), alpha=0.1, nu=0.5)
-    with pytest.raises(ValueError):
-        hc.oracle_kkt_solve(prob, dimension_cap=10)
+    with pytest.raises(ValueError, match="oracle limited to 2000 control unknowns, got 2005"):
+        hc.oracle_kkt_solve(prob)
 
 
 def test_problem_validation():

@@ -428,18 +428,17 @@ def test_recall_charges_exactly_its_stencil_calls(rng, monkeypatch):
     assert counter.count == len(calls) > 0
 
 
-def test_sweeps_sharing_stencil_buffers_give_their_bits_apart(rng):
-    # every step operator of one grid, dt and nu shares the grid's stencil
-    # buffers: two sweeps on one grid, a forward one and the adjoint, give
-    # the bits and counts each gives on a grid of its own
+def test_step_operators_own_their_stencil_buffers_and_sweeps_give_their_bits_apart(rng):
+    # each step operator holds its own stencil buffers, even beside another
+    # of the same grid, dt and nu: two sweeps on one grid, a forward one and
+    # the adjoint, give the bits and counts each gives on a grid of its own
     def grid():
         return hc.build_grid(2, (9, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
 
     g = grid()
-    assert (hc.step_operator(g, 0.05, 0.6).keywords["work"]
-            is hc.step_operator(g, 0.05, 0.6).keywords["work"])
-    assert (hc.step_operator(g, 0.05, 0.6).keywords["work"]
-            is not hc.step_operator(grid(), 0.05, 0.6).keywords["work"])
+    mine, other = ((w.field, w.second, w.total, w.result)
+                   for w in (hc.step_operator(g, 0.05, 0.6).keywords["work"] for _ in range(2)))
+    assert not any(np.shares_memory(a, b) for a in mine for b in other)
     tg = hc.TimeGrid(12, 0.05)
     y0 = rng.standard_normal(g.interior_node_count)
     v = rng.standard_normal((12, g.control_node_count))

@@ -5,16 +5,18 @@ breakpoints, (2) split the horizon into sub-intervals and solve the
 independent local tracking problems one after another, each with its own
 matvec count and starting from its window of the gradient the adjoint
 already gave, (3) join the changes of their controls into d = v_tilde - v and
-line-search along d.  The package never forms chi: by linearity a
+take the exact step along d.  The package never forms chi: by linearity a
 sub-problem's gradient is its window of the outer gradient, plus alpha
 times the change of its control, plus the adjoint of that change's
 response, and the walkthrough checks that this gives the steps of a descent
 on the sub-problems with the explicit targets.  Sub-problem 0 starts, like
 the line search's homogeneous state z, from zero at t = 0, so its response
 is z at the first breakpoint and the line search sweeps only the steps after
-it.  It then runs the outer loop on three intervals and on one, which is the
-sequential baseline, and finally checks the defining fixed-point property:
-starting from the exact optimum, the sweep returns the optimum.
+it.  It then runs the outer loop on three intervals, whose later steps
+minimize J over d and the previous step, and on one, which is the sequential
+baseline and keeps the step along d, and finally checks the defining
+fixed-point property: starting from the exact optimum, the sweep returns the
+optimum.
 """
 
 import dataclasses
@@ -113,14 +115,16 @@ for sub, target in zip(subproblems, chi):
 
 d = np.concatenate(updates)
 before = counter.count
-theta, _ = hc.line_search_theta(problem, partition, v, d, y_final - problem.y_target, counter,
-                                head)
+theta, _, _ = hc.line_search(problem, partition, v, d, y_final - problem.y_target, counter,
+                             head)
 print(f"line search from the first breakpoint: {counter.count - before} matvecs")
 v = v + theta * d
 print(f"after one sweep: theta = {theta:.4f}, "
       f"J = {hc.evaluate(problem, v, counter).cost:.8f}")
 
 # --- the full outer loop ---------------------------------------------------
+# the first sweep is the one above; each later one minimizes J exactly over
+# d and the previous step, whose response the loop carries
 config = hc.OuterConfig(n_intervals=3, inner_iterations=1,
                         max_outer=100, gradient_rtol=1e-7)
 result = hc.run(problem, config)
@@ -131,7 +135,8 @@ print(f"distance to oracle optimum: "
       f"{hc.norm_h(grid, time_grid, result.control - v_star):.2e}")
 
 # the same loop on one interval with one inner iteration is the sequential
-# baseline: its one sub-problem takes the optimal step along d = -g
+# baseline: its one sub-problem takes the optimal step along d = -g, and the
+# loop keeps the scalar step along d
 baseline = hc.run(problem, hc.OuterConfig(n_intervals=1, max_outer=100, gradient_rtol=1e-7))
 print(f"baseline (one interval): converged={baseline.converged} "
       f"in {len(baseline.history) - 1} iterations, "

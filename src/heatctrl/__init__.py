@@ -22,7 +22,7 @@ from .problem import (
 from .targets import assemble_subproblems, make_partition, solve_subproblem
 from .driver import (
     OuterConfig,
-    line_search_theta,
+    line_search,
     run,
     targets_direction,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "inner_h",
     "inner_omega",
     "laplacian_apply",
-    "line_search_theta",
+    "line_search",
     "make_field",
     "make_partition",
     "norm_h",

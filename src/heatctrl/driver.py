@@ -3,23 +3,27 @@
 ``run`` is the only outer loop, from v = 0 or a given start control.  Each
 iteration ``_sweep`` takes d and the line search's head, z at the first
 breakpoint or None, from ``targets_direction``, given the gradient g(v) of
-the current control v, then takes the exact line-search step along d,
-rejecting an uphill one.  The direction is steps 1-3 of the method: (1) the
-targets chi = y - p at the breakpoints, (2) the independent sub-problems,
-each solved on its own with a matvec count of its own, and (3) the changes
-of their controls joined into d = v_tilde - v.  By linearity a sub-problem's
-gradient at the current control is the window of g on its sub-interval, and
-after a change u of its control it is that window plus alpha u plus the
-adjoint of u's response, so step 2 reads g alone and chi is never formed
-(``targets``).  Sub-problem 0 starts, like z, from zero at t = 0, so its
-response (the homogeneous state its change of control drives, at its right
-breakpoint) is z at the first breakpoint: the head, whenever it was solved
-at ``cg_tol``.
+the current control v, then minimizes J exactly over v + a d + b s, s the
+last step taken, rejecting an uphill step.  That is the memory-gradient
+method (Miele & Cantrell, J. Optim. Theory Appl. 3, 1969); around step 2 it
+is flexible CG with step 2 as a variable preconditioner (Notay, SIAM J. Sci.
+Comput. 22, 2000).  The first step, and every step on one interval, is the
+exact step along d alone, as in the paper.  The direction is steps 1-3 of the
+method: (1) the targets chi = y - p at the breakpoints, (2) the independent
+sub-problems, each solved on its own with a matvec count of its own, and (3)
+the changes of their controls joined into d = v_tilde - v.  By linearity a
+sub-problem's gradient at the current control is the window of g on its
+sub-interval, and after a change u of its control it is that window plus
+alpha u plus the adjoint of u's response, so step 2 reads g alone and chi is
+never formed (``targets``).  Sub-problem 0 starts, like z, from zero at
+t = 0, so its response (the homogeneous state its change of control drives,
+at its right breakpoint) is z at the first breakpoint: the head, whenever
+it was solved at ``cg_tol``.
 
 The sequential baseline, the optimal-step gradient method, is the case of
 one interval and one inner iteration: its one sub-problem takes the exact
 step sigma along -g, its response is z(T), so the line search makes no sweep
-and its theta is 1 up to rounding.
+and its step along d is 1 up to rounding.
 
 Only step 2's solves may run at a looser CG tolerance
 (``targets.DIRECTION_CG_TOL``, when the inner descent has no gradient test),
@@ -29,8 +33,10 @@ stay at the problem's ``cg_tol``, and so do J, g, the stopping test and the
 uphill guard: every accepted step lowers J and the gradient stays the exact
 one.
 
-The final state follows through linearity, y(T; v + theta d) = y(T; v) +
-theta z(T) with z the homogeneous state the line search solved for, so each
+The final state follows through linearity, y(T; v + a d + b s) =
+y(T; v) + a z(T) + b z_s(T), with z the homogeneous state the line search
+solved for and z_s(T) the response of s, which ``run`` carries as
+a z(T) + b z_s(T), so the column s costs no product.  Each
 outer iteration costs one adjoint sweep (all its steps from one Lanczos
 pass: at seed 0, 64 products against 651 for a CG solve per step on the
 33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and
@@ -39,15 +45,15 @@ breakpoint when step 2 gives one, else from zero at t = 0, to T (none when
 the head is z(T)).  That sweep is given the breakpoints it crosses, so its
 first steps in each window recall the corrections made at the same steps of
 the last windows, and like every sweep's steps each takes its one test
-product at its corrected start (``propagators.solve_state``): about 4.0 and
-11.5 products a step on the two at seed 0, against 4.15 and 13.5 without
-the recall.  With one inner iteration, a sub-problem costs one homogeneous
-forward solve; each further inner iteration adds an adjoint and a forward
-solve.
+product at its corrected start (``propagators.solve_state``): about 4.4 and
+12.8 products a step on the two at seed 0 (4.0 and 11.5 under the scalar
+step along d, against 4.15 and 13.5 there without the recall).  With one
+inner iteration, a sub-problem costs one homogeneous forward solve; each
+further inner iteration adds an adjoint and a forward solve.
 
-A run stores no trajectory: y and z at the final step, p on the control
-patch at every step, and the control and gradient, which is O(n + steps m)
-memory for n grid nodes and m control nodes.
+A run stores no trajectory: y, z and z_s at the final step, p on the
+control patch at every step, and the control, gradient and last step, which
+is O(n + steps m) memory for n grid nodes and m control nodes.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
 product; the parallel tally charges step 2 at its costliest sub-problem
@@ -97,7 +103,7 @@ class IterationMetrics:
     cost: float
     misfit: float
     penalty: float
-    theta: float  # step taken at this iterate (0 at the final/converged row)
+    theta: float  # coefficient of d in the step taken at this iterate (0 at the last row)
     matvec_sequential: int
     matvec_parallel: int
     wall_time: float  # seconds since the run started
@@ -108,10 +114,10 @@ class RunResult:
     control: np.ndarray
     history: list[IterationMetrics]
     converged: bool
-    stalled: bool = False  # stopped early because the last row's step was zero
+    stalled: bool = False  # stopped early because the last row took no step
 
 
-def line_search_theta(
+def line_search(
     problem: ControlProblem,
     partition: list[int],
     v: np.ndarray,
@@ -119,31 +125,48 @@ def line_search_theta(
     residual: np.ndarray,
     counter: MatvecCounter,
     head: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """Exact minimizer of theta -> J(v + theta d) and the z(T) it used.
+    previous: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, float, np.ndarray | None]:
+    """Exact minimizer v + a d + b s of J over the plane through v spanned by
+    d and the previous step s, and the z(T) it used: (a, b, z(T)).
 
-    ``residual`` is y(T; v) - y_target.  z is the homogeneous state driven by
-    d, so y(T; v + theta d) = y(T; v) + theta z(T); it is None (and theta 0)
-    when d vanishes.  z comes from one sweep over the steps from a start
-    step to T, on d's rows from there and given the breakpoints from there
-    on.  Without ``head`` it starts at step 0 from z = 0.  With it, z at
-    ``partition[1]`` solved at ``cg_tol`` (step 2's sub-problem 0 response),
-    it starts at ``partition[1]`` from the head; with one interval that step
-    is T, the head is z(T), and there is no sweep.
+    ``residual`` is y(T; v) - y_target and ``previous`` is (s, z_s(T)), or
+    None.  z is the homogeneous state driven by d, so y(T; v + a d + b s) =
+    y(T; v) + a z(T) + b z_s(T); it is None (and a = b = 0) when d vanishes.
+    z comes from one sweep over the steps from a start step to T, on d's
+    rows from there and given the breakpoints from there on.  Without
+    ``head`` it starts at step 0 from z = 0.  With it, z at ``partition[1]``
+    solved at ``cg_tol`` (step 2's sub-problem 0 response), it starts at
+    ``partition[1]`` from the head; with one interval that step is T, the
+    head is z(T), and there is no sweep.
+
+    (a, b) solves the 2 x 2 system H c = -q with H_ij = <z_i, z_j> +
+    alpha <d_i, d_j>_H and q_i = <r, z_i> + alpha <v, d_i>_H over the
+    columns (d, z) and (s, z_s), in closed form.  Without ``previous``, or
+    when det H <= 1e-12 H_11 H_22, s is dropped: b = 0 and a = -q_1 / H_11
+    is the exact step along d.
     """
-    grid, tg = problem.grid, problem.time_grid
+    grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
     if not np.any(d):
-        return 0.0, None
+        return 0.0, 0.0, None
     start, zT = (0, grid.zero_field()) if head is None else (partition[1], head)
     if start < tg.step_count:
         zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), zT, d[start:],
                          problem.nu, problem.cg_tol, counter, keep=-1,
                          breakpoints=[b - start for b in partition if b >= start])
-    num = inner_omega(grid, residual, zT) + problem.alpha * inner_h(grid, tg, v, d)
-    den = inner_omega(grid, zT, zT) + problem.alpha * inner_h(grid, tg, d, d)
-    if den == 0.0:
-        return 0.0, zT
-    return -num / den, zT
+    q1 = float(inner_omega(grid, residual, zT) + alpha * inner_h(grid, tg, v, d))
+    h11 = float(inner_omega(grid, zT, zT) + alpha * inner_h(grid, tg, d, d))
+    if h11 == 0.0:
+        return 0.0, 0.0, zT
+    if previous is not None:
+        s, zs = previous
+        q2 = float(inner_omega(grid, residual, zs) + alpha * inner_h(grid, tg, v, s))
+        h12 = float(inner_omega(grid, zT, zs) + alpha * inner_h(grid, tg, d, s))
+        h22 = float(inner_omega(grid, zs, zs) + alpha * inner_h(grid, tg, s, s))
+        det = h11 * h22 - h12 * h12
+        if det > 1e-12 * h11 * h22:
+            return (h12 * q2 - h22 * q1) / det, (h12 * q1 - h11 * q2) / det, zT
+    return -q1 / h11, 0.0, zT
 
 
 def targets_direction(
@@ -181,24 +204,42 @@ def _sweep(
     g: np.ndarray,
     cost: float,
     counter: MatvecCounter,
-) -> tuple[np.ndarray, np.ndarray, float]:
+    previous: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
     """One outer iteration from the final state y = y(T; v), the gradient
     g(v) and the cost J(v) of the control v: ``targets_direction``'s d, then
-    the exact line search along it, from its head when it gives one.
+    ``line_search``'s exact step over d and the previous step s, given as
+    ``previous`` = (s, z_s(T)) or None, from the head when step 2 gives one.
 
-    Returns (v_next, y_next, theta): y_next is y(T; v_next), updated through
-    linearity; theta is 0 and v, y come back unchanged when the line search
-    finds no descent step.
+    Returns (v_next, y_next, a, step): the step taken is s' = a d + b s, with
+    v_next = v + s' and y_next = y(T; v_next) = y + z_s'(T) through
+    linearity, and step = (s', z_s'(T)), the next iteration's ``previous``.
+    z_s' is carried as a z + b z_s, not taken as y_next - y, which would lose
+    the digits the two share.  When no descent step is found, step is None,
+    a is 0 and v, y come back unchanged.  ``previous``'s arrays are updated
+    in place.
     """
     d, head = targets_direction(problem, partition, config, g, counter)
-    theta, zT = line_search_theta(problem, partition, v, d, y - problem.y_target, counter, head)
-    if theta != 0.0:
-        v_next, y_next = v + theta * d, y + theta * zT
-        if _record(problem, v_next, y_next).cost <= cost:
-            return v_next, y_next, theta
-        # exact line search guarantees descent up to solver noise; keep the
-        # previous iterate rather than take an uphill step
-    return v, y, 0.0
+    a, b, zT = line_search(problem, partition, v, d, y - problem.y_target, counter, head,
+                           previous)
+    if a == 0.0 and b == 0.0:
+        return v, y, 0.0, None
+    d *= a
+    zT *= a
+    if b == 0.0:
+        s, zs = d, zT
+    else:
+        s, zs = previous
+        s *= b
+        s += d
+        zs *= b
+        zs += zT
+    v_next, y_next = v + s, y + zs
+    if _record(problem, v_next, y_next).cost <= cost:
+        return v_next, y_next, a, (s, zs)
+    # the exact step guarantees descent up to solver noise; keep the
+    # previous iterate rather than take an uphill step
+    return v, y, 0.0, None
 
 
 def run(problem: ControlProblem, config: OuterConfig,
@@ -207,11 +248,14 @@ def run(problem: ControlProblem, config: OuterConfig,
     test, a stall or max_outer.
 
     The stopping gradient is the one step 2 starts from, so it adds no extra
-    cost.  Row k of
-    the history reports J(v^k) and the step theta_k taken at that iterate;
-    matvec tallies are those accumulated when J(v^k) and its gradient became
-    known.  A ``start`` not shaped like a control raises ValueError; a cost
-    or gradient norm that overflows raises FloatingPointError.
+    cost.  With two or more intervals each step after the first minimizes J
+    over d and the previous step, whose response the loop carries; on one
+    interval every step is the scalar step along d.  Row k of the history
+    reports J(v^k) and the coefficient theta_k of d in the step taken at
+    that iterate; matvec tallies are those accumulated when J(v^k) and its
+    gradient became known.  The run stalls when ``_sweep`` takes no step.  A
+    ``start`` not shaped like a control raises ValueError; a cost or
+    gradient norm that overflows raises FloatingPointError.
     """
     grid, tg = problem.grid, problem.time_grid
     v = problem.zero_control()
@@ -228,6 +272,7 @@ def run(problem: ControlProblem, config: OuterConfig,
     threshold = None
     history: list[IterationMetrics] = []
     converged = stalled = False
+    previous = None
 
     for k in range(config.max_outer + 1):
         g = gradient(problem, v, counter, final_state=y)
@@ -241,13 +286,17 @@ def run(problem: ControlProblem, config: OuterConfig,
         marks = (counter.count, counter.parallel, time.perf_counter() - t0)
 
         converged = gnorm <= threshold
-        theta = 0.0
+        theta, step = 0.0, None
         if not converged and k < config.max_outer:
-            v, y, theta = _sweep(problem, partition, config, v, y, g, rec.cost, counter)
-            # a zero step leaves v unchanged: every later iteration would repeat this one
-            stalled = theta == 0.0
+            v, y, theta, step = _sweep(problem, partition, config, v, y, g, rec.cost, counter,
+                                       previous)
+            # no step leaves v unchanged: every later iteration would repeat this one
+            stalled = step is None
         history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))
-        if theta == 0.0:
+        if step is None:
             break
+        # one interval keeps the scalar step: the optimal-step gradient method
+        if config.n_intervals > 1:
+            previous = step
 
     return RunResult(v, history, converged, stalled)

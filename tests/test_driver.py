@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatctrl as hc
+from heatctrl.problem import _record
 from heatctrl.targets import DIRECTION_CG_TOL
 
 from conftest import (break_step2_solves, random_tiny_problem, reference_descent,
@@ -27,9 +28,9 @@ def test_line_search_zero_direction(tiny_problem):
     v = tiny_problem.zero_control()
     counter = hc.MatvecCounter()
     part = hc.make_partition(tiny_problem.time_grid, 2)
-    theta, z = hc.line_search_theta(tiny_problem, part, v, np.zeros_like(v),
-                                    _residual(tiny_problem, v, counter), counter)
-    assert theta == 0.0 and z is None
+    theta, b, z = hc.line_search(tiny_problem, part, v, np.zeros_like(v),
+                                 _residual(tiny_problem, v, counter), counter)
+    assert theta == 0.0 and b == 0.0 and z is None
 
 
 def test_line_search_vanishes_at_optimum(rng):
@@ -38,8 +39,8 @@ def test_line_search_vanishes_at_optimum(rng):
     d = _random_control(rng, prob)
     counter = hc.MatvecCounter()
     part = hc.make_partition(prob.time_grid, 2)
-    theta, _ = hc.line_search_theta(prob, part, v_star, d,
-                                    _residual(prob, v_star, counter), counter)
+    theta, _, _ = hc.line_search(prob, part, v_star, d, _residual(prob, v_star, counter),
+                                 counter)
     assert abs(theta) <= 1e-8
 
 
@@ -51,8 +52,8 @@ def test_line_search_is_the_scalar_minimizer():
         d = _random_control(rng, prob)
         counter = hc.MatvecCounter()
         part = hc.make_partition(prob.time_grid, 3)
-        theta_star, _ = hc.line_search_theta(prob, part, v, d, _residual(prob, v, counter),
-                                             counter)
+        theta_star, _, _ = hc.line_search(prob, part, v, d, _residual(prob, v, counter),
+                                          counter)
 
         def j_of(theta):
             return hc.evaluate(prob, v + theta * d, counter).cost
@@ -90,16 +91,16 @@ def test_line_search_from_the_head_matches_a_tight_full_sweep(rng, dim, n_interv
     d, head = hc.targets_direction(prob, part, cfg, hc.gradient(prob, v, scratch), scratch)
     assert (head is None) == (inner > 1 and inner_rtol is None)
     counter = hc.MatvecCounter()
-    theta, z = hc.line_search_theta(prob, part, v, d, residual, counter, head)
+    theta, _, z = hc.line_search(prob, part, v, d, residual, counter, head)
     tight = dataclasses.replace(prob, cg_tol=1e-14)
-    theta_ref, z_ref = hc.line_search_theta(tight, part, v, d, residual, hc.MatvecCounter())
+    theta_ref, _, z_ref = hc.line_search(tight, part, v, d, residual, hc.MatvecCounter())
     assert z.shape == z_ref.shape == (grid.interior_node_count,)
     assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
     assert abs(theta - theta_ref) <= 1e-9 * abs(theta_ref)
     # the head saves the steps of window 0; with one interval it is z(T),
     # and the line search makes no sweep
     full = hc.MatvecCounter()
-    hc.line_search_theta(prob, part, v, d, residual, full)
+    hc.line_search(prob, part, v, d, residual, full)
     assert (counter.count < full.count) == (head is not None)
     assert (counter.count == 0) == (n_intervals == 1 and head is not None)
 
@@ -139,7 +140,7 @@ def test_line_search_sweep_has_the_bits_of_each_case_s_own_sweep(rng, dim, n_int
     assert (head is None) == (inner == 2)
     for given in [None] if head is None else [head, None]:
         counter, want_counter = hc.MatvecCounter(), hc.MatvecCounter()
-        theta, z = hc.line_search_theta(prob, part, v, d, residual, counter, given)
+        theta, _, z = hc.line_search(prob, part, v, d, residual, counter, given)
         want = _branch_sweep(prob, part, d, given, want_counter)
         num = hc.inner_omega(grid, residual, want) + prob.alpha * hc.inner_h(grid, tg, v, d)
         den = hc.inner_omega(grid, want, want) + prob.alpha * hc.inner_h(grid, tg, d, d)
@@ -171,13 +172,13 @@ def test_line_search_recalls_the_corrections_of_earlier_windows(monkeypatch):
     d, head = hc.targets_direction(prob, part, hc.OuterConfig(n_intervals=4),
                                    hc.gradient(prob, v, scratch), scratch)
     recalled = hc.MatvecCounter()
-    _, z = hc.line_search_theta(prob, part, v, d, residual, recalled, head)
+    _, _, z = hc.line_search(prob, part, v, d, residual, recalled, head)
     monkeypatch.setattr(propagators, "RECALL_STEPS", 0)
     alone = hc.MatvecCounter()
-    _, z_alone = hc.line_search_theta(prob, part, v, d, residual, alone, head)
+    _, _, z_alone = hc.line_search(prob, part, v, d, residual, alone, head)
     assert (recalled.count, alone.count) == (434, 458)
     tight = dataclasses.replace(prob, cg_tol=1e-14)
-    _, z_ref = hc.line_search_theta(tight, part, v, d, residual, hc.MatvecCounter(), head)
+    _, _, z_ref = hc.line_search(tight, part, v, d, residual, hc.MatvecCounter(), head)
     for got in (z, z_alone):
         assert np.linalg.norm(got - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
@@ -450,8 +451,9 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
 
 def test_run_stops_at_first_rejected_step(rng):
     # cg_tol 1e-6 cannot resolve gradient_rtol 1e-12: after a few sweeps the
-    # exact line search proposes an uphill step, which run rejects
-    prob = random_tiny_problem(rng, n_interior=5, steps=8, cg_tol=1e-6)
+    # exact step proposes an uphill step, which run rejects (on 20 nodes: on
+    # fewer, the step over d and the previous step can reach the test first)
+    prob = random_tiny_problem(rng, n_interior=20, steps=8, cg_tol=1e-6)
     res = hc.run(prob, hc.OuterConfig(n_intervals=2, max_outer=100, gradient_rtol=1e-12))
     assert res.stalled and not res.converged
     thetas = [m.theta for m in res.history]
@@ -594,3 +596,156 @@ def test_run_memory_does_not_grow_with_full_trajectories():
     small, n = _run_peak_bytes(short)
     large, _ = _run_peak_bytes(4 * short)
     assert large - small < (4 * short + 1) * n * 8
+
+
+def _logged_run(monkeypatch, prob, cfg):
+    """``run``, and per outer iteration k its control v_k, the final state
+    y(T; v_k) it carries and step 2's direction d_k."""
+    import heatctrl.driver as driver
+
+    iterates, directions = [], []
+
+    def logged_gradient(problem, v, counter, final_state, real=driver.gradient):
+        iterates.append((v.copy(), final_state.copy()))
+        return real(problem, v, counter, final_state=final_state)
+
+    def logged_direction(*args, real=driver.targets_direction):
+        d, head = real(*args)
+        directions.append(d.copy())
+        return d, head
+
+    monkeypatch.setattr(driver, "gradient", logged_gradient)
+    monkeypatch.setattr(driver, "targets_direction", logged_direction)
+    return hc.run(prob, cfg), iterates, directions
+
+
+def _plane_minimizer(prob, v, d, s):
+    """The minimizer of J over v + span{d, s}, from the responses of d and s
+    and the final state of v, each solved at cg_tol = 1e-13."""
+    grid, tg, counter = prob.grid, prob.time_grid, hc.MatvecCounter()
+    tight = dataclasses.replace(prob, cg_tol=1e-13)
+    r = hc.evaluate(tight, v, counter).final_state - prob.y_target
+    cols = [d, s]
+    zs = [hc.solve_state(grid, tg, grid.zero_field(), u, prob.nu, 1e-13, counter, keep=-1)
+          for u in cols]
+    H = np.array([[hc.inner_omega(grid, zi, zj) + prob.alpha * hc.inner_h(grid, tg, ui, uj)
+                   for uj, zj in zip(cols, zs)] for ui, zi in zip(cols, zs)])
+    q = np.array([hc.inner_omega(grid, r, zi) + prob.alpha * hc.inner_h(grid, tg, v, ui)
+                  for ui, zi in zip(cols, zs)])
+    a, b = np.linalg.solve(H, -q)
+    return v + a * d + b * s, b
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [2, 3])
+def test_step_minimizes_the_cost_over_d_and_the_previous_step(rng, monkeypatch, dim,
+                                                              n_intervals):
+    # from the second outer iteration on, v_{k+1} is the exact minimizer of J
+    # over v_k + span{d_k, s_k}, with s_k = v_k - v_{k-1} the last step, to
+    # 1e-10 of the step; the s part of that minimizer is far larger, so the
+    # exact step along d alone would fail.  (From the fourth iteration on
+    # these instances' steps near the rounding of v.)
+    prob = thirteen_step_problem(dim, rng, 1e-12)
+    cfg = hc.OuterConfig(n_intervals=n_intervals, max_outer=3, gradient_rtol=1e-300)
+    res, iterates, directions = _logged_run(monkeypatch, prob, cfg)
+    assert len(res.history) == 4 and not res.stalled
+    controls = [v for v, _ in iterates] + [res.control]
+    grid, tg = prob.grid, prob.time_grid
+    for k in (1, 2):
+        v_prev, v, v_next = controls[k - 1:k + 2]
+        want, b = _plane_minimizer(prob, v, directions[k], v - v_prev)
+        step = hc.norm_h(grid, tg, v_next - v)
+        assert abs(b) * hc.norm_h(grid, tg, v - v_prev) >= 1e-6 * step
+        assert hc.norm_h(grid, tg, v_next - want) <= 1e-10 * step
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nodes=st.integers(3, 8),
+    steps=st.integers(2, 16),
+    data=st.data(),
+    inner=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_is_no_worse_than_the_scalar_step_along_d(nodes, steps, data, inner, seed):
+    # J after each step over d and the previous step is at most J after the
+    # exact scalar step along d from the same iterate (both J at a tight
+    # tolerance)
+    prob = random_tiny_problem(np.random.default_rng(seed), n_interior=nodes, steps=steps)
+    n_intervals = data.draw(st.integers(2, steps), label="n_intervals")
+    cfg = hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner, max_outer=6,
+                         gradient_rtol=1e-9)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        res, iterates, directions = _logged_run(monkeypatch, prob, cfg)
+    part = hc.make_partition(prob.time_grid, n_intervals)
+    tight = dataclasses.replace(prob, cg_tol=1e-14)
+    counter = hc.MatvecCounter()
+    controls = [v for v, _ in iterates] + [res.control]
+    for k, d in enumerate(directions):
+        (v, y), v_next = iterates[k], controls[k + 1]
+        theta, _, _ = hc.line_search(prob, part, v, d, y - prob.y_target, counter)
+        j_scalar = hc.evaluate(tight, v + theta * d, counter).cost
+        assert hc.evaluate(tight, v_next, counter).cost <= j_scalar + 1e-12 * j_scalar
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [2, 3])
+def test_carried_final_state_matches_a_fresh_sweep(rng, monkeypatch, dim, n_intervals):
+    # y(T) is carried through linearity, y + a z + b z_s: at every iterate of
+    # a run to convergence it still matches a sweep of v_k to cg_tol
+    prob = thirteen_step_problem(dim, rng, 1e-10)
+    cfg = hc.OuterConfig(n_intervals=n_intervals, max_outer=20, gradient_rtol=1e-9)
+    res, iterates, _ = _logged_run(monkeypatch, prob, cfg)
+    assert res.converged and len(iterates) >= 5
+    grid, tg = prob.grid, prob.time_grid
+    for v, y in iterates:
+        fresh = hc.solve_state(grid, tg, prob.y0, v, prob.nu, 1e-14, hc.MatvecCounter(),
+                               keep=-1)
+        assert np.linalg.norm(y - fresh) <= prob.cg_tol * np.linalg.norm(fresh)
+
+
+def _scalar_step_run(prob, cfg):
+    """``run`` with the exact step along d alone at every iteration, written
+    out: the optimal-step gradient method on one interval."""
+    grid, tg = prob.grid, prob.time_grid
+    part = hc.make_partition(tg, cfg.n_intervals)
+    counter = hc.MatvecCounter()
+    v = prob.zero_control()
+    y = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, counter, keep=-1)
+    threshold, rows = None, []
+    for k in range(cfg.max_outer + 1):
+        g = hc.gradient(prob, v, counter, final_state=y)
+        rec, gnorm = _record(prob, v, y), hc.norm_h(grid, tg, g)
+        threshold = cfg.gradient_rtol * (1.0 + gnorm) if threshold is None else threshold
+        row = [k, rec.cost, rec.misfit, rec.penalty, 0.0, counter.count, counter.parallel]
+        rows.append(row)
+        if gnorm <= threshold or k == cfg.max_outer:
+            break
+        d, head = hc.targets_direction(prob, part, cfg, g, counter)
+        theta, _, zT = hc.line_search(prob, part, v, d, y - prob.y_target, counter, head)
+        if theta == 0.0 or _record(prob, v + theta * d, y + theta * zT).cost > rec.cost:
+            break
+        v, y, row[4] = v + theta * d, y + theta * zT, theta
+    return v, rows
+
+
+@pytest.mark.parametrize("make", [random_tiny_problem, _tiny_2d_problem])
+def test_one_interval_and_the_first_row_keep_the_scalar_step_bit_for_bit(rng, make):
+    # the baseline, one interval, takes the exact step along d alone: every
+    # row but its wall time, and the control, have the bits of the
+    # scalar-step loop; with more intervals so does row 0, whose step has no
+    # previous one
+    for _ in range(2):
+        prob = make(rng)
+        for n_intervals, inner in [(1, 1), (2, 1), (3, 2)]:
+            cfg = hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner,
+                                 max_outer=60, gradient_rtol=1e-8)
+            res = hc.run(prob, cfg)
+            want_v, want = _scalar_step_run(prob, cfg)
+            got = [[m.outer_index, m.cost, m.misfit, m.penalty, m.theta, m.matvec_sequential,
+                    m.matvec_parallel] for m in res.history]
+            assert np.array(got[0]).view(np.int64).tolist() == \
+                np.array(want[0]).view(np.int64).tolist()
+            if n_intervals == 1:
+                assert got == want
+                assert np.array_equal(res.control.view(np.int64), want_v.view(np.int64))

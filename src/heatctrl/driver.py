@@ -8,7 +8,12 @@ last step taken, rejecting an uphill step.  That is the memory-gradient
 method (Miele & Cantrell, J. Optim. Theory Appl. 3, 1969); around step 2 it
 is flexible CG with step 2 as a variable preconditioner (Notay, SIAM J. Sci.
 Comput. 22, 2000).  The first step, and every step on one interval, is the
-exact step along d alone, as in the paper.  The direction is steps 1-3 of the
+exact step along d alone, as in the paper.  On a control patch that the
+point reflection of the box maps onto itself, the cost does not couple the
+even and odd parts of a control, and from the second step on each part of
+d takes a coefficient of its own (``line_search``): a run then takes as many
+iterations when a small asymmetry of y0 or y_target brings in an odd part
+as when none does.  The direction is steps 1-3 of the
 method: (1) the targets chi = y - p at the breakpoints, (2) the independent
 sub-problems, each solved on its own with a matvec count of its own, and (3)
 the changes of their controls joined into d = v_tilde - v.  By linearity a
@@ -36,7 +41,8 @@ one.
 The final state follows through linearity, y(T; v + a d + b s) =
 y(T; v) + a z(T) + b z_s(T), with z the homogeneous state the line search
 solved for and z_s(T) the response of s, which ``run`` carries as
-a z(T) + b z_s(T), so the column s costs no product.  Each
+a z(T) + b z_s(T), so the column s costs no product; the parts of d have
+the parts of z as theirs, since the reflection commutes with the sweep.  Each
 outer iteration costs one adjoint sweep (all its steps from one Lanczos
 pass: at seed 0, 64 products against 651 for a CG solve per step on the
 33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and
@@ -103,7 +109,9 @@ class IterationMetrics:
     cost: float
     misfit: float
     penalty: float
-    theta: float  # coefficient of d in the step taken at this iterate (0 at the last row)
+    # coefficient of d (of its even part, where d splits) in the step taken at
+    # this iterate; 0 at the last row
+    theta: float
     matvec_sequential: int
     matvec_parallel: int
     wall_time: float  # seconds since the run started
@@ -126,47 +134,126 @@ def line_search(
     counter: MatvecCounter,
     head: np.ndarray | None = None,
     previous: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, float, np.ndarray | None]:
-    """Exact minimizer v + a d + b s of J over the plane through v spanned by
-    d and the previous step s, and the z(T) it used: (a, b, z(T)).
+) -> tuple[float, tuple[np.ndarray, np.ndarray] | None, np.ndarray | None]:
+    """Exact minimizer of J over v plus the span of d and the previous step
+    s, as (theta, step, z(T)): step = (s', z_s'(T)) with v + s' the
+    minimizer, or None when that is v itself, and theta the coefficient of
+    d in s'.
 
     ``residual`` is y(T; v) - y_target and ``previous`` is (s, z_s(T)), or
-    None.  z is the homogeneous state driven by d, so y(T; v + a d + b s) =
-    y(T; v) + a z(T) + b z_s(T); it is None (and a = b = 0) when d vanishes.
-    z comes from one sweep over the steps from a start step to T, on d's
-    rows from there and given the breakpoints from there on.  Without
-    ``head`` it starts at step 0 from z = 0.  With it, z at ``partition[1]``
-    solved at ``cg_tol`` (step 2's sub-problem 0 response), it starts at
+    None.  z is the homogeneous state driven by d, so y(T; v + s') =
+    y(T; v) + z_s'(T) with z_s' the same combination of z and z_s as s' is
+    of d and s; z is None (and so is the step) when d vanishes.  z comes
+    from one sweep over the steps from a start step to T, on d's rows from
+    there and given the breakpoints from there on.  Without ``head`` it
+    starts at step 0 from z = 0.  With it, z at ``partition[1]`` solved at
+    ``cg_tol`` (step 2's sub-problem 0 response), it starts at
     ``partition[1]`` from the head; with one interval that step is T, the
     head is z(T), and there is no sweep.
 
-    (a, b) solves the 2 x 2 system H c = -q with H_ij = <z_i, z_j> +
-    alpha <d_i, d_j>_H and q_i = <r, z_i> + alpha <v, d_i>_H over the
-    columns (d, z) and (s, z_s), in closed form.  Without ``previous``, or
-    when det H <= 1e-12 H_11 H_22, s is dropped: b = 0 and a = -q_1 / H_11
-    is the exact step along d.
+    Without ``previous`` the step is the exact step along d alone, theta =
+    -q(d) / H(d, d) (``_coefficients``).  With it, on a patch the point
+    reflection maps onto itself (``Grid.patch_is_point_symmetric``), d
+    splits into its even and odd parts, which the cost does not couple, and
+    each takes a coefficient of its own; theta is the even part's.  With
+    one coefficient for both, a step fitted to the even part overshoots the
+    odd one, which then grows from rounding or from a small asymmetry of
+    the data until it holds the run back.  d stays whole when the odd or
+    the even part of z is below sqrt(cg_tol) of z (``_resolved``), as the
+    sweep's error would be a large share of it.  With ``previous`` the step
+    is formed in the arrays of d and ``previous``, which it overwrites;
+    without it d is left as it was.
     """
-    grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
+    grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
-        return 0.0, 0.0, None
+        return 0.0, None, None
     start, zT = (0, grid.zero_field()) if head is None else (partition[1], head)
     if start < tg.step_count:
         zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), zT, d[start:],
                          problem.nu, problem.cg_tol, counter, keep=-1,
                          breakpoints=[b - start for b in partition if b >= start])
-    q1 = float(inner_omega(grid, residual, zT) + alpha * inner_h(grid, tg, v, d))
-    h11 = float(inner_omega(grid, zT, zT) + alpha * inner_h(grid, tg, d, d))
-    if h11 == 0.0:
-        return 0.0, 0.0, zT
-    if previous is not None:
-        s, zs = previous
-        q2 = float(inner_omega(grid, residual, zs) + alpha * inner_h(grid, tg, v, s))
-        h12 = float(inner_omega(grid, zT, zs) + alpha * inner_h(grid, tg, d, s))
-        h22 = float(inner_omega(grid, zs, zs) + alpha * inner_h(grid, tg, s, s))
-        det = h11 * h22 - h12 * h12
-        if det > 1e-12 * h11 * h22:
-            return (h12 * q2 - h22 * q1) / det, (h12 * q1 - h11 * q2) / det, zT
-    return -q1 / h11, 0.0, zT
+    columns = [(d, zT)]
+    if previous is not None and grid.patch_is_point_symmetric:
+        z_even = zT.copy()
+        z_odd = _take_odd_part(z_even)
+        if _resolved(problem, z_even, zT) and _resolved(problem, z_odd, zT):
+            d_odd = _take_odd_part(d)
+            columns = [(d, z_even), (d_odd, z_odd)]
+    coefficients, b = _coefficients(problem, v, residual, columns, previous)
+    if not (any(coefficients) or b):
+        return 0.0, None, zT
+    if previous is None:
+        theta = coefficients[0]
+        return theta, (theta * d, theta * zT), zT
+    # formed in place: the split holds one control more than the plane step, d's odd part
+    s, zs = previous
+    s *= b
+    zs *= b
+    for a, (x, zx) in zip(coefficients, columns):
+        x *= a
+        s += x
+        zs += a * zx
+    return coefficients[0], previous, zT
+
+
+def _take_odd_part(x: np.ndarray) -> np.ndarray:
+    """The odd part (x - Rx) / 2 of a control or a field, R the reversal of
+    its last axis; x is left holding the rest, its even part."""
+    odd = x - x[..., ::-1]
+    odd *= 0.5
+    x -= odd
+    return odd
+
+
+def _resolved(problem: ControlProblem, part: np.ndarray, whole: np.ndarray) -> bool:
+    """Whether a part of a swept response is above sqrt(cg_tol) of the whole
+    (in the Omega norm): the sweep's error, about cg_tol of the whole, is
+    then below sqrt(cg_tol) of the part."""
+    grid = problem.grid
+    return bool(inner_omega(grid, part, part) > problem.cg_tol * inner_omega(grid, whole, whole))
+
+
+def _coefficients(
+    problem: ControlProblem,
+    v: np.ndarray,
+    residual: np.ndarray,
+    columns: list[tuple[np.ndarray, np.ndarray]],
+    previous: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[list[float], float]:
+    """Coefficients ([a_i], b) of the exact minimizer v + sum_i a_i x_i + b s
+    of J over columns (x_i, z_i), controls and their responses that the
+    cost does not couple with each other, and the previous step (s, z_s),
+    or b = 0 without one.
+
+    With H(x, y) = <z_x, z_y> + alpha <x, y>_H and q(x) = <r, z_x> +
+    alpha <v, x>_H, the system H c = -q is diagonal but for the row and
+    column of s.  Eliminating the a_i leaves the Schur complement
+    sigma = H(s, s) - sum_i H(x_i, s)^2 / H(x_i, x_i), then b = (sum_i
+    H(x_i, s) q(x_i) / H(x_i, x_i) - q(s)) / sigma and a_i = -(q(x_i) +
+    H(x_i, s) b) / H(x_i, x_i).  When sigma <= 1e-12 H(s, s), s is dropped
+    and b = 0: with one column, det H <= 1e-12 H_11 H_22.  Without s each
+    a_i is the exact step -q(x_i) / H(x_i, x_i).  All are 0 when a column
+    has H(x_i, x_i) = 0.
+    """
+    grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
+
+    def cost_inner(x, zx, y, zy):
+        return float(inner_omega(grid, zx, zy) + alpha * inner_h(grid, tg, x, y))
+
+    q = [cost_inner(v, residual, x, zx) for x, zx in columns]
+    h = [cost_inner(x, zx, x, zx) for x, zx in columns]
+    if not all(h):
+        return [0.0] * len(columns), 0.0
+    if previous is None:
+        return [-qi / hi for qi, hi in zip(q, h)], 0.0
+    c = [cost_inner(x, zx, *previous) for x, zx in columns]
+    hs = cost_inner(*previous, *previous)
+    sigma = hs - sum(ci * ci / hi for ci, hi in zip(c, h))
+    b = 0.0
+    if sigma > 1e-12 * hs:
+        b = (sum(ci * qi / hi for ci, qi, hi in zip(c, q, h))
+             - cost_inner(v, residual, *previous)) / sigma
+    return [-(qi + ci * b) / hi for qi, ci, hi in zip(q, c, h)], b
 
 
 def targets_direction(
@@ -211,32 +298,23 @@ def _sweep(
     ``line_search``'s exact step over d and the previous step s, given as
     ``previous`` = (s, z_s(T)) or None, from the head when step 2 gives one.
 
-    Returns (v_next, y_next, a, step): the step taken is s' = a d + b s, with
-    v_next = v + s' and y_next = y(T; v_next) = y + z_s'(T) through
-    linearity, and step = (s', z_s'(T)), the next iteration's ``previous``.
-    z_s' is carried as a z + b z_s, not taken as y_next - y, which would lose
-    the digits the two share.  When no descent step is found, step is None,
-    a is 0 and v, y come back unchanged.  ``previous``'s arrays are updated
-    in place.
+    Returns (v_next, y_next, theta, step): the step taken is step = (s',
+    z_s'(T)), the next iteration's ``previous``, with v_next = v + s' and
+    y_next = y(T; v_next) = y + z_s'(T) through linearity, and theta the
+    coefficient of d (of its even part, where d splits) in s'.  z_s' is
+    carried as the combination of z and z_s that s' is of d and s, not taken
+    as y_next - y, which would lose the digits the two share.  When no
+    descent step is found, step is None, theta is 0 and v, y come back
+    unchanged.  ``previous``'s arrays are overwritten with the step.
     """
     d, head = targets_direction(problem, partition, config, g, counter)
-    a, b, zT = line_search(problem, partition, v, d, y - problem.y_target, counter, head,
-                           previous)
-    if a == 0.0 and b == 0.0:
+    theta, step, _ = line_search(problem, partition, v, d, y - problem.y_target, counter,
+                                 head, previous)
+    if step is None:
         return v, y, 0.0, None
-    d *= a
-    zT *= a
-    if b == 0.0:
-        s, zs = d, zT
-    else:
-        s, zs = previous
-        s *= b
-        s += d
-        zs *= b
-        zs += zT
-    v_next, y_next = v + s, y + zs
+    v_next, y_next = v + step[0], y + step[1]
     if _record(problem, v_next, y_next).cost <= cost:
-        return v_next, y_next, a, (s, zs)
+        return v_next, y_next, theta, step
     # the exact step guarantees descent up to solver noise; keep the
     # previous iterate rather than take an uphill step
     return v, y, 0.0, None
@@ -249,7 +327,8 @@ def run(problem: ControlProblem, config: OuterConfig,
 
     The stopping gradient is the one step 2 starts from, so it adds no extra
     cost.  With two or more intervals each step after the first minimizes J
-    over d and the previous step, whose response the loop carries; on one
+    over d (over its even and odd parts, on a point-symmetric patch) and
+    the previous step, whose response the loop carries; on one
     interval every step is the scalar step along d.  Row k of the history
     reports J(v^k) and the coefficient theta_k of d in the step taken at
     that iterate; matvec tallies are those accumulated when J(v^k) and its

@@ -52,6 +52,20 @@ class Grid:
     def control_node_count(self) -> int:
         return int(self.control_mask.size)
 
+    @cached_property
+    def patch_is_point_symmetric(self) -> bool:
+        """Whether the point reflection of the box, x -> lo + hi - x on every
+        axis, maps the control patch onto itself.
+
+        That reflection reverses the interior numbering, and the Laplacian
+        with zero Dirichlet values commutes with it.  On such a patch it
+        also reverses a control slice, so the control-to-state map and its
+        adjoint send the even and the odd parts of a control (x + Rx and
+        x - Rx, R the reversal of the last axis) to fields of the same
+        parity: the two parts never couple in the cost."""
+        n = self.interior_node_count
+        return bool(np.array_equal(self.control_mask[::-1], n - 1 - self.control_mask))
+
     @property
     def node_weight(self) -> float:
         """Quadrature weight h^dim shared by every interior node."""

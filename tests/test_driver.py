@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatctrl as hc
+from heatctrl.config import make_field
 from heatctrl.problem import _record
 from heatctrl.targets import DIRECTION_CG_TOL
 
@@ -28,9 +29,9 @@ def test_line_search_zero_direction(tiny_problem):
     v = tiny_problem.zero_control()
     counter = hc.MatvecCounter()
     part = hc.make_partition(tiny_problem.time_grid, 2)
-    theta, b, z = hc.line_search(tiny_problem, part, v, np.zeros_like(v),
-                                 _residual(tiny_problem, v, counter), counter)
-    assert theta == 0.0 and b == 0.0 and z is None
+    theta, step, z = hc.line_search(tiny_problem, part, v, np.zeros_like(v),
+                                    _residual(tiny_problem, v, counter), counter)
+    assert theta == 0.0 and step is None and z is None
 
 
 def test_line_search_vanishes_at_optimum(rng):
@@ -619,33 +620,57 @@ def _logged_run(monkeypatch, prob, cfg):
     return hc.run(prob, cfg), iterates, directions
 
 
-def _plane_minimizer(prob, v, d, s):
-    """The minimizer of J over v + span{d, s}, from the responses of d and s
-    and the final state of v, each solved at cg_tol = 1e-13."""
+def _subspace_minimizer(prob, v, cols):
+    """The minimizer of J over v + span(cols) and its coefficients, from the
+    responses of the columns and the final state of v, each solved at
+    cg_tol = 1e-13."""
     grid, tg, counter = prob.grid, prob.time_grid, hc.MatvecCounter()
     tight = dataclasses.replace(prob, cg_tol=1e-13)
     r = hc.evaluate(tight, v, counter).final_state - prob.y_target
-    cols = [d, s]
     zs = [hc.solve_state(grid, tg, grid.zero_field(), u, prob.nu, 1e-13, counter, keep=-1)
           for u in cols]
     H = np.array([[hc.inner_omega(grid, zi, zj) + prob.alpha * hc.inner_h(grid, tg, ui, uj)
                    for uj, zj in zip(cols, zs)] for ui, zi in zip(cols, zs)])
     q = np.array([hc.inner_omega(grid, r, zi) + prob.alpha * hc.inner_h(grid, tg, v, ui)
                   for ui, zi in zip(cols, zs)])
-    a, b = np.linalg.solve(H, -q)
-    return v + a * d + b * s, b
+    c = np.linalg.solve(H, -q)
+    return v + sum(ci * u for ci, u in zip(c, cols)), c
+
+
+def _parity_parts(u):
+    """The even and odd parts of a control under the point reflection."""
+    return (u + u[:, ::-1]) / 2, (u - u[:, ::-1]) / 2
+
+
+def _off_centre(prob):
+    """The instance with its control patch moved off the box's centre."""
+    dim = prob.grid.dim
+    grid = hc.build_grid(dim, prob.grid.nodes_per_axis, [(0.0, 1.0)] * dim,
+                         [(0.1, 0.6)] * dim)
+    assert not grid.patch_is_point_symmetric
+    return dataclasses.replace(prob, grid=grid)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n_intervals", [2, 3])
+@pytest.mark.parametrize("centred", [True, False])
 def test_step_minimizes_the_cost_over_d_and_the_previous_step(rng, monkeypatch, dim,
-                                                              n_intervals):
+                                                              n_intervals, centred):
     # from the second outer iteration on, v_{k+1} is the exact minimizer of J
     # over v_k + span{d_k, s_k}, with s_k = v_k - v_{k-1} the last step, to
     # 1e-10 of the step; the s part of that minimizer is far larger, so the
-    # exact step along d alone would fail.  (From the fourth iteration on
-    # these instances' steps near the rounding of v.)
-    prob = thirteen_step_problem(dim, rng, 1e-12)
+    # exact step along d alone would fail.  On a centred patch the span is
+    # that of the even and odd parts of d_k and of s_k itself, and its
+    # minimizer is off the one over span{d_k, s_k} by far more.  (From the fourth
+    # iteration on these instances' steps near the rounding of v; in 1D the
+    # line has 15 nodes, since on 6 the split steps reach it by the third.)
+    if dim == 1:
+        prob = random_tiny_problem(rng, n_interior=15, steps=13, cg_tol=1e-12)
+    else:
+        prob = thirteen_step_problem(dim, rng, 1e-12)
+    if not centred:
+        prob = _off_centre(prob)
+    assert prob.grid.patch_is_point_symmetric == centred
     cfg = hc.OuterConfig(n_intervals=n_intervals, max_outer=3, gradient_rtol=1e-300)
     res, iterates, directions = _logged_run(monkeypatch, prob, cfg)
     assert len(res.history) == 4 and not res.stalled
@@ -653,9 +678,13 @@ def test_step_minimizes_the_cost_over_d_and_the_previous_step(rng, monkeypatch, 
     grid, tg = prob.grid, prob.time_grid
     for k in (1, 2):
         v_prev, v, v_next = controls[k - 1:k + 2]
-        want, b = _plane_minimizer(prob, v, directions[k], v - v_prev)
+        d, s = directions[k], v - v_prev
+        plane, _ = _subspace_minimizer(prob, v, [d, s])
+        want, c = _subspace_minimizer(prob, v, [*_parity_parts(d), s] if centred else [d, s])
         step = hc.norm_h(grid, tg, v_next - v)
-        assert abs(b) * hc.norm_h(grid, tg, v - v_prev) >= 1e-6 * step
+        assert abs(c[-1]) * hc.norm_h(grid, tg, s) >= 1e-6 * step
+        if centred:
+            assert hc.norm_h(grid, tg, v_next - plane) >= 1e-6 * step
         assert hc.norm_h(grid, tg, v_next - want) <= 1e-10 * step
 
 
@@ -702,6 +731,54 @@ def test_carried_final_state_matches_a_fresh_sweep(rng, monkeypatch, dim, n_inte
         fresh = hc.solve_state(grid, tg, prob.y0, v, prob.nu, 1e-14, hc.MatvecCounter(),
                                keep=-1)
         assert np.linalg.norm(y - fresh) <= prob.cg_tol * np.linalg.norm(fresh)
+
+
+def _shifted_gaussian_problem(shift):
+    """A 7 x 7 interior with a centred 5 x 5 control patch, tracking the
+    patch's indicator from a Gaussian whose centre is moved by ``shift``."""
+    grid = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+    y0 = make_field(grid, f"gaussian({0.5 + shift!r},{0.5 - 0.6 * shift!r},0.15,1.0)")
+    return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(36, 0.05), y0=y0,
+                             y_target=make_field(grid, "indicator(0.25,0.75,0.25,0.75)"),
+                             alpha=0.01, nu=0.05)
+
+
+def test_a_small_asymmetry_does_not_move_the_iteration_count():
+    # a moved initial state brings in an odd part, small against the even
+    # one; with a coefficient of its own in each step it stays small, and
+    # the run takes as many iterations as on the symmetric instance (with
+    # one coefficient for both parities: 14, 15, 15 and 16)
+    cfg = hc.OuterConfig(n_intervals=4, max_outer=100, gradient_rtol=1e-4)
+    counts = [len(hc.run(_shifted_gaussian_problem(shift), cfg).history)
+              for shift in (0.0, 1e-4, 3e-4, 1e-3)]
+    assert counts == [counts[0]] * 4
+
+
+def test_parts_the_sweep_does_not_resolve_are_not_split(rng, monkeypatch):
+    # with point-symmetric data the odd part of z is rounding and solver
+    # error, below sqrt(cg_tol) of z: every step is the plane step over d and
+    # s themselves, bit for bit
+    def symmetric_problem():
+        grid = hc.build_grid(2, 7, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+        y0, target = rng.standard_normal((2, grid.interior_node_count))
+        return hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(13, 0.05),
+                                 y0=y0 + y0[::-1], y_target=target + target[::-1],
+                                 alpha=0.2, nu=0.5)
+
+    def rows(res):
+        return [(m.cost, m.theta, m.matvec_sequential, m.matvec_parallel)
+                for m in res.history]
+
+    prob = symmetric_problem()
+    assert prob.grid.patch_is_point_symmetric
+    cfg = hc.OuterConfig(n_intervals=3, max_outer=20, gradient_rtol=1e-9)
+    res = hc.run(prob, cfg)
+    assert len(res.history) > 3
+    monkeypatch.setattr(hc.Grid, "patch_is_point_symmetric", False)
+    plain = hc.run(dataclasses.replace(prob, grid=hc.build_grid(
+        2, 7, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)), cfg)
+    assert rows(res) == rows(plain)
+    assert np.array_equal(res.control.view(np.int64), plain.control.view(np.int64))
 
 
 def _scalar_step_run(prob, cfg):

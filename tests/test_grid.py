@@ -34,6 +34,33 @@ def test_build_grid_31x31_patch_size_by_enumeration():
     assert expected == 11 * 11
 
 
+@pytest.mark.parametrize("dim, nodes, domain, patch, centred", [
+    (1, 9, [(0.0, 1.0)], [(0.25, 0.75)], True),
+    (1, 9, [(0.0, 1.0)], [(0.25, 0.6)], False),
+    (1, 10, [(-1.0, 3.0)], [(0.0, 2.0)], True),
+    (2, (9, 7), [(0.0, 1.0), (0.0, 2.0)], [(0.25, 0.75), (0.5, 1.5)], True),
+    (2, (9, 7), [(0.0, 1.0), (0.0, 2.0)], [(0.25, 0.75), (0.5, 1.2)], False),
+    (2, 33, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2, True),
+])
+def test_patch_is_point_symmetric(dim, nodes, domain, patch, centred):
+    g = hc.build_grid(dim, nodes, domain, patch)
+    assert g.patch_is_point_symmetric == centred
+
+
+def test_reversal_commutes_with_the_state_sweep_on_a_centred_patch(rng):
+    # reversing the interior numbering and the control slices is the point
+    # reflection, which the heat equation with zero Dirichlet values keeps
+    g = hc.build_grid(2, (9, 7), [(0.0, 1.0), (0.0, 2.0)], [(0.25, 0.75), (0.5, 1.5)])
+    assert g.patch_is_point_symmetric
+    tg = hc.TimeGrid(6, 0.05)
+    y0 = rng.standard_normal(g.interior_node_count)
+    u = rng.standard_normal((tg.step_count, g.control_node_count))
+    counter = hc.MatvecCounter()
+    y = hc.solve_state(g, tg, y0, u, 0.7, 1e-13, counter, keep=-1)
+    y_reflected = hc.solve_state(g, tg, y0[::-1], u[:, ::-1], 0.7, 1e-13, counter, keep=-1)
+    assert np.abs(y_reflected - y[::-1]).max() <= 1e-11 * np.abs(y).max()
+
+
 @pytest.mark.parametrize("bad", [0, 3, -1])
 def test_build_grid_rejects_bad_dim(bad):
     with pytest.raises(ValueError):

@@ -31,12 +31,13 @@ step sigma along -g, its response is z(T), so the line search makes no sweep
 and its step along d is 1 up to rounding.
 
 Only step 2's solves may run at a looser CG tolerance
-(``targets.DIRECTION_CG_TOL``, when the inner descent has no gradient test),
-since they only shape d; sub-problem 0's at one inner iteration do not,
-since they also give the head.  The state, adjoint and line-search solves
-stay at the problem's ``cg_tol``, and so do J, g, the stopping test and the
-uphill guard: every accepted step lowers J and the gradient stays the exact
-one.
+(``targets.DIRECTION_CG_TOL`` = 1e-3, when the inner descent has no gradient
+test), since they only shape d, and the step over d and s is flexible CG,
+which takes an inexact step 2 as a variable preconditioner; sub-problem 0's
+at one inner iteration do not, since they also give the head.  The state,
+adjoint and line-search solves stay at the problem's ``cg_tol``, and so do
+J, g, the stopping test and the uphill guard: every accepted step lowers J
+and the gradient stays the exact one.
 
 The final state follows through linearity, y(T; v + a d + b s) =
 y(T; v) + a z(T) + b z_s(T), with z the homogeneous state the line search
@@ -45,17 +46,19 @@ a z(T) + b z_s(T), so the column s costs no product; the parts of d have
 the parts of z as theirs, since the reflection commutes with the sweep.  Each
 outer iteration costs one adjoint sweep (all its steps from one Lanczos
 pass: at seed 0, 64 products against 651 for a CG solve per step on the
-33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves and
-the line search's one homogeneous forward sweep: from the head at the first
-breakpoint when step 2 gives one, else from zero at t = 0, to T (none when
-the head is z(T)).  That sweep is given the breakpoints it crosses, so its
-first steps in each window recall the corrections made at the same steps of
-the last windows, and like every sweep's steps each takes its one test
-product at its corrected start (``propagators.solve_state``): about 4.4 and
-12.8 products a step on the two at seed 0 (4.0 and 11.5 under the scalar
-step along d, against 4.15 and 13.5 there without the recall).  With one
-inner iteration, a sub-problem costs one homogeneous forward solve; each
-further inner iteration adds an adjoint and a forward solve.
+33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves
+(about 2.0 and 4.7 products a step on the two at seed 0, against 3.2 and
+10.1 with step 2 at 1e-6) and the line search's one homogeneous forward
+sweep: from the head at the first breakpoint when step 2 gives one, else
+from zero at t = 0, to T (none when the head is z(T)).  That sweep is given
+the breakpoints it crosses, so its first steps in each window recall the
+corrections made at the same steps of the last windows, and like every
+sweep's steps each takes its one test product at its corrected start
+(``propagators.solve_state``): about 4.4 and 12.8 products a step on the
+two at seed 0 (4.0 and 11.5 under the scalar step along d, against 4.15 and
+13.5 there without the recall).  With one inner iteration, a sub-problem
+costs one homogeneous forward solve; each further inner iteration adds an
+adjoint and a forward solve.
 
 A run stores no trajectory: y, z and z_s at the final step, p on the
 control patch at every step, and the control, gradient and last step, which

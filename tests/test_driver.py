@@ -21,6 +21,11 @@ def _random_control(rng, prob):
     )
 
 
+def _untimed(history):
+    """A run's history rows with the wall time, which no rerun repeats, zeroed."""
+    return [dataclasses.replace(row, wall_time=0.0) for row in history]
+
+
 def _residual(prob, v, counter):
     return hc.evaluate(prob, v, counter).final_state - prob.y_target
 
@@ -177,7 +182,7 @@ def test_line_search_recalls_the_corrections_of_earlier_windows(monkeypatch):
     monkeypatch.setattr(propagators, "RECALL_STEPS", 0)
     alone = hc.MatvecCounter()
     _, _, z_alone = hc.line_search(prob, part, v, d, residual, alone, head)
-    assert (recalled.count, alone.count) == (434, 458)
+    assert (recalled.count, alone.count) == (427, 453)
     tight = dataclasses.replace(prob, cg_tol=1e-14)
     _, _, z_ref = hc.line_search(tight, part, v, d, residual, hc.MatvecCounter(), head)
     for got in (z, z_alone):
@@ -323,11 +328,7 @@ def test_one_inner_iteration_never_reads_the_targets(rng, monkeypatch):
     blinded_run = hc.run(prob, cfg)
     assert len(blinded) == len(blinded_run.history) - 1 > 2
     assert np.array_equal(sighted.control.view(np.int64), blinded_run.control.view(np.int64))
-
-    def untimed(history):
-        return [dataclasses.replace(row, wall_time=0.0) for row in history]
-
-    assert untimed(sighted.history) == untimed(blinded_run.history)
+    assert _untimed(sighted.history) == _untimed(blinded_run.history)
 
 
 def test_worker_failure_identifies_subinterval(rng, monkeypatch):
@@ -403,9 +404,10 @@ def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, i
                                        b.matvec_sequential, b.matvec_parallel)
 
 
-# cg_tol 1e-5 is looser than DIRECTION_CG_TOL, so step 2 keeps it
+# cg_tol 1e-5 is tighter than DIRECTION_CG_TOL, so step 2 loosens from it;
+# cg_tol 3e-3 is looser, so step 2 keeps it
 @pytest.mark.parametrize("cg_tol, inner, inner_rtol", [
-    (1e-12, 1, None), (1e-12, 3, None), (1e-12, 3, 1e-6), (1e-5, 1, None),
+    (1e-12, 1, None), (1e-12, 3, None), (1e-12, 3, 1e-6), (1e-5, 1, None), (3e-3, 1, None),
 ])
 def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatch, cg_tol,
                                                                  inner, inner_rtol):
@@ -448,6 +450,44 @@ def test_only_step2_solves_loosen_and_only_without_an_inner_test(rng, monkeypatc
     assert {tol for inside, tol in calls if inside == 0} == {first_tol}
     assert {tol for inside, tol in calls if inside is not None and inside > 0} == {step2_tol}
     assert {tol for inside, tol in calls if inside is None} == {cg_tol}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [2, 3, 5])
+def test_loose_direction_is_within_twice_its_tolerance_of_a_tight_one(rng, monkeypatch, dim,
+                                                                       n_intervals):
+    # d from step 2 at DIRECTION_CG_TOL is off the d of solves at 1e-12 by at
+    # most 2 DIRECTION_CG_TOL relative in the H-norm; sub-problem 0 runs at
+    # cg_tol either way, so the head has the same bits
+    import heatctrl.targets as targets
+
+    cfg = hc.OuterConfig(n_intervals=n_intervals)
+    for _ in range(3):
+        prob = thirteen_step_problem(dim, rng, 1e-12)
+        grid, tg = prob.grid, prob.time_grid
+        part = hc.make_partition(tg, n_intervals)
+        g = hc.gradient(prob, _random_control(rng, prob), hc.MatvecCounter())
+        d, head = hc.targets_direction(prob, part, cfg, g, hc.MatvecCounter())
+        with monkeypatch.context() as patched:
+            patched.setattr(targets, "DIRECTION_CG_TOL", 1e-12)
+            d_ref, head_ref = hc.targets_direction(prob, part, cfg, g, hc.MatvecCounter())
+        assert hc.norm_h(grid, tg, d - d_ref) <= 2 * DIRECTION_CG_TOL * hc.norm_h(grid, tg, d_ref)
+        assert np.array_equal(head.view(np.int64), head_ref.view(np.int64))
+
+
+def test_one_interval_never_reads_the_direction_tolerance(rng, monkeypatch):
+    # with one interval and one inner iteration step 2 is sub-problem 0, which
+    # runs at cg_tol: a run with DIRECTION_CG_TOL at 0.5 has the same bits
+    import heatctrl.targets as targets
+
+    prob = random_tiny_problem(rng, n_interior=6, steps=13)
+    cfg = hc.OuterConfig(n_intervals=1, max_outer=30, gradient_rtol=1e-8)
+    res = hc.run(prob, cfg)
+    assert len(res.history) > 2
+    monkeypatch.setattr(targets, "DIRECTION_CG_TOL", 0.5)
+    patched = hc.run(prob, cfg)
+    assert _untimed(res.history) == _untimed(patched.history)
+    assert np.array_equal(res.control.view(np.int64), patched.control.view(np.int64))
 
 
 def test_run_stops_at_first_rejected_step(rng):

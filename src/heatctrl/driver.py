@@ -1,19 +1,22 @@
 """The outer loop of the intermediate-targets method, and its matvec ledger.
 
 ``run`` is the only outer loop, from v = 0 or a given start control.  Each
-iteration ``_sweep`` takes d and the line search's head, z at the first
-breakpoint or None, from ``targets_direction``, given the gradient g(v) of
-the current control v, then minimizes J exactly over v + a d + b s, s the
-last step taken, rejecting an uphill step.  That is the memory-gradient
-method (Miele & Cantrell, J. Optim. Theory Appl. 3, 1969); around step 2 it
-is flexible CG with step 2 as a variable preconditioner (Notay, SIAM J. Sci.
-Comput. 22, 2000).  The first step, and every step on one interval, is the
-exact step along d alone, as in the paper.  On a control patch that the
-point reflection of the box maps onto itself, the cost does not couple the
-even and odd parts of a control, and from the second step on each part of
-d takes a coefficient of its own (``line_search``): a run then takes as many
-iterations when a small asymmetry of y0 or y_target brings in an odd part
-as when none does.  The direction is steps 1-3 of the
+iteration takes d and the line search's head, z at the first breakpoint or
+None, from ``targets_direction``, given the gradient g(v) of the current
+control v; ``_sweep`` then minimizes J exactly over v plus the span of d,
+the last step taken s and the last ``REMEMBERED_DIRECTIONS`` = 3 directions
+d_{k-1}, d_{k-2}, d_{k-3}, rejecting an uphill step.  Over d and s alone
+that is the memory-gradient method (Miele & Cantrell, J. Optim. Theory
+Appl. 3, 1969); around step 2 it is flexible CG with step 2 as a variable
+preconditioner (Notay, SIAM J. Sci. Comput. 22, 2000), and like truncated
+flexible CG the step also spans the last few directions.  The first step,
+and every step on one interval, is the exact step along d alone, as in the
+paper.  On a control patch that the point reflection of the box maps onto
+itself, the cost does not couple the even and odd parts of a control, and
+from the second step on each part of d takes a coefficient of its own
+(``line_search``): a run then takes as many iterations when a small
+asymmetry of y0 or y_target brings in an odd part as when none does.  The
+direction is steps 1-3 of the
 method: (1) the targets chi = y - p at the breakpoints, (2) the independent
 sub-problems, each solved on its own with a matvec count of its own, and (3)
 the changes of their controls joined into d = v_tilde - v.  By linearity a
@@ -32,36 +35,41 @@ and its step along d is 1 up to rounding.
 
 Only step 2's solves may run at a looser CG tolerance
 (``targets.DIRECTION_CG_TOL`` = 1e-3, when the inner descent has no gradient
-test), since they only shape d, and the step over d and s is flexible CG,
-which takes an inexact step 2 as a variable preconditioner; sub-problem 0's
-at one inner iteration do not, since they also give the head.  The state,
-adjoint and line-search solves stay at the problem's ``cg_tol``, and so do
-J, g, the stopping test and the uphill guard: every accepted step lowers J
-and the gradient stays the exact one.
+test), since they only shape d, and the step over d, s and the remembered
+directions is flexible CG, which takes an inexact step 2 as a variable
+preconditioner; sub-problem 0's at one inner iteration do not, since they
+also give the head.  The state, adjoint and line-search solves stay at the
+problem's ``cg_tol``, and so do J, g, the stopping test and the uphill
+guard: every accepted step lowers J and the gradient stays the exact one.
 
-The final state follows through linearity, y(T; v + a d + b s) =
-y(T; v) + a z(T) + b z_s(T), with z the homogeneous state the line search
-solved for and z_s(T) the response of s, which ``run`` carries as
-a z(T) + b z_s(T), so the column s costs no product; the parts of d have
-the parts of z as theirs, since the reflection commutes with the sweep.  Each
-outer iteration costs one adjoint sweep (all its steps from one Lanczos
-pass: at seed 0, 64 products against 651 for a CG solve per step on the
-33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves
-(about 2.0 and 4.7 products a step on the two at seed 0, against 3.2 and
-10.1 with step 2 at 1e-6) and the line search's one homogeneous forward
-sweep: from the head at the first breakpoint when step 2 gives one, else
-from zero at t = 0, to T (none when the head is z(T)).  That sweep is given
-the breakpoints it crosses, so its first steps in each window recall the
+The final state follows through linearity, y(T; v + a d + b s + sum_j c_j
+d_j) = y(T; v) + a z(T) + b z_s(T) + sum_j c_j z_j(T), with z the
+homogeneous state the line search solved for, z_s(T) the response of s,
+which ``run`` carries as that combination, and z_j(T) the response each
+remembered direction's own line search solved, so neither s nor a
+remembered direction costs a product; the parts of d have the parts of z
+as theirs, since the reflection commutes with the sweep.  Each outer
+iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
+seed 0, 64 products against 651 for a CG solve per step on the 33 x 33
+benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves (about
+2.0 and 4.9 products a step on the two at seed 0, against 3.2 and 10.1 with
+step 2 at 1e-6) and the line search's one homogeneous forward sweep: from
+the head at the first breakpoint when step 2 gives one, else from zero at
+t = 0, to T (none when the head is z(T)).  That sweep is given the
+breakpoints it crosses, so its first steps in each window recall the
 corrections made at the same steps of the last windows, and like every
 sweep's steps each takes its one test product at its corrected start
-(``propagators.solve_state``): about 4.4 and 12.8 products a step on the
-two at seed 0 (4.0 and 11.5 under the scalar step along d, against 4.15 and
-13.5 there without the recall).  With one inner iteration, a sub-problem
-costs one homogeneous forward solve; each further inner iteration adds an
-adjoint and a forward solve.
+(``propagators.solve_state``): about 4.4 and 14.3 products a step on the
+two at seed 0 (4.4 and 12.8 over d and s alone, 4.0 and 11.5 under the
+scalar step along d).  With one inner iteration, a sub-problem costs one
+homogeneous forward solve; each further inner iteration adds an adjoint and
+a forward solve.
 
 A run stores no trajectory: y, z and z_s at the final step, p on the
-control patch at every step, and the control, gradient and last step, which
+control patch at every step, the control, the direction and the last step,
+and on two or more intervals the three remembered directions with their
+z(T), three controls and three fields more; the gradient is dropped once
+step 2 has read it, before the line-search sweep, where a run peaks.  That
 is O(n + steps m) memory for n grid nodes and m control nodes.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
@@ -73,15 +81,30 @@ processor.  With one interval the two tallies agree.
 from __future__ import annotations
 
 import time
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import inner_omega
-from .linsolve import MatvecCounter
+from .linsolve import MatvecCounter, _galerkin
 from .problem import ControlProblem, _record, gradient, inner_h, norm_h
 from .propagators import TimeGrid, solve_state
 from .targets import assemble_subproblems, make_partition, solve_subproblem
+
+
+# directions a run on two or more intervals remembers for its step, each with
+# the z(T) its line-search sweep solved, so a remembered column costs no
+# product.  At seed 0 the 65 x 65 benchmark takes 8 outer iterations with
+# none, 7 with 1 or 2, and 6 with 3, 4 or 5; the 33 x 33 one takes 8, 7 with
+# 1 to 3 and 6 with 4 or 5, but each direction costs the 65 x 65 run a
+# control, about 1.2% of its peak memory
+REMEMBERED_DIRECTIONS = 3
+# a column of the step within about 5.7 degrees, in the cost's norm, of the
+# span of the columns before it is left out (at 1e-3 or 1e-4 a small
+# asymmetry of y0 moves the iteration count)
+STEP_PIVOT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -137,22 +160,25 @@ def line_search(
     counter: MatvecCounter,
     head: np.ndarray | None = None,
     previous: tuple[np.ndarray, np.ndarray] | None = None,
+    remembered: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None, np.ndarray | None]:
-    """Exact minimizer of J over v plus the span of d and the previous step
-    s, as (theta, step, z(T)): step = (s', z_s'(T)) with v + s' the
-    minimizer, or None when that is v itself, and theta the coefficient of
-    d in s'.
+    """Exact minimizer of J over v plus the span of d, the previous step s
+    and the remembered directions, as (theta, step, z(T)): step = (s',
+    z_s'(T)) with v + s' the minimizer, or None when that is v itself, and
+    theta the coefficient of d in s'.
 
-    ``residual`` is y(T; v) - y_target and ``previous`` is (s, z_s(T)), or
-    None.  z is the homogeneous state driven by d, so y(T; v + s') =
-    y(T; v) + z_s'(T) with z_s' the same combination of z and z_s as s' is
-    of d and s; z is None (and so is the step) when d vanishes.  z comes
-    from one sweep over the steps from a start step to T, on d's rows from
-    there and given the breakpoints from there on.  Without ``head`` it
-    starts at step 0 from z = 0.  With it, z at ``partition[1]`` solved at
-    ``cg_tol`` (step 2's sub-problem 0 response), it starts at
-    ``partition[1]`` from the head; with one interval that step is T, the
-    head is z(T), and there is no sweep.
+    ``residual`` is y(T; v) - y_target, ``previous`` is (s, z_s(T)), or
+    None, and ``remembered`` holds earlier directions with their z(T),
+    newest first, which are read only with ``previous``.  z is the
+    homogeneous state driven by d, so y(T; v + s') = y(T; v) + z_s'(T) with
+    z_s' the same combination of the columns' responses as s' is of the
+    columns; z is None (and so is the step) when d vanishes.  z comes from
+    one sweep over the steps from a start step to T, on d's rows from there
+    and given the breakpoints from there on.  Without ``head`` it starts at
+    step 0 from z = 0.  With it, z at ``partition[1]`` solved at ``cg_tol``
+    (step 2's sub-problem 0 response), it starts at ``partition[1]`` from
+    the head; with one interval that step is T, the head is z(T), and there
+    is no sweep.
 
     Without ``previous`` the step is the exact step along d alone, theta =
     -q(d) / H(d, d) (``_coefficients``).  With it, on a patch the point
@@ -163,9 +189,14 @@ def line_search(
     odd one, which then grows from rounding or from a small asymmetry of
     the data until it holds the run back.  d stays whole when the odd or
     the even part of z is below sqrt(cg_tol) of z (``_resolved``), as the
-    sweep's error would be a large share of it.  With ``previous`` the step
-    is formed in the arrays of d and ``previous``, which it overwrites;
-    without it d is left as it was.
+    sweep's error would be a large share of it.  The remembered directions
+    enter whole.  The columns are
+    taken in the order d's parts, s, the remembered directions newest
+    first, and one within about 5.7 degrees of the span of those before it
+    is left out (``_coefficients``): at the second step s lies along the
+    one remembered direction.  With ``previous`` the step is formed in its
+    arrays, which it overwrites; d comes back whole up to rounding, and z
+    and the remembered arrays as they were, as ``run`` remembers them.
     """
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
@@ -175,28 +206,37 @@ def line_search(
         zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), zT, d[start:],
                          problem.nu, problem.cg_tol, counter, keep=-1,
                          breakpoints=[b - start for b in partition if b >= start])
-    columns = [(d, zT)]
-    if previous is not None and grid.patch_is_point_symmetric:
+    if previous is None:
+        theta, = _coefficients(problem, v, residual, [(d, zT)])
+        return (0.0, None, zT) if theta == 0.0 else (theta, (theta * d, theta * zT), zT)
+    parts = [(d, zT)]
+    if grid.patch_is_point_symmetric:
         z_even = zT.copy()
         z_odd = _take_odd_part(z_even)
         if _resolved(problem, z_even, zT) and _resolved(problem, z_odd, zT):
+            # d's array holds its even part while the coefficients are found:
+            # a third control here would raise a run's peak memory
             d_odd = _take_odd_part(d)
-            columns = [(d, z_even), (d_odd, z_odd)]
-    coefficients, b = _coefficients(problem, v, residual, columns, previous)
-    if not (any(coefficients) or b):
+            parts = [(d, z_even), (d_odd, z_odd)]
+    coefficients = _coefficients(problem, v, residual, [*parts, previous, *remembered])
+    theta = coefficients[0]
+    if len(parts) == 2:
+        # d whole again (to rounding): a_e e + a_o o = a_e d + (a_o - a_e) o
+        d += d_odd
+        parts = [(d, zT), (d_odd, z_odd)]
+        coefficients[1] -= theta
+    if not any(coefficients):
         return 0.0, None, zT
-    if previous is None:
-        theta = coefficients[0]
-        return theta, (theta * d, theta * zT), zT
-    # formed in place: the split holds one control more than the plane step, d's odd part
+    # formed in the arrays of the previous step
     s, zs = previous
+    b = coefficients.pop(len(parts))
     s *= b
     zs *= b
-    for a, (x, zx) in zip(coefficients, columns):
-        x *= a
-        s += x
-        zs += a * zx
-    return coefficients[0], previous, zT
+    for c, (x, zx) in zip(coefficients, [*parts, *remembered]):
+        if c:
+            s += c * x
+            zs += c * zx
+    return theta, previous, zT
 
 
 def _take_odd_part(x: np.ndarray) -> np.ndarray:
@@ -221,42 +261,32 @@ def _coefficients(
     v: np.ndarray,
     residual: np.ndarray,
     columns: list[tuple[np.ndarray, np.ndarray]],
-    previous: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[list[float], float]:
-    """Coefficients ([a_i], b) of the exact minimizer v + sum_i a_i x_i + b s
-    of J over columns (x_i, z_i), controls and their responses that the
-    cost does not couple with each other, and the previous step (s, z_s),
-    or b = 0 without one.
+) -> list[float]:
+    """Coefficients c of the exact minimizer v + sum_i c_i x_i of J over
+    the columns (x_i, z_i), controls and their responses.
 
     With H(x, y) = <z_x, z_y> + alpha <x, y>_H and q(x) = <r, z_x> +
-    alpha <v, x>_H, the system H c = -q is diagonal but for the row and
-    column of s.  Eliminating the a_i leaves the Schur complement
-    sigma = H(s, s) - sum_i H(x_i, s)^2 / H(x_i, x_i), then b = (sum_i
-    H(x_i, s) q(x_i) / H(x_i, x_i) - q(s)) / sigma and a_i = -(q(x_i) +
-    H(x_i, s) b) / H(x_i, x_i).  When sigma <= 1e-12 H(s, s), s is dropped
-    and b = 0: with one column, det H <= 1e-12 H_11 H_22.  Without s each
-    a_i is the exact step -q(x_i) / H(x_i, x_i).  All are 0 when a column
-    has H(x_i, x_i) = 0.
+    alpha <v, x>_H, they solve H c = -q.  One column takes the exact step
+    -q(x) / H(x, x), or 0 when H(x, x) = 0.  Several are solved by
+    ``linsolve._galerkin``'s pivoted Cholesky factorization in their order,
+    which leaves out a column within about 5.7 degrees, in the norm of H, of
+    the span of the ones it kept before it (``STEP_PIVOT``); its
+    coefficient is 0.
     """
     grid, tg, alpha = problem.grid, problem.time_grid, problem.alpha
 
     def cost_inner(x, zx, y, zy):
         return float(inner_omega(grid, zx, zy) + alpha * inner_h(grid, tg, x, y))
 
-    q = [cost_inner(v, residual, x, zx) for x, zx in columns]
-    h = [cost_inner(x, zx, x, zx) for x, zx in columns]
-    if not all(h):
-        return [0.0] * len(columns), 0.0
-    if previous is None:
-        return [-qi / hi for qi, hi in zip(q, h)], 0.0
-    c = [cost_inner(x, zx, *previous) for x, zx in columns]
-    hs = cost_inner(*previous, *previous)
-    sigma = hs - sum(ci * ci / hi for ci, hi in zip(c, h))
-    b = 0.0
-    if sigma > 1e-12 * hs:
-        b = (sum(ci * qi / hi for ci, qi, hi in zip(c, q, h))
-             - cost_inner(v, residual, *previous)) / sigma
-    return [-(qi + ci * b) / hi for qi, ci, hi in zip(q, c, h)], b
+    q = [-cost_inner(v, residual, x, zx) for x, zx in columns]
+    if len(columns) == 1:
+        h = cost_inner(*columns[0], *columns[0])
+        return [q[0] / h if h else 0.0]
+    gram = [[0.0] * len(columns) for _ in columns]
+    for i, column in enumerate(columns):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = cost_inner(*column, *columns[j])
+    return _galerkin(gram, range(len(columns)), q, STEP_PIVOT)
 
 
 def targets_direction(
@@ -268,7 +298,8 @@ def targets_direction(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Steps 1-3 of the intermediate-targets method from the gradient g of
     the cost at the current control: d = v_tilde - v, and the line search's
-    head, z at ``partition[1]``, or None.
+    head, z at ``partition[1]``, or None.  Each sub-problem's update is
+    written into its window of d as it comes.
 
     Each sub-problem counts its own products, and ``counter`` is charged
     them as concurrent solves: their sum in the sequential tally, the
@@ -276,47 +307,55 @@ def targets_direction(
     which ``solve_subproblem`` returns when that sub-problem ran at
     ``cg_tol``: with one inner iteration or an inner gradient test, not with
     more inner iterations and no test."""
-    subproblems = assemble_subproblems(problem, partition, g)
-    counters = [MatvecCounter() for _ in subproblems]
-    solved = [solve_subproblem(sub, config.inner_iterations, own, config.inner_gradient_rtol)
-              for sub, own in zip(subproblems, counters)]
-    counter.add_concurrent([own.count for own in counters])
-    return np.concatenate([update for update, _ in solved]), solved[0][1]
+    d, counts = np.empty_like(g), []
+    for sub in assemble_subproblems(problem, partition, g):
+        own = MatvecCounter()
+        d[sub.start:sub.end], response = solve_subproblem(
+            sub, config.inner_iterations, own, config.inner_gradient_rtol)
+        counts.append(own.count)
+        if sub.index == 0:
+            head = response
+    counter.add_concurrent(counts)
+    return d, head
 
 
-# a function so that d and z are freed before run's next adjoint sweep
 def _sweep(
     problem: ControlProblem,
     partition: list[int],
-    config: OuterConfig,
     v: np.ndarray,
     y: np.ndarray,
-    g: np.ndarray,
+    d: np.ndarray,
+    head: np.ndarray | None,
     cost: float,
     counter: MatvecCounter,
     previous: tuple[np.ndarray, np.ndarray] | None,
+    remembered: deque[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
-    """One outer iteration from the final state y = y(T; v), the gradient
-    g(v) and the cost J(v) of the control v: ``targets_direction``'s d, then
-    ``line_search``'s exact step over d and the previous step s, given as
-    ``previous`` = (s, z_s(T)) or None, from the head when step 2 gives one.
+    """The step of one outer iteration from the final state y = y(T; v) and
+    the cost J(v) of the control v, given the direction d and the head from
+    ``targets_direction``: ``line_search``'s exact step over d, the previous
+    step s, given as ``previous`` = (s, z_s(T)) or None, and the
+    ``remembered`` directions, from the head when step 2 gives one.
 
     Returns (v_next, y_next, theta, step): the step taken is step = (s',
     z_s'(T)), the next iteration's ``previous``, with v_next = v + s' and
     y_next = y(T; v_next) = y + z_s'(T) through linearity, and theta the
     coefficient of d (of its even part, where d splits) in s'.  z_s' is
-    carried as the combination of z and z_s that s' is of d and s, not taken
-    as y_next - y, which would lose the digits the two share.  When no
-    descent step is found, step is None, theta is 0 and v, y come back
-    unchanged.  ``previous``'s arrays are overwritten with the step.
+    carried as the combination of the columns' responses that s' is of the
+    columns, not taken as y_next - y, which would lose the digits the two
+    share.  A step taken puts d and its z(T) at the front of
+    ``remembered``, a ring whose length bounds it, and which no later step
+    writes.  When no descent step is found, step is None, theta is 0 and v,
+    y come back unchanged.  ``previous``'s arrays are overwritten with the
+    step.
     """
-    d, head = targets_direction(problem, partition, config, g, counter)
-    theta, step, _ = line_search(problem, partition, v, d, y - problem.y_target, counter,
-                                 head, previous)
+    theta, step, zT = line_search(problem, partition, v, d, y - problem.y_target, counter,
+                                  head, previous, remembered)
     if step is None:
         return v, y, 0.0, None
     v_next, y_next = v + step[0], y + step[1]
     if _record(problem, v_next, y_next).cost <= cost:
+        remembered.appendleft((d, zT))
         return v_next, y_next, theta, step
     # the exact step guarantees descent up to solver noise; keep the
     # previous iterate rather than take an uphill step
@@ -329,10 +368,12 @@ def run(problem: ControlProblem, config: OuterConfig,
     test, a stall or max_outer.
 
     The stopping gradient is the one step 2 starts from, so it adds no extra
-    cost.  With two or more intervals each step after the first minimizes J
-    over d (over its even and odd parts, on a point-symmetric patch) and
-    the previous step, whose response the loop carries; on one
-    interval every step is the scalar step along d.  Row k of the history
+    cost; it is dropped once step 2 has read it, before the line-search
+    sweep.  With two or more intervals each step after the first minimizes
+    J over d (over its even and odd parts, on a point-symmetric patch), the
+    previous step and the last ``REMEMBERED_DIRECTIONS`` directions, whose
+    responses the loop carries; on one interval every step is the scalar
+    step along d and no direction is remembered.  Row k of the history
     reports J(v^k) and the coefficient theta_k of d in the step taken at
     that iterate; matvec tallies are those accumulated when J(v^k) and its
     gradient became known.  The run stalls when ``_sweep`` takes no step.  A
@@ -355,6 +396,9 @@ def run(problem: ControlProblem, config: OuterConfig,
     history: list[IterationMetrics] = []
     converged = stalled = False
     previous = None
+    # one interval keeps the scalar step, the optimal-step gradient method,
+    # and so remembers nothing
+    remembered = deque(maxlen=REMEMBERED_DIRECTIONS if config.n_intervals > 1 else 0)
 
     for k in range(config.max_outer + 1):
         g = gradient(problem, v, counter, final_state=y)
@@ -370,14 +414,17 @@ def run(problem: ControlProblem, config: OuterConfig,
         converged = gnorm <= threshold
         theta, step = 0.0, None
         if not converged and k < config.max_outer:
-            v, y, theta, step = _sweep(problem, partition, config, v, y, g, rec.cost, counter,
-                                       previous)
+            d, head = targets_direction(problem, partition, config, g, counter)
+            # the line-search sweep holds v, d, s and the remembered directions: the run's peak
+            del g
+            v, y, theta, step = _sweep(problem, partition, v, y, d, head, rec.cost, counter,
+                                       previous, remembered)
+            del d, head  # freed before the next adjoint sweep, unless remembered
             # no step leaves v unchanged: every later iteration would repeat this one
             stalled = step is None
         history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))
         if step is None:
             break
-        # one interval keeps the scalar step: the optimal-step gradient method
         if config.n_intervals > 1:
             previous = step
 

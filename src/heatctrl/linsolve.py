@@ -110,16 +110,16 @@ class _Ring:
         return [(self.newest - age) % size for age in range(self.filled)]
 
 
-def _galerkin(gram, order, q) -> list[float]:
+def _galerkin(gram, order, q, threshold: float) -> list[float]:
     """The solution a of G a = q over the slots that a pivoted Cholesky
     factorization G = L L^T keeps, taking the slots ``order`` in that order,
     and zero on the others; ``gram[i][j]`` is G_ij and ``q[i]`` is q_i.
 
-    A slot whose pivot falls to 1e-4 of its diagonal or below is left out,
-    and its coefficient is zero: its correction lies within about half a
-    degree, in the A-norm, of the span of the kept ones, or it is zero.  The
-    bound limits how much each kept slot can multiply the coefficients a.
-    The forward solve L y = q runs along the factorization.
+    A slot whose pivot falls to ``threshold`` of its diagonal or below is
+    left out, and its coefficient is zero: in the norm G defines, its vector
+    lies within an angle asin(sqrt(threshold)) of the span of the kept ones,
+    or it is zero.  The bound limits how much each kept slot can multiply the
+    coefficients a.  The forward solve L y = q runs along the factorization.
     """
     # each kept slot's row of L ends in the reciprocal of its diagonal entry
     kept, rows, y = [], [], []
@@ -133,7 +133,7 @@ def _galerkin(gram, order, q) -> list[float]:
         pivot = gram_i[i]
         for l_im in row:
             pivot -= l_im * l_im
-        if pivot > 1e-4 * gram_i[i]:
+        if pivot > threshold * gram_i[i]:
             inverse = 1.0 / math.sqrt(pivot)
             value = q[i]
             for l_pm, y_m in zip(row, y):
@@ -149,6 +149,11 @@ def _galerkin(gram, order, q) -> list[float]:
             value -= rows[m][p] * a[kept[m]]
         a[kept[p]] = value * rows[p][-1]
     return a
+
+
+# a correction within about half a degree, in the A-norm, of the span of the
+# kept ones adds nothing to a start's correction
+CORRECTION_PIVOT = 1e-4
 
 
 class CorrectionSpace:
@@ -206,7 +211,7 @@ class CorrectionSpace:
         q = recent.c.dot(b) - recent.ac.dot(x0)
         recall = None if self.position is None else self._recall[self.position]
         if recall is None or not recall.filled:
-            a = np.array(_galerkin(recent.gram, recent.slots(), q.tolist()))
+            a = np.array(_galerkin(recent.gram, recent.slots(), q.tolist(), CORRECTION_PIVOT))
             return a.dot(recent.c), a.dot(recent.ac)
         depth = len(recall.gram)
         # the joint space numbers the recalled slots i first, then the
@@ -214,7 +219,8 @@ class CorrectionSpace:
         cross = recent.ac.dot(recall.c.T).tolist()  # A c_j . c_i
         gram = recall.gram + [cross_j + gram_j for cross_j, gram_j in zip(cross, recent.gram)]
         q = np.concatenate((recall.c.dot(b) - recall.ac.dot(x0), q))
-        a = _galerkin(gram, recall.slots() + [depth + j for j in recent.slots()], q.tolist())
+        a = _galerkin(gram, recall.slots() + [depth + j for j in recent.slots()], q.tolist(),
+                      CORRECTION_PIVOT)
         a_recall, a_recent = np.array(a[:depth]), np.array(a[depth:])
         correction = a_recall.dot(recall.c)
         correction += a_recent.dot(recent.c)

@@ -96,7 +96,11 @@ def gradient(
                                   problem.cg_tol, counter, keep=-1)
     patch = solve_adjoint(grid, problem.time_grid, final_state - problem.y_target, problem.nu,
                           problem.cg_tol, counter)
-    return problem.alpha * v + patch[:-1]
+    # in place: a temporary alpha v beside the adjoint's powers would add a
+    # control to a run's peak memory
+    g = problem.alpha * v
+    g += patch[:-1]
+    return g
 
 
 def optimal_step_gradient(

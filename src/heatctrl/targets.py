@@ -20,12 +20,13 @@ one of them, charging its own products to a counter of its own: the caller
 loops over them and charges the counts as concurrent solves.
 
 The sub-problems only shape the search direction d = v_tilde - v, which the
-outer exact step rescales and combines with the previous step, so without an
-inner gradient test of their own their CG solves stop at ``DIRECTION_CG_TOL``
-= 1e-3 (or the problem's ``cg_tol``, if looser): an inexact step 2 is a
-variable preconditioner of the outer flexible CG, and d is off by about that
-much relative in the H-norm.  With an inner gradient test they keep ``cg_tol``,
-since that test reads their gradients.  Sub-problem 0 with one inner
+outer exact step rescales and combines with the previous step and the last
+three directions, so without an inner gradient test of their own their CG
+solves stop at ``DIRECTION_CG_TOL`` = 1e-3 (or the problem's ``cg_tol``, if
+looser): an inexact step 2 is a variable preconditioner of the outer
+flexible CG, and d is off by about that much relative in the H-norm.  With
+an inner gradient test they keep ``cg_tol``, since that test reads their
+gradients.  Sub-problem 0 with one inner
 iteration keeps ``cg_tol`` too: it starts, like the line search's
 homogeneous state z, from zero at t = 0, so its one forward solve, scaled by
 -sigma_0, is z at the first breakpoint, and the line search starts there.
@@ -65,8 +66,8 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
 # search starts from.  d then carries an error of about 1e-3 relative in the
 # H-norm (0.18e-3 and 0.96e-3 at the first iterate of the 33 x 33 and
 # 65 x 65 benchmarks at seed 0), which the outer step absorbs: it minimizes J
-# exactly over d and the previous step, flexible CG with step 2 as a variable
-# preconditioner.  On both benchmarks and on criterion 6 the run takes as many
+# exactly over d, the previous step and the last three directions, flexible
+# CG with step 2 as a variable preconditioner.  On both benchmarks and on criterion 6 the run takes as many
 # outer iterations as at 1e-6 and its parallel tally moves by under 0.5%; at
 # 1e-2 it does not.  On the 65 x 65 benchmark at seed 0 a solve of sub-problems
 # 1..N-1 takes about 3.7 products a step here, against 9.4 at 1e-6 and 20.7

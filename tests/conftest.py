@@ -209,6 +209,38 @@ def explicit_descent(problem, v_init, iterations, counter, gradient_rtol):
                              lambda update, _: hc.gradient(problem, v_init + update, counter))
 
 
+def subspace_minimizer(problem, v, columns, threshold):
+    """The minimizer of J over v + span(kept columns) and the coefficients
+    of all columns, 0 on those left out, from the final state of v and the
+    responses of the columns, each solved at cg_tol = 1e-13.
+
+    H c = -q are the normal equations of J over the columns.  A column is
+    left out, in order, when its squared distance in the norm of H from the
+    span of the kept columns before it is at most ``threshold`` of its
+    squared norm: the outer step's rule, and a way past columns that are
+    dependent up to rounding, such as a previous step along a remembered
+    direction."""
+    grid, tg, counter = problem.grid, problem.time_grid, hc.MatvecCounter()
+    tight = dataclasses.replace(problem, cg_tol=1e-13)
+    r = hc.evaluate(tight, v, counter).final_state - problem.y_target
+    zs = [hc.solve_state(grid, tg, grid.zero_field(), u, problem.nu, 1e-13, counter, keep=-1)
+          for u in columns]
+    H = np.array([[hc.inner_omega(grid, zi, zj) + problem.alpha * hc.inner_h(grid, tg, ui, uj)
+                   for uj, zj in zip(columns, zs)] for ui, zi in zip(columns, zs)])
+    q = np.array([hc.inner_omega(grid, r, zi) + problem.alpha * hc.inner_h(grid, tg, v, ui)
+                  for ui, zi in zip(columns, zs)])
+    kept = []
+    for i in range(len(columns)):
+        distance = H[i, i]
+        if kept:
+            distance -= H[i, kept] @ np.linalg.solve(H[np.ix_(kept, kept)], H[kept, i])
+        if distance > threshold * H[i, i]:
+            kept.append(i)
+    c = np.zeros(len(columns))
+    c[kept] = np.linalg.solve(H[np.ix_(kept, kept)], -q[kept])
+    return v + sum(ci * u for ci, u in zip(c, columns)), c
+
+
 def break_step2_solves(monkeypatch, broken):
     """Make every ``cg_solve`` of step 2's sub-problem ``broken`` raise a
     synthetic ``CGError``; the other solves run as before."""

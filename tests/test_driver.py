@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 import heatctrl as hc
 from heatctrl.config import make_field
+from heatctrl.driver import STEP_PIVOT
 from heatctrl.problem import _record
 from heatctrl.targets import DIRECTION_CG_TOL
 
 from conftest import (break_step2_solves, random_tiny_problem, reference_descent,
-                      thirteen_step_problem)
+                      subspace_minimizer, thirteen_step_problem)
 
 
 def _random_control(rng, prob):
@@ -609,23 +611,24 @@ def test_loose_step2_run_reaches_oracle_cost_in_2d(rng):
         assert abs(res.history[-1].cost - j_star) <= 1e-8 * max(1.0, j_star)
 
 
-def _run_peak_bytes(steps):
+def _run_peak_bytes(steps, max_outer=3):
     """tracemalloc peak of ``run`` on a 15 x 15 interior with a 3 x 3 control
-    patch, ``steps`` time steps, 4 sub-intervals and 3 outer iterations."""
+    patch, ``steps`` time steps, 4 sub-intervals and ``max_outer`` outer
+    iterations."""
     rng = np.random.default_rng(7)
     grid = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(0.4, 0.6)] * 2)
     prob = hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(steps, 0.5 / steps),
                              y0=rng.standard_normal(grid.interior_node_count),
                              y_target=rng.standard_normal(grid.interior_node_count),
                              alpha=0.1, nu=0.5)
-    cfg = hc.OuterConfig(n_intervals=4, max_outer=3, gradient_rtol=1e-12)
+    cfg = hc.OuterConfig(n_intervals=4, max_outer=max_outer, gradient_rtol=1e-12)
     tracemalloc.start()
     try:
         res = hc.run(prob, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.history) == 4
+    assert len(res.history) == max_outer + 1
     return peak, grid.interior_node_count
 
 
@@ -637,6 +640,21 @@ def test_run_memory_does_not_grow_with_full_trajectories():
     small, n = _run_peak_bytes(short)
     large, _ = _run_peak_bytes(4 * short)
     assert large - small < (4 * short + 1) * n * 8
+
+
+def test_remembered_directions_cost_at_most_three_controls_and_fields(monkeypatch):
+    # a run whose ring fills (five steps, the last three remembered) peaks
+    # at most three controls and three fields above the same run remembering
+    # none, plus 1 KiB a direction for the array and tuple objects (about
+    # 0.6 KiB); one more control or field a direction would pass the bound
+    import heatctrl.driver as driver
+
+    steps = 16
+    _run_peak_bytes(steps, max_outer=5)
+    full, n = _run_peak_bytes(steps, max_outer=5)
+    monkeypatch.setattr(driver, "REMEMBERED_DIRECTIONS", 0)
+    none, _ = _run_peak_bytes(steps, max_outer=5)
+    assert full - none <= 3 * ((steps * 9 + n) * 8 + 1024)
 
 
 def _logged_run(monkeypatch, prob, cfg):
@@ -660,23 +678,6 @@ def _logged_run(monkeypatch, prob, cfg):
     return hc.run(prob, cfg), iterates, directions
 
 
-def _subspace_minimizer(prob, v, cols):
-    """The minimizer of J over v + span(cols) and its coefficients, from the
-    responses of the columns and the final state of v, each solved at
-    cg_tol = 1e-13."""
-    grid, tg, counter = prob.grid, prob.time_grid, hc.MatvecCounter()
-    tight = dataclasses.replace(prob, cg_tol=1e-13)
-    r = hc.evaluate(tight, v, counter).final_state - prob.y_target
-    zs = [hc.solve_state(grid, tg, grid.zero_field(), u, prob.nu, 1e-13, counter, keep=-1)
-          for u in cols]
-    H = np.array([[hc.inner_omega(grid, zi, zj) + prob.alpha * hc.inner_h(grid, tg, ui, uj)
-                   for uj, zj in zip(cols, zs)] for ui, zi in zip(cols, zs)])
-    q = np.array([hc.inner_omega(grid, r, zi) + prob.alpha * hc.inner_h(grid, tg, v, ui)
-                  for ui, zi in zip(cols, zs)])
-    c = np.linalg.solve(H, -q)
-    return v + sum(ci * u for ci, u in zip(c, cols)), c
-
-
 def _parity_parts(u):
     """The even and odd parts of a control under the point reflection."""
     return (u + u[:, ::-1]) / 2, (u - u[:, ::-1]) / 2
@@ -697,11 +698,15 @@ def _off_centre(prob):
 def test_step_minimizes_the_cost_over_d_and_the_previous_step(rng, monkeypatch, dim,
                                                               n_intervals, centred):
     # from the second outer iteration on, v_{k+1} is the exact minimizer of J
-    # over v_k + span{d_k, s_k}, with s_k = v_k - v_{k-1} the last step, to
-    # 1e-10 of the step; the s part of that minimizer is far larger, so the
-    # exact step along d alone would fail.  On a centred patch the span is
-    # that of the even and odd parts of d_k and of s_k itself, and its
-    # minimizer is off the one over span{d_k, s_k} by far more.  (From the fourth
+    # over v_k plus the span of the step's columns, d_k, s_k = v_k - v_{k-1}
+    # the last step, and d_{k-1}, d_{k-2}, d_{k-3} as far as they exist,
+    # less each column within 5.7 degrees of the span of the ones kept
+    # before it, to 1e-10 of the step.  The s part of that minimizer is far
+    # larger, so the exact step along d alone would fail.  On a centred
+    # patch d_k enters as its even and odd parts, and the minimizer is off
+    # the one with d_k whole by far more.  At the third iteration the
+    # remembered directions move the step far off the plane step over d_k
+    # and s_k (at the second, s_k lies along d_{k-1}).  (From the fourth
     # iteration on these instances' steps near the rounding of v; in 1D the
     # line has 15 nodes, since on 6 the split steps reach it by the third.)
     if dim == 1:
@@ -719,11 +724,16 @@ def test_step_minimizes_the_cost_over_d_and_the_previous_step(rng, monkeypatch, 
     for k in (1, 2):
         v_prev, v, v_next = controls[k - 1:k + 2]
         d, s = directions[k], v - v_prev
-        plane, _ = _subspace_minimizer(prob, v, [d, s])
-        want, c = _subspace_minimizer(prob, v, [*_parity_parts(d), s] if centred else [d, s])
+        parts = list(_parity_parts(d)) if centred else [d]
+        remembered = directions[k - 1::-1][:3]
+        want, c = subspace_minimizer(prob, v, [*parts, s, *remembered], STEP_PIVOT)
+        whole, _ = subspace_minimizer(prob, v, [d, s, *remembered], STEP_PIVOT)
+        plane, _ = subspace_minimizer(prob, v, [*parts, s], STEP_PIVOT)
         step = hc.norm_h(grid, tg, v_next - v)
-        assert abs(c[-1]) * hc.norm_h(grid, tg, s) >= 1e-6 * step
+        assert abs(c[len(parts)]) * hc.norm_h(grid, tg, s) >= 1e-6 * step
         if centred:
+            assert hc.norm_h(grid, tg, v_next - whole) >= 1e-6 * step
+        if k == 2:
             assert hc.norm_h(grid, tg, v_next - plane) >= 1e-6 * step
         assert hc.norm_h(grid, tg, v_next - want) <= 1e-10 * step
 
@@ -755,6 +765,93 @@ def test_step_is_no_worse_than_the_scalar_step_along_d(nodes, steps, data, inner
         theta, _, _ = hc.line_search(prob, part, v, d, y - prob.y_target, counter)
         j_scalar = hc.evaluate(tight, v + theta * d, counter).cost
         assert hc.evaluate(tight, v_next, counter).cost <= j_scalar + 1e-12 * j_scalar
+
+
+_LineSearch = collections.namedtuple("_LineSearch",
+                                     "v d residual head previous remembered z d_left")
+
+
+def _logged_line_searches(monkeypatch):
+    """Per ``line_search`` call of a run, a ``_LineSearch``: its arguments v,
+    d, residual, head and previous as they came (copies), its remembered
+    pairs (the objects themselves), the z(T) it returned and d as it left it
+    (copies)."""
+    import heatctrl.driver as driver
+
+    calls = []
+
+    def logged(problem, partition, v, d, residual, counter, head, previous, remembered,
+               real=driver.line_search):
+        copies = [None if x is None else x.copy() for x in (v, d, residual, head)]
+        copies.append(None if previous is None else tuple(x.copy() for x in previous))
+        result = real(problem, partition, v, d, residual, counter, head, previous, remembered)
+        calls.append(_LineSearch(*copies, list(remembered),
+                                 None if result[2] is None else result[2].copy(), d.copy()))
+        return result
+
+    monkeypatch.setattr(driver, "line_search", logged)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nodes=st.integers(3, 8),
+    steps=st.integers(2, 16),
+    data=st.data(),
+    inner=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_is_no_worse_than_the_plane_step_over_d_and_the_previous_step(nodes, steps, data,
+                                                                           inner, seed):
+    # J after each step over d, the previous step and the remembered
+    # directions is at most J after the step over d (its parts) and the
+    # previous step alone from the same iterate (both J at a tight tolerance)
+    prob = random_tiny_problem(np.random.default_rng(seed), n_interior=nodes, steps=steps)
+    n_intervals = data.draw(st.integers(2, steps), label="n_intervals")
+    cfg = hc.OuterConfig(n_intervals=n_intervals, inner_iterations=inner, max_outer=6,
+                         gradient_rtol=1e-9)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _logged_line_searches(monkeypatch)
+        res, iterates, _ = _logged_run(monkeypatch, prob, cfg)
+    part = hc.make_partition(prob.time_grid, n_intervals)
+    tight = dataclasses.replace(prob, cg_tol=1e-14)
+    counter = hc.MatvecCounter()
+    controls = [v for v, _ in iterates] + [res.control]
+    for k, (v, d, residual, head, previous, *_) in enumerate(calls):
+        if previous is None:
+            continue
+        _, plane, _ = hc.line_search(prob, part, v, d, residual, counter, head, previous)
+        j_plane = hc.evaluate(tight, v if plane is None else v + plane[0], counter).cost
+        assert hc.evaluate(tight, controls[k + 1], counter).cost <= j_plane + 1e-12 * j_plane
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_intervals", [1, 3])
+def test_remembered_directions_are_the_last_three_as_they_were_solved(rng, monkeypatch, dim,
+                                                                      n_intervals):
+    # each step sees the directions of the last three steps, newest first,
+    # each with the z(T) its line search returned, bit for bit as that line
+    # search left them and unwritten to the end of the run; a line search
+    # gives d back whole up to its rounding, at most about 2 eps in norm (it
+    # holds d's even part while it splits d); one interval remembers none
+    prob = thirteen_step_problem(dim, rng, 1e-10)
+    calls = _logged_line_searches(monkeypatch)
+    res = hc.run(prob, hc.OuterConfig(n_intervals=n_intervals, max_outer=5,
+                                      gradient_rtol=1e-300))
+    if n_intervals == 1:  # the steepest descent here reaches rounding by its fifth step
+        assert len(calls) >= 3 and all(call.remembered == [] for call in calls)
+        return
+    assert len(calls) == 5 and not res.stalled
+
+    def bits(x):
+        return x.view(np.int64).tolist()
+
+    for k, call in enumerate(calls):
+        assert np.linalg.norm(call.d_left - call.d) <= 4e-16 * np.linalg.norm(call.d)
+        assert len(call.remembered) == min(k, 3)
+        for j, (d, zT) in enumerate(call.remembered):
+            earlier = calls[k - 1 - j]
+            assert bits(d) == bits(earlier.d_left) and bits(zT) == bits(earlier.z)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

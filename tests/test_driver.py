@@ -11,6 +11,7 @@ import heatctrl as hc
 from heatctrl.config import make_field
 from heatctrl.driver import STEP_PIVOT
 from heatctrl.problem import _record
+from heatctrl.propagators import free_evolution
 from heatctrl.targets import DIRECTION_CG_TOL
 
 from conftest import (break_step2_solves, random_tiny_problem, reference_descent,
@@ -242,14 +243,48 @@ def test_run_converges_immediately_for_free_evolution_target(rng):
     g = hc.build_grid(1, 7, [(0.0, 1.0)], [(0.2, 0.8)])
     tg = hc.TimeGrid(8, 1.0 / 8)
     y0 = rng.standard_normal(5)
-    y_free = hc.solve_state(g, tg, y0, np.zeros((8, g.control_node_count)),
-                            0.5, 1e-10, hc.MatvecCounter())
-    prob = hc.ControlProblem(grid=g, time_grid=tg, y0=y0, y_target=y_free[-1],
+    y_free = free_evolution(g, tg, y0, 0.5, 1e-10, hc.MatvecCounter())
+    prob = hc.ControlProblem(grid=g, time_grid=tg, y0=y0, y_target=y_free,
                              alpha=0.2, nu=0.5)
     res = hc.run(prob, hc.OuterConfig(n_intervals=4))
     assert res.converged
     assert len(res.history) == 1
     assert res.history[0].cost == 0.0
+
+
+def _probe_problem(case):
+    """The CLI probes' instances: the 65-node line at nu dt / h^2 = 102.4,
+    whose free evolution is the CG sweep's, and a 9 x 9 grid at nu = 0.05,
+    whose is the Chebyshev pass's."""
+    if case == "stiff":
+        grid = hc.build_grid(1, 65, [(0.0, 1.0)], [(0.25, 0.75)])
+        tg, nu, y0 = hc.TimeGrid(45, 0.05), 0.5, "gaussian(0.5,0.15,1.0)"
+    else:
+        grid = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+        tg, nu, y0 = hc.TimeGrid(36, 0.05), 0.05, "gaussian(0.5,0.5,0.15,1.0)"
+    target = f"indicator({','.join(['0.25', '0.75'] * grid.dim)})"
+    return hc.ControlProblem(grid=grid, time_grid=tg, y0=make_field(grid, y0),
+                             y_target=make_field(grid, target), alpha=0.3, nu=nu)
+
+
+@pytest.mark.parametrize("case", ["stiff", "smooth"])
+def test_run_from_zero_takes_its_first_state_from_the_free_evolution(case):
+    # row 0 of a run from v = 0, or from a zero start, has the bits of J at
+    # free_evolution's state and its products; on the stiff line that state
+    # is the CG sweep's, bit for bit, and on the smooth grid it is not
+    prob = _probe_problem(case)
+    grid, tg, v = prob.grid, prob.time_grid, prob.zero_control()
+    counter = hc.MatvecCounter()
+    y = free_evolution(grid, tg, prob.y0, prob.nu, prob.cg_tol, counter)
+    hc.gradient(prob, v, counter, final_state=y)
+    want = (_record(prob, v, y).cost, counter.count, counter.parallel)
+    cfg = hc.OuterConfig(n_intervals=5, max_outer=0)
+    for start in (None, v):
+        row = hc.run(prob, cfg, start=start).history[0]
+        assert (row.cost, row.matvec_sequential, row.matvec_parallel) == want
+    sweep = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, hc.MatvecCounter(),
+                           keep=-1)
+    assert (sweep.tobytes() == y.tobytes()) == (case == "stiff")
 
 
 def test_run_reaches_oracle_optimum(rng):
@@ -925,7 +960,7 @@ def _scalar_step_run(prob, cfg):
     part = hc.make_partition(tg, cfg.n_intervals)
     counter = hc.MatvecCounter()
     v = prob.zero_control()
-    y = hc.solve_state(grid, tg, prob.y0, v, prob.nu, prob.cg_tol, counter, keep=-1)
+    y = free_evolution(grid, tg, prob.y0, prob.nu, prob.cg_tol, counter)
     threshold, rows = None, []
     for k in range(cfg.max_outer + 1):
         g = hc.gradient(prob, v, counter, final_state=y)

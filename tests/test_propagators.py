@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heatctrl as hc
 import heatctrl.linsolve as linsolve
 import heatctrl.propagators as propagators
+from heatctrl.config import make_field
 from heatctrl.linsolve import CHECK, inverse_powers
 
 from conftest import (adjoint_fields, cg_adjoint_recursion, dense_adjoint_solve,
@@ -812,3 +813,251 @@ def test_adjoint_is_the_transpose_of_the_forward_map_at_benchmark_scale(rng):
     patch = hc.solve_adjoint(g, tg, w, 1e-2, 1e-10, counter)
     forward = hc.inner_omega(g, gd, w)
     assert abs(forward - hc.inner_h(g, tg, d, patch[:-1])) <= 1e-9 * abs(forward)
+
+
+def _free_evolution_case(dim, nodes, stiffness, steps, y0_kind, rng):
+    """(grid, time grid, nu, y0) with nu dt / h^2 = ``stiffness`` on the unit
+    box: a Gaussian y0 or a random one."""
+    g = hc.build_grid(dim, nodes, [(0.0, 1.0)] * dim, [(0.25, 0.75)] * dim)
+    nu = 0.5
+    tg = hc.TimeGrid(steps, stiffness * g.spacing[0] ** 2 / nu)
+    if y0_kind == "gaussian":
+        y0 = make_field(g, f"gaussian({','.join(['0.5'] * dim)},0.15,1.0)")
+    else:
+        y0 = rng.standard_normal(g.interior_node_count)
+    return g, tg, nu, y0
+
+
+def _spy_stencil_and_fallback(monkeypatch):
+    """The stencil calls ``free_evolution`` makes, and the calls it makes of
+    ``solve_state``, each given as the number of stencil calls before it:
+    one call when it leaves the state to the CG sweep."""
+    stencil, fallback = [], []
+    real_stencil, real_sweep = propagators.laplacian_apply, propagators.solve_state
+
+    def stencil_spy(grid, u, **buffers):
+        stencil.append(1)
+        return real_stencil(grid, u, **buffers)
+
+    def sweep_spy(*args, **kwargs):
+        fallback.append(len(stencil))
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(propagators, "laplacian_apply", stencil_spy)
+    monkeypatch.setattr(propagators, "solve_state", sweep_spy)
+    return stencil, fallback
+
+
+def _first_certifiable_degree(steps, spread, tol):
+    """The first degree whose bound lets the pass certify a state at all."""
+    terms = propagators._inverse_power_series(
+        steps, spread, propagators.CHEBYSHEV_DEGREES_PER_STEP * steps)
+    return next(k for k, (_, bound, _) in enumerate(terms) if bound * (1 - tol) <= tol)
+
+
+# (dim, nodes, nu dt / h^2, steps, y0, the path free_evolution takes at
+# tol = 1e-8 and at 1e-10): the Chebyshev pass; the sweep, where no degree
+# up to 2 L can certify; or the sweep after a pass that gave up
+FREE_EVOLUTION_CASES = [
+    (1, 17, 0.1, 40, "gaussian", "chebyshev", "chebyshev"),
+    (1, 17, 1.0, 40, "gaussian", "chebyshev", "chebyshev"),
+    (1, 17, 0.1, 60, "random", "chebyshev", "chebyshev"),
+    (1, 17, 10.0, 8, "gaussian", "sweep", "sweep"),
+    (1, 65, 102.4, 45, "gaussian", "sweep", "sweep"),
+    (2, 9, 0.2, 36, "gaussian", "chebyshev", "chebyshev"),
+    (2, 9, 0.2, 24, "random", "chebyshev", "chebyshev"),
+    (2, 9, 0.5, 24, "random", "pass, then sweep", "sweep"),
+    (2, 9, 10.0, 5, "random", "sweep", "sweep"),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("dim, nodes, stiffness, steps, y0_kind, path_8, path_10",
+                         FREE_EVOLUTION_CASES)
+def test_free_evolution_matches_the_dense_recursion(rng, monkeypatch, dim, nodes, stiffness,
+                                                    steps, y0_kind, path_8, path_10, tol):
+    # where the Chebyshev pass certifies, K^-L y0 is within tol ||y(T)|| of
+    # the dense recursion; where it does not, the state is the CG sweep's,
+    # bit for bit, and costs its products plus those of a pass that ran
+    path = path_8 if tol == 1e-8 else path_10
+    g, tg, nu, y0 = _free_evolution_case(dim, nodes, stiffness, steps, y0_kind, rng)
+    stencil, fallback = _spy_stencil_and_fallback(monkeypatch)
+    counter = hc.MatvecCounter()
+    x = propagators.free_evolution(g, tg, y0, nu, tol, counter)
+    degrees = propagators.CHEBYSHEV_DEGREES_PER_STEP * steps
+    assert counter.count == len(stencil)
+    if path == "chebyshev":
+        assert not fallback
+        ref = dense_state_solve(g, tg, y0, np.zeros((steps, g.control_node_count)), nu)[-1]
+        assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+        assert counter.count <= degrees
+    else:
+        [passed] = fallback
+        assert (passed > 0) == (path == "pass, then sweep") and passed <= degrees
+        sweep = hc.MatvecCounter()
+        want = hc.solve_state(g, tg, y0, np.zeros((steps, g.control_node_count)), nu, tol,
+                              sweep, keep=-1)
+        assert x.tobytes() == want.tobytes()
+        assert counter.count == sweep.count + passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(3, 12),
+    steps=st.integers(1, 60),
+    stiffness=st.floats(1e-3, 30.0),  # nu * dt / h^2
+    share=st.floats(0.0, 1.0),  # of the 2 L degrees the series is made for
+)
+@example(nodes=4, steps=1, stiffness=1.0, share=0.0)  # one degree from three nodes aliases most
+def test_inverse_power_series_bound_holds_on_the_dense_spectrum(nodes, steps, stiffness, share):
+    # every bound the series yields holds at each eigenvalue of the dense K
+    # and at the ends of the interval it is made for, and no bound lies below
+    # an earlier degree's floor, up to the rounding of this check: an
+    # eigenvalue within 10 eps (1 + spread) moves lambda^-L by L times that,
+    # and the check's own sum rounds by a few eps a term.  A series made for
+    # fewer degrees, on fewer nodes, aliases more.
+    g = hc.build_grid(1, nodes, [(0.0, 1.0)], [(0.2, 0.8)])
+    dt, nu = stiffness * g.spacing[0] ** 2, 1.0
+    spread = 4.0 * dt * nu / g.spacing[0] ** 2
+    k_dense = np.eye(g.interior_node_count) - dt * nu * dense_laplacian(g)
+    lam = np.concatenate(([1.0, 1.0 + spread], np.linalg.eigvalsh(k_dense)))
+    s = np.clip((1.0 + spread / 2 - lam) / (spread / 2), -1.0, 1.0)
+    exact = lam ** -float(steps)
+    partial = np.zeros_like(lam)
+    degrees = max(1, round(share * propagators.CHEBYSHEV_DEGREES_PER_STEP * steps))
+    floor = 0.0
+    for k, (a, bound, next_floor) in enumerate(
+            propagators._inverse_power_series(steps, spread, degrees)):
+        partial += a * np.cos(k * np.arccos(s))
+        slack = (10.0 * steps * (1.0 + spread) + 4 * k + 8) * np.finfo(float).eps
+        assert np.max(np.abs(exact - partial)) <= bound + slack
+        assert floor <= bound + slack
+        floor = next_floor
+
+
+def test_free_evolution_charges_exactly_its_stencil_calls(monkeypatch):
+    # a pass that certifies; a pass that gives up and leaves the state to
+    # the sweep, which costs the pass's products on top of the sweep's; and
+    # a fallback that makes no pass
+    stencil, fallback = _spy_stencil_and_fallback(monkeypatch)
+    g = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+    y0 = make_field(g, "gaussian(0.5,0.5,0.15,1.0)")
+    zero = np.zeros((36, g.control_node_count))
+    for nu, tg, passed in [(0.02, hc.TimeGrid(36, 0.05), 46), (0.05, hc.TimeGrid(36, 0.05), 18),
+                           (0.5, hc.TimeGrid(5, 0.05), 0)]:
+        stencil.clear()
+        fallback.clear()
+        counter = hc.MatvecCounter()
+        x = propagators.free_evolution(g, tg, y0, nu, 1e-10, counter)
+        assert counter.count == counter.parallel == len(stencil)
+        if nu == 0.02:
+            assert not fallback and counter.count == passed
+        else:
+            sweep = hc.MatvecCounter()
+            want = hc.solve_state(g, tg, y0, zero[:tg.step_count], nu, 1e-10, sweep, keep=-1)
+            assert x.tobytes() == want.tobytes()
+            assert fallback == [passed] and counter.count == sweep.count + passed
+
+
+def test_free_evolution_gives_up_on_a_field_that_decays_below_its_bound(monkeypatch):
+    # a unit field on a 9-node line decays over 400 steps to about 1e-9 of
+    # its norm, below what any degree up to 2 L bounds relative to it: the
+    # pass gives up before the first degree that could certify a state of
+    # y0's norm, and the state is the sweep's
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg, nu, tol = hc.TimeGrid(400, 0.01), 0.5, 1e-10
+    y0 = np.ones(7)
+    stencil, fallback = _spy_stencil_and_fallback(monkeypatch)
+    counter = hc.MatvecCounter()
+    x = propagators.free_evolution(g, tg, y0, nu, tol, counter)
+    sweep = hc.MatvecCounter()
+    want = hc.solve_state(g, tg, y0, np.zeros((400, g.control_node_count)), nu, tol, sweep,
+                          keep=-1)
+    assert x.tobytes() == want.tobytes()
+    [passed] = fallback
+    assert counter.count == sweep.count + passed
+    assert 0 < passed < _first_certifiable_degree(400, 4.0 * 0.01 * nu / g.spacing[0] ** 2, tol)
+
+
+@pytest.mark.parametrize("stiffness, steps, tol, most", [
+    (0.32, 2000, 1e-12, 20),  # the rounding of 4000-node sums bars a bound at 1e-12
+    (10.0, 8, 1e-8, 1),  # the series beyond 2 L degrees sums to more than tol
+])
+def test_free_evolution_forms_few_coefficients_where_no_degree_can_certify(
+        monkeypatch, stiffness, steps, tol, most):
+    # the floor stops the series long before 2 L degrees, at no product, and
+    # the state is the sweep's
+    formed = []
+    real = propagators._inverse_power_series
+
+    def counted(*args):
+        for term in real(*args):
+            formed.append(term)
+            yield term
+
+    monkeypatch.setattr(propagators, "_inverse_power_series", counted)
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg, nu = hc.TimeGrid(steps, stiffness * g.spacing[0] ** 2 / 0.5), 0.5
+    y0 = make_field(g, "gaussian(0.5,0.15,1.0)")
+    counter, sweep = hc.MatvecCounter(), hc.MatvecCounter()
+    x = propagators.free_evolution(g, tg, y0, nu, tol, counter)
+    want = hc.solve_state(g, tg, y0, np.zeros((steps, g.control_node_count)), nu, tol, sweep,
+                          keep=-1)
+    assert x.tobytes() == want.tobytes() and counter.count == sweep.count
+    assert 0 < len(formed) <= most
+
+
+def test_free_evolution_of_a_zero_or_underflowing_field_costs_no_product(monkeypatch):
+    # as the sweep gives them: zeros, at no product and no stencil call, on
+    # a grid where a unit field takes the Chebyshev pass
+    g = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+    tg = hc.TimeGrid(12, 0.01)
+    unit = hc.MatvecCounter()
+    propagators.free_evolution(g, tg, np.ones(49), 0.05, 1e-10, unit)
+    assert 0 < unit.count <= 24
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stencil call")
+
+    monkeypatch.setattr(propagators, "laplacian_apply", forbidden)
+    zero = np.zeros((12, g.control_node_count))
+    for y0 in (np.zeros(49), np.full(49, 1e-170), np.full(49, -0.0)):
+        assert float(y0.dot(y0)) == 0.0
+        counter = hc.MatvecCounter()
+        x = propagators.free_evolution(g, tg, y0, 0.05, 1e-10, counter)
+        want = hc.solve_state(g, tg, y0, zero, 0.05, 1e-10, counter, keep=-1)
+        assert x.tobytes() == want.tobytes() == np.zeros(49).tobytes()
+        assert counter.count == 0
+
+
+def test_free_evolution_without_diffusion_is_y0_at_no_product(rng):
+    # K = Id: the series is the constant 1, degree 0 certifies it
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    y0 = rng.standard_normal(7)
+    counter = hc.MatvecCounter()
+    x = propagators.free_evolution(g, hc.TimeGrid(20, 0.05), y0, 0.0, 1e-10, counter)
+    assert x.tobytes() == y0.tobytes() and x is not y0
+    assert counter.count == 0
+
+
+def test_free_evolution_on_an_interval_that_overflows_fails_as_the_sweep_does():
+    # nu = 1e308 makes K's interval infinite: the sweep runs, with no
+    # coefficient formed on that interval, and its products overflow into
+    # the same CGError
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg = hc.TimeGrid(8, 0.05)
+    y0 = make_field(g, "gaussian(0.5,0.15,1.0)")
+    with np.errstate(over="ignore"):
+        with pytest.raises(hc.CGError) as sweep:
+            hc.solve_state(g, tg, y0, np.zeros((8, g.control_node_count)), 1e308, 1e-10,
+                           hc.MatvecCounter(), keep=-1)
+        with pytest.raises(hc.CGError) as free:
+            propagators.free_evolution(g, tg, y0, 1e308, 1e-10, hc.MatvecCounter())
+    assert str(free.value) == str(sweep.value)
+    for nu, tol, message in [(-1.0, 1e-10, "nu"), (0.5, 0.0, "tol"), (0.5, float("nan"), "tol")]:
+        for field in (y0, np.zeros(7)):
+            with pytest.raises(ValueError, match=message):
+                hc.solve_state(g, tg, field, np.zeros((8, g.control_node_count)), nu, tol,
+                               hc.MatvecCounter(), keep=-1)
+            with pytest.raises(ValueError, match=message):
+                propagators.free_evolution(g, tg, field, nu, tol, hc.MatvecCounter())

@@ -9,14 +9,14 @@ take the exact step along d.  The package never forms chi: by linearity a
 sub-problem's gradient is its window of the outer gradient, plus alpha
 times the change of its control, plus the adjoint of that change's
 response, and the walkthrough checks that this gives the steps of a descent
-on the sub-problems with the explicit targets.  Sub-problem 0 starts, like
-the line search's homogeneous state z, from zero at t = 0, so its response
-is z at the first breakpoint and the line search sweeps only the steps after
-it.  It then runs the outer loop on three intervals, whose later steps
-minimize J over d and the previous step, and on one, which is the sequential
-baseline and keeps the step along d, and finally checks the defining
-fixed-point property: starting from the exact optimum, the sweep returns the
-optimum.
+on the sub-problems with the explicit targets.  The line search takes the
+homogeneous state z(T) that d drives from zero from one Chebyshev pass over
+d, or, where no degree up to 2 L bounds it, as on this stiff line, from a
+CG solve per step.  It then runs the outer loop on three intervals, whose
+later steps minimize J over d and the previous step, and on one, which is
+the sequential baseline and keeps the step along d, and finally checks the
+defining fixed-point property: starting from the exact optimum, the sweep
+returns the optimum.
 """
 
 import dataclasses
@@ -73,16 +73,13 @@ for n, target in enumerate(chi):
 
 # step 2: each sub-problem counts its own products; the parallel tally
 # charges the costliest, as if each ran on its own processor.  Each returns
-# the change of its control; sub-problem 0, solved at cg_tol, also returns
-# its response, the line search's z at the first breakpoint
+# the change of its control
 subproblems = hc.assemble_subproblems(problem, partition, g)
 updates, counts = [], []
 for sub in subproblems:
     own = hc.MatvecCounter()
-    update, response = hc.solve_subproblem(sub, 1, own)  # one descent step
+    update, _ = hc.solve_subproblem(sub, 1, own)  # one descent step
     updates.append(update)
-    if sub.index == 0:
-        head = response
     counts.append(own.count)
     print(f"sub-problem {sub.index} on [{time_grid.dt * sub.start:g}, "
           f"{time_grid.dt * sub.end:g}]: {own.count} matvecs")
@@ -115,9 +112,8 @@ for sub, target in zip(subproblems, chi):
 
 d = np.concatenate(updates)
 before = counter.count
-theta, _, _ = hc.line_search(problem, partition, v, d, y_final - problem.y_target, counter,
-                             head)
-print(f"line search from the first breakpoint: {counter.count - before} matvecs")
+theta, _, _ = hc.line_search(problem, v, d, y_final - problem.y_target, counter)
+print(f"line search, z(T) of d from zero: {counter.count - before} matvecs")
 v = v + theta * d
 print(f"after one sweep: theta = {theta:.4f}, "
       f"J = {hc.evaluate(problem, v, counter).cost:.8f}")

@@ -1,8 +1,8 @@
 """The outer loop of the intermediate-targets method, and its matvec ledger.
 
 ``run`` is the only outer loop, from v = 0 or a given start control.  Each
-iteration takes d and the line search's head, z at the first breakpoint or
-None, from ``targets_direction``, given the gradient g(v) of the current
+iteration takes d, and on one interval its response z(T), from
+``targets_direction``, given the gradient g(v) of the current
 control v; ``_sweep`` then minimizes J exactly over v plus the span of d,
 the last step taken s and the last ``REMEMBERED_DIRECTIONS`` = 3 directions
 d_{k-1}, d_{k-2}, d_{k-3}, rejecting an uphill step.  Over d and s alone
@@ -23,24 +23,25 @@ the changes of their controls joined into d = v_tilde - v.  By linearity a
 sub-problem's gradient at the current control is the window of g on its
 sub-interval, and after a change u of its control it is that window plus
 alpha u plus the adjoint of u's response, so step 2 reads g alone and chi is
-never formed (``targets``).  Sub-problem 0 starts, like z, from zero at
-t = 0, so its response (the homogeneous state its change of control drives,
-at its right breakpoint) is z at the first breakpoint: the head, whenever
-it was solved at ``cg_tol``.
+never formed (``targets``).
 
 The sequential baseline, the optimal-step gradient method, is the case of
 one interval and one inner iteration: its one sub-problem takes the exact
-step sigma along -g, its response is z(T), so the line search makes no sweep
-and its step along d is 1 up to rounding.
+step sigma along -g, its response (the homogeneous state its change of
+control drives, at T) is z(T), so the line search makes no product and its
+step along d is 1 up to rounding.  On two or more intervals the line search
+takes z(T) from one Chebyshev pass over d from zero
+(``propagators.forced_response``), with a certified error bound.
 
 Only step 2's solves may run at a looser CG tolerance
 (``targets.DIRECTION_CG_TOL`` = 1e-3, when the inner descent has no gradient
 test), since they only shape d, and the step over d, s and the remembered
 directions is flexible CG, which takes an inexact step 2 as a variable
-preconditioner; sub-problem 0's at one inner iteration do not, since they
-also give the head.  The state, adjoint and line-search solves stay at the
-problem's ``cg_tol``, and so do J, g, the stopping test and the uphill
-guard: every accepted step lowers J and the gradient stays the exact one.
+preconditioner; the one sub-problem of one interval at one inner iteration
+does not, since its response is z(T).  The state, adjoint and line-search
+passes stay at the problem's ``cg_tol``, and so do J, g, the stopping test
+and the uphill guard: every accepted step lowers J and the gradient stays
+the exact one.
 
 The final state follows through linearity, y(T; v + a d + b s + sum_j c_j
 d_j) = y(T; v) + a z(T) + b z_s(T) + sum_j c_j z_j(T), with z the
@@ -48,20 +49,15 @@ homogeneous state the line search solved for, z_s(T) the response of s,
 which ``run`` carries as that combination, and z_j(T) the response each
 remembered direction's own line search solved, so neither s nor a
 remembered direction costs a product; the parts of d have the parts of z
-as theirs, since the reflection commutes with the sweep.  Each outer
-iteration costs one adjoint sweep (all its steps from one Lanczos pass: at
-seed 0, 64 products against 651 for a CG solve per step on the 33 x 33
-benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves (about
-2.0 and 4.9 products a step on the two at seed 0, against 3.2 and 10.1 with
-step 2 at 1e-6) and the line search's one homogeneous forward sweep: from
-the head at the first breakpoint when step 2 gives one, else from zero at
-t = 0, to T (none when the head is z(T)).  That sweep is given the
-breakpoints it crosses, so its first steps in each window recall the
-corrections made at the same steps of the last windows, and like every
-sweep's steps each takes its one test product at its corrected start
-(``propagators.solve_state``): about 4.4 and 14.3 products a step on the
-two at seed 0 (4.4 and 12.8 over d and s alone, 4.0 and 11.5 under the
-scalar step along d).  With one inner iteration, a sub-problem costs one
+as theirs, since the reflection commutes with K and with the patch.  Each
+outer iteration costs one adjoint sweep (all its steps from one Lanczos
+pass: at seed 0, 64 products against 651 for a CG solve per step on the
+33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves
+(about 1.5 and 3.8 products a step on the two at seed 0) and the line
+search's one Chebyshev pass over d: 48 to 55 products on the 33 x 33
+benchmark and 139 to 150 on the 65 x 65 one at seed 0, for the whole
+horizon, where a CG solve per step from zero took 550 and 1779 for the
+first direction.  With one inner iteration, a sub-problem costs one
 homogeneous forward solve; each further inner iteration adds an adjoint and
 a forward solve.  Before the first iteration a run from v = 0 needs y(T; 0)
 = K^-L y0, the evolution of y0 without forcing, which
@@ -69,17 +65,20 @@ a forward solve.  Before the first iteration a run from v = 0 needs y(T; 0)
 certified error bound: 56 products against 357 for a CG solve per step on
 the 33 x 33 benchmark, 156 against 800 on the 65 x 65 one, where the CG
 sweep ends 8.3e-10 and 7.9e-10 relative from a tight sweep and the pass
-4.2e-11 and 1.2e-11.  Where no degree up to 2 L certifies it (short or
-stiff horizons, or a field that decays far below ||y0||) the state is the
-CG sweep's, bit for bit; a run from another start solves y(T; v) by that
-sweep.
+4.2e-11 and 1.2e-11.  Where no degree up to 2 L certifies either pass
+(short or stiff horizons, or a field that decays far below its data) the
+result is the CG sweep's, bit for bit; a run from another start solves
+y(T; v) by that sweep.
 
 A run stores no trajectory: y, z and z_s at the final step, p on the
 control patch at every step, the control, the direction and the last step,
 and on two or more intervals the three remembered directions with their
 z(T), three controls and three fields more; the gradient is dropped once
-step 2 has read it, before the line-search sweep, where a run peaks.  That
-is O(n + steps m) memory for n grid nodes and m control nodes.
+step 2 has read it, before the line search.  The line search's pass holds
+three fields and, for each degree it uses, one coefficient a step, or one
+forcing on the patch where the patch has fewer nodes than the horizon has
+steps.  That is O(n + steps m) memory for n grid nodes and m control nodes,
+and the series' coefficients.
 
 One ``MatvecCounter`` keeps both tallies.  The sequential tally counts every
 product; the parallel tally charges step 2 at its costliest sub-problem
@@ -99,12 +98,12 @@ import numpy as np
 from .grid import inner_omega
 from .linsolve import MatvecCounter, _galerkin
 from .problem import ControlProblem, _record, gradient, inner_h, norm_h
-from .propagators import TimeGrid, free_evolution, solve_state
+from .propagators import forced_response, free_evolution, solve_state
 from .targets import assemble_subproblems, make_partition, solve_subproblem
 
 
 # directions a run on two or more intervals remembers for its step, each with
-# the z(T) its line-search sweep solved, so a remembered column costs no
+# the z(T) its line search took, so a remembered column costs no
 # product.  At seed 0 the 65 x 65 benchmark takes 8 outer iterations with
 # none, 7 with 1 or 2, and 6 with 3, 4 or 5; the 33 x 33 one takes 8, 7 with
 # 1 to 3 and 6 with 4 or 5, but each direction costs the 65 x 65 run a
@@ -162,12 +161,11 @@ class RunResult:
 
 def line_search(
     problem: ControlProblem,
-    partition: list[int],
     v: np.ndarray,
     d: np.ndarray,
     residual: np.ndarray,
     counter: MatvecCounter,
-    head: np.ndarray | None = None,
+    zT: np.ndarray | None = None,
     previous: tuple[np.ndarray, np.ndarray] | None = None,
     remembered: Sequence[tuple[np.ndarray, np.ndarray]] = (),
 ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None, np.ndarray | None]:
@@ -181,13 +179,10 @@ def line_search(
     newest first, which are read only with ``previous``.  z is the
     homogeneous state driven by d, so y(T; v + s') = y(T; v) + z_s'(T) with
     z_s' the same combination of the columns' responses as s' is of the
-    columns; z is None (and so is the step) when d vanishes.  z comes from
-    one sweep over the steps from a start step to T, on d's rows from there
-    and given the breakpoints from there on.  Without ``head`` it starts at
-    step 0 from z = 0.  With it, z at ``partition[1]`` solved at ``cg_tol``
-    (step 2's sub-problem 0 response), it starts at ``partition[1]`` from
-    the head; with one interval that step is T, the head is z(T), and there
-    is no sweep.
+    columns; z is None (and so is the step) when d vanishes.  z(T) is
+    ``zT`` when step 2 gives it (one interval: its one sub-problem's
+    response, solved at ``cg_tol``), and otherwise comes from one Chebyshev
+    pass over d from zero at t = 0 (``propagators.forced_response``).
 
     Without ``previous`` the step is the exact step along d alone, theta =
     -q(d) / H(d, d) (``_coefficients``).  With it, on a patch the point
@@ -197,9 +192,9 @@ def line_search(
     one coefficient for both, a step fitted to the even part overshoots the
     odd one, which then grows from rounding or from a small asymmetry of
     the data until it holds the run back.  d stays whole when the odd or
-    the even part of z is below sqrt(cg_tol) of z (``_resolved``), as the
-    sweep's error would be a large share of it.  The remembered directions
-    enter whole.  The columns are
+    the even part of z is below sqrt(cg_tol) of z (``_resolved``), as z's
+    error would be a large share of it.  The remembered directions enter
+    whole.  The columns are
     taken in the order d's parts, s, the remembered directions newest
     first, and one within about 5.7 degrees of the span of those before it
     is left out (``_coefficients``): at the second step s lies along the
@@ -210,11 +205,8 @@ def line_search(
     grid, tg = problem.grid, problem.time_grid
     if not np.any(d):
         return 0.0, None, None
-    start, zT = (0, grid.zero_field()) if head is None else (partition[1], head)
-    if start < tg.step_count:
-        zT = solve_state(grid, TimeGrid(tg.step_count - start, tg.dt), zT, d[start:],
-                         problem.nu, problem.cg_tol, counter, keep=-1,
-                         breakpoints=[b - start for b in partition if b >= start])
+    if zT is None:
+        zT = forced_response(grid, tg, d, problem.nu, problem.cg_tol, counter)
     if previous is None:
         theta, = _coefficients(problem, v, residual, [(d, zT)])
         return (0.0, None, zT) if theta == 0.0 else (theta, (theta * d, theta * zT), zT)
@@ -258,8 +250,8 @@ def _take_odd_part(x: np.ndarray) -> np.ndarray:
 
 
 def _resolved(problem: ControlProblem, part: np.ndarray, whole: np.ndarray) -> bool:
-    """Whether a part of a swept response is above sqrt(cg_tol) of the whole
-    (in the Omega norm): the sweep's error, about cg_tol of the whole, is
+    """Whether a part of a response is above sqrt(cg_tol) of the whole (in
+    the Omega norm): the response's error, about cg_tol of the whole, is
     then below sqrt(cg_tol) of the part."""
     grid = problem.grid
     return bool(inner_omega(grid, part, part) > problem.cg_tol * inner_omega(grid, whole, whole))
@@ -306,45 +298,42 @@ def targets_direction(
     counter: MatvecCounter,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Steps 1-3 of the intermediate-targets method from the gradient g of
-    the cost at the current control: d = v_tilde - v, and the line search's
-    head, z at ``partition[1]``, or None.  Each sub-problem's update is
-    written into its window of d as it comes.
+    the cost at the current control: d = v_tilde - v, and d's response
+    z(T), or None.  Each sub-problem's update is written into its window of
+    d as it comes.
 
     Each sub-problem counts its own products, and ``counter`` is charged
     them as concurrent solves: their sum in the sequential tally, the
-    largest in the parallel one.  The head is sub-problem 0's response,
-    which ``solve_subproblem`` returns when that sub-problem ran at
-    ``cg_tol``: with one inner iteration or an inner gradient test, not with
-    more inner iterations and no test."""
+    largest in the parallel one.  z(T) is the response of a sub-problem
+    that spans the whole horizon (one interval), which ``solve_subproblem``
+    returns when it ran at ``cg_tol``: with one inner iteration or an inner
+    gradient test, not with more inner iterations and no test."""
     d, counts = np.empty_like(g), []
     for sub in assemble_subproblems(problem, partition, g):
         own = MatvecCounter()
         d[sub.start:sub.end], response = solve_subproblem(
             sub, config.inner_iterations, own, config.inner_gradient_rtol)
         counts.append(own.count)
-        if sub.index == 0:
-            head = response
     counter.add_concurrent(counts)
-    return d, head
+    return d, response if sub.whole else None
 
 
 def _sweep(
     problem: ControlProblem,
-    partition: list[int],
     v: np.ndarray,
     y: np.ndarray,
     d: np.ndarray,
-    head: np.ndarray | None,
+    zT: np.ndarray | None,
     cost: float,
     counter: MatvecCounter,
     previous: tuple[np.ndarray, np.ndarray] | None,
     remembered: deque[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, float, tuple[np.ndarray, np.ndarray] | None]:
     """The step of one outer iteration from the final state y = y(T; v) and
-    the cost J(v) of the control v, given the direction d and the head from
-    ``targets_direction``: ``line_search``'s exact step over d, the previous
-    step s, given as ``previous`` = (s, z_s(T)) or None, and the
-    ``remembered`` directions, from the head when step 2 gives one.
+    the cost J(v) of the control v, given the direction d and its z(T) or
+    None from ``targets_direction``: ``line_search``'s exact step over d,
+    the previous step s, given as ``previous`` = (s, z_s(T)) or None, and
+    the ``remembered`` directions.
 
     Returns (v_next, y_next, theta, step): the step taken is step = (s',
     z_s'(T)), the next iteration's ``previous``, with v_next = v + s' and
@@ -358,8 +347,8 @@ def _sweep(
     y come back unchanged.  ``previous``'s arrays are overwritten with the
     step.
     """
-    theta, step, zT = line_search(problem, partition, v, d, y - problem.y_target, counter,
-                                  head, previous, remembered)
+    theta, step, zT = line_search(problem, v, d, y - problem.y_target, counter, zT, previous,
+                                  remembered)
     if step is None:
         return v, y, 0.0, None
     v_next, y_next = v + step[0], y + step[1]
@@ -378,8 +367,8 @@ def run(problem: ControlProblem, config: OuterConfig,
     ``free_evolution``'s.
 
     The stopping gradient is the one step 2 starts from, so it adds no extra
-    cost; it is dropped once step 2 has read it, before the line-search
-    sweep.  With two or more intervals each step after the first minimizes
+    cost; it is dropped once step 2 has read it, before the line search.
+    With two or more intervals each step after the first minimizes
     J over d (over its even and odd parts, on a point-symmetric patch), the
     previous step and the last ``REMEMBERED_DIRECTIONS`` directions, whose
     responses the loop carries; on one interval every step is the scalar
@@ -427,12 +416,12 @@ def run(problem: ControlProblem, config: OuterConfig,
         converged = gnorm <= threshold
         theta, step = 0.0, None
         if not converged and k < config.max_outer:
-            d, head = targets_direction(problem, partition, config, g, counter)
-            # the line-search sweep holds v, d, s and the remembered directions: the run's peak
+            d, zT = targets_direction(problem, partition, config, g, counter)
+            # the line search holds v, d, s and the remembered directions: the run's peak
             del g
-            v, y, theta, step = _sweep(problem, partition, v, y, d, head, rec.cost, counter,
-                                       previous, remembered)
-            del d, head  # freed before the next adjoint sweep, unless remembered
+            v, y, theta, step = _sweep(problem, v, y, d, zT, rec.cost, counter, previous,
+                                       remembered)
+            del d, zT  # freed before the next adjoint sweep, unless remembered
             # no step leaves v unchanged: every later iteration would repeat this one
             stalled = step is None
         history.append(IterationMetrics(k, rec.cost, rec.misfit, rec.penalty, theta, *marks))

@@ -1,9 +1,8 @@
 """Matrix-free Krylov solvers with matrix-vector product accounting.
 
 ``cg_solve`` solves A x = b by conjugate gradients, in a loop on one field
-whose scalars are Python floats: every step of
-the state and line-search sweeps is such a solve, and on a desk-sized field
-its cost is numpy calls, not arithmetic.
+whose scalars are Python floats: every step of a state sweep is such a
+solve, and on a desk-sized field its cost is numpy calls, not arithmetic.
 
 ``inverse_powers`` gives A^-s b for every s = 0..N from one Krylov space of A
 and b, by one Lanczos pass: the adjoint sweep, which has no forcing, is
@@ -21,16 +20,9 @@ A c, which the solves' own residual recursions give.  A solve from a start
 x0 first adds the Galerkin correction over that space, at no product, takes
 its one test product at the corrected start and runs CG from that start's
 true residual (augmented CG for a sequence of systems: Erhel and
-Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  A space can also
-recall the corrections made at the same position of earlier cycles of a
-sequence that repeats, and correct a start over those and its last
-corrections jointly (recycling for sequences of systems: Parks, de Sturler,
-Mackey, Johnson and Maiti, SIAM J. Sci. Comput. 28(5), 2006).  On the
-benchmark's line-search sweeps, where each step's start misses its solution
-by a correction close to the previous steps' and to those made at the same
-step of the last windows, a step costs about 4.0 products on the 33 x 33
-workload and 11.5 on the 65 x 65 one at seed 0, against 4.15 and 13.5
-without the recall.
+Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  The state sweeps
+(``propagators.solve_state``), whose steps' starts each miss their
+solution by a correction close to the previous steps', use one.
 
 Both solvers take one field (n,) and charge every product to a
 ``MatvecCounter``.
@@ -76,38 +68,6 @@ class MatvecCounter:
 
 class CGError(RuntimeError):
     """A Krylov solve broke down, or CG did not converge within the iteration cap."""
-
-
-class _Ring:
-    """The last ``size`` corrections c of consecutive solves with one operator
-    A, their images A c, and their Gram matrix G_ij = c_i . A c_j.
-
-    C and AC sit in fixed (size, n) blocks, a new correction overwrites the
-    oldest, and G is kept in Python-float rows.
-    """
-
-    __slots__ = ("c", "ac", "gram", "newest", "filled")
-
-    def __init__(self, n: int, size: int):
-        self.c, self.ac = np.zeros((size, n)), np.zeros((size, n))
-        self.gram = [[0.0] * size for _ in range(size)]
-        self.newest = size - 1  # the slot of the newest correction
-        self.filled = 0
-
-    def add(self, c: np.ndarray, r_start: np.ndarray, r_end: np.ndarray) -> None:
-        """Add a correction c whose image A c is r_start - r_end."""
-        size, gram = len(self.gram), self.gram
-        slot = self.newest = (self.newest + 1) % size
-        self.c[slot] = c
-        np.subtract(r_start, r_end, out=self.ac[slot])
-        for other, value in enumerate(self.ac.dot(c).tolist()):  # c . A c_other
-            gram[slot][other] = gram[other][slot] = value
-        self.filled = min(self.filled + 1, size)
-
-    def slots(self) -> list[int]:
-        """The filled slots, newest first."""
-        size = len(self.gram)
-        return [(self.newest - age) % size for age in range(self.filled)]
 
 
 def _galerkin(gram, order, q, threshold: float) -> list[float]:
@@ -157,83 +117,55 @@ CORRECTION_PIVOT = 1e-4
 
 
 class CorrectionSpace:
-    """The last ``size`` start corrections of consecutive CG solves with one
-    operator A, as a Galerkin subspace for the next start, and a recall of
-    earlier corrections by position.
+    """The last ``size`` start corrections c of consecutive CG solves with one
+    operator A, as a Galerkin subspace for the next start: C and AC in fixed
+    (size, n) blocks, where a new correction overwrites the oldest, and the
+    Gram matrix G_ij = c_i . A c_j in Python-float rows.
 
     A correction is c = x - x0, a solution minus its start, built from the
     solve's own increments, and A c = r_start - r_end is the difference of
     the residuals of the same recursion, so no product is spent on it.
     ``correct`` gives the Galerkin correction C^T a of a start x0 of
-    A x = b, G a = C (b - A x0) for the Gram matrix G = C (AC)^T, by a
-    pivoted Cholesky factorization of G (``_galerkin``).  The small algebra
-    is done on Python floats: at size 4 a numpy call on a 4 x 4 array costs
-    more than the arithmetic.
-
-    The recall serves a sequence that repeats, such as a sweep whose windows
-    each begin with the same kind of jump in the forcing.  With
-    ``positions`` and ``depth``, the caller sets ``position`` (an int below
-    ``positions``, or None) before each solve.  A correction recorded at a
-    position is also kept there, over the oldest of the last ``depth`` kept
-    there, and ``correct`` spans those and the last ``size`` corrections
-    jointly: the recalled ones come first in the factorization, newest
-    first, then the recent ones, under the one pivot rule.  The depth x size
-    Gram entries between the two sets come from one (size, n) x (n, depth)
-    product per solve.  The recall holds 2 ``positions`` ``depth`` fields.
-    In wall time a recall and the record that follows it cost about three
-    quarters of a CG iteration more than a correction over the recent ones
-    alone and its record, at size 4 and depth 2 on both benchmark grids
-    (timed in isolation; more inside a sweep).  On the benchmark's line
-    searches it saves about 2.7 products a recalled step on the 65 x 65
-    grid, which pays, and about 0.35 on the 33 x 33 one, which does not.
+    A x = b, G a = C (b - A x0), by a pivoted Cholesky factorization of G
+    (``_galerkin``).  The small algebra is done on Python floats: at size 4
+    a numpy call on a 4 x 4 array costs more than the arithmetic.
     """
 
-    __slots__ = ("position", "_recent", "_recall")
+    __slots__ = ("c", "ac", "gram", "newest", "filled")
 
-    def __init__(self, n: int, size: int, positions: int = 0, depth: int = 0):
-        self.position = None
-        self._recent = _Ring(n, size)
-        self._recall = [_Ring(n, depth) for _ in range(positions)]
+    def __init__(self, n: int, size: int):
+        self.c, self.ac = np.zeros((size, n)), np.zeros((size, n))
+        self.gram = [[0.0] * size for _ in range(size)]
+        self.newest = size - 1  # the slot of the newest correction
+        self.filled = 0
 
     def correct(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The Galerkin correction C^T a of the start x0 of A x = b over the
-        corrections recalled at ``position``, if any, and the last ``size``
-        ones, and its image A C^T a; None when the space is empty.
+        last ``size`` corrections, and its image A C^T a; None when the space
+        is empty.
 
         The right-hand side C (b - A x0) is formed as C b - (AC) x0, without
         the product, so the solve can take its one product at x0 + C^T a:
         its residual is then the true one, whatever the rounding the stored
         images carry, and a large a cannot pass that rounding on to it.
         """
-        recent = self._recent
-        if not recent.filled:  # a correction recalled anywhere is recent too
+        if not self.filled:
             return None
-        q = recent.c.dot(b) - recent.ac.dot(x0)
-        recall = None if self.position is None else self._recall[self.position]
-        if recall is None or not recall.filled:
-            a = np.array(_galerkin(recent.gram, recent.slots(), q.tolist(), CORRECTION_PIVOT))
-            return a.dot(recent.c), a.dot(recent.ac)
-        depth = len(recall.gram)
-        # the joint space numbers the recalled slots i first, then the
-        # recent slots j as depth + j
-        cross = recent.ac.dot(recall.c.T).tolist()  # A c_j . c_i
-        gram = recall.gram + [cross_j + gram_j for cross_j, gram_j in zip(cross, recent.gram)]
-        q = np.concatenate((recall.c.dot(b) - recall.ac.dot(x0), q))
-        a = _galerkin(gram, recall.slots() + [depth + j for j in recent.slots()], q.tolist(),
-                      CORRECTION_PIVOT)
-        a_recall, a_recent = np.array(a[:depth]), np.array(a[depth:])
-        correction = a_recall.dot(recall.c)
-        correction += a_recent.dot(recent.c)
-        image = a_recall.dot(recall.ac)
-        image += a_recent.dot(recent.ac)
-        return correction, image
+        q = self.c.dot(b) - self.ac.dot(x0)
+        size = len(self.gram)
+        slots = [(self.newest - age) % size for age in range(self.filled)]  # newest first
+        a = np.array(_galerkin(self.gram, slots, q.tolist(), CORRECTION_PIVOT))
+        return a.dot(self.c), a.dot(self.ac)
 
     def record(self, c: np.ndarray, r_start: np.ndarray, r_end: np.ndarray) -> None:
-        """Record a correction c whose image A c is r_start - r_end, also at
-        ``position`` when it is set."""
-        self._recent.add(c, r_start, r_end)
-        if self.position is not None:
-            self._recall[self.position].add(c, r_start, r_end)
+        """Record a correction c whose image A c is r_start - r_end."""
+        size, gram = len(self.gram), self.gram
+        slot = self.newest = (self.newest + 1) % size
+        self.c[slot] = c
+        np.subtract(r_start, r_end, out=self.ac[slot])
+        for other, value in enumerate(self.ac.dot(c).tolist()):  # c . A c_other
+            gram[slot][other] = gram[other][slot] = value
+        self.filled = min(self.filled + 1, size)
 
 
 def cg_solve(

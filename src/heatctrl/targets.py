@@ -26,11 +26,13 @@ solves stop at ``DIRECTION_CG_TOL`` = 1e-3 (or the problem's ``cg_tol``, if
 looser): an inexact step 2 is a variable preconditioner of the outer
 flexible CG, and d is off by about that much relative in the H-norm.  With
 an inner gradient test they keep ``cg_tol``, since that test reads their
-gradients.  Sub-problem 0 with one inner
-iteration keeps ``cg_tol`` too: it starts, like the line search's
-homogeneous state z, from zero at t = 0, so its one forward solve, scaled by
--sigma_0, is z at the first breakpoint, and the line search starts there.
-A solve at ``cg_tol`` returns its response for that purpose.
+gradients.  The one sub-problem of a run on one interval keeps ``cg_tol``
+at one inner iteration too: it spans the whole horizon from zero, so its
+one forward solve, scaled by -sigma, is the line search's z(T), and a solve
+at ``cg_tol`` returns its response for that purpose.  On two or more
+intervals the line search takes z(T) from a Chebyshev pass over d
+(``propagators.forced_response``), and sub-problem 0 loosens like the
+others.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
 
 
 # CG tolerance of step 2's solves when the inner descent has no gradient test,
-# except sub-problem 0's at one inner iteration, whose response the line
-# search starts from.  d then carries an error of about 1e-3 relative in the
+# except the one sub-problem's of a run on one interval at one inner
+# iteration, whose response is the line search's z(T).  d then carries an error of about 1e-3 relative in the
 # H-norm (0.18e-3 and 0.96e-3 at the first iterate of the 33 x 33 and
 # 65 x 65 benchmarks at seed 0), which the outer step absorbs: it minimizes J
 # exactly over d, the previous step and the last three directions, flexible
@@ -88,6 +90,8 @@ class SubProblem:
     # (steps, m): the outer gradient on the window, the sub-problem's gradient
     # at the current control, which the inner descent starts from
     warm_gradient: np.ndarray
+    # whether the window is the whole horizon, the one interval of a run
+    whole: bool = False
 
 
 def assemble_subproblems(problem: ControlProblem, partition: list[int],
@@ -95,7 +99,8 @@ def assemble_subproblems(problem: ControlProblem, partition: list[int],
     """Step 2's N sub-problems from the gradient g of the cost at the current
     control; each one's ``warm_gradient`` is a view of g."""
     dt = problem.time_grid.dt
-    return [SubProblem(n, a, b, replace(problem, time_grid=TimeGrid(b - a, dt)), g[a:b])
+    whole = len(partition) == 2
+    return [SubProblem(n, a, b, replace(problem, time_grid=TimeGrid(b - a, dt)), g[a:b], whole)
             for n, (a, b) in enumerate(zip(partition, partition[1:]))]
 
 
@@ -110,8 +115,8 @@ def solve_subproblem(
     response (else None).
 
     The response is the homogeneous state driven by that change, at the
-    right breakpoint (``optimal_step_gradient``).  For sub-problem 0 it is
-    the line search's z at ``partition[1]``.  ``counter`` is charged the
+    right breakpoint (``optimal_step_gradient``).  For a sub-problem that
+    spans the whole horizon it is the line search's z(T).  ``counter`` is charged the
     sub-problem's own products.  The descent reads the sub-problem's view of
     the run's g and does not write it.  A ``CGError`` names
     the sub-problem and its interval, and keeps its type: the CLI maps it to
@@ -119,14 +124,15 @@ def solve_subproblem(
 
     Without ``gradient_rtol`` the solves run at ``max(cg_tol,
     DIRECTION_CG_TOL)``: only the direction depends on them, and the caller's
-    line search, cost and gradient stay at ``cg_tol``.  Sub-problem 0 with
-    one inner iteration is the exception: its one forward solve also gives
-    the line search its head, so it runs at ``cg_tol``.  With
+    line search, cost and gradient stay at ``cg_tol``.  The one sub-problem
+    of a run on one interval, at one inner iteration, is the exception: its
+    one forward solve also gives the line search z(T), so it runs at
+    ``cg_tol``.  With
     ``gradient_rtol`` every solve runs at ``cg_tol``, so the inner stopping
     test reads accurate gradients.
     """
     local = sub.problem
-    exact = gradient_rtol is not None or (sub.index == 0 and inner_iterations == 1)
+    exact = gradient_rtol is not None or (sub.whole and inner_iterations == 1)
     if not exact:
         local = replace(local, cg_tol=max(local.cg_tol, DIRECTION_CG_TOL))
     try:

@@ -209,10 +209,10 @@ def explicit_descent(problem, v_init, iterations, counter, gradient_rtol):
                              lambda update, _: hc.gradient(problem, v_init + update, counter))
 
 
-def subspace_minimizer(problem, v, columns, threshold):
+def subspace_minimizer(problem, v, columns, threshold, final_state=None, responses=None):
     """The minimizer of J over v + span(kept columns) and the coefficients
     of all columns, 0 on those left out, from the final state of v and the
-    responses of the columns, each solved at cg_tol = 1e-13.
+    responses of the columns, each solved at cg_tol = 1e-13 unless given.
 
     H c = -q are the normal equations of J over the columns.  A column is
     left out, in order, when its squared distance in the norm of H from the
@@ -222,9 +222,11 @@ def subspace_minimizer(problem, v, columns, threshold):
     direction."""
     grid, tg, counter = problem.grid, problem.time_grid, hc.MatvecCounter()
     tight = dataclasses.replace(problem, cg_tol=1e-13)
-    r = hc.evaluate(tight, v, counter).final_state - problem.y_target
-    zs = [hc.solve_state(grid, tg, grid.zero_field(), u, problem.nu, 1e-13, counter, keep=-1)
-          for u in columns]
+    if final_state is None:
+        final_state = hc.evaluate(tight, v, counter).final_state
+    r = final_state - problem.y_target
+    zs = responses or [hc.solve_state(grid, tg, grid.zero_field(), u, problem.nu, 1e-13,
+                                      counter, keep=-1) for u in columns]
     H = np.array([[hc.inner_omega(grid, zi, zj) + problem.alpha * hc.inner_h(grid, tg, ui, uj)
                    for uj, zj in zip(columns, zs)] for ui, zi in zip(columns, zs)])
     q = np.array([hc.inner_omega(grid, r, zi) + problem.alpha * hc.inner_h(grid, tg, v, ui)

@@ -270,48 +270,21 @@ def _same_bits(got, want):
 
 def test_correction_space_gives_the_galerkin_correction_of_its_last_corrections(rng):
     # the correction of a start x0 of A x = b solves A c = b - A x0 over the
-    # last four corrections, its image is A c, and an empty recall at the
-    # space's position changes no bit of either
+    # last four corrections, and its image is A c
     n = 12
     a = _spd(rng, n)
     corrections = [rng.standard_normal(n) for _ in range(6)]
     space = CorrectionSpace(n, 4)
-    recalling = CorrectionSpace(n, 4, positions=2, depth=2)
     b, x0 = rng.standard_normal(n), rng.standard_normal(n)
     assert space.correct(b, x0) is None  # an empty space
-    assert recalling.correct(b, x0) is None
     for count, c in enumerate(corrections, start=1):
         # A c as the difference of two residuals, as a solve records it
         r_end = rng.standard_normal(n)
         space.record(c, a @ c + r_end, r_end)
-        recalling.position = 1
-        recalling.record(c, a @ c + r_end, r_end)
         got, image = space.correct(b, x0)
         want = _galerkin(a, corrections[max(0, count - 4):count], b - a @ x0)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(image, a @ want, rtol=1e-10, atol=1e-12)
-        for position in (None, 0):  # nothing is recalled at position 0
-            recalling.position = position
-            assert _same_bits(recalling.correct(b, x0), (got, image))
-
-
-def test_correction_space_recalls_the_corrections_kept_at_its_position(rng):
-    # the last two corrections kept at the position and the last four
-    # recorded span the correction jointly
-    n = 12
-    a = _spd(rng, n)
-    corrections = [rng.standard_normal(n) for _ in range(7)]
-    space = CorrectionSpace(n, 4, positions=3, depth=2)
-    for k, c in enumerate(corrections):
-        space.position = 2 if k < 3 else None
-        r_end = rng.standard_normal(n)
-        space.record(c, a @ c + r_end, r_end)
-    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
-    space.position = 2
-    got, image = space.correct(b, x0)
-    want = _galerkin(a, corrections[1:], b - a @ x0)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(image, a @ want, rtol=1e-10, atol=1e-12)
 
 
 def test_correction_space_leaves_out_zero_and_collinear_corrections(rng):

@@ -328,44 +328,6 @@ def test_every_sweep_step_meets_its_true_residual(monkeypatch, dim, columns, sti
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("stiffness", [0.1, 1.0, 10.0, 100.0])
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
-def test_every_sweep_step_meets_its_true_residual_with_the_recall(monkeypatch, dim, stiffness,
-                                                                  tol):
-    # the same audit for a sweep given its breakpoints: the forcing jumps
-    # between five windows of 9 steps, so every one of the RECALL_STEPS
-    # positions fills, and from the third window on it recalls
-    # RECALL_WINDOWS windows.  The recalled corrections' images carry the
-    # rounding of older residuals: the same joint correction applied after
-    # the test product, with the residual updated by the images, ends 3 of
-    # these cases above tol, at up to 16 tol
-    assert propagators.RECALL_STEPS < 9 and propagators.RECALL_WINDOWS < 4
-    g = hc.build_grid(dim, 65 if dim == 1 else 17, [(0.0, 1.0)] * dim, [(0.25, 0.75)] * dim)
-    nu = 1e-2
-    tg = hc.TimeGrid(45, stiffness * g.spacing[0] ** 2 / nu)
-    rng = np.random.default_rng(5)
-    apply_k = hc.step_operator(g, tg.dt, nu)
-    real = propagators.cg_solve
-    ratios = []
-
-    def audited(apply_a, b, tol, counter, x0=None, space=None):
-        rhs = b.copy()
-        x = real(apply_a, b, tol, counter, x0=x0, space=space)
-        ratios.append(np.linalg.norm(rhs - apply_k(x)) / (tol * np.linalg.norm(rhs)))
-        return x
-
-    monkeypatch.setattr(propagators, "cg_solve", audited)
-    y0 = rng.standard_normal(g.interior_node_count)
-    v = np.repeat(rng.standard_normal((5, g.control_node_count)), 9, axis=0)
-    for first in (y0, np.zeros_like(y0)):
-        hc.solve_state(g, tg, first, v, nu, tol, hc.MatvecCounter(), keep=-1,
-                       breakpoints=hc.make_partition(tg, 5))
-    assert len(ratios) == 2 * 45
-    # measured: at most 0.9988 over these 16 cases; 1.0 is the solve's own bound
-    assert max(ratios) <= 1.0
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("stiffness", [0.1, 1.0, 10.0, 100.0])
-@pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_every_sweep_step_without_breakpoints_meets_its_true_residual(monkeypatch, dim,
                                                                      stiffness, tol):
     # the same audit for sweeps without breakpoints, over seeds 0-19: the
@@ -408,27 +370,6 @@ def test_every_sweep_step_without_breakpoints_meets_its_true_residual(monkeypatc
     assert worst(True) <= bound
 
 
-def test_recall_charges_exactly_its_stencil_calls(rng, monkeypatch):
-    # the recalled corrections and their images cost no product: a sweep
-    # with breakpoints charges one product per stencil call, on four
-    # windows of uneven length, from a nonzero start
-    g = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.3, 0.7)] * 2)
-    tg = hc.TimeGrid(38, 0.05)
-    calls = []
-    real = propagators.laplacian_apply
-
-    def logged(grid, u, **buffers):
-        calls.append(1)
-        return real(grid, u, **buffers)
-
-    monkeypatch.setattr(propagators, "laplacian_apply", logged)
-    v = np.repeat(rng.standard_normal((4, g.control_node_count)), [11, 9, 9, 9], axis=0)
-    counter = hc.MatvecCounter()
-    hc.solve_state(g, tg, rng.standard_normal(g.interior_node_count), v, 0.5, 1e-11, counter,
-                   keep=-1, breakpoints=[0, 11, 20, 29, 38])
-    assert counter.count == len(calls) > 0
-
-
 def test_step_operators_own_their_stencil_buffers_and_sweeps_give_their_bits_apart(rng):
     # each step operator holds its own stencil buffers, even beside another
     # of the same grid, dt and nu: two sweeps on one grid, a forward one and
@@ -446,8 +387,7 @@ def test_step_operators_own_their_stencil_buffers_and_sweeps_give_their_bits_apa
 
     def sweeps(first, second):
         counters = hc.MatvecCounter(), hc.MatvecCounter()
-        y = hc.solve_state(first, tg, y0, v, 0.6, 1e-11, counters[0],
-                           breakpoints=[0, 6, 12])
+        y = hc.solve_state(first, tg, y0, v, 0.6, 1e-11, counters[0])
         p = hc.solve_adjoint(second, tg, y[-1], 0.6, 1e-11, counters[1])
         return y, p, [c.count for c in counters]
 
@@ -829,9 +769,10 @@ def _free_evolution_case(dim, nodes, stiffness, steps, y0_kind, rng):
 
 
 def _spy_stencil_and_fallback(monkeypatch):
-    """The stencil calls ``free_evolution`` makes, and the calls it makes of
-    ``solve_state``, each given as the number of stencil calls before it:
-    one call when it leaves the state to the CG sweep."""
+    """The stencil calls a Chebyshev pass's caller (``free_evolution`` or
+    ``forced_response``) makes, and the calls it makes of ``solve_state``,
+    each given as the number of stencil calls before it: one call when it
+    leaves the result to the CG sweep."""
     stencil, fallback = [], []
     real_stencil, real_sweep = propagators.laplacian_apply, propagators.solve_state
 
@@ -848,16 +789,9 @@ def _spy_stencil_and_fallback(monkeypatch):
     return stencil, fallback
 
 
-def _first_certifiable_degree(steps, spread, tol):
-    """The first degree whose bound lets the pass certify a state at all."""
-    terms = propagators._inverse_power_series(
-        steps, spread, propagators.CHEBYSHEV_DEGREES_PER_STEP * steps)
-    return next(k for k, (_, bound, _) in enumerate(terms) if bound * (1 - tol) <= tol)
-
-
 # (dim, nodes, nu dt / h^2, steps, y0, the path free_evolution takes at
-# tol = 1e-8 and at 1e-10): the Chebyshev pass; the sweep, where no degree
-# up to 2 L can certify; or the sweep after a pass that gave up
+# tol = 1e-8 and at 1e-10): the Chebyshev pass, or the sweep, where no
+# degree up to 2 L can certify (after a pass that did not, were there one)
 FREE_EVOLUTION_CASES = [
     (1, 17, 0.1, 40, "gaussian", "chebyshev", "chebyshev"),
     (1, 17, 1.0, 40, "gaussian", "chebyshev", "chebyshev"),
@@ -866,7 +800,7 @@ FREE_EVOLUTION_CASES = [
     (1, 65, 102.4, 45, "gaussian", "sweep", "sweep"),
     (2, 9, 0.2, 36, "gaussian", "chebyshev", "chebyshev"),
     (2, 9, 0.2, 24, "random", "chebyshev", "chebyshev"),
-    (2, 9, 0.5, 24, "random", "pass, then sweep", "sweep"),
+    (2, 9, 0.5, 24, "random", "sweep", "sweep"),
     (2, 9, 10.0, 5, "random", "sweep", "sweep"),
 ]
 
@@ -936,14 +870,16 @@ def test_inverse_power_series_bound_holds_on_the_dense_spectrum(nodes, steps, st
 
 
 def test_free_evolution_charges_exactly_its_stencil_calls(monkeypatch):
-    # a pass that certifies; a pass that gives up and leaves the state to
-    # the sweep, which costs the pass's products on top of the sweep's; and
-    # a fallback that makes no pass
+    # a pass that certifies; and two fallbacks that make no pass, where
+    # y(T; 0), at 0.15 of ||y0||, asks for a bound that no series up to
+    # 72 degrees reaches, and where no series up to 10 degrees has one; a
+    # pass that does not certify is charged on top of the sweep
+    # (test_forced_response_charges_the_passes_that_do_not_certify)
     stencil, fallback = _spy_stencil_and_fallback(monkeypatch)
     g = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
     y0 = make_field(g, "gaussian(0.5,0.5,0.15,1.0)")
     zero = np.zeros((36, g.control_node_count))
-    for nu, tg, passed in [(0.02, hc.TimeGrid(36, 0.05), 46), (0.05, hc.TimeGrid(36, 0.05), 18),
+    for nu, tg, passed in [(0.02, hc.TimeGrid(36, 0.05), 46), (0.05, hc.TimeGrid(36, 0.05), 0),
                            (0.5, hc.TimeGrid(5, 0.05), 0)]:
         stencil.clear()
         fallback.clear()
@@ -961,9 +897,9 @@ def test_free_evolution_charges_exactly_its_stencil_calls(monkeypatch):
 
 def test_free_evolution_gives_up_on_a_field_that_decays_below_its_bound(monkeypatch):
     # a unit field on a 9-node line decays over 400 steps to about 1e-9 of
-    # its norm, below what any degree up to 2 L bounds relative to it: the
-    # pass gives up before the first degree that could certify a state of
-    # y0's norm, and the state is the sweep's
+    # its norm, below what any degree up to 2 L bounds relative to it, and
+    # its lowest mode shows it before any product: no pass is made, and the
+    # state is the sweep's
     g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
     tg, nu, tol = hc.TimeGrid(400, 0.01), 0.5, 1e-10
     y0 = np.ones(7)
@@ -974,13 +910,11 @@ def test_free_evolution_gives_up_on_a_field_that_decays_below_its_bound(monkeypa
     want = hc.solve_state(g, tg, y0, np.zeros((400, g.control_node_count)), nu, tol, sweep,
                           keep=-1)
     assert x.tobytes() == want.tobytes()
-    [passed] = fallback
-    assert counter.count == sweep.count + passed
-    assert 0 < passed < _first_certifiable_degree(400, 4.0 * 0.01 * nu / g.spacing[0] ** 2, tol)
+    assert fallback == [0] and counter.count == sweep.count
 
 
 @pytest.mark.parametrize("stiffness, steps, tol, most", [
-    (0.32, 2000, 1e-12, 20),  # the rounding of 4000-node sums bars a bound at 1e-12
+    (0.32, 2000, 1e-12, 20),  # the rounding of the node sums bars a bound at 1e-12
     (10.0, 8, 1e-8, 1),  # the series beyond 2 L degrees sums to more than tol
 ])
 def test_free_evolution_forms_few_coefficients_where_no_degree_can_certify(
@@ -1061,3 +995,229 @@ def test_free_evolution_on_an_interval_that_overflows_fails_as_the_sweep_does():
                                hc.MatvecCounter(), keep=-1)
             with pytest.raises(ValueError, match=message):
                 propagators.free_evolution(g, tg, field, nu, tol, hc.MatvecCounter())
+
+
+def _forced_case(dim, nodes, stiffness, steps, kind):
+    """(grid, time grid, nu, v) with nu dt / h^2 = ``stiffness`` on the unit
+    box: a control smooth in time and on the patch, a random one, or a
+    random one odd under the point reflection, whose lowest mode is 0."""
+    rng = np.random.default_rng(5)
+    g = hc.build_grid(dim, nodes, [(0.0, 1.0)] * dim, [(0.25, 0.75)] * dim)
+    nu = 0.5
+    tg = hc.TimeGrid(steps, stiffness * g.spacing[0] ** 2 / nu)
+    m = g.control_node_count
+    if kind == "smooth":
+        t = np.linspace(0.0, 1.0, steps)[:, None]
+        v = np.cos(3 * t) + 0.5 * np.sin(np.pi * np.arange(m) / m)[None, :]
+    else:
+        v = rng.standard_normal((steps, m))
+        if kind == "odd":
+            v -= v[:, ::-1]
+    return g, tg, nu, v
+
+
+def _spy_passes(monkeypatch):
+    """The degrees of the Clenshaw passes ``forced_response`` makes."""
+    degrees, real = [], propagators._clenshaw
+
+    def spy(grid, apply_k, rows, *args):
+        degrees.append(len(rows) - 1)
+        return real(grid, apply_k, rows, *args)
+
+    monkeypatch.setattr(propagators, "_clenshaw", spy)
+    return degrees
+
+
+# (dim, nodes, nu dt / h^2, steps, control, the passes forced_response makes
+# at tol = 1e-8 and at 1e-10): one pass that certifies, its degree chosen
+# from the lowest mode of z(T), or from a share of its upper bound where a
+# control odd under the reflection has no lowest mode; or none, where no
+# degree up to 2 L can certify and z(T) is the CG sweep's
+FORCED_RESPONSE_CASES = [
+    (1, 17, 0.1, 40, "smooth", 1, 1),
+    (1, 17, 1.0, 40, "random", 1, 1),
+    (1, 17, 1.0, 40, "odd", 1, 1),
+    (1, 33, 0.3, 30, "odd", 1, 1),
+    (2, 9, 0.2, 36, "smooth", 1, 1),
+    (2, 9, 0.2, 24, "random", 1, 1),
+    (2, 9, 0.5, 24, "random", 0, 0),
+    (1, 17, 10.0, 8, "smooth", 0, 0),
+    (1, 65, 102.4, 45, "smooth", 0, 0),
+    (2, 9, 10.0, 5, "random", 0, 0),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("dim, nodes, stiffness, steps, kind, passes_8, passes_10",
+                         FORCED_RESPONSE_CASES)
+def test_forced_response_matches_the_dense_recursion(monkeypatch, dim, nodes, stiffness, steps,
+                                                     kind, passes_8, passes_10, tol):
+    # where a Chebyshev pass certifies, z(T) is within tol ||z(T)|| of the
+    # dense recursion from zero; where none can, it is the CG sweep's from
+    # zero, bit for bit, at that sweep's products.  Every charged product is
+    # one stencil call, none of them on the zero b_{D+1}
+    passes = passes_8 if tol == 1e-8 else passes_10
+    g, tg, nu, v = _forced_case(dim, nodes, stiffness, steps, kind)
+    stencil, fallback = _spy_stencil_and_fallback(monkeypatch)
+    degrees = _spy_passes(monkeypatch)
+    counter = hc.MatvecCounter()
+    z = propagators.forced_response(g, tg, v, nu, tol, counter)
+    assert len(degrees) == passes
+    assert counter.count == counter.parallel == len(stencil)
+    if passes:
+        assert not fallback and counter.count == sum(degrees)
+        assert all(0 < d <= propagators.CHEBYSHEV_DEGREES_PER_STEP * steps for d in degrees)
+        ref = dense_state_solve(g, tg, g.zero_field(), v, nu)[-1]
+        assert np.linalg.norm(z - ref) <= tol * np.linalg.norm(ref)
+    else:
+        assert fallback == [0]
+        sweep = hc.MatvecCounter()
+        want = hc.solve_state(g, tg, g.zero_field(), v, nu, tol, sweep, keep=-1)
+        assert z.tobytes() == want.tobytes() and counter.count == sweep.count
+
+
+def test_forced_response_charges_the_passes_that_do_not_certify(monkeypatch):
+    # a first degree chosen from a guess of ||z(T)|| 16 times too large: the
+    # pass does not certify, a second pass from ||x_D|| less its bound does,
+    # and both are charged.  Where no series reaches the second pass's bound,
+    # z(T) is the sweep's, at the first pass's products on top
+    g, tg, nu, v = _forced_case(1, 17, 1.0, 40, "smooth")
+    ref = dense_state_solve(g, tg, g.zero_field(), v, nu)[-1]
+
+    def too_large(*args, real=propagators._lowest_mode):
+        phi, decay = real(*args)
+        return phi, decay * (16 * np.linalg.norm(ref) / abs(decay.dot(v.dot(phi)) * tg.dt))
+
+    monkeypatch.setattr(propagators, "_lowest_mode", too_large)
+    stencil, fallback = _spy_stencil_and_fallback(monkeypatch)
+    degrees = _spy_passes(monkeypatch)
+    counter = hc.MatvecCounter()
+    z = propagators.forced_response(g, tg, v, nu, 1e-10, counter)
+    assert len(degrees) == 2 and degrees[0] < degrees[1] and not fallback
+    assert counter.count == len(stencil) == sum(degrees)
+    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+    first = degrees[0]
+    stencil.clear()
+    degrees.clear()
+    sized = []
+
+    def first_only(*args, real=propagators._sized_series):
+        sized.append(args[2])
+        return None if len(sized) > 1 else real(*args)
+
+    monkeypatch.setattr(propagators, "_sized_series", first_only)
+    counter = hc.MatvecCounter()
+    z = propagators.forced_response(g, tg, v, nu, 1e-10, counter)
+    assert degrees == [first] and fallback == [first] and sized[1] < sized[0]
+    assert counter.count == len(stencil)
+    sweep = hc.MatvecCounter()
+    want = hc.solve_state(g, tg, g.zero_field(), v, nu, 1e-10, sweep, keep=-1)
+    assert z.tobytes() == want.tobytes() and counter.count == sweep.count + first
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    nodes=st.integers(4, 12),
+    steps=st.integers(1, 40),
+    stiffness=st.floats(1e-3, 5.0),  # nu * dt / h^2
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forced_response_is_within_its_certified_bound(dim, nodes, steps, stiffness, tol, seed):
+    # a pass that certifies has z(T) within tol ||z(T)|| of the dense
+    # recursion from zero, up to the rounding of the recurrence: D products
+    # of forcing terms of at most sum_j ||dt v^j||, a few eps each.  Where no
+    # pass certifies, z(T) is the sweep's, whose per-step residual test bounds
+    # no such error
+    rng = np.random.default_rng(seed)
+    g = hc.build_grid(dim, nodes, [(0.0, 1.0)] * dim, [(0.25, 0.75)] * dim)
+    tg = hc.TimeGrid(steps, stiffness * g.spacing[0] ** 2 / 0.5)
+    v = rng.standard_normal((steps, g.control_node_count))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, fallback = _spy_stencil_and_fallback(monkeypatch)
+        counter = hc.MatvecCounter()
+        z = propagators.forced_response(g, tg, v, 0.5, tol, counter)
+    if fallback:
+        want = hc.solve_state(g, tg, g.zero_field(), v, 0.5, tol, hc.MatvecCounter(), keep=-1)
+        assert z.tobytes() == want.tobytes()
+        return
+    ref = dense_state_solve(g, tg, g.zero_field(), v, 0.5)[-1]
+    total = tg.dt * np.sum(np.sqrt(np.vecdot(v, v)))
+    slack = 16 * (counter.count + 1) ** 2 * np.finfo(float).eps * total
+    assert np.linalg.norm(z - ref) <= tol * np.linalg.norm(ref) + slack
+
+
+def test_forced_response_of_a_zero_or_underflowing_control_costs_no_product(monkeypatch):
+    # as the sweep gives them: zeros, at no product and no stencil call
+    g = hc.build_grid(2, 9, [(0.0, 1.0)] * 2, [(0.25, 0.75)] * 2)
+    tg = hc.TimeGrid(12, 0.01)
+    m = g.control_node_count
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stencil call")
+
+    monkeypatch.setattr(propagators, "laplacian_apply", forbidden)
+    for v in (np.zeros((12, m)), np.full((12, m), 1e-170), np.full((12, m), -0.0)):
+        counter = hc.MatvecCounter()
+        z = propagators.forced_response(g, tg, v, 0.05, 1e-10, counter)
+        want = hc.solve_state(g, tg, g.zero_field(), v, 0.05, 1e-10, counter, keep=-1)
+        assert z.tobytes() == want.tobytes() == np.zeros(49).tobytes()
+        assert counter.count == 0
+
+
+def test_forced_response_fails_and_rejects_as_the_sweep_does():
+    # nu = 1e308 makes K's interval infinite: the sweep runs and its products
+    # overflow into the same CGError; a bad nu, tol or shape is rejected
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg = hc.TimeGrid(8, 0.05)
+    v = np.full((8, g.control_node_count), 100.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(hc.CGError) as sweep:
+            hc.solve_state(g, tg, g.zero_field(), v, 1e308, 1e-10, hc.MatvecCounter(), keep=-1)
+        with pytest.raises(hc.CGError) as forced:
+            propagators.forced_response(g, tg, v, 1e308, 1e-10, hc.MatvecCounter())
+    assert str(forced.value) == str(sweep.value)
+    for nu, tol, control, message in [(-1.0, 1e-10, v, "nu"), (0.5, 0.0, v, "tol"),
+                                      (0.5, float("nan"), v, "tol"), (0.5, 1e-10, v[1:], "shape")]:
+        with pytest.raises(ValueError, match=message):
+            propagators.forced_response(g, tg, control, nu, tol, hc.MatvecCounter())
+
+
+def _series_sizes(monkeypatch):
+    """Per ``_inverse_power_series`` call, [degrees, coefficients it yielded]."""
+    sizes, real = [], propagators._inverse_power_series
+
+    def counted(power, spread, degrees, weights=None):
+        sizes.append([degrees, 0])
+        for term in real(power, spread, degrees, weights):
+            sizes[-1][1] += 1
+            yield term
+
+    monkeypatch.setattr(propagators, "_inverse_power_series", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("steps, dt", [(160, 0.01), (2000, 0.001)])
+def test_a_pass_forms_nodes_and_coefficients_in_the_degree_it_uses(monkeypatch, steps, dt):
+    # the series of a pass is sized from the degree the pass uses, D, not
+    # from its cap of 2 L: over every size it tries it forms at most 4 (D +
+    # 32) coefficients, on at most 4 (D + 16) degrees, where the cap is 320
+    # and 4000, and it holds its nodes and one block of coefficients a
+    # power: its traced peak stays within 64 floats a step and 128 KiB,
+    # where one (L x 2 L) table would take 400 KB and 64 MB
+    g = hc.build_grid(1, 9, [(0.0, 1.0)], [(0.2, 0.8)])
+    tg = hc.TimeGrid(steps, dt)
+    v = np.outer(np.cos(np.linspace(0.0, 3.0, steps)), np.ones(g.control_node_count))
+    sizes = _series_sizes(monkeypatch)
+    degrees = _spy_passes(monkeypatch)
+    tracemalloc.start()
+    try:
+        propagators.forced_response(g, tg, v, 0.5, 1e-10, hc.MatvecCounter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [used] = degrees
+    assert sum(n for _, n in sizes) <= 4 * (used + 32)
+    assert max(d for d, _ in sizes) <= 4 * (used + 16)
+    assert peak <= 8 * (64 * steps + 16384)

@@ -264,7 +264,7 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
 
     monkeypatch.setattr(driver, "solve_subproblem", logged)
     counter = hc.MatvecCounter()
-    d, head = hc.targets_direction(prob, part, cfg, g, counter)
+    d, zT = hc.targets_direction(prob, part, cfg, g, counter)
     assert [sub.index for sub, _, _, _ in solved] == [0, 1, 2, 3]
     counts = [own.count for _, own, _, _ in solved]
     assert counter.count == sum(counts)
@@ -274,9 +274,9 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
     assert counts == [33, 26, 52, 72]
     updates = np.concatenate([update for _, _, update, _ in solved])
     assert np.array_equal(d.view(np.int64), updates.view(np.int64))
-    # with an inner gradient test every sub-problem runs at cg_tol, and
-    # sub-problem 0's response is the line search's head
-    assert head is solved[0][3]
+    # with an inner gradient test every sub-problem runs at cg_tol and
+    # returns its response, but on four intervals none is z(T)
+    assert zT is None and all(response is not None for _, _, _, response in solved)
     steps = []
     for (sub, own, update, response) in solved:
         ref = hc.MatvecCounter()

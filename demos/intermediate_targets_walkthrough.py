@@ -9,10 +9,11 @@ take the exact step along d.  The package never forms chi: by linearity a
 sub-problem's gradient is its window of the outer gradient, plus alpha
 times the change of its control, plus the adjoint of that change's
 response, and the walkthrough checks that this gives the steps of a descent
-on the sub-problems with the explicit targets.  The line search takes the
-homogeneous state z(T) that d drives from zero from one Chebyshev pass over
-d, or, where no degree up to 2 L bounds it, as on this stiff line, from a
-CG solve per step.  It then runs the outer loop on three intervals, whose
+on the sub-problems with the explicit targets.  Each descent step of a
+sub-problem, and the line search, take the homogeneous state z(T) that a
+control drives from zero from one Chebyshev pass over it, or, where no
+degree up to 2 L bounds it, as on this stiff line, from a CG solve per
+step.  It then runs the outer loop on three intervals, whose
 later steps minimize J over d and the previous step, and on one, which is
 the sequential baseline and keeps the step along d, and finally checks the
 defining fixed-point property: starting from the exact optimum, the sweep
@@ -24,6 +25,7 @@ import dataclasses
 import numpy as np
 
 import heatctrl as hc
+from heatctrl.propagators import forced_response
 
 rng = np.random.default_rng(42)
 
@@ -93,8 +95,7 @@ def explicit_descent(local, window, iterations):
     control = window.copy()
     for _ in range(iterations):
         grad = hc.gradient(local, control, aside)
-        z = hc.solve_state(grid, local.time_grid, grid.zero_field(), grad, local.nu,
-                           local.cg_tol, aside, keep=-1)
+        z = forced_response(grid, local.time_grid, grad, local.nu, local.cg_tol, aside)
         gg = hc.inner_h(grid, local.time_grid, grad, grad)
         control = control - gg / (hc.inner_omega(grid, z, z) + local.alpha * gg) * grad
     return control - window

@@ -33,7 +33,7 @@ step along d is 1 up to rounding.  On two or more intervals the line search
 takes z(T) from one Chebyshev pass over d from zero
 (``propagators.forced_response``), with a certified error bound.
 
-Only step 2's solves may run at a looser CG tolerance
+Only step 2's solves may run at a looser tolerance
 (``targets.DIRECTION_CG_TOL`` = 1e-3, when the inner descent has no gradient
 test), since they only shape d, and the step over d, s and the remembered
 directions is flexible CG, which takes an inexact step 2 as a variable
@@ -51,24 +51,25 @@ remembered direction's own line search solved, so neither s nor a
 remembered direction costs a product; the parts of d have the parts of z
 as theirs, since the reflection commutes with K and with the patch.  Each
 outer iteration costs one adjoint sweep (all its steps from one Lanczos
-pass: at seed 0, 64 products against 651 for a CG solve per step on the
-33 x 33 benchmark, 128 against 1365 on the 65 x 65 one), step 2's solves
-(about 1.5 and 3.8 products a step on the two at seed 0) and the line
-search's one Chebyshev pass over d: 48 to 55 products on the 33 x 33
-benchmark and 139 to 150 on the 65 x 65 one at seed 0, for the whole
-horizon, where a CG solve per step from zero took 550 and 1779 for the
-first direction.  With one inner iteration, a sub-problem costs one
-homogeneous forward solve; each further inner iteration adds an adjoint and
-a forward solve.  Before the first iteration a run from v = 0 needs y(T; 0)
-= K^-L y0, the evolution of y0 without forcing, which
+pass: at seed 0, 64 products against 1247 for a CG solve per step on the
+33 x 33 benchmark, 128 against 1954 on the 65 x 65 one), step 2's solves
+and the line search's one Chebyshev pass over d: 48 to 55 products on the
+33 x 33 benchmark and 139 to 150 on the 65 x 65 one at seed 0, for the
+whole horizon, where a CG solve per step from zero took 1651 and 3600 for
+the first direction.  With one inner iteration, a sub-problem costs one
+homogeneous forward solve, a Chebyshev pass over its window of g
+(``propagators.forced_response``): about 0.47 and 2.43 products a step on
+the two benchmarks at seed 0.  Each further inner iteration adds an
+adjoint and a forward solve.  Before the first iteration a run from v = 0
+needs y(T; 0) = K^-L y0, the evolution of y0 without forcing, which
 ``propagators.free_evolution`` takes from one Chebyshev pass with a
-certified error bound: 56 products against 357 for a CG solve per step on
-the 33 x 33 benchmark, 156 against 800 on the 65 x 65 one, where the CG
-sweep ends 8.3e-10 and 7.9e-10 relative from a tight sweep and the pass
-4.2e-11 and 1.2e-11.  Where no degree up to 2 L certifies either pass
-(short or stiff horizons, or a field that decays far below its data) the
-result is the CG sweep's, bit for bit; a run from another start solves
-y(T; v) by that sweep.
+certified error bound: 56 products against 1034 for a CG solve per step on
+the 33 x 33 benchmark, 156 against 1650 on the 65 x 65 one, where the CG
+sweep ends 5.2e-10 and 8.4e-10 relative from a tight sweep and the pass
+4.2e-11 and 1.2e-11.  Where no degree up to 2 L certifies a pass (short or
+stiff horizons, or a field that decays far below its data) the result is
+the CG sweep's, bit for bit; a run from another start solves y(T; v) by
+that sweep.
 
 A run stores no trajectory: y, z and z_s at the final step, p on the
 control patch at every step, the control, the direction and the last step,

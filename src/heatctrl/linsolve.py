@@ -14,16 +14,6 @@ nodes the caller names (the control patch, for the adjoint) and copies each
 Lanczos vector only there, so a pass stores m x (patch nodes) floats of its
 m Lanczos vectors, not m x n.
 
-A ``CorrectionSpace`` carries what consecutive CG solves with one operator
-have learnt: the last few start corrections c = x - x0 and their images
-A c, which the solves' own residual recursions give.  A solve from a start
-x0 first adds the Galerkin correction over that space, at no product, takes
-its one test product at the corrected start and runs CG from that start's
-true residual (augmented CG for a sequence of systems: Erhel and
-Guyomarc'h, SIAM J. Matrix Anal. Appl. 21(4), 2000).  The state sweeps
-(``propagators.solve_state``), whose steps' starts each miss their
-solution by a correction close to the previous steps', use one.
-
 Both solvers take one field (n,) and charge every product to a
 ``MatvecCounter``.
 """
@@ -111,70 +101,12 @@ def _galerkin(gram, order, q, threshold: float) -> list[float]:
     return a
 
 
-# a correction within about half a degree, in the A-norm, of the span of the
-# kept ones adds nothing to a start's correction
-CORRECTION_PIVOT = 1e-4
-
-
-class CorrectionSpace:
-    """The last ``size`` start corrections c of consecutive CG solves with one
-    operator A, as a Galerkin subspace for the next start: C and AC in fixed
-    (size, n) blocks, where a new correction overwrites the oldest, and the
-    Gram matrix G_ij = c_i . A c_j in Python-float rows.
-
-    A correction is c = x - x0, a solution minus its start, built from the
-    solve's own increments, and A c = r_start - r_end is the difference of
-    the residuals of the same recursion, so no product is spent on it.
-    ``correct`` gives the Galerkin correction C^T a of a start x0 of
-    A x = b, G a = C (b - A x0), by a pivoted Cholesky factorization of G
-    (``_galerkin``).  The small algebra is done on Python floats: at size 4
-    a numpy call on a 4 x 4 array costs more than the arithmetic.
-    """
-
-    __slots__ = ("c", "ac", "gram", "newest", "filled")
-
-    def __init__(self, n: int, size: int):
-        self.c, self.ac = np.zeros((size, n)), np.zeros((size, n))
-        self.gram = [[0.0] * size for _ in range(size)]
-        self.newest = size - 1  # the slot of the newest correction
-        self.filled = 0
-
-    def correct(self, b: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The Galerkin correction C^T a of the start x0 of A x = b over the
-        last ``size`` corrections, and its image A C^T a; None when the space
-        is empty.
-
-        The right-hand side C (b - A x0) is formed as C b - (AC) x0, without
-        the product, so the solve can take its one product at x0 + C^T a:
-        its residual is then the true one, whatever the rounding the stored
-        images carry, and a large a cannot pass that rounding on to it.
-        """
-        if not self.filled:
-            return None
-        q = self.c.dot(b) - self.ac.dot(x0)
-        size = len(self.gram)
-        slots = [(self.newest - age) % size for age in range(self.filled)]  # newest first
-        a = np.array(_galerkin(self.gram, slots, q.tolist(), CORRECTION_PIVOT))
-        return a.dot(self.c), a.dot(self.ac)
-
-    def record(self, c: np.ndarray, r_start: np.ndarray, r_end: np.ndarray) -> None:
-        """Record a correction c whose image A c is r_start - r_end."""
-        size, gram = len(self.gram), self.gram
-        slot = self.newest = (self.newest + 1) % size
-        self.c[slot] = c
-        np.subtract(r_start, r_end, out=self.ac[slot])
-        for other, value in enumerate(self.ac.dot(c).tolist()):  # c . A c_other
-            gram[slot][other] = gram[other][slot] = value
-        self.filled = min(self.filled + 1, size)
-
-
 def cg_solve(
     apply_a,
     b: np.ndarray,
     tol: float,
     counter: MatvecCounter,
     x0: np.ndarray | None = None,
-    space: CorrectionSpace | None = None,
 ) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A given as a callable,
     on one field (n,), by a CG loop whose scalars are Python floats.
@@ -186,30 +118,22 @@ def cg_solve(
     squared norm overflows counts as worse.  The product that tested the
     guess is charged all the same.
 
-    With a ``space``, the start is x0 plus the space's Galerkin correction
-    (``CorrectionSpace.correct``), formed at no product: the product tests
-    that corrected start, the acceptance and convergence tests apply to it,
-    and CG starts from its true residual.  When the start is accepted and
-    has not converged, the space records the solve's correction x - x0.  A
-    solve that starts from x = 0 records nothing.
-
-    The solve stops when the residual that CG updates by its recursion has
-    ||r|| <= tol * ||b||.  That r is the true residual b - A x at the start
-    and drifts from it by rounding as CG goes, so the true residual of the
-    result can end slightly above tol * ||b||: up to 1.0072 tol in sweeps of
-    63 unknowns at nu dt / h^2 = 100 and tol = 1e-12, where a solve takes
-    about as many products as there are unknowns.  A zero right-hand side
-    has the zero solution and costs no product.  Raises ``CGError`` when
-    p.Ap is not a positive finite number (A is not positive definite, or
-    the iterates are not finite), when ``b`` is not finite, or after n
-    iterations for n unknowns.  ``counter`` is charged exactly the products
-    made, up to a failure too.
-
-    ``b``, ``x0`` and the arrays ``apply_a`` returns are only read.  With a
-    space and an accepted start, the iterate x is the correction to x0: it
-    starts from the space's Galerkin correction, and x0 is added once CG has
-    converged.  A correction recorded as x - x0 from an iterate that began
-    at x0 + C^T a would lose its digits to the subtraction.
+    CG updates its residual by a recursion, which is the true residual
+    b - A x at the start and drifts from it by rounding as CG goes: on the
+    line of 63 unknowns at nu dt / h^2 = 100 and tol = 1e-12, where a solve
+    takes about as many products as there are unknowns, a solve that
+    stopped on the recursion ended at up to 1.0082 tol.  So when the
+    recursion first has ||r|| <= tol * ||b||, the solve tests b - A x, at
+    one product, and stops if that meets tol too; otherwise CG goes on
+    from the true residual, with n more iterations allowed, and stops on
+    its recursion.  A start that meets tol as it is has its true residual
+    already and takes no test.  A zero right-hand side has the zero
+    solution and costs no product.  Raises ``CGError`` when p.Ap is not a
+    positive finite number (A is not positive definite, or the iterates
+    are not finite), when ``b`` is not finite, or after n iterations for n
+    unknowns.  ``counter`` is charged exactly the products made, up to a
+    failure too.  ``b``, ``x0`` and the arrays ``apply_a`` returns are only
+    read.
     """
     if not tol > 0:  # written so that NaN fails too
         raise ValueError("tol must be positive")
@@ -221,31 +145,30 @@ def cg_solve(
     if not b_norm:  # a zero right-hand side has the zero solution
         return np.zeros(n)
     target = tol * b_norm
-    start = it = 0
-    offset = None  # the start x corrects, with a space
+    tests = it = 0  # the products that formed b - A x, and the CG iterations
     try:
         if x0 is None:
             x, r, rs = np.zeros(n), b.copy(), bb
         else:
-            start = 1
-            corrected = None if space is None else space.correct(b, x0)
-            guess = x0 if corrected is None else x0 + corrected[0]
-            r = b - apply_a(guess)
+            tests = 1
+            r = b - apply_a(x0)
             # an r.r that overflows is inf, worse than any finite ||b||: no warning
             with np.errstate(over="ignore"):
                 rs = float(r.dot(r))
             if math.sqrt(rs) > b_norm:  # a guess worse than zero restarts from x = 0, r = b
                 x, r, rs = np.zeros(n), b.copy(), bb
-            elif space is None or math.sqrt(rs) <= target:
-                x = guess.copy()
-            else:  # r is the residual of x0 + C^T a, the start of the correction x
-                x, image = corrected or (np.zeros(n), 0.0)
-                offset, r_start = x0, r + image
+            else:
+                x = x0.copy()
 
         if math.sqrt(rs) > target:
             p = r.copy()
             scratch = np.empty(n)
-            for it in range(1, n + 1):
+            last, tested = n, False  # the last iteration allowed; whether b - A x was tested
+            while True:
+                if it == last:
+                    raise CGError(f"CG did not reach relative residual {tol:g} in "
+                                  f"{n} iterations")
+                it += 1
                 ap = apply_a(p)
                 p_ap = float(p.dot(ap))
                 if not 0.0 < p_ap < math.inf:
@@ -255,18 +178,21 @@ def cg_solve(
                 r -= np.multiply(alpha, ap, out=scratch)
                 rs_new = float(r.dot(r))
                 if math.sqrt(rs_new) <= target:
-                    break
-                p *= rs_new / rs
-                p += r
+                    if tested:
+                        break
+                    tests, tested = tests + 1, True
+                    np.subtract(b, apply_a(x), out=r)
+                    rs_new = float(r.dot(r))
+                    if math.sqrt(rs_new) <= target:
+                        break
+                    np.copyto(p, r)  # CG from the true residual
+                    last = it + n
+                else:
+                    p *= rs_new / rs
+                    p += r
                 rs = rs_new
-            else:
-                raise CGError(f"CG did not reach relative residual {tol:g} in "
-                              f"{n} iterations")
     finally:
-        counter.add(start + it)
-    if offset is not None:
-        space.record(x, r_start, r)
-        x += offset
+        counter.add(tests + it)
     return x
 
 

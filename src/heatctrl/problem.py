@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import Grid, inner_omega
 from .linsolve import MatvecCounter
-from .propagators import TimeGrid, solve_adjoint, solve_state
+from .propagators import TimeGrid, forced_response, solve_adjoint, solve_state
 
 DEFAULT_CG_TOL = 1e-10
 
@@ -114,12 +114,14 @@ def optimal_step_gradient(
     control whose gradient is ``g_init``.
 
     The step sigma = <g,g>_H / (||z_g(T)||^2 + alpha ||g||_H^2), where z_g is
-    the state driven by g from a zero initial condition.  The cost is
-    quadratic, so the gradient after an update u is, by linearity,
-    g_init + alpha u + B* p_r, where r is the response of u (the final state
-    u drives from zero) and p_r the adjoint from r: each iteration costs one
-    homogeneous forward solve and one adjoint, and the descent reads neither
-    the control, its final state, y0 nor y_target.  Step 2 passes each
+    the state driven by g from a zero initial condition, z_g(T) one
+    Chebyshev pass over g (``propagators.forced_response``), or the CG
+    sweep's where no pass certifies it.  The cost is quadratic, so the
+    gradient after an update u is, by linearity, g_init + alpha u + B* p_r,
+    where r is the response of u (the final state u drives from zero) and
+    p_r the adjoint from r: each iteration costs one homogeneous forward
+    solve and one adjoint, and the descent reads neither the control, its
+    final state, y0 nor y_target.  Step 2 passes each
     sub-problem its window of the outer gradient, which is the sub-problem's
     gradient at the current control, so its targets never need to be formed.
     ``g_init`` is copied and never written.
@@ -146,8 +148,7 @@ def optimal_step_gradient(
     for it in range(iterations):
         if gnorm2 == 0.0 or (threshold is not None and np.sqrt(gnorm2) <= threshold):
             break
-        zT = solve_state(grid, tg, grid.zero_field(), g, problem.nu, problem.cg_tol, counter,
-                         keep=-1)
+        zT = forced_response(grid, tg, g, problem.nu, problem.cg_tol, counter)
         denom = inner_omega(grid, zT, zT) + alpha * gnorm2
         if denom == 0.0:
             break

@@ -12,27 +12,9 @@ is read before the operator's next call overwrites it.
 
 The state sweep, ``solve_state``, runs the recursion forward from y0 with
 the control as forcing.  Step j solves K x_j = b_j, b_j = x_{j-1} + dt B v^j,
-and starts its CG from x0 = omega b_j + E_j(x - omega b): E_j is the polynomial
-extrapolation through the last (up to ``START_ORDER``) steps the sweep has
-solved, and omega = 1 / (1 + 2 dt nu sum_axes h^-2) is the inverse of K's
-diagonal, the same at every node.  K is linear, so K E_j(x) = E_j(b) up to
-the solve tolerance, and the extrapolated state E_j(x) misses x_j by exactly
-K^-1 delta_j, with delta_j = b_j - E_j(b) known without a product.  The
-start adds the Jacobi estimate omega delta_j of that miss: up to the earlier
-solves' residuals its residual is (Id - omega K) delta_j, where the
-extrapolated state alone leaves delta_j.  K's spectrum lies in
-[1, 1 + 4 dt nu sum_axes h^-2], whose midpoint is its diagonal, so of all
-scalars omega = 1/diagonal shrinks the worst eigencomponent most, by a
-factor below 1 - omega.  The first solve starts from y0, or from x = 0 with
-no product when y0 is zero.
-
-What CG still has to remove from that start, the start correction
-x_j - x0_j, changes smoothly from step to step.  So a sweep keeps a
-``linsolve.CorrectionSpace`` of its last ``START_ORDER`` start corrections,
-and each solve first adds the Galerkin correction over them, without a
-product, and takes its one test product at the corrected start, so CG
-starts from that start's true residual (augmented CG,
-``CorrectionSpace.correct``).
+by CG from x_{j-1}, or from x = 0 with no product where x_{j-1} is zero.  A
+run sweeps only where no Chebyshev pass certifies its result (below) and for
+y(T; v) from a start control other than zero.
 
 The adjoint sweep has no forcing, so each of its states is a power of K^-1
 applied to the terminal value, and one Krylov space of K serves all N steps:
@@ -59,17 +41,19 @@ lambda = 1, which is 1, so the tail after degree D is known, and the pass
 certifies what it returns: an error bound the CG sweep does not give (it
 bounds each step's residual, not the state).  The degree is chosen before
 the products, from a lower bound on the result's norm that the lowest mode
-of K gives (``_lowest_mode``), and certified after them.
+of K gives (``_lowest_mode``), or, where no series reaches that guess, from
+an upper bound, and certified after them.
 
 - ``free_evolution`` takes K^-L y0, with y0 the one forcing: 56 and 156
-  products on the 33 x 33 and 65 x 65 benchmarks, against 357 and 800 for
-  the CG sweep.
+  products on the 33 x 33 and 65 x 65 benchmarks, against 1034 and 1650
+  for the CG sweep.
 - ``forced_response`` takes z(T) = sum_j K^-(L-j+1) dt B v^j, the state a
-  control drives from zero, which the line search needs of every direction,
-  with the forcing on the control patch: 51 and 141 products for the first
-  direction of the two benchmarks at seed 0, against 550 and 1779 for the
+  control drives from zero, with the forcing on the control patch.  The
+  line search needs it of every direction, and each of step 2's
+  sub-problems of every step it takes: 51 and 141 products for the first
+  direction of the two benchmarks at seed 0, against 1651 and 3600 for the
   CG sweep from zero, and 2.9e-11 and 5.5e-11 from a 1e-14 sweep where the
-  CG sweep ends 5.4e-11 and 1.2e-10 away.
+  CG sweep ends 6.2e-10 and 3.7e-10 away.
 
 The series is sized from the degree it must reach, not from the cap of
 ``CHEBYSHEV_DEGREES_PER_STEP`` L degrees: it doubles from 16 degrees, on
@@ -88,14 +72,13 @@ finite; the products of passes that did not certify are charged too.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .grid import Grid, StencilWork, _check_field, inject, laplacian_apply
-from .linsolve import CorrectionSpace, MatvecCounter, cg_solve, inverse_powers
+from .linsolve import MatvecCounter, cg_solve, inverse_powers
 
 
 @dataclass(frozen=True)
@@ -126,69 +109,6 @@ def step_operator(grid: Grid, dt: float, nu: float):
     own next call overwrites.
     """
     return partial(laplacian_apply, grid, work=StencilWork(grid, -(dt * nu)))
-
-
-def inverse_step_diagonal(grid: Grid, dt: float, nu: float) -> float:
-    """1 / (1 + 2 dt nu sum_axes h^-2), the inverse of K's diagonal.
-
-    -Lap has 2 h^-2 per axis on its diagonal at every interior node (the
-    Dirichlet boundary is not stored), so K's diagonal is one number.  It is
-    1 for nu = 0, where K = Id.  On a grid so fine that h^-2 overflows it is
-    0 (or NaN for nu = 0) without a warning: the stencil's h^-2 overflows
-    too, and the solves fail as they would from any start.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(1.0 / (1.0 + 2.0 * dt * nu * np.sum(1.0 / np.square(grid.spacing))))
-
-
-START_ORDER = 4
-# extrapolation coefficients of the last m solved states, newest first:
-# (-1)^i binom(m, i+1), exact for polynomials in time of degree below m
-_START_COEFFICIENTS = {m: tuple((-1) ** i * math.comb(m, i + 1) for i in range(m))
-                       for m in range(1, START_ORDER + 1)}
-
-
-class _SweepStarts:
-    """The CG starts of one sweep, x0 = omega b_j + E_j(x - omega b), and
-    the correction space ``cg_solve`` corrects them over.
-
-    ``next(rhs)`` is ``first`` until a step is recorded, then omega ``rhs``
-    plus the extrapolation through the last (up to ``START_ORDER``) offsets
-    x - omega b that ``record`` made.  A zero ``first`` is None: the solve
-    then starts from x = 0, r = b without the product that would test K 0.
-    A start is written into a buffer that the next call overwrites.
-    ``space`` is the sweep's ``CorrectionSpace`` of ``START_ORDER``
-    corrections, which the solves fill.
-    """
-
-    def __init__(self, first: np.ndarray, omega: float):
-        self._first = first if np.any(first) else None
-        self._omega = omega
-        self.space = CorrectionSpace(len(first), START_ORDER)
-        self._offsets = deque(maxlen=START_ORDER)  # x - omega b, newest first
-        self._start = np.empty(len(first))
-        self._term = np.empty(len(first))
-
-    def record(self, state: np.ndarray, rhs: np.ndarray) -> None:
-        """Record a solved step, K ``state`` = ``rhs``; ``rhs`` becomes its
-        offset, so the sweep must not read it again."""
-        rhs *= -self._omega
-        rhs += state  # (-omega) b + x is x - omega b, bit for bit
-        self._offsets.appendleft(rhs)
-
-    def next(self, rhs: np.ndarray) -> np.ndarray | None:
-        if not self._offsets:
-            return self._first
-        newest, *older = self._offsets
-        first_coefficient, *coefficients = _START_COEFFICIENTS[len(self._offsets)]
-        np.multiply(first_coefficient, newest, out=self._start)
-        for c, offset in zip(coefficients, older):
-            if c == -1:  # s + (-1) * x is s - x, bit for bit, in one pass
-                self._start -= offset
-            else:
-                self._start += np.multiply(c, offset, out=self._term)
-        self._start += np.multiply(self._omega, rhs, out=self._term)
-        return self._start
 
 
 def solve_state(
@@ -222,17 +142,13 @@ def solve_state(
     for row, step in enumerate(np.ravel(kept).tolist()):
         rows[step].append(row)
     out = np.empty((kept.size, len(y0)))
-    starts = _SweepStarts(y0, inverse_step_diagonal(grid, dt, nu))
     y = y0
     for j in range(steps + 1):
         if j:
             # dt * 0 is 0 off the patch: the bits of dt * B v^j
             b = inject(grid, dt * v[j - 1])
             b += y
-            # the offsets keep all the starts need of y^{j-1}: free it for the solve
-            del y
-            y = cg_solve(apply_k, b, tol, counter, x0=starts.next(b), space=starts.space)
-            starts.record(y, b)
+            y = cg_solve(apply_k, b, tol, counter, x0=y if np.any(y) else None)
         for row in rows[j]:
             out[row] = y
     return out if kept.ndim else out[0]
@@ -370,12 +286,14 @@ def _sized_series(powers, spread, target, cap, weights, forcing):
     ``forcing`` when that is given (the rows of one array: many small ones
     left the process's heap larger), up to its first degree whose bound is
     at most ``target``, and that bound, at the fewest degrees from 16 up,
-    doubling, to ``cap`` that reach it; None when none does.  The nodes come
-    from the degree the series must reach, not from the cap.  A size is left
-    at its first term whose floor lies above ``target``.  Larger sizes lower
-    the floor the series' tail sets, not the one its rounding sets: no size
-    is tried after one whose first floor is no lower than the last size's,
-    or whose floor rises above ``target`` after its first term.
+    doubling, to ``cap`` that reach it.  When none does it gives (None, the
+    least first floor of the sizes it tried), below which none of them has a
+    bound.  The nodes come from the degree the series must reach, not from
+    the cap.  A size is left at its first term whose floor lies above
+    ``target``.  Larger sizes lower the floor the series' tail sets, not the
+    one its rounding sets: no size is tried after one whose first floor is
+    no lower than the last size's, or whose floor rises above ``target``
+    after its first term.
     """
     degrees, last = 16, math.inf
     while True:
@@ -389,9 +307,10 @@ def _sized_series(powers, spread, target, cap, weights, forcing):
             first = floor if len(kept) == 1 else first
             if floor > target:
                 break
+        lowest = min(first, last) if kept else last
         if degrees == cap or kept and (len(kept) > 1 and floor > target or first >= last):
-            return None
-        last, degrees = first if kept else last, 2 * degrees
+            return None, lowest
+        last, degrees = lowest, 2 * degrees
 
 
 def free_evolution(grid: Grid, time_grid: TimeGrid, y0: np.ndarray, nu: float, tol: float,
@@ -461,13 +380,15 @@ def _chebyshev_pass(grid, time_grid, nu, tol, counter, forcing, nodes, scale):
     1 + tol is at most tol times a guess of the result's norm: |<phi,
     result>| for the lowest mode phi of K (``_lowest_mode``), a lower bound,
     or at least a 2^-6 share of the upper bound sum_i w_i lambda^-(L - i).
-    The pass certifies x_D after the fact, when the bound is at most tol
-    ||x_D||.
+    Where no series size up to ``CHEBYSHEV_DEGREES_PER_STEP`` L reaches
+    that first guess, the first pass is sized from the upper bound itself,
+    unless every size tried has its floor above that target too.  The pass
+    certifies x_D after the fact, when the bound is at most tol ||x_D||.
     When it does not, ||x_D|| - bound_D bounds the result's norm from below,
     and a pass of a higher degree follows from that guess; the pass gives up
-    when that is not positive or no series size up to
-    ``CHEBYSHEV_DEGREES_PER_STEP`` L reaches it, and at no product when the
-    weights vanish or are not finite, as it does when K's interval is not.
+    when that is not positive or no series size up to the cap reaches it,
+    and at no product when the weights vanish or are not finite, as it does
+    when K's interval is not.
     It keeps, a degree, a_k for every power or, where there are more powers
     than nodes, a_k ``forcing`` (a row of one array per series size), and
     holds three fields and one buffer on ``nodes`` besides the operator's.
@@ -481,25 +402,31 @@ def _chebyshev_pass(grid, time_grid, nu, tol, counter, forcing, nodes, scale):
         spread = float(4.0 * dt * nu * np.sum(1.0 / np.square(grid.spacing)))
         upper = float(decay.dot(weights))
         # phi is even under the box's point reflection, so the lowest-mode
-        # bound of an odd forcing is 0, and alone it leaves such a result to
-        # the sweep.  The share of the upper bound trades degrees for passes:
-        # each halving adds a few degrees, a guess above the result a second
-        # pass.  At seed 0, matvec_par on it-desk33 / it-field65 / the scaled
-        # benchmark reads 1175 / 2233 / 3260 at 2^-6, within 1% of that from
-        # 2^-6 to 2^-3, 1167 / 2339 / 3432 at 2^-2, and 1919 on it-desk33 (a
-        # pass falls back) at 2^-9 or with no share.
+        # bound of an odd forcing is 0.  The share of the upper bound trades
+        # degrees for passes: each halving adds a few degrees, a guess above
+        # the result a second pass.  At seed 0, matvec_par on it-desk33 /
+        # it-field65 / the scaled benchmark reads 1007 / 2175 / 2189 at 2^-6,
+        # within 1.1% of that at 2^-3, 994 / 2248 / 2347 at 2^-2, 1140 /
+        # 2600 / 2992 at 2^-1, and 1052 / 2175 / 2191 with no share, where
+        # more guesses need the retry from the upper bound.
         guess = max(abs(float(decay.dot(forcing.dot(phi)))) * scale, upper / 64)
     if not (upper and math.isfinite(upper) and math.isfinite(spread)):
         return None
     apply_k = step_operator(grid, dt, nu)
-    products = 0
+    products, first = 0, True
     try:
         while guess > 0:
-            sized = _sized_series(powers, spread, tol * guess / (1.0 + tol),
-                                  CHEBYSHEV_DEGREES_PER_STEP * steps, weights, folded)
-            if sized is None:
-                return None
-            kept, bound = sized
+            kept, bound = _sized_series(powers, spread, tol * guess / (1.0 + tol),
+                                        CHEBYSHEV_DEGREES_PER_STEP * steps, weights, folded)
+            if kept is None:
+                # a first guess far below the result asks for more degrees
+                # than the cap: size once from the upper bound instead,
+                # unless every size tried has its floor above that target
+                if not first or bound > tol * upper / (1.0 + tol):
+                    return None
+                guess, first = upper, False
+                continue
+            first = False
             # an overflow leaves x not finite: the pass gives up
             with np.errstate(over="ignore", invalid="ignore"):
                 x = _clenshaw(grid, apply_k, kept, forcing if folded is None else None, nodes,

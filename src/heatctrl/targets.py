@@ -21,12 +21,13 @@ loops over them and charges the counts as concurrent solves.
 
 The sub-problems only shape the search direction d = v_tilde - v, which the
 outer exact step rescales and combines with the previous step and the last
-three directions, so without an inner gradient test of their own their CG
-solves stop at ``DIRECTION_CG_TOL`` = 1e-3 (or the problem's ``cg_tol``, if
-looser): an inexact step 2 is a variable preconditioner of the outer
-flexible CG, and d is off by about that much relative in the H-norm.  With
-an inner gradient test they keep ``cg_tol``, since that test reads their
-gradients.  The one sub-problem of a run on one interval keeps ``cg_tol``
+three directions, so without an inner gradient test of their own their
+solves run at ``DIRECTION_CG_TOL`` = 1e-3 (or the problem's ``cg_tol``, if
+looser): each forward Chebyshev pass is certified to that relative
+accuracy, and each adjoint pass stops there.  An inexact step 2 is a
+variable preconditioner of the outer flexible CG, and d is off by at most
+about that much relative in the H-norm.  With an inner gradient test they
+keep ``cg_tol``, since that test reads their gradients.  The one sub-problem of a run on one interval keeps ``cg_tol``
 at one inner iteration too: it spans the whole horizon from zero, so its
 one forward solve, scaled by -sigma, is the line search's z(T), and a solve
 at ``cg_tol`` returns its response for that purpose.  On two or more
@@ -63,17 +64,19 @@ def make_partition(time_grid: TimeGrid, n_intervals: int) -> list[int]:
     return [k * base + min(k, rem) for k in range(n_intervals + 1)]
 
 
-# CG tolerance of step 2's solves when the inner descent has no gradient test,
+# tolerance of step 2's solves when the inner descent has no gradient test,
 # except the one sub-problem's of a run on one interval at one inner
-# iteration, whose response is the line search's z(T).  d then carries an error of about 1e-3 relative in the
-# H-norm (0.18e-3 and 0.96e-3 at the first iterate of the 33 x 33 and
-# 65 x 65 benchmarks at seed 0), which the outer step absorbs: it minimizes J
-# exactly over d, the previous step and the last three directions, flexible
-# CG with step 2 as a variable preconditioner.  On both benchmarks and on criterion 6 the run takes as many
-# outer iterations as at 1e-6 and its parallel tally moves by under 0.5%; at
-# 1e-2 it does not.  On the 65 x 65 benchmark at seed 0 a solve of sub-problems
-# 1..N-1 takes about 3.7 products a step here, against 9.4 at 1e-6 and 20.7
-# at cg_tol = 1e-10
+# iteration, whose response is the line search's z(T).  d then carries an
+# error of about 1e-4 relative in the H-norm (0.13e-3 and 0.17e-3 at the
+# first iterate of the 33 x 33 and 65 x 65 benchmarks at seed 0), which the
+# outer step absorbs: it minimizes J exactly over d, the previous step and
+# the last three directions, flexible CG with step 2 as a variable
+# preconditioner.  At seed 0 both benchmarks and criterion 6 take as many
+# outer iterations here as at 1e-6 and at cg_tol = 1e-10, and step 2 takes
+# 0.47 and 2.43 products a step on the two benchmarks, against 0.77 and 15.7
+# at 1e-6 and 1.12 and 27.7 at 1e-10: at either of those no 10-step window
+# of the 65 x 65 benchmark certifies its forced response, and each is left
+# to the CG sweep
 DIRECTION_CG_TOL = 1e-3
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import heatctrl as hc
 from heatctrl.linsolve import inverse_powers
+from heatctrl.propagators import forced_response
 
 
 # the desk-scale 2D instance of acceptance criteria 4 and 5
@@ -184,8 +185,7 @@ def reference_descent(problem, g_init, iterations, counter, gradient_rtol,
         gnorm2 = hc.inner_h(grid, tg, g, g)
         if gnorm2 == 0.0 or (threshold is not None and np.sqrt(gnorm2) <= threshold):
             break
-        zT = hc.solve_state(grid, tg, grid.zero_field(), g, problem.nu, problem.cg_tol,
-                            counter, keep=-1)
+        zT = forced_response(grid, tg, g, problem.nu, problem.cg_tol, counter)
         denom = hc.inner_omega(grid, zT, zT) + problem.alpha * gnorm2
         if denom == 0.0:
             break
@@ -244,8 +244,10 @@ def subspace_minimizer(problem, v, columns, threshold, final_state=None, respons
 
 
 def break_step2_solves(monkeypatch, broken):
-    """Make every ``cg_solve`` of step 2's sub-problem ``broken`` raise a
-    synthetic ``CGError``; the other solves run as before."""
+    """Make every stencil product made while step 2's sub-problem ``broken``
+    is solved raise a synthetic ``CGError``, so that its Chebyshev pass and
+    the CG sweep it would fall back to both fail; the other solves run as
+    before."""
     import heatctrl.driver as driver
     import heatctrl.propagators as propagators
 
@@ -258,13 +260,13 @@ def break_step2_solves(monkeypatch, broken):
         finally:
             solving[0] = None
 
-    def breaking(apply_a, b, *args, real=propagators.cg_solve, **kwargs):
+    def breaking(grid, u, real=propagators.laplacian_apply, **buffers):
         if solving[0] == broken:
             raise hc.CGError("synthetic breakdown")
-        return real(apply_a, b, *args, **kwargs)
+        return real(grid, u, **buffers)
 
     monkeypatch.setattr(driver, "solve_subproblem", tracked)
-    monkeypatch.setattr(propagators, "cg_solve", breaking)
+    monkeypatch.setattr(propagators, "laplacian_apply", breaking)
 
 
 @pytest.fixture

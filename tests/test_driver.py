@@ -418,6 +418,53 @@ def test_batched_step2_equals_a_loop_over_subproblems(rng, monkeypatch, inner, i
                                        b.matvec_sequential, b.matvec_parallel)
 
 
+def test_step2_certifies_every_window_without_a_cg_solve(monkeypatch):
+    # the 65 x 65 benchmark's nu dt / h^2 = 0.8192 and 10-step windows on a
+    # 31 x 31 interior: every sub-problem's forward solve is a Chebyshev
+    # pass that certifies, so step 2 makes no CG solve.  Without the pass
+    # sized from the upper bound of z(T), 7 of these 40 windows fall back to
+    # the sweep
+    import heatctrl.driver as driver
+    import heatctrl.propagators as propagators
+
+    third, two_thirds = repr(1 / 3), repr(2 / 3)
+    grid = hc.build_grid(2, 33, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2)
+    nu = 1e-2
+    prob = hc.ControlProblem(
+        grid=grid, time_grid=hc.TimeGrid(80, 0.8192 * grid.spacing[0] ** 2 / nu),
+        y0=make_field(grid, "gaussian(0.5,0.5,0.15,1.0)"),
+        y_target=make_field(grid, f"indicator({third},{two_thirds},{third},{two_thirds})"),
+        alpha=1e-2, nu=nu)
+    inside, windows, sweeps = [False], [], []
+
+    def step2(*args, real=driver.targets_direction):
+        inside[0] = True
+        try:
+            return real(*args)
+        finally:
+            inside[0] = False
+
+    def window(sub, *args, real=driver.solve_subproblem):
+        windows.append(sub.index)
+        return real(sub, *args)
+
+    def logged(name, real):
+        def spy(*args, **kwargs):
+            if inside[0]:
+                sweeps.append(name)
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(driver, "targets_direction", step2)
+    monkeypatch.setattr(driver, "solve_subproblem", window)
+    monkeypatch.setattr(propagators, "cg_solve", logged("cg_solve", propagators.cg_solve))
+    monkeypatch.setattr(propagators, "solve_state", logged("solve_state",
+                                                           propagators.solve_state))
+    res = hc.run(prob, hc.OuterConfig(n_intervals=8, max_outer=20, gradient_rtol=1e-3))
+    assert res.converged and len(windows) == 8 * (len(res.history) - 1) == 40
+    assert sweeps == []
+
+
 # cg_tol 1e-5 is tighter than DIRECTION_CG_TOL, so step 2 loosens from it;
 # cg_tol 3e-3 is looser, so step 2 keeps it
 @pytest.mark.parametrize("cg_tol, inner, inner_rtol, n_intervals", [
@@ -638,16 +685,16 @@ def test_loose_step2_run_reaches_oracle_cost_in_2d(rng):
         assert abs(res.history[-1].cost - j_star) <= 1e-8 * max(1.0, j_star)
 
 
-def _run_peak_bytes(steps, max_outer=3):
+def _run_peak_bytes(steps, max_outer=3, alpha=0.1):
     """tracemalloc peak of ``run`` on a 15 x 15 interior with a 3 x 3 control
-    patch, ``steps`` time steps, 4 sub-intervals and ``max_outer`` outer
-    iterations."""
+    patch, ``steps`` time steps, 4 sub-intervals, the penalty ``alpha`` and
+    ``max_outer`` outer iterations."""
     rng = np.random.default_rng(7)
     grid = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(0.4, 0.6)] * 2)
     prob = hc.ControlProblem(grid=grid, time_grid=hc.TimeGrid(steps, 0.5 / steps),
                              y0=rng.standard_normal(grid.interior_node_count),
                              y_target=rng.standard_normal(grid.interior_node_count),
-                             alpha=0.1, nu=0.5)
+                             alpha=alpha, nu=0.5)
     cfg = hc.OuterConfig(n_intervals=4, max_outer=max_outer, gradient_rtol=1e-12)
     tracemalloc.start()
     try:
@@ -673,14 +720,17 @@ def test_remembered_directions_cost_at_most_three_controls_and_fields(monkeypatc
     # a run whose ring fills (five steps, the last three remembered) peaks
     # at most three controls and three fields above the same run remembering
     # none, plus 1 KiB a direction for the array and tuple objects (about
-    # 0.6 KiB); one more control or field a direction would pass the bound
+    # 0.6 KiB); one more control or field a direction would pass the bound.
+    # At alpha = 1e-3 J still falls by 3.5e-7 relative at the fifth step;
+    # at 0.1 it reaches its rounding floor by the fourth, where a run may
+    # stall
     import heatctrl.driver as driver
 
     steps = 16
-    _run_peak_bytes(steps, max_outer=5)
-    full, n = _run_peak_bytes(steps, max_outer=5)
+    _run_peak_bytes(steps, max_outer=5, alpha=1e-3)
+    full, n = _run_peak_bytes(steps, max_outer=5, alpha=1e-3)
     monkeypatch.setattr(driver, "REMEMBERED_DIRECTIONS", 0)
-    none, _ = _run_peak_bytes(steps, max_outer=5)
+    none, _ = _run_peak_bytes(steps, max_outer=5, alpha=1e-3)
     assert full - none <= 3 * ((steps * 9 + n) * 8 + 1024)
 
 
@@ -887,8 +937,11 @@ def test_remembered_directions_are_the_last_three_as_they_were_solved(rng, monke
     # each with the z(T) its line search returned, bit for bit as that line
     # search left them and unwritten to the end of the run; a line search
     # gives d back whole up to its rounding, at most about 2 eps in norm (it
-    # holds d's even part while it splits d); one interval remembers none
-    prob = thirteen_step_problem(dim, rng, 1e-10)
+    # holds d's even part while it splits d); one interval remembers none.
+    # The line has 16 interior nodes: on thirteen_step_problem's 6, J
+    # reaches its rounding floor by the fourth step, where a run may stall
+    prob = (random_tiny_problem(rng, n_interior=16, steps=13, cg_tol=1e-10) if dim == 1
+            else thirteen_step_problem(dim, rng, 1e-10))
     calls = _logged_line_searches(monkeypatch)
     res = hc.run(prob, hc.OuterConfig(n_intervals=n_intervals, max_outer=5,
                                       gradient_rtol=1e-300))

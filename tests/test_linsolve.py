@@ -3,7 +3,7 @@ import pytest
 
 import heatctrl as hc
 import heatctrl.linsolve as linsolve
-from heatctrl.linsolve import CHECK, CorrectionSpace, inverse_powers
+from heatctrl.linsolve import CHECK, inverse_powers
 
 from conftest import dense_laplacian
 
@@ -20,7 +20,7 @@ def test_identity_converges_in_one_iteration(rng):
     b = rng.standard_normal(8)
     x = hc.cg_solve(lambda u: u, b, 1e-12, counter)
     np.testing.assert_allclose(x, b, rtol=1e-12)
-    assert counter.count == 1
+    assert counter.count == 2  # the iteration, and the test of its true residual
 
 
 def test_step_system_matches_dense_factorization(rng):
@@ -81,6 +81,27 @@ def test_overflowing_start_residual_restarts_from_zero(rng):
     assert warm.count == cold.count + 1
 
 
+def test_solve_goes_on_from_its_true_residual_where_the_recursion_drifted(rng):
+    # the first three products err by 1e-6 relative, so the residual the
+    # recursion updates drifts far from b - A x: the solve tests b - A x
+    # when the recursion first meets tol, and goes on from it to tol
+    a = np.linspace(1.0, 100.0, 20)
+    calls = []
+
+    def drifting(u):
+        calls.append(1)
+        return a * u * (1.0 + 1e-6 if len(calls) <= 3 else 1.0)
+
+    b = rng.standard_normal(20)
+    counter = hc.MatvecCounter()
+    x = hc.cg_solve(drifting, b, 1e-12, counter)
+    assert np.linalg.norm(b - a * x) <= 1e-12 * np.linalg.norm(b)
+    assert counter.count == len(calls)
+    exact = hc.MatvecCounter()
+    hc.cg_solve(lambda u: a * u, b, 1e-12, exact)
+    assert counter.count > exact.count
+
+
 def test_nonconvergence_raises(rng):
     # no residual reaches 1e-300 relative: the solve uses up its cap of one
     # iteration per unknown, 32 here, and is charged each product
@@ -110,6 +131,7 @@ def _reference_cg(apply_a, b, tol, x0):
         return x
     p = r.copy()
     rs = float(r @ r)
+    tested = False
     while True:
         ap = apply_a(p)
         alpha = rs / float(p @ ap)
@@ -117,8 +139,17 @@ def _reference_cg(apply_a, b, tol, x0):
         r -= alpha * ap
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= target:
-            return x
-        p = r + (rs_new / rs) * p
+            if tested:
+                return x
+            # the first time the recursion meets tol: b - A x, once
+            tested = True
+            r = b - apply_a(x)
+            rs_new = float(r @ r)
+            if np.sqrt(rs_new) <= target:
+                return x
+            p = r.copy()
+        else:
+            p = r + (rs_new / rs) * p
         rs = rs_new
 
 
@@ -250,91 +281,6 @@ def test_counter_charges_concurrent_solves_at_their_maximum():
     assert counter.count == 5 + 19  # the sequential tally charges the sum
     assert counter.parallel == 5 + 9  # the parallel one the costliest solve
     assert type(counter.count) is int and type(counter.parallel) is int
-
-
-def _spd(rng, n):
-    q = rng.standard_normal((n, n))
-    return q @ q.T + n * np.eye(n)
-
-
-def _galerkin(a, corrections, r):
-    """The correction C^T y with (C A C^T) y = C r, by a dense solve."""
-    c = np.array(corrections)
-    y = np.linalg.solve(c @ a @ c.T, c @ r)
-    return c.T @ y
-
-
-def _same_bits(got, want):
-    return all(np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
-
-
-def test_correction_space_gives_the_galerkin_correction_of_its_last_corrections(rng):
-    # the correction of a start x0 of A x = b solves A c = b - A x0 over the
-    # last four corrections, and its image is A c
-    n = 12
-    a = _spd(rng, n)
-    corrections = [rng.standard_normal(n) for _ in range(6)]
-    space = CorrectionSpace(n, 4)
-    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
-    assert space.correct(b, x0) is None  # an empty space
-    for count, c in enumerate(corrections, start=1):
-        # A c as the difference of two residuals, as a solve records it
-        r_end = rng.standard_normal(n)
-        space.record(c, a @ c + r_end, r_end)
-        got, image = space.correct(b, x0)
-        want = _galerkin(a, corrections[max(0, count - 4):count], b - a @ x0)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(image, a @ want, rtol=1e-10, atol=1e-12)
-
-
-def test_correction_space_leaves_out_zero_and_collinear_corrections(rng):
-    # warnings are errors here: no division by zero and no exception
-    n = 8
-    a = _spd(rng, n)
-    c = rng.standard_normal(n)
-    space = CorrectionSpace(n, 4)
-    zero = np.zeros(n)
-    space.record(zero, zero, zero)
-    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
-    assert _same_bits(space.correct(b, x0), (zero, zero))
-    for scale in (1.0, 2.0, -1.0):  # one direction, recorded three times
-        space.record(scale * c, a @ (scale * c), zero)
-    want = (c @ (b - a @ x0)) / (c @ a @ c) * c
-    got, image = space.correct(b, x0)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    np.testing.assert_allclose(image, a @ want, rtol=1e-12)
-
-
-def test_space_records_a_solve_from_an_accepted_start_only(rng):
-    g = hc.build_grid(1, 20, [(0.0, 1.0)], [(0.0, 1.0)])
-    apply_k = hc.step_operator(g, 0.1, 1.0)
-    n = g.interior_node_count
-    b = rng.standard_normal(n)
-    space = CorrectionSpace(n, 4)
-    rhs, start = rng.standard_normal(n), rng.standard_normal(n)
-    # from zero, from a guess worse than zero and from a converged guess: nothing
-    for x0 in (None, -b, hc.cg_solve(apply_k, b, 1e-14, hc.MatvecCounter())):
-        x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0, space=space)
-        assert space.correct(rhs, start) is None
-    # from an accepted start: the correction x - x0 and its image
-    x0 = x + 1e-3 * rng.standard_normal(n)
-    x = hc.cg_solve(apply_k, b, 1e-12, hc.MatvecCounter(), x0=x0, space=space)
-    correction = x - x0
-    r = rhs - apply_k(start)
-    want = (correction @ r) / (correction @ apply_k(correction)) * correction
-    np.testing.assert_allclose(space.correct(rhs, start)[0], want, rtol=1e-8)
-    # a corrected start costs no product: the counter holds the operator calls
-    calls = []
-
-    def counted(u):
-        calls.append(1)
-        return apply_k(u)
-
-    b2 = b + 1e-2 * rng.standard_normal(n)
-    counter = hc.MatvecCounter()
-    x2 = hc.cg_solve(counted, b2, 1e-12, counter, x0=x, space=space)
-    assert counter.count == len(calls)
-    assert np.linalg.norm(b2 - apply_k(x2)) <= 1e-12 * np.linalg.norm(b2)
 
 
 # on the default schedule the 2D passes lose orthogonality: their Lanczos

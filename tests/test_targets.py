@@ -271,7 +271,7 @@ def test_step2_ledger_charges_each_subproblem_its_own_products(rng, monkeypatch)
     assert counter.parallel == max(counts)
     # sub-problem 3's descent takes all 3 steps and solves for no gradient
     # after the last, which nothing would read: that adjoint cost 6 products
-    assert counts == [33, 26, 52, 72]
+    assert counts == [37, 29, 58, 81]
     updates = np.concatenate([update for _, _, update, _ in solved])
     assert np.array_equal(d.view(np.int64), updates.view(np.int64))
     # with an inner gradient test every sub-problem runs at cg_tol and

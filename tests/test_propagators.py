@@ -188,6 +188,52 @@ def test_sweep_without_diffusion_sums_its_forcing(rng):
                                rtol=1e-14, atol=1e-15)
 
 
+# the steps of 0..7 that each storage mode keeps (None: every step); the
+# batch modes run three sweeps, one after another, on a sub-problem's grid
+KEPT = {"state": None, "state_final_only": -1, "state_breakpoints": [0, 3, 5, 7],
+        "state_batch": None, "state_batch_breakpoints": [0, 2, 7]}
+
+
+@pytest.mark.parametrize("sweep", list(KEPT))
+def test_sweeps_start_cg_from_the_previous_state(rng, monkeypatch, sweep):
+    # step j solves K x_j = x_{j-1} + dt B v^j by CG from x_{j-1}, the first
+    # step from y0, whatever steps the sweep keeps
+    g = hc.build_grid(2, (7, 8), [(0.0, 1.0), (0.0, 1.0)], [(0.3, 0.7), (0.2, 0.9)])
+    n, m = g.interior_node_count, g.control_node_count
+    if sweep.startswith("state_batch"):
+        tg = hc.TimeGrid(7, hc.TimeGrid(21, 0.7 / 21).dt)
+        columns = 3
+    else:
+        tg = hc.TimeGrid(7, 0.7 / 7)
+        columns = 1
+    calls = []
+    real = propagators.cg_solve
+
+    def recording(apply_a, b, tol, counter, x0=None):
+        rhs = b.copy()
+        x = real(apply_a, b, tol, counter, x0=x0)
+        calls.append((None if x0 is None else x0.copy(), rhs, x.copy()))
+        return x
+
+    monkeypatch.setattr(propagators, "cg_solve", recording)
+    keep = KEPT[sweep]
+    for _ in range(columns):
+        first = rng.standard_normal(n)
+        v = rng.standard_normal((7, m))
+        calls.clear()
+        out = hc.solve_state(g, tg, first, v, 0.6, 1e-11, hc.MatvecCounter(), keep=keep)
+        starts, rhs, solved = zip(*calls)
+        assert len(starts) == 7
+        # the trajectory of the solved fields, in time order
+        trajectory = np.array((first,) + solved)
+        assert np.array_equal(_bits(out), _bits(trajectory if keep is None else trajectory[keep]))
+        for j, (start, b) in enumerate(zip(starts, rhs)):
+            assert np.array_equal(_bits(start), _bits(trajectory[j]))
+            want = hc.inject(g, tg.dt * v[j])
+            want += trajectory[j]
+            assert np.array_equal(_bits(b), _bits(want))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("columns", [None, 3], ids=["single", "batch"])
 @pytest.mark.parametrize("stiffness", [0.1, 1.0, 10.0, 100.0])
@@ -1002,6 +1048,121 @@ def test_forced_response_charges_the_passes_that_do_not_certify(monkeypatch):
     sweep = hc.MatvecCounter()
     want = hc.solve_state(g, tg, g.zero_field(), v, nu, 1e-10, sweep, keep=-1)
     assert z.tobytes() == want.tobytes() and counter.count == sweep.count + first
+
+
+def test_forced_response_follows_a_forcing_that_jumps_between_windows(monkeypatch):
+    # the shape of a line-search direction: constant in time on each of two
+    # windows, with a jump at the breakpoint between them.  One pass
+    # certifies z(T) at a sixteenth of the CG sweep's products (29 against
+    # 492), and lies nearer the dense recursion than the sweep
+    g = hc.build_grid(2, 17, [(0.0, 1.0)] * 2, [(1 / 3, 2 / 3)] * 2)
+    nu, steps = 1e-2, 40
+    tg = hc.TimeGrid(steps, 0.1 * g.spacing[0] ** 2 / nu)  # dt nu / h^2 = 0.1
+    pattern = np.random.default_rng(7).standard_normal((2, g.control_node_count))
+    v = np.repeat(pattern, steps // 2, axis=0)
+    _, fallback = _spy_stencil_and_fallback(monkeypatch)
+    degrees = _spy_passes(monkeypatch)
+    counter = hc.MatvecCounter()
+    z = propagators.forced_response(g, tg, v, nu, 1e-10, counter)
+    assert not fallback and len(degrees) == 1
+    monkeypatch.undo()
+    sweep = hc.MatvecCounter()
+    z_sweep = hc.solve_state(g, tg, g.zero_field(), v, nu, 1e-10, sweep, keep=-1)
+    assert 16 * counter.count <= sweep.count
+    ref = dense_state_solve(g, tg, g.zero_field(), v, nu)[-1]
+    error = np.linalg.norm(z - ref)
+    assert error <= 1e-10 * np.linalg.norm(ref)
+    assert error <= np.linalg.norm(z_sweep - ref)
+
+
+def _sized_series_log(monkeypatch):
+    """Per ``_sized_series`` call of a pass, (target, what it returned)."""
+    log, real = [], propagators._sized_series
+
+    def logged(powers, spread, target, *args):
+        out = real(powers, spread, target, *args)
+        log.append((target, out))
+        return out
+
+    monkeypatch.setattr(propagators, "_sized_series", logged)
+    return log
+
+
+def _upper_bound(g, tg, nu, v):
+    """sum_j ||dt v^j|| lambda^-(L-j+1), lambda K's least eigenvalue: an
+    upper bound on ||z(T)||."""
+    lowest = sum(4.0 / (h * h) * np.sin(np.pi / (2 * (n - 1))) ** 2
+                 for n, h in zip(g.nodes_per_axis, g.spacing))
+    powers = tg.step_count - np.arange(tg.step_count)
+    return float((1.0 + tg.dt * nu * lowest) ** -powers @ (tg.dt * np.sqrt(np.vecdot(v, v))))
+
+
+# (case, tol, whether the pass sizes a series from the upper bound): on
+# the 9 x 9 box at nu dt / h^2 = 0.5 no series up to 2 L reaches the
+# lowest-mode guess; at tol = 1e-8 the floor of the sizes tried (2.5e-10)
+# lies under the upper bound's target (4.9e-9), at 1e-10 above it (4.9e-11)
+@pytest.mark.parametrize("case, tol, retried", [
+    ((2, 9, 0.5, 24, "random"), 1e-8, True),
+    ((2, 9, 0.5, 24, "random"), 1e-10, False),
+    ((1, 17, 10.0, 8, "smooth"), 1e-8, False),
+], ids=["retried", "floor_above_the_upper_target", "stiff_and_short"])
+def test_pass_sizes_from_the_upper_bound_once_unless_the_floor_rules_it_out(monkeypatch, case,
+                                                                           tol, retried):
+    g, tg, nu, v = _forced_case(*case)
+    upper_target = tol * _upper_bound(g, tg, nu, v) / (1.0 + tol)
+    log = _sized_series_log(monkeypatch)
+    _, fallback = _spy_stencil_and_fallback(monkeypatch)
+    counter = hc.MatvecCounter()
+    z = propagators.forced_response(g, tg, v, nu, tol, counter)
+    (first_target, (kept, floor)), *rest = log
+    assert kept is None and first_target < upper_target
+    assert (floor <= upper_target) == retried
+    if retried:
+        # the second series is sized from the upper bound, and a third from
+        # the second pass's result, which lies below it; that one certifies
+        (target, (kept, _)), (third, _) = rest
+        assert kept is not None and target == pytest.approx(upper_target, rel=1e-12)
+        assert third < target and not fallback
+        ref = dense_state_solve(g, tg, g.zero_field(), v, nu)[-1]
+        assert np.linalg.norm(z - ref) <= tol * np.linalg.norm(ref)
+    else:
+        # no retry and no product: the result is the CG sweep's
+        assert rest == [] and fallback == [0]
+
+
+# (powers, spread, cap, the sizes with a bound that the series tries): the
+# first size has none (q >= 1); every size up to the cap; sizes that stop
+# where the floor no longer falls; a cap that is not 16 times a power of two
+SIZED_SERIES_CASES = {
+    "unbounded_first_size": (np.arange(1.0, 25.0), 20.0, 48, [32, 48]),
+    "up_to_the_cap": (np.arange(1.0, 41.0), 4.0, 80, [16, 32, 64, 80]),
+    "floor_stops_falling": (np.arange(1.0, 41.0), 0.4, 80, [16, 32, 64]),
+    "odd_cap": (np.arange(5.0, 13.0), 2.0, 24, [16, 24]),
+}
+
+
+@pytest.mark.parametrize("case", list(SIZED_SERIES_CASES))
+def test_sized_series_gives_the_least_floor_of_the_sizes_it_tried(monkeypatch, case):
+    # where no size reaches the target, the series gives the least first
+    # floor of the sizes it tried, and no bound of those sizes, at any
+    # degree, lies below it (up to the rounding of its sum)
+    powers, spread, cap, sizes = SIZED_SERIES_CASES[case]
+    weights = np.random.default_rng(1).random(len(powers))
+    firsts, real = {}, propagators._inverse_power_series
+
+    def logged(power, spread, degrees, weights=None):
+        for i, term in enumerate(real(power, spread, degrees, weights)):
+            if not i:
+                firsts[degrees] = term[2]
+            yield term
+
+    monkeypatch.setattr(propagators, "_inverse_power_series", logged)
+    kept, floor = propagators._sized_series(powers, spread, 1e-300, cap, weights, None)
+    monkeypatch.undo()
+    assert kept is None and list(firsts) == sizes and floor == min(firsts.values())
+    for degrees in firsts:
+        bounds = [bound for _, bound, _ in real(powers, spread, degrees, weights)]
+        assert min(bounds) >= (1.0 - 1e-12) * floor
 
 
 @settings(max_examples=40, deadline=None)
